@@ -20,10 +20,11 @@ endings, UTF-8, and 17-significant-digit numbers; ``simulate`` prefixes a
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Sequence, get_args
 
 from . import relaxation as rx
 from . import stochsim as ss
@@ -32,146 +33,43 @@ from .errors import DomainError, NonConvergence, Unstable, Unsupported
 
 __all__ = ["main"]
 
-_MODELS = (
-    "standard",
-    "fractional",
-    "sojourn",
-    "firstpassage",
-    "besselsq",
-    "elastic",
-    "gammaboundary",
-    "elasticgamma",
-    "distributed",
-)
 
-_PROCESSES = (
-    "reflectedbm",
-    "iteratedbm",
-    "sojourntime",
-    "firstpassagechain",
-    "besselsquared",
-    "elasticbm",
-    "wrighttime",
-    "airytime",
-    "distributedtime",
-)
+def _names(union) -> dict[str, type]:
+    """CLI name (the lowercased class name) of each class of a union."""
+    return {cls.__name__.lower(): cls for cls in get_args(union)}
 
-_BOUNDARIES = ("exponential", "gamma")
+
+_MODELS = _names(rx.RelaxationModel)
+_PROCESSES = _names(ss.ProcessSpec)
+_BOUNDARIES = _names(ss.BoundarySpec)
 
 
 def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+# dataclass field -> parameter flag, where the names differ
+_FIELD_FLAG = {"lam": "lambda", "n": "k"}
 _FLAG_DEST = {"lambda": "lam"}
 
 
-def _require_flag(args: argparse.Namespace, name: str, owner: str) -> float:
-    v = getattr(args, _FLAG_DEST.get(name, name), None)
-    if v is None:
-        raise DomainError(f"{owner} requires --{name}")
-    return v
+def _build(cls: type, args: argparse.Namespace, owner: str):
+    """Construct a law, process or boundary from its parameter flags.
 
-
-def _build_model(args: argparse.Namespace) -> rx.RelaxationModel:
-    m = args.model
-    lam = _require_flag(args, "lambda", m) if m else None
-    if m == "standard":
-        return rx.Standard(lam=lam)
-    if m == "fractional":
-        return rx.Fractional(nu=_require_flag(args, "nu", m), lam=lam)
-    if m == "sojourn":
-        return rx.Sojourn(lam=lam)
-    if m == "firstpassage":
-        k = args.k if args.k is not None else 1
-        return rx.FirstPassage(lam=lam, n=k)
-    if m == "besselsq":
-        return rx.BesselSq(gamma=_require_flag(args, "gamma", m), lam=lam)
-    if m == "elastic":
-        return rx.Elastic(alpha=_require_flag(args, "alpha", m), lam=lam)
-    if m == "gammaboundary":
-        return rx.GammaBoundary(k=int(_require_flag(args, "k", m)), lam=lam)
-    if m == "elasticgamma":
-        return rx.ElasticGamma(
-            k=int(_require_flag(args, "k", m)),
-            alpha=_require_flag(args, "alpha", m),
-            lam=lam,
-        )
-    if m == "distributed":
-        return rx.Distributed(
-            nu1=_require_flag(args, "nu1", m),
-            nu2=_require_flag(args, "nu2", m),
-            n1=_require_flag(args, "n1", m),
-            n2=_require_flag(args, "n2", m),
-            lam=lam,
-        )
-    raise DomainError(f"unknown model {m!r}")
-
-
-def _build_process(args: argparse.Namespace) -> ss.ProcessSpec:
-    p = args.process
-    if p == "reflectedbm":
-        return ss.ReflectedBM()
-    if p == "iteratedbm":
-        return ss.IteratedBM(n=int(_require_flag(args, "k", p)))
-    if p == "sojourntime":
-        return ss.SojournTime()
-    if p == "firstpassagechain":
-        return ss.FirstPassageChain(n=int(_require_flag(args, "k", p)))
-    if p == "besselsquared":
-        return ss.BesselSquared(gamma=_require_flag(args, "gamma", p))
-    if p == "elasticbm":
-        return ss.ElasticBM(alpha=_require_flag(args, "alpha", p))
-    if p == "wrighttime":
-        return ss.WrightTime(nu=_require_flag(args, "nu", p))
-    if p == "airytime":
-        return ss.AiryTime()
-    if p == "distributedtime":
-        return ss.DistributedTime(
-            n1=_require_flag(args, "n1", p),
-            n2=_require_flag(args, "n2", p),
-        )
-    raise DomainError(f"unknown process {p!r}")
-
-
-def _build_boundary(args: argparse.Namespace) -> ss.BoundarySpec:
-    b = args.boundary
-    lam = _require_flag(args, "lambda", f"boundary {b}")
-    if b == "exponential":
-        return ss.Exponential(lam=lam)
-    if b == "gamma":
-        return ss.Gamma(k=int(_require_flag(args, "k", f"boundary {b}")), lam=lam)
-    raise DomainError(f"unknown boundary {b!r}")
-
-
-def _analytic_model(spec: ss.ProcessSpec, boundary: ss.BoundarySpec) -> rx.RelaxationModel:
-    """The relaxation law whose psi(t) is the crossing probability of spec/boundary."""
-    if isinstance(boundary, ss.Exponential):
-        lam = boundary.lam
-        if isinstance(spec, ss.ReflectedBM) and spec.diffusion_scale == "var2t":
-            return rx.Fractional(nu=0.5, lam=lam)
-        if isinstance(spec, ss.IteratedBM):
-            return rx.Fractional(nu=0.5**spec.n, lam=lam)
-        if isinstance(spec, ss.SojournTime):
-            return rx.Sojourn(lam=lam)
-        if isinstance(spec, ss.FirstPassageChain):
-            return rx.FirstPassage(lam=lam, n=spec.n)
-        if isinstance(spec, ss.BesselSquared):
-            return rx.BesselSq(gamma=spec.gamma, lam=lam)
-        if isinstance(spec, ss.ElasticBM):
-            return rx.Elastic(alpha=spec.alpha, lam=lam)
-        if isinstance(spec, ss.WrightTime):
-            return rx.Fractional(nu=spec.nu, lam=lam)
-        if isinstance(spec, ss.AiryTime):
-            return rx.Fractional(nu=1.0 / 3.0, lam=lam)
-        if isinstance(spec, ss.DistributedTime):
-            return rx.Distributed(nu1=0.5, nu2=1.0, n1=spec.n1, n2=spec.n2, lam=lam)
-    if isinstance(boundary, ss.Gamma):
-        if isinstance(spec, ss.ReflectedBM) and spec.diffusion_scale == "var2t":
-            return rx.GammaBoundary(k=boundary.k, lam=boundary.lam)
-    raise DomainError(
-        f"no closed form pairs {type(spec).__name__} with {type(boundary).__name__}"
-    )
+    Every dataclass field is read from its flag; a field whose flag is
+    omitted, or that has no flag, keeps its default.  ``--lambda`` is
+    checked first, so that it is the flag an error names when several are
+    missing.
+    """
+    kwargs = {}
+    for f in sorted(dataclasses.fields(cls), key=lambda f: f.name != "lam"):
+        flag = _FIELD_FLAG.get(f.name, f.name)
+        value = getattr(args, _FLAG_DEST.get(flag, flag), None)
+        if value is not None:
+            kwargs[f.name] = value
+        elif f.default is dataclasses.MISSING:
+            raise DomainError(f"{owner} requires --{flag}")
+    return cls(**kwargs)
 
 
 def _time_grid(args: argparse.Namespace) -> tuple[float, ...]:
@@ -212,7 +110,7 @@ def _emit(
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    model = _build_model(args)
+    model = _build(_MODELS[args.model], args, args.model)
     ts = _time_grid(args)
     rows = []
     for t in ts:
@@ -229,15 +127,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _build_process(args)
-    boundary = _build_boundary(args)
-    model = _analytic_model(spec, boundary)
+    spec = _build(_PROCESSES[args.process], args, args.process)
+    boundary = _build(_BOUNDARIES[args.boundary], args, f"boundary {args.boundary}")
+    model = spec.law(boundary)
     ts = _time_grid(args)
     rows = []
     worst_z = 0.0
     for t in ts:
         try:
-            if isinstance(spec, ss._MC_CAPABLE):
+            if hasattr(spec, "_sample"):
                 est = ss.estimate_crossing(spec, boundary, t, args.paths, seed=args.seed)
             else:
                 est = ss.quadrature_crossing(spec, boundary, t)
@@ -245,7 +143,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except (NonConvergence, Unstable) as exc:
             print(f"simulation failed at t={_fmt(t)}: {exc}", file=sys.stderr)
             return 3
-        z = (est.p_hat - analytic) / est.stderr if est.stderr > 0.0 else 0.0
+        gap = est.p_hat - analytic
+        if est.stderr > 0.0:
+            z = gap / est.stderr
+        else:
+            # a zero stderr claims an exact value: any gap fails it
+            z = math.copysign(math.inf, gap) if gap else 0.0
         worst_z = max(worst_z, abs(z))
         rows.append((t, est.p_hat, est.stderr, analytic, z))
     _emit(
@@ -355,15 +258,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a relaxation law on a time grid")
-    pe.add_argument("--model", choices=_MODELS, required=True)
+    pe.add_argument("--model", choices=tuple(_MODELS), required=True)
     _add_parameter_flags(pe)
     _add_grid_flags(pe)
     _add_output_flags(pe)
     pe.set_defaults(func=_cmd_eval)
 
     ps = sub.add_parser("simulate", help="estimate crossing probabilities")
-    ps.add_argument("--process", choices=_PROCESSES, required=True)
-    ps.add_argument("--boundary", choices=_BOUNDARIES, required=True)
+    ps.add_argument("--process", choices=tuple(_PROCESSES), required=True)
+    ps.add_argument("--boundary", choices=tuple(_BOUNDARIES), required=True)
     _add_parameter_flags(ps)
     _add_grid_flags(ps)
     _add_output_flags(ps)

@@ -240,99 +240,11 @@ def laplace_invert(
     return best
 
 
-def _d1_backward(g: L1Grid) -> list[float]:
-    """First derivative by backward differences at t_1..t_n (the L1 limit)."""
-    return caputo_l1(g, 1.0)
-
-
-def _assemble_residual(model, g: L1Grid) -> tuple[list[float], list[float]]:
-    """Residual of the governing equation of ``model`` on grid ``g``.
-
-    Returns (nodes, residuals).  Fractional orders are discretized by the
-    L1 scheme (its nu -> 1 limit, the backward difference, is used for
-    first derivatives so every term carries the order of its own operator);
-    the sojourn law's second-order equation uses central differences.
-    """
-    from . import relaxation as rx  # deferred to avoid a module cycle
-
-    h, n, f = g.h, g.n, g.values
-    ts = [m * h for m in range(1, n + 1)]
-    if isinstance(model, rx.Standard):
-        d1 = _d1_backward(g)
-        res = [d1[m] + model.lam * f[m + 1] for m in range(n)]
-        return ts, res
-    if isinstance(model, rx.Fractional):
-        dnu = caputo_l1(g, model.nu)
-        res = [dnu[m] + model.lam * f[m + 1] for m in range(n)]
-        return ts, res
-    if isinstance(model, rx.Sojourn):
-        lam = model.lam
-        nodes, res = [], []
-        for m in range(1, n):
-            t = m * h
-            d2 = (f[m + 1] - 2.0 * f[m] + f[m - 1]) / (h * h)
-            d1 = (f[m + 1] - f[m - 1]) / (2.0 * h)
-            nodes.append(t)
-            res.append(d2 + (lam + 1.0 / t) * d1 + lam / (2.0 * t) * f[m])
-        return nodes, res
-    if isinstance(model, rx.Elastic):
-        lam, alpha = model.lam, model.alpha
-        d1 = _d1_backward(g)
-        dh = caputo_l1(g, 0.5)
-        res = []
-        for m in range(n):
-            t = ts[m]
-            res.append(
-                d1[m]
-                + (alpha + lam) / math.sqrt(2.0) * dh[m]
-                - 0.5 * alpha * lam * (1.0 - f[m + 1])
-                + lam / math.sqrt(2.0 * math.pi * t)
-            )
-        return ts, res
-    if isinstance(model, rx.GammaBoundary):
-        lam, k = model.lam, model.k
-        if k > 2:
-            raise Unsupported(
-                "ode_residual for the gamma-boundary law is implemented for k <= 2 "
-                "(higher k requires Caputo orders above 1)"
-            )
-        dh = caputo_l1(g, 0.5)
-        if k == 1:
-            res = [dh[m] / lam + f[m + 1] for m in range(n)]
-        else:
-            d1 = _d1_backward(g)
-            res = [2.0 * dh[m] / lam + d1[m] / lam**2 + f[m + 1] for m in range(n)]
-        return ts, res
-    if isinstance(model, rx.ElasticGamma):
-        if model.k != 1:
-            raise Unsupported(
-                "ode_residual for the elastic gamma-boundary law is implemented for "
-                "k = 1 (higher k requires Caputo orders above 1)"
-            )
-        lam, alpha = model.lam, model.alpha
-        d1 = _d1_backward(g)
-        dh = caputo_l1(g, 0.5)
-        res = []
-        for m in range(n):
-            t = ts[m]
-            res.append(
-                (1.0 + alpha / lam) * dh[m]
-                + math.sqrt(2.0) / lam * d1[m]
-                - alpha / math.sqrt(2.0) * (1.0 - f[m + 1])
-                + 1.0 / math.sqrt(math.pi * t)
-            )
-        return ts, res
-    if isinstance(model, rx.Distributed):
-        n1, n2, lam = model.n1, model.n2, model.lam
-        da = caputo_l1(g, model.nu1)
-        db = caputo_l1(g, model.nu2) if model.nu2 < 1.0 else _d1_backward(g)
-        res = [n1 * da[m] + n2 * db[m] + lam * f[m + 1] for m in range(n)]
-        return ts, res
-    raise Unsupported(f"ode_residual has no governing equation for {type(model).__name__}")
-
-
 def ode_residual(model, grid: L1Grid, *, levels: int = 3) -> ResidualReport:
     """Grid-refinement residual study for the governing equation of ``model``.
+
+    ``model`` is a law of :mod:`frax.relaxation`, which supplies both its
+    exact samples and the residual of its equation on each grid.
 
     ``grid`` fixes the coarsest level (its samples are ignored; the law is
     re-sampled exactly on each refinement).  Residual max-norms are taken
@@ -341,8 +253,8 @@ def ode_residual(model, grid: L1Grid, *, levels: int = 3) -> ResidualReport:
     weakly singular laws.  The report's ``order`` is the mean of the
     log2 ratios of consecutive max-norms.
     """
-    from . import relaxation as rx  # deferred to avoid a module cycle
-
+    if not hasattr(model, "_residual"):
+        raise Unsupported(f"ode_residual has no governing equation for {type(model).__name__}")
     if levels < 2:
         raise DomainError(f"ode_residual needs >= 2 levels, got {levels}")
     h0, n0 = grid.h, grid.n
@@ -353,8 +265,7 @@ def ode_residual(model, grid: L1Grid, *, levels: int = 3) -> ResidualReport:
     for lv in range(levels):
         h = h0 / 2**lv
         n = n0 * 2**lv
-        g = L1Grid.sample(lambda t: rx.psi(model, t), h, n)
-        nodes, res = _assemble_residual(model, g)
+        nodes, res = model._residual(model._sample(h, n))
         pts = [(t, r) for t, r in zip(nodes, res) if t >= window]
         hs.append(h)
         norms.append(max(abs(r) for _t, r in pts))

@@ -1,11 +1,12 @@
 """Relaxation laws: the probability psi(t) that a Brownian-type process
 has not yet crossed an independent random boundary by time t.
 
-Each model is a frozen dataclass carrying its parameters plus a
-``diffusion_scale`` tag naming the Brownian variance convention its closed
-form is paired with (``var2t`` for Var B(t) = 2t, ``var_t`` for
-Var B(t) = t; pure counting laws carry ``none``).  The tag is what the
-simulator in :mod:`frax.stochsim` keys its conventions on.
+Each model is a frozen dataclass carrying its parameters and everything
+the package knows about its law: the closed form, the Laplace transform,
+the small- and large-t asymptotes and the residual of the governing
+equation on an :class:`~frax.fraccalc.L1Grid`.  The public functions
+:func:`psi`, :func:`psi_laplace` and :func:`asymptote` validate their
+arguments and hand over to the model.
 
 Evaluation strategy: every law has an explicit series/closed form used
 wherever it holds full accuracy in doubles; the laws that lose the series
@@ -20,14 +21,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from scipy.special import i0e
+
 from .errors import DomainError, NonConvergence, Unsupported
-from .fraccalc import laplace_invert
+from .fraccalc import L1Grid, caputo_l1, laplace_invert
 from .specfun import (
     DEFAULT_POLICY,
     MLParams,
     SeriesPolicy,
     _gml_raw,
-    bessel_i,
     mittag_leffler,
 )
 
@@ -76,210 +78,6 @@ def _positive(name: str, v: float) -> None:
     _require(isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0, f"{name} must be positive and finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Standard:
-    """Exponential relaxation exp(-lam*t) (constant-rate crossing)."""
-
-    lam: float
-    diffusion_scale = "none"
-
-    def __post_init__(self) -> None:
-        _positive("Standard.lam", self.lam)
-
-
-@dataclass(frozen=True)
-class Fractional:
-    """Reflected-Brownian-type crossing of an exponential boundary.
-
-    psi(t) = E_nu(-lam * t**nu); the nu = 1/2 case is a reflecting
-    Brownian motion with Var B(t) = 2t, smaller nu arise from iterated
-    composition of reflected motions.
-    """
-
-    nu: float
-    lam: float
-    diffusion_scale = "var2t"
-
-    def __post_init__(self) -> None:
-        _require(0.0 < self.nu < 1.0, f"Fractional.nu must lie in (0, 1), got {self.nu!r}")
-        _positive("Fractional.lam", self.lam)
-
-
-@dataclass(frozen=True)
-class Sojourn:
-    """Crossing of an exponential boundary by the occupation time of the
-    positive half-line, psi(t) = exp(-lam*t/2) * I0(lam*t/2)."""
-
-    lam: float
-    diffusion_scale = "var_t"
-
-    def __post_init__(self) -> None:
-        _positive("Sojourn.lam", self.lam)
-
-
-@dataclass(frozen=True)
-class FirstPassage:
-    """Crossing by an n-fold first-passage-time chain of Brownian motions.
-
-    psi(t) = exp(-rate * t) with rate = 2**(1 - 2**-n) * lam**(2**-n);
-    n = 1 is the plain first-passage time, giving exp(-t*sqrt(2*lam)).
-    """
-
-    lam: float
-    n: int = 1
-    diffusion_scale = "var_t"
-
-    def __post_init__(self) -> None:
-        _positive("FirstPassage.lam", self.lam)
-        _require(isinstance(self.n, int) and self.n >= 1, f"FirstPassage.n must be an integer >= 1, got {self.n!r}")
-
-
-@dataclass(frozen=True)
-class BesselSq:
-    """Crossing of an exponential boundary by a squared Bessel process of
-    dimension ``gamma``, psi(t) = (2*lam*t + 1)**(-gamma/2)."""
-
-    gamma: float
-    lam: float
-    diffusion_scale = "var_t"
-
-    def __post_init__(self) -> None:
-        _positive("BesselSq.gamma", self.gamma)
-        _positive("BesselSq.lam", self.lam)
-
-
-@dataclass(frozen=True)
-class Elastic:
-    """Crossing of an exponential boundary by elastic Brownian motion
-    (reflected motion killed at rate alpha per unit local time)."""
-
-    alpha: float
-    lam: float
-    diffusion_scale = "var_t"
-
-    def __post_init__(self) -> None:
-        _positive("Elastic.alpha", self.alpha)
-        _positive("Elastic.lam", self.lam)
-
-
-@dataclass(frozen=True)
-class GammaBoundary:
-    """Reflected-Brownian crossing of a gamma(k, lam) boundary (integer k)."""
-
-    k: int
-    lam: float
-    diffusion_scale = "var2t"
-
-    def __post_init__(self) -> None:
-        _require(isinstance(self.k, int) and self.k >= 1, f"GammaBoundary.k must be an integer >= 1, got {self.k!r}")
-        _positive("GammaBoundary.lam", self.lam)
-
-
-@dataclass(frozen=True)
-class ElasticGamma:
-    """Elastic-Brownian crossing of a gamma(k, lam) boundary (integer k)."""
-
-    k: int
-    alpha: float
-    lam: float
-    diffusion_scale = "var_t"
-
-    def __post_init__(self) -> None:
-        _require(isinstance(self.k, int) and self.k >= 1, f"ElasticGamma.k must be an integer >= 1, got {self.k!r}")
-        _positive("ElasticGamma.alpha", self.alpha)
-        _positive("ElasticGamma.lam", self.lam)
-
-
-@dataclass(frozen=True)
-class Distributed:
-    """Two-order distributed relaxation with weights n1, n2 (n1 + n2 = 1)
-    on Caputo orders nu1 < nu2; the crossing process is the inverse of the
-    corresponding weighted stable subordinator."""
-
-    nu1: float
-    nu2: float
-    n1: float
-    n2: float
-    lam: float
-    diffusion_scale = "var2t"
-
-    def __post_init__(self) -> None:
-        _require(0.0 < self.nu1 < self.nu2 <= 1.0, f"Distributed requires 0 < nu1 < nu2 <= 1, got nu1={self.nu1!r}, nu2={self.nu2!r}")
-        _require(self.n1 >= 0.0 and self.n2 > 0.0, f"Distributed requires n1 >= 0 and n2 > 0, got n1={self.n1!r}, n2={self.n2!r}")
-        _require(abs(self.n1 + self.n2 - 1.0) <= 1e-12, f"Distributed weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
-        _positive("Distributed.lam", self.lam)
-
-
-RelaxationModel = Union[
-    Standard,
-    Fractional,
-    Sojourn,
-    FirstPassage,
-    BesselSq,
-    Elastic,
-    GammaBoundary,
-    ElasticGamma,
-    Distributed,
-]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing grid of positive evaluation times."""
-
-    ts: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        _require(len(self.ts) >= 1, "TimeGrid needs at least one point")
-        _require(all(math.isfinite(t) and t > 0.0 for t in self.ts), "TimeGrid points must be positive and finite")
-        _require(all(b > a for a, b in zip(self.ts[:-1], self.ts[1:])), "TimeGrid points must be strictly increasing")
-
-    @classmethod
-    def span(cls, start: float, stop: float, count: int, scale: str = "linear") -> "TimeGrid":
-        _require(count >= 1, f"TimeGrid.span count must be >= 1, got {count}")
-        _require(0.0 < start <= stop, f"TimeGrid.span requires 0 < start <= stop, got {start}, {stop}")
-        if count == 1:
-            return cls(ts=(start,))
-        _require(start < stop, f"TimeGrid.span with count > 1 requires start < stop, got start = stop = {start}")
-        if scale == "linear":
-            step = (stop - start) / (count - 1)
-            return cls(ts=tuple(start + i * step for i in range(count)))
-        if scale == "log":
-            la, lb = math.log(start), math.log(stop)
-            step = (lb - la) / (count - 1)
-            return cls(ts=tuple(math.exp(la + i * step) for i in range(count)))
-        raise DomainError(f"TimeGrid.span scale must be 'linear' or 'log', got {scale!r}")
-
-
-def first_passage_rate(lam: float, n: int) -> float:
-    """Decay rate of the n-fold first-passage chain: 2**(1-2**-n) * lam**(2**-n)."""
-    return 2.0 ** (1.0 - 0.5**n) * lam ** (0.5**n)
-
-
-def _i0_scaled(x: float) -> float:
-    """exp(-x) * I0(x), overflow-free for all x >= 0.
-
-    Below the series/asymptotic crossover of :func:`frax.specfun.bessel_i`
-    the plain product is exact; above it the exponentially scaled
-    asymptotic series 1/sqrt(2 pi x) * sum_m c_m / x**m is used directly.
-    """
-    if x <= 20.0:
-        return math.exp(-x) * bessel_i(0.0, x)
-    c = 1.0
-    s = 1.0
-    prev = 1.0
-    for m in range(1, 40):
-        c *= (2.0 * m - 1.0) ** 2 / (8.0 * m)
-        term = c / x**m
-        if term >= prev:
-            break
-        s += term
-        prev = term
-        if term <= 1e-17 * s:
-            break
-    return s / math.sqrt(2.0 * math.pi * x)
-
-
 def _clip01(v: float) -> float:
     """Snap values a rounding error outside [0, 1] back onto the interval."""
     if -1e-9 <= v < 0.0:
@@ -289,7 +87,7 @@ def _clip01(v: float) -> float:
     return v
 
 
-def _psi_by_inversion(model: RelaxationModel, t: float) -> float:
+def _psi_by_inversion(model: "RelaxationModel", t: float) -> float:
     return _clip01(laplace_invert(lambda eta: psi_laplace(model, eta), t))
 
 
@@ -368,67 +166,460 @@ def _gml_scaled(p: MLParams, z: float, scale: float, policy: SeriesPolicy) -> fl
     return val
 
 
-def _psi_elastic_equal(lam: float, t: float, policy: SeriesPolicy) -> float:
-    y = lam * math.sqrt(t) / _SQRT2
-    return 1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y, policy)
+class _Law:
+    """Behaviour shared by the law dataclasses.
 
-
-def _psi_gamma_boundary(model: GammaBoundary, t: float, policy: SeriesPolicy) -> float:
-    x = model.lam * math.sqrt(t)
-    p = MLParams(0.5, 0.5 * model.k + 1.0, float(model.k))
-    return 1.0 - x**model.k * _gml_scaled(p, -x, x**model.k, policy)
-
-
-def _psi_elastic_gamma_series(model: ElasticGamma, t: float, policy: SeriesPolicy) -> float:
-    y = model.lam * math.sqrt(t) / _SQRT2
-    a = model.alpha * math.sqrt(t) / _SQRT2
-    k = model.k
-
-    def inner(ell: int) -> tuple[float, float, bool]:
-        return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, policy)
-
-    return 1.0 - y**k * _outer_series(inner, a, y**k, policy)
-
-
-def _psi_distributed_series(model: Distributed, t: float, policy: SeriesPolicy) -> float:
-    delta = model.nu2 - model.nu1
-    x = model.lam * t**model.nu2 / model.n2
-    q = model.n1 * t**delta / model.n2
-
-    def inner(r: int) -> tuple[float, float, bool]:
-        return _gml_raw(MLParams(model.nu2, model.nu2 + delta * r + 1.0, r + 1.0), -x, policy)
-
-    return 1.0 - x * _outer_series(inner, q, x, policy)
-
-
-def _psi_distributed_halfline(model: Distributed, t: float) -> float:
-    """Crossing probability for orders (1/2, 1) by direct quadrature.
-
-    The inverse of the weighted subordinator n1 * (stable 1/2) + n2 * t
-    has the explicit endpoint density
-
-        q(y, t) = n1 (t - n2 y / 2) / (sqrt(pi) (t - n2 y)^(3/2))
-                      * exp(-n1^2 y^2 / (4 (t - n2 y)))
-
-    on (0, t/n2), so psi(t) = int exp(-lam y) q(y, t) dy.  This covers the
-    mid-to-large times where the double series has cancelled and the
-    transform inversion converges too slowly through its stability gate.
+    Subclasses implement ``_psi(t, policy)`` for t > 0, ``_laplace(eta)``
+    and ``_asymptote(small, t)``, and ``_residual(g)`` where the law has a
+    governing equation; a law without a transform or an equation keeps the
+    defaults below, which raise :class:`Unsupported`.
     """
-    from scipy.integrate import quad
 
-    n1, n2, lam = model.n1, model.n2, model.lam
+    def _laplace(self, eta: float) -> float:
+        raise Unsupported(f"psi_laplace has no transform for {type(self).__name__}")
 
-    def f(y: float) -> float:
-        gap = t - n2 * y
-        if gap <= 0.0:
-            return 0.0
-        arg = n1 * n1 * y * y / (4.0 * gap) + lam * y
-        if arg > 700.0:
-            return 0.0
-        return n1 * (t - 0.5 * n2 * y) / (math.sqrt(math.pi) * gap**1.5) * math.exp(-arg)
+    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+        """Residual of the governing equation on the nodes t_1..t_n of ``g``.
 
-    val, _err = quad(f, 0.0, t / n2, limit=200, epsabs=1e-12, epsrel=1e-11)
-    return val
+        Fractional orders are discretized by the L1 scheme (its nu -> 1
+        limit, the backward difference, is used for first derivatives so
+        every term carries the order of its own operator).
+        """
+        raise Unsupported(f"ode_residual has no governing equation for {type(self).__name__}")
+
+    def _sample(self, h: float, n: int) -> L1Grid:
+        """psi sampled exactly on the uniform grid {0, h, ..., n*h}."""
+        return L1Grid.sample(lambda t: psi(self, t), h, n)
+
+
+@dataclass(frozen=True)
+class Standard(_Law):
+    """Exponential relaxation exp(-lam*t) (constant-rate crossing)."""
+
+    lam: float
+
+    def __post_init__(self) -> None:
+        _positive("Standard.lam", self.lam)
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        return math.exp(-self.lam * t)
+
+    def _laplace(self, eta: float) -> float:
+        return 1.0 / (eta + self.lam)
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        return 1.0 - self.lam * t if small else math.exp(-self.lam * t)
+
+    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+        d1 = caputo_l1(g, 1.0)
+        return g.ts[1:], [d1[m] + self.lam * g.values[m + 1] for m in range(g.n)]
+
+
+@dataclass(frozen=True)
+class Fractional(_Law):
+    """Reflected-Brownian-type crossing of an exponential boundary.
+
+    psi(t) = E_nu(-lam * t**nu); the nu = 1/2 case is a reflecting
+    Brownian motion with Var B(t) = 2t, smaller nu arise from iterated
+    composition of reflected motions.
+    """
+
+    nu: float
+    lam: float
+
+    def __post_init__(self) -> None:
+        _require(0.0 < self.nu < 1.0, f"Fractional.nu must lie in (0, 1), got {self.nu!r}")
+        _positive("Fractional.lam", self.lam)
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        return _clip01(mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu, policy))
+
+    def _laplace(self, eta: float) -> float:
+        return eta ** (self.nu - 1.0) / (eta**self.nu + self.lam)
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        nu, lam = self.nu, self.lam
+        if small:
+            return 1.0 - lam * t**nu / math.gamma(1.0 + nu)
+        return 1.0 / (lam * t**nu * math.gamma(1.0 - nu))
+
+    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+        dnu = caputo_l1(g, self.nu)
+        return g.ts[1:], [dnu[m] + self.lam * g.values[m + 1] for m in range(g.n)]
+
+
+@dataclass(frozen=True)
+class Sojourn(_Law):
+    """Crossing of an exponential boundary by the occupation time of the
+    positive half-line, psi(t) = exp(-lam*t/2) * I0(lam*t/2)."""
+
+    lam: float
+
+    def __post_init__(self) -> None:
+        _positive("Sojourn.lam", self.lam)
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        return float(i0e(0.5 * self.lam * t))
+
+    def _laplace(self, eta: float) -> float:
+        return 1.0 / math.sqrt(eta * (eta + self.lam))
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        return 1.0 - 0.5 * self.lam * t if small else 1.0 / math.sqrt(self.lam * math.pi * t)
+
+    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+        # second-order equation, by central differences at t_1..t_{n-1}
+        lam, h, f = self.lam, g.h, g.values
+        nodes, res = [], []
+        for m in range(1, g.n):
+            t = m * h
+            d2 = (f[m + 1] - 2.0 * f[m] + f[m - 1]) / (h * h)
+            d1 = (f[m + 1] - f[m - 1]) / (2.0 * h)
+            nodes.append(t)
+            res.append(d2 + (lam + 1.0 / t) * d1 + lam / (2.0 * t) * f[m])
+        return tuple(nodes), res
+
+
+@dataclass(frozen=True)
+class FirstPassage(_Law):
+    """Crossing by an n-fold first-passage-time chain of Brownian motions.
+
+    psi(t) = exp(-rate * t) with rate = 2**(1 - 2**-n) * lam**(2**-n);
+    n = 1 is the plain first-passage time, giving exp(-t*sqrt(2*lam)).
+    """
+
+    lam: float
+    n: int = 1
+
+    def __post_init__(self) -> None:
+        _positive("FirstPassage.lam", self.lam)
+        _require(isinstance(self.n, int) and self.n >= 1, f"FirstPassage.n must be an integer >= 1, got {self.n!r}")
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        return math.exp(-first_passage_rate(self.lam, self.n) * t)
+
+    def _laplace(self, eta: float) -> float:
+        return 1.0 / (eta + first_passage_rate(self.lam, self.n))
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        rate = first_passage_rate(self.lam, self.n)
+        return 1.0 - rate * t if small else math.exp(-rate * t)
+
+
+@dataclass(frozen=True)
+class BesselSq(_Law):
+    """Crossing of an exponential boundary by a squared Bessel process of
+    dimension ``gamma``, psi(t) = (2*lam*t + 1)**(-gamma/2).  It has no
+    elementary Laplace transform."""
+
+    gamma: float
+    lam: float
+
+    def __post_init__(self) -> None:
+        _positive("BesselSq.gamma", self.gamma)
+        _positive("BesselSq.lam", self.lam)
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        return (2.0 * self.lam * t + 1.0) ** (-0.5 * self.gamma)
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        return self._psi(t, DEFAULT_POLICY)
+
+
+@dataclass(frozen=True)
+class Elastic(_Law):
+    """Crossing of an exponential boundary by elastic Brownian motion
+    (reflected motion killed at rate alpha per unit local time)."""
+
+    alpha: float
+    lam: float
+
+    def __post_init__(self) -> None:
+        _positive("Elastic.alpha", self.alpha)
+        _positive("Elastic.lam", self.lam)
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        lam, alpha = self.lam, self.alpha
+        if abs(alpha - lam) < 1e-8 * lam:
+            try:
+                y = lam * math.sqrt(t) / _SQRT2
+                return _clip01(1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y, policy))
+            except NonConvergence:
+                return _psi_by_inversion(self, t)
+        ml = MLParams(0.5, 1.0)
+        ea = mittag_leffler(ml, -alpha * math.sqrt(t) / _SQRT2, policy)
+        el = mittag_leffler(ml, -lam * math.sqrt(t) / _SQRT2, policy)
+        return _clip01(1.0 - lam / (lam - alpha) * (ea - el))
+
+    def _laplace(self, eta: float) -> float:
+        lam, alpha = self.lam, self.alpha
+        num = alpha * lam / eta + _SQRT2 * alpha / math.sqrt(eta) + 2.0
+        den = (math.sqrt(2.0 * eta) + alpha) * (math.sqrt(2.0 * eta) + lam)
+        return num / den
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        if small:
+            return 1.0 - self.lam * math.sqrt(2.0 * t / math.pi)
+        return 1.0 - _SQRT2 / (self.alpha * math.sqrt(math.pi * t))
+
+    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+        lam, alpha, f, ts = self.lam, self.alpha, g.values, g.ts[1:]
+        d1 = caputo_l1(g, 1.0)
+        dh = caputo_l1(g, 0.5)
+        res = [
+            d1[m]
+            + (alpha + lam) / _SQRT2 * dh[m]
+            - 0.5 * alpha * lam * (1.0 - f[m + 1])
+            + lam / math.sqrt(2.0 * math.pi * ts[m])
+            for m in range(g.n)
+        ]
+        return ts, res
+
+
+@dataclass(frozen=True)
+class GammaBoundary(_Law):
+    """Reflected-Brownian crossing of a gamma(k, lam) boundary (integer k)."""
+
+    k: int
+    lam: float
+
+    def __post_init__(self) -> None:
+        _require(isinstance(self.k, int) and self.k >= 1, f"GammaBoundary.k must be an integer >= 1, got {self.k!r}")
+        _positive("GammaBoundary.lam", self.lam)
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        x = self.lam * math.sqrt(t)
+        p = MLParams(0.5, 0.5 * self.k + 1.0, float(self.k))
+        try:
+            return _clip01(1.0 - x**self.k * _gml_scaled(p, -x, x**self.k, policy))
+        except NonConvergence:
+            return _psi_by_inversion(self, t)
+
+    def _laplace(self, eta: float) -> float:
+        lam, k = self.lam, self.k
+        se = math.sqrt(eta)
+        return ((se + lam) ** k - lam**k) / (eta * (se + lam) ** k)
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        k, lam = self.k, self.lam
+        if small:
+            return 1.0 - (lam * math.sqrt(t)) ** k / math.gamma(0.5 * k + 1.0)
+        return k / (lam * math.sqrt(math.pi * t))
+
+    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+        lam, k, f = self.lam, self.k, g.values
+        if k > 2:
+            raise Unsupported(
+                "ode_residual for the gamma-boundary law is implemented for k <= 2 "
+                "(higher k requires Caputo orders above 1)"
+            )
+        dh = caputo_l1(g, 0.5)
+        if k == 1:
+            return g.ts[1:], [dh[m] / lam + f[m + 1] for m in range(g.n)]
+        d1 = caputo_l1(g, 1.0)
+        return g.ts[1:], [2.0 * dh[m] / lam + d1[m] / lam**2 + f[m + 1] for m in range(g.n)]
+
+
+@dataclass(frozen=True)
+class ElasticGamma(_Law):
+    """Elastic-Brownian crossing of a gamma(k, lam) boundary (integer k)."""
+
+    k: int
+    alpha: float
+    lam: float
+
+    def __post_init__(self) -> None:
+        _require(isinstance(self.k, int) and self.k >= 1, f"ElasticGamma.k must be an integer >= 1, got {self.k!r}")
+        _positive("ElasticGamma.alpha", self.alpha)
+        _positive("ElasticGamma.lam", self.lam)
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        lam, alpha, k = self.lam, self.alpha, self.k
+        y = lam * math.sqrt(t) / _SQRT2
+        try:
+            if abs(alpha - lam) < 1e-8 * lam:
+                p = MLParams(0.5, 0.5 * k + 1.0, k + 1.0)
+                return _clip01(1.0 - y**k * _gml_scaled(p, -y, y**k, policy))
+            a = alpha * math.sqrt(t) / _SQRT2
+
+            def inner(ell: int) -> tuple[float, float, bool]:
+                return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, policy)
+
+            return _clip01(1.0 - y**k * _outer_series(inner, a, y**k, policy))
+        except NonConvergence:
+            return _psi_by_inversion(self, t)
+
+    def _laplace(self, eta: float) -> float:
+        lam, alpha, k = self.lam, self.alpha, self.k
+        s2e = math.sqrt(2.0 * eta)
+        return 1.0 / eta - _SQRT2 * lam**k / (math.sqrt(eta) * (s2e + alpha) * (s2e + lam) ** k)
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        k, lam = self.k, self.lam
+        if small:
+            return 1.0 - (lam * math.sqrt(t) / _SQRT2) ** k / math.gamma(0.5 * k + 1.0)
+        return 1.0 - _SQRT2 / (self.alpha * math.sqrt(math.pi * t))
+
+    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+        if self.k != 1:
+            raise Unsupported(
+                "ode_residual for the elastic gamma-boundary law is implemented for "
+                "k = 1 (higher k requires Caputo orders above 1)"
+            )
+        lam, alpha, f, ts = self.lam, self.alpha, g.values, g.ts[1:]
+        d1 = caputo_l1(g, 1.0)
+        dh = caputo_l1(g, 0.5)
+        res = [
+            (1.0 + alpha / lam) * dh[m]
+            + _SQRT2 / lam * d1[m]
+            - alpha / _SQRT2 * (1.0 - f[m + 1])
+            + 1.0 / math.sqrt(math.pi * ts[m])
+            for m in range(g.n)
+        ]
+        return ts, res
+
+
+@dataclass(frozen=True)
+class Distributed(_Law):
+    """Two-order distributed relaxation with weights n1, n2 (n1 + n2 = 1)
+    on Caputo orders nu1 < nu2; the crossing process is the inverse of the
+    corresponding weighted stable subordinator."""
+
+    nu1: float
+    nu2: float
+    n1: float
+    n2: float
+    lam: float
+
+    def __post_init__(self) -> None:
+        _require(0.0 < self.nu1 < self.nu2 <= 1.0, f"Distributed requires 0 < nu1 < nu2 <= 1, got nu1={self.nu1!r}, nu2={self.nu2!r}")
+        _require(self.n1 >= 0.0 and self.n2 > 0.0, f"Distributed requires n1 >= 0 and n2 > 0, got n1={self.n1!r}, n2={self.n2!r}")
+        _require(abs(self.n1 + self.n2 - 1.0) <= 1e-12, f"Distributed weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
+        _positive("Distributed.lam", self.lam)
+
+    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+        if self.n1 == 0.0:
+            if self.nu2 == 1.0:
+                return math.exp(-self.lam * t / self.n2)
+            return psi(Fractional(self.nu2, self.lam / self.n2), t, policy)
+        try:
+            return _clip01(self._series(t, policy))
+        except NonConvergence:
+            if self.nu1 == 0.5 and self.nu2 == 1.0:
+                return _clip01(self._halfline(t))
+            return _psi_by_inversion(self, t)
+
+    def _series(self, t: float, policy: SeriesPolicy) -> float:
+        delta = self.nu2 - self.nu1
+        x = self.lam * t**self.nu2 / self.n2
+        q = self.n1 * t**delta / self.n2
+
+        def inner(r: int) -> tuple[float, float, bool]:
+            return _gml_raw(MLParams(self.nu2, self.nu2 + delta * r + 1.0, r + 1.0), -x, policy)
+
+        return 1.0 - x * _outer_series(inner, q, x, policy)
+
+    def _halfline(self, t: float) -> float:
+        """Crossing probability for orders (1/2, 1) by direct quadrature.
+
+        The inverse of the weighted subordinator n1 * (stable 1/2) + n2 * t
+        has the explicit endpoint density
+
+            q(y, t) = n1 (t - n2 y / 2) / (sqrt(pi) (t - n2 y)^(3/2))
+                          * exp(-n1^2 y^2 / (4 (t - n2 y)))
+
+        on (0, t/n2), so psi(t) = int exp(-lam y) q(y, t) dy.  This covers the
+        mid-to-large times where the double series has cancelled and the
+        transform inversion converges too slowly through its stability gate.
+        """
+        from scipy.integrate import quad
+
+        n1, n2, lam = self.n1, self.n2, self.lam
+
+        def f(y: float) -> float:
+            gap = t - n2 * y
+            if gap <= 0.0:
+                return 0.0
+            arg = n1 * n1 * y * y / (4.0 * gap) + lam * y
+            if arg > 700.0:
+                return 0.0
+            return n1 * (t - 0.5 * n2 * y) / (math.sqrt(math.pi) * gap**1.5) * math.exp(-arg)
+
+        # The integrand vanishes beyond lam*y = 700; over the whole of
+        # (0, t/n2) at large t, quad would miss the mass near y = 0.
+        val, _err = quad(f, 0.0, min(t / n2, 700.0 / lam), limit=200, epsabs=1e-12, epsrel=1e-11)
+        return val
+
+    def _laplace(self, eta: float) -> float:
+        w = self.n1 * eta**self.nu1 + self.n2 * eta**self.nu2
+        return w / (eta * (self.lam + w))
+
+    def _asymptote(self, small: bool, t: float) -> float:
+        if small:
+            return 1.0 - self.lam * t**self.nu2 / (self.n2 * math.gamma(1.0 + self.nu2))
+        if self.n1 == 0.0:
+            inner = Fractional(self.nu2, self.lam / self.n2) if self.nu2 < 1.0 else Standard(self.lam / self.n2)
+            return inner._asymptote(small, t)
+        return self.n1 / (self.lam * t**self.nu1 * math.gamma(1.0 - self.nu1))
+
+    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+        da = caputo_l1(g, self.nu1)
+        db = caputo_l1(g, self.nu2)
+        res = [self.n1 * da[m] + self.n2 * db[m] + self.lam * g.values[m + 1] for m in range(g.n)]
+        return g.ts[1:], res
+
+
+RelaxationModel = Union[
+    Standard,
+    Fractional,
+    Sojourn,
+    FirstPassage,
+    BesselSq,
+    Elastic,
+    GammaBoundary,
+    ElasticGamma,
+    Distributed,
+]
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Strictly increasing grid of positive evaluation times."""
+
+    ts: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        _require(len(self.ts) >= 1, "TimeGrid needs at least one point")
+        _require(all(math.isfinite(t) and t > 0.0 for t in self.ts), "TimeGrid points must be positive and finite")
+        _require(all(b > a for a, b in zip(self.ts[:-1], self.ts[1:])), "TimeGrid points must be strictly increasing")
+
+    @classmethod
+    def span(cls, start: float, stop: float, count: int, scale: str = "linear") -> "TimeGrid":
+        _require(count >= 1, f"TimeGrid.span count must be >= 1, got {count}")
+        _require(0.0 < start <= stop, f"TimeGrid.span requires 0 < start <= stop, got {start}, {stop}")
+        if count == 1:
+            return cls(ts=(start,))
+        _require(start < stop, f"TimeGrid.span with count > 1 requires start < stop, got start = stop = {start}")
+        if scale == "linear":
+            step = (stop - start) / (count - 1)
+            return cls(ts=tuple(start + i * step for i in range(count)))
+        if scale == "log":
+            la, lb = math.log(start), math.log(stop)
+            step = (lb - la) / (count - 1)
+            return cls(ts=tuple(math.exp(la + i * step) for i in range(count)))
+        raise DomainError(f"TimeGrid.span scale must be 'linear' or 'log', got {scale!r}")
+
+
+def first_passage_rate(lam: float, n: int) -> float:
+    """Decay rate of the n-fold first-passage chain: 2**(1-2**-n) * lam**(2**-n)."""
+    return 2.0 ** (1.0 - 0.5**n) * lam ** (0.5**n)
+
+
+
+def _law(model: object, missing: str) -> _Law:
+    if not isinstance(model, _Law):
+        raise Unsupported(f"{missing} for {type(model).__name__}")
+    return model
 
 
 def psi(model: RelaxationModel, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -440,59 +631,8 @@ def psi(model: RelaxationModel, t: float, policy: SeriesPolicy = DEFAULT_POLICY)
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
         raise DomainError(f"psi requires finite t >= 0, got {t!r}")
-    if t == 0.0:
-        return 1.0
-    if isinstance(model, Standard):
-        return math.exp(-model.lam * t)
-    if isinstance(model, Fractional):
-        return _clip01(mittag_leffler(MLParams(model.nu, 1.0), -model.lam * t**model.nu, policy))
-    if isinstance(model, Sojourn):
-        return _i0_scaled(0.5 * model.lam * t)
-    if isinstance(model, FirstPassage):
-        return math.exp(-first_passage_rate(model.lam, model.n) * t)
-    if isinstance(model, BesselSq):
-        return (2.0 * model.lam * t + 1.0) ** (-0.5 * model.gamma)
-    if isinstance(model, Elastic):
-        lam, alpha = model.lam, model.alpha
-        if abs(alpha - lam) < 1e-8 * lam:
-            try:
-                return _clip01(_psi_elastic_equal(lam, t, policy))
-            except NonConvergence:
-                return _psi_by_inversion(model, t)
-        ml = MLParams(0.5, 1.0)
-        ea = mittag_leffler(ml, -alpha * math.sqrt(t) / _SQRT2, policy)
-        el = mittag_leffler(ml, -lam * math.sqrt(t) / _SQRT2, policy)
-        return _clip01(1.0 - lam / (lam - alpha) * (ea - el))
-    if isinstance(model, GammaBoundary):
-        try:
-            return _clip01(_psi_gamma_boundary(model, t, policy))
-        except NonConvergence:
-            return _psi_by_inversion(model, t)
-    if isinstance(model, ElasticGamma):
-        lam, alpha = model.lam, model.alpha
-        if abs(alpha - lam) < 1e-8 * lam:
-            y = lam * math.sqrt(t) / _SQRT2
-            p = MLParams(0.5, 0.5 * model.k + 1.0, model.k + 1.0)
-            try:
-                return _clip01(1.0 - y**model.k * _gml_scaled(p, -y, y**model.k, policy))
-            except NonConvergence:
-                return _psi_by_inversion(model, t)
-        try:
-            return _clip01(_psi_elastic_gamma_series(model, t, policy))
-        except NonConvergence:
-            return _psi_by_inversion(model, t)
-    if isinstance(model, Distributed):
-        if model.n1 == 0.0:
-            if model.nu2 == 1.0:
-                return math.exp(-model.lam * t / model.n2)
-            return psi(Fractional(model.nu2, model.lam / model.n2), t, policy)
-        try:
-            return _clip01(_psi_distributed_series(model, t, policy))
-        except NonConvergence:
-            if model.nu1 == 0.5 and model.nu2 == 1.0:
-                return _clip01(_psi_distributed_halfline(model, t))
-            return _psi_by_inversion(model, t)
-    raise Unsupported(f"psi has no law for {type(model).__name__}")
+    law = _law(model, "psi has no law")
+    return law._psi(t, policy) if t > 0.0 else 1.0
 
 
 def psi_grid(model: RelaxationModel, grid: TimeGrid, policy: SeriesPolicy = DEFAULT_POLICY) -> list[tuple[float, float]]:
@@ -508,33 +648,7 @@ def psi_laplace(model: RelaxationModel, eta: float) -> float:
     """
     if not (math.isfinite(eta) and eta > 0.0):
         raise DomainError(f"psi_laplace requires eta > 0, got {eta!r}")
-    if isinstance(model, Standard):
-        return 1.0 / (eta + model.lam)
-    if isinstance(model, Fractional):
-        return eta ** (model.nu - 1.0) / (eta**model.nu + model.lam)
-    if isinstance(model, Sojourn):
-        return 1.0 / math.sqrt(eta * (eta + model.lam))
-    if isinstance(model, FirstPassage):
-        return 1.0 / (eta + first_passage_rate(model.lam, model.n))
-    if isinstance(model, Elastic):
-        lam, alpha = model.lam, model.alpha
-        num = alpha * lam / eta + _SQRT2 * alpha / math.sqrt(eta) + 2.0
-        den = (math.sqrt(2.0 * eta) + alpha) * (math.sqrt(2.0 * eta) + lam)
-        return num / den
-    if isinstance(model, GammaBoundary):
-        lam, k = model.lam, model.k
-        se = math.sqrt(eta)
-        return ((se + lam) ** k - lam**k) / (eta * (se + lam) ** k)
-    if isinstance(model, ElasticGamma):
-        lam, alpha, k = model.lam, model.alpha, model.k
-        s2e = math.sqrt(2.0 * eta)
-        return 1.0 / eta - _SQRT2 * lam**k / (math.sqrt(eta) * (s2e + alpha) * (s2e + lam) ** k)
-    if isinstance(model, Distributed):
-        w = model.n1 * eta**model.nu1 + model.n2 * eta**model.nu2
-        return w / (eta * (model.lam + w))
-    if isinstance(model, BesselSq):
-        raise Unsupported("psi_laplace: the squared-Bessel law has no closed transform here")
-    raise Unsupported(f"psi_laplace has no transform for {type(model).__name__}")
+    return _law(model, "psi_laplace has no transform")._laplace(eta)
 
 
 def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:
@@ -547,40 +661,4 @@ def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:
         raise DomainError(f"asymptote requires t > 0, got {t!r}")
     if not isinstance(regime, Regime):
         raise DomainError(f"asymptote regime must be a Regime member, got {regime!r}")
-    small = regime is Regime.SmallT
-    if isinstance(model, Standard):
-        return 1.0 - model.lam * t if small else math.exp(-model.lam * t)
-    if isinstance(model, Fractional):
-        nu, lam = model.nu, model.lam
-        if small:
-            return 1.0 - lam * t**nu / math.gamma(1.0 + nu)
-        return 1.0 / (lam * t**nu * math.gamma(1.0 - nu))
-    if isinstance(model, Sojourn):
-        return 1.0 - 0.5 * model.lam * t if small else 1.0 / math.sqrt(model.lam * math.pi * t)
-    if isinstance(model, FirstPassage):
-        rate = first_passage_rate(model.lam, model.n)
-        return 1.0 - rate * t if small else math.exp(-rate * t)
-    if isinstance(model, BesselSq):
-        return (2.0 * model.lam * t + 1.0) ** (-0.5 * model.gamma)
-    if isinstance(model, Elastic):
-        if small:
-            return 1.0 - model.lam * math.sqrt(2.0 * t / math.pi)
-        return 1.0 - _SQRT2 / (model.alpha * math.sqrt(math.pi * t))
-    if isinstance(model, GammaBoundary):
-        k, lam = model.k, model.lam
-        if small:
-            return 1.0 - (lam * math.sqrt(t)) ** k / math.gamma(0.5 * k + 1.0)
-        return k / (lam * math.sqrt(math.pi * t))
-    if isinstance(model, ElasticGamma):
-        k, lam = model.k, model.lam
-        if small:
-            return 1.0 - (lam * math.sqrt(t) / _SQRT2) ** k / math.gamma(0.5 * k + 1.0)
-        return 1.0 - _SQRT2 / (model.alpha * math.sqrt(math.pi * t))
-    if isinstance(model, Distributed):
-        if small:
-            return 1.0 - model.lam * t**model.nu2 / (model.n2 * math.gamma(1.0 + model.nu2))
-        if model.n1 == 0.0:
-            inner = Fractional(model.nu2, model.lam / model.n2) if model.nu2 < 1.0 else Standard(model.lam / model.n2)
-            return asymptote(inner, regime, t)
-        return model.n1 / (model.lam * t**model.nu1 * math.gamma(1.0 - model.nu1))
-    raise Unsupported(f"asymptote has no expansion for {type(model).__name__}")
+    return _law(model, "asymptote has no expansion")._asymptote(regime is Regime.SmallT, t)

@@ -1,23 +1,25 @@
 """Special-function evaluators used by the relaxation laws.
 
-All evaluators return IEEE double results and follow the same convergence
-discipline: power series are summed with compensated (Kahan) addition, a
+The Mittag-Leffler and M-Wright evaluators return IEEE double results and
+follow the same convergence discipline: power series are summed with compensated (Kahan) addition, a
 term is accepted as negligible only after three consecutive terms fall
 below ``rel_tol`` relative to the running sum, and a cancellation estimate
 ``eps * sum(|term|)`` is carried along so that catastrophic alternating
 series are detected instead of silently returned.  When a series cannot
 reach the target accuracy, each evaluator either switches to an integral
 representation valid in that regime or raises :class:`NonConvergence`.
+Airy Ai and the modified Bessel I are validated wrappers over
+:mod:`scipy.special`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from scipy.integrate import quad
-from scipy.special import gammaln, rgamma
+from scipy.special import airy, gammaln, ive, rgamma
 
 from .errors import DomainError, NonConvergence
 
@@ -37,7 +39,6 @@ __all__ = [
     "wright_m",
     "airy_ai",
     "bessel_i",
-    "kummer_1f1",
 ]
 
 
@@ -331,147 +332,28 @@ def wright_m(nu: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY) -> floa
     return _wright_stable_integral(nu, x)
 
 
-def _bessel_i_series(order: float, x: float, max_terms: int = 200) -> float:
-    """Ascending series of I_order(x) in log space (x > 0, order > -1)."""
-    lh = math.log(0.5 * x)
-    s = 0.0
-    for k in range(max_terms):
-        lg = (2.0 * k + order) * lh - gammaln(k + 1.0) - gammaln(k + order + 1.0)
-        term = math.exp(lg)
-        s += term
-        if term <= 1e-17 * s and k >= 4:
-            return s
-    raise NonConvergence(f"bessel_i series failed for order={order}, x={x}")
-
-
-def _bessel_i_asymptotic(order: float, x: float) -> float:
-    """Large-x expansion I_order(x) ~ e^x/sqrt(2 pi x) * sum_m c_m / x**m.
-
-    The coefficients follow c_0 = 1, c_m = c_{m-1} * ((2m-1)**2 - 4*order**2)
-    / (8m); the expansion is truncated at its smallest term.
-    """
-    mu = 4.0 * order * order
-    c = 1.0
-    s = 1.0
-    prev = 1.0
-    for m in range(1, 40):
-        c *= ((2.0 * m - 1.0) ** 2 - mu) / (8.0 * m)
-        term = c / x**m
-        if abs(term) >= abs(prev):
-            break
-        s += term
-        prev = term
-        if abs(term) <= 1e-17 * abs(s):
-            break
-    if x > _EXP_CAP:
-        return math.inf
-    return math.exp(x) * s / math.sqrt(2.0 * math.pi * x)
-
-
 _BESSEL_ORDERS = (0.0, 1.0 / 3.0, -1.0 / 3.0)
 
 
 def bessel_i(order: float, x: float) -> float:
     """Modified Bessel function I_order(x) for order in {0, 1/3, -1/3}, x >= 0.
 
-    Uses the ascending series for x <= 20 and the standard large-x
-    asymptotic expansion above; the crossover keeps both branches at
-    machine accuracy.  Returns inf when e^x overflows the double range.
+    Evaluated as scipy's exponentially scaled ``ive`` times e^x; returns
+    inf when e^x overflows the double range.
     """
-    canonical = None
-    for o in _BESSEL_ORDERS:
-        if abs(order - o) <= 1e-12:
-            canonical = o
-            break
-    if canonical is None:
+    if not any(abs(order - o) <= 1e-12 for o in _BESSEL_ORDERS):
         raise DomainError(f"bessel_i supports orders 0 and +/-1/3, got {order!r}")
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError(f"bessel_i requires finite x >= 0, got {x!r}")
     if x == 0.0:
-        return 1.0 if canonical == 0.0 else (math.inf if canonical < 0.0 else 0.0)
-    if x <= 20.0:
-        return _bessel_i_series(canonical, x)
-    return _bessel_i_asymptotic(canonical, x)
-
-
-_AIRY_ZERO = float(rgamma(2.0 / 3.0)) / 3.0 ** (2.0 / 3.0)
-
-
-def _airy_k_integral(zeta: float) -> float:
-    """Scaled Bessel-K factor K_{1/3}(zeta) * e^zeta by direct quadrature.
-
-    Integrates exp(-zeta*(cosh u - 1)) * cosh(u/3) over u in (0, 40); the
-    integrand decays doubly exponentially, so the finite upper limit is
-    exact at double precision for zeta >= 1.
-    """
-
-    def f(u: float) -> float:
-        w = zeta * (math.cosh(u) - 1.0)
-        if w > _EXP_CAP:
-            return 0.0
-        return math.exp(-w) * math.cosh(u / 3.0)
-
-    val, _err = quad(f, 0.0, 40.0, limit=200, epsabs=1e-280, epsrel=1e-12)
-    return val
+        return 1.0 if abs(order) <= 1e-12 else (math.inf if order < 0.0 else 0.0)
+    if x > _EXP_CAP:
+        return math.inf
+    return float(ive(order, x)) * math.exp(x)
 
 
 def airy_ai(w: float) -> float:
-    """Airy function Ai(w) for w >= 0.
-
-    For small arguments Ai is assembled from the difference of modified
-    Bessel functions of orders -1/3 and +1/3 of zeta = (2/3) w**(3/2); for
-    zeta > 2 it switches to the exponentially scaled Bessel-K integral,
-    which avoids the cancellation of the I-difference at large zeta.
-    """
+    """Airy function Ai(w) for w >= 0, from scipy's ``airy``."""
     if not (math.isfinite(w) and w >= 0.0):
         raise DomainError(f"airy_ai requires finite w >= 0, got {w!r}")
-    if w == 0.0:
-        return _AIRY_ZERO
-    zeta = (2.0 / 3.0) * w**1.5
-    if zeta <= 2.0:
-        im = _bessel_i_series(-1.0 / 3.0, zeta)
-        ip = _bessel_i_series(1.0 / 3.0, zeta)
-        return math.sqrt(w) / 3.0 * (im - ip)
-    if zeta > _EXP_CAP:
-        return 0.0
-    return math.sqrt(w / 3.0) / math.pi * math.exp(-zeta) * _airy_k_integral(zeta)
-
-
-def kummer_1f1(a: float, c: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
-    """Confluent hypergeometric function 1F1(a; c; x).
-
-    The defining series is summed with the exact term recurrence
-    t_{j+1} = t_j * (a+j)/(c+j) * x/(j+1).  Negative arguments are routed
-    through the reflection 1F1(a;c;x) = e^x 1F1(c-a;c;-x), which turns the
-    alternating sum into an essentially positive one; for x < -50 the
-    leading algebraic asymptotic Gamma(c)/Gamma(c-a) * (-x)**(-a) is used.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"kummer_1f1 argument must be finite, got {x!r}")
-    if c <= 0.0 and c == math.floor(c):
-        raise DomainError(f"kummer_1f1 requires c not a non-positive integer, got {c!r}")
-    if x == 0.0:
-        return 1.0
-    if x < -50.0:
-        return math.gamma(c) / math.gamma(c - a) * (-x) ** (-a)
-    if x < 0.0:
-        return math.exp(x) * _kummer_series(c - a, c, -x, policy)
-    return _kummer_series(a, c, x, policy)
-
-
-def _kummer_series(a: float, c: float, x: float, policy: SeriesPolicy) -> float:
-    def terms() -> Iterator[float]:
-        t = 1.0
-        j = 0
-        while j < policy.max_terms:
-            yield t
-            t *= (a + j) / (c + j) * x / (j + 1.0)
-            j += 1
-
-    val, est, ok = _sum_series(terms(), policy.rel_tol)
-    if ok and est <= 1e-12 * max(abs(val), 1e-300):
-        return val
-    raise NonConvergence(
-        f"kummer_1f1 series did not converge for a={a}, c={c}, x={x} "
-        f"(cancellation estimate {est:.3g})"
-    )
+    return float(airy(w)[0])

@@ -12,6 +12,10 @@ worker threads (``FRAX_THREADS``) are used.
 Heavy-tailed waiting-time processes without exact samplers (the inverse
 stable, Airy, and distributed-order subordinators) are handled by
 quadrature against their explicit densities instead of Monte Carlo.
+
+Each process spec owns what is known about it: its exact sampler, its
+endpoint density, its quadrature crossing and, through :meth:`law`, the
+relaxation law of :mod:`frax.relaxation` its crossing probability follows.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx, gammaincc
 
+from . import relaxation as rx
 from .errors import DomainError, Unsupported
 from .specfun import airy_ai, wright_m
 
@@ -48,7 +53,6 @@ __all__ = [
     "BoundarySpec",
     "CrossingEstimate",
     "DEFAULT_SEED",
-    "sample_process",
     "estimate_crossing",
     "quadrature_crossing",
     "density",
@@ -62,120 +66,14 @@ def _positive(name: str, v: float) -> None:
 
 
 @dataclass(frozen=True)
-class ReflectedBM:
-    """Reflected Brownian motion |B(t)|.
+class CrossingEstimate:
+    """Crossing-probability estimate with its uncertainty and provenance."""
 
-    ``diffusion_scale`` selects the variance convention: ``var2t`` gives
-    Var B(t) = 2t (the convention of the fractional relaxation laws),
-    ``var_t`` the standard Var B(t) = t.
-    """
-
-    diffusion_scale: str = "var2t"
-
-    def __post_init__(self) -> None:
-        if self.diffusion_scale not in ("var2t", "var_t"):
-            raise DomainError(f"ReflectedBM.diffusion_scale must be 'var2t' or 'var_t', got {self.diffusion_scale!r}")
-
-
-@dataclass(frozen=True)
-class IteratedBM:
-    """n-fold composition |B_1(|B_2(... |B_n(t)|)|)| of reflected motions
-    (each with Var = 2t), whose endpoint law has fractional order 2**-n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"IteratedBM.n must be an integer >= 1, got {self.n!r}")
-
-
-@dataclass(frozen=True)
-class SojournTime:
-    """Occupation time of (0, inf) up to t by a Brownian motion, which
-    follows the arcsine law t * Beta(1/2, 1/2)."""
-
-
-@dataclass(frozen=True)
-class FirstPassageChain:
-    """n-fold iteration of Brownian first-passage times through a level:
-    one step maps a level s to the passage time s**2 / Z**2, Z ~ N(0,1)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"FirstPassageChain.n must be an integer >= 1, got {self.n!r}")
-
-
-@dataclass(frozen=True)
-class BesselSquared:
-    """Squared Bessel process of dimension gamma built from unit-variance
-    components; its time-t endpoint is 2t * Gamma(gamma/2, 1)."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        _positive("BesselSquared.gamma", self.gamma)
-
-
-@dataclass(frozen=True)
-class ElasticBM:
-    """Elastic Brownian motion: reflected motion (Var = t) killed at rate
-    alpha per unit of local time at the origin.  Killed paths are treated
-    as having crossed (the sampled endpoint is 0)."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _positive("ElasticBM.alpha", self.alpha)
-
-
-@dataclass(frozen=True)
-class WrightTime:
-    """Inverse stable subordinator of index nu: endpoint density
-    t**-nu * M_nu(y / t**nu).  Quadrature only."""
-
-    nu: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.nu < 1.0):
-            raise DomainError(f"WrightTime.nu must lie in (0, 1), got {self.nu!r}")
-
-
-@dataclass(frozen=True)
-class AiryTime:
-    """Order-1/3 waiting process with endpoint density
-    (9/t)**(1/3) * Ai(y / (3t)**(1/3)).  Quadrature only."""
-
-
-@dataclass(frozen=True)
-class DistributedTime:
-    """Inverse of the weighted subordinator n1 * (stable 1/2) + n2 * t;
-    the endpoint has an explicit density on (0, t/n2).  Quadrature only."""
-
-    n1: float
-    n2: float
-
-    def __post_init__(self) -> None:
-        _positive("DistributedTime.n1", self.n1)
-        _positive("DistributedTime.n2", self.n2)
-        if abs(self.n1 + self.n2 - 1.0) > 1e-12:
-            raise DomainError(f"DistributedTime weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
-
-
-ProcessSpec = Union[
-    ReflectedBM,
-    IteratedBM,
-    SojournTime,
-    FirstPassageChain,
-    BesselSquared,
-    ElasticBM,
-    WrightTime,
-    AiryTime,
-    DistributedTime,
-]
-
-_MC_CAPABLE = (ReflectedBM, IteratedBM, SojournTime, FirstPassageChain, BesselSquared, ElasticBM)
+    p_hat: float
+    stderr: float
+    n_paths: int
+    seed: int
+    method: str
 
 
 @dataclass(frozen=True)
@@ -186,6 +84,13 @@ class Exponential:
 
     def __post_init__(self) -> None:
         _positive("Exponential.lam", self.lam)
+
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.exponential(1.0 / self.lam, size)
+
+    def _survivor(self, y: float) -> float:
+        """P(boundary > y)."""
+        return math.exp(-self.lam * y)
 
 
 @dataclass(frozen=True)
@@ -200,74 +105,335 @@ class Gamma:
             raise DomainError(f"Gamma.k must be an integer >= 1, got {self.k!r}")
         _positive("Gamma.lam", self.lam)
 
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.gamma(self.k, 1.0 / self.lam, size)
+
+    def _survivor(self, y: float) -> float:
+        """P(boundary > y)."""
+        return float(gammaincc(self.k, self.lam * y))
+
 
 BoundarySpec = Union[Exponential, Gamma]
 
 
+class _Process:
+    """Behaviour shared by the process specs.
+
+    A process with an exact endpoint sampler defines
+    ``_sample(t, rng, size)``; one with an explicit endpoint density
+    overrides ``_density(y, t)``, and the time-changed processes override
+    ``_quadrature(boundary, t)``.  A process whose crossing probability of
+    an exponential boundary has a closed form defines
+    ``_exponential_law(lam)``.
+    """
+
+    def _density(self, y: float, t: float) -> float:
+        raise Unsupported(f"density is not available for {type(self).__name__}")
+
+    def _quadrature(self, boundary: BoundarySpec, t: float) -> CrossingEstimate:
+        raise Unsupported(f"quadrature_crossing does not support {type(self).__name__}")
+
+    def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
+        """The relaxation law whose psi(t) is this process's probability of
+        staying below ``boundary``; raises :class:`DomainError` when no
+        closed form pairs the two."""
+        if isinstance(boundary, Exponential) and hasattr(self, "_exponential_law"):
+            return self._exponential_law(boundary.lam)
+        raise DomainError(
+            f"no closed form pairs {type(self).__name__} with {type(boundary).__name__}"
+        )
+
+
 @dataclass(frozen=True)
-class CrossingEstimate:
-    """Crossing-probability estimate with its uncertainty and provenance."""
+class ReflectedBM(_Process):
+    """Reflected Brownian motion |B(t)|.
 
-    p_hat: float
-    stderr: float
-    n_paths: int
-    seed: int
-    method: str
+    ``diffusion_scale`` selects the variance convention: ``var2t`` gives
+    Var B(t) = 2t (the convention of the fractional relaxation laws),
+    ``var_t`` the standard Var B(t) = t.
+    """
+
+    diffusion_scale: str = "var2t"
+
+    def __post_init__(self) -> None:
+        if self.diffusion_scale not in ("var2t", "var_t"):
+            raise DomainError(f"ReflectedBM.diffusion_scale must be 'var2t' or 'var_t', got {self.diffusion_scale!r}")
+
+    def _variance(self, t: float) -> float:
+        return 2.0 * t if self.diffusion_scale == "var2t" else t
+
+    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.abs(rng.standard_normal(size)) * math.sqrt(self._variance(t))
+
+    def _density(self, y: float, t: float) -> float:
+        if y < 0.0:
+            return 0.0
+        var = self._variance(t)
+        return math.sqrt(2.0 / (math.pi * var)) * math.exp(-y * y / (2.0 * var))
+
+    def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
+        if self.diffusion_scale == "var2t":
+            if isinstance(boundary, Exponential):
+                return rx.Fractional(nu=0.5, lam=boundary.lam)
+            if isinstance(boundary, Gamma):
+                return rx.GammaBoundary(k=boundary.k, lam=boundary.lam)
+        return super().law(boundary)
 
 
-def _require_time(t: float) -> None:
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time t must be positive and finite, got {t!r}")
+@dataclass(frozen=True)
+class IteratedBM(_Process):
+    """n-fold composition |B_1(|B_2(... |B_n(t)|)|)| of reflected motions
+    (each with Var = 2t), whose endpoint law has fractional order 2**-n."""
 
+    n: int
 
-def _sample_block(spec: ProcessSpec, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` exact endpoint samples of ``spec`` at time t."""
-    if isinstance(spec, ReflectedBM):
-        var = 2.0 * t if spec.diffusion_scale == "var2t" else t
-        return np.abs(rng.standard_normal(size)) * math.sqrt(var)
-    if isinstance(spec, IteratedBM):
+    def __post_init__(self) -> None:
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise DomainError(f"IteratedBM.n must be an integer >= 1, got {self.n!r}")
+
+    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         s = np.full(size, t)
-        for _ in range(spec.n):
+        for _ in range(self.n):
             s = np.abs(rng.standard_normal(size)) * np.sqrt(2.0 * s)
         return s
-    if isinstance(spec, SojournTime):
+
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.Fractional(nu=0.5**self.n, lam=lam)
+
+
+@dataclass(frozen=True)
+class SojournTime(_Process):
+    """Occupation time of (0, inf) up to t by a Brownian motion, which
+    follows the arcsine law t * Beta(1/2, 1/2)."""
+
+    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         return t * rng.beta(0.5, 0.5, size)
-    if isinstance(spec, FirstPassageChain):
+
+    def _density(self, y: float, t: float) -> float:
+        if not (0.0 < y < t):
+            return 0.0
+        return 1.0 / (math.pi * math.sqrt(y * (t - y)))
+
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.Sojourn(lam=lam)
+
+
+@dataclass(frozen=True)
+class FirstPassageChain(_Process):
+    """n-fold iteration of Brownian first-passage times through a level:
+    one step maps a level s to the passage time s**2 / Z**2, Z ~ N(0,1)."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.n, int) and self.n >= 1):
+            raise DomainError(f"FirstPassageChain.n must be an integer >= 1, got {self.n!r}")
+
+    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         s = np.full(size, t)
-        for _ in range(spec.n):
+        for _ in range(self.n):
             z = rng.standard_normal(size)
             with np.errstate(divide="ignore", over="ignore"):
                 s = (s / z) ** 2
         return s
-    if isinstance(spec, BesselSquared):
-        return 2.0 * t * rng.standard_gamma(0.5 * spec.gamma, size)
-    if isinstance(spec, ElasticBM):
+
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.FirstPassage(lam=lam, n=self.n)
+
+
+@dataclass(frozen=True)
+class BesselSquared(_Process):
+    """Squared Bessel process of dimension gamma built from unit-variance
+    components; its time-t endpoint is 2t * Gamma(gamma/2, 1)."""
+
+    gamma: float
+
+    def __post_init__(self) -> None:
+        _positive("BesselSquared.gamma", self.gamma)
+
+    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
+        return 2.0 * t * rng.standard_gamma(0.5 * self.gamma, size)
+
+    def _density(self, y: float, t: float) -> float:
+        if y <= 0.0:
+            return 0.0
+        g = self.gamma
+        return (
+            y ** (0.5 * g - 1.0)
+            * math.exp(-y / (2.0 * t))
+            / ((2.0 * t) ** (0.5 * g) * math.gamma(0.5 * g))
+        )
+
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.BesselSq(gamma=self.gamma, lam=lam)
+
+
+@dataclass(frozen=True)
+class ElasticBM(_Process):
+    """Elastic Brownian motion: reflected motion (Var = t) killed at rate
+    alpha per unit of local time at the origin.  A killed path never
+    crosses: its sampled endpoint is 0, below every boundary, so the
+    survival probability tends to 1 at large t."""
+
+    alpha: float
+
+    def __post_init__(self) -> None:
+        _positive("ElasticBM.alpha", self.alpha)
+
+    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         # Joint draw of (|B_t|, L_t) via the running-maximum identity:
         # with R = 2S - B ~ Maxwell(sqrt(t)) and S | R ~ Uniform(0, R),
         # (S - B, S) has the law of (|B_t|, L_t).  Kill with prob 1 - e^(-alpha L).
         r = np.sqrt(2.0 * t * rng.standard_gamma(1.5, size))
         s = r * rng.random(size)
-        killed = rng.random(size) >= np.exp(-spec.alpha * s)
+        killed = rng.random(size) >= np.exp(-self.alpha * s)
         endpoint = r - s
         endpoint[killed] = 0.0
         return endpoint
-    raise DomainError(
-        f"{type(spec).__name__} has no exact path sampler; use quadrature_crossing"
-    )
+
+    def _density(self, y: float, t: float) -> float:
+        if y < 0.0:
+            return 0.0
+        a = self.alpha
+        return math.exp(-y * y / (2.0 * t)) * (
+            math.sqrt(2.0 / (math.pi * t)) - a * float(erfcx((y + a * t) / math.sqrt(2.0 * t)))
+        )
+
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.Elastic(alpha=self.alpha, lam=lam)
 
 
-def sample_process(spec: ProcessSpec, t: float, rng: np.random.Generator) -> float:
-    """Draw one exact endpoint sample of ``spec`` at time t."""
-    _require_time(t)
-    return float(_sample_block(spec, t, rng, 1)[0])
+def _quadrature_estimate(val: float, err: float, epsabs: float, epsrel: float) -> CrossingEstimate:
+    """Quadrature result as an estimate whose stderr is quad's error
+    estimate, floored at the tolerance quad was asked to meet: quad's own
+    estimate can read far below its real error, even 0."""
+    stderr = max(err, epsabs, epsrel * abs(val))
+    return CrossingEstimate(p_hat=val, stderr=stderr, n_paths=1, seed=0, method="quadrature")
 
 
-def _boundary_block(boundary: BoundarySpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    if isinstance(boundary, Exponential):
-        return rng.exponential(1.0 / boundary.lam, size)
-    if isinstance(boundary, Gamma):
-        return rng.gamma(boundary.k, 1.0 / boundary.lam, size)
-    raise DomainError(f"unknown boundary spec {type(boundary).__name__}")
+@dataclass(frozen=True)
+class WrightTime(_Process):
+    """Inverse stable subordinator of index nu: endpoint density
+    t**-nu * M_nu(y / t**nu).  Quadrature only."""
+
+    nu: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.nu < 1.0):
+            raise DomainError(f"WrightTime.nu must lie in (0, 1), got {self.nu!r}")
+
+    def _density(self, y: float, t: float) -> float:
+        if y < 0.0:
+            return 0.0
+        tn = t**self.nu
+        return wright_m(self.nu, y / tn) / tn
+
+    def _quadrature(self, boundary: BoundarySpec, t: float) -> CrossingEstimate:
+        nu = self.nu
+        tn = t**nu
+        lam_eff = boundary.lam * tn if isinstance(boundary, Exponential) else 0.0
+        b = (1.0 - nu) * nu ** (nu / (1.0 - nu))
+        c = 1.0 / (1.0 - nu)
+        x_hi = 1.0
+        while lam_eff * x_hi + b * x_hi**c < 45.0 and x_hi < 1e6:
+            x_hi *= 1.25
+
+        def f(x: float) -> float:
+            return boundary._survivor(tn * x) * wright_m(nu, x)
+
+        val, err = quad(f, 0.0, x_hi, limit=300, epsabs=1e-10, epsrel=1e-10)
+        return _quadrature_estimate(val, err, 1e-10, 1e-10)
+
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.Fractional(nu=self.nu, lam=lam)
+
+
+@dataclass(frozen=True)
+class AiryTime(_Process):
+    """Order-1/3 waiting process with endpoint density
+    (9/t)**(1/3) * Ai(y / (3t)**(1/3)).  Quadrature only."""
+
+    def _density(self, y: float, t: float) -> float:
+        if y < 0.0:
+            return 0.0
+        cube = (3.0 * t) ** (1.0 / 3.0)
+        return (9.0 / t) ** (1.0 / 3.0) * airy_ai(y / cube)
+
+    def _quadrature(self, boundary: BoundarySpec, t: float) -> CrossingEstimate:
+        if not isinstance(boundary, Exponential):
+            raise Unsupported("AiryTime quadrature supports exponential boundaries only")
+        scale = boundary.lam * (3.0 * t) ** (1.0 / 3.0)
+
+        def f(w: float) -> float:
+            return math.exp(-scale * w) * airy_ai(w)
+
+        val, err = quad(f, 0.0, 18.0, limit=300, epsabs=1e-12, epsrel=1e-10)
+        return _quadrature_estimate(3.0 * val, 3.0 * err, 3.0 * 1e-12, 1e-10)
+
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.Fractional(nu=1.0 / 3.0, lam=lam)
+
+
+@dataclass(frozen=True)
+class DistributedTime(_Process):
+    """Inverse of the weighted subordinator n1 * (stable 1/2) + n2 * t;
+    the endpoint has an explicit density on (0, t/n2).  Quadrature only."""
+
+    n1: float
+    n2: float
+
+    def __post_init__(self) -> None:
+        _positive("DistributedTime.n1", self.n1)
+        _positive("DistributedTime.n2", self.n2)
+        if abs(self.n1 + self.n2 - 1.0) > 1e-12:
+            raise DomainError(f"DistributedTime weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
+
+    def _density(self, y: float, t: float) -> float:
+        n1, n2 = self.n1, self.n2
+        if not (0.0 < y < t / n2):
+            return 0.0
+        gap = t - n2 * y
+        return (
+            n1
+            * (t - 0.5 * n2 * y)
+            / (math.sqrt(math.pi) * gap**1.5)
+            * math.exp(-n1 * n1 * y * y / (4.0 * gap))
+        )
+
+    def _quadrature(self, boundary: BoundarySpec, t: float) -> CrossingEstimate:
+        if not isinstance(boundary, Exponential):
+            raise Unsupported("DistributedTime quadrature supports exponential boundaries only")
+        lam = boundary.lam
+
+        def f(y: float) -> float:
+            return math.exp(-lam * y) * self._density(y, t)
+
+        # exp(-lam*y) underflows beyond lam*y = 700; over the whole of
+        # (0, t/n2) at large t, quad would miss the mass near y = 0.
+        upper = min(t / self.n2, 700.0 / lam)
+        val, err = quad(f, 0.0, upper, limit=300, epsabs=1e-12, epsrel=1e-10)
+        return _quadrature_estimate(val, err, 1e-12, 1e-10)
+
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.Distributed(nu1=0.5, nu2=1.0, n1=self.n1, n2=self.n2, lam=lam)
+
+
+ProcessSpec = Union[
+    ReflectedBM,
+    IteratedBM,
+    SojournTime,
+    FirstPassageChain,
+    BesselSquared,
+    ElasticBM,
+    WrightTime,
+    AiryTime,
+    DistributedTime,
+]
+
+
+def _require_time(t: float) -> None:
+    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
+        raise DomainError(f"time t must be positive and finite, got {t!r}")
 
 
 def _workers() -> int:
@@ -293,7 +459,7 @@ def estimate_crossing(
     independent of thread count and bit-identical across runs.
     """
     _require_time(t)
-    if not isinstance(spec, _MC_CAPABLE):
+    if not hasattr(spec, "_sample"):
         raise DomainError(
             f"{type(spec).__name__} has no exact path sampler; use quadrature_crossing"
         )
@@ -304,8 +470,8 @@ def estimate_crossing(
     def run_block(b: int) -> int:
         m = min(_BLOCK, n_paths - b * _BLOCK)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
-        values = _sample_block(spec, t, rng, m)
-        bounds = _boundary_block(boundary, rng, m)
+        values = spec._sample(t, rng, m)
+        bounds = boundary._draw(rng, m)
         return int(np.count_nonzero(values < bounds))
 
     w = _workers()
@@ -319,59 +485,16 @@ def estimate_crossing(
     return CrossingEstimate(p_hat=p, stderr=stderr, n_paths=n_paths, seed=seed, method="monte_carlo")
 
 
-def _exp_survivor(boundary: BoundarySpec, y: float) -> float:
-    """P(boundary > y) for the supported boundary laws."""
-    if isinstance(boundary, Exponential):
-        return math.exp(-boundary.lam * y)
-    if isinstance(boundary, Gamma):
-        return float(gammaincc(boundary.k, boundary.lam * y))
-    raise DomainError(f"unknown boundary spec {type(boundary).__name__}")
-
-
 def quadrature_crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float) -> CrossingEstimate:
     """Crossing probability by quadrature against an explicit endpoint density.
 
     Supported: WrightTime with exponential or gamma boundaries; AiryTime
-    and DistributedTime with exponential boundaries.
+    and DistributedTime with exponential boundaries.  The reported stderr
+    is quad's error estimate, but never less than the tolerance quad was
+    asked to meet.
     """
     _require_time(t)
-    if isinstance(spec, WrightTime):
-        nu = spec.nu
-        tn = t**nu
-        lam_eff = boundary.lam * tn if isinstance(boundary, Exponential) else 0.0
-        b = (1.0 - nu) * nu ** (nu / (1.0 - nu))
-        c = 1.0 / (1.0 - nu)
-        x_hi = 1.0
-        while lam_eff * x_hi + b * x_hi**c < 45.0 and x_hi < 1e6:
-            x_hi *= 1.25
-
-        def f(x: float) -> float:
-            return _exp_survivor(boundary, tn * x) * wright_m(nu, x)
-
-        val, err = quad(f, 0.0, x_hi, limit=300, epsabs=1e-10, epsrel=1e-10)
-        return CrossingEstimate(p_hat=val, stderr=err, n_paths=1, seed=0, method="quadrature")
-    if isinstance(spec, AiryTime):
-        if not isinstance(boundary, Exponential):
-            raise Unsupported("AiryTime quadrature supports exponential boundaries only")
-        scale = boundary.lam * (3.0 * t) ** (1.0 / 3.0)
-
-        def f(w: float) -> float:
-            return math.exp(-scale * w) * airy_ai(w)
-
-        val, err = quad(f, 0.0, 18.0, limit=300, epsabs=1e-12, epsrel=1e-10)
-        return CrossingEstimate(p_hat=3.0 * val, stderr=3.0 * err, n_paths=1, seed=0, method="quadrature")
-    if isinstance(spec, DistributedTime):
-        if not isinstance(boundary, Exponential):
-            raise Unsupported("DistributedTime quadrature supports exponential boundaries only")
-        lam = boundary.lam
-
-        def f(y: float) -> float:
-            return math.exp(-lam * y) * density(spec, y, t)
-
-        upper = t / spec.n2
-        val, err = quad(f, 0.0, upper, limit=300, epsabs=1e-12, epsrel=1e-10)
-        return CrossingEstimate(p_hat=val, stderr=err, n_paths=1, seed=0, method="quadrature")
-    raise Unsupported(f"quadrature_crossing does not support {type(spec).__name__}")
+    return spec._quadrature(boundary, t)
 
 
 def density(spec: ProcessSpec, y: float, t: float) -> float:
@@ -383,53 +506,7 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
     _require_time(t)
     if not (isinstance(y, (int, float)) and math.isfinite(y)):
         raise DomainError(f"density requires finite y, got {y!r}")
-    if isinstance(spec, ReflectedBM):
-        if y < 0.0:
-            return 0.0
-        var = 2.0 * t if spec.diffusion_scale == "var2t" else t
-        return math.sqrt(2.0 / (math.pi * var)) * math.exp(-y * y / (2.0 * var))
-    if isinstance(spec, SojournTime):
-        if not (0.0 < y < t):
-            return 0.0
-        return 1.0 / (math.pi * math.sqrt(y * (t - y)))
-    if isinstance(spec, BesselSquared):
-        if y <= 0.0:
-            return 0.0
-        g = spec.gamma
-        return (
-            y ** (0.5 * g - 1.0)
-            * math.exp(-y / (2.0 * t))
-            / ((2.0 * t) ** (0.5 * g) * math.gamma(0.5 * g))
-        )
-    if isinstance(spec, ElasticBM):
-        if y < 0.0:
-            return 0.0
-        a = spec.alpha
-        return math.exp(-y * y / (2.0 * t)) * (
-            math.sqrt(2.0 / (math.pi * t)) - a * float(erfcx((y + a * t) / math.sqrt(2.0 * t)))
-        )
-    if isinstance(spec, WrightTime):
-        if y < 0.0:
-            return 0.0
-        tn = t**spec.nu
-        return wright_m(spec.nu, y / tn) / tn
-    if isinstance(spec, AiryTime):
-        if y < 0.0:
-            return 0.0
-        cube = (3.0 * t) ** (1.0 / 3.0)
-        return (9.0 / t) ** (1.0 / 3.0) * airy_ai(y / cube)
-    if isinstance(spec, DistributedTime):
-        n1, n2 = spec.n1, spec.n2
-        if not (0.0 < y < t / n2):
-            return 0.0
-        gap = t - n2 * y
-        return (
-            n1
-            * (t - 0.5 * n2 * y)
-            / (math.sqrt(math.pi) * gap**1.5)
-            * math.exp(-n1 * n1 * y * y / (4.0 * gap))
-        )
-    raise Unsupported(f"density is not available for {type(spec).__name__}")
+    return spec._density(y, t)
 
 
 def elastic_atom(spec: ElasticBM, t: float) -> float:

@@ -1,12 +1,16 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import frax
 import frax.cli as cli
 import frax.relaxation as rx
 import frax.stochsim as ss
@@ -156,6 +160,78 @@ def test_missing_parameter_is_usage_error(capsys):
     assert "--nu" in err
 
 
+# one valid instance of every class a name on the command line builds
+FLAG_CASES = [m for _, m in cli._TABLE_MODELS] + [
+    ss.ReflectedBM(), ss.IteratedBM(n=2), ss.SojournTime(), ss.FirstPassageChain(n=1),
+    ss.BesselSquared(gamma=2.0), ss.ElasticBM(alpha=1.0), ss.WrightTime(nu=0.5),
+    ss.AiryTime(), ss.DistributedTime(n1=0.5, n2=0.5),
+    ss.Exponential(lam=1.0), ss.Gamma(k=2, lam=1.0),
+]
+
+
+def _flag(field_name):
+    return {"lam": "lambda", "n": "k"}.get(field_name, field_name)
+
+
+def _options():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {o for a in sub.choices["simulate"]._actions for o in a.option_strings}
+
+
+def _argv(obj, omit=None):
+    """(command line that builds ``obj`` without flag ``omit``, CLI owner name)."""
+    name = type(obj).__name__.lower()
+    if name in cli._MODELS:
+        head, owner = ["eval", "--model", name], name
+    elif name in cli._PROCESSES:
+        head = ["simulate", "--process", name, "--boundary", "exponential", "--lambda", "1"]
+        owner = name
+    else:
+        head, owner = ["simulate", "--process", "reflectedbm", "--boundary", name], f"boundary {name}"
+    options = _options()
+    flags = []
+    for f in dataclasses.fields(obj):
+        flag = _flag(f.name)
+        if f"--{flag}" in options and flag != omit:
+            flags += [f"--{flag}", repr(getattr(obj, f.name))]
+    return head + flags + ["--t", "1"], owner
+
+
+def test_cli_names_cover_every_class():
+    assert tuple(cli._MODELS) == (
+        "standard", "fractional", "sojourn", "firstpassage", "besselsq",
+        "elastic", "gammaboundary", "elasticgamma", "distributed")
+    assert tuple(cli._PROCESSES) == (
+        "reflectedbm", "iteratedbm", "sojourntime", "firstpassagechain",
+        "besselsquared", "elasticbm", "wrighttime", "airytime", "distributedtime")
+    assert tuple(cli._BOUNDARIES) == ("exponential", "gamma")
+    covered = {type(obj) for obj in FLAG_CASES}
+    assert covered == {*cli._MODELS.values(), *cli._PROCESSES.values(), *cli._BOUNDARIES.values()}
+
+
+@pytest.mark.parametrize("obj", FLAG_CASES, ids=lambda o: type(o).__name__)
+def test_every_field_has_a_flag_or_a_default(obj):
+    options = _options()
+    for f in dataclasses.fields(obj):
+        assert f"--{_flag(f.name)}" in options or f.default is not dataclasses.MISSING, f.name
+    argv, owner = _argv(obj)
+    args = cli._build_parser().parse_args(argv)
+    assert cli._build(type(obj), args, owner) == obj
+
+
+@pytest.mark.parametrize(
+    "obj, flag",
+    [(obj, _flag(f.name)) for obj in FLAG_CASES for f in dataclasses.fields(obj)
+     if f.default is dataclasses.MISSING],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_omitting_a_required_flag_is_usage_error(obj, flag, capsys):
+    argv, owner = _argv(obj, omit=flag)
+    assert run_cli(*argv) == 2
+    assert f"error: {owner} requires --{flag}" in capsys.readouterr().err
+
+
 def test_missing_grid_is_usage_error(capsys):
     rc = run_cli("eval", "--model", "standard", "--lambda", "1")
     assert rc == 2
@@ -208,6 +284,37 @@ def test_strict_statistical_failure_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 4
     assert "exceeds 4" in err
+
+
+def test_strict_quadrature_passes_on_roundoff_gap(capsys):
+    # the value matches the closed form to ~3e-14; quad's own error
+    # estimate (~5e-15) once turned that into |z| = 5.48
+    rc = run_cli("simulate", "--strict", "--process", "wrighttime", "--nu", "0.3",
+                 "--boundary", "exponential", "--lambda", "1", "--t", "4")
+    capsys.readouterr()
+    assert rc == 0
+
+
+def test_strict_quadrature_fails_on_wrong_analytic(monkeypatch, capsys):
+    real_psi = rx.psi
+    monkeypatch.setattr(cli.rx, "psi", lambda model, t: real_psi(model, t) + 1e-6)
+    rc = run_cli("simulate", "--strict", "--process", "wrighttime", "--nu", "0.3",
+                 "--boundary", "exponential", "--lambda", "1", "--t", "4")
+    assert rc == 4
+    assert "exceeds 4" in capsys.readouterr().err
+
+
+def test_strict_zero_stderr_gap_fails(monkeypatch, capsys):
+    # a zero stderr must not zero the z-score of a wrong value
+    def exact_but_wrong(spec, boundary, t):
+        return ss.CrossingEstimate(p_hat=0.5, stderr=0.0, n_paths=1, seed=0,
+                                   method="quadrature")
+
+    monkeypatch.setattr(cli.ss, "quadrature_crossing", exact_but_wrong)
+    rc = run_cli("simulate", "--strict", "--process", "airytime",
+                 "--boundary", "exponential", "--lambda", "1", "--t", "1")
+    assert rc == 4
+    assert "exceeds 4" in capsys.readouterr().err
 
 
 def test_strict_passes_when_consistent(capsys):
@@ -267,10 +374,14 @@ def test_tables_written(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_module_entry_point():
+    # the child imports the same frax as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(frax.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "frax.cli", "eval", "--model", "standard",
          "--lambda", "1", "--t", "1"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "0.36787944117144233" in proc.stdout

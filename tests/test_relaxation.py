@@ -122,6 +122,22 @@ def test_distributed_zero_weight_collapses():
         assert rel_err(rx.psi(m2, t), want) < 1e-12
 
 
+# Distributed(1/2, 1, 1/2, 1/2, 1) at large t from tests/gen_oracles.py; the
+# half-line quadrature once integrated over all of (0, t/n2) and returned
+# 1.45e-29, 2.5e-95 and 0.0 here
+DISTRIBUTED_LARGE_T = [
+    (3e4, 0.001628695398538535119643),
+    (1e5, 0.0008920654033300111266029),
+    (1e6, 0.00028209489755949117467),
+]
+
+
+@pytest.mark.parametrize("t, want", DISTRIBUTED_LARGE_T)
+def test_distributed_half_order_large_t(t, want):
+    m = rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0)
+    assert abs(rx.psi(m, t) - want) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # evaluation surface
 # ---------------------------------------------------------------------------

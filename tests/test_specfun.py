@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import airy as scipy_airy
-from scipy.special import hyp1f1, iv
+from scipy.special import iv
 
 from frax.errors import DomainError, NonConvergence
 from frax.specfun import (
@@ -21,7 +21,6 @@ from frax.specfun import (
     airy_ai,
     bessel_i,
     gml,
-    kummer_1f1,
     mittag_leffler,
     wright_m,
 )
@@ -201,7 +200,7 @@ def test_wright_m_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# Airy, Bessel-I, Kummer
+# Airy, Bessel-I
 # ---------------------------------------------------------------------------
 
 AIRY_CASES = [
@@ -242,25 +241,6 @@ def test_bessel_matches_scipy_across_crossover():
         for x in np.geomspace(0.1, 60.0, 40):
             ref = float(iv(order, x))
             assert rel_err(bessel_i(order, float(x)), ref) < 1e-12
-
-
-KUMMER_CASES = [
-    (0.5, 1.0, -2.0, 0.4657596075936404365019),
-    # deep negative argument exercises the exp-reflection rewrite
-    (1.5, 2.0, -15.0, 0.01027461852884130034877),
-]
-
-
-@pytest.mark.parametrize("a, b, x, want", KUMMER_CASES)
-def test_kummer_reference_values(a, b, x, want):
-    assert rel_err(kummer_1f1(a, b, x), want) < REL
-
-
-def test_kummer_matches_scipy_on_grid():
-    for a, b in [(0.5, 1.0), (1.5, 2.0), (2.5, 3.5)]:
-        for x in np.linspace(-25.0, 5.0, 31):
-            ref = float(hyp1f1(a, b, float(x)))
-            assert rel_err(kummer_1f1(a, b, float(x)), ref) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -84,19 +84,6 @@ def test_estimate_fields():
     assert est.stderr > 0.0
 
 
-def test_sample_process_scalar():
-    import numpy as np
-
-    rng = np.random.Generator(np.random.Philox(key=[0, 0]))
-    for spec in (ss.ReflectedBM(), ss.IteratedBM(n=2), ss.SojournTime(),
-                 ss.FirstPassageChain(n=1), ss.BesselSquared(gamma=2.0),
-                 ss.ElasticBM(alpha=1.0)):
-        v = ss.sample_process(spec, 1.0, rng)
-        assert isinstance(v, float)
-        assert v >= 0.0
-        assert math.isfinite(v)
-
-
 # ---------------------------------------------------------------------------
 # endpoint densities
 # ---------------------------------------------------------------------------
@@ -175,6 +162,27 @@ def test_quadrature_distributed_matches_relaxation():
     )
     # two-order law at t = 1 from tests/gen_oracles.py
     assert abs(est.p_hat - 0.3775168250211103538149) < 1e-9
+
+
+@pytest.mark.parametrize("t, want", [
+    # two-order law at large t from tests/gen_oracles.py; integrating over
+    # all of (0, t/n2) once returned 2.5e-95 and 0.0 at the last two
+    (3e4, 0.001628695398538535119643),
+    (1e5, 0.0008920654033300111266029),
+    (1e6, 0.00028209489755949117467),
+])
+def test_quadrature_distributed_large_t(t, want):
+    est = ss.quadrature_crossing(
+        ss.DistributedTime(n1=0.5, n2=0.5), ss.Exponential(lam=1.0), t
+    )
+    assert abs(est.p_hat - want) < 1e-10
+
+
+def test_quadrature_stderr_covers_requested_tolerance():
+    # quad's own error estimate (~5e-15 here) understates its real error;
+    # the reported stderr is floored at the tolerance quad was asked for
+    est = ss.quadrature_crossing(ss.WrightTime(nu=0.3), ss.Exponential(lam=1.0), 4.0)
+    assert est.stderr >= 1e-10
 
 
 def test_quadrature_wright_gamma_boundary():
