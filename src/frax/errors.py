@@ -20,7 +20,8 @@ class NonConvergence(FraxError, ArithmeticError):
 
 
 class Unstable(FraxError, ArithmeticError):
-    """Numerical Laplace inversion did not stabilize across orders."""
+    """Numerical Laplace inversion could not certify its value: the Talbot
+    contour sums at two sizes disagree or are not finite."""
 
 
 class Unsupported(FraxError, ValueError):

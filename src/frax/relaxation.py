@@ -9,9 +9,11 @@ equation on an :class:`~frax.fraccalc.L1Grid`.  The public functions
 arguments and hand over to the model.
 
 Evaluation strategy: every law has an explicit series/closed form used
-wherever it holds full accuracy in doubles; the laws that lose the series
-at large arguments (gamma-type boundaries, distributed orders) fall back
-to stabilized Gaver-Stehfest inversion of their exact Laplace transforms.
+wherever it holds full accuracy in doubles.  The laws that lose the series
+at large arguments (gamma-type boundaries, distributed orders) track the
+series' propagated error term by term, stop at the first term that breaks
+the 1e-9 budget and invert their exact Laplace transform on a fixed Talbot
+contour instead (:func:`~frax.fraccalc.laplace_invert`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
 from scipy.special import i0e
 
 from .errors import DomainError, NonConvergence, Unsupported
@@ -29,6 +32,7 @@ from .specfun import (
     DEFAULT_POLICY,
     MLParams,
     SeriesPolicy,
+    _ABSUM_CAP,
     _gml_raw,
     mittag_leffler,
 )
@@ -88,7 +92,7 @@ def _clip01(v: float) -> float:
 
 
 def _psi_by_inversion(model: "RelaxationModel", t: float) -> float:
-    return _clip01(laplace_invert(lambda eta: psi_laplace(model, eta), t))
+    return _clip01(laplace_invert(model._laplace, t))
 
 
 _EPS = 2.220446049250313e-16
@@ -96,22 +100,42 @@ _EPS = 2.220446049250313e-16
 # ulps per term; the inner error estimates are inflated by this factor
 # before being amplified by the outer coefficients.
 _INNER_ERR_SAFETY = 64.0
+# Absolute error a law may carry; the law is a probability.
+_BUDGET = 1e-9
+
+
+def _absum_cap(scale: float, used: float, weight: float) -> float:
+    """Cap on the absolute sum of an inner series entering with ``weight``.
+
+    An inner sum with absolute sum A adds ``scale * weight * 64 * eps * A``
+    to a propagated error that already stands at ``scale * used``; the cap
+    is twice the A that fills the rest of the budget, so rounding never
+    rejects a series that the final gate would accept.
+    """
+    unit = scale * weight * _INNER_ERR_SAFETY * _EPS
+    if unit == 0.0:
+        return _ABSUM_CAP
+    return min(_ABSUM_CAP, 2.0 * (_BUDGET - scale * used) / unit)
 
 
 def _outer_series(
-    inner: "Callable[[int], tuple[float, float, bool]]",
+    inner: "Callable[[int, float], tuple[float, float, bool]]",
     ratio: float,
     scale: float,
     policy: SeriesPolicy,
 ) -> float:
     """Sum an outer series sum_r (-ratio)**r * inner(r) with error tracking.
 
-    ``inner(r)`` returns an inner-series value with its raw error estimate;
-    the propagated bound sums |ratio|**r times those estimates (they are
-    amplified, not cancelled, by the alternating outer coefficients) plus
-    the outer cancellation term.  ``scale`` is the prefactor the caller
-    multiplies the sum by; the law being a probability, the scaled error
-    must stay below 1e-9 or :class:`NonConvergence` is raised.
+    ``inner(r, cap)`` returns an inner-series value with its raw error
+    estimate, failing once its absolute sum passes ``cap``; the propagated
+    bound sums |ratio|**r times those estimates (they are amplified, not
+    cancelled, by the alternating outer coefficients) plus the outer
+    cancellation term.  ``scale`` is the prefactor the caller multiplies
+    the sum by; the law being a probability, the scaled error must stay
+    below 1e-9 or :class:`NonConvergence` is raised.  Both parts of the
+    bound only grow, so the gate is checked after every term and each inner
+    series is capped at what is left of the budget: a sum that breaks it
+    stops there, as it would fail at the end anyway.
     """
     s = 0.0
     comp = 0.0
@@ -119,9 +143,8 @@ def _outer_series(
     errb = 0.0
     small = 0
     coeff = 1.0
-    done = False
     for r in range(policy.max_terms):
-        g, est, ok = inner(r)
+        g, est, ok = inner(r, _absum_cap(scale, errb + _EPS * absum, abs(coeff)))
         if not ok:
             raise NonConvergence(f"inner series failed at outer index {r}")
         term = coeff * g
@@ -133,20 +156,17 @@ def _outer_series(
         errb += abs(coeff) * est * _INNER_ERR_SAFETY
         if not (math.isfinite(absum) and math.isfinite(errb)):
             raise NonConvergence("outer series overflowed")
+        total = scale * (errb + _EPS * absum)
+        if total > _BUDGET:
+            raise NonConvergence(f"outer series propagated error {total:.3g} exceeds target at term {r}")
         if abs(term) <= policy.rel_tol * (abs(s) + 1e-300):
             small += 1
             if small >= 3 and r >= 8:
-                done = True
-                break
+                return s
         else:
             small = 0
         coeff *= -ratio
-    if not done:
-        raise NonConvergence(f"outer series did not converge within {policy.max_terms} terms")
-    total = scale * (errb + _EPS * absum)
-    if total > 1e-9:
-        raise NonConvergence(f"outer series propagated error {total:.3g} exceeds target")
-    return s
+    raise NonConvergence(f"outer series did not converge within {policy.max_terms} terms")
 
 
 def _gml_scaled(p: MLParams, z: float, scale: float, policy: SeriesPolicy) -> float:
@@ -155,10 +175,11 @@ def _gml_scaled(p: MLParams, z: float, scale: float, policy: SeriesPolicy) -> fl
     The single-series laws subtract ``scale * value`` from 1, so what has
     to be small is the absolute error of that product, not the relative
     error of the series; the acceptance gate matches the one used for the
-    outer-series laws (propagated error below 1e-9).
+    outer-series laws (propagated error below 1e-9), and the series stops
+    at the first term whose absolute sum breaks it.
     """
-    val, est, ok = _gml_raw(p, z, policy)
-    if not ok or scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) > 1e-9:
+    val, est, ok = _gml_raw(p, z, policy, _absum_cap(scale, 0.0, 1.0))
+    if not ok or scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) > _BUDGET:
         raise NonConvergence(
             f"series for E^{p.gamma}_({p.alpha},{p.beta})({z}) is not accurate enough "
             f"at scale {scale:.3g}"
@@ -175,7 +196,7 @@ class _Law:
     defaults below, which raise :class:`Unsupported`.
     """
 
-    def _laplace(self, eta: float) -> float:
+    def _laplace(self, s):
         raise Unsupported(f"psi_laplace has no transform for {type(self).__name__}")
 
     def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
@@ -204,8 +225,8 @@ class Standard(_Law):
     def _psi(self, t: float, policy: SeriesPolicy) -> float:
         return math.exp(-self.lam * t)
 
-    def _laplace(self, eta: float) -> float:
-        return 1.0 / (eta + self.lam)
+    def _laplace(self, s):
+        return 1.0 / (s + self.lam)
 
     def _asymptote(self, small: bool, t: float) -> float:
         return 1.0 - self.lam * t if small else math.exp(-self.lam * t)
@@ -234,8 +255,8 @@ class Fractional(_Law):
     def _psi(self, t: float, policy: SeriesPolicy) -> float:
         return _clip01(mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu, policy))
 
-    def _laplace(self, eta: float) -> float:
-        return eta ** (self.nu - 1.0) / (eta**self.nu + self.lam)
+    def _laplace(self, s):
+        return s ** (self.nu - 1.0) / (s**self.nu + self.lam)
 
     def _asymptote(self, small: bool, t: float) -> float:
         nu, lam = self.nu, self.lam
@@ -261,8 +282,10 @@ class Sojourn(_Law):
     def _psi(self, t: float, policy: SeriesPolicy) -> float:
         return float(i0e(0.5 * self.lam * t))
 
-    def _laplace(self, eta: float) -> float:
-        return 1.0 / math.sqrt(eta * (eta + self.lam))
+    def _laplace(self, s):
+        # two roots, not sqrt(s*(s+lam)): the product leaves the principal
+        # branch off the real axis
+        return 1.0 / (np.sqrt(s) * np.sqrt(s + self.lam))
 
     def _asymptote(self, small: bool, t: float) -> float:
         return 1.0 - 0.5 * self.lam * t if small else 1.0 / math.sqrt(self.lam * math.pi * t)
@@ -298,8 +321,8 @@ class FirstPassage(_Law):
     def _psi(self, t: float, policy: SeriesPolicy) -> float:
         return math.exp(-first_passage_rate(self.lam, self.n) * t)
 
-    def _laplace(self, eta: float) -> float:
-        return 1.0 / (eta + first_passage_rate(self.lam, self.n))
+    def _laplace(self, s):
+        return 1.0 / (s + first_passage_rate(self.lam, self.n))
 
     def _asymptote(self, small: bool, t: float) -> float:
         rate = first_passage_rate(self.lam, self.n)
@@ -351,11 +374,11 @@ class Elastic(_Law):
         el = mittag_leffler(ml, -lam * math.sqrt(t) / _SQRT2, policy)
         return _clip01(1.0 - lam / (lam - alpha) * (ea - el))
 
-    def _laplace(self, eta: float) -> float:
+    def _laplace(self, s):
         lam, alpha = self.lam, self.alpha
-        num = alpha * lam / eta + _SQRT2 * alpha / math.sqrt(eta) + 2.0
-        den = (math.sqrt(2.0 * eta) + alpha) * (math.sqrt(2.0 * eta) + lam)
-        return num / den
+        s2 = np.sqrt(2.0 * s)
+        num = alpha * lam / s + _SQRT2 * alpha / np.sqrt(s) + 2.0
+        return num / ((s2 + alpha) * (s2 + lam))
 
     def _asymptote(self, small: bool, t: float) -> float:
         if small:
@@ -395,10 +418,10 @@ class GammaBoundary(_Law):
         except NonConvergence:
             return _psi_by_inversion(self, t)
 
-    def _laplace(self, eta: float) -> float:
+    def _laplace(self, s):
         lam, k = self.lam, self.k
-        se = math.sqrt(eta)
-        return ((se + lam) ** k - lam**k) / (eta * (se + lam) ** k)
+        b = (np.sqrt(s) + lam) ** k
+        return (b - lam**k) / (s * b)
 
     def _asymptote(self, small: bool, t: float) -> float:
         k, lam = self.k, self.lam
@@ -442,17 +465,17 @@ class ElasticGamma(_Law):
                 return _clip01(1.0 - y**k * _gml_scaled(p, -y, y**k, policy))
             a = alpha * math.sqrt(t) / _SQRT2
 
-            def inner(ell: int) -> tuple[float, float, bool]:
-                return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, policy)
+            def inner(ell: int, cap: float) -> tuple[float, float, bool]:
+                return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, policy, cap)
 
             return _clip01(1.0 - y**k * _outer_series(inner, a, y**k, policy))
         except NonConvergence:
             return _psi_by_inversion(self, t)
 
-    def _laplace(self, eta: float) -> float:
+    def _laplace(self, s):
         lam, alpha, k = self.lam, self.alpha, self.k
-        s2e = math.sqrt(2.0 * eta)
-        return 1.0 / eta - _SQRT2 * lam**k / (math.sqrt(eta) * (s2e + alpha) * (s2e + lam) ** k)
+        s2 = np.sqrt(2.0 * s)
+        return 1.0 / s - _SQRT2 * lam**k / (np.sqrt(s) * (s2 + alpha) * (s2 + lam) ** k)
 
     def _asymptote(self, small: bool, t: float) -> float:
         k, lam = self.k, self.lam
@@ -505,8 +528,6 @@ class Distributed(_Law):
         try:
             return _clip01(self._series(t, policy))
         except NonConvergence:
-            if self.nu1 == 0.5 and self.nu2 == 1.0:
-                return _clip01(self._halfline(t))
             return _psi_by_inversion(self, t)
 
     def _series(self, t: float, policy: SeriesPolicy) -> float:
@@ -514,45 +535,14 @@ class Distributed(_Law):
         x = self.lam * t**self.nu2 / self.n2
         q = self.n1 * t**delta / self.n2
 
-        def inner(r: int) -> tuple[float, float, bool]:
-            return _gml_raw(MLParams(self.nu2, self.nu2 + delta * r + 1.0, r + 1.0), -x, policy)
+        def inner(r: int, cap: float) -> tuple[float, float, bool]:
+            return _gml_raw(MLParams(self.nu2, self.nu2 + delta * r + 1.0, r + 1.0), -x, policy, cap)
 
         return 1.0 - x * _outer_series(inner, q, x, policy)
 
-    def _halfline(self, t: float) -> float:
-        """Crossing probability for orders (1/2, 1) by direct quadrature.
-
-        The inverse of the weighted subordinator n1 * (stable 1/2) + n2 * t
-        has the explicit endpoint density
-
-            q(y, t) = n1 (t - n2 y / 2) / (sqrt(pi) (t - n2 y)^(3/2))
-                          * exp(-n1^2 y^2 / (4 (t - n2 y)))
-
-        on (0, t/n2), so psi(t) = int exp(-lam y) q(y, t) dy.  This covers the
-        mid-to-large times where the double series has cancelled and the
-        transform inversion converges too slowly through its stability gate.
-        """
-        from scipy.integrate import quad
-
-        n1, n2, lam = self.n1, self.n2, self.lam
-
-        def f(y: float) -> float:
-            gap = t - n2 * y
-            if gap <= 0.0:
-                return 0.0
-            arg = n1 * n1 * y * y / (4.0 * gap) + lam * y
-            if arg > 700.0:
-                return 0.0
-            return n1 * (t - 0.5 * n2 * y) / (math.sqrt(math.pi) * gap**1.5) * math.exp(-arg)
-
-        # The integrand vanishes beyond lam*y = 700; over the whole of
-        # (0, t/n2) at large t, quad would miss the mass near y = 0.
-        val, _err = quad(f, 0.0, min(t / n2, 700.0 / lam), limit=200, epsabs=1e-12, epsrel=1e-11)
-        return val
-
-    def _laplace(self, eta: float) -> float:
-        w = self.n1 * eta**self.nu1 + self.n2 * eta**self.nu2
-        return w / (eta * (self.lam + w))
+    def _laplace(self, s):
+        w = self.n1 * s**self.nu1 + self.n2 * s**self.nu2
+        return w / (s * (self.lam + w))
 
     def _asymptote(self, small: bool, t: float) -> float:
         if small:
@@ -625,9 +615,11 @@ def _law(model: object, missing: str) -> _Law:
 def psi(model: RelaxationModel, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
     """Survival probability psi(t) of the crossing problem ``model``.
 
-    psi(0) = 1 exactly; for t > 0 the closed form of the law is evaluated,
-    with a stabilized Laplace-inversion fallback for the series-form laws
-    at arguments where double-precision summation loses accuracy.
+    psi(0) = 1 exactly; for t > 0 the closed form of the law is evaluated.
+    The series-form laws stop their series at the first term that breaks
+    the 1e-9 error budget and then invert their Laplace transform on a
+    fixed Talbot contour, which raises :class:`Unstable` rather than return
+    an uncertified value.
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
         raise DomainError(f"psi requires finite t >= 0, got {t!r}")
@@ -640,15 +632,26 @@ def psi_grid(model: RelaxationModel, grid: TimeGrid, policy: SeriesPolicy = DEFA
     return [(t, psi(model, t, policy)) for t in grid.ts]
 
 
-def psi_laplace(model: RelaxationModel, eta: float) -> float:
-    """Exact Laplace transform of psi at eta > 0, where a closed form exists.
+def psi_laplace(model: RelaxationModel, s):
+    """Exact Laplace transform of psi, where a closed form exists.
 
-    The squared-Bessel law has no elementary transform and raises
+    Real s > 0 gives a float.  Complex or array-valued s is accepted where
+    it is finite and off the closed negative real axis, and the transform
+    takes the principal branch there (as contour inversion needs).  The
+    squared-Bessel law has no elementary transform and raises
     :class:`Unsupported`.
     """
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"psi_laplace requires eta > 0, got {eta!r}")
-    return _law(model, "psi_laplace has no transform")._laplace(eta)
+    z = np.asarray(s)
+    if not (
+        z.dtype.kind in "iufc"
+        and np.all(np.isfinite(z))
+        and not np.any((z.imag == 0.0) & (z.real <= 0.0))
+    ):
+        raise DomainError(f"psi_laplace requires finite s off the closed negative axis, got {s!r}")
+    law = _law(model, "psi_laplace has no transform")
+    if z.ndim == 0 and z.dtype.kind != "c":
+        return float(law._laplace(float(z)))
+    return law._laplace(z)
 
 
 def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:

@@ -90,12 +90,16 @@ class SeriesPolicy:
 DEFAULT_POLICY = SeriesPolicy()
 
 
-def _sum_series(terms: Iterable[float], rel_tol: float) -> tuple[float, float, bool]:
+def _sum_series(
+    terms: Iterable[float], rel_tol: float, absum_cap: float = _ABSUM_CAP
+) -> tuple[float, float, bool]:
     """Kahan-sum ``terms`` until three consecutive terms are negligible.
 
     Returns ``(value, cancellation_estimate, converged)``.  The estimate is
     ``eps * sum(|term|)``; a non-finite term or an absolute-value sum beyond
-    ``_ABSUM_CAP`` marks the series as failed (estimate ``inf``).  Isolated
+    ``absum_cap`` marks the series as failed (estimate ``inf``).  A caller
+    whose error budget a larger sum would break passes a lower cap, so a
+    doomed series stops at the first term that breaks it.  Isolated
     zero terms (e.g. at poles of a reciprocal-gamma weight) do not count
     toward the stop criterion on their own: three in a row are required,
     and no stop is accepted before eight terms.
@@ -112,7 +116,7 @@ def _sum_series(terms: Iterable[float], rel_tol: float) -> tuple[float, float, b
         comp = (tt - s) - y
         s = tt
         absum += abs(term)
-        if absum > _ABSUM_CAP:
+        if absum > absum_cap:
             return s, math.inf, False
         if abs(term) <= rel_tol * (abs(s) + 1e-300):
             small += 1
@@ -222,16 +226,20 @@ def mittag_leffler(p: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
     )
 
 
-def _gml_raw(p: MLParams, z: float, policy: SeriesPolicy) -> tuple[float, float, bool]:
+def _gml_raw(
+    p: MLParams, z: float, policy: SeriesPolicy, absum_cap: float = _ABSUM_CAP
+) -> tuple[float, float, bool]:
     """Three-parameter Mittag-Leffler series with its raw error estimate.
 
     Returns ``(value, error_estimate, converged)`` without an acceptance
     decision, so callers that sum these values against growing outer
     coefficients can accumulate the propagated error honestly.
+    ``absum_cap`` is passed on to :func:`_sum_series`.
     """
     if z == 0.0:
         return float(rgamma(p.beta)), _EPS, True
-    return _sum_series(_ml_terms(p.alpha, p.beta, p.gamma, z, policy.max_terms), policy.rel_tol)
+    terms = _ml_terms(p.alpha, p.beta, p.gamma, z, policy.max_terms)
+    return _sum_series(terms, policy.rel_tol, absum_cap)
 
 
 def gml(p: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
@@ -240,8 +248,9 @@ def gml(p: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
     Summed by its power series with the Pochhammer symbol computed in log
     space.  The series is accurate for moderate |z|; when cancellation on
     the negative axis destroys the target accuracy, :class:`NonConvergence`
-    is raised and callers with a Laplace-transform representation are
-    expected to fall back to numerical inversion.
+    is raised.  The relaxation laws built on it stop such a series at the
+    first term that breaks their error budget and invert their Laplace
+    transform on a Talbot contour instead.
     """
     if not math.isfinite(z):
         raise DomainError(f"gml argument must be finite, got {z!r}")

@@ -347,6 +347,12 @@ class WrightTime(_Process):
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Fractional(nu=self.nu, lam=lam)
 
+    def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
+        # nu = 1/2 is the reflected motion with Var = 2t, M_{1/2}(x) = exp(-x^2/4)/sqrt(pi)
+        if self.nu == 0.5 and isinstance(boundary, Gamma):
+            return rx.GammaBoundary(k=boundary.k, lam=boundary.lam)
+        return super().law(boundary)
+
 
 @dataclass(frozen=True)
 class AiryTime(_Process):

@@ -198,7 +198,7 @@ def _check_gamma_boundary_collapse() -> dict:
     Where both sides run on their power series the agreement must be near
     machine level; where the gamma-boundary law has switched to transform
     inversion (large lam*sqrt(t)) the inverter's own accuracy bounds the
-    comparison, so that region is held to 1e-6.
+    comparison, so that region is held to 1e-9.
     """
     worst_series = 0.0
     worst_far = 0.0
@@ -212,13 +212,13 @@ def _check_gamma_boundary_collapse() -> dict:
                 worst_series = max(worst_series, diff)
             else:
                 worst_far = max(worst_far, diff)
-    passed = worst_series <= 1e-10 and worst_far <= 1e-6
+    passed = worst_series <= 1e-10 and worst_far <= 1e-9
     return _record(
         "gamma-boundary-unit-shape",
         passed,
         max(worst_series, worst_far),
         f"series region {worst_series:.3e} (tol 1e-10), "
-        f"inversion region {worst_far:.3e} (tol 1e-6)",
+        f"inversion region {worst_far:.3e} (tol 1e-9)",
     )
 
 
@@ -244,7 +244,7 @@ def _check_elastic_gamma_collapse() -> dict:
         a = rx.psi(rx.ElasticGamma(k=1, alpha=alpha, lam=lam), t)
         b = rx.psi(rx.Elastic(alpha=alpha, lam=lam), t)
         worst = max(worst, abs(a - b))
-    return _record("elastic-gamma-unit-shape", worst <= 1e-6, worst, "absolute tolerance 1e-6")
+    return _record("elastic-gamma-unit-shape", worst <= 1e-9, worst, "absolute tolerance 1e-9")
 
 
 def _check_elastic_gamma_zero_killing() -> dict:
@@ -347,9 +347,9 @@ def _check_inversion(name: str, model: rx.RelaxationModel) -> dict:
         worst = max(worst, abs(inv - rx.psi(model, t)))
     return _record(
         f"inversion-{name}",
-        worst <= 1e-5,
+        worst <= 1e-10,
         worst,
-        "inversion vs series evaluator, absolute tolerance 1e-5 on t in [0.25, 4]",
+        "inversion vs series evaluator, absolute tolerance 1e-10 on t in [0.25, 4]",
     )
 
 

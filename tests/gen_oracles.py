@@ -16,6 +16,7 @@ Conventions that matter for correctness:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -157,6 +158,26 @@ def main() -> None:
         for t in (30000, 100000, 1000000):
             value = mp.invertlaplace(F, t, method="talbot")
             out.append((f"distributed psi({t}), (0.5,0.5) lam=1", "test_relaxation/test_stochsim large t", value))
+
+    # --- test_parity: the eval-grid rows that psi answers by contour inversion
+    # (the 17-point log grid over [1e-4, 1e4] of tests/gen_parity.py)
+    grid = [math.exp(math.log(1e-4) + i * (math.log(1e4) - math.log(1e-4)) / 16) for i in range(17)]
+    with mp.workdps(40):
+        sq2 = mp.sqrt(2)
+        one, a, lam = mp.mpf(1), mp.mpf(0.8), mp.mpf(1.1)
+        inverted = [
+            ("gammaboundary k=2 lam=1", 10.0,
+             lambda s: 1 / s - one / (s * (mp.sqrt(s) + one) ** 2)),
+            ("elasticgamma k=2 alpha=0.8 lam=1.1", 31.0,
+             lambda s: 1 / s - sq2 * lam**2 / (mp.sqrt(s) * (mp.sqrt(2 * s) + a) * (mp.sqrt(2 * s) + lam) ** 2)),
+            ("distributed nu1=0.5 nu2=1 n1=0.5 n2=0.5 lam=1", 3.0,
+             lambda s: (mp.sqrt(s) + s) / (s * (2 + mp.sqrt(s) + s))),
+        ]
+        for name, t_min, F in inverted:
+            for t in grid:
+                if t >= t_min:
+                    value = mp.invertlaplace(F, mp.mpf(t), method="talbot")
+                    out.append((f"{name} psi({t!r})", "test_parity", value))
 
     # --- test_fraccalc: Riemann-Liouville integral of f(t) = t at order 1/2
     out.append(("RL-1/2 of t: coefficient of t^{3/2}", "test_fraccalc", mp.gamma(2) / mp.gamma(mp.mpf("2.5"))))

@@ -251,6 +251,26 @@ def test_unpaired_combination_is_usage_error(capsys):
     assert "no closed form" in err
 
 
+def test_simulate_wright_half_gamma_boundary(capsys):
+    # WrightTime(1/2) is the reflected motion with Var = 2t, so a gamma
+    # boundary pairs it with the gamma-boundary law
+    rc = run_cli("simulate", "--process", "wrighttime", "--nu", "0.5",
+                 "--boundary", "gamma", "--k", "2", "--lambda", "1", "--t", "1")
+    out = capsys.readouterr().out
+    assert rc == 0
+    t, p_hat, stderr, analytic, z = map(float, out.strip().split("\n")[2].split(","))
+    # gamma-boundary psi(1), k=2 lam=1 from tests/gen_oracles.py
+    assert abs(analytic - 0.7007955909397055694854) < 1e-12
+    assert abs(p_hat - analytic) < 1e-9
+
+
+def test_simulate_wright_gamma_other_orders_unpaired(capsys):
+    rc = run_cli("simulate", "--process", "wrighttime", "--nu", "0.3",
+                 "--boundary", "gamma", "--k", "2", "--lambda", "1", "--t", "1")
+    assert rc == 2
+    assert "no closed form pairs WrightTime with Gamma" in capsys.readouterr().err
+
+
 def test_bad_parameter_value_is_usage_error(capsys):
     rc = run_cli("eval", "--model", "fractional", "--nu", "1.5", "--lambda", "1", "--t", "1")
     assert rc == 2

@@ -5,7 +5,9 @@ tolerances are frozen from measured deviations with a 10-100x margin.
 """
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import i0e
@@ -86,12 +88,12 @@ def test_besselsq_power_law():
 
 def test_gamma_boundary_k1_is_half_order_relaxation():
     # an Erlang boundary with shape 1 is exponential, so k = 1 must agree
-    # with the half-order law; beyond the series reach the inversion path
-    # holds it to ~1.6e-8 (measured), frozen at 1e-6
+    # with the half-order law; beyond the series reach the Talbot inversion
+    # holds it to ~4.4e-11 (measured), frozen at 1e-9
     for t in np.geomspace(0.05, 30.0, 25):
         a = rx.psi(rx.GammaBoundary(k=1, lam=1.3), float(t))
         b = rx.psi(rx.Fractional(nu=0.5, lam=1.3), float(t))
-        assert abs(a - b) < 1e-6
+        assert abs(a - b) < 1e-9
 
 
 def test_elastic_gamma_k1_is_elastic():
@@ -122,9 +124,9 @@ def test_distributed_zero_weight_collapses():
         assert rel_err(rx.psi(m2, t), want) < 1e-12
 
 
-# Distributed(1/2, 1, 1/2, 1/2, 1) at large t from tests/gen_oracles.py; the
-# half-line quadrature once integrated over all of (0, t/n2) and returned
-# 1.45e-29, 2.5e-95 and 0.0 here
+# Distributed(1/2, 1, 1/2, 1/2, 1) at large t from tests/gen_oracles.py, now
+# answered by contour inversion; the half-line quadrature it replaced once
+# integrated over all of (0, t/n2) and returned 1.45e-29, 2.5e-95 and 0.0 here
 DISTRIBUTED_LARGE_T = [
     (3e4, 0.001628695398538535119643),
     (1e5, 0.0008920654033300111266029),
@@ -241,6 +243,89 @@ def test_psi_laplace_unsupported():
 def test_psi_laplace_eta_validation():
     with pytest.raises(DomainError):
         rx.psi_laplace(rx.Standard(lam=1.0), 0.0)
+
+
+def _mp_transform(m):
+    """Laplace transform of psi in mpmath, continued off the positive axis
+    with principal-branch roots and powers (cut on the negative axis)."""
+    sq2 = mp.sqrt(2)
+    if isinstance(m, rx.Standard):
+        return lambda s: 1 / (s + m.lam)
+    if isinstance(m, rx.FirstPassage):
+        return lambda s: 1 / (s + rx.first_passage_rate(m.lam, m.n))
+    if isinstance(m, rx.Fractional):
+        return lambda s: s ** (m.nu - 1) / (s**m.nu + m.lam)
+    if isinstance(m, rx.Sojourn):
+        return lambda s: 1 / (mp.sqrt(s) * mp.sqrt(s + m.lam))
+    if isinstance(m, rx.Elastic):
+        a, lam = m.alpha, m.lam
+        return lambda s: (a * lam / s + sq2 * a / mp.sqrt(s) + 2) / (
+            (mp.sqrt(2 * s) + a) * (mp.sqrt(2 * s) + lam)
+        )
+    if isinstance(m, rx.GammaBoundary):
+        return lambda s: 1 / s - m.lam**m.k / (s * (mp.sqrt(s) + m.lam) ** m.k)
+    if isinstance(m, rx.ElasticGamma):
+        return lambda s: 1 / s - sq2 * m.lam**m.k / (
+            mp.sqrt(s) * (mp.sqrt(2 * s) + m.alpha) * (mp.sqrt(2 * s) + m.lam) ** m.k
+        )
+    if isinstance(m, rx.Distributed):
+        def F(s):
+            w = m.n1 * s**m.nu1 + m.n2 * s**m.nu2
+            return w / (s * (m.lam + w))
+
+        return F
+    raise AssertionError(type(m))
+
+
+TRANSFORM_LAWS = [
+    rx.Standard(lam=1.3),
+    rx.Fractional(nu=0.3, lam=0.8),
+    rx.Sojourn(lam=1.7),
+    rx.FirstPassage(lam=0.9, n=2),
+    rx.Elastic(alpha=0.7, lam=1.3),
+    rx.GammaBoundary(k=3, lam=1.2),
+    rx.ElasticGamma(k=2, alpha=0.8, lam=1.1),
+    rx.Distributed(nu1=0.3, nu2=0.9, n1=0.4, n2=0.6, lam=2.0),
+]
+# contour-like points, Re s < 0 included, none on the closed negative axis
+CONTOUR_S = [0.3 + 1j, 2.0 - 5j, -0.5 + 0.2j, -0.85 - 1e-3j, -3.0 + 1e-6j, -40.0 + 9j, 1e-6 - 1e-7j]
+
+
+@pytest.mark.parametrize("m", TRANSFORM_LAWS, ids=lambda m: type(m).__name__)
+def test_psi_laplace_principal_branch_off_axis(m):
+    F = _mp_transform(m)
+    with mp.workdps(30):
+        want = [complex(F(mp.mpc(s))) for s in CONTOUR_S]
+    got = rx.psi_laplace(m, np.array(CONTOUR_S))
+    for s, g, w in zip(CONTOUR_S, got, want):
+        assert abs(g - w) <= 1e-12 * abs(w), (s, g, w)
+        assert abs(rx.psi_laplace(m, s) - w) <= 1e-12 * abs(w), s
+    real = rx.psi_laplace(m, 0.7)
+    assert type(real) is float
+    with mp.workdps(30):
+        assert abs(real - float(F(mp.mpf(0.7)))) <= 1e-12 * abs(real)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [0.0, -1.0, -1 + 0j, complex(-2.0, -0.0), math.inf, math.nan, complex(math.nan, 1.0),
+     complex(1.0, math.inf), np.array([1.0 + 1j, -1.0]), np.array([1.0, math.inf]), "1", None],
+    ids=repr,
+)
+def test_psi_laplace_rejects_negative_axis_and_non_finite(s):
+    with pytest.raises(DomainError):
+        rx.psi_laplace(rx.Distributed(nu1=0.3, nu2=0.9, n1=0.4, n2=0.6, lam=2.0), s)
+
+
+def test_psi_raises_no_runtime_warning():
+    # numpy-scalar parameters once overflowed the outer coefficient of the
+    # double series; reference: mpmath Talbot inversion at 40 digits
+    m = rx.Distributed(np.float64(0.22439186717632562), np.float64(0.898845821238952),
+                       0.8401688171583896, 0.1598311828416104, 0.16780754469428982)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = rx.psi(m, 45.75772301569235)
+    assert abs(v - 0.65567838612997160692) < 1e-10
 
 
 # ---------------------------------------------------------------------------
