@@ -10,12 +10,11 @@ is the quantity the equation checks assert on.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .errors import DomainError, Unstable, Unsupported
 
@@ -128,7 +127,7 @@ def rl_integral(g: L1Grid, nu: float) -> list[float]:
     return out
 
 
-def laplace_forward(f: Callable[[float], float], eta: float, *, epsabs: float = 1e-12) -> float:
+def laplace_forward(f: Callable[[float], float], eta: float) -> float:
     """Numerical Laplace transform int_0^inf exp(-eta t) f(t) dt.
 
     Substituting u = exp(-eta t) maps the integral to
@@ -147,12 +146,7 @@ def laplace_forward(f: Callable[[float], float], eta: float, *, epsabs: float = 
             return 0.0
         return f(-math.log(u) / eta) / eta
 
-    with warnings.catch_warnings():
-        # Integrands assembled from series-with-fallback evaluators carry
-        # ~1e-8 seams that trip quad's roundoff heuristic without harming
-        # the requested accuracy; the transform checks assert the result.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(substituted, 0.0, 1.0, limit=400, epsabs=epsabs, epsrel=1e-11)
+    val, _ = quad(substituted, 0.0, 1.0, limit=400, epsabs=1e-12, epsrel=1e-11)
     return val
 
 

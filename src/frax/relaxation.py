@@ -19,23 +19,17 @@ contour instead (:func:`~frax.fraccalc.laplace_invert`).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 from scipy.special import i0e
 
 from .errors import DomainError, NonConvergence, Unsupported
 from .fraccalc import L1Grid, caputo_l1, laplace_invert
-from .specfun import (
-    DEFAULT_POLICY,
-    MLParams,
-    SeriesPolicy,
-    _ABSUM_CAP,
-    _gml_raw,
-    mittag_leffler,
-)
+from .specfun import _ABSUM_CAP, _EPS, MLParams, _gml_raw, _sum_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -95,7 +89,6 @@ def _psi_by_inversion(model: "RelaxationModel", t: float) -> float:
     return _clip01(laplace_invert(model._laplace, t))
 
 
-_EPS = 2.220446049250313e-16
 # Log-space term evaluation inside the inner series loses a few tens of
 # ulps per term; the inner error estimates are inflated by this factor
 # before being amplified by the outer coefficients.
@@ -119,10 +112,7 @@ def _absum_cap(scale: float, used: float, weight: float) -> float:
 
 
 def _outer_series(
-    inner: "Callable[[int, float], tuple[float, float, bool]]",
-    ratio: float,
-    scale: float,
-    policy: SeriesPolicy,
+    inner: "Callable[[int, float], tuple[float, float, bool]]", ratio: float, scale: float
 ) -> float:
     """Sum an outer series sum_r (-ratio)**r * inner(r) with error tracking.
 
@@ -133,43 +123,36 @@ def _outer_series(
     cancellation term.  ``scale`` is the prefactor the caller multiplies
     the sum by; the law being a probability, the scaled error must stay
     below 1e-9 or :class:`NonConvergence` is raised.  Both parts of the
-    bound only grow, so the gate is checked after every term and each inner
-    series is capped at what is left of the budget: a sum that breaks it
-    stops there, as it would fail at the end anyway.
+    bound only grow, so the gate is checked before each term reaches
+    :func:`~frax.specfun._sum_series` and each inner series is capped at
+    what is left of the budget: a sum that breaks it stops there, as it
+    would fail at the end anyway.
     """
-    s = 0.0
-    comp = 0.0
-    absum = 0.0
-    errb = 0.0
-    small = 0
-    coeff = 1.0
-    for r in range(policy.max_terms):
-        g, est, ok = inner(r, _absum_cap(scale, errb + _EPS * absum, abs(coeff)))
-        if not ok:
-            raise NonConvergence(f"inner series failed at outer index {r}")
-        term = coeff * g
-        y = term - comp
-        tt = s + y
-        comp = (tt - s) - y
-        s = tt
-        absum += abs(term)
-        errb += abs(coeff) * est * _INNER_ERR_SAFETY
-        if not (math.isfinite(absum) and math.isfinite(errb)):
-            raise NonConvergence("outer series overflowed")
-        total = scale * (errb + _EPS * absum)
-        if total > _BUDGET:
-            raise NonConvergence(f"outer series propagated error {total:.3g} exceeds target at term {r}")
-        if abs(term) <= policy.rel_tol * (abs(s) + 1e-300):
-            small += 1
-            if small >= 3 and r >= 8:
-                return s
-        else:
-            small = 0
-        coeff *= -ratio
-    raise NonConvergence(f"outer series did not converge within {policy.max_terms} terms")
+
+    def terms() -> Iterator[float]:
+        absum = 0.0
+        errb = 0.0
+        coeff = 1.0
+        for r in itertools.count():
+            g, est, ok = inner(r, _absum_cap(scale, errb + _EPS * absum, abs(coeff)))
+            if not ok:
+                raise NonConvergence(f"inner series failed at outer index {r}")
+            term = coeff * g
+            absum += abs(term)
+            errb += abs(coeff) * est * _INNER_ERR_SAFETY
+            total = scale * (errb + _EPS * absum)
+            if not total <= _BUDGET:  # an overflowed (inf or NaN) bound fails too
+                raise NonConvergence(f"outer series propagated error {total:.3g} exceeds target at term {r}")
+            yield term
+            coeff *= -ratio
+
+    s, _est, ok = _sum_series(terms())
+    if not ok:
+        raise NonConvergence("outer series did not converge")
+    return s
 
 
-def _gml_scaled(p: MLParams, z: float, scale: float, policy: SeriesPolicy) -> float:
+def _gml_scaled(p: MLParams, z: float, scale: float) -> float:
     """Inner series value whose ``scale``-multiplied error must fit the law.
 
     The single-series laws subtract ``scale * value`` from 1, so what has
@@ -178,7 +161,7 @@ def _gml_scaled(p: MLParams, z: float, scale: float, policy: SeriesPolicy) -> fl
     outer-series laws (propagated error below 1e-9), and the series stops
     at the first term whose absolute sum breaks it.
     """
-    val, est, ok = _gml_raw(p, z, policy, _absum_cap(scale, 0.0, 1.0))
+    val, est, ok = _gml_raw(p, z, _absum_cap(scale, 0.0, 1.0))
     if not ok or scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) > _BUDGET:
         raise NonConvergence(
             f"series for E^{p.gamma}_({p.alpha},{p.beta})({z}) is not accurate enough "
@@ -190,7 +173,7 @@ def _gml_scaled(p: MLParams, z: float, scale: float, policy: SeriesPolicy) -> fl
 class _Law:
     """Behaviour shared by the law dataclasses.
 
-    Subclasses implement ``_psi(t, policy)`` for t > 0, ``_laplace(eta)``
+    Subclasses implement ``_psi(t)`` for t > 0, ``_laplace(eta)``
     and ``_asymptote(small, t)``, and ``_residual(g)`` where the law has a
     governing equation; a law without a transform or an equation keeps the
     defaults below, which raise :class:`Unsupported`.
@@ -222,7 +205,7 @@ class Standard(_Law):
     def __post_init__(self) -> None:
         _positive("Standard.lam", self.lam)
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+    def _psi(self, t: float) -> float:
         return math.exp(-self.lam * t)
 
     def _laplace(self, s):
@@ -252,8 +235,8 @@ class Fractional(_Law):
         _require(0.0 < self.nu < 1.0, f"Fractional.nu must lie in (0, 1), got {self.nu!r}")
         _positive("Fractional.lam", self.lam)
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
-        return _clip01(mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu, policy))
+    def _psi(self, t: float) -> float:
+        return _clip01(mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu))
 
     def _laplace(self, s):
         return s ** (self.nu - 1.0) / (s**self.nu + self.lam)
@@ -279,7 +262,7 @@ class Sojourn(_Law):
     def __post_init__(self) -> None:
         _positive("Sojourn.lam", self.lam)
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+    def _psi(self, t: float) -> float:
         return float(i0e(0.5 * self.lam * t))
 
     def _laplace(self, s):
@@ -318,7 +301,7 @@ class FirstPassage(_Law):
         _positive("FirstPassage.lam", self.lam)
         _require(isinstance(self.n, int) and self.n >= 1, f"FirstPassage.n must be an integer >= 1, got {self.n!r}")
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+    def _psi(self, t: float) -> float:
         return math.exp(-first_passage_rate(self.lam, self.n) * t)
 
     def _laplace(self, s):
@@ -342,11 +325,11 @@ class BesselSq(_Law):
         _positive("BesselSq.gamma", self.gamma)
         _positive("BesselSq.lam", self.lam)
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+    def _psi(self, t: float) -> float:
         return (2.0 * self.lam * t + 1.0) ** (-0.5 * self.gamma)
 
     def _asymptote(self, small: bool, t: float) -> float:
-        return self._psi(t, DEFAULT_POLICY)
+        return self._psi(t)
 
 
 @dataclass(frozen=True)
@@ -361,17 +344,17 @@ class Elastic(_Law):
         _positive("Elastic.alpha", self.alpha)
         _positive("Elastic.lam", self.lam)
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+    def _psi(self, t: float) -> float:
         lam, alpha = self.lam, self.alpha
         if abs(alpha - lam) < 1e-8 * lam:
             try:
                 y = lam * math.sqrt(t) / _SQRT2
-                return _clip01(1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y, policy))
+                return _clip01(1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y))
             except NonConvergence:
                 return _psi_by_inversion(self, t)
         ml = MLParams(0.5, 1.0)
-        ea = mittag_leffler(ml, -alpha * math.sqrt(t) / _SQRT2, policy)
-        el = mittag_leffler(ml, -lam * math.sqrt(t) / _SQRT2, policy)
+        ea = mittag_leffler(ml, -alpha * math.sqrt(t) / _SQRT2)
+        el = mittag_leffler(ml, -lam * math.sqrt(t) / _SQRT2)
         return _clip01(1.0 - lam / (lam - alpha) * (ea - el))
 
     def _laplace(self, s):
@@ -410,11 +393,11 @@ class GammaBoundary(_Law):
         _require(isinstance(self.k, int) and self.k >= 1, f"GammaBoundary.k must be an integer >= 1, got {self.k!r}")
         _positive("GammaBoundary.lam", self.lam)
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+    def _psi(self, t: float) -> float:
         x = self.lam * math.sqrt(t)
         p = MLParams(0.5, 0.5 * self.k + 1.0, float(self.k))
         try:
-            return _clip01(1.0 - x**self.k * _gml_scaled(p, -x, x**self.k, policy))
+            return _clip01(1.0 - x**self.k * _gml_scaled(p, -x, x**self.k))
         except NonConvergence:
             return _psi_by_inversion(self, t)
 
@@ -456,19 +439,19 @@ class ElasticGamma(_Law):
         _positive("ElasticGamma.alpha", self.alpha)
         _positive("ElasticGamma.lam", self.lam)
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+    def _psi(self, t: float) -> float:
         lam, alpha, k = self.lam, self.alpha, self.k
         y = lam * math.sqrt(t) / _SQRT2
         try:
             if abs(alpha - lam) < 1e-8 * lam:
                 p = MLParams(0.5, 0.5 * k + 1.0, k + 1.0)
-                return _clip01(1.0 - y**k * _gml_scaled(p, -y, y**k, policy))
+                return _clip01(1.0 - y**k * _gml_scaled(p, -y, y**k))
             a = alpha * math.sqrt(t) / _SQRT2
 
             def inner(ell: int, cap: float) -> tuple[float, float, bool]:
-                return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, policy, cap)
+                return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, cap)
 
-            return _clip01(1.0 - y**k * _outer_series(inner, a, y**k, policy))
+            return _clip01(1.0 - y**k * _outer_series(inner, a, y**k))
         except NonConvergence:
             return _psi_by_inversion(self, t)
 
@@ -520,25 +503,25 @@ class Distributed(_Law):
         _require(abs(self.n1 + self.n2 - 1.0) <= 1e-12, f"Distributed weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
         _positive("Distributed.lam", self.lam)
 
-    def _psi(self, t: float, policy: SeriesPolicy) -> float:
+    def _psi(self, t: float) -> float:
         if self.n1 == 0.0:
             if self.nu2 == 1.0:
                 return math.exp(-self.lam * t / self.n2)
-            return psi(Fractional(self.nu2, self.lam / self.n2), t, policy)
+            return psi(Fractional(self.nu2, self.lam / self.n2), t)
         try:
-            return _clip01(self._series(t, policy))
+            return _clip01(self._series(t))
         except NonConvergence:
             return _psi_by_inversion(self, t)
 
-    def _series(self, t: float, policy: SeriesPolicy) -> float:
+    def _series(self, t: float) -> float:
         delta = self.nu2 - self.nu1
         x = self.lam * t**self.nu2 / self.n2
         q = self.n1 * t**delta / self.n2
 
         def inner(r: int, cap: float) -> tuple[float, float, bool]:
-            return _gml_raw(MLParams(self.nu2, self.nu2 + delta * r + 1.0, r + 1.0), -x, policy, cap)
+            return _gml_raw(MLParams(self.nu2, self.nu2 + delta * r + 1.0, r + 1.0), -x, cap)
 
-        return 1.0 - x * _outer_series(inner, q, x, policy)
+        return 1.0 - x * _outer_series(inner, q, x)
 
     def _laplace(self, s):
         w = self.n1 * s**self.nu1 + self.n2 * s**self.nu2
@@ -612,7 +595,7 @@ def _law(model: object, missing: str) -> _Law:
     return model
 
 
-def psi(model: RelaxationModel, t: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def psi(model: RelaxationModel, t: float) -> float:
     """Survival probability psi(t) of the crossing problem ``model``.
 
     psi(0) = 1 exactly; for t > 0 the closed form of the law is evaluated.
@@ -624,12 +607,12 @@ def psi(model: RelaxationModel, t: float, policy: SeriesPolicy = DEFAULT_POLICY)
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
         raise DomainError(f"psi requires finite t >= 0, got {t!r}")
     law = _law(model, "psi has no law")
-    return law._psi(t, policy) if t > 0.0 else 1.0
+    return law._psi(t) if t > 0.0 else 1.0
 
 
-def psi_grid(model: RelaxationModel, grid: TimeGrid, policy: SeriesPolicy = DEFAULT_POLICY) -> list[tuple[float, float]]:
+def psi_grid(model: RelaxationModel, grid: TimeGrid) -> list[tuple[float, float]]:
     """Evaluate psi over a time grid, returning (t, psi(t)) pairs."""
-    return [(t, psi(model, t, policy)) for t in grid.ts]
+    return [(t, psi(model, t)) for t in grid.ts]
 
 
 def psi_laplace(model: RelaxationModel, s):

@@ -1,19 +1,21 @@
 """Special-function evaluators used by the relaxation laws.
 
 The Mittag-Leffler and M-Wright evaluators return IEEE double results and
-follow the same convergence discipline: power series are summed with compensated (Kahan) addition, a
-term is accepted as negligible only after three consecutive terms fall
-below ``rel_tol`` relative to the running sum, and a cancellation estimate
-``eps * sum(|term|)`` is carried along so that catastrophic alternating
-series are detected instead of silently returned.  When a series cannot
-reach the target accuracy, each evaluator either switches to an integral
-representation valid in that regime or raises :class:`NonConvergence`.
+follow one convergence discipline, fixed by module constants rather than
+options: :func:`_sum_series` adds at most 600 terms with compensated (Kahan)
+addition, accepts the sum once three consecutive terms fall below 1e-14
+relative to the running sum, and carries a cancellation estimate
+``eps * sum(|term|)`` so that catastrophic alternating series are detected
+instead of silently returned.  When a series cannot reach the target
+accuracy, each evaluator either switches to an integral representation
+valid in that regime or raises :class:`NonConvergence`.
 Airy Ai and the modified Bessel I are validated wrappers over
 :mod:`scipy.special`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -29,11 +31,14 @@ _EPS = 2.220446049250313e-16
 _ABSUM_CAP = 1e280
 # exp() overflows just above this; used to guard integrand exponents.
 _EXP_CAP = 700.0
+# A term below this size relative to the running sum counts as negligible.
+_REL_TOL = 1e-14
+_MAX_TERMS = 600
+# mittag_leffler uses the integral representation for z <= -_ML_SWITCH.
+_ML_SWITCH = 5.0
 
 __all__ = [
     "MLParams",
-    "SeriesPolicy",
-    "DEFAULT_POLICY",
     "mittag_leffler",
     "gml",
     "wright_m",
@@ -62,40 +67,12 @@ class MLParams:
                 raise DomainError(f"MLParams.{name} must be positive and finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Convergence policy shared by the series evaluators.
-
-    ``rel_tol`` is the target relative term size (must lie in (0, 1e-6]),
-    ``max_terms`` caps the number of summed terms (at least 64), and
-    ``switch_threshold`` is the |z| at which ``mittag_leffler`` abandons
-    the power series for the integral representation on the negative axis.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 600
-    switch_threshold: float = 5.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise DomainError(f"SeriesPolicy.rel_tol must lie in (0, 1e-6], got {self.rel_tol!r}")
-        if self.max_terms < 64:
-            raise DomainError(f"SeriesPolicy.max_terms must be >= 64, got {self.max_terms!r}")
-        if not (math.isfinite(self.switch_threshold) and self.switch_threshold > 0.0):
-            raise DomainError(
-                f"SeriesPolicy.switch_threshold must be positive, got {self.switch_threshold!r}"
-            )
-
-
-DEFAULT_POLICY = SeriesPolicy()
-
-
-def _sum_series(
-    terms: Iterable[float], rel_tol: float, absum_cap: float = _ABSUM_CAP
-) -> tuple[float, float, bool]:
+def _sum_series(terms: Iterable[float], absum_cap: float = _ABSUM_CAP) -> tuple[float, float, bool]:
     """Kahan-sum ``terms`` until three consecutive terms are negligible.
 
-    Returns ``(value, cancellation_estimate, converged)``.  The estimate is
+    A term is negligible below ``_REL_TOL`` relative to the running sum;
+    at most ``_MAX_TERMS`` terms are drawn.  Returns ``(value,
+    cancellation_estimate, converged)``.  The estimate is
     ``eps * sum(|term|)``; a non-finite term or an absolute-value sum beyond
     ``absum_cap`` marks the series as failed (estimate ``inf``).  A caller
     whose error budget a larger sum would break passes a lower cap, so a
@@ -108,7 +85,7 @@ def _sum_series(
     comp = 0.0
     absum = 0.0
     small = 0
-    for j, term in enumerate(terms):
+    for j, term in enumerate(itertools.islice(terms, _MAX_TERMS)):
         if not math.isfinite(term):
             return s, math.inf, False
         y = term - comp
@@ -118,7 +95,7 @@ def _sum_series(
         absum += abs(term)
         if absum > absum_cap:
             return s, math.inf, False
-        if abs(term) <= rel_tol * (abs(s) + 1e-300):
+        if abs(term) <= _REL_TOL * (abs(s) + 1e-300):
             small += 1
             if small >= 3 and j >= 8:
                 return s, _EPS * absum, True
@@ -127,7 +104,7 @@ def _sum_series(
     return s, math.inf, False
 
 
-def _ml_terms(alpha: float, beta: float, gamma: float, z: float, max_terms: int) -> Iterator[float]:
+def _ml_terms(alpha: float, beta: float, gamma: float, z: float) -> Iterator[float]:
     """Terms of the three-parameter Mittag-Leffler series in log space.
 
     Term j is ``poch(gamma, j) * z**j / (j! * Gamma(alpha*j + beta))`` with
@@ -137,7 +114,7 @@ def _ml_terms(alpha: float, beta: float, gamma: float, z: float, max_terms: int)
     lg_gamma0 = gammaln(gamma)
     loga = math.log(abs(z)) if z != 0.0 else -math.inf
     sign_z = 1.0 if z >= 0.0 else -1.0
-    for j in range(max_terms):
+    for j in itertools.count():
         lg = (
             gammaln(gamma + j)
             - lg_gamma0
@@ -151,7 +128,7 @@ def _ml_terms(alpha: float, beta: float, gamma: float, z: float, max_terms: int)
         yield (sign_z**j) * math.exp(lg)
 
 
-def _ml_integral(alpha: float, beta: float, c: float, policy: SeriesPolicy) -> float:
+def _ml_integral(alpha: float, beta: float, c: float) -> float:
     """Two-parameter Mittag-Leffler on the negative axis by quadrature.
 
     Evaluates E_{alpha,beta}(-c) for c > 0 and 0 < alpha < 1 from its real
@@ -195,12 +172,12 @@ def _ml_integral(alpha: float, beta: float, c: float, policy: SeriesPolicy) -> f
     return val / (alpha * math.pi)
 
 
-def mittag_leffler(p: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def mittag_leffler(p: MLParams, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Requires ``p.gamma == 1``.  For z <= 0 with |z| at or beyond
-    ``policy.switch_threshold`` the real integral representation is used
-    when its parameter constraints (0 < alpha < 1, beta < 1 + alpha) hold;
+    Requires ``p.gamma == 1``.  For z <= -5 the real integral
+    representation is used when its parameter constraints (0 < alpha < 1,
+    beta < 1 + alpha) hold;
     otherwise the power series is summed and, when its cancellation
     estimate exceeds the accuracy target on the negative axis, the
     evaluator still falls back to the integral form.  A failed series with
@@ -213,22 +190,20 @@ def mittag_leffler(p: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY)
     if z == 0.0:
         return float(rgamma(p.beta))
     admissible = 0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha
-    if z < 0.0 and -z >= policy.switch_threshold and admissible:
-        return _ml_integral(p.alpha, p.beta, -z, policy)
-    val, est, ok = _sum_series(_ml_terms(p.alpha, p.beta, 1.0, z, policy.max_terms), policy.rel_tol)
+    if z < 0.0 and -z >= _ML_SWITCH and admissible:
+        return _ml_integral(p.alpha, p.beta, -z)
+    val, est, ok = _sum_series(_ml_terms(p.alpha, p.beta, 1.0, z))
     if ok and est <= 1e-13 * max(abs(val), 1.0):
         return val
     if z < 0.0:
-        return _ml_integral(p.alpha, p.beta, -z, policy)
+        return _ml_integral(p.alpha, p.beta, -z)
     raise NonConvergence(
         f"mittag_leffler series did not converge for alpha={p.alpha}, beta={p.beta}, "
         f"z={z} (cancellation estimate {est:.3g})"
     )
 
 
-def _gml_raw(
-    p: MLParams, z: float, policy: SeriesPolicy, absum_cap: float = _ABSUM_CAP
-) -> tuple[float, float, bool]:
+def _gml_raw(p: MLParams, z: float, absum_cap: float = _ABSUM_CAP) -> tuple[float, float, bool]:
     """Three-parameter Mittag-Leffler series with its raw error estimate.
 
     Returns ``(value, error_estimate, converged)`` without an acceptance
@@ -238,11 +213,10 @@ def _gml_raw(
     """
     if z == 0.0:
         return float(rgamma(p.beta)), _EPS, True
-    terms = _ml_terms(p.alpha, p.beta, p.gamma, z, policy.max_terms)
-    return _sum_series(terms, policy.rel_tol, absum_cap)
+    return _sum_series(_ml_terms(p.alpha, p.beta, p.gamma, z), absum_cap)
 
 
-def gml(p: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def gml(p: MLParams, z: float) -> float:
     """Three-parameter (Prabhakar) Mittag-Leffler function E^gamma_{alpha,beta}(z).
 
     Summed by its power series with the Pochhammer symbol computed in log
@@ -254,7 +228,7 @@ def gml(p: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
     """
     if not math.isfinite(z):
         raise DomainError(f"gml argument must be finite, got {z!r}")
-    val, est, ok = _gml_raw(p, z, policy)
+    val, est, ok = _gml_raw(p, z)
     if ok and est <= 1e-13 * max(abs(val), 1.0):
         return val
     raise NonConvergence(
@@ -263,7 +237,7 @@ def gml(p: MLParams, z: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
     )
 
 
-def _wright_terms(nu: float, x: float, max_terms: int) -> Iterator[float]:
+def _wright_terms(nu: float, x: float) -> Iterator[float]:
     """Terms (-x)**j / (j! * Gamma(-nu*j + 1 - nu)) of the M-Wright series.
 
     The reciprocal gamma is evaluated directly (it is entire, vanishing at
@@ -271,7 +245,7 @@ def _wright_terms(nu: float, x: float, max_terms: int) -> Iterator[float]:
     handled by the three-in-a-row stop rule of :func:`_sum_series`.
     """
     p = 1.0
-    for j in range(max_terms):
+    for j in itertools.count():
         yield p * float(rgamma(1.0 - nu * (j + 1.0)))
         if abs(p) > 1e250:
             yield math.inf
@@ -320,7 +294,7 @@ def _wright_stable_integral(nu: float, x: float) -> float:
     return (1.0 / nu) * x ** (-1.0 - 1.0 / nu) * g
 
 
-def wright_m(nu: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY) -> float:
+def wright_m(nu: float, x: float) -> float:
     """M-Wright probability density M_nu(x) for nu in (0, 1), x >= 0.
 
     The power series in x alternates with reciprocal-gamma weights and is
@@ -335,7 +309,7 @@ def wright_m(nu: float, x: float, policy: SeriesPolicy = DEFAULT_POLICY) -> floa
         raise DomainError(f"wright_m requires finite x >= 0, got {x!r}")
     if x == 0.0:
         return float(rgamma(1.0 - nu))
-    val, est, ok = _sum_series(_wright_terms(nu, x, policy.max_terms), policy.rel_tol)
+    val, est, ok = _sum_series(_wright_terms(nu, x))
     if ok and est <= 1e-13 * abs(val) and est < 1e-4:
         return val if val > 0.0 else 0.0
     return _wright_stable_integral(nu, x)

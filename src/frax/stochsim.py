@@ -32,6 +32,7 @@ from scipy.special import erfcx, gammaincc
 
 from . import relaxation as rx
 from .errors import DomainError, Unsupported
+from .relaxation import _positive
 from .specfun import airy_ai, wright_m
 
 DEFAULT_SEED = 0xF12AC7
@@ -58,11 +59,6 @@ __all__ = [
     "density",
     "elastic_atom",
 ]
-
-
-def _positive(name: str, v: float) -> None:
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-        raise DomainError(f"{name} must be positive and finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -146,37 +142,23 @@ class _Process:
 
 @dataclass(frozen=True)
 class ReflectedBM(_Process):
-    """Reflected Brownian motion |B(t)|.
-
-    ``diffusion_scale`` selects the variance convention: ``var2t`` gives
-    Var B(t) = 2t (the convention of the fractional relaxation laws),
-    ``var_t`` the standard Var B(t) = t.
-    """
-
-    diffusion_scale: str = "var2t"
-
-    def __post_init__(self) -> None:
-        if self.diffusion_scale not in ("var2t", "var_t"):
-            raise DomainError(f"ReflectedBM.diffusion_scale must be 'var2t' or 'var_t', got {self.diffusion_scale!r}")
-
-    def _variance(self, t: float) -> float:
-        return 2.0 * t if self.diffusion_scale == "var2t" else t
+    """Reflected Brownian motion |B(t)| with Var B(t) = 2t, the convention
+    of the fractional relaxation laws."""
 
     def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.abs(rng.standard_normal(size)) * math.sqrt(self._variance(t))
+        return np.abs(rng.standard_normal(size)) * math.sqrt(2.0 * t)
 
     def _density(self, y: float, t: float) -> float:
         if y < 0.0:
             return 0.0
-        var = self._variance(t)
+        var = 2.0 * t
         return math.sqrt(2.0 / (math.pi * var)) * math.exp(-y * y / (2.0 * var))
 
     def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
-        if self.diffusion_scale == "var2t":
-            if isinstance(boundary, Exponential):
-                return rx.Fractional(nu=0.5, lam=boundary.lam)
-            if isinstance(boundary, Gamma):
-                return rx.GammaBoundary(k=boundary.k, lam=boundary.lam)
+        if isinstance(boundary, Exponential):
+            return rx.Fractional(nu=0.5, lam=boundary.lam)
+        if isinstance(boundary, Gamma):
+            return rx.GammaBoundary(k=boundary.k, lam=boundary.lam)
         return super().law(boundary)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import relaxation as rx
 from .errors import NonConvergence
 from .fraccalc import L1Grid, caputo_l1, laplace_forward, laplace_invert, ode_residual
-from .specfun import DEFAULT_POLICY, MLParams, _gml_raw, gml, mittag_leffler
+from .specfun import MLParams, _gml_raw, gml, mittag_leffler
 from scipy.special import erfcx
 
 __all__ = ["SUITES", "run_suite", "report"]
@@ -53,7 +53,7 @@ def _gml_or_unit(k: int, beta: float, z: float) -> tuple[float, float]:
     """
     if k == 0:
         return 1.0 / math.gamma(beta), 0.0
-    val, est, ok = _gml_raw(MLParams(alpha=0.5, beta=beta, gamma=float(k)), z, DEFAULT_POLICY)
+    val, est, ok = _gml_raw(MLParams(alpha=0.5, beta=beta, gamma=float(k)), z)
     if not ok:
         raise NonConvergence(f"series for E^{k}_(1/2,{beta})({z}) did not converge")
     return val, est

@@ -145,6 +145,7 @@ def test_criterion_4(capsys):
     _report(capsys, 4, ok, detail)
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_criterion_5(capsys):
     ok, detail = _suite_outcome("laplace")
     _report(capsys, 5, ok, detail)

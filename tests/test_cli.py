@@ -283,7 +283,7 @@ def test_too_few_paths_is_usage_error(capsys):
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
-    def boom(model, t, policy=None):
+    def boom(model, t):
         raise NonConvergence("synthetic failure")
 
     monkeypatch.setattr(cli.rx, "psi", boom)

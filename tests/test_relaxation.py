@@ -216,6 +216,7 @@ def test_psi_laplace_closed_forms():
         assert rel_err(got, eta ** (nu - 1.0) / (eta**nu + lam)) < 1e-14
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_psi_laplace_matches_numerical_transform():
     # one spot check per family; the verification suite sweeps 20 random
     # eta values per model.  Worst measured disagreement here 2.6e-12 (the

@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 from scipy.special import airy as scipy_airy
-from scipy.special import iv
+from scipy.special import erfcx, iv
 
 from frax.errors import DomainError, NonConvergence
 from frax.specfun import (
-    DEFAULT_POLICY,
+    _ML_SWITCH,
     MLParams,
-    SeriesPolicy,
+    _ml_terms,
+    _sum_series,
     airy_ai,
     bessel_i,
     gml,
@@ -52,7 +53,7 @@ ML_CASES = [
     (1.0 / 3.0, 1.0, -(2.0 ** (1.0 / 3.0)), 0.3927008457975658028272),
     (0.5, 2.0, -1.0, 0.5559627432513195783069),
     (0.75, 1.25, -2.0, 0.299376635105035344461),
-    # |z| = 8 exercises the integral representation (switch threshold 5)
+    # |z| = 8 exercises the integral representation (z <= -_ML_SWITCH)
     (0.5, 1.0, -8.0, 0.06998516620088092772275),
 ]
 
@@ -224,7 +225,7 @@ def test_airy_matches_scipy_on_grid():
 BESSEL_CASES = [
     (0.0, 1.0, 1.266065877752008335598),
     (1.0 / 3.0, 2.0, 2.15878258137286302395),
-    # x = 25 exercises the large-argument asymptotic branch
+    # x = 25: e^x is large, so the scaled ive result carries the magnitude
     (-1.0 / 3.0, 25.0, 5761474759.621364697294),
 ]
 
@@ -235,8 +236,8 @@ def test_bessel_reference_values(order, x, want):
 
 
 def test_bessel_matches_scipy_across_crossover():
-    # the implementation switches from series to asymptotic form at x = 20;
-    # sweep straight through the seam
+    # the wrapper multiplies scipy's scaled ive by e^x; sweep small to
+    # large arguments
     for order in (0.0, 1.0 / 3.0, -1.0 / 3.0):
         for x in np.geomspace(0.1, 60.0, 40):
             ref = float(iv(order, x))
@@ -244,7 +245,7 @@ def test_bessel_matches_scipy_across_crossover():
 
 
 # ---------------------------------------------------------------------------
-# parameter and policy validation
+# parameter validation
 # ---------------------------------------------------------------------------
 
 def test_mlparams_validation():
@@ -258,22 +259,13 @@ def test_mlparams_validation():
         MLParams(math.inf)
 
 
-def test_series_policy_validation():
-    with pytest.raises(DomainError):
-        SeriesPolicy(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesPolicy(rel_tol=1e-3)
-    with pytest.raises(DomainError):
-        SeriesPolicy(max_terms=10)
-    with pytest.raises(DomainError):
-        SeriesPolicy(switch_threshold=-1.0)
-
-
 def test_policy_switch_threshold_consistency():
-    # forcing the series past the default switch point must agree with the
-    # integral representation used below it
-    wide = SeriesPolicy(switch_threshold=50.0)
-    for z in (-4.0, -6.0, -8.0):
-        a = mittag_leffler(MLParams(0.5), z, policy=wide)
-        b = mittag_leffler(MLParams(0.5), z, policy=DEFAULT_POLICY)
-        assert rel_err(a, b) < 1e-11
+    # E_{1/2}(z) = erfcx(-z) on both sides of the switch to the integral
+    # representation at z = -_ML_SWITCH.  The raw power series is summed
+    # there too: its cancellation estimate must fail the 1e-13 gate that
+    # sends mittag_leffler to the integral (at z = -4 the series has lost
+    # 8 digits, at z = -8 all of them).
+    for z in (-4.0, -_ML_SWITCH * (1.0 - 1e-9), -_ML_SWITCH, -6.0, -8.0):
+        _val, est, ok = _sum_series(_ml_terms(0.5, 1.0, 1.0, z))
+        assert not (ok and est <= 1e-13)
+        assert rel_err(mittag_leffler(MLParams(0.5), z), float(erfcx(-z))) < 1e-11

@@ -22,8 +22,6 @@ from frax.specfun import MLParams, mittag_leffler
 
 def test_process_spec_validation():
     with pytest.raises(DomainError):
-        ss.ReflectedBM(diffusion_scale="var3t")
-    with pytest.raises(DomainError):
         ss.IteratedBM(n=0)
     with pytest.raises(DomainError):
         ss.BesselSquared(gamma=0.0)
@@ -92,7 +90,6 @@ def test_densities_are_normalized():
     t = 2.0
     cases = [
         (ss.ReflectedBM(), 60.0),
-        (ss.ReflectedBM(diffusion_scale="var_t"), 60.0),
         (ss.BesselSquared(gamma=2.0), 200.0),
         (ss.WrightTime(nu=0.6), 30.0),
         (ss.AiryTime(), 60.0),
