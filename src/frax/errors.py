@@ -20,8 +20,9 @@ class NonConvergence(FraxError, ArithmeticError):
 
 
 class Unstable(FraxError, ArithmeticError):
-    """Numerical Laplace inversion could not certify its value: the Talbot
-    contour sums at two sizes disagree or are not finite."""
+    """A numerical Laplace transform could not certify its value: the two
+    levels of its fixed rule (Talbot contour sizes for the inversion,
+    exp-sinh steps for the forward transform) disagree or are not finite."""
 
 
 class Unsupported(FraxError, ValueError):

@@ -18,6 +18,7 @@ from frax.fraccalc import (
     ode_residual,
     rl_integral,
 )
+import frax.relaxation as rx
 from frax.relaxation import Fractional, GammaBoundary, ElasticGamma, Sojourn, Standard
 
 # Gamma(2) / Gamma(2.5): exact coefficient of t^1.5 in the half-order
@@ -151,11 +152,66 @@ def test_laplace_forward_of_exponential():
             assert abs(got - 1.0 / (eta + lam)) < 1e-10
 
 
-def test_laplace_forward_of_power():
-    # t -> sqrt(t) transforms to Gamma(1.5) / eta^1.5
-    for eta in (1.0, 3.0):
-        got = laplace_forward(lambda t: math.sqrt(t), eta)
-        assert abs(got - math.gamma(1.5) / eta**1.5) < 1e-9
+# (f, exact transform), each held at 1e-12 relative over eta in [1e-3, 1e3]
+ELEMENTARY_TRANSFORMS = {
+    "exp(-t/2)": (lambda t: math.exp(-0.5 * t), lambda e: 1.0 / (e + 0.5)),
+    "exp(-t)": (lambda t: math.exp(-t), lambda e: 1.0 / (e + 1.0)),
+    "sqrt(t)": (math.sqrt, lambda e: math.gamma(1.5) / e**1.5),
+    "1/sqrt(t)": (lambda t: 1.0 / math.sqrt(t), lambda e: math.sqrt(math.pi / e)),
+    "1": (lambda t: 1.0, lambda e: 1.0 / e),
+    "t^2": (lambda t: t * t, lambda e: 2.0 / e**3),
+}
+WIDE_ETAS = np.geomspace(1e-3, 1e3, 19)
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTARY_TRANSFORMS))
+def test_laplace_forward_elementary_transforms(name):
+    f, exact = ELEMENTARY_TRANSFORMS[name]
+    batch = laplace_forward(f, WIDE_ETAS)
+    assert isinstance(batch, np.ndarray) and batch.shape == WIDE_ETAS.shape
+    for eta, got in zip(WIDE_ETAS, batch):
+        want = exact(float(eta))
+        scalar = laplace_forward(f, float(eta))
+        assert isinstance(scalar, float)
+        assert abs(scalar - want) < 1e-12 * want
+        assert abs(got - want) < 1e-12 * want
+
+
+def test_laplace_forward_batch_matches_scalar_calls():
+    model = Fractional(nu=0.5, lam=1.0)
+    etas = np.random.default_rng(7).uniform(0.5, 20.0, size=20)
+    batch = laplace_forward(lambda t: rx.psi(model, t), etas)
+    for eta, got in zip(etas, batch):
+        scalar = laplace_forward(lambda t: rx.psi(model, t), float(eta))
+        assert abs(got - scalar) < 1e-13 * scalar
+
+
+def test_laplace_forward_samples_f_once_per_node():
+    # one 40x span: the nodes are shared by every eta of the batch
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.exp(-t)
+
+    laplace_forward(f, np.linspace(0.5, 20.0, 20))
+    assert len(calls) <= 150
+    assert len(set(calls)) == len(calls)
+
+
+def test_laplace_forward_detects_instability():
+    with pytest.raises(Unstable, match="differ"):
+        laplace_forward(lambda t: 1.0 if t < 1.0 else 0.0, 1.0)
+    with pytest.raises(Unstable, match="not finite"):
+        laplace_forward(lambda t: math.nan, np.array([0.5, 2.0]))
+
+
+def test_laplace_forward_argument_validation():
+    f = lambda t: 1.0  # noqa: E731
+    bad = (0.0, -1.0, math.nan, math.inf, np.array([]), np.array([1.0, 0.0]), np.ones((2, 2)))
+    for eta in bad:
+        with pytest.raises(DomainError):
+            laplace_forward(f, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +265,22 @@ def test_residual_order_fractional():
     report = ode_residual(Fractional(nu=0.5, lam=1.0), L1Grid.sample(lambda s: 0.0, h=1.0 / 16, n=32), levels=3)
     assert all(a > b for a, b in zip(report.max_norms[:-1], report.max_norms[1:]))
     assert abs(report.order - 1.5) < 0.4
+
+
+def test_residual_samples_the_finest_level_once(monkeypatch):
+    model = GammaBoundary(k=2, lam=1.0)
+    g = L1Grid.sample(lambda s: 0.0, h=1.0 / 16, n=32)
+    # reference: every level sampled on its own grid
+    norms = []
+    for lv in range(4):
+        nodes, res = model._residual(model._sample(g.h / 2**lv, g.n * 2**lv))
+        norms.append(max(abs(r) for t, r in zip(nodes, res) if t >= 4.0 * g.h * (1.0 - 1e-12)))
+    calls = []
+    real_psi = rx.psi
+    monkeypatch.setattr(rx, "psi", lambda m, t: calls.append(t) or real_psi(m, t))
+    report = ode_residual(model, g, levels=4)
+    assert report.max_norms == tuple(norms)
+    assert len(calls) == 32 * 8 + 1
 
 
 def test_residual_order_standard():
