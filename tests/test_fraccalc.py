@@ -152,6 +152,13 @@ def test_laplace_forward_of_exponential():
             assert abs(got - 1.0 / (eta + lam)) < 1e-10
 
 
+def test_laplace_forward_of_power():
+    # t -> sqrt(t) transforms to Gamma(1.5) / eta^1.5
+    for eta in (1.0, 3.0):
+        got = laplace_forward(lambda t: math.sqrt(t), eta)
+        assert abs(got - math.gamma(1.5) / eta**1.5) < 1e-9
+
+
 # (f, exact transform), each held at 1e-12 relative over eta in [1e-3, 1e3]
 ELEMENTARY_TRANSFORMS = {
     "exp(-t/2)": (lambda t: math.exp(-0.5 * t), lambda e: 1.0 / (e + 0.5)),
