@@ -20,6 +20,7 @@ CASES = [
     ("standard", rx.Standard(lam=1.0)),
     ("fractional nu=0.5", rx.Fractional(nu=0.5, lam=1.0)),
     ("sojourn", rx.Sojourn(lam=1.0)),
+    ("elastic", rx.Elastic(alpha=0.7, lam=1.3)),
     ("gamma boundary k=1", rx.GammaBoundary(k=1, lam=1.0)),
     ("gamma boundary k=2", rx.GammaBoundary(k=2, lam=1.0)),
     ("elastic gamma k=1", rx.ElasticGamma(k=1, alpha=0.8, lam=1.1)),

@@ -3,17 +3,20 @@ has not yet crossed an independent random boundary by time t.
 
 Each model is a frozen dataclass carrying its parameters and everything
 the package knows about its law: the closed form, the Laplace transform,
-the small- and large-t asymptotes and the residual of the governing
-equation on an :class:`~frax.fraccalc.L1Grid`.  The public functions
-:func:`psi`, :func:`psi_laplace` and :func:`asymptote` validate their
-arguments and hand over to the model.
+the small- and large-t asymptotes and, where the law solves a fractional
+relaxation equation, that equation stated as data (``_equation()``), from
+which one generic residual on an :class:`~frax.fraccalc.L1Grid` is built.
+The public functions :func:`psi`, :func:`psi_laplace` and
+:func:`asymptote` validate their arguments and hand over to the model.
 
 Evaluation strategy: every law has an explicit series/closed form used
 wherever it holds full accuracy in doubles.  The laws that lose the series
 at large arguments (gamma-type boundaries, distributed orders) track the
-series' propagated error term by term, stop at the first term that breaks
-the 1e-9 budget and invert their exact Laplace transform on a fixed Talbot
-contour instead (:func:`~frax.fraccalc.laplace_invert`).
+series' propagated error term by term and raise :class:`NonConvergence` at
+the first term that breaks the 1e-9 budget; :func:`psi` then inverts the
+exact Laplace transform on a fixed Talbot contour instead
+(:func:`~frax.fraccalc.laplace_invert`).  :func:`psi` alone snaps values a
+rounding error outside [0, 1] back onto the interval.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "TimeGrid",
     "first_passage_rate",
     "psi",
-    "psi_grid",
     "psi_laplace",
     "asymptote",
 ]
@@ -83,10 +85,6 @@ def _clip01(v: float) -> float:
     if 1.0 < v <= 1.0 + 1e-9:
         return 1.0
     return v
-
-
-def _psi_by_inversion(model: "RelaxationModel", t: float) -> float:
-    return _clip01(laplace_invert(model._laplace, t))
 
 
 # Log-space term evaluation inside the inner series loses a few tens of
@@ -170,26 +168,56 @@ def _gml_scaled(p: MLParams, z: float, scale: float) -> float:
     return val
 
 
+# A governing equation as data: ((nu_i, c_i), ...), c0, f_inf, source.
+_Equation = tuple[tuple[tuple[float, float], ...], float, float, Callable[[float], float] | None]
+
+
 class _Law:
     """Behaviour shared by the law dataclasses.
 
-    Subclasses implement ``_psi(t)`` for t > 0, ``_laplace(eta)``
-    and ``_asymptote(small, t)``, and ``_residual(g)`` where the law has a
-    governing equation; a law without a transform or an equation keeps the
-    defaults below, which raise :class:`Unsupported`.
+    Subclasses implement ``_psi(t)`` for t > 0, ``_laplace(eta)`` and
+    ``_asymptote(small, t)``, and ``_equation()`` where the law solves a
+    fractional relaxation equation; a law without a transform or an
+    equation keeps the defaults below, which raise :class:`Unsupported`.
+    ``_psi`` neither clips nor falls back: it returns its series value or
+    raises :class:`NonConvergence`, and :func:`psi` owns the clipping and
+    the Talbot inversion of ``_laplace``.
     """
 
     def _laplace(self, s):
         raise Unsupported(f"psi_laplace has no transform for {type(self).__name__}")
+
+    def _equation(self) -> _Equation:
+        """The governing equation of the law as ``(terms, c0, f_inf, source)``.
+
+        psi solves sum_i c_i D^{nu_i} f + c0 (f - f_inf) + source(t) = 0,
+        with ``terms`` the pairs (nu_i, c_i) of Caputo orders in (0, 1] and
+        their coefficients, and ``source`` a function of t or None.
+        """
+        raise Unsupported(f"ode_residual has no governing equation for {type(self).__name__}")
 
     def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
         """Residual of the governing equation on the nodes t_1..t_n of ``g``.
 
         Fractional orders are discretized by the L1 scheme (its nu -> 1
         limit, the backward difference, is used for first derivatives so
-        every term carries the order of its own operator).
+        every term carries the order of its own operator).  The terms are
+        added in the order ``_equation()`` lists them, then the c0 term,
+        then the source.
         """
-        raise Unsupported(f"ode_residual has no governing equation for {type(self).__name__}")
+        terms, c0, f_inf, source = self._equation()
+        derivs = [(c, caputo_l1(g, nu)) for nu, c in terms]
+        ts, f = g.ts[1:], g.values
+        res = []
+        for m in range(g.n):
+            r = 0.0
+            for c, d in derivs:
+                r += c * d[m]
+            r += c0 * (f[m + 1] - f_inf)
+            if source is not None:
+                r += source(ts[m])
+            res.append(r)
+        return ts, res
 
     def _sample(self, h: float, n: int) -> L1Grid:
         """psi sampled exactly on the uniform grid {0, h, ..., n*h}."""
@@ -214,9 +242,8 @@ class Standard(_Law):
     def _asymptote(self, small: bool, t: float) -> float:
         return 1.0 - self.lam * t if small else math.exp(-self.lam * t)
 
-    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
-        d1 = caputo_l1(g, 1.0)
-        return g.ts[1:], [d1[m] + self.lam * g.values[m + 1] for m in range(g.n)]
+    def _equation(self) -> _Equation:
+        return ((1.0, 1.0),), self.lam, 0.0, None
 
 
 @dataclass(frozen=True)
@@ -236,7 +263,7 @@ class Fractional(_Law):
         _positive("Fractional.lam", self.lam)
 
     def _psi(self, t: float) -> float:
-        return _clip01(mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu))
+        return mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu)
 
     def _laplace(self, s):
         return s ** (self.nu - 1.0) / (s**self.nu + self.lam)
@@ -247,9 +274,8 @@ class Fractional(_Law):
             return 1.0 - lam * t**nu / math.gamma(1.0 + nu)
         return 1.0 / (lam * t**nu * math.gamma(1.0 - nu))
 
-    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
-        dnu = caputo_l1(g, self.nu)
-        return g.ts[1:], [dnu[m] + self.lam * g.values[m + 1] for m in range(g.n)]
+    def _equation(self) -> _Equation:
+        return ((self.nu, 1.0),), self.lam, 0.0, None
 
 
 @dataclass(frozen=True)
@@ -347,15 +373,12 @@ class Elastic(_Law):
     def _psi(self, t: float) -> float:
         lam, alpha = self.lam, self.alpha
         if abs(alpha - lam) < 1e-8 * lam:
-            try:
-                y = lam * math.sqrt(t) / _SQRT2
-                return _clip01(1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y))
-            except NonConvergence:
-                return _psi_by_inversion(self, t)
+            y = lam * math.sqrt(t) / _SQRT2
+            return 1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y)
         ml = MLParams(0.5, 1.0)
         ea = mittag_leffler(ml, -alpha * math.sqrt(t) / _SQRT2)
         el = mittag_leffler(ml, -lam * math.sqrt(t) / _SQRT2)
-        return _clip01(1.0 - lam / (lam - alpha) * (ea - el))
+        return 1.0 - lam / (lam - alpha) * (ea - el)
 
     def _laplace(self, s):
         lam, alpha = self.lam, self.alpha
@@ -368,18 +391,10 @@ class Elastic(_Law):
             return 1.0 - self.lam * math.sqrt(2.0 * t / math.pi)
         return 1.0 - _SQRT2 / (self.alpha * math.sqrt(math.pi * t))
 
-    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
-        lam, alpha, f, ts = self.lam, self.alpha, g.values, g.ts[1:]
-        d1 = caputo_l1(g, 1.0)
-        dh = caputo_l1(g, 0.5)
-        res = [
-            d1[m]
-            + (alpha + lam) / _SQRT2 * dh[m]
-            - 0.5 * alpha * lam * (1.0 - f[m + 1])
-            + lam / math.sqrt(2.0 * math.pi * ts[m])
-            for m in range(g.n)
-        ]
-        return ts, res
+    def _equation(self) -> _Equation:
+        lam, alpha = self.lam, self.alpha
+        terms = ((1.0, 1.0), (0.5, (alpha + lam) / _SQRT2))
+        return terms, 0.5 * alpha * lam, 1.0, lambda t: lam / math.sqrt(2.0 * math.pi * t)
 
 
 @dataclass(frozen=True)
@@ -396,10 +411,7 @@ class GammaBoundary(_Law):
     def _psi(self, t: float) -> float:
         x = self.lam * math.sqrt(t)
         p = MLParams(0.5, 0.5 * self.k + 1.0, float(self.k))
-        try:
-            return _clip01(1.0 - x**self.k * _gml_scaled(p, -x, x**self.k))
-        except NonConvergence:
-            return _psi_by_inversion(self, t)
+        return 1.0 - x**self.k * _gml_scaled(p, -x, x**self.k)
 
     def _laplace(self, s):
         lam, k = self.lam, self.k
@@ -412,18 +424,15 @@ class GammaBoundary(_Law):
             return 1.0 - (lam * math.sqrt(t)) ** k / math.gamma(0.5 * k + 1.0)
         return k / (lam * math.sqrt(math.pi * t))
 
-    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
-        lam, k, f = self.lam, self.k, g.values
+    def _equation(self) -> _Equation:
+        # (1 + D^{1/2}/lam)^k psi = 0, expanded by the binomial theorem
+        k, lam = self.k, self.lam
         if k > 2:
             raise Unsupported(
                 "ode_residual for the gamma-boundary law is implemented for k <= 2 "
                 "(higher k requires Caputo orders above 1)"
             )
-        dh = caputo_l1(g, 0.5)
-        if k == 1:
-            return g.ts[1:], [dh[m] / lam + f[m + 1] for m in range(g.n)]
-        d1 = caputo_l1(g, 1.0)
-        return g.ts[1:], [2.0 * dh[m] / lam + d1[m] / lam**2 + f[m + 1] for m in range(g.n)]
+        return tuple((0.5 * j, math.comb(k, j) / lam**j) for j in range(1, k + 1)), 1.0, 0.0, None
 
 
 @dataclass(frozen=True)
@@ -442,18 +451,15 @@ class ElasticGamma(_Law):
     def _psi(self, t: float) -> float:
         lam, alpha, k = self.lam, self.alpha, self.k
         y = lam * math.sqrt(t) / _SQRT2
-        try:
-            if abs(alpha - lam) < 1e-8 * lam:
-                p = MLParams(0.5, 0.5 * k + 1.0, k + 1.0)
-                return _clip01(1.0 - y**k * _gml_scaled(p, -y, y**k))
-            a = alpha * math.sqrt(t) / _SQRT2
+        if abs(alpha - lam) < 1e-8 * lam:
+            p = MLParams(0.5, 0.5 * k + 1.0, k + 1.0)
+            return 1.0 - y**k * _gml_scaled(p, -y, y**k)
+        a = alpha * math.sqrt(t) / _SQRT2
 
-            def inner(ell: int, cap: float) -> tuple[float, float, bool]:
-                return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, cap)
+        def inner(ell: int, cap: float) -> tuple[float, float, bool]:
+            return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, cap)
 
-            return _clip01(1.0 - y**k * _outer_series(inner, a, y**k))
-        except NonConvergence:
-            return _psi_by_inversion(self, t)
+        return 1.0 - y**k * _outer_series(inner, a, y**k)
 
     def _laplace(self, s):
         lam, alpha, k = self.lam, self.alpha, self.k
@@ -466,23 +472,15 @@ class ElasticGamma(_Law):
             return 1.0 - (lam * math.sqrt(t) / _SQRT2) ** k / math.gamma(0.5 * k + 1.0)
         return 1.0 - _SQRT2 / (self.alpha * math.sqrt(math.pi * t))
 
-    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
+    def _equation(self) -> _Equation:
         if self.k != 1:
             raise Unsupported(
                 "ode_residual for the elastic gamma-boundary law is implemented for "
                 "k = 1 (higher k requires Caputo orders above 1)"
             )
-        lam, alpha, f, ts = self.lam, self.alpha, g.values, g.ts[1:]
-        d1 = caputo_l1(g, 1.0)
-        dh = caputo_l1(g, 0.5)
-        res = [
-            (1.0 + alpha / lam) * dh[m]
-            + _SQRT2 / lam * d1[m]
-            - alpha / _SQRT2 * (1.0 - f[m + 1])
-            + 1.0 / math.sqrt(math.pi * ts[m])
-            for m in range(g.n)
-        ]
-        return ts, res
+        lam, alpha = self.lam, self.alpha
+        terms = ((0.5, 1.0 + alpha / lam), (1.0, _SQRT2 / lam))
+        return terms, alpha / _SQRT2, 1.0, lambda t: 1.0 / math.sqrt(math.pi * t)
 
 
 @dataclass(frozen=True)
@@ -508,10 +506,7 @@ class Distributed(_Law):
             if self.nu2 == 1.0:
                 return math.exp(-self.lam * t / self.n2)
             return psi(Fractional(self.nu2, self.lam / self.n2), t)
-        try:
-            return _clip01(self._series(t))
-        except NonConvergence:
-            return _psi_by_inversion(self, t)
+        return self._series(t)
 
     def _series(self, t: float) -> float:
         delta = self.nu2 - self.nu1
@@ -535,11 +530,8 @@ class Distributed(_Law):
             return inner._asymptote(small, t)
         return self.n1 / (self.lam * t**self.nu1 * math.gamma(1.0 - self.nu1))
 
-    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
-        da = caputo_l1(g, self.nu1)
-        db = caputo_l1(g, self.nu2)
-        res = [self.n1 * da[m] + self.n2 * db[m] + self.lam * g.values[m + 1] for m in range(g.n)]
-        return g.ts[1:], res
+    def _equation(self) -> _Equation:
+        return ((self.nu1, self.n1), (self.nu2, self.n2)), self.lam, 0.0, None
 
 
 RelaxationModel = Union[
@@ -588,7 +580,6 @@ def first_passage_rate(lam: float, n: int) -> float:
     return 2.0 ** (1.0 - 0.5**n) * lam ** (0.5**n)
 
 
-
 def _law(model: object, missing: str) -> _Law:
     if not isinstance(model, _Law):
         raise Unsupported(f"{missing} for {type(model).__name__}")
@@ -600,19 +591,20 @@ def psi(model: RelaxationModel, t: float) -> float:
 
     psi(0) = 1 exactly; for t > 0 the closed form of the law is evaluated.
     The series-form laws stop their series at the first term that breaks
-    the 1e-9 error budget and then invert their Laplace transform on a
-    fixed Talbot contour, which raises :class:`Unstable` rather than return
-    an uncertified value.
+    the 1e-9 error budget; psi then inverts the law's Laplace transform on
+    a fixed Talbot contour, which raises :class:`Unstable` rather than
+    return an uncertified value.  Values a rounding error outside [0, 1]
+    are snapped back onto the interval.
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
         raise DomainError(f"psi requires finite t >= 0, got {t!r}")
     law = _law(model, "psi has no law")
-    return law._psi(t) if t > 0.0 else 1.0
-
-
-def psi_grid(model: RelaxationModel, grid: TimeGrid) -> list[tuple[float, float]]:
-    """Evaluate psi over a time grid, returning (t, psi(t)) pairs."""
-    return [(t, psi(model, t)) for t in grid.ts]
+    if t == 0.0:
+        return 1.0
+    try:
+        return _clip01(law._psi(t))
+    except NonConvergence:
+        return _clip01(laplace_invert(law._laplace, t))
 
 
 def psi_laplace(model: RelaxationModel, s):

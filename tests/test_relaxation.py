@@ -144,15 +144,6 @@ def test_distributed_half_order_large_t(t, want):
 # evaluation surface
 # ---------------------------------------------------------------------------
 
-def test_psi_grid_matches_pointwise():
-    grid = rx.TimeGrid.span(0.25, 4.0, 6)
-    m = rx.Fractional(nu=0.5, lam=1.0)
-    rows = rx.psi_grid(m, grid)
-    assert [t for t, _ in rows] == list(grid.ts)
-    for t, v in rows:
-        assert v == rx.psi(m, t)
-
-
 def test_psi_time_validation():
     # t = 0 is the exact unit starting value; negative and non-finite fail
     assert rx.psi(rx.Standard(lam=1.0), 0.0) == 1.0
