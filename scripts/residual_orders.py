@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Measure the observed convergence order of the governing-equation residual.
 
-For each law with an assembled fractional ODE residual, evaluate it on a
-sequence of refined grids and print the max-norm at every level together
-with the fitted order.  A law discretized at order 2 - nu_max should show
+For each law with a governing equation (``frax.relaxation.equation``),
+evaluate the residual of psi in it on a sequence of refined grids and print
+the max-norm at every level together with the fitted order.  A law discretized at order 2 - nu_max should show
 that slope once the startup window is excluded.
 
 Usage:
@@ -14,7 +14,7 @@ import argparse
 import sys
 
 import frax.relaxation as rx
-from frax.fraccalc import L1Grid, ode_residual
+from frax.fraccalc import ode_residual
 
 CASES = [
     ("standard", rx.Standard(lam=1.0)),
@@ -35,9 +35,10 @@ def main(argv=None):
     parser.add_argument("--levels", type=int, default=4)
     args = parser.parse_args(argv)
 
-    grid = L1Grid.sample(lambda s: 0.0, h=args.h, n=args.n)
     for name, model in CASES:
-        report = ode_residual(model, grid, levels=args.levels)
+        report = ode_residual(
+            rx.equation(model), lambda t, m=model: rx.psi(m, t), args.h, args.n, levels=args.levels
+        )
         norms = "  ".join(f"{v:.3e}" for v in report.max_norms)
         print(f"{name:22s} order {report.order:5.3f}   max-norms {norms}")
     return 0

@@ -1,13 +1,14 @@
 """Fractional-calculus numerics: Caputo derivatives, Riemann-Liouville
-integrals, numerical Laplace transforms, and residual checks of the
-governing equations satisfied by the relaxation laws.
+integrals, numerical Laplace transforms, and residual checks of
+fractional relaxation equations.
 
-The discrete operators act on samples over a uniform grid; the residual
-study refines that grid and reports the observed convergence order, which
-is the quantity the equation checks assert on.  Both Laplace directions
-run on fixed rules that certify themselves by comparing two levels: the
-forward transform on an exp-sinh trapezoid rule whose nodes serve a whole
-batch of eta, the inversion on a Talbot contour.
+The discrete operators act on samples over a uniform grid.  The residual
+study takes an equation as data (the form :func:`frax.relaxation.equation`
+returns) and a function of t, refines the grid and reports the observed
+convergence order, which is the quantity the equation checks assert on.
+Both Laplace directions run on fixed rules that certify themselves by
+comparing two levels: the forward transform on an exp-sinh trapezoid rule
+whose nodes serve a whole batch of eta, the inversion on a Talbot contour.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, Unstable, Unsupported
+from .errors import DomainError, Unstable
 
 __all__ = [
     "L1Grid",
@@ -54,10 +55,6 @@ class L1Grid:
         if not all(math.isfinite(v) for v in self.values):
             raise DomainError("L1Grid.values must be finite")
 
-    @property
-    def ts(self) -> tuple[float, ...]:
-        return tuple(i * self.h for i in range(self.n + 1))
-
     @classmethod
     def sample(cls, f: Callable[[float], float], h: float, n: int) -> "L1Grid":
         return cls(h=h, n=n, values=tuple(f(i * h) for i in range(n + 1)))
@@ -70,15 +67,11 @@ class ResidualReport:
     ``hs`` are the step sizes of the levels (coarse to fine), ``max_norms``
     the residual max-norms measured on the common window t >= 4*hs[0], and
     ``order`` the mean observed convergence order across consecutive
-    levels (``orders`` holds the individual pairwise estimates).
-    ``ts``/``residuals`` give the pointwise residual on the finest level.
+    levels.
     """
 
-    ts: tuple[float, ...]
-    residuals: tuple[float, ...]
     hs: tuple[float, ...]
     max_norms: tuple[float, ...]
-    orders: tuple[float, ...]
     order: float
 
 
@@ -269,50 +262,49 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float) -> float:
     return coarse
 
 
-def ode_residual(model, grid: L1Grid, *, levels: int = 3) -> ResidualReport:
-    """Grid-refinement residual study for the governing equation of ``model``.
+def ode_residual(
+    equation, f: Callable[[float], float], h: float, n: int, *, levels: int = 3
+) -> ResidualReport:
+    """Grid-refinement residual study of ``f`` in a fractional relaxation equation.
 
-    ``model`` is a law of :mod:`frax.relaxation`, which supplies both its
-    exact samples and the residual of its equation on each grid.
+    ``equation`` is ``(terms, c0, f_inf, source)``: f should solve
+    sum_i c_i D^{nu_i} f + c0 (f - f_inf) + source(t) = 0, with ``terms``
+    the pairs (nu_i, c_i) of Caputo orders in (0, 1] and their coefficients
+    and ``source`` a function of t > 0 or None.  Each D^{nu_i} is the L1
+    scheme (:func:`caputo_l1`); the terms are added in the order listed,
+    then the c0 term, then the source.
 
-    ``grid`` fixes the coarsest level (its samples are ignored).  The law is
-    sampled exactly once, on the finest level: each level halves the step,
-    so the nodes of a coarser level are, bit for bit, every 2**k-th finest
-    node.  Residual max-norms are taken over the window t >= 4*h_coarse,
-    which keeps the comparison region fixed across levels and away from
-    the t = 0 singularity of the weakly singular laws.  The report's
-    ``order`` is the mean of the log2 ratios of consecutive max-norms.
+    The coarsest level has step ``h`` and ``n`` steps, and each further
+    level halves the step.  f and the source are sampled once, on the
+    finest level: the nodes of a coarser level are, bit for bit, every
+    2**k-th finest node.  Residual max-norms are taken over the window
+    t >= 4*h, which keeps the comparison region fixed across levels and
+    away from the t = 0 singularity of the weakly singular laws.  The
+    report's ``order`` is the mean of the log2 ratios of consecutive
+    max-norms.
     """
-    if not hasattr(model, "_residual"):
-        raise Unsupported(f"ode_residual has no governing equation for {type(model).__name__}")
-    if levels < 2:
-        raise DomainError(f"ode_residual needs >= 2 levels, got {levels}")
-    h0, n0 = grid.h, grid.n
-    window = 4.0 * h0 * (1.0 - 1e-12)
-    finest = model._sample(h0 / 2 ** (levels - 1), n0 * 2 ** (levels - 1)).values
-    hs, norms = [], []
-    finest_ts: tuple[float, ...] = ()
-    finest_res: tuple[float, ...] = ()
-    for lv in range(levels):
-        h = h0 / 2**lv
-        n = n0 * 2**lv
-        nodes, res = model._residual(L1Grid(h, n, finest[:: 2 ** (levels - 1 - lv)]))
-        pts = [(t, r) for t, r in zip(nodes, res) if t >= window]
-        hs.append(h)
-        norms.append(max(abs(r) for _t, r in pts))
-        finest_ts = tuple(t for t, _r in pts)
-        finest_res = tuple(r for _t, r in pts)
-    orders = tuple(
+    terms, c0, f_inf, source = equation
+    if not all(0.0 < nu <= 1.0 for nu, _c in terms):
+        raise DomainError(f"ode_residual requires Caputo orders in (0, 1], got {terms!r}")
+    if not (isinstance(levels, int) and levels >= 2):
+        raise DomainError(f"ode_residual needs an integer levels >= 2, got {levels!r}")
+    fine = 2 ** (levels - 1)
+    ts = np.arange(n * fine + 1) * (h / fine)
+    finest = L1Grid.sample(f, h / fine, n * fine).values
+    forcing = np.zeros(ts.size) if source is None else np.array([0.0] + [source(float(t)) for t in ts[1:]])
+    window = 4.0 * h * (1.0 - 1e-12)
+    hs = tuple(h / 2**lv for lv in range(levels))
+    norms = []
+    for lv, step in enumerate(hs):
+        stride = fine // 2**lv
+        g = L1Grid(step, n * 2**lv, finest[::stride])
+        derivs = sum(c * np.array(caputo_l1(g, nu)) for nu, c in terms)
+        res = derivs + c0 * (np.array(g.values[1:]) - f_inf) + forcing[stride::stride]
+        norms.append(float(np.max(np.abs(res[ts[stride::stride] >= window]))))
+    orders = [
         math.log2(norms[i] / norms[i + 1]) if norms[i + 1] > 0.0 else math.inf
         for i in range(len(norms) - 1)
-    )
+    ]
     finite = [o for o in orders if math.isfinite(o)]
     order = sum(finite) / len(finite) if finite else math.inf
-    return ResidualReport(
-        ts=finest_ts,
-        residuals=finest_res,
-        hs=tuple(hs),
-        max_norms=tuple(norms),
-        orders=orders,
-        order=order,
-    )
+    return ResidualReport(hs=hs, max_norms=tuple(norms), order=order)

@@ -4,10 +4,10 @@ has not yet crossed an independent random boundary by time t.
 Each model is a frozen dataclass carrying its parameters and everything
 the package knows about its law: the closed form, the Laplace transform,
 the small- and large-t asymptotes and, where the law solves a fractional
-relaxation equation, that equation stated as data (``_equation()``), from
-which one generic residual on an :class:`~frax.fraccalc.L1Grid` is built.
-The public functions :func:`psi`, :func:`psi_laplace` and
-:func:`asymptote` validate their arguments and hand over to the model.
+relaxation equation, that equation stated as data (``_equation()``), which
+:func:`~frax.fraccalc.ode_residual` checks psi against.  The public
+functions :func:`psi`, :func:`psi_laplace`, :func:`asymptote` and
+:func:`equation` validate their arguments and hand over to the model.
 
 Evaluation strategy: every law has an explicit series/closed form used
 wherever it holds full accuracy in doubles.  The laws that lose the series
@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.special import i0e
 
 from .errors import DomainError, NonConvergence, Unsupported
-from .fraccalc import L1Grid, caputo_l1, laplace_invert
+from .fraccalc import laplace_invert
 from .specfun import _ABSUM_CAP, _EPS, MLParams, _gml_raw, _sum_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
@@ -55,6 +56,7 @@ __all__ = [
     "psi",
     "psi_laplace",
     "asymptote",
+    "equation",
 ]
 
 
@@ -76,6 +78,19 @@ def _require(cond: bool, msg: str) -> None:
 
 def _positive(name: str, v: float) -> None:
     _require(isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0, f"{name} must be positive and finite, got {v!r}")
+
+
+def _time(t: object, what: str, zero: bool = False) -> float:
+    """``t`` as a float if it is a finite real number > 0 (>= 0 with ``zero``).
+
+    Any ``numbers.Real`` but ``bool`` is accepted (numpy scalars included);
+    anything else raises :class:`DomainError` naming ``what``.
+    """
+    real = type(t) is float or (isinstance(t, numbers.Real) and not isinstance(t, bool))
+    x = float(t) if real else math.nan
+    if math.isfinite(x) and (x > 0.0 or (zero and x == 0.0)):
+        return x
+    raise DomainError(f"{what} requires finite t {'>=' if zero else '>'} 0, got {t!r}")
 
 
 def _clip01(v: float) -> float:
@@ -179,6 +194,8 @@ class _Law:
     ``_asymptote(small, t)``, and ``_equation()`` where the law solves a
     fractional relaxation equation; a law without a transform or an
     equation keeps the defaults below, which raise :class:`Unsupported`.
+    The laws hold data and formulas only: :func:`psi` samples them and
+    :func:`~frax.fraccalc.ode_residual` checks them against their equation.
     ``_psi`` neither clips nor falls back: it returns its series value or
     raises :class:`NonConvergence`, and :func:`psi` owns the clipping and
     the Talbot inversion of ``_laplace``.
@@ -194,34 +211,7 @@ class _Law:
         with ``terms`` the pairs (nu_i, c_i) of Caputo orders in (0, 1] and
         their coefficients, and ``source`` a function of t or None.
         """
-        raise Unsupported(f"ode_residual has no governing equation for {type(self).__name__}")
-
-    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
-        """Residual of the governing equation on the nodes t_1..t_n of ``g``.
-
-        Fractional orders are discretized by the L1 scheme (its nu -> 1
-        limit, the backward difference, is used for first derivatives so
-        every term carries the order of its own operator).  The terms are
-        added in the order ``_equation()`` lists them, then the c0 term,
-        then the source.
-        """
-        terms, c0, f_inf, source = self._equation()
-        derivs = [(c, caputo_l1(g, nu)) for nu, c in terms]
-        ts, f = g.ts[1:], g.values
-        res = []
-        for m in range(g.n):
-            r = 0.0
-            for c, d in derivs:
-                r += c * d[m]
-            r += c0 * (f[m + 1] - f_inf)
-            if source is not None:
-                r += source(ts[m])
-            res.append(r)
-        return ts, res
-
-    def _sample(self, h: float, n: int) -> L1Grid:
-        """psi sampled exactly on the uniform grid {0, h, ..., n*h}."""
-        return L1Grid.sample(lambda t: psi(self, t), h, n)
+        raise Unsupported(f"equation: no governing equation is known for {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -299,17 +289,10 @@ class Sojourn(_Law):
     def _asymptote(self, small: bool, t: float) -> float:
         return 1.0 - 0.5 * self.lam * t if small else 1.0 / math.sqrt(self.lam * math.pi * t)
 
-    def _residual(self, g: L1Grid) -> tuple[tuple[float, ...], list[float]]:
-        # second-order equation, by central differences at t_1..t_{n-1}
-        lam, h, f = self.lam, g.h, g.values
-        nodes, res = [], []
-        for m in range(1, g.n):
-            t = m * h
-            d2 = (f[m + 1] - 2.0 * f[m] + f[m - 1]) / (h * h)
-            d1 = (f[m + 1] - f[m - 1]) / (2.0 * h)
-            nodes.append(t)
-            res.append(d2 + (lam + 1.0 / t) * d1 + lam / (2.0 * t) * f[m])
-        return tuple(nodes), res
+    def _equation(self) -> _Equation:
+        # s^{1/2} Psi - s^{-1/2} = (s + lam)^{-1/2} - s^{-1/2}, inverted term by term
+        lam = self.lam
+        return ((0.5, 1.0),), 0.0, 0.0, lambda t: -math.expm1(-lam * t) / math.sqrt(math.pi * t)
 
 
 @dataclass(frozen=True)
@@ -429,7 +412,7 @@ class GammaBoundary(_Law):
         k, lam = self.k, self.lam
         if k > 2:
             raise Unsupported(
-                "ode_residual for the gamma-boundary law is implemented for k <= 2 "
+                "equation: the gamma-boundary law is stated for k <= 2 "
                 "(higher k requires Caputo orders above 1)"
             )
         return tuple((0.5 * j, math.comb(k, j) / lam**j) for j in range(1, k + 1)), 1.0, 0.0, None
@@ -475,7 +458,7 @@ class ElasticGamma(_Law):
     def _equation(self) -> _Equation:
         if self.k != 1:
             raise Unsupported(
-                "ode_residual for the elastic gamma-boundary law is implemented for "
+                "equation: the elastic gamma-boundary law is stated for "
                 "k = 1 (higher k requires Caputo orders above 1)"
             )
         lam, alpha = self.lam, self.alpha
@@ -596,8 +579,7 @@ def psi(model: RelaxationModel, t: float) -> float:
     return an uncertified value.  Values a rounding error outside [0, 1]
     are snapped back onto the interval.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"psi requires finite t >= 0, got {t!r}")
+    t = _time(t, "psi", zero=True)
     law = _law(model, "psi has no law")
     if t == 0.0:
         return 1.0
@@ -635,8 +617,21 @@ def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:
     Where the law is already elementary (pure exponentials, the squared
     Bessel power law) the exact expression is returned in both regimes.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"asymptote requires t > 0, got {t!r}")
+    t = _time(t, "asymptote")
     if not isinstance(regime, Regime):
         raise DomainError(f"asymptote regime must be a Regime member, got {regime!r}")
     return _law(model, "asymptote has no expansion")._asymptote(regime is Regime.SmallT, t)
+
+
+def equation(model: RelaxationModel) -> _Equation:
+    """The fractional relaxation equation that psi of ``model`` solves.
+
+    Returns ``(terms, c0, f_inf, source)`` for
+    sum_i c_i D^{nu_i} psi + c0 (psi - f_inf) + source(t) = 0, where
+    ``terms`` pairs each Caputo order nu_i in (0, 1] with its coefficient
+    and ``source`` is a function of t > 0 or None; this is the form
+    :func:`~frax.fraccalc.ode_residual` takes.  Laws without such an
+    equation (first passage, squared Bessel, gamma shapes above the
+    stated range) raise :class:`Unsupported`.
+    """
+    return _law(model, "equation: no governing equation is known")._equation()

@@ -32,7 +32,7 @@ from scipy.special import erfcx, gammaincc
 
 from . import relaxation as rx
 from .errors import DomainError, Unsupported
-from .relaxation import _positive
+from .relaxation import _positive, _time
 from .specfun import airy_ai, wright_m
 
 DEFAULT_SEED = 0xF12AC7
@@ -419,11 +419,6 @@ ProcessSpec = Union[
 ]
 
 
-def _require_time(t: float) -> None:
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time t must be positive and finite, got {t!r}")
-
-
 def _workers() -> int:
     raw = os.environ.get("FRAX_THREADS", "")
     try:
@@ -446,7 +441,7 @@ def estimate_crossing(
     counter-based stream keyed by (seed, block index); the estimate is
     independent of thread count and bit-identical across runs.
     """
-    _require_time(t)
+    t = _time(t, "estimate_crossing")
     if not hasattr(spec, "_sample"):
         raise DomainError(
             f"{type(spec).__name__} has no exact path sampler; use quadrature_crossing"
@@ -481,7 +476,7 @@ def quadrature_crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float) -> 
     is quad's error estimate, but never less than the tolerance quad was
     asked to meet.
     """
-    _require_time(t)
+    t = _time(t, "quadrature_crossing")
     return spec._quadrature(boundary, t)
 
 
@@ -491,7 +486,7 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
     For ElasticBM this is the continuous part only; the killed mass is
     exposed separately by :func:`elastic_atom`.
     """
-    _require_time(t)
+    t = _time(t, "density")
     if not (isinstance(y, (int, float)) and math.isfinite(y)):
         raise DomainError(f"density requires finite y, got {y!r}")
     return spec._density(y, t)
@@ -500,5 +495,5 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
 def elastic_atom(spec: ElasticBM, t: float) -> float:
     """Probability that the elastic motion has been killed by time t:
     1 - exp(alpha**2 t / 2) * erfc(alpha sqrt(t/2)), in stable form."""
-    _require_time(t)
+    t = _time(t, "elastic_atom")
     return 1.0 - float(erfcx(spec.alpha * math.sqrt(0.5 * t)))

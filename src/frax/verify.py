@@ -31,7 +31,7 @@ import numpy as np
 
 from . import relaxation as rx
 from .errors import NonConvergence
-from .fraccalc import L1Grid, caputo_l1, laplace_forward, laplace_invert, ode_residual
+from .fraccalc import laplace_forward, laplace_invert, ode_residual
 from .specfun import MLParams, _gml_raw, gml, mittag_leffler
 from scipy.special import erfcx
 
@@ -116,10 +116,9 @@ def _check_gml_derivative() -> dict:
 def _check_half_derivative_recursion() -> dict:
     """Half-derivative of the gamma-boundary law steps down its shape index.
 
-    D^{1/2} psi_k = -lam (psi_k - psi_{k-1}); the discrete residual of the
-    L1 scheme must shrink under grid halving for k in {2, 3}.  Both laws
-    are sampled once on the finest grid; the nodes of a coarser level are,
-    bit for bit, every 2**(2-lv)-th finest node.
+    D^{1/2} psi_k + lam psi_k - lam psi_{k-1} = 0: an equation in psi_k
+    whose source is the law one shape below.  Its L1 residual must shrink
+    under grid halving for k in {2, 3}.
     """
     lam = 1.0
     detail = []
@@ -128,22 +127,9 @@ def _check_half_derivative_recursion() -> dict:
     for k in (2, 3):
         hi = rx.GammaBoundary(k=k, lam=lam)
         lo = rx.GammaBoundary(k=k - 1, lam=lam)
-        hi_fine = hi._sample(1.0 / 128.0, 192).values
-        lo_fine = lo._sample(1.0 / 128.0, 192).values
-        norms = []
-        for lv in range(3):
-            h = (1.0 / 32.0) / 2**lv
-            n = 48 * 2**lv
-            g = L1Grid(h, n, hi_fine[:: 2 ** (2 - lv)])
-            lo_vals = lo_fine[:: 2 ** (2 - lv)]
-            dh = caputo_l1(g, 0.5)
-            window = 4.0 * (1.0 / 32.0) * (1.0 - 1e-12)
-            res = [
-                dh[m] + lam * (g.values[m + 1] - lo_vals[m + 1])
-                for m in range(n)
-                if (m + 1) * h >= window
-            ]
-            norms.append(max(abs(r) for r in res))
+        step_down = (((0.5, 1.0),), lam, 0.0, lambda t, lo=lo: -lam * rx.psi(lo, t))
+        rep = ode_residual(step_down, lambda t, hi=hi: rx.psi(hi, t), 1.0 / 32.0, 48, levels=3)
+        norms = rep.max_norms
         decreasing = norms[0] > norms[1] > norms[2]
         passed = passed and decreasing
         worst = max(worst, norms[-1])
@@ -365,29 +351,22 @@ def laplace() -> list[dict]:
 # residuals
 # ---------------------------------------------------------------------------
 
-_RESIDUAL_CASES: tuple[tuple[str, rx.RelaxationModel, float | None], ...] = (
+_RESIDUAL_CASES: tuple[tuple[str, rx.RelaxationModel, float], ...] = (
     ("fractional", rx.Fractional(nu=0.5, lam=1.0), 1.5),
     ("gamma-boundary", rx.GammaBoundary(k=2, lam=1.0), 1.0),
     ("elastic-gamma", rx.ElasticGamma(k=1, alpha=0.8, lam=1.1), 1.0),
     ("distributed", rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0), 1.0),
-    ("sojourn", rx.Sojourn(lam=1.0), None),
+    ("sojourn", rx.Sojourn(lam=1.0), 1.5),
     ("standard", rx.Standard(lam=1.0), 1.0),
 )
 
 
-def _check_residual(name: str, model: rx.RelaxationModel, expected: float | None) -> dict:
-    # ode_residual samples the law itself; the grid gives only its steps
-    rep = ode_residual(model, L1Grid.sample(lambda t: 0.0, 1.0 / 16.0, 32), levels=4)
+def _check_residual(name: str, model: rx.RelaxationModel, expected: float) -> dict:
+    rep = ode_residual(rx.equation(model), lambda t: rx.psi(model, t), 1.0 / 16.0, 32, levels=4)
     decreasing = all(a > b for a, b in zip(rep.max_norms[:-1], rep.max_norms[1:]))
-    if expected is None:
-        passed = decreasing and rep.order >= 1.0
-        err = rep.order
-        detail = f"order {rep.order:.3f}, expected >= 1.0 with decreasing norms"
-    else:
-        passed = decreasing and abs(rep.order - expected) <= 0.4
-        err = abs(rep.order - expected)
-        detail = f"order {rep.order:.3f}, expected {expected} +/- 0.4 with decreasing norms"
-    return _record(f"residual-{name}", passed, err, detail)
+    passed = decreasing and abs(rep.order - expected) <= 0.4
+    detail = f"order {rep.order:.3f}, expected {expected} +/- 0.4 with decreasing norms"
+    return _record(f"residual-{name}", passed, abs(rep.order - expected), detail)
 
 
 def residuals() -> list[dict]:

@@ -39,8 +39,9 @@ HALF_INTEGRAL_OF_T = 0.7522527780636750492641
 # ---------------------------------------------------------------------------
 
 def test_grid_nodes_and_sampling():
+    # f is sampled at the nodes i*h, i = 0..n
     g = L1Grid.sample(lambda s: 2.0 * s, h=0.25, n=8)
-    assert g.ts == tuple(0.25 * i for i in range(9))
+    assert g.values == tuple(0.5 * i for i in range(9))
     assert g.values[4] == 2.0
 
 
@@ -276,9 +277,14 @@ def test_invert_argument_validation():
 # residual refinement study
 # ---------------------------------------------------------------------------
 
+def _psi_of(model):
+    return lambda t: rx.psi(model, t)
+
+
 # (model, expected order); measured at three levels: 1.01, 1.53, 1.19,
-# 1.53 and 1.32.  Elastic has no verify check, and GammaBoundary at
-# lam != 1 runs coefficients the verify suite only meets at lam = 1.
+# 1.53, 1.32 and 1.49.  Elastic has no verify check, GammaBoundary at
+# lam != 1 runs coefficients the verify suite only meets at lam = 1, and
+# Sojourn at lam != 1 scales its source.
 @pytest.mark.parametrize(
     "model, expected",
     [
@@ -287,44 +293,86 @@ def test_invert_argument_validation():
         (Elastic(alpha=0.7, lam=1.3), 1.0),
         (GammaBoundary(k=1, lam=1.7), 1.5),
         (Distributed(nu1=0.3, nu2=0.8, n1=0.4, n2=0.6, lam=1.2), 1.2),
+        (Sojourn(lam=2.5), 1.5),
     ],
-    ids=["standard", "fractional", "elastic", "gamma-boundary-k1", "distributed"],
+    ids=["standard", "fractional", "elastic", "gamma-boundary-k1", "distributed", "sojourn"],
 )
 def test_residual_order(model, expected):
-    report = ode_residual(model, L1Grid.sample(lambda s: 0.0, h=1.0 / 16, n=32), levels=3)
+    report = ode_residual(rx.equation(model), _psi_of(model), 1.0 / 16, 32, levels=3)
     assert all(a > b for a, b in zip(report.max_norms[:-1], report.max_norms[1:]))
     assert abs(report.order - expected) < 0.4
 
 
-def test_residual_samples_the_finest_level_once(monkeypatch):
-    model = GammaBoundary(k=2, lam=1.0)
-    g = L1Grid.sample(lambda s: 0.0, h=1.0 / 16, n=32)
-    # reference: every level sampled on its own grid
+def test_residual_pins_the_normalisation():
+    # the source term fixes the scale of psi: 1.001 * psi reads order 0.58
+    # at the verify suite's grid, far outside its 1.5 +/- 0.4 band
+    model = Sojourn(lam=1.0)
+    exact = ode_residual(rx.equation(model), _psi_of(model), 1.0 / 16, 32, levels=4)
+    scaled = ode_residual(rx.equation(model), lambda t: 1.001 * rx.psi(model, t), 1.0 / 16, 32, levels=4)
+    assert abs(exact.order - 1.5) <= 0.4
+    assert abs(scaled.order - 1.5) > 0.4
+
+
+def test_residual_samples_the_finest_level_once():
+    # Elastic has two orders, c0, f_inf and a source: every part of the form
+    model = Elastic(alpha=0.7, lam=1.3)
+    terms, c0, f_inf, source = rx.equation(model)
+    h0, n0 = 1.0 / 16, 32
+    # reference: every level sampled on its own grid, residual term by term
     norms = []
     for lv in range(4):
-        nodes, res = model._residual(model._sample(g.h / 2**lv, g.n * 2**lv))
-        norms.append(max(abs(r) for t, r in zip(nodes, res) if t >= 4.0 * g.h * (1.0 - 1e-12)))
-    calls = []
-    real_psi = rx.psi
-    monkeypatch.setattr(rx, "psi", lambda m, t: calls.append(t) or real_psi(m, t))
-    report = ode_residual(model, g, levels=4)
+        g = L1Grid.sample(_psi_of(model), h0 / 2**lv, n0 * 2**lv)
+        derivs = [(c, caputo_l1(g, nu)) for nu, c in terms]
+        res = []
+        for m in range(1, g.n + 1):
+            t = m * g.h
+            r = 0.0
+            for c, d in derivs:
+                r += c * d[m - 1]
+            r += c0 * (g.values[m] - f_inf)
+            r += source(t)
+            if t >= 4.0 * h0 * (1.0 - 1e-12):
+                res.append(abs(r))
+        norms.append(max(res))
+    f_calls, source_calls = [], []
+    report = ode_residual(
+        (terms, c0, f_inf, lambda t: source_calls.append(t) or source(t)),
+        lambda t: f_calls.append(t) or rx.psi(model, t),
+        h0,
+        n0,
+        levels=4,
+    )
+    assert report.hs == tuple(h0 / 2**lv for lv in range(4))
     assert report.max_norms == tuple(norms)
-    assert len(calls) == 32 * 8 + 1
+    assert sorted(f_calls) == [i * (h0 / 8) for i in range(n0 * 8 + 1)]
+    assert sorted(source_calls) == [i * (h0 / 8) for i in range(1, n0 * 8 + 1)]
 
 
 def test_residual_report_shape():
-    report = ode_residual(Sojourn(lam=1.0), L1Grid.sample(lambda s: 0.0, h=1.0 / 16, n=32), levels=3)
-    assert len(report.hs) == 3
+    model = Sojourn(lam=1.0)
+    report = ode_residual(rx.equation(model), _psi_of(model), 1.0 / 16, 32, levels=3)
+    assert report.hs == (1.0 / 16, 1.0 / 32, 1.0 / 64)
     assert len(report.max_norms) == 3
-    assert len(report.orders) == 2
-    assert len(report.ts) == len(report.residuals)
-    # residuals are reported on the common window t >= 4 * coarse h
-    assert report.ts[0] >= 4.0 / 16 - 1e-12
+    assert math.isfinite(report.order)
 
 
 def test_residual_unsupported_shapes():
-    g = L1Grid.sample(lambda s: 0.0, h=1.0 / 16, n=32)
-    with pytest.raises(Unsupported):
-        ode_residual(GammaBoundary(k=3, lam=1.0), g, levels=3)
-    with pytest.raises(Unsupported):
-        ode_residual(ElasticGamma(k=2, alpha=0.8, lam=1.1), g, levels=3)
+    for model in (
+        GammaBoundary(k=3, lam=1.0),
+        ElasticGamma(k=2, alpha=0.8, lam=1.1),
+        rx.FirstPassage(lam=1.0),
+        rx.BesselSq(gamma=2.0, lam=1.0),
+    ):
+        with pytest.raises(Unsupported, match="equation"):
+            rx.equation(model)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0
+
+    half = (((0.5, 1.0),), 1.0, 0.0, None)
+    for equation, levels in (((((1.5, 1.0),), 1.0, 0.0, None), 3), (half, 1), (half, 2.5)):
+        with pytest.raises(DomainError):
+            ode_residual(equation, f, 1.0 / 16, 32, levels=levels)
+    assert calls == []

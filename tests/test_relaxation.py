@@ -154,6 +154,29 @@ def test_psi_time_validation():
         rx.psi(rx.Standard(lam=1.0), math.nan)
 
 
+def test_psi_accepts_numpy_scalar_times():
+    m = rx.Fractional(nu=0.5, lam=1.0)
+    want = rx.psi(m, 1.0)
+    assert rx.psi(m, np.int64(1)) == want
+    assert rx.psi(m, np.float32(1.0)) == want
+    assert rx.psi(m, 1) == want
+
+
+def test_psi_rejects_boolean_time():
+    # True is an int, but not a time: it must not read as psi(1)
+    with pytest.raises(DomainError):
+        rx.psi(rx.Standard(lam=1.0), True)
+
+
+def test_asymptote_rejects_non_numeric_time():
+    m = rx.Standard(lam=1.0)
+    with pytest.raises(DomainError):
+        rx.asymptote(m, rx.SmallT, "1")
+    with pytest.raises(DomainError):
+        rx.asymptote(m, rx.SmallT, False)
+    assert rx.asymptote(m, rx.SmallT, np.int64(1)) == rx.asymptote(m, rx.SmallT, 1.0)
+
+
 def test_time_grid_validation():
     with pytest.raises(DomainError):
         rx.TimeGrid(ts=())

@@ -7,6 +7,7 @@ default seed, so a failure here signals a real regression, not noise).
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -120,6 +121,18 @@ def test_elastic_atom_closed_form():
         x = alpha * math.sqrt(0.5 * t)
         want = 1.0 - math.exp(x * x) * math.erfc(x)
         assert abs(ss.elastic_atom(ss.ElasticBM(alpha=alpha), t) - want) < 1e-12
+
+
+def test_time_validation_matches_psi():
+    spec = ss.ElasticBM(alpha=0.7)
+    want = ss.elastic_atom(spec, 1.0)
+    assert ss.elastic_atom(spec, np.int64(1)) == want
+    assert ss.elastic_atom(spec, np.float32(1.0)) == want
+    for t in (True, "1", 0.0, math.inf):
+        with pytest.raises(DomainError):
+            ss.elastic_atom(spec, t)
+    with pytest.raises(DomainError):
+        ss.quadrature_crossing(ss.WrightTime(nu=0.5), ss.Exponential(lam=1.0), True)
 
 
 def test_density_outside_support_is_zero():
