@@ -73,18 +73,26 @@ def _build(cls: type, args: argparse.Namespace, owner: str):
 
 
 def _time_grid(args: argparse.Namespace) -> tuple[float, ...]:
-    explicit = args.t is not None
-    spanned = args.t_start is not None or args.t_stop is not None
-    if explicit and spanned:
+    start, stop, count = args.t_start, args.t_stop, args.t_count
+    if args.t is not None and (start is not None or stop is not None):
         raise DomainError("give either --t or --t-start/--t-stop, not both")
-    if explicit:
-        return rx.TimeGrid(ts=tuple(args.t)).ts
-    if spanned:
-        if args.t_start is None or args.t_stop is None:
-            raise DomainError("--t-start and --t-stop must be given together")
-        grid = rx.TimeGrid.span(args.t_start, args.t_stop, args.t_count, args.t_scale)
-        return grid.ts
-    raise DomainError("a time grid is required: --t or --t-start/--t-stop")
+    if args.t is not None:
+        ts = tuple(args.t)
+    elif start is None and stop is None:
+        raise DomainError("a time grid is required: --t or --t-start/--t-stop")
+    elif start is None or stop is None:
+        raise DomainError("--t-start and --t-stop must be given together")
+    elif not (count >= 1 and 0.0 < start <= stop and (count == 1 or start < stop)):
+        raise DomainError(f"a span needs count >= 1 and 0 < start <= stop (< if count > 1), got {count}, {start}, {stop}")
+    elif count == 1:
+        ts = (start,)
+    else:
+        to, back = (math.log, math.exp) if args.t_scale == "log" else (float, float)
+        lo, step = to(start), (to(stop) - to(start)) / (count - 1)
+        ts = tuple(back(lo + i * step) for i in range(count))
+    if not all(math.isfinite(t) and t > 0.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise DomainError("grid times must be finite, > 0 and strictly increasing")
+    return ts
 
 
 def _emit(

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types, and the type rules of argument checks, shared across the package."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class FraxError(Exception):
@@ -27,3 +29,13 @@ class Unstable(FraxError, ArithmeticError):
 
 class Unsupported(FraxError, ValueError):
     """The requested (operation, model) combination has no implementation."""
+
+
+def _real(v: object) -> bool:
+    """Any ``numbers.Real`` but ``bool`` (numpy scalars included)."""
+    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
+def _integer(v: object, least: int) -> bool:
+    """Any ``numbers.Integral`` but ``bool`` that is >= ``least``."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least

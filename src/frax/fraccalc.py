@@ -2,7 +2,9 @@
 integrals, numerical Laplace transforms, and residual checks of
 fractional relaxation equations.
 
-The discrete operators act on samples over a uniform grid.  The residual
+The two L1 operators take a 1-D array of samples f(0), f(h), ..., f(nh)
+and the step h, and return an ndarray of their values at h, ..., nh; each
+is one convolution of the samples with a weight vector.  The residual
 study takes an equation as data (the form :func:`frax.relaxation.equation`
 returns) and a function of t, refines the grid and reports the observed
 convergence order, which is the quantity the equation checks assert on.
@@ -19,10 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, Unstable
+from .errors import DomainError, Unstable, _integer, _real
 
 __all__ = [
-    "L1Grid",
     "ResidualReport",
     "caputo_l1",
     "rl_integral",
@@ -30,34 +31,6 @@ __all__ = [
     "laplace_invert",
     "ode_residual",
 ]
-
-
-@dataclass(frozen=True)
-class L1Grid:
-    """Uniform time grid {0, h, 2h, ..., n*h} with function samples.
-
-    ``values`` holds the n+1 samples at the nodes, starting at t = 0.
-    """
-
-    h: float
-    n: int
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise DomainError(f"L1Grid.h must be positive, got {self.h!r}")
-        if self.n < 8:
-            raise DomainError(f"L1Grid.n must be >= 8, got {self.n!r}")
-        if len(self.values) != self.n + 1:
-            raise DomainError(
-                f"L1Grid.values must have n+1 = {self.n + 1} entries, got {len(self.values)}"
-            )
-        if not all(math.isfinite(v) for v in self.values):
-            raise DomainError("L1Grid.values must be finite")
-
-    @classmethod
-    def sample(cls, f: Callable[[float], float], h: float, n: int) -> "L1Grid":
-        return cls(h=h, n=n, values=tuple(f(i * h) for i in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -75,51 +48,48 @@ class ResidualReport:
     order: float
 
 
-def caputo_l1(g: L1Grid, nu: float) -> list[float]:
+def _samples(values, h: float) -> np.ndarray:
+    """``values`` as a 1-D float array of at least 9 finite samples, h finite and > 0."""
+    f = np.asarray(values, dtype=float)
+    if not (_real(h) and math.isfinite(h) and h > 0.0 and f.ndim == 1 and f.size >= 9 and np.all(np.isfinite(f))):
+        raise DomainError(f"the L1 operators need h > 0 and >= 9 finite samples in 1-D, got h={h!r}, shape {f.shape}")
+    return f
+
+
+def caputo_l1(values, h: float, nu: float) -> np.ndarray:
     """L1 approximation of the Caputo derivative of order nu in (0, 1].
 
-    Returns the values at the interior nodes t_1, ..., t_n.  The scheme
-    integrates the piecewise-linear interpolant of the samples against the
-    weakly singular kernel exactly; at nu = 1 it reduces to the backward
-    difference quotient.
+    ``values`` holds the samples f(0), f(h), ..., f(nh); the result holds
+    the derivative at the nodes h, ..., nh.  The scheme integrates the
+    piecewise-linear interpolant of the samples against the weakly singular
+    kernel exactly: the increments of f are convolved with the weights
+    w_j = (j+1)^(1-nu) - j^(1-nu).  At nu = 1 the weights are 1, 0, 0, ...
+    and the scheme is the backward difference quotient.
     """
     if not (0.0 < nu <= 1.0):
         raise DomainError(f"caputo_l1 requires nu in (0, 1], got {nu!r}")
-    h, n, f = g.h, g.n, g.values
-    if nu == 1.0:
-        return [(f[m] - f[m - 1]) / h for m in range(1, n + 1)]
-    scale = h ** (-nu) / math.gamma(2.0 - nu)
-    w = [(j + 1.0) ** (1.0 - nu) - j ** (1.0 - nu) for j in range(n)]
-    out = []
-    for m in range(1, n + 1):
-        acc = 0.0
-        for j in range(m):
-            acc += w[j] * (f[m - j] - f[m - j - 1])
-        out.append(scale * acc)
-    return out
+    d = np.diff(_samples(values, h))
+    # differences of k^(1-nu), k = 0..n, with 0^(1-nu) written as 0: numpy's
+    # 0.0**0.0 is 1, which would zero w_0 at nu = 1
+    w = np.diff(np.arange(1, d.size + 1) ** (1.0 - nu), prepend=0.0)
+    return np.convolve(d, w)[: d.size] / (h**nu * math.gamma(2.0 - nu))
 
 
-def rl_integral(g: L1Grid, nu: float) -> list[float]:
-    """Riemann-Liouville fractional integral of order nu > 0 at t_1..t_n.
+def rl_integral(values, h: float, nu: float) -> np.ndarray:
+    """Riemann-Liouville fractional integral of order nu > 0 at the nodes h, ..., nh.
 
-    Product discretization: the integrand is taken piecewise constant at
-    the cell midpoint value (average of the endpoint samples) and the
-    kernel (t-s)^(nu-1) is integrated exactly over each cell.  Constants
-    are reproduced exactly; for smooth data the kernel singularity in the
-    final cell limits the rate to order 1 + min(nu, 1).
+    ``values`` holds the samples f(0), f(h), ..., f(nh).  Product
+    discretization: the integrand is taken piecewise constant at the cell
+    midpoint value (average of the endpoint samples) and the kernel
+    (t-s)^(nu-1) is integrated exactly over each cell.  Constants are
+    reproduced exactly; for smooth data the kernel singularity in the final
+    cell limits the rate to order 1 + min(nu, 1).
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError(f"rl_integral requires nu > 0, got {nu!r}")
-    h, n, f = g.h, g.n, g.values
-    inv = 1.0 / math.gamma(nu + 1.0)
-    out = []
-    for m in range(1, n + 1):
-        acc = 0.0
-        for j in range(m):
-            kernel = ((m - j) * h) ** nu - ((m - j - 1) * h) ** nu
-            acc += 0.5 * (f[j] + f[j + 1]) * kernel
-        out.append(inv * acc)
-    return out
+    f = _samples(values, h)
+    mid = 0.5 * (f[:-1] + f[1:])
+    return np.convolve(mid, np.diff((np.arange(f.size) * h) ** nu))[: mid.size] / math.gamma(nu + 1.0)
 
 
 def _exp_sinh_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,25 +251,28 @@ def ode_residual(
     t >= 4*h, which keeps the comparison region fixed across levels and
     away from the t = 0 singularity of the weakly singular laws.  The
     report's ``order`` is the mean of the log2 ratios of consecutive
-    max-norms.
+    max-norms.  The orders, h (finite, > 0), n (an integer >= 8) and
+    ``levels`` (an integer >= 2) are checked before f is called.
     """
     terms, c0, f_inf, source = equation
     if not all(0.0 < nu <= 1.0 for nu, _c in terms):
         raise DomainError(f"ode_residual requires Caputo orders in (0, 1], got {terms!r}")
-    if not (isinstance(levels, int) and levels >= 2):
-        raise DomainError(f"ode_residual needs an integer levels >= 2, got {levels!r}")
+    if not (_real(h) and math.isfinite(h) and h > 0.0 and _integer(n, 8) and _integer(levels, 2)):
+        raise DomainError(
+            f"ode_residual needs a finite h > 0 and integers n >= 8, levels >= 2; got {h!r}, {n!r}, {levels!r}"
+        )
     fine = 2 ** (levels - 1)
     ts = np.arange(n * fine + 1) * (h / fine)
-    finest = L1Grid.sample(f, h / fine, n * fine).values
+    finest = _samples([f(t) for t in ts.tolist()], h / fine)
     forcing = np.zeros(ts.size) if source is None else np.array([0.0] + [source(float(t)) for t in ts[1:]])
     window = 4.0 * h * (1.0 - 1e-12)
     hs = tuple(h / 2**lv for lv in range(levels))
     norms = []
     for lv, step in enumerate(hs):
         stride = fine // 2**lv
-        g = L1Grid(step, n * 2**lv, finest[::stride])
-        derivs = sum(c * np.array(caputo_l1(g, nu)) for nu, c in terms)
-        res = derivs + c0 * (np.array(g.values[1:]) - f_inf) + forcing[stride::stride]
+        values = finest[::stride]
+        derivs = sum(c * caputo_l1(values, step, nu) for nu, c in terms)
+        res = derivs + c0 * (values[1:] - f_inf) + forcing[stride::stride]
         norms.append(float(np.max(np.abs(res[ts[stride::stride] >= window]))))
     orders = [
         math.log2(norms[i] / norms[i + 1]) if norms[i + 1] > 0.0 else math.inf

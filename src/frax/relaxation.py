@@ -24,14 +24,13 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 import numpy as np
 from scipy.special import i0e
 
-from .errors import DomainError, NonConvergence, Unsupported
+from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
 from .fraccalc import laplace_invert
 from .specfun import _ABSUM_CAP, _EPS, MLParams, _gml_raw, _sum_series, mittag_leffler
 
@@ -51,7 +50,6 @@ __all__ = [
     "ElasticGamma",
     "Distributed",
     "RelaxationModel",
-    "TimeGrid",
     "first_passage_rate",
     "psi",
     "psi_laplace",
@@ -76,18 +74,25 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
-def _positive(name: str, v: float) -> None:
-    _require(isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0, f"{name} must be positive and finite, got {v!r}")
+def _positive(obj: object, *names: str) -> None:
+    """Check that each named dataclass field is a finite real > 0; store it as a float."""
+    for name in names:
+        v = getattr(obj, name)
+        _require(_real(v) and math.isfinite(v) and v > 0.0, f"{type(obj).__name__}.{name} must be positive and finite, got {v!r}")
+        object.__setattr__(obj, name, float(v))
+
+
+def _count(obj: object, name: str) -> None:
+    """Check that a dataclass field is an integer >= 1; store it as an int."""
+    v = getattr(obj, name)
+    _require(_integer(v, 1), f"{type(obj).__name__}.{name} must be an integer >= 1, got {v!r}")
+    object.__setattr__(obj, name, int(v))
 
 
 def _time(t: object, what: str, zero: bool = False) -> float:
-    """``t`` as a float if it is a finite real number > 0 (>= 0 with ``zero``).
-
-    Any ``numbers.Real`` but ``bool`` is accepted (numpy scalars included);
-    anything else raises :class:`DomainError` naming ``what``.
-    """
-    real = type(t) is float or (isinstance(t, numbers.Real) and not isinstance(t, bool))
-    x = float(t) if real else math.nan
+    """``t`` as a float if it is a finite real (see ``_real``) > 0, or >= 0
+    with ``zero``; anything else raises :class:`DomainError` naming ``what``."""
+    x = float(t) if _real(t) else math.nan
     if math.isfinite(x) and (x > 0.0 or (zero and x == 0.0)):
         return x
     raise DomainError(f"{what} requires finite t {'>=' if zero else '>'} 0, got {t!r}")
@@ -221,7 +226,7 @@ class Standard(_Law):
     lam: float
 
     def __post_init__(self) -> None:
-        _positive("Standard.lam", self.lam)
+        _positive(self, "lam")
 
     def _psi(self, t: float) -> float:
         return math.exp(-self.lam * t)
@@ -250,7 +255,7 @@ class Fractional(_Law):
 
     def __post_init__(self) -> None:
         _require(0.0 < self.nu < 1.0, f"Fractional.nu must lie in (0, 1), got {self.nu!r}")
-        _positive("Fractional.lam", self.lam)
+        _positive(self, "lam")
 
     def _psi(self, t: float) -> float:
         return mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu)
@@ -276,7 +281,7 @@ class Sojourn(_Law):
     lam: float
 
     def __post_init__(self) -> None:
-        _positive("Sojourn.lam", self.lam)
+        _positive(self, "lam")
 
     def _psi(self, t: float) -> float:
         return float(i0e(0.5 * self.lam * t))
@@ -307,8 +312,8 @@ class FirstPassage(_Law):
     n: int = 1
 
     def __post_init__(self) -> None:
-        _positive("FirstPassage.lam", self.lam)
-        _require(isinstance(self.n, int) and self.n >= 1, f"FirstPassage.n must be an integer >= 1, got {self.n!r}")
+        _positive(self, "lam")
+        _count(self, "n")
 
     def _psi(self, t: float) -> float:
         return math.exp(-first_passage_rate(self.lam, self.n) * t)
@@ -331,8 +336,7 @@ class BesselSq(_Law):
     lam: float
 
     def __post_init__(self) -> None:
-        _positive("BesselSq.gamma", self.gamma)
-        _positive("BesselSq.lam", self.lam)
+        _positive(self, "gamma", "lam")
 
     def _psi(self, t: float) -> float:
         return (2.0 * self.lam * t + 1.0) ** (-0.5 * self.gamma)
@@ -350,8 +354,7 @@ class Elastic(_Law):
     lam: float
 
     def __post_init__(self) -> None:
-        _positive("Elastic.alpha", self.alpha)
-        _positive("Elastic.lam", self.lam)
+        _positive(self, "alpha", "lam")
 
     def _psi(self, t: float) -> float:
         lam, alpha = self.lam, self.alpha
@@ -388,8 +391,8 @@ class GammaBoundary(_Law):
     lam: float
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.k, int) and self.k >= 1, f"GammaBoundary.k must be an integer >= 1, got {self.k!r}")
-        _positive("GammaBoundary.lam", self.lam)
+        _count(self, "k")
+        _positive(self, "lam")
 
     def _psi(self, t: float) -> float:
         x = self.lam * math.sqrt(t)
@@ -427,9 +430,8 @@ class ElasticGamma(_Law):
     lam: float
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.k, int) and self.k >= 1, f"ElasticGamma.k must be an integer >= 1, got {self.k!r}")
-        _positive("ElasticGamma.alpha", self.alpha)
-        _positive("ElasticGamma.lam", self.lam)
+        _count(self, "k")
+        _positive(self, "alpha", "lam")
 
     def _psi(self, t: float) -> float:
         lam, alpha, k = self.lam, self.alpha, self.k
@@ -482,7 +484,7 @@ class Distributed(_Law):
         _require(0.0 < self.nu1 < self.nu2 <= 1.0, f"Distributed requires 0 < nu1 < nu2 <= 1, got nu1={self.nu1!r}, nu2={self.nu2!r}")
         _require(self.n1 >= 0.0 and self.n2 > 0.0, f"Distributed requires n1 >= 0 and n2 > 0, got n1={self.n1!r}, n2={self.n2!r}")
         _require(abs(self.n1 + self.n2 - 1.0) <= 1e-12, f"Distributed weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
-        _positive("Distributed.lam", self.lam)
+        _positive(self, "lam")
 
     def _psi(self, t: float) -> float:
         if self.n1 == 0.0:
@@ -528,34 +530,6 @@ RelaxationModel = Union[
     ElasticGamma,
     Distributed,
 ]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing grid of positive evaluation times."""
-
-    ts: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        _require(len(self.ts) >= 1, "TimeGrid needs at least one point")
-        _require(all(math.isfinite(t) and t > 0.0 for t in self.ts), "TimeGrid points must be positive and finite")
-        _require(all(b > a for a, b in zip(self.ts[:-1], self.ts[1:])), "TimeGrid points must be strictly increasing")
-
-    @classmethod
-    def span(cls, start: float, stop: float, count: int, scale: str = "linear") -> "TimeGrid":
-        _require(count >= 1, f"TimeGrid.span count must be >= 1, got {count}")
-        _require(0.0 < start <= stop, f"TimeGrid.span requires 0 < start <= stop, got {start}, {stop}")
-        if count == 1:
-            return cls(ts=(start,))
-        _require(start < stop, f"TimeGrid.span with count > 1 requires start < stop, got start = stop = {start}")
-        if scale == "linear":
-            step = (stop - start) / (count - 1)
-            return cls(ts=tuple(start + i * step for i in range(count)))
-        if scale == "log":
-            la, lb = math.log(start), math.log(stop)
-            step = (lb - la) / (count - 1)
-            return cls(ts=tuple(math.exp(la + i * step) for i in range(count)))
-        raise DomainError(f"TimeGrid.span scale must be 'linear' or 'log', got {scale!r}")
 
 
 def first_passage_rate(lam: float, n: int) -> float:

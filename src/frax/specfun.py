@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 from scipy.integrate import quad
 from scipy.special import airy, gammaln, ive, rgamma
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, _real
 
 _EPS = 2.220446049250313e-16
 # Partial sums of absolute values beyond this magnitude cannot leave any
@@ -63,8 +63,10 @@ class MLParams:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if not (_real(v) and math.isfinite(v) and v > 0.0):
                 raise DomainError(f"MLParams.{name} must be positive and finite, got {v!r}")
+            if type(v) is not float:
+                object.__setattr__(self, name, float(v))
 
 
 def _sum_series(terms: Iterable[float], absum_cap: float = _ABSUM_CAP) -> tuple[float, float, bool]:

@@ -31,8 +31,8 @@ from scipy.integrate import quad
 from scipy.special import erfcx, gammaincc
 
 from . import relaxation as rx
-from .errors import DomainError, Unsupported
-from .relaxation import _positive, _time
+from .errors import DomainError, Unsupported, _integer, _real
+from .relaxation import _count, _positive, _require, _time
 from .specfun import airy_ai, wright_m
 
 DEFAULT_SEED = 0xF12AC7
@@ -79,7 +79,7 @@ class Exponential:
     lam: float
 
     def __post_init__(self) -> None:
-        _positive("Exponential.lam", self.lam)
+        _positive(self, "lam")
 
     def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.lam, size)
@@ -97,9 +97,8 @@ class Gamma:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError(f"Gamma.k must be an integer >= 1, got {self.k!r}")
-        _positive("Gamma.lam", self.lam)
+        _count(self, "k")
+        _positive(self, "lam")
 
     def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.gamma(self.k, 1.0 / self.lam, size)
@@ -170,8 +169,7 @@ class IteratedBM(_Process):
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"IteratedBM.n must be an integer >= 1, got {self.n!r}")
+        _count(self, "n")
 
     def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         s = np.full(size, t)
@@ -208,8 +206,7 @@ class FirstPassageChain(_Process):
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"FirstPassageChain.n must be an integer >= 1, got {self.n!r}")
+        _count(self, "n")
 
     def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         s = np.full(size, t)
@@ -231,7 +228,7 @@ class BesselSquared(_Process):
     gamma: float
 
     def __post_init__(self) -> None:
-        _positive("BesselSquared.gamma", self.gamma)
+        _positive(self, "gamma")
 
     def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         return 2.0 * t * rng.standard_gamma(0.5 * self.gamma, size)
@@ -260,7 +257,7 @@ class ElasticBM(_Process):
     alpha: float
 
     def __post_init__(self) -> None:
-        _positive("ElasticBM.alpha", self.alpha)
+        _positive(self, "alpha")
 
     def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
         # Joint draw of (|B_t|, L_t) via the running-maximum identity:
@@ -301,8 +298,7 @@ class WrightTime(_Process):
     nu: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.nu < 1.0):
-            raise DomainError(f"WrightTime.nu must lie in (0, 1), got {self.nu!r}")
+        _require(0.0 < self.nu < 1.0, f"WrightTime.nu must lie in (0, 1), got {self.nu!r}")
 
     def _density(self, y: float, t: float) -> float:
         if y < 0.0:
@@ -371,10 +367,8 @@ class DistributedTime(_Process):
     n2: float
 
     def __post_init__(self) -> None:
-        _positive("DistributedTime.n1", self.n1)
-        _positive("DistributedTime.n2", self.n2)
-        if abs(self.n1 + self.n2 - 1.0) > 1e-12:
-            raise DomainError(f"DistributedTime weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
+        _positive(self, "n1", "n2")
+        _require(abs(self.n1 + self.n2 - 1.0) <= 1e-12, f"DistributedTime weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
 
     def _density(self, y: float, t: float) -> float:
         n1, n2 = self.n1, self.n2
@@ -446,8 +440,9 @@ def estimate_crossing(
         raise DomainError(
             f"{type(spec).__name__} has no exact path sampler; use quadrature_crossing"
         )
-    if n_paths < 1000:
-        raise DomainError(f"estimate_crossing requires n_paths >= 1000, got {n_paths}")
+    if not _integer(n_paths, 1000):
+        raise DomainError(f"estimate_crossing requires an integer n_paths >= 1000, got {n_paths!r}")
+    n_paths = int(n_paths)
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
 
     def run_block(b: int) -> int:
@@ -487,9 +482,9 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
     exposed separately by :func:`elastic_atom`.
     """
     t = _time(t, "density")
-    if not (isinstance(y, (int, float)) and math.isfinite(y)):
+    if not (_real(y) and math.isfinite(y)):
         raise DomainError(f"density requires finite y, got {y!r}")
-    return spec._density(y, t)
+    return spec._density(float(y), t)
 
 
 def elastic_atom(spec: ElasticBM, t: float) -> float:

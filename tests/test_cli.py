@@ -243,6 +243,47 @@ def test_conflicting_grid_is_usage_error(capsys):
     assert rc == 2
 
 
+def _grid(*flags):
+    args = cli._build_parser().parse_args(["eval", "--model", "standard", "--lambda", "1", *flags])
+    return cli._time_grid(args)
+
+
+def test_time_grid_validation(capsys):
+    span = ("--t-start", "1", "--t-stop", "2")
+    for flags in (
+        ("--t", "2", "1"),
+        ("--t", "1", "1"),
+        ("--t", "-1"),
+        ("--t", "inf"),
+        ("--t",),  # argparse: no times
+        ("--t-start", "2", "--t-stop", "1"),
+        (*span, "--t-count", "0"),
+        ("--t-start", "1", "--t-stop", "1", "--t-count", "3"),
+        (*span, "--t-scale", "cubic"),  # argparse: not a choice
+    ):
+        try:
+            rc = run_cli("eval", "--model", "standard", "--lambda", "1", *flags)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2, flags
+        assert "error:" in capsys.readouterr().err
+    rc = run_cli("eval", "--model", "standard", "--lambda", "1",
+                 "--t-start", "2", "--t-stop", "2", "--t-count", "1")
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert rc == 0
+    assert [float(row.split(",")[0]) for row in rows] == [2.0]
+
+
+def test_time_grid_span_endpoints():
+    lin = _grid("--t-start", "1", "--t-stop", "3", "--t-count", "5")
+    assert lin[0] == 1.0 and lin[-1] == 3.0
+    log = _grid("--t-start", "0.1", "--t-stop", "10", "--t-count", "5", "--t-scale", "log")
+    assert abs(log[0] - 0.1) < 1e-15 and abs(log[-1] - 10.0) < 1e-12
+    assert abs(log[2] - 1.0) < 1e-14
+    single = _grid("--t-start", "2", "--t-stop", "2", "--t-count", "1")
+    assert single == (2.0,)
+
+
 def test_unpaired_combination_is_usage_error(capsys):
     rc = run_cli("simulate", "--process", "besselsquared", "--gamma", "2",
                  "--boundary", "gamma", "--k", "2", "--lambda", "1", "--t", "1")

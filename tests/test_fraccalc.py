@@ -11,7 +11,6 @@ import pytest
 
 from frax.errors import DomainError, Unstable, Unsupported
 from frax.fraccalc import (
-    L1Grid,
     caputo_l1,
     laplace_forward,
     laplace_invert,
@@ -34,26 +33,38 @@ from frax.relaxation import (
 HALF_INTEGRAL_OF_T = 0.7522527780636750492641
 
 
-# ---------------------------------------------------------------------------
-# grid container
-# ---------------------------------------------------------------------------
+def _nodes(h, n):
+    """The nodes 0, h, ..., n*h, each computed as i*h."""
+    return np.arange(n + 1) * h
 
-def test_grid_nodes_and_sampling():
-    # f is sampled at the nodes i*h, i = 0..n
-    g = L1Grid.sample(lambda s: 2.0 * s, h=0.25, n=8)
-    assert g.values == tuple(0.5 * i for i in range(9))
-    assert g.values[4] == 2.0
 
+def _direct_caputo(f, h, nu):
+    # the L1 sum written out node by node, for nu < 1 (0 ** 0.0 is 1)
+    w = [(j + 1.0) ** (1.0 - nu) - j ** (1.0 - nu) for j in range(len(f) - 1)]
+    scale = h ** (-nu) / math.gamma(2.0 - nu)
+    return [
+        scale * sum(w[j] * (f[m - j] - f[m - j - 1]) for j in range(m))
+        for m in range(1, len(f))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# sample arrays
+# ---------------------------------------------------------------------------
 
 def test_grid_validation():
-    with pytest.raises(DomainError):
-        L1Grid(h=0.0, n=8, values=(0.0,) * 9)
-    with pytest.raises(DomainError):
-        L1Grid(h=0.1, n=4, values=(0.0,) * 5)  # n below the minimum of 8
-    with pytest.raises(DomainError):
-        L1Grid(h=0.1, n=8, values=(0.0,) * 5)  # wrong length
-    with pytest.raises(DomainError):
-        L1Grid(h=0.1, n=8, values=(0.0,) * 8 + (math.nan,))
+    # the samples f(0), f(h), ..., f(nh) need h > 0 and n >= 8, all finite, in 1-D
+    for op in (caputo_l1, rl_integral):
+        assert op(np.zeros(9), 0.1, 0.5).shape == (8,)
+        for values, h in (
+            (np.zeros(9), 0.0),
+            (np.zeros(9), math.nan),
+            (np.zeros(8), 0.1),  # n = 7, below the minimum of 8
+            (np.array([0.0] * 8 + [math.nan]), 0.1),
+            (np.zeros((3, 9)), 0.1),
+        ):
+            with pytest.raises(DomainError):
+                op(values, h, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +72,18 @@ def test_grid_validation():
 # ---------------------------------------------------------------------------
 
 def test_caputo_of_constant_is_zero():
-    g = L1Grid.sample(lambda s: 3.7, h=0.1, n=12)
     for nu in (0.2, 0.5, 0.8, 1.0):
-        assert max(abs(v) for v in caputo_l1(g, nu)) == 0.0
+        got = caputo_l1(np.full(13, 3.7), 0.1, nu)
+        assert isinstance(got, np.ndarray) and got.shape == (12,)
+        assert np.max(np.abs(got)) == 0.0
 
 
 def test_caputo_exact_for_linear_data():
     # the scheme integrates the piecewise-linear interpolant exactly, so a
     # linear sample is differentiated to rounding: D^nu t = t^(1-nu)/Gamma(2-nu)
-    g = L1Grid.sample(lambda s: 2.0 * s, h=1.0 / 16, n=32)
+    f = 2.0 * _nodes(1.0 / 16, 32)
     for nu in (0.3, 0.5, 0.9):
-        got = caputo_l1(g, nu)
+        got = caputo_l1(f, 1.0 / 16, nu)
         scale = 2.0 / math.gamma(2.0 - nu)
         worst = max(
             abs(got[m - 1] - scale * (m / 16.0) ** (1.0 - nu)) for m in range(1, 33)
@@ -80,10 +92,21 @@ def test_caputo_exact_for_linear_data():
 
 
 def test_caputo_order_one_is_backward_difference():
-    g = L1Grid.sample(lambda s: s * s, h=0.125, n=8)
-    got = caputo_l1(g, 1.0)
-    want = [(g.values[m] - g.values[m - 1]) / g.h for m in range(1, 9)]
-    assert got == want
+    s = _nodes(0.125, 8)
+    f = s * s
+    got = caputo_l1(f, 0.125, 1.0)
+    want = [(f[m] - f[m - 1]) / 0.125 for m in range(1, 9)]
+    assert got.tolist() == want
+
+
+def test_caputo_matches_the_direct_sum():
+    # the convolution sums the same terms as the node-by-node L1 sum
+    rng = np.random.default_rng(7)
+    f = np.cumsum(rng.standard_normal(257))
+    for nu in (0.1, 0.5, 0.9):
+        got = caputo_l1(f, 1.0 / 64, nu)
+        want = np.array(_direct_caputo(f.tolist(), 1.0 / 64, nu))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_caputo_converges_on_smooth_data():
@@ -92,8 +115,8 @@ def test_caputo_converges_on_smooth_data():
     errs = []
     for lv in range(3):
         h, n = 1.0 / 16 / 2**lv, 16 * 2**lv
-        g = L1Grid.sample(lambda s: s * s, h=h, n=n)
-        got = caputo_l1(g, 0.5)
+        s = _nodes(h, n)
+        got = caputo_l1(s * s, h, 0.5)
         worst = max(
             abs(got[m - 1] - 2.0 * (m * h) ** 1.5 / math.gamma(2.5))
             for m in range(1, n + 1)
@@ -105,10 +128,9 @@ def test_caputo_converges_on_smooth_data():
 
 
 def test_caputo_order_validation():
-    g = L1Grid.sample(lambda s: s, h=0.1, n=8)
     for nu in (0.0, -0.5, 1.5):
         with pytest.raises(DomainError):
-            caputo_l1(g, nu)
+            caputo_l1(_nodes(0.1, 8), 0.1, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +138,30 @@ def test_caputo_order_validation():
 # ---------------------------------------------------------------------------
 
 def test_rl_integral_exact_for_constants():
-    g = L1Grid.sample(lambda s: 4.0, h=0.125, n=16)
     for nu in (0.5, 1.0, 1.5):
-        got = rl_integral(g, nu)
+        got = rl_integral(np.full(17, 4.0), 0.125, nu)
+        assert isinstance(got, np.ndarray) and got.shape == (16,)
         worst = max(
             abs(got[m - 1] - 4.0 * (0.125 * m) ** nu / math.gamma(nu + 1.0))
             for m in range(1, 17)
         )
         assert worst < 1e-13
+
+
+def test_rl_integral_matches_the_direct_sum():
+    rng = np.random.default_rng(11)
+    f = np.cumsum(rng.standard_normal(257)).tolist()
+    h = 1.0 / 64
+    for nu in (0.3, 1.0, 1.7):
+        got = rl_integral(f, h, nu)
+        want = np.array([
+            sum(
+                0.5 * (f[j] + f[j + 1]) * (((m - j) * h) ** nu - ((m - j - 1) * h) ** nu)
+                for j in range(m)
+            ) / math.gamma(nu + 1.0)
+            for m in range(1, 257)
+        ])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_rl_integral_half_order_of_linear():
@@ -132,8 +170,7 @@ def test_rl_integral_half_order_of_linear():
     errs = []
     for lv in range(3):
         h, n = 1.0 / 16 / 2**lv, 16 * 2**lv
-        g = L1Grid.sample(lambda s: s, h=h, n=n)
-        got = rl_integral(g, 0.5)
+        got = rl_integral(_nodes(h, n), h, 0.5)
         worst = max(
             abs(got[m - 1] - HALF_INTEGRAL_OF_T * (m * h) ** 1.5)
             for m in range(1, n + 1)
@@ -145,9 +182,8 @@ def test_rl_integral_half_order_of_linear():
 
 
 def test_rl_integral_order_validation():
-    g = L1Grid.sample(lambda s: s, h=0.1, n=8)
     with pytest.raises(DomainError):
-        rl_integral(g, 0.0)
+        rl_integral(_nodes(0.1, 8), 0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +357,16 @@ def test_residual_samples_the_finest_level_once():
     # reference: every level sampled on its own grid, residual term by term
     norms = []
     for lv in range(4):
-        g = L1Grid.sample(_psi_of(model), h0 / 2**lv, n0 * 2**lv)
-        derivs = [(c, caputo_l1(g, nu)) for nu, c in terms]
+        h, n = h0 / 2**lv, n0 * 2**lv
+        values = [rx.psi(model, i * h) for i in range(n + 1)]
+        derivs = [(c, caputo_l1(values, h, nu)) for nu, c in terms]
         res = []
-        for m in range(1, g.n + 1):
-            t = m * g.h
+        for m in range(1, n + 1):
+            t = m * h
             r = 0.0
             for c, d in derivs:
                 r += c * d[m - 1]
-            r += c0 * (g.values[m] - f_inf)
+            r += c0 * (values[m] - f_inf)
             r += source(t)
             if t >= 4.0 * h0 * (1.0 - 1e-12):
                 res.append(abs(r))
@@ -375,4 +412,8 @@ def test_residual_unsupported_shapes():
     for equation, levels in (((((1.5, 1.0),), 1.0, 0.0, None), 3), (half, 1), (half, 2.5)):
         with pytest.raises(DomainError):
             ode_residual(equation, f, 1.0 / 16, 32, levels=levels)
+    # the step and the step count are checked before f is sampled
+    for h, n in ((0.0, 32), (math.nan, 32), (1.0 / 16, 4), (1.0 / 16, 32.0), (1.0 / 16, True)):
+        with pytest.raises(DomainError):
+            ode_residual(half, f, h, n, levels=4)
     assert calls == []

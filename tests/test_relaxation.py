@@ -177,27 +177,37 @@ def test_asymptote_rejects_non_numeric_time():
     assert rx.asymptote(m, rx.SmallT, np.int64(1)) == rx.asymptote(m, rx.SmallT, 1.0)
 
 
-def test_time_grid_validation():
-    with pytest.raises(DomainError):
-        rx.TimeGrid(ts=())
-    with pytest.raises(DomainError):
-        rx.TimeGrid(ts=(1.0, 1.0))
-    with pytest.raises(DomainError):
-        rx.TimeGrid(ts=(-1.0, 2.0))
-    with pytest.raises(DomainError):
-        rx.TimeGrid.span(2.0, 1.0, 5)
-    with pytest.raises(DomainError):
-        rx.TimeGrid.span(1.0, 2.0, 5, scale="cubic")
+def test_positive_parameters_accept_numpy_scalars():
+    # a numpy rate is stored as a float: the law is the plain-float law
+    for lam, plain in ((np.float32(1.0), 1.0), (np.int64(2), 2.0), (np.float64(0.7), 0.7)):
+        m = rx.Standard(lam=lam)
+        assert type(m.lam) is float and m == rx.Standard(lam=plain)
+        for t in (0.3, 1.7):
+            assert rx.psi(m, t) == rx.psi(rx.Standard(lam=plain), t)
 
 
-def test_time_grid_span_endpoints():
-    lin = rx.TimeGrid.span(1.0, 3.0, 5)
-    assert lin.ts[0] == 1.0 and lin.ts[-1] == 3.0
-    log = rx.TimeGrid.span(0.1, 10.0, 5, scale="log")
-    assert abs(log.ts[0] - 0.1) < 1e-15 and abs(log.ts[-1] - 10.0) < 1e-12
-    assert abs(log.ts[2] - 1.0) < 1e-14
-    single = rx.TimeGrid.span(2.0, 2.0, 1)
-    assert single.ts == (2.0,)
+def test_integer_parameters_accept_numpy_integers():
+    m = rx.GammaBoundary(k=np.int64(2), lam=1)
+    assert type(m.k) is int and m == rx.GammaBoundary(k=2, lam=1.0)
+    for t in (0.3, 1.7):
+        assert rx.psi(m, t) == rx.psi(rx.GammaBoundary(k=2, lam=1.0), t)
+    assert rx.FirstPassage(lam=1.0, n=np.int32(2)) == rx.FirstPassage(lam=1.0, n=2)
+    assert rx.ElasticGamma(k=np.uint8(1), alpha=0.8, lam=1.1) == rx.ElasticGamma(k=1, alpha=0.8, lam=1.1)
+
+
+def test_parameters_reject_bool():
+    # True is an int, but neither a rate nor a shape
+    for build in (
+        lambda: rx.Standard(lam=True),
+        lambda: rx.Elastic(alpha=1.0, lam=True),
+        lambda: rx.GammaBoundary(k=True, lam=1.0),
+        lambda: rx.ElasticGamma(k=True, alpha=0.8, lam=1.1),
+        lambda: rx.FirstPassage(lam=1.0, n=True),
+    ):
+        with pytest.raises(DomainError):
+            build()
+    with pytest.raises(DomainError, match="integer"):
+        rx.GammaBoundary(k=2.0, lam=1.0)
 
 
 def test_model_validation():

@@ -259,6 +259,17 @@ def test_mlparams_validation():
         MLParams(math.inf)
 
 
+def test_mlparams_accept_numpy_scalars():
+    p = MLParams(np.float32(0.5), np.int64(1))
+    assert p == MLParams(0.5, 1.0) and type(p.alpha) is float and type(p.beta) is float
+    for z in (-1.3, 0.7):
+        assert mittag_leffler(p, z) == mittag_leffler(MLParams(0.5), z)
+    with pytest.raises(DomainError):
+        MLParams(True)
+    with pytest.raises(DomainError):
+        MLParams(0.5, "1")
+
+
 def test_policy_switch_threshold_consistency():
     # E_{1/2}(z) = erfcx(-z) on both sides of the switch to the integral
     # representation at z = -_ML_SWITCH.  The raw power series is summed

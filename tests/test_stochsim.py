@@ -135,6 +135,40 @@ def test_time_validation_matches_psi():
         ss.quadrature_crossing(ss.WrightTime(nu=0.5), ss.Exponential(lam=1.0), True)
 
 
+def test_integer_specs_reject_bool_and_accept_numpy_integers():
+    for build in (
+        lambda: ss.Gamma(k=True, lam=1.0),
+        lambda: ss.IteratedBM(n=True),
+        lambda: ss.FirstPassageChain(n=True),
+        lambda: ss.Exponential(lam=True),
+    ):
+        with pytest.raises(DomainError):
+            build()
+    g = ss.Gamma(k=np.int64(2), lam=np.float32(1.0))
+    assert g == ss.Gamma(k=2, lam=1.0) and type(g.k) is int and type(g.lam) is float
+    assert ss.ReflectedBM().law(g) == ss.ReflectedBM().law(ss.Gamma(k=2, lam=1.0))
+
+
+def test_density_y_follows_the_time_rule():
+    spec = ss.ReflectedBM()
+    y = np.float32(0.5)
+    assert ss.density(spec, y, 1.0) == ss.density(spec, float(y), 1.0)
+    assert ss.density(spec, np.int64(1), 2.0) == ss.density(spec, 1.0, 2.0)
+    for bad in (True, "0.5", math.nan):
+        with pytest.raises(DomainError):
+            ss.density(spec, bad, 1.0)
+
+
+def test_estimate_path_count_is_an_integer():
+    spec, boundary = ss.ReflectedBM(), ss.Exponential(lam=1.0)
+    for bad in (1e4, True, 999, "10000"):
+        with pytest.raises(DomainError):
+            ss.estimate_crossing(spec, boundary, 1.0, bad)
+    est = ss.estimate_crossing(spec, boundary, 1.0, np.int64(10_000))
+    assert est == ss.estimate_crossing(spec, boundary, 1.0, 10_000)
+    assert type(est.n_paths) is int
+
+
 def test_density_outside_support_is_zero():
     assert ss.density(ss.ReflectedBM(), -0.5, 1.0) == 0.0
     assert ss.density(ss.SojournTime(), 1.5, 1.0) == 0.0
