@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from typing import Sequence, get_args
+
+import numpy as np
 
 from . import relaxation as rx
 from . import stochsim as ss
@@ -120,10 +123,16 @@ def _emit(
 def _cmd_eval(args: argparse.Namespace) -> int:
     model = _build(_MODELS[args.model], args, args.model)
     ts = _time_grid(args)
+    try:
+        values = rx.psi(model, np.asarray(ts)).tolist()
+    except (NonConvergence, Unstable):
+        # walk the grid point by point, so the message names the first time that fails
+        values = [None] * len(ts)
     rows = []
-    for t in ts:
+    for t, value in zip(ts, values):
         try:
-            value = rx.psi(model, t)
+            if value is None:
+                value = rx.psi(model, t)
             small = rx.asymptote(model, rx.SmallT, t)
             large = rx.asymptote(model, rx.LargeT, t)
         except (NonConvergence, Unstable) as exc:
@@ -257,7 +266,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default: stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``frax`` argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="frax",
         description="Relaxation laws as Brownian crossing probabilities: "

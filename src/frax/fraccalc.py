@@ -10,7 +10,8 @@ returns) and a function of t, refines the grid and reports the observed
 convergence order, which is the quantity the equation checks assert on.
 Both Laplace directions run on fixed rules that certify themselves by
 comparing two levels: the forward transform on an exp-sinh trapezoid rule
-whose nodes serve a whole batch of eta, the inversion on a Talbot contour.
+whose nodes serve a whole batch of eta, the inversion on a Talbot contour
+that serves a whole array of times in one call of the transform per rule.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def caputo_l1(values, h: float, nu: float) -> np.ndarray:
     w_j = (j+1)^(1-nu) - j^(1-nu).  At nu = 1 the weights are 1, 0, 0, ...
     and the scheme is the backward difference quotient.
     """
-    if not (0.0 < nu <= 1.0):
-        raise DomainError(f"caputo_l1 requires nu in (0, 1], got {nu!r}")
+    if not (_real(nu) and 0.0 < nu <= 1.0):
+        raise DomainError(f"caputo_l1 requires a real nu in (0, 1], got {nu!r}")
+    nu = float(nu)
     d = np.diff(_samples(values, h))
     # differences of k^(1-nu), k = 0..n, with 0^(1-nu) written as 0: numpy's
     # 0.0**0.0 is 1, which would zero w_0 at nu = 1
@@ -85,8 +87,9 @@ def rl_integral(values, h: float, nu: float) -> np.ndarray:
     reproduced exactly; for smooth data the kernel singularity in the final
     cell limits the rate to order 1 + min(nu, 1).
     """
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise DomainError(f"rl_integral requires nu > 0, got {nu!r}")
+    if not (_real(nu) and math.isfinite(nu) and nu > 0.0):
+        raise DomainError(f"rl_integral requires a real nu > 0, got {nu!r}")
+    nu = float(nu)
     f = _samples(values, h)
     mid = 0.5 * (f[:-1] + f[1:])
     return np.convolve(mid, np.diff((np.arange(f.size) * h) ** nu))[: mid.size] / math.gamma(nu + 1.0)
@@ -202,34 +205,53 @@ _TALBOT_RULES = tuple(_talbot_rule(m) for m in (20, 28))
 _TALBOT_AGREE = 1e-10
 
 
+def _talbot(F: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-Talbot inversion of F at every time of the 1-D array ``ts`` (> 0).
+
+    F is called once per rule, on the contour nodes of every time at once
+    (the (time x node) matrix, flattened), and each rule's sums over the
+    nodes are one matrix-vector product.  Returns the 20-node values, their
+    gaps to the 28-node values and the mask of certified points: both
+    values finite and the gap at most 1e-10 * max(1, |value|).  A
+    non-finite value gives a non-finite gap.
+    """
+    values = []
+    with np.errstate(all="ignore"):
+        for u, w in _TALBOT_RULES:
+            r = 0.4 * len(u) / ts
+            nodes = (r[:, None] * u).reshape(-1)
+            samples = np.asarray(F(nodes), dtype=complex).reshape(ts.size, len(u))
+            values.append(r * (samples @ w).real)
+        coarse, fine = values
+        gap = np.abs(coarse - fine)
+        # a non-finite value makes the ratio inf or NaN, which fails the test
+        ok = gap / np.maximum(1.0, np.abs(coarse)) <= _TALBOT_AGREE
+    return coarse, gap, ok
+
+
 def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float) -> float:
     """Fixed-Talbot inversion of the Laplace transform F at time t > 0.
 
-    F is called with a complex ndarray of contour nodes, all off the closed
-    negative real axis, and must return its principal-branch values there
-    (numpy ``sqrt`` and ``**`` do).  The inversion runs at 20 and at
-    28 nodes (Abate & Valko, IJNME 2004; Weideman & Trefethen, Math. Comp.
-    2007) and returns the 20-node value.  If either value is non-finite or
-    the two differ by more than 1e-10 * max(1, |value|), raises
-    :class:`Unstable`.
+    F is called with a 1-D complex ndarray of contour nodes, all off the
+    closed negative real axis, and must return its principal-branch values
+    there (numpy ``sqrt`` and ``**`` do).  The inversion runs at 20 and at 28 nodes (Abate & Valko, IJNME
+    2004; Weideman & Trefethen, Math. Comp. 2007) and returns the 20-node
+    value.  If either value is non-finite or the two differ by more than
+    1e-10 * max(1, |value|), raises :class:`Unstable`.  This is the
+    one-point case of the array inversion :func:`~frax.relaxation.psi`
+    runs on a whole grid.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"laplace_invert requires t > 0, got {t!r}")
-    values = []
-    for u, w in _TALBOT_RULES:
-        r = 0.4 * len(u) / t
-        with np.errstate(all="ignore"):
-            values.append(r * float(np.dot(w, np.asarray(F(r * u), dtype=complex)).real))
-    coarse, fine = values
-    if not (math.isfinite(coarse) and math.isfinite(fine)):
+    (value,), (gap,), (ok,) = _talbot(F, np.array([float(t)]))
+    if ok:
+        return float(value)
+    if not math.isfinite(gap):
         raise Unstable(f"Talbot inversion at t={t}: the transform is not finite on the contour")
-    gap = abs(coarse - fine)
-    if gap > _TALBOT_AGREE * max(1.0, abs(coarse)):
-        raise Unstable(
-            f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} "
-            f"(tolerance {_TALBOT_AGREE:.0e})"
-        )
-    return coarse
+    raise Unstable(
+        f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} "
+        f"(tolerance {_TALBOT_AGREE:.0e})"
+    )
 
 
 def ode_residual(
@@ -255,8 +277,8 @@ def ode_residual(
     ``levels`` (an integer >= 2) are checked before f is called.
     """
     terms, c0, f_inf, source = equation
-    if not all(0.0 < nu <= 1.0 for nu, _c in terms):
-        raise DomainError(f"ode_residual requires Caputo orders in (0, 1], got {terms!r}")
+    if not all(_real(nu) and 0.0 < nu <= 1.0 for nu, _c in terms):
+        raise DomainError(f"ode_residual requires real Caputo orders in (0, 1], got {terms!r}")
     if not (_real(h) and math.isfinite(h) and h > 0.0 and _integer(n, 8) and _integer(levels, 2)):
         raise DomainError(
             f"ode_residual needs a finite h > 0 and integers n >= 8, levels >= 2; got {h!r}, {n!r}, {levels!r}"

@@ -16,7 +16,9 @@ series' propagated error term by term and raise :class:`NonConvergence` at
 the first term that breaks the 1e-9 budget; :func:`psi` then inverts the
 exact Laplace transform on a fixed Talbot contour instead
 (:func:`~frax.fraccalc.laplace_invert`).  :func:`psi` alone snaps values a
-rounding error outside [0, 1] back onto the interval.
+rounding error outside [0, 1] back onto the interval.  On an array of
+times the series laws invert first: one contour serves the whole array,
+and only the points it cannot certify go through the scalar path.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.special import i0e
 
 from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
-from .fraccalc import laplace_invert
+from .fraccalc import _talbot, laplace_invert
 from .specfun import _ABSUM_CAP, _EPS, MLParams, _gml_raw, _sum_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
@@ -96,6 +98,14 @@ def _time(t: object, what: str, zero: bool = False) -> float:
     if math.isfinite(x) and (x > 0.0 or (zero and x == 0.0)):
         return x
     raise DomainError(f"{what} requires finite t {'>=' if zero else '>'} 0, got {t!r}")
+
+
+def _reals(obj: object, *names: str) -> None:
+    """Check that each named dataclass field is a real (see ``_real``); store it as a float."""
+    for name in names:
+        v = getattr(obj, name)
+        _require(_real(v), f"{type(obj).__name__}.{name} must be a real number, got {v!r}")
+        object.__setattr__(obj, name, float(v))
 
 
 def _clip01(v: float) -> float:
@@ -203,8 +213,12 @@ class _Law:
     :func:`~frax.fraccalc.ode_residual` checks them against their equation.
     ``_psi`` neither clips nor falls back: it returns its series value or
     raises :class:`NonConvergence`, and :func:`psi` owns the clipping and
-    the Talbot inversion of ``_laplace``.
+    the Talbot inversion of ``_laplace``.  A law whose ``_psi`` is a series
+    sets ``_contour_first``: on an array of times :func:`psi` inverts its
+    transform on one contour for the whole array before any series runs.
     """
+
+    _contour_first = False
 
     def _laplace(self, s):
         raise Unsupported(f"psi_laplace has no transform for {type(self).__name__}")
@@ -253,7 +267,10 @@ class Fractional(_Law):
     nu: float
     lam: float
 
+    _contour_first = True
+
     def __post_init__(self) -> None:
+        _reals(self, "nu")
         _require(0.0 < self.nu < 1.0, f"Fractional.nu must lie in (0, 1), got {self.nu!r}")
         _positive(self, "lam")
 
@@ -353,6 +370,8 @@ class Elastic(_Law):
     alpha: float
     lam: float
 
+    _contour_first = True
+
     def __post_init__(self) -> None:
         _positive(self, "alpha", "lam")
 
@@ -389,6 +408,8 @@ class GammaBoundary(_Law):
 
     k: int
     lam: float
+
+    _contour_first = True
 
     def __post_init__(self) -> None:
         _count(self, "k")
@@ -428,6 +449,8 @@ class ElasticGamma(_Law):
     k: int
     alpha: float
     lam: float
+
+    _contour_first = True
 
     def __post_init__(self) -> None:
         _count(self, "k")
@@ -480,7 +503,10 @@ class Distributed(_Law):
     n2: float
     lam: float
 
+    _contour_first = True
+
     def __post_init__(self) -> None:
+        _reals(self, "nu1", "nu2", "n1", "n2")
         _require(0.0 < self.nu1 < self.nu2 <= 1.0, f"Distributed requires 0 < nu1 < nu2 <= 1, got nu1={self.nu1!r}, nu2={self.nu2!r}")
         _require(self.n1 >= 0.0 and self.n2 > 0.0, f"Distributed requires n1 >= 0 and n2 > 0, got n1={self.n1!r}, n2={self.n2!r}")
         _require(abs(self.n1 + self.n2 - 1.0) <= 1e-12, f"Distributed weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
@@ -543,7 +569,7 @@ def _law(model: object, missing: str) -> _Law:
     return model
 
 
-def psi(model: RelaxationModel, t: float) -> float:
+def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
     """Survival probability psi(t) of the crossing problem ``model``.
 
     psi(0) = 1 exactly; for t > 0 the closed form of the law is evaluated.
@@ -552,7 +578,20 @@ def psi(model: RelaxationModel, t: float) -> float:
     a fixed Talbot contour, which raises :class:`Unstable` rather than
     return an uncertified value.  Values a rounding error outside [0, 1]
     are snapped back onto the interval.
+
+    ``t`` may also be an ndarray of finite times >= 0 (a real dtype, not
+    bool); the result is an ndarray of the same shape.  For the laws whose
+    closed form is a series (fractional, elastic, gamma-boundary,
+    elastic-gamma, distributed) the whole array is first inverted on one
+    Talbot contour, the transform evaluated once per contour size; each
+    point the 20- and 28-node values do not certify, as
+    :func:`~frax.fraccalc.laplace_invert` would not, is answered by the
+    scalar path above (series, then its own inversion) and raises if that
+    fails too.  The elementary laws evaluate their closed form point by
+    point, with the values of scalar calls.
     """
+    if isinstance(t, np.ndarray):
+        return _psi_array(_law(model, "psi has no law"), t)
     t = _time(t, "psi", zero=True)
     law = _law(model, "psi has no law")
     if t == 0.0:
@@ -561,6 +600,22 @@ def psi(model: RelaxationModel, t: float) -> float:
         return _clip01(law._psi(t))
     except NonConvergence:
         return _clip01(laplace_invert(law._laplace, t))
+
+
+def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
+    """:func:`psi` at every time of the ndarray ``t``."""
+    if not (t.dtype.kind in "iuf" and np.all(np.isfinite(t) & (t >= 0.0))):
+        raise DomainError(f"psi requires finite t >= 0 (a real array), got {t!r}")
+    flat = t.astype(float).reshape(-1)
+    out = np.ones(flat.size)
+    rest = np.flatnonzero(flat > 0.0)
+    if law._contour_first and rest.size:
+        values, _gap, ok = _talbot(law._laplace, flat[rest])
+        out[rest[ok]] = [_clip01(v) for v in values[ok].tolist()]
+        rest = rest[~ok]
+    for i in rest:
+        out[i] = psi(law, float(flat[i]))
+    return out.reshape(t.shape)
 
 
 def psi_laplace(model: RelaxationModel, s):

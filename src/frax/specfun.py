@@ -182,7 +182,9 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     beta < 1 + alpha) hold;
     otherwise the power series is summed and, when its cancellation
     estimate exceeds the accuracy target on the negative axis, the
-    evaluator still falls back to the integral form.  A failed series with
+    evaluator still falls back to the integral form (where the function is
+    completely monotone, such a series stops at the first term whose
+    absolute sum rules it out).  A failed series with
     no admissible integral raises :class:`NonConvergence`.
     """
     if p.gamma != 1.0:
@@ -194,7 +196,15 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     admissible = 0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha
     if z < 0.0 and -z >= _ML_SWITCH and admissible:
         return _ml_integral(p.alpha, p.beta, -z)
-    val, est, ok = _sum_series(_ml_terms(p.alpha, p.beta, 1.0, z))
+    cap = _ABSUM_CAP
+    if z < 0.0 and p.alpha <= 1.0 and p.beta >= p.alpha:
+        # E_{alpha,beta}(-x) is completely monotone here (Schneider, Expo.
+        # Math. 1996), so it lies in (0, 1/Gamma(beta)]: a series the gate
+        # below accepts has an absolute sum of at most
+        # 1e-13 * max(1, 1/Gamma(beta)) / eps.  Twice that stops a series
+        # that would be dropped for the integral, and never one that passes.
+        cap = 2e-13 * max(1.0, float(rgamma(p.beta))) / _EPS
+    val, est, ok = _sum_series(_ml_terms(p.alpha, p.beta, 1.0, z), cap)
     if ok and est <= 1e-13 * max(abs(val), 1.0):
         return val
     if z < 0.0:

@@ -32,7 +32,7 @@ from scipy.special import erfcx, gammaincc
 
 from . import relaxation as rx
 from .errors import DomainError, Unsupported, _integer, _real
-from .relaxation import _count, _positive, _require, _time
+from .relaxation import _count, _positive, _reals, _require, _time
 from .specfun import airy_ai, wright_m
 
 DEFAULT_SEED = 0xF12AC7
@@ -298,6 +298,7 @@ class WrightTime(_Process):
     nu: float
 
     def __post_init__(self) -> None:
+        _reals(self, "nu")
         _require(0.0 < self.nu < 1.0, f"WrightTime.nu must lie in (0, 1), got {self.nu!r}")
 
     def _density(self, y: float, t: float) -> float:

@@ -159,25 +159,30 @@ def main() -> None:
             value = mp.invertlaplace(F, t, method="talbot")
             out.append((f"distributed psi({t}), (0.5,0.5) lam=1", "test_relaxation/test_stochsim large t", value))
 
-    # --- test_parity: the eval-grid rows that psi answers by contour inversion
-    # (the 17-point log grid over [1e-4, 1e4] of tests/gen_parity.py)
+    # --- test_parity: psi of the five laws that frax eval inverts on the
+    # contour (the 17-point log grid over [1e-4, 1e4] of tests/gen_parity.py),
+    # each transform inverted by mpmath's Talbot rule at 40 digits
     grid = [math.exp(math.log(1e-4) + i * (math.log(1e4) - math.log(1e-4)) / 16) for i in range(17)]
     with mp.workdps(40):
         sq2 = mp.sqrt(2)
         one, a, lam = mp.mpf(1), mp.mpf(0.8), mp.mpf(1.1)
+        ea, el = mp.mpf(0.7), mp.mpf(1.3)
         inverted = [
-            ("gammaboundary k=2 lam=1", 10.0,
+            ("fractional nu=0.5 lam=1",
+             lambda s: 1 / (mp.sqrt(s) * (mp.sqrt(s) + 1))),
+            ("elastic alpha=0.7 lam=1.3",
+             lambda s: (ea * el / s + sq2 * ea / mp.sqrt(s) + 2) / ((mp.sqrt(2 * s) + ea) * (mp.sqrt(2 * s) + el))),
+            ("gammaboundary k=2 lam=1",
              lambda s: 1 / s - one / (s * (mp.sqrt(s) + one) ** 2)),
-            ("elasticgamma k=2 alpha=0.8 lam=1.1", 31.0,
+            ("elasticgamma k=2 alpha=0.8 lam=1.1",
              lambda s: 1 / s - sq2 * lam**2 / (mp.sqrt(s) * (mp.sqrt(2 * s) + a) * (mp.sqrt(2 * s) + lam) ** 2)),
-            ("distributed nu1=0.5 nu2=1 n1=0.5 n2=0.5 lam=1", 3.0,
+            ("distributed nu1=0.5 nu2=1 n1=0.5 n2=0.5 lam=1",
              lambda s: (mp.sqrt(s) + s) / (s * (2 + mp.sqrt(s) + s))),
         ]
-        for name, t_min, F in inverted:
+        for name, F in inverted:
             for t in grid:
-                if t >= t_min:
-                    value = mp.invertlaplace(F, mp.mpf(t), method="talbot")
-                    out.append((f"{name} psi({t!r})", "test_parity", value))
+                value = mp.invertlaplace(F, mp.mpf(t), method="talbot")
+                out.append((f"{name} psi({t!r})", "test_parity", value))
 
     # --- test_fraccalc: Riemann-Liouville integral of f(t) = t at order 1/2
     out.append(("RL-1/2 of t: coefficient of t^{3/2}", "test_fraccalc", mp.gamma(2) / mp.gamma(mp.mpf("2.5"))))

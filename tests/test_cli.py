@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import frax
@@ -54,14 +55,35 @@ def test_eval_csv_shape(capsys):
 
 
 def test_eval_numbers_round_trip(capsys):
-    # %.17g formatting must reproduce the binary doubles exactly
+    # %.17g formatting must reproduce the binary doubles exactly; eval
+    # evaluates the grid as one array
     rc = run_cli("eval", "--model", "fractional", "--nu", "0.7", "--lambda", "1.1",
                  "--t", "0.3", "1.7")
     out = capsys.readouterr().out
     assert rc == 0
-    for line in out.strip().split("\n")[1:]:
-        t, psi, _, _ = map(float, line.split(","))
-        assert psi == rx.psi(rx.Fractional(nu=0.7, lam=1.1), t)
+    rows = [tuple(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]
+    want = rx.psi(rx.Fractional(nu=0.7, lam=1.1), np.array([0.3, 1.7]))
+    assert [t for t, *_ in rows] == [0.3, 1.7]
+    assert [psi for _, psi, _, _ in rows] == want.tolist()
+
+
+def test_eval_makes_one_contour_call_per_grid(monkeypatch, capsys):
+    # every point of the grid is certified on the contour: the transform is
+    # called once per contour size and the series never runs
+    calls = {"_laplace": 0, "_psi": 0}
+    for name in calls:
+        original = getattr(rx.ElasticGamma, name)
+
+        def counted(self, x, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(rx.ElasticGamma, name, counted)
+    rc = run_cli("eval", "--model", "elasticgamma", "--k", "2", "--alpha", "0.8", "--lambda", "1.1",
+                 "--t-start", "1e-4", "--t-stop", "1e4", "--t-count", "64", "--t-scale", "log")
+    assert rc == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 65
+    assert calls == {"_laplace": 2, "_psi": 0}
 
 
 def test_eval_json_format(capsys):
@@ -321,6 +343,22 @@ def test_too_few_paths_is_usage_error(capsys):
     rc = run_cli("simulate", "--process", "reflectedbm", "--boundary", "exponential",
                  "--lambda", "1", "--t", "1", "--paths", "10")
     assert rc == 2
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_successive_calls_do_not_share_options(capsys):
+    # the parser is kept between calls; the options of one call must not
+    # leak into the next
+    head = ("eval", "--model", "standard", "--lambda", "1", "--t-start", "1", "--t-stop", "2")
+    assert run_cli(*head, "--t-count", "5", "--format", "json") == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 5
+    assert run_cli(*head) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "t,psi,asymptote_small,asymptote_large"
+    assert len(lines) == 11  # header + the default 10 points
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

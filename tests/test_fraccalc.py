@@ -67,6 +67,19 @@ def test_grid_validation():
                 op(values, h, 0.5)
 
 
+def test_operator_orders_are_reals():
+    # True is an int, but not an order: it must not read as order 1
+    for op in (caputo_l1, rl_integral):
+        for nu in (True, "0.5", None):
+            with pytest.raises(DomainError):
+                op(np.arange(9.0), 0.1, nu)
+    with pytest.raises(DomainError):
+        ode_residual((((True, 1.0),), 1.0, 0.0, None), lambda t: 1.0, 1.0 / 16, 32)
+    # a numpy order is the plain float order
+    assert np.array_equal(caputo_l1(np.arange(9.0) ** 2, 0.1, np.float32(0.5)),
+                          caputo_l1(np.arange(9.0) ** 2, 0.1, float(np.float32(0.5))))
+
+
 # ---------------------------------------------------------------------------
 # Caputo L1 derivative
 # ---------------------------------------------------------------------------

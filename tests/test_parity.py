@@ -7,9 +7,14 @@ changes of the special functions (e.g. scipy's i0e and airy in place of
 hand-rolled series) but not for any change of method or branch.
 
 The eval rows listed in ``INVERTED`` come from contour inversion of the
-law's transform.  They were re-pinned when fixed-Talbot inversion replaced
-Gaver-Stehfest and the half-line quadrature, and are also held to 1e-10
-absolute against mpmath values printed by tests/gen_oracles.py.
+law's transform: ``frax eval`` evaluates each grid as one array, and the
+five laws whose closed form is a series (fractional, elastic,
+gamma-boundary, elastic-gamma, distributed) invert the whole grid on one
+Talbot contour.  Their rows were re-pinned when eval moved to array psi
+(and part of them earlier, when fixed-Talbot inversion replaced
+Gaver-Stehfest and the half-line quadrature), and every psi value of them
+is also held to 1e-10 absolute against mpmath values printed by
+tests/gen_oracles.py.
 """
 
 import json
@@ -21,9 +26,57 @@ import gen_parity as gp
 
 REL = 1e-13
 
-# psi on the eval grid where the law inverts its transform: t -> mpmath value
+# psi on the eval grid of the laws frax eval inverts on the contour: t -> mpmath value
 INVERTED = {
+    "fractional nu=0.5 lam=1": {
+        0.00010000000000000009: 0.9888154610463425057874,
+        0.0003162277660168384: 0.9802463126122839680521,
+        0.001000000000000001: 0.9652942200040563080552,
+        0.003162277660168382: 0.9395799183958766963237,
+        0.010000000000000014: 0.8964569799691265750878,
+        0.031622776601683854: 0.8271865213020960960414,
+        0.10000000000000016: 0.7235784384776153297698,
+        0.31622776601683833: 0.5850732472812110276053,
+        1.0000000000000018: 0.4275835761558067617497,
+        3.1622776601683866: 0.2813123984225179144194,
+        10.000000000000028: 0.1705777183259724325818,
+        31.622776601683846: 0.09881221242263070164765,
+        100.00000000000023: 0.05614099274382252265545,
+        316.2277660168388: 0.03167678356079990419896,
+        1000.0000000000016: 0.01783233388854203623086,
+        3162.277660168392: 0.01003128161409454350584,
+        10000.000000000027: 0.005641613782989425207799,
+    },
+    "elastic alpha=0.7 lam=1.3": {
+        0.00010000000000000009: 0.989756439386492873177,
+        0.0003162277660168384: 0.9819599564356053014659,
+        0.001000000000000001: 0.9684661882593252783462,
+        0.003162277660168382: 0.9455989872165592408846,
+        0.010000000000000014: 0.9082736070270218164394,
+        0.031622776601683854: 0.8512917592098900501364,
+        0.10000000000000016: 0.7741854480847905950693,
+        0.31622776601683833: 0.6909752284226595731699,
+        1.0000000000000018: 0.6369163329667084627075,
+        3.1622776601683866: 0.6493961676294286518942,
+        10.000000000000028: 0.7247912260310271323613,
+        31.622776601683846: 0.8172140170060432219291,
+        100.00000000000023: 0.8900023722371055085591,
+        316.2277660168388: 0.9366426654964919812075,
+        1000.0000000000016: 0.964088826323610746149,
+        3162.277660168392: 0.979754412732730958734,
+        10000.000000000027: 0.9886058994071193699454,
+    },
     "gammaboundary k=2 lam=1": {
+        0.00010000000000000009: 0.999901489625088367713,
+        0.0003162277660168384: 0.9996920848047449220522,
+        0.001000000000000001: 0.9990461138871036353114,
+        0.003162277660168382: 0.9970909168382717864607,
+        0.010000000000000014: 0.9913657570792953551923,
+        0.031622776601683854: 0.9755279961162578328229,
+        0.10000000000000016: 0.9356875740126465400341,
+        0.31622776601683833: 0.8495746715349751180108,
+        1.0000000000000018: 0.7007955909397052952664,
+        3.1622776601683866: 0.5087100118655056449252,
         10.000000000000028: 0.3272715841120613845888,
         31.622776601683846: 0.1947215359214047704003,
         100.00000000000023: 0.1117341149344310287443,
@@ -33,6 +86,17 @@ INVERTED = {
         10000.000000000027: 0.0112826635455887360011,
     },
     "elasticgamma k=2 alpha=0.8 lam=1.1": {
+        0.00010000000000000009: 0.9999404563848716528694,
+        0.0003162277660168384: 0.9998140212169845848324,
+        0.001000000000000001: 0.9994246381376324562737,
+        0.003162277660168382: 0.9982497392427639904365,
+        0.010000000000000014: 0.9948303982397224361549,
+        0.031622776601683854: 0.9854901444774933852212,
+        0.10000000000000016: 0.9626414766944850368741,
+        0.31622776601683833: 0.9164222925573789463772,
+        1.0000000000000018: 0.8490111217276987012788,
+        3.1622776601683866: 0.7957585921112318736381,
+        10.000000000000028: 0.8000667368015124942133,
         31.622776601683846: 0.8511355237735100170348,
         100.00000000000023: 0.9060993513298763999147,
         316.2277660168388: 0.9450067376606535426952,
@@ -41,6 +105,15 @@ INVERTED = {
         10000.000000000027: 0.9900327357658138408852,
     },
     "distributed nu1=0.5 nu2=1 n1=0.5 n2=0.5 lam=1": {
+        0.00010000000000000009: 0.9998015143253573325074,
+        0.0003162277660168384: 0.9993761017249492363069,
+        0.001000000000000001: 0.9980485199110589973777,
+        0.003162277660168382: 0.9939519845610140830424,
+        0.010000000000000014: 0.9815868648740809190017,
+        0.031622776601683854: 0.9459086317573722035729,
+        0.10000000000000016: 0.8524132302424789331478,
+        0.31622776601683833: 0.6536348272042530191182,
+        1.0000000000000018: 0.3775168250211099492664,
         3.1622776601683866: 0.1804179417780231070459,
         10.000000000000028: 0.09276434024245096025532,
         31.622776601683846: 0.05077109213188208575899,

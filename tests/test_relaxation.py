@@ -13,7 +13,9 @@ import pytest
 from scipy.special import i0e
 
 import frax.relaxation as rx
-from frax.errors import DomainError, Unsupported
+from dataclasses import dataclass
+
+from frax.errors import DomainError, NonConvergence, Unstable, Unsupported
 from frax.specfun import MLParams, mittag_leffler
 
 REL = 1e-12
@@ -223,6 +225,136 @@ def test_model_validation():
         rx.Distributed(nu1=0.3, nu2=0.7, n1=0.6, n2=0.6, lam=1.0)
     with pytest.raises(DomainError):
         rx.Elastic(alpha=-0.1, lam=1.0)
+
+
+def test_order_parameters_are_stored_as_floats():
+    # a float32 order would compute t**nu in float32 (3.4e-9 off at t = 0.7)
+    nu = np.float32(0.3)
+    m = rx.Fractional(nu, 1.0)
+    assert type(m.nu) is float and m == rx.Fractional(float(nu), 1.0)
+    for t in (0.7, 3.3):
+        assert rx.psi(m, t) == rx.psi(rx.Fractional(float(nu), 1.0), t)
+    d = rx.Distributed(np.float32(0.25), np.float64(0.75), np.float32(0.5), np.float32(0.5), 1.0)
+    assert all(type(getattr(d, f)) is float for f in ("nu1", "nu2", "n1", "n2"))
+    assert d == rx.Distributed(0.25, 0.75, 0.5, 0.5, 1.0)
+
+
+def test_order_parameters_reject_non_reals():
+    for build in (
+        lambda: rx.Fractional("0.5", 1.0),
+        lambda: rx.Fractional(True, 1.0),
+        lambda: rx.Distributed("0.25", 0.75, 0.5, 0.5, 1.0),
+        lambda: rx.Distributed(0.25, True, 0.5, 0.5, 1.0),
+        lambda: rx.Distributed(0.25, 0.75, False, True, 1.0),
+    ):
+        with pytest.raises(DomainError):
+            build()
+
+
+# ---------------------------------------------------------------------------
+# array-valued psi
+# ---------------------------------------------------------------------------
+
+ALL_LAWS = [
+    rx.Standard(lam=1.0),
+    rx.Fractional(nu=0.5, lam=1.0),
+    rx.Sojourn(lam=1.0),
+    rx.FirstPassage(lam=1.0, n=2),
+    rx.BesselSq(gamma=2.0, lam=1.0),
+    rx.Elastic(alpha=0.7, lam=1.3),
+    rx.GammaBoundary(k=2, lam=1.0),
+    rx.ElasticGamma(k=2, alpha=0.8, lam=1.1),
+    rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0),
+]
+
+
+@pytest.mark.parametrize("m", ALL_LAWS, ids=lambda m: type(m).__name__)
+def test_array_psi_matches_scalar_psi(m):
+    ts = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 2000)))
+    got = rx.psi(m, ts)
+    want = np.array([rx.psi(m, float(t)) for t in ts])
+    assert got.shape == ts.shape and got[0] == 1.0
+    gap = np.abs(got - want)
+    worst = int(np.argmax(gap))
+    # measured: <= 3.2e-11 (GammaBoundary); every other law <= 7e-12
+    assert gap[worst] <= 1e-9, f"largest gap {gap[worst]:.3g} at t={ts[worst]!r}"
+    if not m._contour_first:
+        # the elementary laws evaluate their closed form point by point
+        assert got.tolist() == want.tolist()
+
+
+def test_array_psi_keeps_the_shape():
+    m = rx.GammaBoundary(k=2, lam=1.0)
+    zero_d = rx.psi(m, np.array(2.0))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert abs(float(zero_d) - rx.psi(m, 2.0)) <= 1e-10
+    grid = np.array([[0.0, 0.5, 1.0], [2.0, 4.0, 8.0]])
+    got = rx.psi(m, grid)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got.reshape(-1), rx.psi(m, grid.reshape(-1)))
+    assert rx.psi(m, np.arange(4)).shape == (4,)  # integer times
+    assert rx.psi(m, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("m", [rx.Standard(lam=1.0), rx.Fractional(nu=0.5, lam=1.0)],
+                         ids=lambda m: type(m).__name__)
+def test_array_psi_time_validation(m):
+    for bad in (
+        np.array([1.0, math.nan]),
+        np.array([1.0, math.inf]),
+        np.array([1.0, -1e-12]),
+        np.array([True, False]),
+        np.array([1.0 + 0j]),
+        np.array(["1.0"]),
+    ):
+        with pytest.raises(DomainError):
+            rx.psi(m, bad)
+
+
+@dataclass(frozen=True)
+class _Poisoned(rx.Fractional):
+    """Fractional law whose transform is NaN at the node s = 8, the first
+    20-node point of the contour at t = 1."""
+
+    def _laplace(self, s):
+        return np.where(s == 8.0, np.nan, super()._laplace(s))
+
+
+@dataclass(frozen=True)
+class _PoisonedNoSeries(_Poisoned):
+    def _psi(self, t):
+        raise NonConvergence("no series here")
+
+
+def test_array_psi_falls_back_to_the_scalar_path():
+    ts = np.array([0.5, 1.0, 2.0])
+    m = _Poisoned(nu=0.5, lam=1.0)
+    got = rx.psi(m, ts)
+    # t = 1 is answered by its series, the others by the contour
+    assert got[1] == rx.psi(rx.Fractional(nu=0.5, lam=1.0), 1.0)
+    assert np.array_equal(got[[0, 2]], rx.psi(rx.Fractional(nu=0.5, lam=1.0), ts[[0, 2]]))
+    # the scalar path's own inversion fails at t = 1 too: raise, return nothing
+    with pytest.raises(Unstable, match="t=1.0"):
+        rx.psi(_PoisonedNoSeries(nu=0.5, lam=1.0), ts)
+    assert rx.psi(_PoisonedNoSeries(nu=0.5, lam=1.0), ts[[0, 2]]).shape == (2,)
+
+
+@dataclass(frozen=True)
+class _Constant(rx.Fractional):
+    """A law whose inverted transform is the constant ``value``."""
+
+    value: float = 1.0
+
+    def _laplace(self, s):
+        return self.value / s
+
+
+def test_array_psi_snaps_rounding_onto_the_unit_interval():
+    ts = np.array([0.5, 2.0])
+    for value, want in ((1.0 + 5e-10, 1.0), (-5e-10, 0.0)):
+        assert rx.psi(_Constant(nu=0.5, lam=1.0, value=value), ts).tolist() == [want, want]
+    for value in (1.0 + 2e-9, -2e-9):
+        assert np.all(np.abs(rx.psi(_Constant(nu=0.5, lam=1.0, value=value), ts) - value) < 1e-12)
 
 
 # ---------------------------------------------------------------------------

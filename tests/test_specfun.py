@@ -13,10 +13,12 @@ import pytest
 from scipy.special import airy as scipy_airy
 from scipy.special import erfcx, iv
 
+from frax import specfun
 from frax.errors import DomainError, NonConvergence
 from frax.specfun import (
     _ML_SWITCH,
     MLParams,
+    _ml_integral,
     _ml_terms,
     _sum_series,
     airy_ai,
@@ -280,3 +282,31 @@ def test_policy_switch_threshold_consistency():
         _val, est, ok = _sum_series(_ml_terms(0.5, 1.0, 1.0, z))
         assert not (ok and est <= 1e-13)
         assert rel_err(mittag_leffler(MLParams(0.5), z), float(erfcx(-z))) < 1e-11
+
+
+def _ml_reference(alpha: float, z: float) -> float:
+    """mittag_leffler(MLParams(alpha), z) as summed without an absolute-sum cap."""
+    val, est, ok = _sum_series(_ml_terms(alpha, 1.0, 1.0, z))
+    return val if ok and est <= 1e-13 * max(abs(val), 1.0) else _ml_integral(alpha, 1.0, -z)
+
+
+def test_mittag_leffler_stops_a_discarded_series_early(monkeypatch):
+    # on (-5, -2.5) a series the gate drops is stopped by an absolute-sum
+    # cap; every value stays bit for bit what the uncapped sum gave
+    zs = -np.linspace(2.5, 5.0, 202)[1:-1]
+    for alpha in (0.3, 0.5, 0.8):
+        got = [mittag_leffler(MLParams(alpha), float(z)) for z in zs]
+        assert got == [_ml_reference(alpha, float(z)) for z in zs]
+    drawn = []
+
+    def counted(*args):
+        for term in _ml_terms(*args):
+            drawn.append(term)
+            yield term
+
+    _sum_series(counted(0.5, 1.0, 1.0, -4.0))
+    uncapped = len(drawn)
+    drawn.clear()
+    monkeypatch.setattr(specfun, "_ml_terms", counted)
+    assert mittag_leffler(MLParams(0.5), -4.0) == _ml_reference(0.5, -4.0)
+    assert 0 < len(drawn) < uncapped

@@ -34,6 +34,14 @@ def test_process_spec_validation():
         ss.DistributedTime(n1=0.5, n2=0.6)  # weights must sum to one
 
 
+def test_wright_order_is_a_real_stored_as_float():
+    for nu in ("0.5", True):
+        with pytest.raises(DomainError):
+            ss.WrightTime(nu=nu)
+    spec = ss.WrightTime(nu=np.float32(0.3))
+    assert type(spec.nu) is float and spec == ss.WrightTime(nu=float(np.float32(0.3)))
+
+
 def test_boundary_spec_validation():
     with pytest.raises(DomainError):
         ss.Exponential(lam=0.0)
