@@ -37,7 +37,7 @@ def main(argv=None):
 
     for name, model in CASES:
         report = ode_residual(
-            rx.equation(model), lambda t, m=model: rx.psi(m, t), args.h, args.n, levels=args.levels
+            rx.equation(model), lambda t, m=model: rx._series_psi(m, t), args.h, args.n, levels=args.levels
         )
         norms = "  ".join(f"{v:.3e}" for v in report.max_norms)
         print(f"{name:22s} order {report.order:5.3f}   max-norms {norms}")

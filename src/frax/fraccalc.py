@@ -11,7 +11,8 @@ convergence order, which is the quantity the equation checks assert on.
 Both Laplace directions run on fixed rules that certify themselves by
 comparing two levels: the forward transform on an exp-sinh trapezoid rule
 whose nodes serve a whole batch of eta, the inversion on a Talbot contour
-that serves a whole array of times in one call of the transform per rule.
+that serves a whole array of times, and both of its rules, in one call of
+the transform.
 """
 
 from __future__ import annotations
@@ -208,21 +209,25 @@ _TALBOT_AGREE = 1e-10
 def _talbot(F: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-Talbot inversion of F at every time of the 1-D array ``ts`` (> 0).
 
-    F is called once per rule, on the contour nodes of every time at once
-    (the (time x node) matrix, flattened), and each rule's sums over the
+    F is called once, on the contour nodes of both rules at every time: the
+    (time x 48) matrix whose first 20 columns are the 20-node contour and
+    the other 28 the 28-node one, flattened.  Each rule's sums over its
     nodes are one matrix-vector product.  Returns the 20-node values, their
     gaps to the 28-node values and the mask of certified points: both
     values finite and the gap at most 1e-10 * max(1, |value|).  A
     non-finite value gives a non-finite gap.
     """
-    values = []
+    (u1, w1), (u2, w2) = _TALBOT_RULES
+    m = len(u1)
     with np.errstate(all="ignore"):
-        for u, w in _TALBOT_RULES:
-            r = 0.4 * len(u) / ts
-            nodes = (r[:, None] * u).reshape(-1)
-            samples = np.asarray(F(nodes), dtype=complex).reshape(ts.size, len(u))
-            values.append(r * (samples @ w).real)
-        coarse, fine = values
+        r1 = 0.4 * m / ts
+        r2 = 0.4 * len(u2) / ts
+        nodes = np.empty((ts.size, m + len(u2)), dtype=complex)
+        np.multiply(r1[:, None], u1, out=nodes[:, :m])
+        np.multiply(r2[:, None], u2, out=nodes[:, m:])
+        samples = np.asarray(F(nodes.reshape(-1)), dtype=complex).reshape(nodes.shape)
+        coarse = r1 * (samples[:, :m] @ w1).real
+        fine = r2 * (samples[:, m:] @ w2).real
         gap = np.abs(coarse - fine)
         # a non-finite value makes the ratio inf or NaN, which fails the test
         ok = gap / np.maximum(1.0, np.abs(coarse)) <= _TALBOT_AGREE
@@ -230,28 +235,31 @@ def _talbot(F: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> tuple[np.n
 
 
 def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float) -> float:
-    """Fixed-Talbot inversion of the Laplace transform F at time t > 0.
+    """Fixed-Talbot inversion of the Laplace transform F at a real time t > 0.
 
-    F is called with a 1-D complex ndarray of contour nodes, all off the
-    closed negative real axis, and must return its principal-branch values
-    there (numpy ``sqrt`` and ``**`` do).  The inversion runs at 20 and at 28 nodes (Abate & Valko, IJNME
-    2004; Weideman & Trefethen, Math. Comp. 2007) and returns the 20-node
-    value.  If either value is non-finite or the two differ by more than
-    1e-10 * max(1, |value|), raises :class:`Unstable`.  This is the
-    one-point case of the array inversion :func:`~frax.relaxation.psi`
-    runs on a whole grid.
+    F is called once, with a 1-D complex ndarray of contour nodes, all off
+    the closed negative real axis, and must return its principal-branch
+    values there (numpy ``sqrt`` and ``**`` do).  The inversion runs at 20
+    and at 28 nodes (Abate & Valko, IJNME 2004; Weideman & Trefethen, Math.
+    Comp. 2007) and returns the 20-node value.  If either value is
+    non-finite or the two differ by more than 1e-10 * max(1, |value|),
+    raises :class:`Unstable`.  This is the one-point case of the array
+    inversion :func:`~frax.relaxation.psi` runs on a whole grid.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"laplace_invert requires t > 0, got {t!r}")
-    (value,), (gap,), (ok,) = _talbot(F, np.array([float(t)]))
+    if not (_real(t) and math.isfinite(t) and t > 0.0):
+        raise DomainError(f"laplace_invert requires a real t > 0, got {t!r}")
+    t = float(t)
+    (value,), (gap,), (ok,) = _talbot(F, np.array([t]))
     if ok:
         return float(value)
+    raise Unstable(_talbot_failure(t, gap))
+
+
+def _talbot_failure(t: float, gap: float) -> str:
+    """Why the contour did not certify its value at t, given the 20/28-node gap."""
     if not math.isfinite(gap):
-        raise Unstable(f"Talbot inversion at t={t}: the transform is not finite on the contour")
-    raise Unstable(
-        f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} "
-        f"(tolerance {_TALBOT_AGREE:.0e})"
-    )
+        return f"Talbot inversion at t={t}: the transform is not finite on the contour"
+    return f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} (tolerance {_TALBOT_AGREE:.0e})"
 
 
 def ode_residual(

@@ -9,16 +9,18 @@ relaxation equation, that equation stated as data (``_equation()``), which
 functions :func:`psi`, :func:`psi_laplace`, :func:`asymptote` and
 :func:`equation` validate their arguments and hand over to the model.
 
-Evaluation strategy: every law has an explicit series/closed form used
-wherever it holds full accuracy in doubles.  The laws that lose the series
-at large arguments (gamma-type boundaries, distributed orders) track the
-series' propagated error term by term and raise :class:`NonConvergence` at
-the first term that breaks the 1e-9 budget; :func:`psi` then inverts the
-exact Laplace transform on a fixed Talbot contour instead
-(:func:`~frax.fraccalc.laplace_invert`).  :func:`psi` alone snaps values a
-rounding error outside [0, 1] back onto the interval.  On an array of
-times the series laws invert first: one contour serves the whole array,
-and only the points it cannot certify go through the scalar path.
+Evaluation strategy: every law has an explicit series/closed form.  The
+series track their propagated error term by term and raise
+:class:`NonConvergence` at the first term that breaks the 1e-9 budget.
+For the five laws whose closed form is a series (fractional, elastic,
+gamma-boundary, elastic-gamma, distributed) :func:`psi` inverts the exact
+Laplace transform on a fixed Talbot contour first, at one time or on a
+whole array of times, and sums the series only where the contour does not
+certify its value; the elementary laws evaluate their closed form.
+``_series_psi`` keeps the other order (series first, the contour where
+the series fails) as the reference evaluator that the verify checks
+compare against.  Both snap values a rounding error outside [0, 1] back
+onto the interval; the laws themselves never do.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Callable, Iterator, Union
 import numpy as np
 from scipy.special import i0e
 
-from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
-from .fraccalc import _talbot, laplace_invert
+from .errors import DomainError, NonConvergence, Unstable, Unsupported, _integer, _real
+from .fraccalc import _talbot, _talbot_failure, laplace_invert
 from .specfun import _ABSUM_CAP, _EPS, MLParams, _gml_raw, _sum_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
@@ -214,8 +216,9 @@ class _Law:
     ``_psi`` neither clips nor falls back: it returns its series value or
     raises :class:`NonConvergence`, and :func:`psi` owns the clipping and
     the Talbot inversion of ``_laplace``.  A law whose ``_psi`` is a series
-    sets ``_contour_first``: on an array of times :func:`psi` inverts its
-    transform on one contour for the whole array before any series runs.
+    sets ``_contour_first``: :func:`psi` inverts its transform first, at a
+    single time or on one contour for a whole array, and runs the series
+    only where the contour does not certify.
     """
 
     _contour_first = False
@@ -516,7 +519,7 @@ class Distributed(_Law):
         if self.n1 == 0.0:
             if self.nu2 == 1.0:
                 return math.exp(-self.lam * t / self.n2)
-            return psi(Fractional(self.nu2, self.lam / self.n2), t)
+            return Fractional(self.nu2, self.lam / self.n2)._psi(t)
         return self._series(t)
 
     def _series(self, t: float) -> float:
@@ -572,34 +575,59 @@ def _law(model: object, missing: str) -> _Law:
 def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
     """Survival probability psi(t) of the crossing problem ``model``.
 
-    psi(0) = 1 exactly; for t > 0 the closed form of the law is evaluated.
-    The series-form laws stop their series at the first term that breaks
-    the 1e-9 error budget; psi then inverts the law's Laplace transform on
-    a fixed Talbot contour, which raises :class:`Unstable` rather than
-    return an uncertified value.  Values a rounding error outside [0, 1]
-    are snapped back onto the interval.
+    psi(0) = 1 exactly.  For t > 0 the laws whose closed form is a series
+    (fractional, elastic, gamma-boundary, elastic-gamma, distributed)
+    invert their exact Laplace transform on a fixed Talbot contour
+    (:func:`~frax.fraccalc.laplace_invert`: the transform called once, the
+    20-node value certified by the 28-node one to 1e-10); where the contour
+    does not certify, the series answers, gated on a 1e-9 error budget, and
+    if that fails too :class:`Unstable` is raised rather than an
+    uncertified value returned.  The elementary laws (standard, sojourn,
+    first passage, squared Bessel) evaluate their closed form.  Values a
+    rounding error outside [0, 1] are snapped back onto the interval.
 
     ``t`` may also be an ndarray of finite times >= 0 (a real dtype, not
-    bool); the result is an ndarray of the same shape.  For the laws whose
-    closed form is a series (fractional, elastic, gamma-boundary,
-    elastic-gamma, distributed) the whole array is first inverted on one
-    Talbot contour, the transform evaluated once per contour size; each
-    point the 20- and 28-node values do not certify, as
-    :func:`~frax.fraccalc.laplace_invert` would not, is answered by the
-    scalar path above (series, then its own inversion) and raises if that
-    fails too.  The elementary laws evaluate their closed form point by
-    point, with the values of scalar calls.
+    bool); the result is an ndarray of the same shape, holding the values
+    of scalar calls.  The series laws invert the whole array on one
+    contour, with one call of the transform, so their values may differ
+    from scalar calls by the rounding of the batched sums (~5e-14).
     """
     if isinstance(t, np.ndarray):
         return _psi_array(_law(model, "psi has no law"), t)
     t = _time(t, "psi", zero=True)
     law = _law(model, "psi has no law")
+    if t == 0.0 or not law._contour_first:
+        return _series_psi(law, t)
+    try:
+        return _clip01(laplace_invert(law._laplace, t))
+    except Unstable as exc:
+        return _series_fallback(law, t, str(exc))
+
+
+def _series_psi(model: _Law, t: float) -> float:
+    """psi at a float t >= 0 from the law's series, the reference evaluator.
+
+    The law's closed form answers; where its series fails its gate, the
+    transform is inverted on the contour instead.  Checks sample this, not
+    :func:`psi`, so that they hold the series and the contour against each
+    other rather than the contour against itself.  The arguments are not
+    checked.
+    """
     if t == 0.0:
         return 1.0
     try:
-        return _clip01(law._psi(t))
+        return _clip01(model._psi(t))
     except NonConvergence:
-        return _clip01(laplace_invert(law._laplace, t))
+        return _clip01(laplace_invert(model._laplace, t))
+
+
+def _series_fallback(law: _Law, t: float, why: str) -> float:
+    """psi at t from the series alone, where the contour failed for ``why``;
+    a series that fails too raises :class:`Unstable`."""
+    try:
+        return _clip01(law._psi(t))
+    except NonConvergence as exc:
+        raise Unstable(f"{why}, and the series failed too: {exc}") from exc
 
 
 def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
@@ -609,12 +637,15 @@ def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     flat = t.astype(float).reshape(-1)
     out = np.ones(flat.size)
     rest = np.flatnonzero(flat > 0.0)
-    if law._contour_first and rest.size:
-        values, _gap, ok = _talbot(law._laplace, flat[rest])
-        out[rest[ok]] = [_clip01(v) for v in values[ok].tolist()]
-        rest = rest[~ok]
-    for i in rest:
-        out[i] = psi(law, float(flat[i]))
+    ts = flat[rest].tolist()
+    if law._contour_first and ts:
+        values, gaps, ok = _talbot(law._laplace, flat[rest])
+        out[rest] = [
+            _clip01(v) if good else _series_fallback(law, tj, _talbot_failure(tj, g))
+            for tj, v, g, good in zip(ts, values.tolist(), gaps.tolist(), ok.tolist())
+        ]
+    else:
+        out[rest] = [_series_psi(law, tj) for tj in ts]
     return out.reshape(t.shape)
 
 

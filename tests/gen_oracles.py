@@ -184,6 +184,37 @@ def main() -> None:
                 value = mp.invertlaplace(F, mp.mpf(t), method="talbot")
                 out.append((f"{name} psi({t!r})", "test_parity", value))
 
+    # --- test_parity: psi in the analytic column of the frax simulate rows
+    # whose law psi inverts on the contour (t = 0.25, 1, 4), and
+    # test_relaxation: the elastic law at t = 1 beside the equal-rate branch,
+    # each transform inverted by mpmath's Talbot rule at 40 digits
+    with mp.workdps(40):
+        sq2, one, quarter = mp.sqrt(2), mp.mpf(1), mp.mpf(1) / 4
+
+        def elastic(alpha):
+            a = mp.mpf(alpha)
+            return lambda s: (a / s + sq2 * a / mp.sqrt(s) + 2) / ((mp.sqrt(2 * s) + a) * (mp.sqrt(2 * s) + one))
+
+        def gamma_boundary(k):
+            return lambda s: 1 / s - one / (s * (mp.sqrt(s) + one) ** k)
+
+        simulated = [
+            ("reflectedbm exponential", lambda s: 1 / (mp.sqrt(s) * (mp.sqrt(s) + 1))),
+            ("iteratedbm k=2 exponential", lambda s: s ** (quarter - 1) / (s**quarter + 1)),
+            ("elasticbm alpha=0.5", elastic(0.5)),
+            ("elasticbm alpha=1.0", elastic(1.0)),
+            ("elasticbm alpha=2.0", elastic(2.0)),
+            ("reflectedbm gamma k=2", gamma_boundary(2)),
+            ("reflectedbm gamma k=3", gamma_boundary(3)),
+        ]
+        for name, F in simulated:
+            for t in ("0.25", "1", "4"):
+                value = mp.invertlaplace(F, mp.mpf(t), method="talbot")
+                out.append((f"{name} psi({t})", "test_parity simulate", value))
+        for d in (0.0, 3e-8, -3e-8):
+            value = mp.invertlaplace(elastic(1.0 + d), 1, method="talbot")
+            out.append((f"Elastic(alpha={1.0 + d!r}, lam=1) psi(1)", "test_relaxation", value))
+
     # --- test_fraccalc: Riemann-Liouville integral of f(t) = t at order 1/2
     out.append(("RL-1/2 of t: coefficient of t^{3/2}", "test_fraccalc", mp.gamma(2) / mp.gamma(mp.mpf("2.5"))))
 

@@ -2,7 +2,10 @@
 
 Run directly (``python3 tests/gen_parity.py``) to rewrite
 ``tests/data/parity.json`` from the current code; ``tests/test_parity.py``
-re-runs the same cases and compares.  The file covers:
+re-runs the same cases and compares.  Given the flags of ``frax simulate``
+pairings, each quoted as one argument (``python3 tests/gen_parity.py
+"--process reflectedbm --boundary exponential --lambda 1"``), it rewrites
+only those rows and leaves the rest of the file as it is.  The file covers:
 
 - ``frax eval`` for every law of ``cli._TABLE_MODELS`` on one log grid
   over [1e-4, 1e4];
@@ -20,6 +23,7 @@ import dataclasses
 import io
 import json
 import os
+import sys
 
 import frax.cli as cli
 import frax.stochsim as ss
@@ -78,15 +82,20 @@ def run_cli(argv: list[str]) -> tuple[list[str], list[list[float]]]:
     return comments, [[float(v) for v in line.split(",")] for line in body[1:]]
 
 
+def simulate(flags: list[str]) -> dict:
+    """The pinned ``frax simulate`` output of one pairing."""
+    argv = ["simulate", *flags, "--t", *TIMES, "--paths", str(PATHS), "--seed", str(SEED)]
+    comments, rows = run_cli(argv)
+    return {"comments": comments, "rows": rows}
+
+
 def collect() -> dict:
     out = {"eval": {}, "simulate": {}, "quadrature": {}}
     for name, model in cli._TABLE_MODELS:
         _c, rows = run_cli(["eval", *model_flags(model), *EVAL_GRID])
         out["eval"][name] = rows
     for flags in MC_PAIRINGS:
-        argv = ["simulate", *flags, "--t", *TIMES, "--paths", str(PATHS), "--seed", str(SEED)]
-        comments, rows = run_cli(argv)
-        out["simulate"][" ".join(flags)] = {"comments": comments, "rows": rows}
+        out["simulate"][" ".join(flags)] = simulate(flags)
     for name, spec, boundary in QUADRATURE_PAIRINGS:
         out["quadrature"][name] = [
             ss.quadrature_crossing(spec, boundary, float(t)).p_hat for t in TIMES
@@ -96,7 +105,16 @@ def collect() -> dict:
 
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
+    if len(sys.argv) > 1:
+        with open(DATA, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for key in sys.argv[1:]:
+            if key not in doc["simulate"]:
+                sys.exit(f"no simulate pairing {key!r} in {DATA}")
+            doc["simulate"][key] = simulate(key.split())
+    else:
+        doc = collect()
     with open(DATA, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(collect(), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(DATA)

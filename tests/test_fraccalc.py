@@ -17,6 +17,7 @@ from frax.fraccalc import (
     ode_residual,
     rl_integral,
 )
+import frax.fraccalc as fc
 import frax.relaxation as rx
 from frax.relaxation import (
     Distributed,
@@ -320,6 +321,52 @@ def test_invert_argument_validation():
     for t in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             laplace_invert(F, t)
+
+
+def test_invert_takes_a_real_time():
+    # t is checked by type, as psi checks it: bool, 0-d arrays and strings
+    # are refused, numpy scalars accepted
+    F = lambda s: 1.0 / (s + 1.0)  # noqa: E731
+    for t in (True, np.array(1.0), "1.0"):
+        with pytest.raises(DomainError):
+            laplace_invert(F, t)
+    assert laplace_invert(F, np.float64(1.0)) == laplace_invert(F, 1.0)
+    assert laplace_invert(F, 1) == laplace_invert(F, 1.0)
+
+
+def test_invert_calls_the_transform_once():
+    sizes = []
+
+    def F(s):
+        sizes.append(s.size)
+        return 1.0 / (s + 1.0)
+
+    assert abs(laplace_invert(F, 2.0) - math.exp(-2.0)) < 1e-10
+    # the 20- and the 28-node contour in one call
+    assert sizes == [48]
+
+
+@pytest.mark.parametrize("m", [
+    rx.Fractional(nu=0.3, lam=1.0),
+    rx.Elastic(alpha=0.7, lam=1.3),
+    rx.GammaBoundary(k=10, lam=1.0),
+    rx.ElasticGamma(k=2, alpha=0.8, lam=1.1),
+    rx.Distributed(nu1=0.3548, nu2=0.4209, n1=0.5, n2=0.5, lam=1.0),
+], ids=lambda m: type(m).__name__)
+def test_talbot_one_call_matches_one_call_per_rule(m):
+    # one transform call on the (t x 48) node matrix gives the bits of one
+    # call per rule on its own (t x m) matrix
+    ts = np.geomspace(1e-8, 1e8, 2000)
+    values = []
+    with np.errstate(all="ignore"):
+        for u, w in fc._TALBOT_RULES:
+            r = 0.4 * len(u) / ts
+            samples = np.asarray(m._laplace((r[:, None] * u).reshape(-1)), dtype=complex)
+            values.append(r * (samples.reshape(ts.size, len(u)) @ w).real)
+    coarse, gap, ok = fc._talbot(m._laplace, ts)
+    assert coarse.tolist() == values[0].tolist()
+    assert gap.tolist() == np.abs(values[0] - values[1]).tolist()
+    assert ok.all()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,13 @@ Talbot contour.  Their rows were re-pinned when eval moved to array psi
 Gaver-Stehfest and the half-line quadrature), and every psi value of them
 is also held to 1e-10 absolute against mpmath values printed by
 tests/gen_oracles.py.
+
+The ``frax simulate`` rows listed in ``SIMULATED`` take their analytic
+column (and the z-score derived from it) from scalar psi of a fractional,
+elastic or gamma-boundary law, which inverts the transform first.  They
+were re-pinned when scalar psi moved from series-first to contour-first,
+and their analytic values are held to 1e-10 absolute against mpmath in
+the same way.
 """
 
 import json
@@ -125,6 +132,46 @@ INVERTED = {
     },
 }
 
+# analytic column of the frax simulate pairings whose law psi inverts on the
+# contour: t -> mpmath value
+SIMULATED = {
+    "--process reflectedbm --boundary exponential --lambda 1": {
+        0.25: 0.6156903441929258748708,
+        1.0: 0.4275835761558070044108,
+        4.0: 0.2553956763105057438651,
+    },
+    "--process iteratedbm --k 2 --boundary exponential --lambda 1": {
+        0.25: 0.5524670047525455215514,
+        1.0: 0.4638527608017132869365,
+        4.0: 0.3773760996258594661363,
+    },
+    "--process elasticbm --alpha 0.5 --boundary exponential --lambda 1": {
+        0.25: 0.7423469270906506004586,
+        1.0: 0.6478378285789012074164,
+        4.0: 0.6260948374321889389812,
+    },
+    "--process elasticbm --alpha 1.0 --boundary exponential --lambda 1": {
+        0.25: 0.7758671369587663569739,
+        1.0: 0.7252720229273813874838,
+        4.0: 0.7490468881796341396574,
+    },
+    "--process elasticbm --alpha 2.0 --boundary exponential --lambda 1": {
+        0.25: 0.8239189142894506037082,
+        1.0: 0.8130474187160944694906,
+        4.0: 0.8526172801575966604875,
+    },
+    "--process reflectedbm --boundary gamma --k 2 --lambda 1": {
+        0.25: 0.8720347556442192243835,
+        1.0: 0.7007955909397055694854,
+        4.0: 0.4689886000174849407367,
+    },
+    "--process reflectedbm --boundary gamma --k 3 --lambda 1": {
+        0.25: 0.961871238829627355723,
+        1.0: 0.8551671523116140088215,
+        4.0: 0.6361996104315911287106,
+    },
+}
+
 with open(gp.DATA, encoding="utf-8") as fh:
     PINNED = json.load(fh)
 
@@ -153,7 +200,8 @@ def test_eval_grid_parity(name, model):
 def test_simulate_parity(flags):
     argv = ["simulate", *flags, "--t", *gp.TIMES, "--paths", str(gp.PATHS), "--seed", str(gp.SEED)]
     comments, rows = gp.run_cli(argv)
-    want = PINNED["simulate"][" ".join(flags)]
+    key = " ".join(flags)
+    want = PINNED["simulate"][key]
     assert comments == want["comments"]
     assert len(rows) == len(want["rows"])
     for (t, p, s, a, z), (t0, p0, s0, a0, z0) in zip(rows, want["rows"]):
@@ -161,6 +209,11 @@ def test_simulate_parity(flags):
         assert close(a, a0)
         # z = (p - a) / s moves only through the analytic value
         assert abs(z - z0) <= REL * (abs(a0) / s0 + abs(z0))
+    inverted = SIMULATED.get(key, {})
+    assert set(inverted) <= {row[0] for row in rows}
+    for t, _p, _s, a, _z in rows:
+        if t in inverted:
+            assert abs(a - inverted[t]) <= 1e-10, (t, a, inverted[t])
 
 
 @pytest.mark.parametrize("name, spec, boundary", gp.QUADRATURE_PAIRINGS, ids=lambda v: str(v).split()[0])

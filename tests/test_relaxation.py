@@ -54,9 +54,10 @@ def test_standard_is_exponential():
 
 
 def test_fractional_is_mittag_leffler():
+    # the series evaluator; psi itself inverts the transform first
     for nu in (0.3, 0.5, 0.8):
         for t in (0.2, 1.0, 3.0):
-            got = rx.psi(rx.Fractional(nu=nu, lam=1.1), t)
+            got = rx._series_psi(rx.Fractional(nu=nu, lam=1.1), t)
             want = mittag_leffler(MLParams(nu), -1.1 * t**nu)
             assert rel_err(got, want) < 1e-14
 
@@ -106,24 +107,50 @@ def test_elastic_gamma_k1_is_elastic():
 
 
 def test_elastic_equal_rate_branch_is_continuous():
-    # crossing the |alpha - lam| threshold must not move the value:
+    # crossing the |alpha - lam| threshold must not move the series value:
     # measured jump 3.2e-11 at a relative offset of 3e-8
     lam = 1.0
-    eq = rx.psi(rx.Elastic(alpha=lam, lam=lam), 1.0)
+    eq = rx._series_psi(rx.Elastic(alpha=lam, lam=lam), 1.0)
     for d in (3e-8, -3e-8):
-        v = rx.psi(rx.Elastic(alpha=lam * (1.0 + d), lam=lam), 1.0)
+        v = rx._series_psi(rx.Elastic(alpha=lam * (1.0 + d), lam=lam), 1.0)
         assert abs(v - eq) < 1e-9
 
 
+# psi(1) of Elastic(alpha = 1 + d, lam = 1) from tests/gen_oracles.py: d -> value
+ELASTIC_NEAR_EQUAL = {
+    0.0: 0.7252720229273813874838,
+    3e-8: 0.725272026653810447128,
+    -3e-8: 0.7252720192009522375314,
+}
+
+
+def test_elastic_near_equal_rates_inverts_exactly():
+    # the value moves by 3.7e-9 over the 3e-8 offsets; the contour follows
+    # it (measured 3.8e-14), where the two-rate series' cancellation does not
+    for d, want in ELASTIC_NEAR_EQUAL.items():
+        assert abs(rx.psi(rx.Elastic(alpha=1.0 + d, lam=1.0), 1.0) - want) < 1e-12
+
+
 def test_distributed_zero_weight_collapses():
-    # n1 = 0 puts all weight on the upper order
+    # n1 = 0 puts all weight on the upper order of the series; psi, which
+    # inverts the transform, holds the same values to 5.1e-14 (measured)
     m = rx.Distributed(nu1=0.5, nu2=1.0, n1=0.0, n2=1.0, lam=1.2)
     for t in (0.3, 1.0, 2.5):
-        assert rel_err(rx.psi(m, t), math.exp(-1.2 * t)) < 1e-12
+        assert rel_err(rx._series_psi(m, t), math.exp(-1.2 * t)) < 1e-12
+        assert abs(rx.psi(m, t) - math.exp(-1.2 * t)) < 1e-12
     m2 = rx.Distributed(nu1=0.3, nu2=0.7, n1=0.0, n2=1.0, lam=1.2)
     for t in (0.3, 1.0, 2.5):
         want = mittag_leffler(MLParams(0.7), -1.2 * t**0.7)
-        assert rel_err(rx.psi(m2, t), want) < 1e-12
+        assert rel_err(rx._series_psi(m2, t), want) < 1e-12
+        assert abs(rx.psi(m2, t) - want) < 1e-12
+
+
+def test_distributed_zero_weight_series_is_pure_series():
+    # the n1 = 0 branch sums the Mittag-Leffler series itself rather than
+    # call psi, which would answer from the contour
+    m = rx.Distributed(nu1=0.3, nu2=0.7, n1=0.0, n2=1.0, lam=0.8)
+    for t in (0.25, 1.0, 4.0):
+        assert rx._series_psi(m, t) == mittag_leffler(MLParams(0.7), -0.8 * t**0.7)
 
 
 # Distributed(1/2, 1, 1/2, 1/2, 1) at large t from tests/gen_oracles.py, now
@@ -272,15 +299,21 @@ ALL_LAWS = [
 def test_array_psi_matches_scalar_psi(m):
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 2000)))
     got = rx.psi(m, ts)
-    want = np.array([rx.psi(m, float(t)) for t in ts])
+    # the series evaluator, so that the contour is held against the series
+    want = np.array([rx._series_psi(m, float(t)) for t in ts])
     assert got.shape == ts.shape and got[0] == 1.0
     gap = np.abs(got - want)
     worst = int(np.argmax(gap))
     # measured: <= 3.2e-11 (GammaBoundary); every other law <= 7e-12
     assert gap[worst] <= 1e-9, f"largest gap {gap[worst]:.3g} at t={ts[worst]!r}"
-    if not m._contour_first:
+    scalar = np.array([rx.psi(m, float(t)) for t in ts])
+    if m._contour_first:
+        # one contour either way; only the rounding of the sums differs
+        # with the batch size (measured <= 5e-14)
+        assert np.max(np.abs(got - scalar)) <= 1e-12
+    else:
         # the elementary laws evaluate their closed form point by point
-        assert got.tolist() == want.tolist()
+        assert got.tolist() == want.tolist() == scalar.tolist()
 
 
 def test_array_psi_keeps_the_shape():
@@ -326,17 +359,49 @@ class _PoisonedNoSeries(_Poisoned):
         raise NonConvergence("no series here")
 
 
-def test_array_psi_falls_back_to_the_scalar_path():
+def test_array_psi_falls_back_to_the_scalar_path(monkeypatch):
+    sizes = []
+    laplace = _Poisoned._laplace
+    monkeypatch.setattr(_Poisoned, "_laplace", lambda self, s: sizes.append(s.size) or laplace(self, s))
     ts = np.array([0.5, 1.0, 2.0])
     m = _Poisoned(nu=0.5, lam=1.0)
     got = rx.psi(m, ts)
+    # one transform call on both contours of every time; the uncertified
+    # point goes straight to the series, not through a second inversion
+    assert sizes == [3 * 48]
     # t = 1 is answered by its series, the others by the contour
-    assert got[1] == rx.psi(rx.Fractional(nu=0.5, lam=1.0), 1.0)
+    assert got[1] == mittag_leffler(MLParams(0.5), -1.0)
     assert np.array_equal(got[[0, 2]], rx.psi(rx.Fractional(nu=0.5, lam=1.0), ts[[0, 2]]))
-    # the scalar path's own inversion fails at t = 1 too: raise, return nothing
+    # the series fails at t = 1 too: raise, return nothing
     with pytest.raises(Unstable, match="t=1.0"):
         rx.psi(_PoisonedNoSeries(nu=0.5, lam=1.0), ts)
     assert rx.psi(_PoisonedNoSeries(nu=0.5, lam=1.0), ts[[0, 2]]).shape == (2,)
+
+
+def test_scalar_psi_falls_back_to_the_series():
+    # the transform is NaN on the contour at t = 1: the series answers
+    assert rx.psi(_Poisoned(nu=0.5, lam=1.0), 1.0) == mittag_leffler(MLParams(0.5), -1.0)
+    assert rx.psi(_Poisoned(nu=0.5, lam=1.0), 2.0) == rx.psi(rx.Fractional(nu=0.5, lam=1.0), 2.0)
+    with pytest.raises(Unstable, match="t=1.0: the transform is not finite.*no series here"):
+        rx.psi(_PoisonedNoSeries(nu=0.5, lam=1.0), 1.0)
+
+
+@pytest.mark.parametrize("m", [rx.ElasticGamma(k=2, alpha=0.8, lam=1.1),
+                               rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0)],
+                         ids=lambda m: type(m).__name__)
+def test_scalar_psi_inverts_first(monkeypatch, m):
+    calls = {"_laplace": 0, "_psi": 0}
+    for name in calls:
+        original = getattr(type(m), name)
+
+        def counted(self, x, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(type(m), name, counted)
+    value = rx.psi(m, 1.0)
+    assert calls == {"_laplace": 1, "_psi": 0}
+    assert abs(value - rx._series_psi(m, 1.0)) <= 1e-10
 
 
 @dataclass(frozen=True)
