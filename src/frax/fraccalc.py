@@ -10,9 +10,11 @@ returns) and a function of t, refines the grid and reports the observed
 convergence order, which is the quantity the equation checks assert on.
 Both Laplace directions run on fixed rules that certify themselves by
 comparing two levels: the forward transform on an exp-sinh trapezoid rule
-whose nodes serve a whole batch of eta, the inversion on a Talbot contour
-that serves a whole array of times, and both of its rules, in one call of
-the transform.
+whose nodes serve a whole batch of eta, the inversion on a fixed Talbot
+contour: the 48 node values t*s of its 20- and 28-node rules and their
+(48 x 2) weight matrix are module constants, so one inversion is one call
+of the transform at those nodes divided by t and one dot product, for
+one time or a whole array of them.
 """
 
 from __future__ import annotations
@@ -184,51 +186,56 @@ def _exp_sinh_span(f: Callable[[float], float], etas: np.ndarray, c: float) -> n
 
 
 def _talbot_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit nodes and weights of the m-node fixed-Talbot rule.
+    """Node values t*s and weights of the m-node fixed-Talbot rule.
 
     The contour is s(theta) = r*theta*(cot(theta) + i), 0 <= theta < pi,
     with r = 2m/(5t).  Since t*s = (2m/5)*theta*(cot(theta) + i) does not
-    depend on t, the exponential factor and the 1/m are folded into the
-    weights once: f(t) = r * Re sum_k w_k F(r*u_k), where u_0 = 1 is the
-    theta -> 0 end (half weight) and u_k = s(k*pi/m)/r.
+    depend on t, the radius, the exponential factor and the 1/m are folded
+    in once: f(t) = Re sum_k w_k F(z_k / t) / t, where z_0 = 2m/5 is the
+    theta -> 0 end (half weight) and z_k = t*s(k*pi/m).
     """
     theta = np.arange(1, m) * np.pi / m
     cot = 1.0 / np.tan(theta)
     u = np.concatenate(([1.0 + 0j], theta * (cot + 1j)))
     sigma = theta + (theta * cot - 1.0) * cot
     w = np.concatenate(([0.5 + 0j], 1.0 + 1j * sigma)) * np.exp(0.4 * m * u)
-    return u, w / m
+    return 0.4 * m * u, 0.4 * w
+
+
+def _talbot_constants() -> tuple[np.ndarray, np.ndarray]:
+    """The 48 node values t*s of the 20- and the 28-node rule, end to end,
+    and the (48 x 2) weight matrix whose column 0 holds the 20-node weights
+    and column 1 the 28-node weights, each on its own nodes."""
+    (z1, w1), (z2, w2) = _talbot_rule(20), _talbot_rule(28)
+    weights = np.zeros((48, 2), dtype=complex)
+    weights[:20, 0] = w1
+    weights[20:, 1] = w2
+    return np.concatenate((z1, z2)), weights
 
 
 # Two contour sizes: the smaller one answers (its weights grow less, so it
-# carries less round-off), the larger one certifies it.
-_TALBOT_RULES = tuple(_talbot_rule(m) for m in (20, 28))
+# carries less round-off), the larger one certifies it.  F at the 48 nodes
+# _NODES / t, times _WEIGHTS, divided by t, gives both.
+_NODES, _WEIGHTS = _talbot_constants()
 _TALBOT_AGREE = 1e-10
 
 
 def _talbot(F: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-Talbot inversion of F at every time of the 1-D array ``ts`` (> 0).
 
-    F is called once, on the contour nodes of both rules at every time: the
-    (time x 48) matrix whose first 20 columns are the 20-node contour and
-    the other 28 the 28-node one, flattened.  Each rule's sums over its
-    nodes are one matrix-vector product.  Returns the 20-node values, their
-    gaps to the 28-node values and the mask of certified points: both
-    values finite and the gap at most 1e-10 * max(1, |value|).  A
-    non-finite value gives a non-finite gap.
+    F is called once, on the (time x 48) matrix of contour nodes
+    ``_NODES / t``, flattened; its samples times the (48 x 2) weight
+    matrix ``_WEIGHTS``, divided by t, are the 20- and the 28-node values.
+    Returns the 20-node values, their gaps to the 28-node values and the
+    mask of certified points: both values finite and the gap at most
+    1e-10 * max(1, |value|).  A non-finite value gives a non-finite gap.
     """
-    (u1, w1), (u2, w2) = _TALBOT_RULES
-    m = len(u1)
     with np.errstate(all="ignore"):
-        r1 = 0.4 * m / ts
-        r2 = 0.4 * len(u2) / ts
-        nodes = np.empty((ts.size, m + len(u2)), dtype=complex)
-        np.multiply(r1[:, None], u1, out=nodes[:, :m])
-        np.multiply(r2[:, None], u2, out=nodes[:, m:])
+        nodes = _NODES / ts[:, None]
         samples = np.asarray(F(nodes.reshape(-1)), dtype=complex).reshape(nodes.shape)
-        coarse = r1 * (samples[:, :m] @ w1).real
-        fine = r2 * (samples[:, m:] @ w2).real
-        gap = np.abs(coarse - fine)
+        both = (samples @ _WEIGHTS).real / ts[:, None]
+        coarse = both[:, 0]
+        gap = np.abs(coarse - both[:, 1])
         # a non-finite value makes the ratio inf or NaN, which fails the test
         ok = gap / np.maximum(1.0, np.abs(coarse)) <= _TALBOT_AGREE
     return coarse, gap, ok
@@ -237,21 +244,27 @@ def _talbot(F: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> tuple[np.n
 def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float) -> float:
     """Fixed-Talbot inversion of the Laplace transform F at a real time t > 0.
 
-    F is called once, with a 1-D complex ndarray of contour nodes, all off
-    the closed negative real axis, and must return its principal-branch
-    values there (numpy ``sqrt`` and ``**`` do).  The inversion runs at 20
-    and at 28 nodes (Abate & Valko, IJNME 2004; Weideman & Trefethen, Math.
-    Comp. 2007) and returns the 20-node value.  If either value is
-    non-finite or the two differ by more than 1e-10 * max(1, |value|),
-    raises :class:`Unstable`.  This is the one-point case of the array
-    inversion :func:`~frax.relaxation.psi` runs on a whole grid.
+    F is called once, with the 1-D complex ndarray ``_NODES / t`` of the
+    48 contour nodes, all off the closed negative real axis, and must
+    return its principal-branch values there (numpy ``sqrt``, ``log`` and
+    ``**`` do).  One dot product of the samples with the (48 x 2) weight
+    matrix ``_WEIGHTS`` gives the inversion at 20 and at 28 nodes (Abate &
+    Valko, IJNME 2004; Weideman & Trefethen, Math. Comp. 2007), and the
+    20-node value is returned.  If either value is non-finite or the two
+    differ by more than 1e-10 * max(1, |value|), raises :class:`Unstable`.
+    This is the one-point case of :func:`_talbot`, which
+    :func:`~frax.relaxation.psi` runs on a whole grid.
     """
     if not (_real(t) and math.isfinite(t) and t > 0.0):
         raise DomainError(f"laplace_invert requires a real t > 0, got {t!r}")
     t = float(t)
-    (value,), (gap,), (ok,) = _talbot(F, np.array([t]))
-    if ok:
-        return float(value)
+    with np.errstate(all="ignore"):
+        coarse, fine = (np.asarray(F(_NODES / t), dtype=complex) @ _WEIGHTS).tolist()
+    coarse, fine = coarse.real / t, fine.real / t
+    gap = abs(coarse - fine)
+    # a non-finite value makes the ratio inf or NaN, which fails the test
+    if gap / max(1.0, abs(coarse)) <= _TALBOT_AGREE:
+        return coarse
     raise Unstable(_talbot_failure(t, gap))
 
 

@@ -281,7 +281,8 @@ class Fractional(_Law):
         return mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu)
 
     def _laplace(self, s):
-        return s ** (self.nu - 1.0) / (s**self.nu + self.lam)
+        p = np.exp(self.nu * np.log(s))
+        return p / (s * (p + self.lam))
 
     def _asymptote(self, small: bool, t: float) -> float:
         nu, lam = self.nu, self.lam
@@ -390,8 +391,9 @@ class Elastic(_Law):
 
     def _laplace(self, s):
         lam, alpha = self.lam, self.alpha
-        s2 = np.sqrt(2.0 * s)
-        num = alpha * lam / s + _SQRT2 * alpha / np.sqrt(s) + 2.0
+        r = np.sqrt(s)
+        s2 = _SQRT2 * r
+        num = alpha * lam / s + _SQRT2 * alpha / r + 2.0
         return num / ((s2 + alpha) * (s2 + lam))
 
     def _asymptote(self, small: bool, t: float) -> float:
@@ -474,8 +476,9 @@ class ElasticGamma(_Law):
 
     def _laplace(self, s):
         lam, alpha, k = self.lam, self.alpha, self.k
-        s2 = np.sqrt(2.0 * s)
-        return 1.0 / s - _SQRT2 * lam**k / (np.sqrt(s) * (s2 + alpha) * (s2 + lam) ** k)
+        r = np.sqrt(s)
+        s2 = _SQRT2 * r
+        return 1.0 / s - _SQRT2 * lam**k / (r * (s2 + alpha) * (s2 + lam) ** k)
 
     def _asymptote(self, small: bool, t: float) -> float:
         k, lam = self.k, self.lam
@@ -533,7 +536,8 @@ class Distributed(_Law):
         return 1.0 - x * _outer_series(inner, q, x)
 
     def _laplace(self, s):
-        w = self.n1 * s**self.nu1 + self.n2 * s**self.nu2
+        log_s = np.log(s)
+        w = self.n1 * np.exp(self.nu1 * log_s) + self.n2 * np.exp(self.nu2 * log_s)
         return w / (s * (self.lam + w))
 
     def _asymptote(self, small: bool, t: float) -> float:

@@ -434,7 +434,8 @@ def estimate_crossing(
 
     Paths are processed in fixed blocks of 2**18, each with its own
     counter-based stream keyed by (seed, block index); the estimate is
-    independent of thread count and bit-identical across runs.
+    independent of thread count and bit-identical across runs.  The seed
+    is an integer in [0, 2**64) (numpy integers included, stored as int).
     """
     t = _time(t, "estimate_crossing")
     if not hasattr(spec, "_sample"):
@@ -444,11 +445,14 @@ def estimate_crossing(
     if not _integer(n_paths, 1000):
         raise DomainError(f"estimate_crossing requires an integer n_paths >= 1000, got {n_paths!r}")
     n_paths = int(n_paths)
+    if not (_integer(seed, 0) and seed < 2**64):
+        raise DomainError(f"estimate_crossing requires an integer seed in [0, 2**64), got {seed!r}")
+    seed = int(seed)
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
 
     def run_block(b: int) -> int:
         m = min(_BLOCK, n_paths - b * _BLOCK)
-        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         values = spec._sample(t, rng, m)
         bounds = boundary._draw(rng, m)
         return int(np.count_nonzero(values < bounds))

@@ -5,7 +5,9 @@ Run directly (``python3 tests/gen_parity.py``) to rewrite
 re-runs the same cases and compares.  Given the flags of ``frax simulate``
 pairings, each quoted as one argument (``python3 tests/gen_parity.py
 "--process reflectedbm --boundary exponential --lambda 1"``), it rewrites
-only those rows and leaves the rest of the file as it is.  The file covers:
+only those rows and leaves the rest of the file as it is.  Given the name
+of an eval row (``python3 tests/gen_parity.py "fractional nu=0.5 lam=1"``),
+it rewrites only that row's psi column.  The file covers:
 
 - ``frax eval`` for every law of ``cli._TABLE_MODELS`` on one log grid
   over [1e-4, 1e4];
@@ -89,11 +91,15 @@ def simulate(flags: list[str]) -> dict:
     return {"comments": comments, "rows": rows}
 
 
+def evaluate(model) -> list[list[float]]:
+    """The pinned ``frax eval`` rows of one law."""
+    return run_cli(["eval", *model_flags(model), *EVAL_GRID])[1]
+
+
 def collect() -> dict:
     out = {"eval": {}, "simulate": {}, "quadrature": {}}
     for name, model in cli._TABLE_MODELS:
-        _c, rows = run_cli(["eval", *model_flags(model), *EVAL_GRID])
-        out["eval"][name] = rows
+        out["eval"][name] = evaluate(model)
     for flags in MC_PAIRINGS:
         out["simulate"][" ".join(flags)] = simulate(flags)
     for name, spec, boundary in QUADRATURE_PAIRINGS:
@@ -108,10 +114,17 @@ if __name__ == "__main__":
     if len(sys.argv) > 1:
         with open(DATA, encoding="utf-8") as fh:
             doc = json.load(fh)
+        models = dict(cli._TABLE_MODELS)
         for key in sys.argv[1:]:
-            if key not in doc["simulate"]:
-                sys.exit(f"no simulate pairing {key!r} in {DATA}")
-            doc["simulate"][key] = simulate(key.split())
+            if key in doc["eval"]:
+                for old, new in zip(doc["eval"][key], evaluate(models[key]), strict=True):
+                    if old[0] != new[0]:
+                        sys.exit(f"eval row {key!r}: the grid moved ({old[0]!r} -> {new[0]!r})")
+                    old[1] = new[1]
+            elif key in doc["simulate"]:
+                doc["simulate"][key] = simulate(key.split())
+            else:
+                sys.exit(f"no eval row or simulate pairing {key!r} in {DATA}")
     else:
         doc = collect()
     with open(DATA, "w", encoding="utf-8", newline="\n") as fh:

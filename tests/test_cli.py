@@ -254,6 +254,18 @@ def test_omitting_a_required_flag_is_usage_error(obj, flag, capsys):
     assert f"error: {owner} requires --{flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "true"])
+def test_simulate_seed_out_of_range_is_usage_error(seed, capsys):
+    argv = ("simulate", "--process", "reflectedbm", "--boundary", "exponential", "--lambda", "1",
+            "--t", "1", "--paths", "1000", "--seed", seed)
+    try:
+        rc = run_cli(*argv)
+    except SystemExit as exc:  # argparse: not an integer
+        rc = exc.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_grid_is_usage_error(capsys):
     rc = run_cli("eval", "--model", "standard", "--lambda", "1")
     assert rc == 2

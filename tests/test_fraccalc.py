@@ -353,20 +353,33 @@ def test_invert_calls_the_transform_once():
     rx.ElasticGamma(k=2, alpha=0.8, lam=1.1),
     rx.Distributed(nu1=0.3548, nu2=0.4209, n1=0.5, n2=0.5, lam=1.0),
 ], ids=lambda m: type(m).__name__)
-def test_talbot_one_call_matches_one_call_per_rule(m):
-    # one transform call on the (t x 48) node matrix gives the bits of one
-    # call per rule on its own (t x m) matrix
+def test_talbot_matches_the_per_rule_sums(m):
+    # the radius r = 2m/(5t) folded into one (48 x 2) weight matrix gives,
+    # to rounding, the textbook form: one sum per rule over the unit nodes
+    # u_k scaled by r, times r (Abate & Valko 2004)
     ts = np.geomspace(1e-8, 1e8, 2000)
     values = []
     with np.errstate(all="ignore"):
-        for u, w in fc._TALBOT_RULES:
-            r = 0.4 * len(u) / ts
+        for n in (20, 28):
+            theta = np.arange(1, n) * np.pi / n
+            cot = 1.0 / np.tan(theta)
+            u = np.concatenate(([1.0 + 0j], theta * (cot + 1j)))
+            sigma = theta + (theta * cot - 1.0) * cot
+            w = np.concatenate(([0.5 + 0j], 1.0 + 1j * sigma)) * np.exp(0.4 * n * u) / n
+            r = 0.4 * n / ts
             samples = np.asarray(m._laplace((r[:, None] * u).reshape(-1)), dtype=complex)
-            values.append(r * (samples.reshape(ts.size, len(u)) @ w).real)
-    coarse, gap, ok = fc._talbot(m._laplace, ts)
-    assert coarse.tolist() == values[0].tolist()
-    assert gap.tolist() == np.abs(values[0] - values[1]).tolist()
-    assert ok.all()
+            values.append(r * (samples.reshape(ts.size, n) @ w).real)
+    want_gap = np.abs(values[0] - values[1])
+    want_ok = want_gap / np.maximum(1.0, np.abs(values[0])) <= 1e-10
+    coarse, _gap, ok = fc._talbot(m._laplace, ts)
+    assert ok.tolist() == want_ok.tolist()
+    assert np.max(np.abs(coarse - values[0])) <= 1e-13
+    for t, want, good in zip(ts.tolist(), values[0].tolist(), want_ok.tolist()):
+        if good:
+            assert abs(laplace_invert(m._laplace, t) - want) <= 1e-13, t
+        else:
+            with pytest.raises(Unstable):
+                laplace_invert(m._laplace, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,33 @@
-"""The README's library quickstart must run as written."""
+"""The README's library quickstart and command examples must run as written."""
 
+import contextlib
+import io
 import pathlib
 import re
+import shlex
+
+import frax.cli as cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+TEXT = README.read_text(encoding="utf-8")
 
 
 def test_readme_python_blocks_run():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    blocks = re.findall(r"```python\n(.*?)```", TEXT, re.S)
     assert blocks, "README has no python block"
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_eval_and_simulate_blocks_print_as_shown():
+    # a text block is "$ frax <command> ...", continued by trailing
+    # backslashes, followed by exactly what the command prints
+    blocks = re.findall(r"```text\n\$ (frax (?:eval|simulate) .*?)```", TEXT, re.S)
+    assert {b.split()[1] for b in blocks} == {"eval", "simulate"}
+    for block in blocks:
+        command, output = re.match(r"((?:[^\n]*\\\n)*[^\n]*\n)(.*)", block, re.S).groups()
+        argv = shlex.split(command.replace("\\\n", " "))[1:]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0, command
+        assert buf.getvalue() == output, command

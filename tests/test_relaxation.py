@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import i0e
 
+import frax.fraccalc as fc
 import frax.relaxation as rx
 from dataclasses import dataclass
 
@@ -509,8 +510,12 @@ TRANSFORM_LAWS = [
     rx.ElasticGamma(k=2, alpha=0.8, lam=1.1),
     rx.Distributed(nu1=0.3, nu2=0.9, n1=0.4, n2=0.6, lam=2.0),
 ]
-# contour-like points, Re s < 0 included, none on the closed negative axis
-CONTOUR_S = [0.3 + 1j, 2.0 - 5j, -0.5 + 0.2j, -0.85 - 1e-3j, -3.0 + 1e-6j, -40.0 + 9j, 1e-6 - 1e-7j]
+# contour-like points, Re s < 0 included, none on the closed negative axis,
+# and the Talbot nodes where psi's contour samples at the ends of its range:
+# the first and last node of each rule at t = 1e-8 and 1e8, |s| ~ 8e-8 to 3e10
+CONTOUR_S = [0.3 + 1j, 2.0 - 5j, -0.5 + 0.2j, -0.85 - 1e-3j, -3.0 + 1e-6j, -40.0 + 9j, 1e-6 - 1e-7j] + [
+    complex(z) / t for t in (1e-8, 1e8) for z in fc._NODES[[0, 19, 20, 47]]
+]
 
 
 @pytest.mark.parametrize("m", TRANSFORM_LAWS, ids=lambda m: type(m).__name__)

@@ -6,6 +6,7 @@ default seed, so a failure here signals a real regression, not noise).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,26 @@ def test_estimate_independent_of_thread_count(monkeypatch):
     monkeypatch.setenv("FRAX_THREADS", "4")
     b = ss.estimate_crossing(ss.SojournTime(), ss.Exponential(lam=1.0), 1.0, n)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2**64, "1", None], ids=repr)
+def test_estimate_rejects_a_seed_that_is_not_a_64_bit_integer(seed):
+    with pytest.raises(DomainError, match="seed"):
+        ss.estimate_crossing(ss.ReflectedBM(), ss.Exponential(lam=1.0), 1.0, 1000, seed=seed)
+
+
+def test_estimate_takes_any_64_bit_seed():
+    def run(seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return ss.estimate_crossing(ss.ReflectedBM(), ss.Exponential(lam=1.0), 1.0, 1000, seed=seed)
+
+    est = run(np.uint64(2**64 - 1))
+    assert type(est.seed) is int and est.seed == 2**64 - 1
+    assert est == run(2**64 - 1)
+    # seeds above 2**63 key their own streams (not rounded through a float)
+    assert run(2**63).p_hat != run(2**63 + 1).p_hat
+    assert type(run(np.int64(0)).seed) is int
 
 
 def test_estimate_fields():
