@@ -185,32 +185,31 @@ def _exp_sinh_span(f: Callable[[float], float], etas: np.ndarray, c: float) -> n
     return fine
 
 
-def _talbot_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node values t*s and weights of the m-node fixed-Talbot rule.
-
-    The contour is s(theta) = r*theta*(cot(theta) + i), 0 <= theta < pi,
-    with r = 2m/(5t).  Since t*s = (2m/5)*theta*(cot(theta) + i) does not
-    depend on t, the radius, the exponential factor and the 1/m are folded
-    in once: f(t) = Re sum_k w_k F(z_k / t) / t, where z_0 = 2m/5 is the
-    theta -> 0 end (half weight) and z_k = t*s(k*pi/m).
-    """
-    theta = np.arange(1, m) * np.pi / m
-    cot = 1.0 / np.tan(theta)
-    u = np.concatenate(([1.0 + 0j], theta * (cot + 1j)))
-    sigma = theta + (theta * cot - 1.0) * cot
-    w = np.concatenate(([0.5 + 0j], 1.0 + 1j * sigma)) * np.exp(0.4 * m * u)
-    return 0.4 * m * u, 0.4 * w
-
-
 def _talbot_constants() -> tuple[np.ndarray, np.ndarray]:
-    """The 48 node values t*s of the 20- and the 28-node rule, end to end,
-    and the (48 x 2) weight matrix whose column 0 holds the 20-node weights
-    and column 1 the 28-node weights, each on its own nodes."""
-    (z1, w1), (z2, w2) = _talbot_rule(20), _talbot_rule(28)
+    """Node values t*s and weights of the 20- and the 28-node fixed-Talbot rule.
+
+    The m-node contour is s(theta) = r*theta*(cot(theta) + i), 0 <= theta
+    < pi, with r = 2m/(5t).  Since t*s = (2m/5)*theta*(cot(theta) + i) does
+    not depend on t, the radius, the exponential factor and the 1/m are
+    folded into the weights once: f(t) = Re sum_k w_k F(z_k / t) / t, where
+    z_0 = 2m/5 is the theta -> 0 end (half weight) and z_k = t*s(k*pi/m).
+    Returns the (48,) node vector, the 20-node rule first, and the (48 x 2)
+    weight matrix whose column 0 holds the 20-node weights and column 1 the
+    28-node weights, each zero on the other rule's nodes.
+    """
+    nodes = []
     weights = np.zeros((48, 2), dtype=complex)
-    weights[:20, 0] = w1
-    weights[20:, 1] = w2
-    return np.concatenate((z1, z2)), weights
+    start = 0
+    for col, m in enumerate((20, 28)):
+        theta = np.arange(1, m) * np.pi / m
+        cot = 1.0 / np.tan(theta)
+        u = np.concatenate(([1.0 + 0j], theta * (cot + 1j)))
+        sigma = theta + (theta * cot - 1.0) * cot
+        w = np.concatenate(([0.5 + 0j], 1.0 + 1j * sigma)) * np.exp(0.4 * m * u)
+        nodes.append(0.4 * m * u)
+        weights[start : start + m, col] = 0.4 * w
+        start += m
+    return np.concatenate(nodes), weights
 
 
 # Two contour sizes: the smaller one answers (its weights grow less, so it
@@ -253,7 +252,8 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float) -> float:
     20-node value is returned.  If either value is non-finite or the two
     differ by more than 1e-10 * max(1, |value|), raises :class:`Unstable`.
     This is the one-point case of :func:`_talbot`, which
-    :func:`~frax.relaxation.psi` runs on a whole grid.
+    :func:`~frax.relaxation.psi` runs on a whole grid, written out on
+    Python floats: a call through the array path costs half as much again.
     """
     if not (_real(t) and math.isfinite(t) and t > 0.0):
         raise DomainError(f"laplace_invert requires a real t > 0, got {t!r}")
@@ -262,7 +262,6 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float) -> float:
         coarse, fine = (np.asarray(F(_NODES / t), dtype=complex) @ _WEIGHTS).tolist()
     coarse, fine = coarse.real / t, fine.real / t
     gap = abs(coarse - fine)
-    # a non-finite value makes the ratio inf or NaN, which fails the test
     if gap / max(1.0, abs(coarse)) <= _TALBOT_AGREE:
         return coarse
     raise Unstable(_talbot_failure(t, gap))

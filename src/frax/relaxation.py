@@ -281,8 +281,8 @@ class Fractional(_Law):
         return mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu)
 
     def _laplace(self, s):
-        p = np.exp(self.nu * np.log(s))
-        return p / (s * (p + self.lam))
+        # s**(nu-1) / (s**nu + lam), with no product that outgrows s
+        return 1.0 / (s + self.lam * np.exp((1.0 - self.nu) * np.log(s)))
 
     def _asymptote(self, small: bool, t: float) -> float:
         nu, lam = self.nu, self.lam
@@ -427,8 +427,7 @@ class GammaBoundary(_Law):
 
     def _laplace(self, s):
         lam, k = self.lam, self.k
-        b = (np.sqrt(s) + lam) ** k
-        return (b - lam**k) / (s * b)
+        return (1.0 - (lam / (np.sqrt(s) + lam)) ** k) / s
 
     def _asymptote(self, small: bool, t: float) -> float:
         k, lam = self.k, self.lam
@@ -478,7 +477,7 @@ class ElasticGamma(_Law):
         lam, alpha, k = self.lam, self.alpha, self.k
         r = np.sqrt(s)
         s2 = _SQRT2 * r
-        return 1.0 / s - _SQRT2 * lam**k / (r * (s2 + alpha) * (s2 + lam) ** k)
+        return 1.0 / s - _SQRT2 / (r * (s2 + alpha)) * (lam / (s2 + lam)) ** k
 
     def _asymptote(self, small: bool, t: float) -> float:
         k, lam = self.k, self.lam
@@ -538,7 +537,7 @@ class Distributed(_Law):
     def _laplace(self, s):
         log_s = np.log(s)
         w = self.n1 * np.exp(self.nu1 * log_s) + self.n2 * np.exp(self.nu2 * log_s)
-        return w / (s * (self.lam + w))
+        return 1.0 / (s + self.lam * s / w)
 
     def _asymptote(self, small: bool, t: float) -> float:
         if small:

@@ -157,7 +157,10 @@ def _ml_integral(alpha: float, beta: float, c: float) -> float:
         )
     sb = math.sin(beta * math.pi)
     sba = math.sin((beta - alpha) * math.pi)
-    ca = math.cos(alpha * math.pi)
+    # cos and sin of alpha*pi through (1 - alpha)*pi, exact for alpha >= 1/2:
+    # sa keeps its relative accuracy as alpha -> 1
+    ca = -math.cos((1.0 - alpha) * math.pi)
+    sa = math.sin((1.0 - alpha) * math.pi)
     inv_alpha = 1.0 / alpha
     pw = (1.0 - beta) * inv_alpha
 
@@ -166,7 +169,9 @@ def _ml_integral(alpha: float, beta: float, c: float) -> float:
         if e > _EXP_CAP:
             return 0.0
         num = u * sb + c * sba
-        den = u * u + 2.0 * u * c * ca + c * c
+        # u**2 + 2*u*c*ca + c**2, without the cancellation of 1 + ca
+        # that u = c meets as alpha -> 1
+        den = (u + c * ca) ** 2 + (c * sa) ** 2
         return u**pw * math.exp(-e) * num / den
 
     upper = 50.0**alpha

@@ -122,6 +122,9 @@ def main() -> None:
     out.append(("E^2_{1/2,3/2}(-1)", "test_specfun", gml(Fraction(1, 2), Fraction(3, 2), 2, -1)))
     out.append(("E^3_{3/5,11/10}(-3/2)", "test_specfun", gml(Fraction(3, 5), Fraction(11, 10), 3, mp.mpf("-1.5"))))
     out.append(("E_{1/2}(-8) deep integral region", "test_specfun", ml(Fraction(1, 2), 1, -8)))
+    # alpha near 1, where the integral's denominator nearly vanishes at u = c
+    for alpha, beta, z in ((0.99999, 1, -5), (0.9999, 0.75, -8), (0.99999, 1.5, -5)):
+        out.append((f"E_{{{alpha},{beta}}}({z}) near-unit order", "test_specfun", ml(alpha, beta, z)))
 
     # --- test_specfun: M-Wright values (body and tails)
     out.append(("M_{1/2}(1)", "test_specfun", wright_m(Fraction(1, 2), 1)))

@@ -372,6 +372,8 @@ def test_talbot_matches_the_per_rule_sums(m):
     want_gap = np.abs(values[0] - values[1])
     want_ok = want_gap / np.maximum(1.0, np.abs(values[0])) <= 1e-10
     coarse, _gap, ok = fc._talbot(m._laplace, ts)
+    # the contour certifies every one of these times, on both forms
+    assert want_ok.all()
     assert ok.tolist() == want_ok.tolist()
     assert np.max(np.abs(coarse - values[0])) <= 1e-13
     for t, want, good in zip(ts.tolist(), values[0].tolist(), want_ok.tolist()):

@@ -533,6 +533,19 @@ def test_psi_laplace_principal_branch_off_axis(m):
         assert abs(real - float(F(mp.mpf(0.7)))) <= 1e-12 * abs(real)
 
 
+@pytest.mark.parametrize("m", TRANSFORM_LAWS, ids=lambda m: type(m).__name__)
+def test_psi_laplace_at_large_real_s(m):
+    # psi_laplace takes any finite s > 0: no intermediate product may
+    # overflow where the transform itself, about 1/s, is a normal float
+    F = _mp_transform(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rx.psi_laplace(m, 1e300)
+    with mp.workdps(30):
+        want = float(F(mp.mpf(1e300)))
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
 @pytest.mark.parametrize(
     "s",
     [0.0, -1.0, -1 + 0j, complex(-2.0, -0.0), math.inf, math.nan, complex(math.nan, 1.0),

@@ -66,6 +66,21 @@ def test_mittag_leffler_reference_values(alpha, beta, z, want):
     assert rel_err(got, want) < REL
 
 
+# alpha near 1, where the integral's denominator u**2 + 2uc*cos(alpha*pi)
+# + c**2 nearly vanishes at u = c: written as a sum of squares it errs by
+# <= 2.1e-14 here, where the expanded form lost up to 2.7e-10
+NEAR_UNIT_ML = [
+    (0.99999, 1.0, -5.0, 0.006741010442136893508268),
+    (0.9999, 0.75, -8.0, -0.0312206839816625398039),
+    (0.99999, 1.5, -5.0, 0.1305608019029553445673),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, z, want", NEAR_UNIT_ML)
+def test_mittag_leffler_integral_near_unit_order(alpha, beta, z, want):
+    assert abs(mittag_leffler(MLParams(alpha, beta), z) - want) < 1e-13
+
+
 def test_mittag_leffler_at_zero_is_reciprocal_gamma():
     for beta in (0.75, 1.0, 2.0, 3.5):
         got = mittag_leffler(MLParams(0.5, beta), 0.0)
