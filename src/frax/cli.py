@@ -144,6 +144,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # checked for every process, though only Monte Carlo ones draw from it
+    ss._seed(args.seed, "simulate")
     spec = _build(_PROCESSES[args.process], args, args.process)
     boundary = _build(_BOUNDARIES[args.boundary], args, f"boundary {args.boundary}")
     model = spec.law(boundary)

@@ -414,6 +414,13 @@ ProcessSpec = Union[
 ]
 
 
+def _seed(seed: object, owner: str) -> int:
+    """The seed as an ``int``: any integer in [0, 2**64), numpy integers included."""
+    if not (_integer(seed, 0) and seed < 2**64):
+        raise DomainError(f"{owner} requires an integer seed in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def _workers() -> int:
     raw = os.environ.get("FRAX_THREADS", "")
     try:
@@ -445,9 +452,7 @@ def estimate_crossing(
     if not _integer(n_paths, 1000):
         raise DomainError(f"estimate_crossing requires an integer n_paths >= 1000, got {n_paths!r}")
     n_paths = int(n_paths)
-    if not (_integer(seed, 0) and seed < 2**64):
-        raise DomainError(f"estimate_crossing requires an integer seed in [0, 2**64), got {seed!r}")
-    seed = int(seed)
+    seed = _seed(seed, "estimate_crossing")
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
 
     def run_block(b: int) -> int:

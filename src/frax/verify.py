@@ -13,6 +13,14 @@ not through :func:`~frax.relaxation.psi`, which inverts the transform
 first: the transform and inversion checks then hold the contour against
 the series rather than against itself.
 
+The checks that hold one evaluator against another are rows of one table,
+``_PAIRS``: check name -> (comparisons, absolute tolerance[, detail]),
+where each comparison is ``(a, b, points)`` and the check's error is the
+largest |a(x) - b(x)| over the points.  The evaluators look up the series,
+``laplace_invert``, ``mittag_leffler`` and ``gml`` when they are called.
+Every maximum or minimum a check reports goes through numpy, so one NaN
+makes the error NaN and the check fails: a NaN is never skipped.
+
 Suites:
 
 - ``identities``   exact functional equations and parameter reductions
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +54,11 @@ _PROBE_SEED = 20260814
 
 def _record(check: str, passed: bool, error: float, detail: str) -> dict:
     return {"check": check, "passed": bool(passed), "error": float(error), "detail": detail}
+
+
+def _worst(gaps: Sequence[float]) -> float:
+    """The largest gap (0.0 for none); NaN if any gap is NaN, which fails every tolerance."""
+    return float(np.max(gaps, initial=0.0))
 
 
 def _gml_or_unit(k: int, beta: float, z: float) -> tuple[float, float]:
@@ -70,7 +83,7 @@ def _gml_or_unit(k: int, beta: float, z: float) -> tuple[float, float]:
 
 def _check_gml_recursion() -> dict:
     """E^m_{nu,b}(-x) + x E^m_{nu,b+nu}(-x) = E^(m-1)_{nu,b}(-x), nu=1/2, b=k*nu+1/2."""
-    worst = 0.0
+    gaps = []
     for k in range(1, 6):
         b = 0.5 * k + 0.5
         for x in (0.25, 0.75, 1.5):
@@ -87,14 +100,15 @@ def _check_gml_recursion() -> dict:
                     eval_err,
                     "series evaluation error too large to test the identity at 1e-10",
                 )
-            worst = max(worst, abs(lhs - v0) / abs(v0))
+            gaps.append(abs(lhs - v0) / abs(v0))
+    worst = _worst(gaps)
     return _record("gml-index-recursion", worst <= 1e-10, worst, "relative tolerance 1e-10")
 
 
 def _check_gml_derivative() -> dict:
     """d/dt [t^(b-1) E^g_{a,b}(z t^a)] = t^(b-2) E^g_{a,b-1}(z t^a), by central differences."""
 
-    def observed_order(a: float, b: float, g: float, z: float, t0: float) -> float:
+    def observed_orders(a: float, b: float, g: float, z: float, t0: float) -> list[float]:
         def lhs(t: float) -> float:
             return t ** (b - 1.0) * gml(MLParams(alpha=a, beta=b, gamma=g), z * t**a)
 
@@ -103,12 +117,10 @@ def _check_gml_derivative() -> dict:
         for j in range(4):
             h = 0.1 / 2**j
             errs.append(abs((lhs(t0 + h) - lhs(t0 - h)) / (2.0 * h) - target))
-        orders = [math.log2(errs[j] / errs[j + 1]) for j in range(3)]
-        return min(orders)
+        return [math.log2(errs[j] / errs[j + 1]) for j in range(3)]
 
-    worst = math.inf
-    for a, b, g, z in ((0.6, 1.7, 2.0, -1.0), (0.5, 2.2, 3.0, -0.7), (0.8, 1.5, 1.5, 0.4)):
-        worst = min(worst, observed_order(a, b, g, z, t0=0.9))
+    cases = ((0.6, 1.7, 2.0, -1.0), (0.5, 2.2, 3.0, -0.7), (0.8, 1.5, 1.5, 0.4))
+    worst = float(np.min([order for c in cases for order in observed_orders(*c, t0=0.9)]))
     return _record(
         "gml-derivative-ladder",
         worst >= 1.9,
@@ -127,7 +139,7 @@ def _check_half_derivative_recursion() -> dict:
     lam = 1.0
     detail = []
     passed = True
-    worst = 0.0
+    finest = []
     for k in (2, 3):
         hi = rx.GammaBoundary(k=k, lam=lam)
         lo = rx.GammaBoundary(k=k - 1, lam=lam)
@@ -136,37 +148,22 @@ def _check_half_derivative_recursion() -> dict:
         norms = rep.max_norms
         decreasing = norms[0] > norms[1] > norms[2]
         passed = passed and decreasing
-        worst = max(worst, norms[-1])
+        finest.append(norms[-1])
         detail.append(f"k={k}: norms {norms[0]:.3e} -> {norms[1]:.3e} -> {norms[2]:.3e}")
     return _record(
         "half-derivative-shape-recursion",
         passed,
-        worst,
+        _worst(finest),
         "residual max-norms must decrease under halving; " + "; ".join(detail),
     )
-
-
-def _check_ml_erfcx_chain() -> dict:
-    """E_{1/2,1}(-x) = erfcx(x) for x = lam sqrt(t) over the working range."""
-    worst = 0.0
-    ts = np.geomspace(0.01, 10.0, 31)
-    for lam in (0.5, 1.0, 2.0):
-        for t in ts:
-            x = lam * math.sqrt(t)
-            worst = max(
-                worst,
-                abs(mittag_leffler(MLParams(alpha=0.5), -x) - float(erfcx(x))),
-            )
-    return _record("ml-half-erfcx-chain", worst <= 1e-9, worst, "absolute tolerance 1e-9")
 
 
 def _check_gml_single_parameter() -> dict:
     """gml with unit third parameter agrees with the two-parameter evaluator."""
     rng = np.random.default_rng(_PROBE_SEED)
-    worst = 0.0
-    used = 0
+    gaps = []
     skipped = 0
-    while used < 200 and used + skipped < 4000:
+    while len(gaps) < 200 and len(gaps) + skipped < 4000:
         a = float(rng.uniform(0.1, 1.0))
         b = float(rng.uniform(0.5, 3.0))
         z = float(rng.uniform(-5.0, 5.0))
@@ -177,11 +174,11 @@ def _check_gml_single_parameter() -> dict:
             # fast-growing positive-axis points exceed double precision range
             skipped += 1
             continue
-        used += 1
-        worst = max(worst, abs(v_three - v_two) / (1.0 + abs(v_two)))
+        gaps.append(abs(v_three - v_two) / (1.0 + abs(v_two)))
+    worst = _worst(gaps)
     return _record(
         "gml-unit-parameter-collapse",
-        used == 200 and worst <= 1e-12,
+        len(gaps) == 200 and worst <= 1e-12,
         worst,
         f"200 probe points (skipped {skipped} non-representable), tolerance 1e-12*(1+|v|)",
     )
@@ -195,119 +192,28 @@ def _check_gamma_boundary_collapse() -> dict:
     inversion (large lam*sqrt(t)) the inverter's own accuracy bounds the
     comparison, so that region is held to 1e-9.
     """
-    worst_series = 0.0
-    worst_far = 0.0
+    series_gaps = []
+    far_gaps = []
     for lam in (0.7, 1.0, 1.9):
         frac = rx.Fractional(nu=0.5, lam=lam)
         gb = rx.GammaBoundary(k=1, lam=lam)
         for t in np.geomspace(0.05, 20.0, 13):
             t = float(t)
             diff = abs(rx._series_psi(gb, t) - rx._series_psi(frac, t))
-            if lam * math.sqrt(t) <= 2.8:
-                worst_series = max(worst_series, diff)
-            else:
-                worst_far = max(worst_far, diff)
-    passed = worst_series <= 1e-10 and worst_far <= 1e-9
+            (series_gaps if lam * math.sqrt(t) <= 2.8 else far_gaps).append(diff)
+    worst_series = _worst(series_gaps)
+    worst_far = _worst(far_gaps)
     return _record(
         "gamma-boundary-unit-shape",
-        passed,
-        max(worst_series, worst_far),
+        worst_series <= 1e-10 and worst_far <= 1e-9,
+        _worst(series_gaps + far_gaps),
         f"series region {worst_series:.3e} (tol 1e-10), "
         f"inversion region {worst_far:.3e} (tol 1e-9)",
     )
 
 
-def _check_elastic_vanishing_killing() -> dict:
-    """alpha -> 0 removes the killing: psi -> E_{1/2,1}(-lam sqrt(t)/sqrt(2))."""
-    worst = 0.0
-    for lam in (0.7, 1.0, 1.9):
-        m = rx.Elastic(alpha=1e-10, lam=lam)
-        for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-            limit = mittag_leffler(MLParams(alpha=0.5), -lam * math.sqrt(t) / math.sqrt(2.0))
-            worst = max(worst, abs(rx._series_psi(m, t) - limit))
-    return _record("elastic-vanishing-killing", worst <= 1e-8, worst, "absolute tolerance 1e-8")
-
-
-def _check_elastic_gamma_collapse() -> dict:
-    """Shape k = 1 reduces the elastic gamma law to the plain elastic law."""
-    rng = np.random.default_rng(_PROBE_SEED + 1)
-    worst = 0.0
-    for _ in range(50):
-        alpha = float(rng.uniform(0.3, 2.5))
-        lam = float(rng.uniform(0.3, 2.5))
-        t = float(rng.uniform(0.1, 4.0))
-        a = rx._series_psi(rx.ElasticGamma(k=1, alpha=alpha, lam=lam), t)
-        b = rx._series_psi(rx.Elastic(alpha=alpha, lam=lam), t)
-        worst = max(worst, abs(a - b))
-    return _record("elastic-gamma-unit-shape", worst <= 1e-9, worst, "absolute tolerance 1e-9")
-
-
-def _check_elastic_gamma_zero_killing() -> dict:
-    """alpha -> 0 with rate lam*sqrt(2) recovers the gamma-boundary law at rate lam."""
-    worst = 0.0
-    for k in (1, 2, 3):
-        for t in (0.25, 1.0, 4.0):
-            a = rx._series_psi(rx.ElasticGamma(k=k, alpha=1e-10, lam=math.sqrt(2.0)), t)
-            b = rx._series_psi(rx.GammaBoundary(k=k, lam=1.0), t)
-            worst = max(worst, abs(a - b))
-    return _record("elastic-gamma-vanishing-killing", worst <= 1e-8, worst, "absolute tolerance 1e-8")
-
-
-def _check_first_passage_collapse() -> dict:
-    """The n-fold passage chain is exponential with the nested-rate formula."""
-    worst = 0.0
-    for n in (1, 2, 3):
-        for lam in (0.5, 1.0, 2.0):
-            rate = rx.first_passage_rate(lam, n)
-            m = rx.FirstPassage(lam=lam, n=n)
-            for t in (0.25, 1.0, 4.0):
-                worst = max(worst, abs(rx._series_psi(m, t) - math.exp(-rate * t)))
-    return _record("first-passage-chain-rate", worst <= 1e-14, worst, "absolute tolerance 1e-14")
-
-
-def _check_distributed_zero_weight() -> dict:
-    """n1 = 0 collapses the two-order law to its single surviving order."""
-    worst = 0.0
-    m1 = rx.Distributed(nu1=0.5, nu2=1.0, n1=0.0, n2=1.0, lam=1.3)
-    for t in (0.25, 1.0, 4.0):
-        worst = max(worst, abs(rx._series_psi(m1, t) - math.exp(-1.3 * t)))
-    m2 = rx.Distributed(nu1=0.3, nu2=0.7, n1=0.0, n2=1.0, lam=0.8)
-    frac = rx.Fractional(nu=0.7, lam=0.8)
-    for t in (0.25, 1.0, 4.0):
-        worst = max(worst, abs(rx._series_psi(m2, t) - rx._series_psi(frac, t)))
-    return _record("distributed-zero-weight", worst <= 1e-12, worst, "absolute tolerance 1e-12")
-
-
-def _check_equal_rate_branch() -> dict:
-    """The alpha = lam elastic branch is the limit of the two-rate formula."""
-    worst = 0.0
-    for lam in (0.8, 1.3):
-        for t in (0.25, 1.0, 4.0):
-            equal = rx._series_psi(rx.Elastic(alpha=lam, lam=lam), t)
-            near = rx._series_psi(rx.Elastic(alpha=lam * (1.0 + 1e-7), lam=lam), t)
-            worst = max(worst, abs(near - equal))
-    return _record("elastic-equal-rate-branch", worst <= 1e-6, worst, "absolute tolerance 1e-6")
-
-
-def identities() -> list[dict]:
-    return [
-        _check_gml_recursion(),
-        _check_gml_derivative(),
-        _check_half_derivative_recursion(),
-        _check_ml_erfcx_chain(),
-        _check_gml_single_parameter(),
-        _check_gamma_boundary_collapse(),
-        _check_elastic_vanishing_killing(),
-        _check_elastic_gamma_collapse(),
-        _check_elastic_gamma_zero_killing(),
-        _check_first_passage_collapse(),
-        _check_distributed_zero_weight(),
-        _check_equal_rate_branch(),
-    ]
-
-
 # ---------------------------------------------------------------------------
-# laplace
+# pairwise comparisons
 # ---------------------------------------------------------------------------
 
 _TRANSFORM_MODELS: tuple[tuple[str, rx.RelaxationModel], ...] = (
@@ -319,36 +225,106 @@ _TRANSFORM_MODELS: tuple[tuple[str, rx.RelaxationModel], ...] = (
 )
 
 
-def _check_forward_transform(name: str, model: rx.RelaxationModel) -> dict:
-    etas = np.random.default_rng(_PROBE_SEED + 2).uniform(0.5, 20.0, size=20)
-    closed = rx.psi_laplace(model, etas)
-    numeric = laplace_forward(lambda t: rx._series_psi(model, t), etas)
-    worst = float(np.max(np.abs(numeric - closed) / np.abs(closed)))
-    return _record(
-        f"transform-{name}",
-        worst <= 1e-10,
-        worst,
-        "numerical transform vs closed form, relative tolerance 1e-10 at 20 points",
-    )
+def _series(model: rx.RelaxationModel) -> Callable[[float], float]:
+    return lambda t: rx._series_psi(model, t)
 
 
-def _check_inversion(name: str, model: rx.RelaxationModel) -> dict:
-    worst = 0.0
-    for t in (0.25, 0.5, 1.0, 2.0, 4.0):
-        inv = laplace_invert(lambda eta: rx.psi_laplace(model, eta), t)
-        worst = max(worst, abs(inv - rx._series_psi(model, t)))
-    return _record(
-        f"inversion-{name}",
-        worst <= 1e-10,
-        worst,
+def _inverted(model: rx.RelaxationModel) -> Callable[[float], float]:
+    return lambda t: laplace_invert(lambda eta: rx.psi_laplace(model, eta), t)
+
+
+def _exponential(rate: float) -> Callable[[float], float]:
+    return lambda t: math.exp(-rate * t)
+
+
+_TIMES = (0.25, 1.0, 4.0)
+# (alpha, lam, t) probe points of the unit-shape elastic gamma collapse
+_UNIT_SHAPE_DRAWS = np.random.default_rng(_PROBE_SEED + 1).uniform((0.3, 0.3, 0.1), (2.5, 2.5, 4.0), (50, 3))
+
+# check name -> ([(a, b, points), ...], absolute tolerance[, detail])
+_PAIRS: dict[str, tuple] = {
+    # E_{1/2,1}(-x) = erfcx(x) at x = lam sqrt(t) over the working range
+    "ml-half-erfcx-chain": ([(
+        lambda x: mittag_leffler(MLParams(alpha=0.5), -x), lambda x: float(erfcx(x)),
+        [lam * math.sqrt(t) for lam in (0.5, 1.0, 2.0) for t in np.geomspace(0.01, 10.0, 31)],
+    )], 1e-9),
+    # alpha -> 0 removes the killing: psi -> E_{1/2,1}(-lam sqrt(t)/sqrt(2))
+    "elastic-vanishing-killing": ([(
+        _series(rx.Elastic(alpha=1e-10, lam=lam)),
+        lambda t, lam=lam: mittag_leffler(MLParams(alpha=0.5), -lam * math.sqrt(t) / math.sqrt(2.0)),
+        (0.1, 0.5, 1.0, 2.0, 5.0),
+    ) for lam in (0.7, 1.0, 1.9)], 1e-8),
+    # shape k = 1 reduces the elastic gamma law to the plain elastic law
+    "elastic-gamma-unit-shape": ([(
+        _series(rx.ElasticGamma(k=1, alpha=alpha, lam=lam)), _series(rx.Elastic(alpha=alpha, lam=lam)), (t,),
+    ) for alpha, lam, t in _UNIT_SHAPE_DRAWS.tolist()], 1e-9),
+    # alpha -> 0 with rate lam*sqrt(2) recovers the gamma-boundary law at rate lam
+    "elastic-gamma-vanishing-killing": ([(
+        _series(rx.ElasticGamma(k=k, alpha=1e-10, lam=math.sqrt(2.0))), _series(rx.GammaBoundary(k=k, lam=1.0)),
+        _TIMES,
+    ) for k in (1, 2, 3)], 1e-8),
+    # the n-fold passage chain is exponential with the nested-rate formula
+    "first-passage-chain-rate": ([(
+        _series(rx.FirstPassage(lam=lam, n=n)), _exponential(rx.first_passage_rate(lam, n)), _TIMES,
+    ) for n in (1, 2, 3) for lam in (0.5, 1.0, 2.0)], 1e-14),
+    # n1 = 0 collapses the two-order law to its single surviving order
+    "distributed-zero-weight": ([
+        (_series(rx.Distributed(nu1=0.5, nu2=1.0, n1=0.0, n2=1.0, lam=1.3)), _exponential(1.3), _TIMES),
+        (_series(rx.Distributed(nu1=0.3, nu2=0.7, n1=0.0, n2=1.0, lam=0.8)),
+         _series(rx.Fractional(nu=0.7, lam=0.8)), _TIMES),
+    ], 1e-12),
+    # the alpha = lam elastic branch is the limit of the two-rate formula
+    "elastic-equal-rate-branch": ([(
+        _series(rx.Elastic(alpha=lam * (1.0 + 1e-7), lam=lam)), _series(rx.Elastic(alpha=lam, lam=lam)), _TIMES,
+    ) for lam in (0.8, 1.3)], 1e-6),
+    # contour inversion of the closed-form transform against the series
+    **{f"inversion-{name}": (
+        [(_inverted(model), _series(model), (0.25, 0.5, 1.0, 2.0, 4.0))], 1e-10,
         "inversion vs series evaluator, absolute tolerance 1e-10 on t in [0.25, 4]",
-    )
+    ) for name, model in _TRANSFORM_MODELS},
+}
+
+
+def _check_pair(check: str, pairs: list, tol: float, detail: str = "") -> dict:
+    """Largest |a(x) - b(x)| over every comparison's points, held to ``tol``."""
+    worst = _worst([abs(a(x) - b(x)) for a, b, points in pairs for x in points])
+    detail = detail or "absolute tolerance " + np.format_float_scientific(tol, trim="-", exp_digits=1)
+    return _record(check, worst <= tol, worst, detail)
+
+
+def _pair(check: str) -> dict:
+    return _check_pair(check, *_PAIRS[check])
+
+
+def identities() -> list[dict]:
+    return [
+        _check_gml_recursion(),
+        _check_gml_derivative(),
+        _check_half_derivative_recursion(),
+        _pair("ml-half-erfcx-chain"),
+        _check_gml_single_parameter(),
+        _check_gamma_boundary_collapse(),
+        *map(_pair, ("elastic-vanishing-killing", "elastic-gamma-unit-shape", "elastic-gamma-vanishing-killing",
+                     "first-passage-chain-rate", "distributed-zero-weight", "elastic-equal-rate-branch")),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# laplace
+# ---------------------------------------------------------------------------
 
 
 def laplace() -> list[dict]:
-    out = [_check_forward_transform(name, m) for name, m in _TRANSFORM_MODELS]
-    out.extend(_check_inversion(name, m) for name, m in _TRANSFORM_MODELS)
-    return out
+    """Forward transforms of the series against the closed forms, then the inversion rows."""
+    etas = np.random.default_rng(_PROBE_SEED + 2).uniform(0.5, 20.0, size=20)
+    out = []
+    for name, model in _TRANSFORM_MODELS:
+        closed = rx.psi_laplace(model, etas)
+        numeric = laplace_forward(_series(model), etas)
+        worst = _worst(np.abs(numeric - closed) / np.abs(closed))
+        detail = "numerical transform vs closed form, relative tolerance 1e-10 at 20 points"
+        out.append(_record(f"transform-{name}", worst <= 1e-10, worst, detail))
+    return out + [_pair(f"inversion-{name}") for name, _ in _TRANSFORM_MODELS]
 
 
 # ---------------------------------------------------------------------------

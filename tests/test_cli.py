@@ -254,10 +254,17 @@ def test_omitting_a_required_flag_is_usage_error(obj, flag, capsys):
     assert f"error: {owner} requires --{flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "true"])
-def test_simulate_seed_out_of_range_is_usage_error(seed, capsys):
-    argv = ("simulate", "--process", "reflectedbm", "--boundary", "exponential", "--lambda", "1",
-            "--t", "1", "--paths", "1000", "--seed", seed)
+BAD_SEEDS = ("-1", "18446744073709551616", "1.5", "true")
+
+
+# a quadrature process never draws from the seed, but it is checked all the same
+@pytest.mark.parametrize("seed, process", [
+    *(pytest.param(seed, ("reflectedbm", "--paths", "1000"), id=seed) for seed in BAD_SEEDS),
+    *(pytest.param(seed, ("wrighttime", "--nu", "0.3"), id=f"wrighttime-{seed}") for seed in BAD_SEEDS),
+])
+def test_simulate_seed_out_of_range_is_usage_error(seed, process, capsys):
+    argv = ("simulate", "--process", *process, "--boundary", "exponential", "--lambda", "1",
+            "--t", "1", "--seed", seed)
     try:
         rc = run_cli(*argv)
     except SystemExit as exc:  # argparse: not an integer
