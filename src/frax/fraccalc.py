@@ -6,15 +6,16 @@ The two L1 operators take a 1-D array of samples f(0), f(h), ..., f(nh)
 and the step h, and return an ndarray of their values at h, ..., nh; each
 is one convolution of the samples with a weight vector.  The residual
 study takes an equation as data (the form :func:`frax.relaxation.equation`
-returns) and a function of t, refines the grid and reports the observed
+returns) and a function of t, which it calls once on the 1-D array of
+the finest grid's nodes, refines the grid and reports the observed
 convergence order, which is the quantity the equation checks assert on.
 Both Laplace directions run on fixed rules that certify themselves by
 comparing two levels: the forward transform on an exp-sinh trapezoid rule
-whose nodes serve a whole batch of eta, the inversion on a fixed Talbot
-contour: the 48 node values t*s of its 20- and 28-node rules and their
-(48 x 2) weight matrix are module constants, so one inversion is one call
-of the transform at those nodes divided by t and one dot product, for
-one time or a whole array of them.
+whose nodes serve a whole batch of eta (f called once on them), the
+inversion on a fixed Talbot contour: the 48 node values t*s of its 20-
+and 28-node rules and their (48 x 2) weight matrix are module constants,
+so one inversion is one call of the transform at those nodes divided by
+t and one dot product, for one time or a whole array of them.
 """
 
 from __future__ import annotations
@@ -131,15 +132,16 @@ _ES_RULE = _exp_sinh_rule()
 _ES_AGREE = 1e-5
 
 
-def laplace_forward(f: Callable[[float], float], eta):
+def laplace_forward(f: Callable[[np.ndarray], np.ndarray], eta):
     """Numerical Laplace transform int_0^inf exp(-eta t) f(t) dt.
 
     ``eta`` is a positive float (a float is returned) or a 1-D array of them
     (an ndarray is returned).  The integral runs on a fixed exp-sinh
     trapezoid rule in t = c*exp((pi/2)*sinh(x)) whose nodes do not depend
-    on eta: the etas are grouped into spans at most 40x wide, f is called
-    once per node of each span (about 105 calls) and the samples serve
-    every eta in it.  Each value is summed at steps 1/8 and 1/16 in x, the
+    on eta: the etas are grouped into spans at most 40x wide, and f is
+    called once per span, with the 1-D float ndarray of its nodes (about
+    105 of them), and must return an array of its values there, one per
+    node; the samples serve every eta of the span.  Each value is summed at steps 1/8 and 1/16 in x, the
     finer level reusing every coarser sample, and the 1/16 value is
     returned.  If either sum is non-finite, or they differ by more than
     1e-5 of the 1/16 sum of |integrand|, raises :class:`Unstable`.
@@ -164,11 +166,11 @@ def laplace_forward(f: Callable[[float], float], eta):
     return float(out[0]) if etas.ndim == 0 else out
 
 
-def _exp_sinh_span(f: Callable[[float], float], etas: np.ndarray, c: float) -> np.ndarray:
+def _exp_sinh_span(f: Callable[[np.ndarray], np.ndarray], etas: np.ndarray, c: float) -> np.ndarray:
     """The exp-sinh transform at every eta of one span, nodes scaled by c."""
     u, w, coarse = _ES_RULE
     t = c * u
-    samples = np.array([f(float(tj)) for tj in t], dtype=float)
+    samples = _values(f, t)
     with np.errstate(all="ignore"):
         terms = (c * w * samples) * np.exp(-np.outer(etas, t))
         fine = terms.sum(axis=1)
@@ -183,6 +185,14 @@ def _exp_sinh_span(f: Callable[[float], float], etas: np.ndarray, c: float) -> n
                 f"{g / s:.3g} of the integral of |f| (tolerance {_ES_AGREE:.0e})"
             )
     return fine
+
+
+def _values(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
+    """f called once on the nodes ``t``, as a float array of one value per node."""
+    values = np.asarray(f(t), dtype=float)
+    if values.shape != t.shape:
+        raise DomainError(f"f must return one value per node: {t.size} nodes, got shape {values.shape}")
+    return values
 
 
 def _talbot_constants() -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +285,7 @@ def _talbot_failure(t: float, gap: float) -> str:
 
 
 def ode_residual(
-    equation, f: Callable[[float], float], h: float, n: int, *, levels: int = 3
+    equation, f: Callable[[np.ndarray], np.ndarray], h: float, n: int, *, levels: int = 3
 ) -> ResidualReport:
     """Grid-refinement residual study of ``f`` in a fractional relaxation equation.
 
@@ -289,7 +299,10 @@ def ode_residual(
     The coarsest level has step ``h`` and ``n`` steps, and each further
     level halves the step.  f and the source are sampled once, on the
     finest level: the nodes of a coarser level are, bit for bit, every
-    2**k-th finest node.  Residual max-norms are taken over the window
+    2**k-th finest node.  f is called once, with the 1-D float ndarray of
+    the finest nodes 0, h/2**(levels-1), ..., n*h, and the source once,
+    with the same nodes but t = 0; each returns an array of one value per
+    node.  Residual max-norms are taken over the window
     t >= 4*h, which keeps the comparison region fixed across levels and
     away from the t = 0 singularity of the weakly singular laws.  The
     report's ``order`` is the mean of the log2 ratios of consecutive
@@ -305,8 +318,8 @@ def ode_residual(
         )
     fine = 2 ** (levels - 1)
     ts = np.arange(n * fine + 1) * (h / fine)
-    finest = _samples([f(t) for t in ts.tolist()], h / fine)
-    forcing = np.zeros(ts.size) if source is None else np.array([0.0] + [source(float(t)) for t in ts[1:]])
+    finest = _samples(_values(f, ts), h / fine)
+    forcing = np.zeros(ts.size) if source is None else np.concatenate(([0.0], _values(source, ts[1:])))
     window = 4.0 * h * (1.0 - 1e-12)
     hs = tuple(h / 2**lv for lv in range(levels))
     norms = []

@@ -19,7 +19,8 @@ whole array of times, and sums the series only where the contour does not
 certify its value; the elementary laws evaluate their closed form.
 ``_series_psi`` keeps the other order (series first, the contour where
 the series fails) as the reference evaluator that the verify checks
-compare against.  Both snap values a rounding error outside [0, 1] back
+compare against, at one time or, summing each series once with per-time
+gates, on a whole array of times.  Both snap values a rounding error outside [0, 1] back
 onto the interval; the laws themselves never do.
 """
 
@@ -36,7 +37,7 @@ from scipy.special import i0e
 
 from .errors import DomainError, NonConvergence, Unstable, Unsupported, _integer, _real
 from .fraccalc import _talbot, _talbot_failure, laplace_invert
-from .specfun import _ABSUM_CAP, _EPS, MLParams, _gml_raw, _sum_series, mittag_leffler
+from .specfun import _ABSUM_CAP, _EPS, _MAX_TERMS, _REL_TOL, MLParams, _gml_raw, _sum_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -110,8 +111,16 @@ def _reals(obj: object, *names: str) -> None:
         object.__setattr__(obj, name, float(v))
 
 
-def _clip01(v: float) -> float:
+def _xp(t: float | np.ndarray):
+    """``np`` for an ndarray ``t`` and ``math`` for a float, so that one
+    formula serves both: ``_xp(t).sqrt(t)``."""
+    return np if isinstance(t, np.ndarray) else math
+
+
+def _clip01(v: float | np.ndarray) -> float | np.ndarray:
     """Snap values a rounding error outside [0, 1] back onto the interval."""
+    if isinstance(v, np.ndarray):
+        return np.where((-1e-9 <= v) & (v < 0.0), 0.0, np.where((1.0 < v) & (v <= 1.0 + 1e-9), 1.0, v))
     if -1e-9 <= v < 0.0:
         return 0.0
     if 1.0 < v <= 1.0 + 1e-9:
@@ -127,44 +136,52 @@ _INNER_ERR_SAFETY = 64.0
 _BUDGET = 1e-9
 
 
-def _absum_cap(scale: float, used: float, weight: float) -> float:
+def _absum_cap(scale, used, weight):
     """Cap on the absolute sum of an inner series entering with ``weight``.
 
     An inner sum with absolute sum A adds ``scale * weight * 64 * eps * A``
     to a propagated error that already stands at ``scale * used``; the cap
     is twice the A that fills the rest of the budget, so rounding never
-    rejects a series that the final gate would accept.
+    rejects a series that the final gate would accept.  Arrays give one
+    cap per element.
     """
     unit = scale * weight * _INNER_ERR_SAFETY * _EPS
+    if isinstance(unit, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            capped = np.minimum(_ABSUM_CAP, 2.0 * (_BUDGET - scale * used) / unit)
+        return np.where(unit == 0.0, _ABSUM_CAP, capped)
     if unit == 0.0:
         return _ABSUM_CAP
     return min(_ABSUM_CAP, 2.0 * (_BUDGET - scale * used) / unit)
 
 
-def _outer_series(
-    inner: "Callable[[int, float], tuple[float, float, bool]]", ratio: float, scale: float
-) -> float:
-    """Sum an outer series sum_r (-ratio)**r * inner(r) with error tracking.
+def _outer_series(params: Callable[[int], MLParams], z, ratio, scale):
+    """Sum an outer series sum_r (-ratio)**r * E(params(r), z) with error tracking.
 
-    ``inner(r, cap)`` returns an inner-series value with its raw error
-    estimate, failing once its absolute sum passes ``cap``; the propagated
-    bound sums |ratio|**r times those estimates (they are amplified, not
-    cancelled, by the alternating outer coefficients) plus the outer
-    cancellation term.  ``scale`` is the prefactor the caller multiplies
-    the sum by; the law being a probability, the scaled error must stay
-    below 1e-9 or :class:`NonConvergence` is raised.  Both parts of the
-    bound only grow, so the gate is checked before each term reaches
-    :func:`~frax.specfun._sum_series` and each inner series is capped at
-    what is left of the budget: a sum that breaks it stops there, as it
-    would fail at the end anyway.
+    E is the three-parameter Mittag-Leffler series (``_gml_raw``), with
+    its raw error estimate, capped at what is left of the budget; the
+    propagated bound sums |ratio|**r times those estimates (they are
+    amplified, not cancelled, by the alternating outer coefficients) plus
+    the outer cancellation term.  ``scale`` is the prefactor the caller
+    multiplies the sum by; the law being a probability, the scaled error
+    must stay below 1e-9 or :class:`NonConvergence` is raised.  Both parts
+    of the bound only grow, so the gate is checked before each term
+    reaches :func:`~frax.specfun._sum_series` and each inner series is
+    capped at what is left of the budget: a sum that breaks it stops
+    there, as it would fail at the end anyway.
+
+    ``z``, ``ratio`` and ``scale`` may be 1-D arrays of one shape: see
+    :func:`_outer_rows`.
     """
+    if isinstance(z, np.ndarray):
+        return _outer_rows(params, z, ratio, scale)
 
     def terms() -> Iterator[float]:
         absum = 0.0
         errb = 0.0
         coeff = 1.0
         for r in itertools.count():
-            g, est, ok = inner(r, _absum_cap(scale, errb + _EPS * absum, abs(coeff)))
+            g, est, ok = _gml_raw(params(r), z, _absum_cap(scale, errb + _EPS * absum, abs(coeff)))
             if not ok:
                 raise NonConvergence(f"inner series failed at outer index {r}")
             term = coeff * g
@@ -182,17 +199,58 @@ def _outer_series(
     return s
 
 
-def _gml_scaled(p: MLParams, z: float, scale: float) -> float:
+def _outer_rows(params: Callable[[int], MLParams], z: np.ndarray, ratio: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """:func:`_outer_series` at every row of the 1-D arrays ``z``, ``ratio`` and ``scale``.
+
+    Each outer index sums one inner series for all rows still summing,
+    each with its own cap.  A row passes the gates of the scalar form, one
+    by one: a failed inner series, the 1e-9 budget, a term that is not
+    finite, the absolute-sum cap, and the stop at the third negligible
+    term in a row once r >= 8, within 600 terms.  A row that fails a gate
+    is NaN, where the scalar form raises.
+    """
+    out = np.full(z.size, np.nan)
+    live = np.arange(z.size)
+    s = comp = absum = errb = small = np.zeros(z.size)  # never updated in place
+    coeff = np.ones(z.size)
+    for r in range(_MAX_TERMS):
+        if live.size == 0:
+            break
+        g, est, ok = _gml_raw(params(r), z, _absum_cap(scale, errb + _EPS * absum, np.abs(coeff)))
+        with np.errstate(all="ignore"):
+            term = coeff * g
+            absum = absum + np.abs(term)
+            errb = errb + np.abs(coeff) * est * _INNER_ERR_SAFETY
+            y = term - comp
+            tt = s + y
+            comp = (tt - s) - y
+            s = tt
+            small = np.where(np.abs(term) <= _REL_TOL * (np.abs(s) + 1e-300), small + 1.0, 0.0)
+            failed = ~(ok & (scale * (errb + _EPS * absum) <= _BUDGET) & np.isfinite(term) & (absum <= _ABSUM_CAP))
+        converged = ~failed & (small >= 3.0) & (r >= 8)
+        out[live[converged]] = s[converged]
+        keep = ~(failed | converged)
+        live, z, ratio, scale = live[keep], z[keep], ratio[keep], scale[keep]
+        s, comp, absum, errb, small, coeff = s[keep], comp[keep], absum[keep], errb[keep], small[keep], coeff[keep]
+        coeff = coeff * -ratio
+    return out
+
+
+def _gml_scaled(p: MLParams, z, scale):
     """Inner series value whose ``scale``-multiplied error must fit the law.
 
     The single-series laws subtract ``scale * value`` from 1, so what has
     to be small is the absolute error of that product, not the relative
     error of the series; the acceptance gate matches the one used for the
     outer-series laws (propagated error below 1e-9), and the series stops
-    at the first term whose absolute sum breaks it.
+    at the first term whose absolute sum breaks it.  For arrays ``z`` and
+    ``scale`` the rows that fail the gate are NaN instead of raising.
     """
     val, est, ok = _gml_raw(p, z, _absum_cap(scale, 0.0, 1.0))
-    if not ok or scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) > _BUDGET:
+    accurate = ok & (scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) <= _BUDGET)
+    if isinstance(z, np.ndarray):
+        return np.where(accurate, val, np.nan)
+    if not accurate:
         raise NonConvergence(
             f"series for E^{p.gamma}_({p.alpha},{p.beta})({z}) is not accurate enough "
             f"at scale {scale:.3g}"
@@ -201,7 +259,7 @@ def _gml_scaled(p: MLParams, z: float, scale: float) -> float:
 
 
 # A governing equation as data: ((nu_i, c_i), ...), c0, f_inf, source.
-_Equation = tuple[tuple[tuple[float, float], ...], float, float, Callable[[float], float] | None]
+_Equation = tuple[tuple[tuple[float, float], ...], float, float, Callable[[np.ndarray], np.ndarray] | None]
 
 
 class _Law:
@@ -231,7 +289,8 @@ class _Law:
 
         psi solves sum_i c_i D^{nu_i} f + c0 (f - f_inf) + source(t) = 0,
         with ``terms`` the pairs (nu_i, c_i) of Caputo orders in (0, 1] and
-        their coefficients, and ``source`` a function of t or None.
+        their coefficients, and ``source`` a numpy expression in an array
+        of t > 0, or None.
         """
         raise Unsupported(f"equation: no governing equation is known for {type(self).__name__}")
 
@@ -277,7 +336,7 @@ class Fractional(_Law):
         _require(0.0 < self.nu < 1.0, f"Fractional.nu must lie in (0, 1), got {self.nu!r}")
         _positive(self, "lam")
 
-    def _psi(self, t: float) -> float:
+    def _psi(self, t):
         return mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu)
 
     def _laplace(self, s):
@@ -318,7 +377,7 @@ class Sojourn(_Law):
     def _equation(self) -> _Equation:
         # s^{1/2} Psi - s^{-1/2} = (s + lam)^{-1/2} - s^{-1/2}, inverted term by term
         lam = self.lam
-        return ((0.5, 1.0),), 0.0, 0.0, lambda t: -math.expm1(-lam * t) / math.sqrt(math.pi * t)
+        return ((0.5, 1.0),), 0.0, 0.0, lambda t: -np.expm1(-lam * t) / np.sqrt(math.pi * t)
 
 
 @dataclass(frozen=True)
@@ -379,14 +438,15 @@ class Elastic(_Law):
     def __post_init__(self) -> None:
         _positive(self, "alpha", "lam")
 
-    def _psi(self, t: float) -> float:
+    def _psi(self, t):
         lam, alpha = self.lam, self.alpha
+        sqrt_t = _xp(t).sqrt(t)
         if abs(alpha - lam) < 1e-8 * lam:
-            y = lam * math.sqrt(t) / _SQRT2
+            y = lam * sqrt_t / _SQRT2
             return 1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y)
         ml = MLParams(0.5, 1.0)
-        ea = mittag_leffler(ml, -alpha * math.sqrt(t) / _SQRT2)
-        el = mittag_leffler(ml, -lam * math.sqrt(t) / _SQRT2)
+        ea = mittag_leffler(ml, -alpha * sqrt_t / _SQRT2)
+        el = mittag_leffler(ml, -lam * sqrt_t / _SQRT2)
         return 1.0 - lam / (lam - alpha) * (ea - el)
 
     def _laplace(self, s):
@@ -404,7 +464,7 @@ class Elastic(_Law):
     def _equation(self) -> _Equation:
         lam, alpha = self.lam, self.alpha
         terms = ((1.0, 1.0), (0.5, (alpha + lam) / _SQRT2))
-        return terms, 0.5 * alpha * lam, 1.0, lambda t: lam / math.sqrt(2.0 * math.pi * t)
+        return terms, 0.5 * alpha * lam, 1.0, lambda t: lam / np.sqrt(2.0 * math.pi * t)
 
 
 @dataclass(frozen=True)
@@ -420,8 +480,8 @@ class GammaBoundary(_Law):
         _count(self, "k")
         _positive(self, "lam")
 
-    def _psi(self, t: float) -> float:
-        x = self.lam * math.sqrt(t)
+    def _psi(self, t):
+        x = self.lam * _xp(t).sqrt(t)
         p = MLParams(0.5, 0.5 * self.k + 1.0, float(self.k))
         return 1.0 - x**self.k * _gml_scaled(p, -x, x**self.k)
 
@@ -460,18 +520,15 @@ class ElasticGamma(_Law):
         _count(self, "k")
         _positive(self, "alpha", "lam")
 
-    def _psi(self, t: float) -> float:
+    def _psi(self, t):
         lam, alpha, k = self.lam, self.alpha, self.k
-        y = lam * math.sqrt(t) / _SQRT2
+        sqrt_t = _xp(t).sqrt(t)
+        y = lam * sqrt_t / _SQRT2
         if abs(alpha - lam) < 1e-8 * lam:
             p = MLParams(0.5, 0.5 * k + 1.0, k + 1.0)
             return 1.0 - y**k * _gml_scaled(p, -y, y**k)
-        a = alpha * math.sqrt(t) / _SQRT2
-
-        def inner(ell: int, cap: float) -> tuple[float, float, bool]:
-            return _gml_raw(MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, cap)
-
-        return 1.0 - y**k * _outer_series(inner, a, y**k)
+        a = alpha * sqrt_t / _SQRT2
+        return 1.0 - y**k * _outer_series(lambda ell: MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, a, y**k)
 
     def _laplace(self, s):
         lam, alpha, k = self.lam, self.alpha, self.k
@@ -493,7 +550,7 @@ class ElasticGamma(_Law):
             )
         lam, alpha = self.lam, self.alpha
         terms = ((0.5, 1.0 + alpha / lam), (1.0, _SQRT2 / lam))
-        return terms, alpha / _SQRT2, 1.0, lambda t: 1.0 / math.sqrt(math.pi * t)
+        return terms, alpha / _SQRT2, 1.0, lambda t: 1.0 / np.sqrt(math.pi * t)
 
 
 @dataclass(frozen=True)
@@ -517,22 +574,15 @@ class Distributed(_Law):
         _require(abs(self.n1 + self.n2 - 1.0) <= 1e-12, f"Distributed weights must satisfy n1 + n2 = 1, got {self.n1!r} + {self.n2!r}")
         _positive(self, "lam")
 
-    def _psi(self, t: float) -> float:
+    def _psi(self, t):
         if self.n1 == 0.0:
             if self.nu2 == 1.0:
-                return math.exp(-self.lam * t / self.n2)
+                return _xp(t).exp(-self.lam * t / self.n2)
             return Fractional(self.nu2, self.lam / self.n2)._psi(t)
-        return self._series(t)
-
-    def _series(self, t: float) -> float:
         delta = self.nu2 - self.nu1
         x = self.lam * t**self.nu2 / self.n2
         q = self.n1 * t**delta / self.n2
-
-        def inner(r: int, cap: float) -> tuple[float, float, bool]:
-            return _gml_raw(MLParams(self.nu2, self.nu2 + delta * r + 1.0, r + 1.0), -x, cap)
-
-        return 1.0 - x * _outer_series(inner, q, x)
+        return 1.0 - x * _outer_series(lambda r: MLParams(self.nu2, self.nu2 + delta * r + 1.0, r + 1.0), -x, q, x)
 
     def _laplace(self, s):
         log_s = np.log(s)
@@ -607,7 +657,7 @@ def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
         return _series_fallback(law, t, str(exc))
 
 
-def _series_psi(model: _Law, t: float) -> float:
+def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
     """psi at a float t >= 0 from the law's series, the reference evaluator.
 
     The law's closed form answers; where its series fails its gate, the
@@ -615,7 +665,30 @@ def _series_psi(model: _Law, t: float) -> float:
     :func:`psi`, so that they hold the series and the contour against each
     other rather than the contour against itself.  The arguments are not
     checked.
+
+    ``t`` may be a 1-D float ndarray of times >= 0: a series law then sums
+    its series once for all of them, and the times where it fails its gate
+    are inverted together on one contour, which raises :class:`Unstable`
+    if it does not certify them.  The values agree with scalar calls to
+    ~1e-12; the elementary laws answer point by point.
     """
+    if isinstance(t, np.ndarray):
+        out = np.ones(t.size)
+        rest = np.flatnonzero(t > 0.0)
+        if not model._contour_first:
+            out[rest] = [_series_psi(model, tj) for tj in t[rest].tolist()]
+            return out
+        ts = t[rest]
+        values = model._psi(ts)
+        failed = np.flatnonzero(np.isnan(values))
+        if failed.size:
+            inverted, gaps, ok = _talbot(model._laplace, ts[failed])
+            if not ok.all():
+                first = int(np.argmin(ok))
+                raise Unstable(_talbot_failure(float(ts[failed[first]]), float(gaps[first])))
+            values[failed] = inverted
+        out[rest] = _clip01(values)
+        return out
     if t == 0.0:
         return 1.0
     try:
@@ -641,14 +714,14 @@ def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     out = np.ones(flat.size)
     rest = np.flatnonzero(flat > 0.0)
     ts = flat[rest].tolist()
-    if law._contour_first and ts:
+    if not law._contour_first:
+        out[rest] = _series_psi(law, flat[rest])
+    elif ts:
         values, gaps, ok = _talbot(law._laplace, flat[rest])
         out[rest] = [
             _clip01(v) if good else _series_fallback(law, tj, _talbot_failure(tj, g))
             for tj, v, g, good in zip(ts, values.tolist(), gaps.tolist(), ok.tolist())
         ]
-    else:
-        out[rest] = [_series_psi(law, tj) for tj in ts]
     return out.reshape(t.shape)
 
 
@@ -692,7 +765,8 @@ def equation(model: RelaxationModel) -> _Equation:
     Returns ``(terms, c0, f_inf, source)`` for
     sum_i c_i D^{nu_i} psi + c0 (psi - f_inf) + source(t) = 0, where
     ``terms`` pairs each Caputo order nu_i in (0, 1] with its coefficient
-    and ``source`` is a function of t > 0 or None; this is the form
+    and ``source`` is a numpy expression in t > 0 (a float or an array of
+    times) or None; this is the form
     :func:`~frax.fraccalc.ode_residual` takes.  Laws without such an
     equation (first passage, squared Bessel, gamma shapes above the
     stated range) raise :class:`Unsupported`.

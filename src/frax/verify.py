@@ -2,18 +2,25 @@
 
 Each suite function returns a list of check records, one per named check:
 
-    {"check": str, "passed": bool, "error": float, "detail": str}
+    {"check": str, "passed": bool, "error": float, "detail": str, "seconds": float}
 
 ``error`` is the measured figure of merit for the check (a maximum
 deviation, or a distance from a target order); ``detail`` states the
-tolerance or expectation it was held against.  The suites are pure and
+tolerance or expectation it was held against; ``seconds`` is the check's
+wall time (``time.perf_counter``).  Each check runs on its own: a check
+that raises a :class:`~frax.errors.FraxError` gives a failed record with
+error NaN and the exception as its detail, and the suite goes on.  The
+suites are pure and
 deterministic: random probe points are drawn from fixed-seed generators.
 They sample psi through the series evaluator ``relaxation._series_psi``,
 not through :func:`~frax.relaxation.psi`, which inverts the transform
 first: the transform and inversion checks then hold the contour against
 the series rather than against itself.
 
-The checks that hold one evaluator against another are rows of one table,
+The series laws sample ``_series_psi`` on whole arrays of times: the
+residual, half-derivative and ``transform-*`` checks make one call per
+sample set.  The checks that hold one evaluator against another are rows
+of one table,
 ``_PAIRS``: check name -> (comparisons, absolute tolerance[, detail]),
 where each comparison is ``(a, b, points)`` and the check's error is the
 largest |a(x) - b(x)| over the points.  The evaluators look up the series,
@@ -35,14 +42,16 @@ command-line ``verify`` subcommand.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import time
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import relaxation as rx
-from .errors import NonConvergence
+from .errors import FraxError, NonConvergence
 from .fraccalc import laplace_forward, laplace_invert, ode_residual
 from .specfun import MLParams, _gml_raw, gml, mittag_leffler
 from scipy.special import erfcx
@@ -52,8 +61,19 @@ __all__ = ["SUITES", "run_suite", "report"]
 _PROBE_SEED = 20260814
 
 
-def _record(check: str, passed: bool, error: float, detail: str) -> dict:
-    return {"check": check, "passed": bool(passed), "error": float(error), "detail": detail}
+# What a check returns: (passed, error, detail).
+_Outcome = tuple[bool, float, str]
+
+
+def _run(check: str, fn: Callable[[], _Outcome]) -> dict:
+    """The record of one check; a :class:`FraxError` it raises fails it with error NaN."""
+    start = time.perf_counter()
+    try:
+        passed, error, detail = fn()
+    except FraxError as exc:
+        passed, error, detail = False, math.nan, f"{type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - start
+    return {"check": check, "passed": bool(passed), "error": float(error), "detail": detail, "seconds": seconds}
 
 
 def _worst(gaps: Sequence[float]) -> float:
@@ -81,7 +101,7 @@ def _gml_or_unit(k: int, beta: float, z: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _check_gml_recursion() -> dict:
+def _check_gml_recursion() -> _Outcome:
     """E^m_{nu,b}(-x) + x E^m_{nu,b+nu}(-x) = E^(m-1)_{nu,b}(-x), nu=1/2, b=k*nu+1/2."""
     gaps = []
     for k in range(1, 6):
@@ -94,18 +114,13 @@ def _check_gml_recursion() -> dict:
             eval_err = (e1 + x * e2 + e0) / abs(v0)
             if eval_err > 2.5e-11:
                 # noise budget: a quarter of the identity tolerance
-                return _record(
-                    "gml-index-recursion",
-                    False,
-                    eval_err,
-                    "series evaluation error too large to test the identity at 1e-10",
-                )
+                return False, eval_err, "series evaluation error too large to test the identity at 1e-10"
             gaps.append(abs(lhs - v0) / abs(v0))
     worst = _worst(gaps)
-    return _record("gml-index-recursion", worst <= 1e-10, worst, "relative tolerance 1e-10")
+    return worst <= 1e-10, worst, "relative tolerance 1e-10"
 
 
-def _check_gml_derivative() -> dict:
+def _check_gml_derivative() -> _Outcome:
     """d/dt [t^(b-1) E^g_{a,b}(z t^a)] = t^(b-2) E^g_{a,b-1}(z t^a), by central differences."""
 
     def observed_orders(a: float, b: float, g: float, z: float, t0: float) -> list[float]:
@@ -121,15 +136,10 @@ def _check_gml_derivative() -> dict:
 
     cases = ((0.6, 1.7, 2.0, -1.0), (0.5, 2.2, 3.0, -0.7), (0.8, 1.5, 1.5, 0.4))
     worst = float(np.min([order for c in cases for order in observed_orders(*c, t0=0.9)]))
-    return _record(
-        "gml-derivative-ladder",
-        worst >= 1.9,
-        worst,
-        "min observed central-difference order, expected >= 1.9",
-    )
+    return worst >= 1.9, worst, "min observed central-difference order, expected >= 1.9"
 
 
-def _check_half_derivative_recursion() -> dict:
+def _check_half_derivative_recursion() -> _Outcome:
     """Half-derivative of the gamma-boundary law steps down its shape index.
 
     D^{1/2} psi_k + lam psi_k - lam psi_{k-1} = 0: an equation in psi_k
@@ -144,21 +154,16 @@ def _check_half_derivative_recursion() -> dict:
         hi = rx.GammaBoundary(k=k, lam=lam)
         lo = rx.GammaBoundary(k=k - 1, lam=lam)
         step_down = (((0.5, 1.0),), lam, 0.0, lambda t, lo=lo: -lam * rx._series_psi(lo, t))
-        rep = ode_residual(step_down, lambda t, hi=hi: rx._series_psi(hi, t), 1.0 / 32.0, 48, levels=3)
+        rep = ode_residual(step_down, _series(hi), 1.0 / 32.0, 48, levels=3)
         norms = rep.max_norms
         decreasing = norms[0] > norms[1] > norms[2]
         passed = passed and decreasing
         finest.append(norms[-1])
         detail.append(f"k={k}: norms {norms[0]:.3e} -> {norms[1]:.3e} -> {norms[2]:.3e}")
-    return _record(
-        "half-derivative-shape-recursion",
-        passed,
-        _worst(finest),
-        "residual max-norms must decrease under halving; " + "; ".join(detail),
-    )
+    return passed, _worst(finest), "residual max-norms must decrease under halving; " + "; ".join(detail)
 
 
-def _check_gml_single_parameter() -> dict:
+def _check_gml_single_parameter() -> _Outcome:
     """gml with unit third parameter agrees with the two-parameter evaluator."""
     rng = np.random.default_rng(_PROBE_SEED)
     gaps = []
@@ -176,15 +181,14 @@ def _check_gml_single_parameter() -> dict:
             continue
         gaps.append(abs(v_three - v_two) / (1.0 + abs(v_two)))
     worst = _worst(gaps)
-    return _record(
-        "gml-unit-parameter-collapse",
+    return (
         len(gaps) == 200 and worst <= 1e-12,
         worst,
         f"200 probe points (skipped {skipped} non-representable), tolerance 1e-12*(1+|v|)",
     )
 
 
-def _check_gamma_boundary_collapse() -> dict:
+def _check_gamma_boundary_collapse() -> _Outcome:
     """Shape k = 1 reduces the gamma-boundary law to the order-1/2 relaxation.
 
     Where both sides run on their power series the agreement must be near
@@ -203,8 +207,7 @@ def _check_gamma_boundary_collapse() -> dict:
             (series_gaps if lam * math.sqrt(t) <= 2.8 else far_gaps).append(diff)
     worst_series = _worst(series_gaps)
     worst_far = _worst(far_gaps)
-    return _record(
-        "gamma-boundary-unit-shape",
+    return (
         worst_series <= 1e-10 and worst_far <= 1e-9,
         _worst(series_gaps + far_gaps),
         f"series region {worst_series:.3e} (tol 1e-10), "
@@ -225,7 +228,8 @@ _TRANSFORM_MODELS: tuple[tuple[str, rx.RelaxationModel], ...] = (
 )
 
 
-def _series(model: rx.RelaxationModel) -> Callable[[float], float]:
+def _series(model: rx.RelaxationModel) -> Callable:
+    """The series reference of ``model``, at a float or on an array of times."""
     return lambda t: rx._series_psi(model, t)
 
 
@@ -285,46 +289,31 @@ _PAIRS: dict[str, tuple] = {
 }
 
 
-def _check_pair(check: str, pairs: list, tol: float, detail: str = "") -> dict:
+def _check_pair(pairs: list, tol: float, detail: str = "") -> _Outcome:
     """Largest |a(x) - b(x)| over every comparison's points, held to ``tol``."""
     worst = _worst([abs(a(x) - b(x)) for a, b, points in pairs for x in points])
     detail = detail or "absolute tolerance " + np.format_float_scientific(tol, trim="-", exp_digits=1)
-    return _record(check, worst <= tol, worst, detail)
+    return worst <= tol, worst, detail
 
 
-def _pair(check: str) -> dict:
-    return _check_pair(check, *_PAIRS[check])
-
-
-def identities() -> list[dict]:
-    return [
-        _check_gml_recursion(),
-        _check_gml_derivative(),
-        _check_half_derivative_recursion(),
-        _pair("ml-half-erfcx-chain"),
-        _check_gml_single_parameter(),
-        _check_gamma_boundary_collapse(),
-        *map(_pair, ("elastic-vanishing-killing", "elastic-gamma-unit-shape", "elastic-gamma-vanishing-killing",
-                     "first-passage-chain-rate", "distributed-zero-weight", "elastic-equal-rate-branch")),
-    ]
+def _pairs(*names: str) -> list[tuple[str, Callable[[], _Outcome]]]:
+    """The named rows of ``_PAIRS`` as (check name, check) entries of a suite."""
+    return [(name, functools.partial(_check_pair, *_PAIRS[name])) for name in names]
 
 
 # ---------------------------------------------------------------------------
 # laplace
 # ---------------------------------------------------------------------------
 
+_TRANSFORM_ETAS = np.random.default_rng(_PROBE_SEED + 2).uniform(0.5, 20.0, size=20)
 
-def laplace() -> list[dict]:
-    """Forward transforms of the series against the closed forms, then the inversion rows."""
-    etas = np.random.default_rng(_PROBE_SEED + 2).uniform(0.5, 20.0, size=20)
-    out = []
-    for name, model in _TRANSFORM_MODELS:
-        closed = rx.psi_laplace(model, etas)
-        numeric = laplace_forward(_series(model), etas)
-        worst = _worst(np.abs(numeric - closed) / np.abs(closed))
-        detail = "numerical transform vs closed form, relative tolerance 1e-10 at 20 points"
-        out.append(_record(f"transform-{name}", worst <= 1e-10, worst, detail))
-    return out + [_pair(f"inversion-{name}") for name, _ in _TRANSFORM_MODELS]
+
+def _check_transform(model: rx.RelaxationModel) -> _Outcome:
+    """The forward transform of the series against the closed form."""
+    closed = rx.psi_laplace(model, _TRANSFORM_ETAS)
+    numeric = laplace_forward(_series(model), _TRANSFORM_ETAS)
+    worst = _worst(np.abs(numeric - closed) / np.abs(closed))
+    return worst <= 1e-10, worst, "numerical transform vs closed form, relative tolerance 1e-10 at 20 points"
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +330,12 @@ _RESIDUAL_CASES: tuple[tuple[str, rx.RelaxationModel, float], ...] = (
 )
 
 
-def _check_residual(name: str, model: rx.RelaxationModel, expected: float) -> dict:
-    rep = ode_residual(rx.equation(model), lambda t: rx._series_psi(model, t), 1.0 / 16.0, 32, levels=4)
+def _check_residual(model: rx.RelaxationModel, expected: float) -> _Outcome:
+    rep = ode_residual(rx.equation(model), _series(model), 1.0 / 16.0, 32, levels=4)
     decreasing = all(a > b for a, b in zip(rep.max_norms[:-1], rep.max_norms[1:]))
     passed = decreasing and abs(rep.order - expected) <= 0.4
     detail = f"order {rep.order:.3f}, expected {expected} +/- 0.4 with decreasing norms"
-    return _record(f"residual-{name}", passed, abs(rep.order - expected), detail)
-
-
-def residuals() -> list[dict]:
-    return [_check_residual(name, m, e) for name, m, e in _RESIDUAL_CASES]
+    return passed, abs(rep.order - expected), detail
 
 
 # ---------------------------------------------------------------------------
@@ -380,39 +365,54 @@ def _ratio_error(model: rx.RelaxationModel, regime: rx.Regime, t: float) -> floa
     return 0.0 if err < _RATIO_FLOOR else err
 
 
-def _check_asymptote(name: str, model: rx.RelaxationModel, regime: rx.Regime) -> dict:
+def _check_asymptote(model: rx.RelaxationModel, regime: rx.Regime) -> _Outcome:
     ts = (1e-2, 1e-3, 1e-4) if regime is rx.SmallT else (1e2, 1e3, 1e4)
     errs = [_ratio_error(model, regime, t) for t in ts]
     monotone = all(a >= b for a, b in zip(errs[:-1], errs[1:]))
-    passed = errs[-1] < 0.02 and monotone
-    tag = "small-t" if regime is rx.SmallT else "large-t"
-    return _record(
-        f"asymptote-{tag}-{name}",
-        passed,
+    return (
+        errs[-1] < 0.02 and monotone,
         errs[-1],
         f"ratio errors along approach: {errs[0]:.3e} -> {errs[1]:.3e} -> {errs[2]:.3e}; "
         "extreme point < 2% and non-increasing",
     )
 
 
-def asymptotics() -> list[dict]:
-    out = []
-    for name, m in _ASYMPTOTIC_MODELS:
-        out.append(_check_asymptote(name, m, rx.SmallT))
-        out.append(_check_asymptote(name, m, rx.LargeT))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-SUITES: dict[str, Callable[[], list[dict]]] = {
-    "identities": identities,
-    "laplace": laplace,
-    "residuals": residuals,
-    "asymptotics": asymptotics,
+# suite name -> its checks in report order, as (check name, check)
+_CHECKS: dict[str, list[tuple[str, Callable[[], _Outcome]]]] = {
+    "identities": [
+        ("gml-index-recursion", _check_gml_recursion),
+        ("gml-derivative-ladder", _check_gml_derivative),
+        ("half-derivative-shape-recursion", _check_half_derivative_recursion),
+        *_pairs("ml-half-erfcx-chain"),
+        ("gml-unit-parameter-collapse", _check_gml_single_parameter),
+        ("gamma-boundary-unit-shape", _check_gamma_boundary_collapse),
+        *_pairs("elastic-vanishing-killing", "elastic-gamma-unit-shape", "elastic-gamma-vanishing-killing",
+                "first-passage-chain-rate", "distributed-zero-weight", "elastic-equal-rate-branch"),
+    ],
+    # forward transforms of the series against the closed forms, then the inversion rows
+    "laplace": [(f"transform-{name}", functools.partial(_check_transform, model)) for name, model in _TRANSFORM_MODELS]
+    + _pairs(*(f"inversion-{name}" for name, _ in _TRANSFORM_MODELS)),
+    "residuals": [
+        (f"residual-{name}", functools.partial(_check_residual, model, expected))
+        for name, model, expected in _RESIDUAL_CASES
+    ],
+    "asymptotics": [
+        (f"asymptote-{'small' if regime is rx.SmallT else 'large'}-t-{name}",
+         functools.partial(_check_asymptote, model, regime))
+        for name, model in _ASYMPTOTIC_MODELS for regime in (rx.SmallT, rx.LargeT)
+    ],
 }
+
+
+def _suite(name: str) -> Callable[[], list[dict]]:
+    return lambda: [_run(check, fn) for check, fn in _CHECKS[name]]
+
+
+SUITES: dict[str, Callable[[], list[dict]]] = {name: _suite(name) for name in _CHECKS}
 
 
 def run_suite(name: str) -> list[dict]:

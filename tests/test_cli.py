@@ -455,7 +455,8 @@ def test_verify_identities_report(tmp_path):
     assert doc["checks_failed"] == []
     assert doc["checks_run"] == len(doc["records"])
     for record in doc["records"]:
-        assert set(record) == {"check", "passed", "error", "detail"}
+        assert set(record) == {"check", "passed", "error", "detail", "seconds"}
+        assert math.isfinite(record["seconds"]) and record["seconds"] >= 0.0
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -207,24 +207,24 @@ def test_rl_integral_order_validation():
 def test_laplace_forward_of_exponential():
     for lam in (0.5, 1.0, 2.0):
         for eta in (0.5, 1.0, 4.0, 15.0):
-            got = laplace_forward(lambda t, lam=lam: math.exp(-lam * t), eta)
+            got = laplace_forward(lambda t, lam=lam: np.exp(-lam * t), eta)
             assert abs(got - 1.0 / (eta + lam)) < 1e-10
 
 
 def test_laplace_forward_of_power():
     # t -> sqrt(t) transforms to Gamma(1.5) / eta^1.5
     for eta in (1.0, 3.0):
-        got = laplace_forward(lambda t: math.sqrt(t), eta)
+        got = laplace_forward(np.sqrt, eta)
         assert abs(got - math.gamma(1.5) / eta**1.5) < 1e-9
 
 
 # (f, exact transform), each held at 1e-12 relative over eta in [1e-3, 1e3]
 ELEMENTARY_TRANSFORMS = {
-    "exp(-t/2)": (lambda t: math.exp(-0.5 * t), lambda e: 1.0 / (e + 0.5)),
-    "exp(-t)": (lambda t: math.exp(-t), lambda e: 1.0 / (e + 1.0)),
-    "sqrt(t)": (math.sqrt, lambda e: math.gamma(1.5) / e**1.5),
-    "1/sqrt(t)": (lambda t: 1.0 / math.sqrt(t), lambda e: math.sqrt(math.pi / e)),
-    "1": (lambda t: 1.0, lambda e: 1.0 / e),
+    "exp(-t/2)": (lambda t: np.exp(-0.5 * t), lambda e: 1.0 / (e + 0.5)),
+    "exp(-t)": (lambda t: np.exp(-t), lambda e: 1.0 / (e + 1.0)),
+    "sqrt(t)": (np.sqrt, lambda e: math.gamma(1.5) / e**1.5),
+    "1/sqrt(t)": (lambda t: 1.0 / np.sqrt(t), lambda e: math.sqrt(math.pi / e)),
+    "1": (np.ones_like, lambda e: 1.0 / e),
     "t^2": (lambda t: t * t, lambda e: 2.0 / e**3),
 }
 WIDE_ETAS = np.geomspace(1e-3, 1e3, 19)
@@ -252,24 +252,33 @@ def test_laplace_forward_batch_matches_scalar_calls():
         assert abs(got - scalar) < 1e-13 * scalar
 
 
-def test_laplace_forward_samples_f_once_per_node():
-    # one 40x span: the nodes are shared by every eta of the batch
+def test_laplace_forward_calls_f_once_per_span():
+    # one 40x span: one call, on the rule's distinct nodes scaled by 2/eta_min,
+    # whose samples serve every eta of the batch
     calls = []
 
     def f(t):
-        calls.append(t)
-        return math.exp(-t)
+        calls.append(t.copy())
+        return np.exp(-t)
 
     laplace_forward(f, np.linspace(0.5, 20.0, 20))
-    assert len(calls) <= 150
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == 1
+    nodes = fc._ES_RULE[0]
+    assert calls[0].ndim == 1 and np.array_equal(calls[0], (fc._ES_SCALE / 0.5) * nodes)
+    assert np.unique(calls[0]).size == nodes.size <= 150
+    # two spans: one call each, in ascending eta
+    calls.clear()
+    laplace_forward(f, np.array([100.0, 0.5]))
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], (fc._ES_SCALE / 0.5) * nodes)
+    assert np.array_equal(calls[1], (fc._ES_SCALE / 100.0) * nodes)
 
 
 def test_laplace_forward_detects_instability():
     with pytest.raises(Unstable, match="differ"):
-        laplace_forward(lambda t: 1.0 if t < 1.0 else 0.0, 1.0)
+        laplace_forward(lambda t: np.where(t < 1.0, 1.0, 0.0), 1.0)
     with pytest.raises(Unstable, match="not finite"):
-        laplace_forward(lambda t: math.nan, np.array([0.5, 2.0]))
+        laplace_forward(lambda t: np.full_like(t, np.nan), np.array([0.5, 2.0]))
 
 
 def test_laplace_forward_argument_validation():
@@ -278,6 +287,9 @@ def test_laplace_forward_argument_validation():
     for eta in bad:
         with pytest.raises(DomainError):
             laplace_forward(f, eta)
+    # f answers the whole node array: one value is not one per node
+    with pytest.raises(DomainError, match="one value per node"):
+        laplace_forward(f, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +436,7 @@ def test_residual_pins_the_normalisation():
     assert abs(scaled.order - 1.5) > 0.4
 
 
-def test_residual_samples_the_finest_level_once():
+def test_residual_calls_f_and_source_once_on_the_finest_nodes():
     # Elastic has two orders, c0, f_inf and a source: every part of the form
     model = Elastic(alpha=0.7, lam=1.3)
     terms, c0, f_inf, source = rx.equation(model)
@@ -447,17 +459,24 @@ def test_residual_samples_the_finest_level_once():
                 res.append(abs(r))
         norms.append(max(res))
     f_calls, source_calls = [], []
-    report = ode_residual(
-        (terms, c0, f_inf, lambda t: source_calls.append(t) or source(t)),
-        lambda t: f_calls.append(t) or rx.psi(model, t),
-        h0,
-        n0,
-        levels=4,
-    )
+
+    def f(t):
+        f_calls.append(t.copy())
+        return np.array([rx.psi(model, tj) for tj in t.tolist()])
+
+    def counted_source(t):
+        source_calls.append(t.copy())
+        return source(t)
+
+    report = ode_residual((terms, c0, f_inf, counted_source), f, h0, n0, levels=4)
     assert report.hs == tuple(h0 / 2**lv for lv in range(4))
     assert report.max_norms == tuple(norms)
-    assert sorted(f_calls) == [i * (h0 / 8) for i in range(n0 * 8 + 1)]
-    assert sorted(source_calls) == [i * (h0 / 8) for i in range(1, n0 * 8 + 1)]
+    finest = [i * (h0 / 8) for i in range(n0 * 8 + 1)]
+    assert len(f_calls) == 1 and f_calls[0].tolist() == finest
+    assert len(source_calls) == 1 and source_calls[0].tolist() == finest[1:]
+    # f answers the whole node array: one value is not one per node
+    with pytest.raises(DomainError, match="one value per node"):
+        ode_residual((terms, c0, f_inf, source), lambda t: 0.5, h0, n0, levels=4)
 
 
 def test_residual_report_shape():

@@ -300,8 +300,9 @@ ALL_LAWS = [
 def test_array_psi_matches_scalar_psi(m):
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 2000)))
     got = rx.psi(m, ts)
-    # the series evaluator, so that the contour is held against the series
-    want = np.array([rx._series_psi(m, float(t)) for t in ts])
+    # the series evaluator, so that the contour is held against the series;
+    # its array form agrees with scalar calls (test_array_series_psi_matches_scalar_calls)
+    want = rx._series_psi(m, ts)
     assert got.shape == ts.shape and got[0] == 1.0
     gap = np.abs(got - want)
     worst = int(np.argmax(gap))
@@ -315,6 +316,37 @@ def test_array_psi_matches_scalar_psi(m):
     else:
         # the elementary laws evaluate their closed form point by point
         assert got.tolist() == want.tolist() == scalar.tolist()
+
+
+# verify's sample sets: the residual grid (h = 1/16, n = 32, four levels),
+# the exp-sinh nodes of laplace_forward at eta = 0.5, and a log grid over
+# the range the contour certifies
+SERIES_SETS = {
+    "residual-grid": np.arange(32 * 8 + 1) * (1.0 / 128.0),
+    "exp-sinh-nodes": (fc._ES_SCALE / 0.5) * fc._ES_RULE[0],
+    "log-grid": np.geomspace(1e-8, 1e8, 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_SETS))
+@pytest.mark.parametrize("m", ALL_LAWS, ids=lambda m: type(m).__name__)
+def test_array_series_psi_matches_scalar_calls(monkeypatch, m, name):
+    ts = SERIES_SETS[name]
+    # the contour answers where the series fails: record where it ran
+    array_calls, scalar_times = [], []
+    talbot, invert = rx._talbot, rx.laplace_invert
+    monkeypatch.setattr(rx, "_talbot", lambda F, t: array_calls.append(t.tolist()) or talbot(F, t))
+    monkeypatch.setattr(rx, "laplace_invert", lambda F, t: scalar_times.append(t) or invert(F, t))
+    got = rx._series_psi(m, ts)
+    want = np.array([rx._series_psi(m, t) for t in ts.tolist()])
+    # the failed points go to one contour, and they are the scalar path's
+    assert len(array_calls) <= 1
+    assert sum(array_calls, []) == scalar_times
+    # measured: <= 7.7e-13 (GammaBoundary on the log grid)
+    assert got.shape == ts.shape
+    assert np.max(np.abs(got - want)) <= 1e-11
+    if not m._contour_first:
+        assert got.tolist() == want.tolist()
 
 
 def test_array_psi_keeps_the_shape():

@@ -18,6 +18,7 @@ from frax.errors import DomainError, NonConvergence
 from frax.specfun import (
     _ML_SWITCH,
     MLParams,
+    _gml_raw,
     _ml_integral,
     _ml_terms,
     _sum_series,
@@ -128,6 +129,44 @@ def test_mittag_leffler_decreasing_on_negative_axis():
     assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
     assert vals[0] == 1.0
     assert vals[-1] > 0.0
+
+
+def test_mittag_leffler_on_an_array_matches_scalar_calls():
+    # series rows, integral rows (z <= -5), series rows that fall back to the
+    # integral, zero and the positive axis, in one call
+    z = np.concatenate((-np.geomspace(1e-6, 60.0, 40), [0.0], np.geomspace(1e-3, 2.0, 9)))
+    for p in (MLParams(0.5), MLParams(0.7), MLParams(0.3, 0.9), MLParams(1.0)):
+        zs = z[z > -8.0] if p.alpha == 1.0 else z  # alpha = 1 has no integral form
+        got = mittag_leffler(p, zs)
+        want = np.array([mittag_leffler(p, x) for x in zs.tolist()])
+        assert isinstance(got, np.ndarray) and got.shape == zs.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    # a row the scalar call raises on raises for the array too
+    for p, bad in ((MLParams(0.5), 60.0), (MLParams(1.0), -8.0), (MLParams(0.5, 2.5), -40.0)):
+        with pytest.raises(NonConvergence):
+            mittag_leffler(p, np.array([-1.0, bad]))
+    with pytest.raises(DomainError):
+        mittag_leffler(MLParams(0.5), np.array([-1.0, np.nan]))
+
+
+def test_gml_rows_make_the_scalar_gate_decisions():
+    # one cap per row; rows that pass agree within their error estimates,
+    # rows that fail are NaN with estimate inf
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        p = MLParams(rng.uniform(0.3, 1.0), rng.uniform(0.5, 4.0), rng.uniform(0.5, 5.0))
+        z = np.concatenate(([0.0], rng.uniform(-12.0, 6.0, 30)))
+        cap = 10.0 ** rng.uniform(5.0, 20.0, z.size)
+        values, est, ok = _gml_raw(p, z, cap)
+        for i, zi in enumerate(z.tolist()):
+            v, e, good = _gml_raw(p, zi, float(cap[i]))
+            assert ok[i] == good
+            if good:
+                # measured: <= 18 times the two estimates
+                assert abs(values[i] - v) <= 64.0 * (e + est[i])
+                assert abs(est[i] - e) <= 1e-12 * e
+            else:
+                assert math.isnan(values[i]) and est[i] == math.inf
 
 
 # ---------------------------------------------------------------------------

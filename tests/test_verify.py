@@ -1,14 +1,13 @@
 """Self-verification suites: dispatch, record shape, and the fast suite."""
 
-import functools
 import json
 import math
 
 import pytest
 
+import frax.cli as cli
 import frax.relaxation as rx
 import frax.verify as vf
-from frax.errors import FraxError
 
 
 def test_identities_suite_passes():
@@ -24,10 +23,11 @@ def test_record_shape_and_names(suite):
     names = [r["check"] for r in records]
     assert len(names) == len(set(names)), "check names must be unique"
     for r in records:
-        assert set(r) == {"check", "passed", "error", "detail"}
+        assert set(r) == {"check", "passed", "error", "detail", "seconds"}
         assert isinstance(r["passed"], bool)
         assert isinstance(r["error"], float)
         assert r["detail"]
+        assert isinstance(r["seconds"], float) and math.isfinite(r["seconds"]) and r["seconds"] >= 0.0
 
 
 def test_suite_catalog():
@@ -50,7 +50,7 @@ def test_report_is_json_with_summary():
 
 # every check fed by the series, mittag_leffler or gml; gml-index-recursion
 # reads the raw series accessor instead, and the half-derivative and
-# forward-transform checks already raise on NaN samples
+# forward-transform checks raise on NaN samples (see the next test)
 NAN_FED = {
     "gml-derivative-ladder", "gml-unit-parameter-collapse", "gamma-boundary-unit-shape",
     "ml-half-erfcx-chain", "elastic-vanishing-killing", "elastic-gamma-unit-shape",
@@ -60,25 +60,44 @@ NAN_FED = {
 }
 
 
+def _nan(*args, **kwargs):
+    return math.nan
+
+
 def test_nan_evaluators_fail_every_check_they_feed(monkeypatch):
     # max(0.0, nan) is 0.0 in Python: a NaN-blind reduction passes these checks
-    def nan(*args, **kwargs):
-        return math.nan
-
-    monkeypatch.setattr(rx, "_series_psi", nan)
-    monkeypatch.setattr(vf, "gml", nan)
-    monkeypatch.setattr(vf, "mittag_leffler", nan)
+    monkeypatch.setattr(rx, "_series_psi", _nan)
+    monkeypatch.setattr(vf, "gml", _nan)
+    monkeypatch.setattr(vf, "mittag_leffler", _nan)
     checks = {
         "gml-derivative-ladder": vf._check_gml_derivative,
         "gml-unit-parameter-collapse": vf._check_gml_single_parameter,
         "gamma-boundary-unit-shape": vf._check_gamma_boundary_collapse,
-        **{name: functools.partial(vf._pair, name) for name in vf._PAIRS},
+        **dict(vf._pairs(*vf._PAIRS)),
     }
     assert set(checks) == NAN_FED
     for name, check in checks.items():
-        try:
-            record = check()
-        except FraxError:
-            continue  # raising is as good as failing
+        record = vf._run(name, check)  # a check that raises fails too
         assert record["check"] == name
         assert not record["passed"], f"{name} passed on NaN evaluators (error {record['error']})"
+
+
+@pytest.mark.parametrize("suite, raising", [
+    ("identities", {"half-derivative-shape-recursion"}),
+    ("laplace", {f"transform-{name}" for name, _ in vf._TRANSFORM_MODELS}),
+])
+def test_a_raising_check_fails_alone(monkeypatch, capsys, suite, raising):
+    # a NaN series makes these checks raise; the suite still reports every
+    # check, and verify exits 1 (failed checks), not 2 or 3 (an error)
+    monkeypatch.setattr(rx, "_series_psi", _nan)
+    rc = cli.main(["verify", "--suite", suite])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    records = {r["check"]: r for r in doc["records"]}
+    assert list(records) == [name for name, _ in vf._CHECKS[suite]]
+    for name in raising:
+        r = records[name]
+        assert not r["passed"] and math.isnan(r["error"])
+        assert r["detail"].startswith("DomainError: ")
+        assert math.isfinite(r["seconds"]) and r["seconds"] >= 0.0
+    assert set(doc["checks_failed"]) >= raising
