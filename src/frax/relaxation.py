@@ -276,7 +276,9 @@ class _Law:
     the Talbot inversion of ``_laplace``.  A law whose ``_psi`` is a series
     sets ``_contour_first``: :func:`psi` inverts its transform first, at a
     single time or on one contour for a whole array, and runs the series
-    only where the contour does not certify.
+    only where the contour does not certify.  Such a ``_psi`` also takes a
+    1-D float array of times > 0, and is NaN where a float time would
+    raise :class:`NonConvergence`.
     """
 
     _contour_first = False

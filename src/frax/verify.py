@@ -10,17 +10,15 @@ tolerance or expectation it was held against; ``seconds`` is the check's
 wall time (``time.perf_counter``).  Each check runs on its own: a check
 that raises a :class:`~frax.errors.FraxError` gives a failed record with
 error NaN and the exception as its detail, and the suite goes on.  The
-suites are pure and
-deterministic: random probe points are drawn from fixed-seed generators.
-They sample psi through the series evaluator ``relaxation._series_psi``,
-not through :func:`~frax.relaxation.psi`, which inverts the transform
-first: the transform and inversion checks then hold the contour against
-the series rather than against itself.
+suites are pure and deterministic: random probe points are drawn from
+fixed-seed generators.  They sample psi through the series evaluator
+``relaxation._series_psi``, not through :func:`~frax.relaxation.psi`,
+which inverts the transform first: the transform and inversion checks
+then hold the contour against the series rather than against itself.
+The residual, half-derivative and ``transform-*`` checks call it once per
+sample set, on the whole array of times.
 
-The series laws sample ``_series_psi`` on whole arrays of times: the
-residual, half-derivative and ``transform-*`` checks make one call per
-sample set.  The checks that hold one evaluator against another are rows
-of one table,
+The checks that hold one evaluator against another are rows of one table,
 ``_PAIRS``: check name -> (comparisons, absolute tolerance[, detail]),
 where each comparison is ``(a, b, points)`` and the check's error is the
 largest |a(x) - b(x)| over the points.  The evaluators look up the series,

@@ -342,7 +342,7 @@ def test_array_series_psi_matches_scalar_calls(monkeypatch, m, name):
     # the failed points go to one contour, and they are the scalar path's
     assert len(array_calls) <= 1
     assert sum(array_calls, []) == scalar_times
-    # measured: <= 7.7e-13 (GammaBoundary on the log grid)
+    # measured: <= 4.2e-13 (GammaBoundary at the exp-sinh nodes)
     assert got.shape == ts.shape
     assert np.max(np.abs(got - want)) <= 1e-11
     if not m._contour_first:

@@ -162,8 +162,9 @@ def test_gml_rows_make_the_scalar_gate_decisions():
             v, e, good = _gml_raw(p, zi, float(cap[i]))
             assert ok[i] == good
             if good:
-                # measured: <= 18 times the two estimates
-                assert abs(values[i] - v) <= 64.0 * (e + est[i])
+                # the terms round as in the scalar form but for numpy's exp:
+                # measured <= 0.5 times the two estimates
+                assert abs(values[i] - v) <= 4.0 * (e + est[i])
                 assert abs(est[i] - e) <= 1e-12 * e
             else:
                 assert math.isnan(values[i]) and est[i] == math.inf
