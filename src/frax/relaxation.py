@@ -117,10 +117,8 @@ def _xp(t: float | np.ndarray):
     return np if isinstance(t, np.ndarray) else math
 
 
-def _clip01(v: float | np.ndarray) -> float | np.ndarray:
+def _clip01(v: float) -> float:
     """Snap values a rounding error outside [0, 1] back onto the interval."""
-    if isinstance(v, np.ndarray):
-        return np.where((-1e-9 <= v) & (v < 0.0), 0.0, np.where((1.0 < v) & (v <= 1.0 + 1e-9), 1.0, v))
     if -1e-9 <= v < 0.0:
         return 0.0
     if 1.0 < v <= 1.0 + 1e-9:
@@ -689,7 +687,7 @@ def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
                 first = int(np.argmin(ok))
                 raise Unstable(_talbot_failure(float(ts[failed[first]]), float(gaps[first])))
             values[failed] = inverted
-        out[rest] = _clip01(values)
+        out[rest] = [_clip01(v) for v in values.tolist()]
         return out
     if t == 0.0:
         return 1.0
@@ -716,14 +714,14 @@ def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     out = np.ones(flat.size)
     rest = np.flatnonzero(flat > 0.0)
     ts = flat[rest].tolist()
-    if not law._contour_first:
-        out[rest] = _series_psi(law, flat[rest])
-    elif ts:
+    if law._contour_first and ts:
         values, gaps, ok = _talbot(law._laplace, flat[rest])
         out[rest] = [
             _clip01(v) if good else _series_fallback(law, tj, _talbot_failure(tj, g))
             for tj, v, g, good in zip(ts, values.tolist(), gaps.tolist(), ok.tolist())
         ]
+    else:
+        out[rest] = [_series_psi(law, tj) for tj in ts]
     return out.reshape(t.shape)
 
 
