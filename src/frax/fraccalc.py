@@ -141,10 +141,11 @@ def laplace_forward(f: Callable[[np.ndarray], np.ndarray], eta):
     on eta: the etas are grouped into spans at most 40x wide, and f is
     called once per span, with the 1-D float ndarray of its nodes (about
     105 of them), and must return an array of its values there, one per
-    node; the samples serve every eta of the span.  Each value is summed at steps 1/8 and 1/16 in x, the
-    finer level reusing every coarser sample, and the 1/16 value is
-    returned.  If either sum is non-finite, or they differ by more than
-    1e-5 of the 1/16 sum of |integrand|, raises :class:`Unstable`.
+    node; the samples serve every eta of the span.  Each value is summed
+    at steps 1/8 and 1/16 in x, the finer level reusing every coarser
+    sample, and the 1/16 value is returned.  If either sum is non-finite,
+    or they differ by more than 1e-5 of the 1/16 sum of |integrand|,
+    raises :class:`Unstable`.
 
     The nodes are scaled to eta, so f must vary on the time scale 1/eta or
     slower: exp(-lam*t) certifies up to lam/eta ~ 1000 (error ~1e-13), and
@@ -191,7 +192,7 @@ def _values(f: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
     """f called once on the nodes ``t``, as a float array of one value per node."""
     values = np.asarray(f(t), dtype=float)
     if values.shape != t.shape:
-        raise DomainError(f"f must return one value per node: {t.size} nodes, got shape {values.shape}")
+        raise DomainError(f"a sampled function must return one value per node: {t.size} nodes, got shape {values.shape}")
     return values
 
 
