@@ -123,22 +123,8 @@ def _emit(
 def _cmd_eval(args: argparse.Namespace) -> int:
     model = _build(_MODELS[args.model], args, args.model)
     ts = _time_grid(args)
-    try:
-        values = rx.psi(model, np.asarray(ts)).tolist()
-    except (NonConvergence, Unstable):
-        # walk the grid point by point, so the message names the first time that fails
-        values = [None] * len(ts)
-    rows = []
-    for t, value in zip(ts, values):
-        try:
-            if value is None:
-                value = rx.psi(model, t)
-            small = rx.asymptote(model, rx.SmallT, t)
-            large = rx.asymptote(model, rx.LargeT, t)
-        except (NonConvergence, Unstable) as exc:
-            print(f"evaluation failed at t={_fmt(t)}: {exc}", file=sys.stderr)
-            return 3
-        rows.append((t, value, small, large))
+    values = rx.psi(model, np.asarray(ts)).tolist()
+    rows = [(t, v, rx.asymptote(model, rx.SmallT, t), rx.asymptote(model, rx.LargeT, t)) for t, v in zip(ts, values)]
     _emit(("t", "psi", "asymptote_small", "asymptote_large"), rows, args)
     return 0
 

@@ -251,7 +251,7 @@ def _talbot(F: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> tuple[np.n
     return coarse, gap, ok
 
 
-def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float) -> float:
+def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray) -> float | np.ndarray:
     """Fixed-Talbot inversion of the Laplace transform F at a real time t > 0.
 
     F is called once, with the 1-D complex ndarray ``_NODES / t`` of the
@@ -262,27 +262,32 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float) -> float:
     Valko, IJNME 2004; Weideman & Trefethen, Math. Comp. 2007), and the
     20-node value is returned.  If either value is non-finite or the two
     differ by more than 1e-10 * max(1, |value|), raises :class:`Unstable`.
-    This is the one-point case of :func:`_talbot`, which
-    :func:`~frax.relaxation.psi` runs on a whole grid, written out on
-    Python floats: a call through the array path costs half as much again.
+    ``t`` may also be a 1-D float ndarray of times > 0, inverted by one call
+    of F (:func:`_talbot`) into an ndarray; :class:`Unstable` then names the
+    first time that does not certify.  A float t is the one-point case on
+    Python floats: through the array path it costs half as much again.
     """
-    if not (_real(t) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"laplace_invert requires a real t > 0, got {t!r}")
-    t = float(t)
-    with np.errstate(all="ignore"):
-        coarse, fine = (np.asarray(F(_NODES / t), dtype=complex) @ _WEIGHTS).tolist()
-    coarse, fine = coarse.real / t, fine.real / t
-    gap = abs(coarse - fine)
-    if gap / max(1.0, abs(coarse)) <= _TALBOT_AGREE:
-        return coarse
-    raise Unstable(_talbot_failure(t, gap))
-
-
-def _talbot_failure(t: float, gap: float) -> str:
-    """Why the contour did not certify its value at t, given the 20/28-node gap."""
+    if isinstance(t, np.ndarray):
+        if not (t.ndim == 1 and t.dtype.kind == "f" and np.all(np.isfinite(t) & (t > 0.0))):
+            raise DomainError(f"laplace_invert requires times > 0 (a 1-D float array), got {t!r}")
+        values, gaps, ok = _talbot(F, t)
+        if ok.all():
+            return values
+        first = int(np.argmin(ok))
+        t, gap = float(t[first]), float(gaps[first])
+    else:
+        if not (_real(t) and math.isfinite(t) and t > 0.0):
+            raise DomainError(f"laplace_invert requires a real t > 0, got {t!r}")
+        t = float(t)
+        with np.errstate(all="ignore"):
+            coarse, fine = (np.asarray(F(_NODES / t), dtype=complex) @ _WEIGHTS).tolist()
+        coarse, fine = coarse.real / t, fine.real / t
+        gap = abs(coarse - fine)
+        if gap / max(1.0, abs(coarse)) <= _TALBOT_AGREE:
+            return coarse
     if not math.isfinite(gap):
-        return f"Talbot inversion at t={t}: the transform is not finite on the contour"
-    return f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} (tolerance {_TALBOT_AGREE:.0e})"
+        raise Unstable(f"Talbot inversion at t={t}: the transform is not finite on the contour")
+    raise Unstable(f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} (tolerance {_TALBOT_AGREE:.0e})")
 
 
 def ode_residual(

@@ -14,14 +14,14 @@ series track their propagated error term by term and raise
 :class:`NonConvergence` at the first term that breaks the 1e-9 budget.
 For the five laws whose closed form is a series (fractional, elastic,
 gamma-boundary, elastic-gamma, distributed) :func:`psi` inverts the exact
-Laplace transform on a fixed Talbot contour first, at one time or on a
-whole array of times, and sums the series only where the contour does not
-certify its value; the elementary laws evaluate their closed form.
-``_series_psi`` keeps the other order (series first, the contour where
-the series fails) as the reference evaluator that the verify checks
-compare against, at one time or, summing each series once with per-time
-gates, on a whole array of times.  Both snap values a rounding error outside [0, 1] back
-onto the interval; the laws themselves never do.
+Laplace transform on a fixed Talbot contour, at one time or on a whole
+array of times: the contour, else :class:`Unstable`.  The elementary laws
+evaluate their closed form.  ``_series_psi`` is the reference evaluator
+that the verify checks compare against: the series first, the contour
+where the series fails its gate, at one time or, summing each series once
+with per-time gates, on a whole array of times.  Both snap values a
+rounding error outside [0, 1] back onto the interval; the laws themselves
+never do.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import Callable, Iterator, Union
 import numpy as np
 from scipy.special import i0e
 
-from .errors import DomainError, NonConvergence, Unstable, Unsupported, _integer, _real
-from .fraccalc import _talbot, _talbot_failure, laplace_invert
+from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
+from .fraccalc import laplace_invert
 from .specfun import _ABSUM_CAP, _EPS, _MAX_TERMS, _REL_TOL, MLParams, _gml_raw, _sum_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
@@ -132,6 +132,8 @@ def _clip01(v: float) -> float:
 _INNER_ERR_SAFETY = 64.0
 # Absolute error a law may carry; the law is a probability.
 _BUDGET = 1e-9
+# Relative accuracy of a mittag_leffler value (its integral branch's epsrel).
+_ML_ACCURACY = 1e-12
 
 
 def _absum_cap(scale, used, weight):
@@ -269,14 +271,14 @@ class _Law:
     equation keeps the defaults below, which raise :class:`Unsupported`.
     The laws hold data and formulas only: :func:`psi` samples them and
     :func:`~frax.fraccalc.ode_residual` checks them against their equation.
-    ``_psi`` neither clips nor falls back: it returns its series value or
+    ``_psi`` neither clips nor inverts: it returns its series value or
     raises :class:`NonConvergence`, and :func:`psi` owns the clipping and
     the Talbot inversion of ``_laplace``.  A law whose ``_psi`` is a series
-    sets ``_contour_first``: :func:`psi` inverts its transform first, at a
-    single time or on one contour for a whole array, and runs the series
-    only where the contour does not certify.  Such a ``_psi`` also takes a
-    1-D float array of times > 0, and is NaN where a float time would
-    raise :class:`NonConvergence`.
+    sets ``_contour_first``: :func:`psi` inverts its transform, at a single
+    time or on one contour for a whole array (the contour, else
+    :class:`Unstable`), and only ``_series_psi`` sums the series.  Such a
+    ``_psi`` also takes a 1-D float array of times > 0, and is NaN where a
+    float time would raise :class:`NonConvergence`.
     """
 
     _contour_first = False
@@ -444,6 +446,11 @@ class Elastic(_Law):
         if abs(alpha - lam) < 1e-8 * lam:
             y = lam * sqrt_t / _SQRT2
             return 1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y)
+        # lam / (lam - alpha) amplifies the error of both Mittag-Leffler values
+        if 2.0 * _ML_ACCURACY * lam > _BUDGET * abs(lam - alpha):
+            if isinstance(t, np.ndarray):
+                return np.full(t.shape, np.nan)
+            raise NonConvergence(f"two-rate elastic series cancels at alpha={alpha!r}, lam={lam!r}")
         ml = MLParams(0.5, 1.0)
         ea = mittag_leffler(ml, -alpha * sqrt_t / _SQRT2)
         el = mittag_leffler(ml, -lam * sqrt_t / _SQRT2)
@@ -632,18 +639,18 @@ def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
     (fractional, elastic, gamma-boundary, elastic-gamma, distributed)
     invert their exact Laplace transform on a fixed Talbot contour
     (:func:`~frax.fraccalc.laplace_invert`: the transform called once, the
-    20-node value certified by the 28-node one to 1e-10); where the contour
-    does not certify, the series answers, gated on a 1e-9 error budget, and
-    if that fails too :class:`Unstable` is raised rather than an
-    uncertified value returned.  The elementary laws (standard, sojourn,
-    first passage, squared Bessel) evaluate their closed form.  Values a
-    rounding error outside [0, 1] are snapped back onto the interval.
+    20-node value certified by the 28-node one to 1e-10): the contour,
+    else :class:`Unstable`, never an uncertified value.  The elementary
+    laws (standard, sojourn, first passage, squared Bessel) evaluate their
+    closed form.  Values a rounding error outside [0, 1] are snapped back
+    onto the interval.
 
     ``t`` may also be an ndarray of finite times >= 0 (a real dtype, not
     bool); the result is an ndarray of the same shape, holding the values
     of scalar calls.  The series laws invert the whole array on one
     contour, with one call of the transform, so their values may differ
-    from scalar calls by the rounding of the batched sums (~5e-14).
+    from scalar calls by the rounding of the batched sums (~5e-14); the
+    first time the contour does not certify raises :class:`Unstable`.
     """
     if isinstance(t, np.ndarray):
         return _psi_array(_law(model, "psi has no law"), t)
@@ -651,20 +658,17 @@ def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
     law = _law(model, "psi has no law")
     if t == 0.0 or not law._contour_first:
         return _series_psi(law, t)
-    try:
-        return _clip01(laplace_invert(law._laplace, t))
-    except Unstable as exc:
-        return _series_fallback(law, t, str(exc))
+    return _clip01(laplace_invert(law._laplace, t))
 
 
 def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
     """psi at a float t >= 0 from the law's series, the reference evaluator.
 
     The law's closed form answers; where its series fails its gate, the
-    transform is inverted on the contour instead.  Checks sample this, not
-    :func:`psi`, so that they hold the series and the contour against each
-    other rather than the contour against itself.  The arguments are not
-    checked.
+    transform is inverted on the contour instead (the contour, else
+    :class:`Unstable`).  Checks sample this, not :func:`psi`, so that they
+    hold the series and the contour against each other rather than the
+    contour against itself.  The arguments are not checked.
 
     ``t`` may be a 1-D float ndarray of times >= 0: a series law then sums
     its series once for all of them, and the times where it fails its gate
@@ -682,11 +686,7 @@ def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
         values = model._psi(ts)
         failed = np.flatnonzero(np.isnan(values))
         if failed.size:
-            inverted, gaps, ok = _talbot(model._laplace, ts[failed])
-            if not ok.all():
-                first = int(np.argmin(ok))
-                raise Unstable(_talbot_failure(float(ts[failed[first]]), float(gaps[first])))
-            values[failed] = inverted
+            values[failed] = laplace_invert(model._laplace, ts[failed])
         out[rest] = [_clip01(v) for v in values.tolist()]
         return out
     if t == 0.0:
@@ -697,15 +697,6 @@ def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
         return _clip01(laplace_invert(model._laplace, t))
 
 
-def _series_fallback(law: _Law, t: float, why: str) -> float:
-    """psi at t from the series alone, where the contour failed for ``why``;
-    a series that fails too raises :class:`Unstable`."""
-    try:
-        return _clip01(law._psi(t))
-    except NonConvergence as exc:
-        raise Unstable(f"{why}, and the series failed too: {exc}") from exc
-
-
 def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     """:func:`psi` at every time of the ndarray ``t``."""
     if not (t.dtype.kind in "iuf" and np.all(np.isfinite(t) & (t >= 0.0))):
@@ -713,15 +704,10 @@ def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     flat = t.astype(float).reshape(-1)
     out = np.ones(flat.size)
     rest = np.flatnonzero(flat > 0.0)
-    ts = flat[rest].tolist()
-    if law._contour_first and ts:
-        values, gaps, ok = _talbot(law._laplace, flat[rest])
-        out[rest] = [
-            _clip01(v) if good else _series_fallback(law, tj, _talbot_failure(tj, g))
-            for tj, v, g, good in zip(ts, values.tolist(), gaps.tolist(), ok.tolist())
-        ]
+    if law._contour_first and rest.size:
+        out[rest] = [_clip01(v) for v in laplace_invert(law._laplace, flat[rest]).tolist()]
     else:
-        out[rest] = [_series_psi(law, tj) for tj in ts]
+        out[rest] = [_series_psi(law, tj) for tj in flat[rest].tolist()]
     return out.reshape(t.shape)
 
 

@@ -218,6 +218,20 @@ def main() -> None:
             value = mp.invertlaplace(elastic(1.0 + d), 1, method="talbot")
             out.append((f"Elastic(alpha={1.0 + d!r}, lam=1) psi(1)", "test_relaxation", value))
 
+    # --- test_relaxation: the two-rate elastic law near and beyond the
+    # cancellation gate, from its closed form with E_{1/2,1}(-x) = erfcx(x):
+    # psi = 1 - lam/(lam - alpha) (erfcx(alpha y) - erfcx(lam y)), y = sqrt(t/2),
+    # at 60 digits, alpha the binary float 1 + d
+    with mp.workdps(60):
+        def erfcx(x):
+            return mp.exp(x * x) * mp.erfc(x)
+
+        for d, t in ((1e-6, 10), (-1e-6, 10), (1e-4, 1), (-1e-4, 1), (1e-4, 10), (-1e-4, 10),
+                     (1e-2, 1), (-1e-2, 1), (1e-2, 10), (-1e-2, 10)):
+            a, y = mp.mpf(1.0 + d), mp.sqrt(mp.mpf(t) / 2)
+            value = 1 - 1 / (1 - a) * (erfcx(a * y) - erfcx(y))
+            out.append((f"Elastic(alpha={1.0 + d!r}, lam=1) psi({t})", "test_relaxation two-rate", value))
+
     # --- test_fraccalc: Riemann-Liouville integral of f(t) = t at order 1/2
     out.append(("RL-1/2 of t: coefficient of t^{3/2}", "test_fraccalc", mp.gamma(2) / mp.gamma(mp.mpf("2.5"))))
 

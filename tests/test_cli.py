@@ -15,7 +15,6 @@ import frax
 import frax.cli as cli
 import frax.relaxation as rx
 import frax.stochsim as ss
-from frax.errors import NonConvergence
 
 
 def run_cli(*argv):
@@ -381,14 +380,16 @@ def test_successive_calls_do_not_share_options(capsys):
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
-    def boom(model, t):
-        raise NonConvergence("synthetic failure")
-
-    monkeypatch.setattr(cli.rx, "psi", boom)
-    rc = run_cli("eval", "--model", "standard", "--lambda", "1", "--t", "1", "2")
-    err = capsys.readouterr().err
+    # the transform is NaN at s = 8, the first 20-node point of the contour
+    # at t = 1: psi raises, although the series would answer there, and the
+    # message of that one call already names the time
+    laplace = rx.Fractional._laplace
+    monkeypatch.setattr(rx.Fractional, "_laplace", lambda self, s: np.where(s == 8.0, np.nan, laplace(self, s)))
+    rc = run_cli("eval", "--model", "fractional", "--nu", "0.5", "--lambda", "1", "--t", "1", "2")
+    out, err = capsys.readouterr()
     assert rc == 3
-    assert "evaluation failed at t=1" in err
+    assert err.startswith("numerical failure: Talbot inversion at t=1.0")
+    assert out == ""
 
 
 def test_strict_statistical_failure_exit_code(monkeypatch, capsys):

@@ -296,26 +296,41 @@ def test_laplace_forward_argument_validation():
 # fixed-Talbot inversion
 # ---------------------------------------------------------------------------
 
+def _inverts_an_array_as_scalar_calls(F, ts):
+    """The array form of laplace_invert at ``ts``, checked against scalar calls."""
+    got = laplace_invert(F, np.array(ts))
+    assert isinstance(got, np.ndarray) and got.shape == (len(ts),)
+    assert np.max(np.abs(got - [laplace_invert(F, t) for t in ts])) <= 1e-12
+    return got
+
+
 def test_invert_constant_transform():
-    for t in (1e-6, 0.25, 1.0, 7.0, 1e6):
+    ts = (1e-6, 0.25, 1.0, 7.0, 1e6)
+    for t in ts:
         assert abs(laplace_invert(lambda s: 1.0 / s, t) - 1.0) < 1e-10
+    assert np.all(np.abs(_inverts_an_array_as_scalar_calls(lambda s: 1.0 / s, ts) - 1.0) < 1e-10)
 
 
 def test_invert_exponential_transform():
     # t = 4 and t = 300 lie far into the decayed regime
-    for t in (0.25, 0.5, 1.0, 2.0, 4.0, 300.0):
+    ts = (0.25, 0.5, 1.0, 2.0, 4.0, 300.0)
+    for t in ts:
         got = laplace_invert(lambda s: 1.0 / (s + 1.0), t)
         assert abs(got - math.exp(-t)) < 1e-10
+    got = _inverts_an_array_as_scalar_calls(lambda s: 1.0 / (s + 1.0), ts)
+    assert np.all(np.abs(got - np.exp(-np.array(ts))) < 1e-10)
 
 
 def test_invert_sqrt_branch_transform():
     # s^(-1/2) / (s^(1/2) + 1) inverts to the half-order relaxation
     from frax.specfun import MLParams, mittag_leffler
 
-    for t in (0.25, 1.0, 4.0, 100.0):
-        got = laplace_invert(lambda s: 1.0 / (np.sqrt(s) * (np.sqrt(s) + 1.0)), t)
-        want = mittag_leffler(MLParams(0.5), -math.sqrt(t))
-        assert abs(got - want) < 1e-10
+    F = lambda s: 1.0 / (np.sqrt(s) * (np.sqrt(s) + 1.0))  # noqa: E731
+    ts = (0.25, 1.0, 4.0, 100.0)
+    want = [mittag_leffler(MLParams(0.5), -math.sqrt(t)) for t in ts]
+    for t, w in zip(ts, want):
+        assert abs(laplace_invert(F, t) - w) < 1e-10
+    assert np.all(np.abs(_inverts_an_array_as_scalar_calls(F, ts) - want) < 1e-10)
 
 
 def test_invert_detects_instability():
@@ -326,6 +341,14 @@ def test_invert_detects_instability():
     # two contour sizes disagree (unit step at t = 1, evaluated at the jump)
     with pytest.raises(Unstable, match="differ"):
         laplace_invert(lambda s: np.exp(-s) / s, 1.0)
+    # on an array the message names the first time that does not certify:
+    # s = 8 and s = 4 are the first 20-node points at t = 1 and t = 2
+    poisoned = lambda s: np.where((s == 8.0) | (s == 4.0), np.nan, 1.0 / (s + 1.0))  # noqa: E731
+    with pytest.raises(Unstable, match=r"at t=2\.0: the transform is not finite"):
+        laplace_invert(poisoned, np.array([0.5, 2.0, 1.0]))
+    with pytest.raises(Unstable, match=r"at t=1\.0: 20 and 28 nodes differ"):
+        laplace_invert(lambda s: np.exp(-s) / s, np.array([1.0, 0.5]))
+    assert laplace_invert(poisoned, np.array([0.5, 3.0])).shape == (2,)
 
 
 def test_invert_argument_validation():
@@ -333,6 +356,18 @@ def test_invert_argument_validation():
     for t in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             laplace_invert(F, t)
+    # the array form takes a 1-D float array of finite times > 0
+    for ts in (
+        np.array([[1.0, 2.0]]),
+        np.array([True, True]),
+        np.array([1, 2]),
+        np.array([1.0, 0.0]),
+        np.array([1.0, -1.0]),
+        np.array([1.0, math.nan]),
+        np.array([1.0, math.inf]),
+    ):
+        with pytest.raises(DomainError):
+            laplace_invert(F, ts)
 
 
 def test_invert_takes_a_real_time():
@@ -354,8 +389,10 @@ def test_invert_calls_the_transform_once():
         return 1.0 / (s + 1.0)
 
     assert abs(laplace_invert(F, 2.0) - math.exp(-2.0)) < 1e-10
-    # the 20- and the 28-node contour in one call
+    # the 20- and the 28-node contour in one call, for one time or three
     assert sizes == [48]
+    laplace_invert(F, np.array([0.5, 1.0, 2.0]))
+    assert sizes == [48, 3 * 48]
 
 
 @pytest.mark.parametrize("m", [
@@ -388,6 +425,7 @@ def test_talbot_matches_the_per_rule_sums(m):
     assert want_ok.all()
     assert ok.tolist() == want_ok.tolist()
     assert np.max(np.abs(coarse - values[0])) <= 1e-13
+    assert np.array_equal(laplace_invert(m._laplace, ts), coarse)
     for t, want, good in zip(ts.tolist(), values[0].tolist(), want_ok.tolist()):
         if good:
             assert abs(laplace_invert(m._laplace, t) - want) <= 1e-13, t

@@ -107,22 +107,45 @@ def test_elastic_gamma_k1_is_elastic():
         assert abs(a - b) < 1e-6
 
 
-def test_elastic_equal_rate_branch_is_continuous():
-    # crossing the |alpha - lam| threshold must not move the series value:
-    # measured jump 3.2e-11 at a relative offset of 3e-8
-    lam = 1.0
-    eq = rx._series_psi(rx.Elastic(alpha=lam, lam=lam), 1.0)
-    for d in (3e-8, -3e-8):
-        v = rx._series_psi(rx.Elastic(alpha=lam * (1.0 + d), lam=lam), 1.0)
-        assert abs(v - eq) < 1e-9
-
-
 # psi(1) of Elastic(alpha = 1 + d, lam = 1) from tests/gen_oracles.py: d -> value
 ELASTIC_NEAR_EQUAL = {
     0.0: 0.7252720229273813874838,
     3e-8: 0.725272026653810447128,
     -3e-8: 0.7252720192009522375314,
 }
+# psi(t) of the same laws from their erfcx closed form (tests/gen_oracles.py): (d, t) -> value
+ELASTIC_TWO_RATE = {
+    (1e-6, 10.0): 0.8001305840279459996731,
+    (-1e-6, 10.0): 0.8001302594607847986143,
+    (1e-4, 1.0): 0.7252844438560205318462,
+    (-1e-4, 1.0): 0.7252596009953177502298,
+    (1e-4, 10.0): 0.8001466488497770682969,
+    (-1e-4, 10.0): 0.8001141921334711314927,
+    (1e-2, 1.0): 0.7265091672858625446386,
+    (-1e-2, 1.0): 0.7240248441973409278557,
+    (1e-2, 10.0): 0.8017408207255267215433,
+    (-1e-2, 10.0): 0.7984949641198540515483,
+}
+
+
+def test_elastic_series_reference_near_equal_rates():
+    # the two-rate series divides a difference of Mittag-Leffler values by
+    # lam - alpha: within 2e-3 of equal rates that cancellation can break the
+    # budget (2.4e-7 at d = 1e-6, t = 10), so the series refuses there and
+    # the reference inverts the transform (measured <= 8.2e-14); at d = 1e-2
+    # the series answers (measured <= 1.8e-11)
+    cases = {(d, 1.0): want for d, want in ELASTIC_NEAR_EQUAL.items() if d} | ELASTIC_TWO_RATE
+    for d in sorted({d for d, _t in cases}):
+        m = rx.Elastic(alpha=1.0 + d, lam=1.0)
+        ts = sorted(t for dd, t in cases if dd == d)
+        wants = np.array([cases[d, t] for t in ts])
+        if abs(d) < 2e-3:
+            with pytest.raises(NonConvergence, match="cancels"):
+                m._psi(ts[0])
+            assert np.isnan(m._psi(np.array(ts))).all()
+        scalar = np.array([rx._series_psi(m, t) for t in ts])
+        assert np.max(np.abs(scalar - wants)) < 1e-10, d
+        assert np.max(np.abs(rx._series_psi(m, np.array(ts)) - wants)) < 1e-10, d
 
 
 def test_elastic_near_equal_rates_inverts_exactly():
@@ -332,11 +355,19 @@ SERIES_SETS = {
 @pytest.mark.parametrize("m", ALL_LAWS, ids=lambda m: type(m).__name__)
 def test_array_series_psi_matches_scalar_calls(monkeypatch, m, name):
     ts = SERIES_SETS[name]
-    # the contour answers where the series fails: record where it ran
+    # the contour answers where the series fails: record where it ran, an
+    # ndarray t being the array call and a float a scalar one
     array_calls, scalar_times = [], []
-    talbot, invert = rx._talbot, rx.laplace_invert
-    monkeypatch.setattr(rx, "_talbot", lambda F, t: array_calls.append(t.tolist()) or talbot(F, t))
-    monkeypatch.setattr(rx, "laplace_invert", lambda F, t: scalar_times.append(t) or invert(F, t))
+    invert = rx.laplace_invert
+
+    def spy(F, t):
+        if isinstance(t, np.ndarray):
+            array_calls.append(t.tolist())
+        else:
+            scalar_times.append(t)
+        return invert(F, t)
+
+    monkeypatch.setattr(rx, "laplace_invert", spy)
     got = rx._series_psi(m, ts)
     want = np.array([rx._series_psi(m, t) for t in ts.tolist()])
     # the failed points go to one contour, and they are the scalar path's
@@ -386,37 +417,39 @@ class _Poisoned(rx.Fractional):
         return np.where(s == 8.0, np.nan, super()._laplace(s))
 
 
-@dataclass(frozen=True)
-class _PoisonedNoSeries(_Poisoned):
-    def _psi(self, t):
-        raise NonConvergence("no series here")
+def _count_calls(monkeypatch, cls, sizes, series_calls):
+    """Record the size of each transform call and count the series calls of ``cls``."""
+    laplace, series = cls._laplace, cls._psi
+    monkeypatch.setattr(cls, "_laplace", lambda self, s: sizes.append(s.size) or laplace(self, s))
+    monkeypatch.setattr(cls, "_psi", lambda self, t: series_calls.append(t) or series(self, t))
 
 
-def test_array_psi_falls_back_to_the_scalar_path(monkeypatch):
-    sizes = []
-    laplace = _Poisoned._laplace
-    monkeypatch.setattr(_Poisoned, "_laplace", lambda self, s: sizes.append(s.size) or laplace(self, s))
+def test_array_psi_raises_where_the_contour_fails(monkeypatch):
+    sizes, series_calls = [], []
+    _count_calls(monkeypatch, _Poisoned, sizes, series_calls)
     ts = np.array([0.5, 1.0, 2.0])
     m = _Poisoned(nu=0.5, lam=1.0)
-    got = rx.psi(m, ts)
-    # one transform call on both contours of every time; the uncertified
-    # point goes straight to the series, not through a second inversion
+    # t = 1 does not certify: raise, return nothing, and never sum the series
+    with pytest.raises(Unstable, match="t=1.0: the transform is not finite"):
+        rx.psi(m, ts)
+    # one transform call on both contours of every time
     assert sizes == [3 * 48]
-    # t = 1 is answered by its series, the others by the contour
-    assert got[1] == mittag_leffler(MLParams(0.5), -1.0)
-    assert np.array_equal(got[[0, 2]], rx.psi(rx.Fractional(nu=0.5, lam=1.0), ts[[0, 2]]))
-    # the series fails at t = 1 too: raise, return nothing
-    with pytest.raises(Unstable, match="t=1.0"):
-        rx.psi(_PoisonedNoSeries(nu=0.5, lam=1.0), ts)
-    assert rx.psi(_PoisonedNoSeries(nu=0.5, lam=1.0), ts[[0, 2]]).shape == (2,)
+    assert series_calls == []
+    assert np.array_equal(rx.psi(m, ts[[0, 2]]), rx.psi(rx.Fractional(nu=0.5, lam=1.0), ts[[0, 2]]))
 
 
-def test_scalar_psi_falls_back_to_the_series():
-    # the transform is NaN on the contour at t = 1: the series answers
-    assert rx.psi(_Poisoned(nu=0.5, lam=1.0), 1.0) == mittag_leffler(MLParams(0.5), -1.0)
-    assert rx.psi(_Poisoned(nu=0.5, lam=1.0), 2.0) == rx.psi(rx.Fractional(nu=0.5, lam=1.0), 2.0)
-    with pytest.raises(Unstable, match="t=1.0: the transform is not finite.*no series here"):
-        rx.psi(_PoisonedNoSeries(nu=0.5, lam=1.0), 1.0)
+def test_scalar_psi_raises_where_the_contour_fails(monkeypatch):
+    # the transform is NaN on the contour at t = 1; the series would answer
+    # there, but psi is the contour or Unstable
+    m = _Poisoned(nu=0.5, lam=1.0)
+    assert rx._series_psi(m, 1.0) == mittag_leffler(MLParams(0.5), -1.0)
+    sizes, series_calls = [], []
+    _count_calls(monkeypatch, _Poisoned, sizes, series_calls)
+    with pytest.raises(Unstable, match="t=1.0: the transform is not finite"):
+        rx.psi(m, 1.0)
+    assert sizes == [48]
+    assert series_calls == []
+    assert rx.psi(m, 2.0) == rx.psi(rx.Fractional(nu=0.5, lam=1.0), 2.0)
 
 
 @pytest.mark.parametrize("m", [rx.ElasticGamma(k=2, alpha=0.8, lam=1.1),
