@@ -134,6 +134,9 @@ _INNER_ERR_SAFETY = 64.0
 _BUDGET = 1e-9
 # Relative accuracy of a mittag_leffler value (its integral branch's epsrel).
 _ML_ACCURACY = 1e-12
+# The elastic laws take their alpha = lam form within this relative offset of
+# equal rates; that form errs by ~0.17 times the offset (1.7e-11 at the edge).
+_EQUAL_RATES = 1e-10
 
 
 def _absum_cap(scale, used, weight):
@@ -443,7 +446,7 @@ class Elastic(_Law):
     def _psi(self, t):
         lam, alpha = self.lam, self.alpha
         sqrt_t = _xp(t).sqrt(t)
-        if abs(alpha - lam) < 1e-8 * lam:
+        if abs(alpha - lam) < _EQUAL_RATES * lam:
             y = lam * sqrt_t / _SQRT2
             return 1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y)
         # lam / (lam - alpha) amplifies the error of both Mittag-Leffler values
@@ -531,7 +534,7 @@ class ElasticGamma(_Law):
         lam, alpha, k = self.lam, self.alpha, self.k
         sqrt_t = _xp(t).sqrt(t)
         y = lam * sqrt_t / _SQRT2
-        if abs(alpha - lam) < 1e-8 * lam:
+        if abs(alpha - lam) < _EQUAL_RATES * lam:
             p = MLParams(0.5, 0.5 * k + 1.0, k + 1.0)
             return 1.0 - y**k * _gml_scaled(p, -y, y**k)
         a = alpha * sqrt_t / _SQRT2
@@ -738,11 +741,17 @@ def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:
 
     Where the law is already elementary (pure exponentials, the squared
     Bessel power law) the exact expression is returned in both regimes.
+    An expression that overflows or divides by zero in floating point
+    raises :class:`NonConvergence` naming the law, the regime and t.
     """
     t = _time(t, "asymptote")
     if not isinstance(regime, Regime):
         raise DomainError(f"asymptote regime must be a Regime member, got {regime!r}")
-    return _law(model, "asymptote has no expansion")._asymptote(regime is Regime.SmallT, t)
+    law = _law(model, "asymptote has no expansion")
+    try:
+        return law._asymptote(regime is Regime.SmallT, t)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonConvergence(f"{type(law).__name__} {regime.value} asymptote at t={t!r}: {exc}") from None
 
 
 def equation(model: RelaxationModel) -> _Equation:

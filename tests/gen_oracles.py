@@ -232,6 +232,15 @@ def main() -> None:
             value = 1 - 1 / (1 - a) * (erfcx(a * y) - erfcx(y))
             out.append((f"Elastic(alpha={1.0 + d!r}, lam=1) psi({t})", "test_relaxation two-rate", value))
 
+        # either side of the alpha = lam band edge (relative offset 1e-10) at
+        # lam = 100, t = 6.3e-4, alpha the binary float 100 * (1 + d); the
+        # elastic law and the elastic law with a k = 1 gamma boundary agree
+        lam, y = mp.mpf(100), mp.sqrt(mp.mpf(6.3e-4) / 2)
+        for d in (0.99e-10, -0.99e-10, 1e-9, -1e-9):
+            a = mp.mpf(100 * (1.0 + d))
+            value = 1 - lam / (lam - a) * (erfcx(a * y) - erfcx(lam * y))
+            out.append((f"Elastic(alpha={100 * (1.0 + d)!r}, lam=100) psi(6.3e-4)", "test_relaxation band edge", value))
+
     # --- test_fraccalc: Riemann-Liouville integral of f(t) = t at order 1/2
     out.append(("RL-1/2 of t: coefficient of t^{3/2}", "test_fraccalc", mp.gamma(2) / mp.gamma(mp.mpf("2.5"))))
 

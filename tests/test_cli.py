@@ -392,6 +392,25 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        # (lam * sqrt(t))**k overflows
+        (("--model", "gammaboundary", "--k", "10", "--lambda", "1e30", "--t", "1e10"),
+         "GammaBoundary small_t asymptote at t=10000000000.0"),
+        # lam * t**nu underflows to zero in the large-t form
+        (("--model", "fractional", "--nu", "0.5", "--lambda", "1e-300", "--t", "1e-300"),
+         "Fractional large_t asymptote at t=1e-300"),
+    ],
+)
+def test_asymptote_arithmetic_failure_exit_code(argv, names, capsys):
+    rc = run_cli("eval", *argv)
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert err.startswith(f"numerical failure: {names}")
+    assert out == ""
+
+
 def test_strict_statistical_failure_exit_code(monkeypatch, capsys):
     def biased(spec, boundary, t, n_paths, seed=0):
         return ss.CrossingEstimate(p_hat=0.9, stderr=1e-6, n_paths=n_paths,

@@ -148,6 +148,35 @@ def test_elastic_series_reference_near_equal_rates():
         assert np.max(np.abs(rx._series_psi(m, np.array(ts)) - wants)) < 1e-10, d
 
 
+# psi(6.3e-4) of Elastic(alpha = 100 * (1 + d), lam = 100) from its erfcx
+# closed form (tests/gen_oracles.py): d -> value
+ELASTIC_BAND_EDGE = {
+    0.99e-10: 0.772381593456679554147,
+    -0.99e-10: 0.7723815934229146188425,
+    1e-9: 0.7723815936103271053766,
+    -1e-9: 0.7723815932692671158431,
+}
+
+
+def test_equal_rate_band_edge():
+    # the alpha = lam form errs by ~0.17 times the relative offset: it is
+    # used within 1e-10 of equal rates (measured 1.7e-11 at the edge), and
+    # beyond it Elastic's two-rate gate hands the point to the contour
+    # (measured 4.1e-14) and ElasticGamma sums its outer series (2.5e-15)
+    t = 6.3e-4
+    for d, want in ELASTIC_BAND_EDGE.items():
+        alpha = 100.0 * (1.0 + d)
+        for m in (rx.Elastic(alpha=alpha, lam=100.0), rx.ElasticGamma(k=1, alpha=alpha, lam=100.0)):
+            assert abs(rx._series_psi(m, t) - want) < 1e-10, (m, d)
+            assert abs(rx._series_psi(m, np.array([t]))[0] - want) < 1e-10, (m, d)
+        elastic = rx.Elastic(alpha=alpha, lam=100.0)
+        if abs(d) < 1e-10:
+            assert abs(elastic._psi(t) - want) < 1e-10
+        else:
+            with pytest.raises(NonConvergence, match="cancels"):
+                elastic._psi(t)
+
+
 def test_elastic_near_equal_rates_inverts_exactly():
     # the value moves by 3.7e-9 over the 3e-8 offsets; the contour follows
     # it (measured 3.8e-14), where the two-rate series' cancellation does not

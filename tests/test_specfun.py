@@ -6,21 +6,24 @@ script to regenerate them.  Tolerances are set from measured deviations of
 the production code (typically < 2e-14 relative) with a 10-100x margin.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import airy as scipy_airy
-from scipy.special import erfcx, iv
+from scipy.special import erfcx, gammaln, iv, rgamma
 
 from frax import specfun
 from frax.errors import DomainError, NonConvergence
 from frax.specfun import (
+    _ABSUM_CAP,
+    _EPS,
     _ML_SWITCH,
     MLParams,
     _gml_raw,
     _ml_integral,
-    _ml_terms,
+    _ml_series,
     _sum_series,
     airy_ai,
     bessel_i,
@@ -147,6 +150,95 @@ def test_mittag_leffler_on_an_array_matches_scalar_calls():
             mittag_leffler(p, np.array([-1.0, bad]))
     with pytest.raises(DomainError):
         mittag_leffler(MLParams(0.5), np.array([-1.0, np.nan]))
+
+
+def _ml_terms(alpha: float, beta: float, gamma: float, z: float):
+    """Terms of the three-parameter Mittag-Leffler series, one scalar
+    ``gammaln`` call per log-gamma: the independent oracle of the series.
+
+    Term j is ``poch(gamma, j) * z**j / (j! * Gamma(alpha*j + beta))``,
+    formed in log space; a term whose logarithm exceeds 700 is inf and ends
+    the stream.
+    """
+    lg_gamma0 = gammaln(gamma)
+    loga = math.log(abs(z)) if z != 0.0 else -math.inf
+    sign_z = 1.0 if z >= 0.0 else -1.0
+    for j in itertools.count():
+        lg = gammaln(gamma + j) - lg_gamma0 + j * loga - gammaln(j + 1.0) - gammaln(alpha * j + beta)
+        if lg > 700.0:
+            yield math.inf
+            return
+        yield (sign_z**j) * math.exp(lg)
+
+
+def _bits(result):
+    value, est, ok = result
+    return float(value).hex(), float(est).hex(), bool(ok)
+
+
+def test_ml_series_matches_the_generator_oracle_bit_for_bit():
+    # _ml_series and _gml_raw against _sum_series over _ml_terms, on draws
+    # that take every exit: convergence, small caps, positive z, overflowing
+    # terms (log > 700) and z = 0
+    rng = np.random.default_rng(15)
+    n = 5000
+    half = rng.random((3, n)) < 0.5
+    alphas = np.where(half[0], 0.5, rng.uniform(0.05, 1.5, n))
+    betas = np.where(half[1], 1.0, rng.uniform(0.1, 6.0, n))
+    gammas = np.choose(rng.integers(0, 3, n), [np.ones(n), rng.integers(1, 11, n), rng.uniform(0.2, 8.0, n)])
+    sign = rng.choice([-1.0, 1.0], n)
+    zs = np.choose(
+        rng.integers(0, 4, n),
+        [np.zeros(n), rng.uniform(-6.0, 6.0, n), sign * 10.0 ** rng.uniform(-8.0, 1.0, n), sign * 10.0 ** rng.uniform(250.0, 305.0, n)],
+    )
+    caps = np.where(half[2], _ABSUM_CAP, 10.0 ** rng.uniform(0.0, 12.0, n))
+    exits = set()
+    for alpha, beta, gamma, z, cap in zip(*(a.astype(float).tolist() for a in (alphas, betas, gammas, zs, caps))):
+        drawn = []
+        want = _sum_series((drawn.append(t) or t for t in _ml_terms(alpha, beta, gamma, z)), cap)
+        assert _bits(_ml_series(alpha, beta, gamma, z, cap)) == _bits(want)
+        raw = (float(rgamma(beta)), _EPS, True) if z == 0.0 else want
+        assert _bits(_gml_raw(MLParams(alpha, beta, gamma), z, cap)) == _bits(raw)
+        if z == 0.0:
+            exits.add("zero")
+        elif drawn[-1] == math.inf:
+            exits.add("overflow")
+        elif want[2]:
+            exits.add("positive z" if z > 0.0 else "converged")
+        elif len(drawn) < 600:
+            exits.add("cap")
+    assert exits == {"zero", "overflow", "positive z", "converged", "cap"}
+
+
+def test_ml_rows_read_the_shared_tables(monkeypatch):
+    # the cached block tables hold, bit for bit, the log-gammas each block
+    # of _ml_rows computed for itself, and _ml_rows reads them block by block
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        alpha, beta, gamma = rng.uniform(0.05, 1.5), rng.uniform(0.1, 6.0), rng.uniform(0.2, 8.0)
+        for j0 in (0, 32, 576):
+            j = np.arange(j0, min(j0 + 32, 600), dtype=float)
+            pochhammer, log_fact, log_gamma = specfun._ml_logs(alpha, beta, gamma, j0)
+            assert list(pochhammer) == (gammaln(gamma + j) - gammaln(gamma)).tolist()
+            assert list(log_fact) == gammaln(j + 1.0).tolist()
+            assert list(log_gamma) == gammaln(alpha * j + beta).tolist()
+    p, z = MLParams(0.5, 1.0, 2.0), np.array([-0.5, -2.0, 0.0])
+    want, _est, _ok = _gml_raw(p, z)
+    read = []
+    logs = specfun._ml_logs
+
+    def doubled(*args):
+        read.append(args)
+        pochhammer, log_fact, log_gamma = logs(*args)
+        return tuple(x + math.log(2.0) for x in pochhammer), log_fact, log_gamma
+
+    monkeypatch.setattr(specfun, "_ml_logs", doubled)
+    values, _est, ok = _gml_raw(p, z)
+    # every term doubles with the tables, and so does every sum but the zero row's
+    assert ok.all() and values[2] == want[2] == 1.0
+    assert np.all(np.abs(values[:2] - 2.0 * want[:2]) <= 1e-10 * np.abs(want[:2]))
+    # the row at -2 takes three blocks, and no block is read twice
+    assert read == [(0.5, 1.0, 2.0, 0), (0.5, 1.0, 2.0, 32), (0.5, 1.0, 2.0, 64)]
 
 
 def test_gml_rows_make_the_scalar_gate_decisions():
@@ -352,16 +444,13 @@ def test_mittag_leffler_stops_a_discarded_series_early(monkeypatch):
     for alpha in (0.3, 0.5, 0.8):
         got = [mittag_leffler(MLParams(alpha), float(z)) for z in zs]
         assert got == [_ml_reference(alpha, float(z)) for z in zs]
-    drawn = []
-
-    def counted(*args):
-        for term in _ml_terms(*args):
-            drawn.append(term)
-            yield term
-
-    _sum_series(counted(0.5, 1.0, 1.0, -4.0))
-    uncapped = len(drawn)
-    drawn.clear()
-    monkeypatch.setattr(specfun, "_ml_terms", counted)
+    # the capped series reads one block of 32 log-coefficients, the
+    # uncapped sum five
+    read = []
+    logs = specfun._ml_logs
+    monkeypatch.setattr(specfun, "_ml_logs", lambda *args: read.append(args) or logs(*args))
+    _ml_series(0.5, 1.0, 1.0, -4.0)
+    uncapped = len(read)
+    read.clear()
     assert mittag_leffler(MLParams(0.5), -4.0) == _ml_reference(0.5, -4.0)
-    assert 0 < len(drawn) < uncapped
+    assert (len(read), uncapped) == (1, 5)
