@@ -705,12 +705,12 @@ def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     if not (t.dtype.kind in "iuf" and np.all(np.isfinite(t) & (t >= 0.0))):
         raise DomainError(f"psi requires finite t >= 0 (a real array), got {t!r}")
     flat = t.astype(float).reshape(-1)
+    if not law._contour_first:
+        return _series_psi(law, flat).reshape(t.shape)
     out = np.ones(flat.size)
     rest = np.flatnonzero(flat > 0.0)
-    if law._contour_first and rest.size:
+    if rest.size:
         out[rest] = [_clip01(v) for v in laplace_invert(law._laplace, flat[rest]).tolist()]
-    else:
-        out[rest] = [_series_psi(law, tj) for tj in flat[rest].tolist()]
     return out.reshape(t.shape)
 
 

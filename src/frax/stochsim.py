@@ -16,6 +16,8 @@ quadrature against their explicit densities instead of Monte Carlo.
 Each process spec owns what is known about it: its exact sampler, its
 endpoint density, its quadrature crossing and, through :meth:`law`, the
 relaxation law of :mod:`frax.relaxation` its crossing probability follows.
+:data:`PAIRINGS` names the pairs checked against their laws, and
+:func:`crossing` estimates a pair by the method its process admits.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ __all__ = [
     "Gamma",
     "BoundarySpec",
     "CrossingEstimate",
+    "PAIRINGS",
     "DEFAULT_SEED",
+    "crossing",
     "estimate_crossing",
     "quadrature_crossing",
     "density",
@@ -70,6 +74,14 @@ class CrossingEstimate:
     n_paths: int
     seed: int
     method: str
+
+    def z_score(self, value: float) -> float:
+        """How many standard errors ``p_hat`` lies above ``value``.  A zero
+        stderr claims an exact value: any gap scores an infinite |z|."""
+        gap = self.p_hat - value
+        if self.stderr > 0.0:
+            return gap / self.stderr
+        return math.copysign(math.inf, gap) if gap else 0.0
 
 
 @dataclass(frozen=True)
@@ -413,6 +425,44 @@ ProcessSpec = Union[
     DistributedTime,
 ]
 
+# (name, process, boundary): every pairing checked against its law, the
+# Monte Carlo pairs first.  A process with an exact sampler is simulated,
+# the others are integrated against their density (see :func:`crossing`).
+# A name lists the process, its parameters, the boundary and its
+# parameters as the ``frax simulate`` flags spell them.
+_EXP1 = Exponential(lam=1.0)
+PAIRINGS: tuple[tuple[str, ProcessSpec, BoundarySpec], ...] = (
+    ("reflectedbm-exponential-1", ReflectedBM(), _EXP1),
+    ("iteratedbm-2-exponential-1", IteratedBM(n=2), _EXP1),
+    ("sojourntime-exponential-1", SojournTime(), _EXP1),
+    ("firstpassagechain-1-exponential-1", FirstPassageChain(n=1), _EXP1),
+    ("firstpassagechain-2-exponential-1", FirstPassageChain(n=2), _EXP1),
+    ("besselsquared-1-exponential-1", BesselSquared(gamma=1.0), _EXP1),
+    ("besselsquared-2-exponential-1", BesselSquared(gamma=2.0), _EXP1),
+    ("besselsquared-3-exponential-1", BesselSquared(gamma=3.0), _EXP1),
+    ("elasticbm-0.5-exponential-1", ElasticBM(alpha=0.5), _EXP1),
+    ("elasticbm-1.0-exponential-1", ElasticBM(alpha=1.0), _EXP1),
+    ("elasticbm-2.0-exponential-1", ElasticBM(alpha=2.0), _EXP1),
+    ("reflectedbm-gamma-2-1", ReflectedBM(), Gamma(k=2, lam=1.0)),
+    ("reflectedbm-gamma-3-1", ReflectedBM(), Gamma(k=3, lam=1.0)),
+    ("wrighttime-0.3-exponential-1", WrightTime(nu=0.3), _EXP1),
+    ("wrighttime-0.7-exponential-1", WrightTime(nu=0.7), _EXP1),
+    ("wrighttime-0.5-gamma-2-1", WrightTime(nu=0.5), Gamma(k=2, lam=1.0)),
+    ("airytime-exponential-1.3", AiryTime(), Exponential(lam=1.3)),
+    ("distributedtime-0.5-0.5-exponential-1", DistributedTime(n1=0.5, n2=0.5), _EXP1),
+)
+
+
+def _typed(owner: str, value: object, kind: object, what: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{owner} requires {what}, got {type(value).__name__}")
+
+
+def _specs(owner: str, spec: object, boundary: object) -> None:
+    _typed(owner, spec, ProcessSpec, "a process spec")
+    _typed(owner, boundary, BoundarySpec, "a boundary spec")
+
 
 def _seed(seed: object, owner: str) -> int:
     """The seed as an ``int``: any integer in [0, 2**64), numpy integers included."""
@@ -444,6 +494,7 @@ def estimate_crossing(
     independent of thread count and bit-identical across runs.  The seed
     is an integer in [0, 2**64) (numpy integers included, stored as int).
     """
+    _specs("estimate_crossing", spec, boundary)
     t = _time(t, "estimate_crossing")
     if not hasattr(spec, "_sample"):
         raise DomainError(
@@ -469,7 +520,10 @@ def estimate_crossing(
     else:
         count = sum(run_block(b) for b in range(n_blocks))
     p = count / n_paths
-    stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / n_paths)
+    # at count 0 or n the variance comes from half a count (p(1 - p) is
+    # symmetric, so 1/2n serves both ends): a zero would claim an exact value
+    q = p if 0 < count < n_paths else 0.5 / n_paths
+    stderr = math.sqrt(q * (1.0 - q) / n_paths)
     return CrossingEstimate(p_hat=p, stderr=stderr, n_paths=n_paths, seed=seed, method="monte_carlo")
 
 
@@ -481,8 +535,18 @@ def quadrature_crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float) -> 
     is quad's error estimate, but never less than the tolerance quad was
     asked to meet.
     """
+    _specs("quadrature_crossing", spec, boundary)
     t = _time(t, "quadrature_crossing")
     return spec._quadrature(boundary, t)
+
+
+def crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float, n_paths: int, seed: int = DEFAULT_SEED) -> CrossingEstimate:
+    """Crossing probability by :func:`estimate_crossing` where the process
+    has an exact sampler, else by :func:`quadrature_crossing` (which needs
+    no ``n_paths`` or ``seed``)."""
+    if hasattr(spec, "_sample"):
+        return estimate_crossing(spec, boundary, t, n_paths, seed=seed)
+    return quadrature_crossing(spec, boundary, t)
 
 
 def density(spec: ProcessSpec, y: float, t: float) -> float:
@@ -491,6 +555,7 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
     For ElasticBM this is the continuous part only; the killed mass is
     exposed separately by :func:`elastic_atom`.
     """
+    _typed("density", spec, ProcessSpec, "a process spec")
     t = _time(t, "density")
     if not (_real(y) and math.isfinite(y)):
         raise DomainError(f"density requires finite y, got {y!r}")
@@ -500,5 +565,6 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
 def elastic_atom(spec: ElasticBM, t: float) -> float:
     """Probability that the elastic motion has been killed by time t:
     1 - exp(alpha**2 t / 2) * erfc(alpha sqrt(t/2)), in stable form."""
+    _typed("elastic_atom", spec, ElasticBM, "an ElasticBM")
     t = _time(t, "elastic_atom")
     return 1.0 - float(erfcx(spec.alpha * math.sqrt(0.5 * t)))

@@ -11,10 +11,11 @@ wall time (``time.perf_counter``).  Each check runs on its own: a check
 that raises a :class:`~frax.errors.FraxError` gives a failed record with
 error NaN and the exception as its detail, and the suite goes on.  The
 suites are pure and deterministic: random probe points are drawn from
-fixed-seed generators.  They sample psi through the series evaluator
-``relaxation._series_psi``, not through :func:`~frax.relaxation.psi`,
-which inverts the transform first: the transform and inversion checks
-then hold the contour against the series rather than against itself.
+fixed-seed generators.  All but ``crossing`` sample psi through the
+series evaluator ``relaxation._series_psi``, not through
+:func:`~frax.relaxation.psi`, which inverts the transform first: the
+transform and inversion checks then hold the contour against the series
+rather than against itself.
 The residual, half-derivative and ``transform-*`` checks call it once per
 sample set, on the whole array of times.
 
@@ -32,10 +33,15 @@ Suites:
 - ``laplace``      forward transforms vs closed forms, inversion round trips
 - ``residuals``    grid-refinement orders of the governing equations
 - ``asymptotics``  small- and large-time limit tables with ratio convergence
+- ``crossing``     each pairing of :data:`frax.stochsim.PAIRINGS` against
+  :func:`~frax.relaxation.psi` of its law at t = 0.25, 1 and 4: a Monte
+  Carlo pair at 2**20 paths per time and the default seed passes with
+  every |z| < 4, a quadrature pair within 1e-9 absolute.  Its sampling
+  takes seconds (3-4 s on one thread), so ``all`` leaves it out.
 
-``run_suite(name)`` dispatches by name ("all" concatenates everything);
-``report(records)`` renders the machine-readable JSON document used by the
-command-line ``verify`` subcommand.
+``run_suite(name)`` dispatches by name ("all" concatenates every suite but
+``crossing``); ``report(records)`` renders the machine-readable JSON
+document used by the command-line ``verify`` subcommand.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import relaxation as rx
+from . import stochsim as ss
 from .errors import FraxError, NonConvergence
 from .fraccalc import laplace_forward, laplace_invert, ode_residual
 from .specfun import MLParams, _gml_raw, gml, mittag_leffler
@@ -376,6 +383,24 @@ def _check_asymptote(model: rx.RelaxationModel, regime: rx.Regime) -> _Outcome:
 
 
 # ---------------------------------------------------------------------------
+# crossing
+# ---------------------------------------------------------------------------
+
+_CROSSING_PATHS = 1 << 20
+
+
+def _check_crossing(spec: ss.ProcessSpec, boundary: ss.BoundarySpec) -> _Outcome:
+    """The crossing estimate of one pairing against psi of its law."""
+    model = spec.law(boundary)
+    runs = [(ss.crossing(spec, boundary, t, _CROSSING_PATHS), rx.psi(model, t)) for t in _TIMES]
+    if runs[0][0].method == "monte_carlo":
+        worst = _worst([abs(est.z_score(value)) for est, value in runs])
+        return worst < 4.0, worst, f"worst |z| at {_CROSSING_PATHS} paths per time, must be < 4"
+    worst = _worst([abs(est.p_hat - value) for est, value in runs])
+    return worst <= 1e-9, worst, "quadrature vs psi, absolute tolerance 1e-9"
+
+
+# ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
@@ -403,6 +428,9 @@ _CHECKS: dict[str, list[tuple[str, Callable[[], _Outcome]]]] = {
          functools.partial(_check_asymptote, model, regime))
         for name, model in _ASYMPTOTIC_MODELS for regime in (rx.SmallT, rx.LargeT)
     ],
+    "crossing": [
+        (name, functools.partial(_check_crossing, spec, boundary)) for name, spec, boundary in ss.PAIRINGS
+    ],
 }
 
 
@@ -414,7 +442,7 @@ SUITES: dict[str, Callable[[], list[dict]]] = {name: _suite(name) for name in _C
 
 
 def run_suite(name: str) -> list[dict]:
-    """Run one suite by name, or every suite for ``all`` (in a fixed order)."""
+    """Run one suite by name, or for ``all`` every suite but ``crossing`` (in a fixed order)."""
     if name == "all":
         out: list[dict] = []
         for key in ("identities", "laplace", "residuals", "asymptotics"):

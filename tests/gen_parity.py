@@ -2,18 +2,18 @@
 
 Run directly (``python3 tests/gen_parity.py``) to rewrite
 ``tests/data/parity.json`` from the current code; ``tests/test_parity.py``
-re-runs the same cases and compares.  Given the flags of ``frax simulate``
-pairings, each quoted as one argument (``python3 tests/gen_parity.py
-"--process reflectedbm --boundary exponential --lambda 1"``), it rewrites
-only those rows and leaves the rest of the file as it is.  Given the name
-of an eval row (``python3 tests/gen_parity.py "fractional nu=0.5 lam=1"``),
-it rewrites only that row's psi column.  The file covers:
+re-runs the same cases and compares.  Given the names of Monte Carlo
+pairings (``python3 tests/gen_parity.py reflectedbm-exponential-1``), it
+rewrites only those simulate rows and leaves the rest of the file as it
+is.  Given the name of an eval row (``python3 tests/gen_parity.py
+"fractional nu=0.5 lam=1"``), it rewrites only that row's psi column.  The
+file covers:
 
 - ``frax eval`` for every law of ``cli._TABLE_MODELS`` on one log grid
   over [1e-4, 1e4];
-- ``frax simulate`` at a fixed seed and 20k paths for the 13 Monte Carlo
-  pairings of ``scripts/run_mc_suite.py``;
-- the quadrature crossing probability of the five quadrature pairings.
+- ``frax simulate`` at a fixed seed and 20k paths for the Monte Carlo
+  pairings of ``stochsim.PAIRINGS``, keyed by pairing name;
+- the quadrature crossing probability of its quadrature pairings.
 
 Regenerate it only when a change of value is intended and explained.
 """
@@ -37,38 +37,30 @@ TIMES = ["0.25", "1", "4"]
 SEED = 12345
 PATHS = 20_000
 
-MC_PAIRINGS = [
-    ["--process", "reflectedbm", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "iteratedbm", "--k", "2", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "sojourntime", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "firstpassagechain", "--k", "1", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "firstpassagechain", "--k", "2", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "besselsquared", "--gamma", "1", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "besselsquared", "--gamma", "2", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "besselsquared", "--gamma", "3", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "elasticbm", "--alpha", "0.5", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "elasticbm", "--alpha", "1.0", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "elasticbm", "--alpha", "2.0", "--boundary", "exponential", "--lambda", "1"],
-    ["--process", "reflectedbm", "--boundary", "gamma", "--k", "2", "--lambda", "1"],
-    ["--process", "reflectedbm", "--boundary", "gamma", "--k", "3", "--lambda", "1"],
-]
+# the pairings by method: a process with an exact sampler is simulated
+MONTE_CARLO = [row for row in ss.PAIRINGS if hasattr(row[1], "_sample")]
+QUADRATURE = [row for row in ss.PAIRINGS if not hasattr(row[1], "_sample")]
 
-QUADRATURE_PAIRINGS = [
-    ("wrighttime nu=0.3 / exp", ss.WrightTime(nu=0.3), ss.Exponential(lam=1.0)),
-    ("wrighttime nu=0.7 / exp", ss.WrightTime(nu=0.7), ss.Exponential(lam=1.0)),
-    ("wrighttime nu=0.5 / gamma k=2", ss.WrightTime(nu=0.5), ss.Gamma(k=2, lam=1.0)),
-    ("airytime / exp", ss.AiryTime(), ss.Exponential(lam=1.3)),
-    ("distributedtime n1=0.5 / exp", ss.DistributedTime(n1=0.5, n2=0.5), ss.Exponential(lam=1.0)),
-]
+
+def field_flags(spec) -> list[str]:
+    """The parameter flags that rebuild the dataclass ``spec``."""
+    flags = []
+    for f in dataclasses.fields(spec):
+        flags += [f"--{cli._FIELD_FLAG.get(f.name, f.name)}", repr(getattr(spec, f.name))]
+    return flags
 
 
 def model_flags(model) -> list[str]:
     """``frax eval`` flags that rebuild ``model``."""
-    flags = ["--model", type(model).__name__.lower()]
-    for f in dataclasses.fields(model):
-        flag = {"lam": "lambda", "n": "k"}.get(f.name, f.name)
-        flags += [f"--{flag}", repr(getattr(model, f.name))]
-    return flags
+    return ["--model", type(model).__name__.lower(), *field_flags(model)]
+
+
+def pairing_flags(spec, boundary) -> list[str]:
+    """``frax simulate`` flags that rebuild a pairing."""
+    return [
+        "--process", type(spec).__name__.lower(), *field_flags(spec),
+        "--boundary", type(boundary).__name__.lower(), *field_flags(boundary),
+    ]
 
 
 def run_cli(argv: list[str]) -> tuple[list[str], list[list[float]]]:
@@ -84,9 +76,9 @@ def run_cli(argv: list[str]) -> tuple[list[str], list[list[float]]]:
     return comments, [[float(v) for v in line.split(",")] for line in body[1:]]
 
 
-def simulate(flags: list[str]) -> dict:
+def simulate(spec, boundary) -> dict:
     """The pinned ``frax simulate`` output of one pairing."""
-    argv = ["simulate", *flags, "--t", *TIMES, "--paths", str(PATHS), "--seed", str(SEED)]
+    argv = ["simulate", *pairing_flags(spec, boundary), "--t", *TIMES, "--paths", str(PATHS), "--seed", str(SEED)]
     comments, rows = run_cli(argv)
     return {"comments": comments, "rows": rows}
 
@@ -100,9 +92,9 @@ def collect() -> dict:
     out = {"eval": {}, "simulate": {}, "quadrature": {}}
     for name, model in cli._TABLE_MODELS:
         out["eval"][name] = evaluate(model)
-    for flags in MC_PAIRINGS:
-        out["simulate"][" ".join(flags)] = simulate(flags)
-    for name, spec, boundary in QUADRATURE_PAIRINGS:
+    for name, spec, boundary in MONTE_CARLO:
+        out["simulate"][name] = simulate(spec, boundary)
+    for name, spec, boundary in QUADRATURE:
         out["quadrature"][name] = [
             ss.quadrature_crossing(spec, boundary, float(t)).p_hat for t in TIMES
         ]
@@ -115,6 +107,7 @@ if __name__ == "__main__":
         with open(DATA, encoding="utf-8") as fh:
             doc = json.load(fh)
         models = dict(cli._TABLE_MODELS)
+        pairings = {name: (spec, boundary) for name, spec, boundary in MONTE_CARLO}
         for key in sys.argv[1:]:
             if key in doc["eval"]:
                 for old, new in zip(doc["eval"][key], evaluate(models[key]), strict=True):
@@ -122,7 +115,7 @@ if __name__ == "__main__":
                         sys.exit(f"eval row {key!r}: the grid moved ({old[0]!r} -> {new[0]!r})")
                     old[1] = new[1]
             elif key in doc["simulate"]:
-                doc["simulate"][key] = simulate(key.split())
+                doc["simulate"][key] = simulate(*pairings[key])
             else:
                 sys.exit(f"no eval row or simulate pairing {key!r} in {DATA}")
     else:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-import frax.cli as cli
 import frax.relaxation as rx
 import frax.stochsim as ss
 import frax.verify as vf
@@ -67,72 +66,21 @@ def test_criterion_2(capsys):
 
 
 # ---------------------------------------------------------------------------
-# criterion 3: Monte Carlo suite agrees with the closed forms (|z| <= 4)
+# criterion 3: every crossing pairing agrees with its closed form
 # ---------------------------------------------------------------------------
 
-COMBOS = [
-    ("reflectedbm_exp", ["--process", "reflectedbm", "--boundary", "exponential", "--lambda", "1"]),
-    ("iteratedbm2_exp", ["--process", "iteratedbm", "--k", "2", "--boundary", "exponential", "--lambda", "1"]),
-    ("sojourntime_exp", ["--process", "sojourntime", "--boundary", "exponential", "--lambda", "1"]),
-    ("firstpassage1_exp", ["--process", "firstpassagechain", "--k", "1", "--boundary", "exponential", "--lambda", "1"]),
-    ("firstpassage2_exp", ["--process", "firstpassagechain", "--k", "2", "--boundary", "exponential", "--lambda", "1"]),
-    ("besselsq1_exp", ["--process", "besselsquared", "--gamma", "1", "--boundary", "exponential", "--lambda", "1"]),
-    ("besselsq2_exp", ["--process", "besselsquared", "--gamma", "2", "--boundary", "exponential", "--lambda", "1"]),
-    ("besselsq3_exp", ["--process", "besselsquared", "--gamma", "3", "--boundary", "exponential", "--lambda", "1"]),
-    ("elastic_half_exp", ["--process", "elasticbm", "--alpha", "0.5", "--boundary", "exponential", "--lambda", "1"]),
-    ("elastic_equal_exp", ["--process", "elasticbm", "--alpha", "1.0", "--boundary", "exponential", "--lambda", "1"]),
-    ("elastic_double_exp", ["--process", "elasticbm", "--alpha", "2.0", "--boundary", "exponential", "--lambda", "1"]),
-    ("reflectedbm_gamma2", ["--process", "reflectedbm", "--boundary", "gamma", "--k", "2", "--lambda", "1"]),
-    ("reflectedbm_gamma3", ["--process", "reflectedbm", "--boundary", "gamma", "--k", "3", "--lambda", "1"]),
-]
-
-N_PATHS = 1_000_000
-TIMES = ("0.25", "1", "4")
-
-
-def _run_combo(outdir, name, flags, seed):
-    path = outdir / f"{name}.csv"
-    rc = cli.main(["simulate", *flags, "--t", *TIMES,
-                   "--paths", str(N_PATHS), "--seed", str(seed), "--out", str(path)])
-    assert rc == 0, f"simulate failed for {name}"
-    return path
-
-
-def _max_abs_z(path):
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[1] == "t,p_hat,stderr,analytic,z_score"
-    return max(abs(float(line.split(",")[4])) for line in lines[2:])
-
-
-@pytest.fixture(scope="module")
-def mc_suite(tmp_path_factory):
-    outdir = tmp_path_factory.mktemp("mc_run_a")
-    start = time.perf_counter()
-    paths = {name: _run_combo(outdir, name, flags, ss.DEFAULT_SEED)
-             for name, flags in COMBOS}
-    elapsed = time.perf_counter() - start
-    return {"dir": outdir, "paths": paths, "elapsed": elapsed}
-
-
-def test_criterion_3(capsys, mc_suite, tmp_path):
-    verdicts = []
-    worst = 0.0
-    for name, flags in COMBOS:
-        z = _max_abs_z(mc_suite["paths"][name])
-        if z > 4.0:
-            # one rerun with a fresh seed; two consecutive failures are red
-            retry = _run_combo(tmp_path, f"{name}_retry", flags, ss.DEFAULT_SEED + 1)
-            z2 = _max_abs_z(retry)
-            verdicts.append((name, z, z2, z2 <= 4.0))
-            worst = max(worst, min(z, z2))
-        else:
-            verdicts.append((name, z, None, True))
-            worst = max(worst, z)
-    ok = all(v[-1] for v in verdicts) and mc_suite["elapsed"] < 120.0
-    retried = [v[0] for v in verdicts if v[2] is not None]
-    detail = f"13 combos, worst |z| {worst:.2f}, {mc_suite['elapsed']:.1f}s"
-    if retried:
-        detail += f", reseeded: {','.join(retried)}"
+def test_criterion_3(capsys, crossing_run):
+    records = crossing_run["records"]
+    failed = [r["check"] for r in records if not r["passed"]]
+    simulated = [hasattr(spec, "_sample") for _, spec, _ in ss.PAIRINGS]
+    z = [r["error"] for r, mc in zip(records, simulated) if mc]
+    gaps = [r["error"] for r, mc in zip(records, simulated) if not mc]
+    ok = (not failed and [r["check"] for r in records] == [row[0] for row in ss.PAIRINGS]
+          and (len(z), len(gaps)) == (13, 5) and crossing_run["seconds"] < 120.0)
+    detail = (f"{len(z)} Monte Carlo pairings, worst |z| {max(z):.2f}; {len(gaps)} quadrature "
+              f"pairings, worst gap {max(gaps):.1e}; {crossing_run['seconds']:.1f}s")
+    if failed:
+        detail += "; failed: " + ", ".join(failed)
     _report(capsys, 3, ok, detail)
 
 
@@ -183,14 +131,15 @@ def test_criterion_8(capsys):
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: the simulation suite is bit-reproducible
+# criterion 9: the crossing suite is bit-reproducible across thread counts
 # ---------------------------------------------------------------------------
 
-def test_criterion_9(capsys, mc_suite, tmp_path):
-    identical = True
-    for name, flags in COMBOS:
-        again = _run_combo(tmp_path, name, flags, ss.DEFAULT_SEED)
-        if again.read_bytes() != mc_suite["paths"][name].read_bytes():
-            identical = False
-            break
-    _report(capsys, 9, identical, "13 combos byte-compared across runs")
+def _timeless(records):
+    return [{k: v for k, v in r.items() if k != "seconds"} for r in records]
+
+
+def test_criterion_9(capsys, crossing_run, monkeypatch):
+    monkeypatch.setenv("FRAX_THREADS", "2")
+    again = vf.run_suite("crossing")
+    identical = _timeless(again) == _timeless(crossing_run["records"])
+    _report(capsys, 9, identical, f"{len(again)} crossing records compared at FRAX_THREADS=1 and 2")

@@ -455,6 +455,32 @@ def test_strict_zero_stderr_gap_fails(monkeypatch, capsys):
     assert "exceeds 4" in capsys.readouterr().err
 
 
+# every path survives: the variance comes from half a count, not p(1 - p) = 0
+ALL_SURVIVE = [
+    ("--process", "reflectedbm", "--boundary", "exponential", "--lambda", "1",
+     "--t", "1e-12", "--paths", "1000"),
+    ("--process", "firstpassagechain", "--k", "1", "--boundary", "exponential", "--lambda", "1",
+     "--t", "1e-9", "--paths", "100000"),
+]
+
+
+@pytest.mark.parametrize("flags", ALL_SURVIVE, ids=lambda f: f[1])
+def test_strict_passes_when_every_path_survives(flags, capsys):
+    rc = run_cli("simulate", *flags, "--strict")
+    out = capsys.readouterr().out
+    assert rc == 0
+    t, p_hat, stderr, analytic, z = map(float, out.strip().split("\n")[2].split(","))
+    assert p_hat == 1.0 and 0.0 < stderr < 1e-3 and abs(z) < 1e-2
+
+
+def test_strict_all_survive_still_fails_a_far_value(monkeypatch, capsys):
+    monkeypatch.setattr(cli.rx, "psi", lambda model, t: 0.5)
+    rc = run_cli("simulate", *ALL_SURVIVE[0], "--strict")
+    assert rc == 4
+    # the half-count stderr is 7.07e-4, so |z| = 0.5 / 7.07e-4
+    assert "worst |z| = 707 exceeds 4" in capsys.readouterr().err
+
+
 def test_strict_passes_when_consistent(capsys):
     rc = run_cli("simulate", "--process", "reflectedbm", "--boundary", "exponential",
                  "--lambda", "1", "--t", "1", "--paths", "20000", "--strict")

@@ -133,39 +133,39 @@ INVERTED = {
 }
 
 # analytic column of the frax simulate pairings whose law psi inverts on the
-# contour: t -> mpmath value
+# contour, by pairing name: t -> mpmath value
 SIMULATED = {
-    "--process reflectedbm --boundary exponential --lambda 1": {
+    "reflectedbm-exponential-1": {
         0.25: 0.6156903441929258748708,
         1.0: 0.4275835761558070044108,
         4.0: 0.2553956763105057438651,
     },
-    "--process iteratedbm --k 2 --boundary exponential --lambda 1": {
+    "iteratedbm-2-exponential-1": {
         0.25: 0.5524670047525455215514,
         1.0: 0.4638527608017132869365,
         4.0: 0.3773760996258594661363,
     },
-    "--process elasticbm --alpha 0.5 --boundary exponential --lambda 1": {
+    "elasticbm-0.5-exponential-1": {
         0.25: 0.7423469270906506004586,
         1.0: 0.6478378285789012074164,
         4.0: 0.6260948374321889389812,
     },
-    "--process elasticbm --alpha 1.0 --boundary exponential --lambda 1": {
+    "elasticbm-1.0-exponential-1": {
         0.25: 0.7758671369587663569739,
         1.0: 0.7252720229273813874838,
         4.0: 0.7490468881796341396574,
     },
-    "--process elasticbm --alpha 2.0 --boundary exponential --lambda 1": {
+    "elasticbm-2.0-exponential-1": {
         0.25: 0.8239189142894506037082,
         1.0: 0.8130474187160944694906,
         4.0: 0.8526172801575966604875,
     },
-    "--process reflectedbm --boundary gamma --k 2 --lambda 1": {
+    "reflectedbm-gamma-2-1": {
         0.25: 0.8720347556442192243835,
         1.0: 0.7007955909397055694854,
         4.0: 0.4689886000174849407367,
     },
-    "--process reflectedbm --boundary gamma --k 3 --lambda 1": {
+    "reflectedbm-gamma-3-1": {
         0.25: 0.961871238829627355723,
         1.0: 0.8551671523116140088215,
         4.0: 0.6361996104315911287106,
@@ -196,12 +196,12 @@ def test_eval_grid_parity(name, model):
             assert abs(psi - inverted[t]) <= 1e-10, (t, psi, inverted[t])
 
 
-@pytest.mark.parametrize("flags", gp.MC_PAIRINGS, ids=lambda f: "-".join(f[1::2]))
-def test_simulate_parity(flags):
+@pytest.mark.parametrize("name, spec, boundary", gp.MONTE_CARLO, ids=[row[0] for row in gp.MONTE_CARLO])
+def test_simulate_parity(name, spec, boundary):
+    flags = gp.pairing_flags(spec, boundary)
     argv = ["simulate", *flags, "--t", *gp.TIMES, "--paths", str(gp.PATHS), "--seed", str(gp.SEED)]
     comments, rows = gp.run_cli(argv)
-    key = " ".join(flags)
-    want = PINNED["simulate"][key]
+    want = PINNED["simulate"][name]
     assert comments == want["comments"]
     assert len(rows) == len(want["rows"])
     for (t, p, s, a, z), (t0, p0, s0, a0, z0) in zip(rows, want["rows"]):
@@ -209,14 +209,15 @@ def test_simulate_parity(flags):
         assert close(a, a0)
         # z = (p - a) / s moves only through the analytic value
         assert abs(z - z0) <= REL * (abs(a0) / s0 + abs(z0))
-    inverted = SIMULATED.get(key, {})
+    inverted = SIMULATED.get(name, {})
     assert set(inverted) <= {row[0] for row in rows}
     for t, _p, _s, a, _z in rows:
         if t in inverted:
             assert abs(a - inverted[t]) <= 1e-10, (t, a, inverted[t])
 
 
-@pytest.mark.parametrize("name, spec, boundary", gp.QUADRATURE_PAIRINGS, ids=lambda v: str(v).split()[0])
+# ids: the process (the name up to its first hyphen), then each spec's repr up to a space
+@pytest.mark.parametrize("name, spec, boundary", gp.QUADRATURE, ids=lambda v: str(v).split()[0].split("-")[0])
 def test_quadrature_parity(name, spec, boundary):
     got = [gp.ss.quadrature_crossing(spec, boundary, float(t)).p_hat for t in gp.TIMES]
     for g, w in zip(got, PINNED["quadrature"][name]):

@@ -41,9 +41,3 @@ def test_make_tables_script(tmp_path, capsys):
     assert (tmp_path / "large_time.csv").is_file()
     assert "worst |ratio - 1|" in capsys.readouterr().out
 
-
-def test_run_mc_suite_script(capsys):
-    assert _load("run_mc_suite").main(["--paths", "20000"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert sum("worst |z| = " in row for row in rows) == 13
-    assert rows[-1].endswith("20000 paths x 3 times x 13 combos")

@@ -60,6 +60,32 @@ def test_estimate_argument_validation():
         ss.estimate_crossing(ss.WrightTime(nu=0.5), ss.Exponential(lam=1.0), 1.0, 10_000)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ss.quadrature_crossing(ss.WrightTime(0.5), "x", 1.0),
+     "quadrature_crossing requires a boundary spec, got str"),
+    (lambda: ss.estimate_crossing(ss.ReflectedBM(), None, 1.0, 1000),
+     "estimate_crossing requires a boundary spec, got NoneType"),
+    (lambda: ss.density("x", 0.5, 1.0), "density requires a process spec, got str"),
+    (lambda: ss.elastic_atom(ss.ReflectedBM(), 1.0), "elastic_atom requires an ElasticBM, got ReflectedBM"),
+], ids=["quadrature_crossing", "estimate_crossing", "density", "elastic_atom"])
+def test_a_spec_of_the_wrong_type_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+def test_all_survive_estimate_keeps_a_nonzero_stderr():
+    est = ss.estimate_crossing(ss.ReflectedBM(), ss.Exponential(lam=1.0), 1e-12, 1000)
+    assert est.p_hat == 1.0
+    # half a count: p = 1 - 0.5/1000
+    assert math.isclose(est.stderr, math.sqrt(0.5 / 1000 * (1.0 - 0.5 / 1000) / 1000), rel_tol=1e-14)
+    assert abs(est.z_score(rx.psi(rx.Fractional(nu=0.5, lam=1.0), 1e-12))) < 1e-2
+    assert abs(est.z_score(0.5)) > 4.0
+    none = ss.estimate_crossing(ss.ReflectedBM(), ss.Exponential(lam=1e9), 1e9, 1000)
+    assert none.p_hat == 0.0
+    assert math.isclose(none.stderr, est.stderr, rel_tol=1e-14)
+    assert none.z_score(0.5) < -4.0
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import frax.cli as cli
 import frax.relaxation as rx
+import frax.stochsim as ss
 import frax.verify as vf
 
 
@@ -30,10 +31,37 @@ def test_record_shape_and_names(suite):
         assert isinstance(r["seconds"], float) and math.isfinite(r["seconds"]) and r["seconds"] >= 0.0
 
 
-def test_suite_catalog():
-    assert set(vf.SUITES) == {"identities", "laplace", "residuals", "asymptotics"}
+def test_suite_catalog(capsys):
+    assert list(vf.SUITES) == ["identities", "laplace", "residuals", "asymptotics", "crossing"]
     with pytest.raises(KeyError):
         vf.run_suite("nonsense")
+    # the command line offers the catalog and "all"
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--suite", "nonsense"])
+    err = capsys.readouterr().err
+    assert all(name in err for name in (*vf.SUITES, "all"))
+    # "all" leaves out the seconds-long crossing suite
+    assert [r["check"] for r in vf.run_suite("all")] == [
+        name for key in ("identities", "laplace", "residuals", "asymptotics") for name, _ in vf._CHECKS[key]
+    ]
+
+
+def test_crossing_suite_fails_every_pairing_of_a_shifted_psi(monkeypatch, crossing_run):
+    # 1e-2 is ~20 stderr of a 2**20-path estimate at p ~ 1/2; 1e-3 would be ~2
+    real_psi = rx.psi
+    monkeypatch.setattr(rx, "psi", lambda model, t: real_psi(model, t) + 1e-2)
+    # replay the unshifted run's Monte Carlo estimates instead of drawing them again
+    drawn = crossing_run["estimates"]
+    monkeypatch.setattr(ss, "estimate_crossing", lambda spec, boundary, t, n_paths, seed=ss.DEFAULT_SEED:
+                        drawn[spec, boundary, t, n_paths, seed])
+    records = vf.run_suite("crossing")
+    assert [r["check"] for r in records] == [name for name, _, _ in ss.PAIRINGS]
+    for r, (_, spec, _) in zip(records, ss.PAIRINGS):
+        assert not r["passed"], r
+        if hasattr(spec, "_sample"):
+            assert r["error"] >= 4.0, r
+        else:
+            assert r["error"] > 1e-9, r
 
 
 def test_report_is_json_with_summary():
