@@ -10,11 +10,11 @@ The result is bit-identical for a given seed regardless of how many
 worker threads (``FRAX_THREADS``) are used.
 
 Heavy-tailed waiting-time processes without exact samplers (the inverse
-stable, Airy, and distributed-order subordinators) are handled by
-quadrature against their explicit densities instead of Monte Carlo.
+stable, Airy, and distributed-order subordinators) are integrated instead:
+one quadrature of their density times the boundary's survival function.
 
 Each process spec owns what is known about it: its exact sampler, its
-endpoint density, its quadrature crossing and, through :meth:`law`, the
+endpoint density and where it ends, and, through :meth:`law`, the
 relaxation law of :mod:`frax.relaxation` its crossing probability follows.
 :data:`PAIRINGS` names the pairs checked against their laws, and
 :func:`crossing` estimates a pair by the method its process admits.
@@ -30,10 +30,10 @@ from typing import Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfcx, gammaincc
+from scipy.special import erfcx, gammaincc, gammainccinv
 
 from . import relaxation as rx
-from .errors import DomainError, Unsupported, _integer, _real
+from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
 from .relaxation import _count, _positive, _reals, _require, _time
 from .specfun import airy_ai, wright_m
 
@@ -100,6 +100,9 @@ class Exponential:
         """P(boundary > y)."""
         return math.exp(-self.lam * y)
 
+    def _reach(self) -> float:
+        return 45.0 / self.lam  # P(boundary > y) = e**-45 there
+
 
 @dataclass(frozen=True)
 class Gamma:
@@ -119,6 +122,9 @@ class Gamma:
         """P(boundary > y)."""
         return float(gammaincc(self.k, self.lam * y))
 
+    def _reach(self) -> float:
+        return float(gammainccinv(self.k, math.exp(-45.0))) / self.lam  # P(boundary > y) = e**-45 there
+
 
 BoundarySpec = Union[Exponential, Gamma]
 
@@ -128,16 +134,17 @@ class _Process:
 
     A process with an exact endpoint sampler defines
     ``_sample(t, rng, size)``; one with an explicit endpoint density
-    overrides ``_density(y, t)``, and the time-changed processes override
-    ``_quadrature(boundary, t)``.  A process whose crossing probability of
-    an exponential boundary has a closed form defines
-    ``_exponential_law(lam)``.
+    overrides ``_density(y, t)``.  The time-changed processes, which have
+    no sampler, also override ``_reach(boundary, t)``: where the integrand
+    of :func:`quadrature_crossing` becomes negligible.  A process whose
+    crossing probability of an exponential boundary has a closed form
+    defines ``_exponential_law(lam)``.
     """
 
     def _density(self, y: float, t: float) -> float:
         raise Unsupported(f"density is not available for {type(self).__name__}")
 
-    def _quadrature(self, boundary: BoundarySpec, t: float) -> CrossingEstimate:
+    def _reach(self, boundary: BoundarySpec, t: float) -> float:
         raise Unsupported(f"quadrature_crossing does not support {type(self).__name__}")
 
     def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
@@ -293,13 +300,10 @@ class ElasticBM(_Process):
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Elastic(alpha=self.alpha, lam=lam)
 
-
-def _quadrature_estimate(val: float, err: float, epsabs: float, epsrel: float) -> CrossingEstimate:
-    """Quadrature result as an estimate whose stderr is quad's error
-    estimate, floored at the tolerance quad was asked to meet: quad's own
-    estimate can read far below its real error, even 0."""
-    stderr = max(err, epsabs, epsrel * abs(val))
-    return CrossingEstimate(p_hat=val, stderr=stderr, n_paths=1, seed=0, method="quadrature")
+    def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
+        if isinstance(boundary, Gamma):
+            return rx.ElasticGamma(k=boundary.k, alpha=self.alpha, lam=boundary.lam)
+        return super().law(boundary)
 
 
 @dataclass(frozen=True)
@@ -319,21 +323,19 @@ class WrightTime(_Process):
         tn = t**self.nu
         return wright_m(self.nu, y / tn) / tn
 
-    def _quadrature(self, boundary: BoundarySpec, t: float) -> CrossingEstimate:
+    def _reach(self, boundary: BoundarySpec, t: float) -> float:
+        # the first x = y / t**nu of the grid 1, 1.25, 1.25**2, ... where the
+        # boundary's tail rate * y plus M_nu's decay b * x**c reach 45 (where
+        # y = t**nu lies past the boundary's reach, that reach is the limit)
         nu = self.nu
         tn = t**nu
-        lam_eff = boundary.lam * tn if isinstance(boundary, Exponential) else 0.0
+        rate = 45.0 / boundary._reach() * tn
         b = (1.0 - nu) * nu ** (nu / (1.0 - nu))
         c = 1.0 / (1.0 - nu)
         x_hi = 1.0
-        while lam_eff * x_hi + b * x_hi**c < 45.0 and x_hi < 1e6:
+        while rate * x_hi + b * x_hi**c < 45.0:
             x_hi *= 1.25
-
-        def f(x: float) -> float:
-            return boundary._survivor(tn * x) * wright_m(nu, x)
-
-        val, err = quad(f, 0.0, x_hi, limit=300, epsabs=1e-10, epsrel=1e-10)
-        return _quadrature_estimate(val, err, 1e-10, 1e-10)
+        return tn * x_hi
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Fractional(nu=self.nu, lam=lam)
@@ -356,16 +358,9 @@ class AiryTime(_Process):
         cube = (3.0 * t) ** (1.0 / 3.0)
         return (9.0 / t) ** (1.0 / 3.0) * airy_ai(y / cube)
 
-    def _quadrature(self, boundary: BoundarySpec, t: float) -> CrossingEstimate:
-        if not isinstance(boundary, Exponential):
-            raise Unsupported("AiryTime quadrature supports exponential boundaries only")
-        scale = boundary.lam * (3.0 * t) ** (1.0 / 3.0)
-
-        def f(w: float) -> float:
-            return math.exp(-scale * w) * airy_ai(w)
-
-        val, err = quad(f, 0.0, 18.0, limit=300, epsabs=1e-12, epsrel=1e-10)
-        return _quadrature_estimate(3.0 * val, 3.0 * err, 3.0 * 1e-12, 1e-10)
+    def _reach(self, boundary: BoundarySpec, t: float) -> float:
+        # Ai(18) is 1.1e-23
+        return 18.0 * (3.0 * t) ** (1.0 / 3.0)
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Fractional(nu=1.0 / 3.0, lam=lam)
@@ -385,9 +380,10 @@ class DistributedTime(_Process):
 
     def _density(self, y: float, t: float) -> float:
         n1, n2 = self.n1, self.n2
-        if not (0.0 < y < t / n2):
-            return 0.0
         gap = t - n2 * y
+        # 0 off the support (0, t/n2), and where gap**1.5 underflows at its end
+        if not (y > 0.0 and gap > 0.0 and gap**1.5 > 0.0):
+            return 0.0
         return (
             n1
             * (t - 0.5 * n2 * y)
@@ -395,19 +391,9 @@ class DistributedTime(_Process):
             * math.exp(-n1 * n1 * y * y / (4.0 * gap))
         )
 
-    def _quadrature(self, boundary: BoundarySpec, t: float) -> CrossingEstimate:
-        if not isinstance(boundary, Exponential):
-            raise Unsupported("DistributedTime quadrature supports exponential boundaries only")
-        lam = boundary.lam
-
-        def f(y: float) -> float:
-            return math.exp(-lam * y) * self._density(y, t)
-
-        # exp(-lam*y) underflows beyond lam*y = 700; over the whole of
-        # (0, t/n2) at large t, quad would miss the mass near y = 0.
-        upper = min(t / self.n2, 700.0 / lam)
-        val, err = quad(f, 0.0, upper, limit=300, epsabs=1e-12, epsrel=1e-10)
-        return _quadrature_estimate(val, err, 1e-12, 1e-10)
+    def _reach(self, boundary: BoundarySpec, t: float) -> float:
+        # the support's end; the boundary's reach caps it at large t
+        return t / self.n2
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Distributed(nu1=0.5, nu2=1.0, n1=self.n1, n2=self.n2, lam=lam)
@@ -445,6 +431,7 @@ PAIRINGS: tuple[tuple[str, ProcessSpec, BoundarySpec], ...] = (
     ("elasticbm-2.0-exponential-1", ElasticBM(alpha=2.0), _EXP1),
     ("reflectedbm-gamma-2-1", ReflectedBM(), Gamma(k=2, lam=1.0)),
     ("reflectedbm-gamma-3-1", ReflectedBM(), Gamma(k=3, lam=1.0)),
+    ("elasticbm-0.8-gamma-2-1.1", ElasticBM(alpha=0.8), Gamma(k=2, lam=1.1)),
     ("wrighttime-0.3-exponential-1", WrightTime(nu=0.3), _EXP1),
     ("wrighttime-0.7-exponential-1", WrightTime(nu=0.7), _EXP1),
     ("wrighttime-0.5-gamma-2-1", WrightTime(nu=0.5), Gamma(k=2, lam=1.0)),
@@ -528,16 +515,25 @@ def estimate_crossing(
 
 
 def quadrature_crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float) -> CrossingEstimate:
-    """Crossing probability by quadrature against an explicit endpoint density.
-
-    Supported: WrightTime with exponential or gamma boundaries; AiryTime
-    and DistributedTime with exponential boundaries.  The reported stderr
-    is quad's error estimate, but never less than the tolerance quad was
-    asked to meet.
+    """Crossing probability by quadrature of the endpoint density times
+    P(boundary > y), up to the nearer of the process's and the boundary's
+    reach.  Supported: WrightTime, AiryTime and DistributedTime, with either
+    boundary.  quad runs at 1e-10 absolute and relative; the stderr is its
+    error estimate, floored at that tolerance.  A problem quad reports, or
+    a value <= 0 (no positive survival function gives one: quad missed the
+    mass), raises :class:`NonConvergence`.
     """
     _specs("quadrature_crossing", spec, boundary)
     t = _time(t, "quadrature_crossing")
-    return spec._quadrature(boundary, t)
+    tol = 1e-10
+    upper = min(spec._reach(boundary, t), boundary._reach())
+    val, err, _, *problem = quad(lambda y: spec._density(y, t) * boundary._survivor(y),
+                                 0.0, upper, limit=300, epsabs=tol, epsrel=tol, full_output=1)
+    if problem or not val > 0.0:
+        why = problem[0] if problem else f"the value {val!r} is not positive"
+        raise NonConvergence(f"quadrature of {spec} under {boundary} at t={t!r}: {why}")
+    stderr = max(err, tol, tol * val)
+    return CrossingEstimate(p_hat=val, stderr=stderr, n_paths=1, seed=0, method="quadrature")
 
 
 def crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float, n_paths: int, seed: int = DEFAULT_SEED) -> CrossingEstimate:

@@ -209,6 +209,9 @@ def main() -> None:
             ("elasticbm alpha=2.0", elastic(2.0)),
             ("reflectedbm gamma k=2", gamma_boundary(2)),
             ("reflectedbm gamma k=3", gamma_boundary(3)),
+            ("elasticbm alpha=0.8 gamma k=2 lam=1.1",
+             lambda s: 1 / s - sq2 * mp.mpf(1.1) ** 2
+             / (mp.sqrt(s) * (mp.sqrt(2 * s) + mp.mpf(0.8)) * (mp.sqrt(2 * s) + mp.mpf(1.1)) ** 2)),
         ]
         for name, F in simulated:
             for t in ("0.25", "1", "4"):
@@ -240,6 +243,29 @@ def main() -> None:
             a = mp.mpf(100 * (1.0 + d))
             value = 1 - lam / (lam - a) * (erfcx(a * y) - erfcx(lam * y))
             out.append((f"Elastic(alpha={100 * (1.0 + d)!r}, lam=100) psi(6.3e-4)", "test_relaxation band edge", value))
+
+    # --- test_stochsim: quadrature crossings of a gamma boundary that no
+    # closed form pairs, integral of density * P(boundary > y) at 30 digits;
+    # AiryTime in w = y / (3t)^(1/3), where its density is 3 Ai(w)
+    with mp.workdps(30):
+        def erlang2(lam):
+            return lambda y: mp.exp(-lam * y) * (1 + lam * y)
+
+        for t in ("0.25", "1", "4"):
+            tt = mp.mpf(t)
+            cube, survive = mp.cbrt(3 * tt), erlang2(mp.mpf(1.3))
+            value = 3 * mp.quad(lambda w: mp.airyai(w) * survive(cube * w), [0, 1, 10, mp.inf])
+            out.append((f"AiryTime x Gamma(2, 1.3) at t={t}", "test_stochsim gamma quadrature", value))
+        for t in ("0.25", "1", "4"):
+            tt, half, survive = mp.mpf(t), mp.mpf(1) / 2, erlang2(mp.mpf(1))
+
+            def dist_density(y):
+                gap = tt - half * y
+                return half * (tt - half * half * y) / (mp.sqrt(mp.pi) * gap**1.5) * mp.exp(-(half * y) ** 2 / (4 * gap))
+
+            end = tt / half
+            value = mp.quad(lambda y: dist_density(y) * survive(y), mp.linspace(0, end, 9))
+            out.append((f"DistributedTime(0.5, 0.5) x Gamma(2, 1) at t={t}", "test_stochsim gamma quadrature", value))
 
     # --- test_fraccalc: Riemann-Liouville integral of f(t) = t at order 1/2
     out.append(("RL-1/2 of t: coefficient of t^{3/2}", "test_fraccalc", mp.gamma(2) / mp.gamma(mp.mpf("2.5"))))

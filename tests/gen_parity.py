@@ -4,8 +4,8 @@ Run directly (``python3 tests/gen_parity.py``) to rewrite
 ``tests/data/parity.json`` from the current code; ``tests/test_parity.py``
 re-runs the same cases and compares.  Given the names of Monte Carlo
 pairings (``python3 tests/gen_parity.py reflectedbm-exponential-1``), it
-rewrites only those simulate rows and leaves the rest of the file as it
-is.  Given the name of an eval row (``python3 tests/gen_parity.py
+rewrites (or, for a new pairing, adds) only those simulate rows and leaves
+the rest of the file as it is.  Given the name of an eval row (``python3 tests/gen_parity.py
 "fractional nu=0.5 lam=1"``), it rewrites only that row's psi column.  The
 file covers:
 
@@ -114,7 +114,7 @@ if __name__ == "__main__":
                     if old[0] != new[0]:
                         sys.exit(f"eval row {key!r}: the grid moved ({old[0]!r} -> {new[0]!r})")
                     old[1] = new[1]
-            elif key in doc["simulate"]:
+            elif key in pairings:
                 doc["simulate"][key] = simulate(*pairings[key])
             else:
                 sys.exit(f"no eval row or simulate pairing {key!r} in {DATA}")

@@ -76,7 +76,7 @@ def test_criterion_3(capsys, crossing_run):
     z = [r["error"] for r, mc in zip(records, simulated) if mc]
     gaps = [r["error"] for r, mc in zip(records, simulated) if not mc]
     ok = (not failed and [r["check"] for r in records] == [row[0] for row in ss.PAIRINGS]
-          and (len(z), len(gaps)) == (13, 5) and crossing_run["seconds"] < 120.0)
+          and (len(z), len(gaps)) == (14, 5) and crossing_run["seconds"] < 120.0)
     detail = (f"{len(z)} Monte Carlo pairings, worst |z| {max(z):.2f}; {len(gaps)} quadrature "
               f"pairings, worst gap {max(gaps):.1e}; {crossing_run['seconds']:.1f}s")
     if failed:

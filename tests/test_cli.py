@@ -442,6 +442,29 @@ def test_strict_quadrature_fails_on_wrong_analytic(monkeypatch, capsys):
     assert "exceeds 4" in capsys.readouterr().err
 
 
+def test_strict_quadrature_passes_where_the_boundary_ends_first(capsys):
+    # at t = 1e6 the clock's scale t**0.7 is 350 times the boundary's reach;
+    # the integral once stopped at x = 1 and read 3.29e-11 for 2.11e-5
+    rc = run_cli("simulate", "--strict", "--process", "wrighttime", "--nu", "0.7",
+                 "--boundary", "exponential", "--lambda", "1", "--t", "1e6")
+    out = capsys.readouterr().out
+    assert rc == 0
+    t, p_hat, stderr, analytic, z = map(float, out.strip().split("\n")[2].split(","))
+    assert abs(p_hat - analytic) < 1e-12 and abs(z) < 4.0
+
+
+@pytest.mark.parametrize("t", ["1e-6", "1e-300"])
+def test_unresolved_quadrature_is_a_numerical_failure(t, capsys):
+    # at t = 1e-6 quad flags its own result (it printed 0.8825 for 0.999998);
+    # at t = 1e-300 the density once divided by zero
+    rc = run_cli("simulate", "--process", "distributedtime", "--n1", "0.5", "--n2", "0.5",
+                 "--boundary", "exponential", "--lambda", "1", "--t", t)
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert err.startswith("simulation failed at t=") and "quadrature of DistributedTime" in err
+    assert out == ""
+
+
 def test_strict_zero_stderr_gap_fails(monkeypatch, capsys):
     # a zero stderr must not zero the z-score of a wrong value
     def exact_but_wrong(spec, boundary, t):

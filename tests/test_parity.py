@@ -18,10 +18,10 @@ tests/gen_oracles.py.
 
 The ``frax simulate`` rows listed in ``SIMULATED`` take their analytic
 column (and the z-score derived from it) from scalar psi of a fractional,
-elastic or gamma-boundary law, which inverts the transform first.  They
-were re-pinned when scalar psi moved from series-first to contour-first,
-and their analytic values are held to 1e-10 absolute against mpmath in
-the same way.
+elastic, gamma-boundary or elastic-gamma law, which inverts the transform
+first.  They were re-pinned when scalar psi moved from series-first to
+contour-first, and their analytic values are held to 1e-10 absolute
+against mpmath in the same way.
 """
 
 import json
@@ -169,6 +169,11 @@ SIMULATED = {
         0.25: 0.961871238829627355723,
         1.0: 0.8551671523116140088215,
         4.0: 0.6361996104315911287106,
+    },
+    "elasticbm-0.8-gamma-2-1.1": {
+        0.25: 0.9280353852259734984132,
+        1.0: 0.849011121727698807924,
+        4.0: 0.7912903284951809772655,
     },
 }
 

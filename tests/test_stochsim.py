@@ -6,6 +6,7 @@ default seed, so a failure here signals a real regression, not noise).
 """
 
 import math
+import typing
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.integrate import quad
 
 import frax.relaxation as rx
 import frax.stochsim as ss
-from frax.errors import DomainError, Unsupported
+from frax.errors import DomainError, NonConvergence, Unsupported
 from frax.specfun import MLParams, mittag_leffler
 
 
@@ -293,11 +294,61 @@ def test_quadrature_wright_gamma_boundary():
         assert abs(est.p_hat - want) < 1e-9
 
 
+@pytest.mark.parametrize("spec, boundary, want", [
+    # integrals of density * P(boundary > y) at 30 digits from tests/gen_oracles.py
+    (ss.AiryTime(), ss.Gamma(k=2, lam=1.3),
+     {0.25: 0.7654295778677947456084, 1.0: 0.6333726805750340811367, 4.0: 0.4884469149130433126926}),
+    (ss.DistributedTime(n1=0.5, n2=0.5), ss.Gamma(k=2, lam=1.0),
+     {0.25: 0.9447680182265946476728, 1.0: 0.6920356249916947121054, 4.0: 0.3202732503552425662615}),
+], ids=["airytime", "distributedtime"])
+def test_quadrature_gamma_boundary_without_a_closed_form(spec, boundary, want):
+    for t, value in want.items():
+        assert abs(ss.quadrature_crossing(spec, boundary, t).p_hat - value) < 1e-12
+
+
 def test_quadrature_unsupported_combinations():
     with pytest.raises(Unsupported):
-        ss.quadrature_crossing(ss.AiryTime(), ss.Gamma(k=2, lam=1.0), 1.0)
-    with pytest.raises(Unsupported):
         ss.quadrature_crossing(ss.ReflectedBM(), ss.Exponential(lam=1.0), 1.0)
+
+
+def test_every_process_has_a_crossing_method():
+    # crossing() simulates a process with a sampler and integrates the
+    # others, which must say where their integrand ends
+    for cls in typing.get_args(ss.ProcessSpec):
+        assert hasattr(cls, "_sample") or "_reach" in vars(cls), cls.__name__
+
+
+# the quadrature pairings, and a shape-10 gamma boundary, from t = 1e-10 to 1e8
+SWEEP = [row[1:] for row in ss.PAIRINGS if not hasattr(row[1], "_sample")]
+SWEEP.append((ss.WrightTime(nu=0.5), ss.Gamma(k=10, lam=1.0)))
+
+
+@pytest.mark.parametrize("spec, boundary", SWEEP, ids=lambda v: repr(v).replace(" ", ""))
+def test_quadrature_certifies_or_raises_over_wide_times(spec, boundary):
+    # WrightTime once kept its limit at x = t**nu past the boundary's reach,
+    # and read 2.5e-22 for 3.57e-4; DistributedTime returned 0.88 for
+    # 0.999998 at t = 1e-6 with no warning.  Each must now be right or raise.
+    law = spec.law(boundary)
+    for t in np.geomspace(1e-10, 1e8, 10):
+        try:
+            got = ss.quadrature_crossing(spec, boundary, t).p_hat
+        except NonConvergence:
+            continue
+        assert abs(got - rx.psi(law, t)) <= 1e-9, t
+
+
+def test_distributed_quadrature_raises_on_an_unresolved_spike():
+    # below t ~ 1e-5 the mass sits in a spike of width ~t**2 at y = t/n2
+    spec, boundary = ss.DistributedTime(n1=0.5, n2=0.5), ss.Exponential(lam=1.0)
+    for t in (1e-6, 1e-12, 1e-300):
+        with pytest.raises(NonConvergence, match=f"DistributedTime.*at t={t!r}"):
+            ss.quadrature_crossing(spec, boundary, t)
+
+
+def test_distributed_density_is_zero_where_the_gap_underflows():
+    # t - n2*y is subnormal there, and gap**1.5 underflows to 0
+    spec = ss.DistributedTime(n1=0.5, n2=0.5)
+    assert ss.density(spec, math.nextafter(2e-300, 0.0), 1e-300) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +363,7 @@ MC_CASES = [
     (ss.BesselSquared(gamma=2.0), ss.Exponential(lam=1.0), rx.BesselSq(gamma=2.0, lam=1.0)),
     (ss.ElasticBM(alpha=1.0), ss.Exponential(lam=1.0), rx.Elastic(alpha=1.0, lam=1.0)),
     (ss.ReflectedBM(), ss.Gamma(k=2, lam=1.0), rx.GammaBoundary(k=2, lam=1.0)),
+    (ss.ElasticBM(alpha=0.8), ss.Gamma(k=2, lam=1.1), rx.ElasticGamma(k=2, alpha=0.8, lam=1.1)),
 ]
 
 
