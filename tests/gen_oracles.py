@@ -133,6 +133,10 @@ def main() -> None:
     out.append(("M_{0.3}(20)", "test_specfun tail", wright_m(Fraction(3, 10), 20, dps=120)))
     out.append(("M_{1/2}(5)", "test_specfun tail", wright_m(Fraction(1, 2), 5, dps=120)))
     out.append(("M_{0.7}(4)", "test_specfun tail", wright_m(Fraction(7, 10), 4, dps=120)))
+    # small orders past the series' reach, the peak at nu = 0.95 and a
+    # point near nu = 1 where both powers of A once underflowed to a 0/0
+    for nu, x in (((1, 100), "4.6"), ((1, 20), "3.19"), ((1, 10), "3.63"), ((19, 20), "1.15"), ((99, 100), "0.88")):
+        out.append((f"M_{{{nu[0]}/{nu[1]}}}({x})", "test_specfun", wright_m(Fraction(*nu), mp.mpf(x), dps=120)))
 
     # --- test_specfun: Airy, Bessel
     out.append(("Ai(0)", "test_specfun", mp.airyai(0)))

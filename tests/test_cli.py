@@ -345,6 +345,18 @@ def test_simulate_wright_half_gamma_boundary(capsys):
     assert abs(p_hat - analytic) < 1e-9
 
 
+@pytest.mark.parametrize("nu", ["0.99", "0.999"])
+def test_simulate_wright_near_unit_order_ends_without_a_traceback(nu, capsys):
+    # the M-Wright density raised ZeroDivisionError here: a traceback, exit 1
+    rc = run_cli("simulate", "--process", "wrighttime", "--nu", nu,
+                 "--boundary", "exponential", "--lambda", "1", "--t", "1")
+    out = capsys.readouterr().out
+    assert rc in (0, 3)
+    if rc == 0:
+        t, p_hat, stderr, analytic, z = map(float, out.strip().split("\n")[2].split(","))
+        assert abs(p_hat - analytic) < 1e-9
+
+
 def test_simulate_wright_gamma_other_orders_unpaired(capsys):
     rc = run_cli("simulate", "--process", "wrighttime", "--nu", "0.3",
                  "--boundary", "gamma", "--k", "2", "--lambda", "1", "--t", "1")

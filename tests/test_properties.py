@@ -52,7 +52,7 @@ def test_ml_negative_axis_stays_in_unit_interval(alpha, x):
 
 
 @COMMON
-@given(nu=st.floats(min_value=0.15, max_value=0.85), x=st.floats(min_value=0.0, max_value=30.0))
+@given(nu=st.floats(min_value=0.01, max_value=0.98), x=st.floats(min_value=0.0, max_value=50.0))
 def test_wright_density_is_nonnegative(nu, x):
     assert wright_m(nu, x) >= 0.0
 

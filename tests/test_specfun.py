@@ -312,6 +312,15 @@ WRIGHT_CASES = [
     # deep tail: the series is fully cancelled there and the stable-law
     # integral continuation must take over
     (0.3, 20.0, 2.242015544892763221077e-14),
+    # small orders, where an adaptive integral at a loose absolute
+    # tolerance was off by 6.6e-7, 5.8e-9 and 3.3e-11 relative
+    (0.01, 4.6, 0.01025519721237565829947),
+    (0.05, 3.19, 0.04366666992062017513106),
+    (0.1, 3.63, 0.02996402930308192513447),
+    # the peak at nu = 0.95, and nu = 0.99, where both powers of A
+    # underflowed to a 0/0 (ZeroDivisionError)
+    (0.95, 1.15, 3.126619864430547120776),
+    (0.99, 0.88, 0.4564896421878239455546),
 ]
 
 
@@ -338,6 +347,42 @@ def test_wright_m_is_normalized_density():
     for nu in (0.3, 0.5, 0.7):
         val, _ = quad(lambda x: wright_m(nu, x), 0.0, 40.0, limit=300)
         assert abs(val - 1.0) < 1e-9
+
+
+def test_wright_m_moments_near_both_ends_of_the_order():
+    # mass 1 and mean 1/Gamma(1 + nu); measured within 1.6e-15
+    from scipy.integrate import quad
+
+    for nu in (0.01, 0.95, 0.99):
+        mass, _ = quad(lambda x: wright_m(nu, x), 0.0, 60.0, points=[1.0], limit=400)
+        mean, _ = quad(lambda x: x * wright_m(nu, x), 0.0, 60.0, points=[1.0], limit=400)
+        assert abs(mass - 1.0) < 1e-12, nu
+        assert abs(mean * math.gamma(1.0 + nu) - 1.0) < 1e-12, nu
+
+
+def test_wright_m_near_unit_order_certifies_or_raises():
+    # at nu = 0.999 the adaptive integral raised OverflowError or
+    # ZeroDivisionError at 143 of these 400 points
+    for x in np.geomspace(1e-3, 1e2, 400):
+        try:
+            v = wright_m(0.999, float(x))
+        except NonConvergence:
+            continue
+        assert math.isfinite(v) and v >= 0.0, x
+
+
+def test_wright_m_rule_and_series_agree_where_both_certify():
+    # down to x = 1e-14, where the rule leaves out a head (near phi = 0) or
+    # a tail (past its table's end near pi) that its bounds must count
+    rng = np.random.default_rng(18)
+    both = 0
+    for nu, x in zip(rng.uniform(0.01, 0.99, 500).tolist(), (10.0 ** rng.uniform(-14.0, 2.0, 500)).tolist()):
+        rule, series = specfun._wright_stable_rule(nu, x), specfun._wright_series(nu, x)
+        if rule is None or not series:
+            continue
+        both += 1
+        assert rel_err(rule, series) <= 1e-12, (nu, x)
+    assert both >= 200
 
 
 def test_wright_m_domain_errors():

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 
 import frax.relaxation as rx
 import frax.stochsim as ss
+from frax import specfun
 from frax.errors import DomainError, NonConvergence, Unsupported
 from frax.specfun import MLParams, mittag_leffler
 
@@ -321,20 +322,44 @@ def test_every_process_has_a_crossing_method():
 # the quadrature pairings, and a shape-10 gamma boundary, from t = 1e-10 to 1e8
 SWEEP = [row[1:] for row in ss.PAIRINGS if not hasattr(row[1], "_sample")]
 SWEEP.append((ss.WrightTime(nu=0.5), ss.Gamma(k=10, lam=1.0)))
+# the ends of the order: at nu = 0.01 an adaptive density integral missed
+# psi by up to 7.2e-11 (now 1.1e-13); nu = 0.98 is where a fixed rule
+# must resolve the narrowest peak
+SWEEP += [(ss.WrightTime(nu=nu), ss.Exponential(lam=1.0)) for nu in (0.01, 0.98)]
 
 
 @pytest.mark.parametrize("spec, boundary", SWEEP, ids=lambda v: repr(v).replace(" ", ""))
 def test_quadrature_certifies_or_raises_over_wide_times(spec, boundary):
     # WrightTime once kept its limit at x = t**nu past the boundary's reach,
     # and read 2.5e-22 for 3.57e-4; DistributedTime returned 0.88 for
-    # 0.999998 at t = 1e-6 with no warning.  Each must now be right or raise.
+    # 0.999998 at t = 1e-6 with no warning.  Each must now be right or
+    # raise, and WrightTime must answer at every t.
     law = spec.law(boundary)
     for t in np.geomspace(1e-10, 1e8, 10):
         try:
             got = ss.quadrature_crossing(spec, boundary, t).p_hat
         except NonConvergence:
+            if isinstance(spec, ss.WrightTime):
+                raise
             continue
         assert abs(got - rx.psi(law, t)) <= 1e-9, t
+
+
+def test_wright_quadrature_runs_no_adaptive_quad_under_the_density(monkeypatch):
+    # each M-Wright value is one fixed rule or one series: an adaptive quad
+    # per node made a point cost 6-28 ms instead of 0.5-1.5 ms
+    def refuse(*args, **kwargs):
+        raise AssertionError("specfun.quad called on the M-Wright path")
+
+    rows = [row for row in ss.PAIRINGS if isinstance(row[1], ss.WrightTime)]
+    assert len(rows) == 3
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "quad", refuse)
+        got = {(name, t): ss.quadrature_crossing(spec, boundary, t).p_hat
+               for name, spec, boundary in rows for t in (0.25, 1.0, 4.0)}
+    for name, spec, boundary in rows:
+        for t in (0.25, 1.0, 4.0):
+            assert abs(got[name, t] - rx.psi(spec.law(boundary), t)) <= 1e-9, (name, t)
 
 
 def test_distributed_quadrature_raises_on_an_unresolved_spike():
