@@ -137,11 +137,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     boundary = _build(_BOUNDARIES[args.boundary], args, f"boundary {args.boundary}")
     model = spec.law(boundary)
     ts = _time_grid(args)
+    try:
+        estimates = ss.crossing(spec, boundary, ts, args.paths, seed=args.seed)
+    except (NonConvergence, Unstable) as exc:  # the message names the time
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return 3
     rows = []
     worst_z = 0.0
-    for t in ts:
+    for t, est in zip(ts, estimates):
         try:
-            est = ss.crossing(spec, boundary, t, args.paths, seed=args.seed)
             analytic = rx.psi(model, t)
         except (NonConvergence, Unstable) as exc:
             print(f"simulation failed at t={_fmt(t)}: {exc}", file=sys.stderr)

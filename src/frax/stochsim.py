@@ -7,7 +7,11 @@ deterministic by construction: paths are grouped into fixed-size blocks,
 each block draws from its own counter-based stream keyed by
 ``(seed, block_index)``, and draws within a block follow a fixed order.
 The result is bit-identical for a given seed regardless of how many
-worker threads (``FRAX_THREADS``) are used.
+worker threads (``FRAX_THREADS``) are used.  A process's endpoint at time
+t is a fixed map of randomness that does not depend on t, so one draw per
+block serves every time of a call: the estimates of one call share their
+draws (common random numbers), so they are correlated across times, and
+each is bit-for-bit the estimate a single-time call returns.
 
 Heavy-tailed waiting-time processes without exact samplers (the inverse
 stable, Airy, and distributed-order subordinators) are integrated instead:
@@ -26,7 +30,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -132,8 +136,11 @@ BoundarySpec = Union[Exponential, Gamma]
 class _Process:
     """Behaviour shared by the process specs.
 
-    A process with an exact endpoint sampler defines
-    ``_sample(t, rng, size)``; one with an explicit endpoint density
+    A process with an exact endpoint sampler defines ``_sample(rng, size)``,
+    which draws the time-free randomness of ``size`` endpoints, and
+    ``_endpoints(draw, t)``, which maps that draw to the endpoints at time
+    t.  The map must not change the draw, since one draw serves every time
+    of a call.  One with an explicit endpoint density
     overrides ``_density(y, t)``.  The time-changed processes, which have
     no sampler, also override ``_reach(boundary, t)``: where the integrand
     of :func:`quadrature_crossing` becomes negligible.  A process whose
@@ -163,8 +170,11 @@ class ReflectedBM(_Process):
     """Reflected Brownian motion |B(t)| with Var B(t) = 2t, the convention
     of the fractional relaxation laws."""
 
-    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.abs(rng.standard_normal(size)) * math.sqrt(2.0 * t)
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.abs(rng.standard_normal(size))
+
+    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
+        return draw * math.sqrt(2.0 * t)
 
     def _density(self, y: float, t: float) -> float:
         if y < 0.0:
@@ -190,10 +200,13 @@ class IteratedBM(_Process):
     def __post_init__(self) -> None:
         _count(self, "n")
 
-    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        s = np.full(size, t)
-        for _ in range(self.n):
-            s = np.abs(rng.standard_normal(size)) * np.sqrt(2.0 * s)
+    def _sample(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
+        return [np.abs(rng.standard_normal(size)) for _ in range(self.n)]
+
+    def _endpoints(self, draw: list[np.ndarray], t: float) -> np.ndarray:
+        s = t
+        for a in draw:
+            s = a * np.sqrt(2.0 * s)
         return s
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
@@ -205,8 +218,11 @@ class SojournTime(_Process):
     """Occupation time of (0, inf) up to t by a Brownian motion, which
     follows the arcsine law t * Beta(1/2, 1/2)."""
 
-    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        return t * rng.beta(0.5, 0.5, size)
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.beta(0.5, 0.5, size)
+
+    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
+        return t * draw
 
     def _density(self, y: float, t: float) -> float:
         if not (0.0 < y < t):
@@ -227,10 +243,12 @@ class FirstPassageChain(_Process):
     def __post_init__(self) -> None:
         _count(self, "n")
 
-    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        s = np.full(size, t)
-        for _ in range(self.n):
-            z = rng.standard_normal(size)
+    def _sample(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
+        return [rng.standard_normal(size) for _ in range(self.n)]
+
+    def _endpoints(self, draw: list[np.ndarray], t: float) -> np.ndarray:
+        s = t
+        for z in draw:
             with np.errstate(divide="ignore", over="ignore"):
                 s = (s / z) ** 2
         return s
@@ -249,8 +267,11 @@ class BesselSquared(_Process):
     def __post_init__(self) -> None:
         _positive(self, "gamma")
 
-    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        return 2.0 * t * rng.standard_gamma(0.5 * self.gamma, size)
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.standard_gamma(0.5 * self.gamma, size)
+
+    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
+        return 2.0 * t * draw
 
     def _density(self, y: float, t: float) -> float:
         if y <= 0.0:
@@ -278,13 +299,17 @@ class ElasticBM(_Process):
     def __post_init__(self) -> None:
         _positive(self, "alpha")
 
-    def _sample(self, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    def _sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, ...]:
+        return rng.standard_gamma(1.5, size), rng.random(size), rng.random(size)
+
+    def _endpoints(self, draw: tuple[np.ndarray, ...], t: float) -> np.ndarray:
         # Joint draw of (|B_t|, L_t) via the running-maximum identity:
         # with R = 2S - B ~ Maxwell(sqrt(t)) and S | R ~ Uniform(0, R),
         # (S - B, S) has the law of (|B_t|, L_t).  Kill with prob 1 - e^(-alpha L).
-        r = np.sqrt(2.0 * t * rng.standard_gamma(1.5, size))
-        s = r * rng.random(size)
-        killed = rng.random(size) >= np.exp(-self.alpha * s)
+        g, u, v = draw
+        r = np.sqrt(2.0 * t * g)
+        s = r * u
+        killed = v >= np.exp(-self.alpha * s)
         endpoint = r - s
         endpoint[killed] = 0.0
         return endpoint
@@ -467,22 +492,40 @@ def _workers() -> int:
     return max(1, w)
 
 
+def _times(t: object, owner: str) -> tuple[tuple[float, ...], bool]:
+    """The requested times as floats, and whether ``t`` was one time rather
+    than a non-empty tuple, list or 1-D array of them.  Any time that is not
+    a finite real > 0 raises :class:`DomainError` naming ``owner``."""
+    if isinstance(t, (tuple, list)) or (isinstance(t, np.ndarray) and t.ndim == 1):
+        if len(t) == 0:
+            raise DomainError(f"{owner} requires at least one time, got {t!r}")
+        return tuple(_time(x, owner) for x in t), False
+    return (_time(t, owner),), True
+
+
 def estimate_crossing(
     spec: ProcessSpec,
     boundary: BoundarySpec,
-    t: float,
+    t: float | Sequence[float] | np.ndarray,
     n_paths: int,
     seed: int = DEFAULT_SEED,
-) -> CrossingEstimate:
-    """Monte Carlo estimate of P(process endpoint < boundary) at time t.
+) -> CrossingEstimate | tuple[CrossingEstimate, ...]:
+    """Monte Carlo estimate of P(process endpoint < boundary) at time t,
+    or a tuple of estimates, one per time, when ``t`` is a non-empty tuple,
+    list or 1-D array of times.
 
     Paths are processed in fixed blocks of 2**18, each with its own
     counter-based stream keyed by (seed, block index); the estimate is
     independent of thread count and bit-identical across runs.  The seed
     is an integer in [0, 2**64) (numpy integers included, stored as int).
+    Each block draws the process's randomness and the boundary once and
+    maps the draw to every time in turn, so the estimates of one call are
+    correlated across times, and each is bit-for-bit the estimate a
+    single-time call returns.  Every time is checked before anything is
+    drawn.
     """
     _specs("estimate_crossing", spec, boundary)
-    t = _time(t, "estimate_crossing")
+    ts, single = _times(t, "estimate_crossing")
     if not hasattr(spec, "_sample"):
         raise DomainError(
             f"{type(spec).__name__} has no exact path sampler; use quadrature_crossing"
@@ -493,19 +536,27 @@ def estimate_crossing(
     seed = _seed(seed, "estimate_crossing")
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
 
-    def run_block(b: int) -> int:
+    def run_block(b: int) -> list[int]:
+        # each time's endpoints are dropped once counted, so a block holds
+        # its draw, its bounds and one time's endpoints whatever len(ts) is
         m = min(_BLOCK, n_paths - b * _BLOCK)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        values = spec._sample(t, rng, m)
+        draw = spec._sample(rng, m)
         bounds = boundary._draw(rng, m)
-        return int(np.count_nonzero(values < bounds))
+        return [int(np.count_nonzero(spec._endpoints(draw, s) < bounds)) for s in ts]
 
     w = _workers()
     if w > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=w) as pool:
-            count = sum(pool.map(run_block, range(n_blocks)))
+            blocks = list(pool.map(run_block, range(n_blocks)))
     else:
-        count = sum(run_block(b) for b in range(n_blocks))
+        blocks = [run_block(b) for b in range(n_blocks)]
+    estimates = tuple(_bernoulli(sum(counts), n_paths, seed) for counts in zip(*blocks))
+    return estimates[0] if single else estimates
+
+
+def _bernoulli(count: int, n_paths: int, seed: int) -> CrossingEstimate:
+    """The estimate from ``count`` of ``n_paths`` paths ending below their boundary."""
     p = count / n_paths
     # at count 0 or n the variance comes from half a count (p(1 - p) is
     # symmetric, so 1/2n serves both ends): a zero would claim an exact value
@@ -527,22 +578,38 @@ def quadrature_crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float) -> 
     t = _time(t, "quadrature_crossing")
     tol = 1e-10
     upper = min(spec._reach(boundary, t), boundary._reach())
-    val, err, _, *problem = quad(lambda y: spec._density(y, t) * boundary._survivor(y),
-                                 0.0, upper, limit=300, epsabs=tol, epsrel=tol, full_output=1)
+    where = f"quadrature of {spec} under {boundary} at t={t!r}"
+    try:
+        val, err, _, *problem = quad(lambda y: spec._density(y, t) * boundary._survivor(y),
+                                     0.0, upper, limit=300, epsabs=tol, epsrel=tol, full_output=1)
+    except NonConvergence as exc:  # the density's own failure, named with its time
+        raise NonConvergence(f"{where}: {exc}") from None
     if problem or not val > 0.0:
         why = problem[0] if problem else f"the value {val!r} is not positive"
-        raise NonConvergence(f"quadrature of {spec} under {boundary} at t={t!r}: {why}")
+        raise NonConvergence(f"{where}: {why}")
     stderr = max(err, tol, tol * val)
     return CrossingEstimate(p_hat=val, stderr=stderr, n_paths=1, seed=0, method="quadrature")
 
 
-def crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float, n_paths: int, seed: int = DEFAULT_SEED) -> CrossingEstimate:
+def crossing(
+    spec: ProcessSpec,
+    boundary: BoundarySpec,
+    t: float | Sequence[float] | np.ndarray,
+    n_paths: int,
+    seed: int = DEFAULT_SEED,
+) -> CrossingEstimate | tuple[CrossingEstimate, ...]:
     """Crossing probability by :func:`estimate_crossing` where the process
     has an exact sampler, else by :func:`quadrature_crossing` (which needs
-    no ``n_paths`` or ``seed``)."""
+    no ``n_paths`` or ``seed``).  Like :func:`estimate_crossing` it takes
+    one time or a non-empty tuple, list or 1-D array of them, and returns
+    one estimate or a tuple of them.  Monte Carlo estimates of one call
+    share their draws (correlated across times, each bit-for-bit the
+    single-time estimate); quadrature answers one time at a time."""
     if hasattr(spec, "_sample"):
         return estimate_crossing(spec, boundary, t, n_paths, seed=seed)
-    return quadrature_crossing(spec, boundary, t)
+    ts, single = _times(t, "quadrature_crossing")
+    estimates = tuple(quadrature_crossing(spec, boundary, s) for s in ts)
+    return estimates[0] if single else estimates
 
 
 def density(spec: ProcessSpec, y: float, t: float) -> float:

@@ -37,7 +37,8 @@ Suites:
   :func:`~frax.relaxation.psi` of its law at t = 0.25, 1 and 4: a Monte
   Carlo pair at 2**20 paths per time and the default seed passes with
   every |z| < 4, a quadrature pair within 1e-9 absolute.  Its sampling
-  takes seconds (3-4 s on one thread), so ``all`` leaves it out.
+  takes about a second on one thread (one draw per block serves the three
+  times), so ``all`` leaves it out.
 
 ``run_suite(name)`` dispatches by name ("all" concatenates every suite but
 ``crossing``); ``report(records)`` renders the machine-readable JSON
@@ -392,7 +393,8 @@ _CROSSING_PATHS = 1 << 20
 def _check_crossing(spec: ss.ProcessSpec, boundary: ss.BoundarySpec) -> _Outcome:
     """The crossing estimate of one pairing against psi of its law."""
     model = spec.law(boundary)
-    runs = [(ss.crossing(spec, boundary, t, _CROSSING_PATHS), rx.psi(model, t)) for t in _TIMES]
+    estimates = ss.crossing(spec, boundary, _TIMES, _CROSSING_PATHS)
+    runs = [(est, rx.psi(model, t)) for est, t in zip(estimates, _TIMES)]
     if runs[0][0].method == "monte_carlo":
         worst = _worst([abs(est.z_score(value)) for est, value in runs])
         return worst < 4.0, worst, f"worst |z| at {_CROSSING_PATHS} paths per time, must be < 4"

@@ -425,8 +425,9 @@ def test_asymptote_arithmetic_failure_exit_code(argv, names, capsys):
 
 def test_strict_statistical_failure_exit_code(monkeypatch, capsys):
     def biased(spec, boundary, t, n_paths, seed=0):
-        return ss.CrossingEstimate(p_hat=0.9, stderr=1e-6, n_paths=n_paths,
-                                   seed=seed, method="monte_carlo")
+        # simulate asks for every time in one call: one biased estimate per time
+        return tuple(ss.CrossingEstimate(p_hat=0.9, stderr=1e-6, n_paths=n_paths,
+                                         seed=seed, method="monte_carlo") for _ in t)
 
     monkeypatch.setattr(cli.ss, "estimate_crossing", biased)
     rc = run_cli("simulate", "--process", "reflectedbm", "--boundary", "exponential",
@@ -473,7 +474,8 @@ def test_unresolved_quadrature_is_a_numerical_failure(t, capsys):
                  "--boundary", "exponential", "--lambda", "1", "--t", t)
     out, err = capsys.readouterr()
     assert rc == 3
-    assert err.startswith("simulation failed at t=") and "quadrature of DistributedTime" in err
+    # one crossing call answers every time, so the quadrature's message names the time
+    assert err.startswith("simulation failed: quadrature of DistributedTime") and f" at t={float(t)!r}: " in err
     assert out == ""
 
 

@@ -6,6 +6,7 @@ default seed, so a failure here signals a real regression, not noise).
 """
 
 import math
+import tracemalloc
 import typing
 import warnings
 
@@ -138,6 +139,80 @@ def test_estimate_fields():
     assert est.method == "monte_carlo"
     assert 0.0 <= est.p_hat <= 1.0
     assert est.stderr > 0.0
+
+
+# ---------------------------------------------------------------------------
+# several times in one call
+# ---------------------------------------------------------------------------
+
+SAMPLED = [row for row in ss.PAIRINGS if hasattr(row[1], "_sample")]
+MULTI_PATHS = 2 * 2**18 + 1000  # three blocks, the last one partial
+MULTI_TIMES = (1e-12, 0.7, 1e9)
+
+
+@pytest.mark.parametrize("name, spec, boundary", SAMPLED, ids=[row[0] for row in SAMPLED])
+def test_one_draw_per_block_gives_every_single_time_estimate(name, spec, boundary, monkeypatch):
+    # a multi-time call maps one draw per block to each time, so each of
+    # its estimates must be bit-for-bit the single-time estimate
+    monkeypatch.setenv("FRAX_THREADS", "2")
+    want = tuple(ss.estimate_crossing(spec, boundary, t, MULTI_PATHS, seed=9) for t in MULTI_TIMES)
+    draws = []
+    real_draw = type(boundary)._draw
+
+    def spy(self, rng, size):
+        draws.append(size)
+        return real_draw(self, rng, size)
+
+    monkeypatch.setattr(type(boundary), "_draw", spy)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FRAX_THREADS", threads)
+        draws.clear()
+        assert ss.estimate_crossing(spec, boundary, MULTI_TIMES, MULTI_PATHS, seed=9) == want
+        assert sorted(draws) == [1000, 2**18, 2**18]  # once per block, not per block and time
+
+
+def test_multi_time_peak_memory_does_not_grow_with_the_number_of_times(monkeypatch):
+    monkeypatch.setenv("FRAX_THREADS", "1")
+    spec, boundary = ss.ReflectedBM(), ss.Exponential(lam=1.0)
+
+    def peak(ts):
+        tracemalloc.start()
+        try:
+            ss.estimate_crossing(spec, boundary, ts, 2**18)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(1.0)
+    assert one > 3 * 2**18 * 8  # the draw and the bounds are traced
+    assert peak(np.linspace(0.5, 50.0, 200)) <= 2 * one
+
+
+def test_multi_time_forms_and_their_results():
+    spec, boundary = ss.ReflectedBM(), ss.Exponential(lam=1.0)
+    one = ss.estimate_crossing(spec, boundary, 1.0, 1000)
+    assert isinstance(one, ss.CrossingEstimate)
+    for ts in ((1.0,), [1.0], np.array([1.0])):
+        assert ss.estimate_crossing(spec, boundary, ts, 1000) == (one,)
+    assert ss.crossing(spec, boundary, [np.float32(0.5), np.int64(2)], 1000) == (
+        ss.estimate_crossing(spec, boundary, 0.5, 1000), ss.estimate_crossing(spec, boundary, 2.0, 1000))
+    wright = ss.WrightTime(nu=0.3)
+    assert ss.crossing(wright, boundary, (0.25, 4.0), 1000) == (
+        ss.quadrature_crossing(wright, boundary, 0.25), ss.quadrature_crossing(wright, boundary, 4.0))
+    assert ss.crossing(wright, boundary, 4.0, 1000) == ss.quadrature_crossing(wright, boundary, 4.0)
+
+
+@pytest.mark.parametrize("ts", [(), [], np.array([]), [1.0, True], (1.0, "2"), [1.0, 0],
+                                [0.5, math.nan], (math.inf,), np.array([1.0, -1.0]), np.ones((2, 2))],
+                         ids=repr)
+def test_multi_time_arguments_are_checked_before_any_draw(ts, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(ss.ReflectedBM, "_sample", lambda self, rng, size: drawn.append(size))
+    with pytest.raises(DomainError, match="^estimate_crossing requires"):
+        ss.estimate_crossing(ss.ReflectedBM(), ss.Exponential(lam=1.0), ts, 1000)
+    with pytest.raises(DomainError, match="^quadrature_crossing requires"):
+        ss.crossing(ss.WrightTime(nu=0.3), ss.Exponential(lam=1.0), ts, 1000)
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------
