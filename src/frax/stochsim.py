@@ -26,6 +26,7 @@ relaxation law of :mod:`frax.relaxation` its crossing probability follows.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -200,14 +201,18 @@ class IteratedBM(_Process):
     def __post_init__(self) -> None:
         _count(self, "n")
 
-    def _sample(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
-        return [np.abs(rng.standard_normal(size)) for _ in range(self.n)]
-
-    def _endpoints(self, draw: list[np.ndarray], t: float) -> np.ndarray:
-        s = t
-        for a in draw:
-            s = a * np.sqrt(2.0 * s)
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        # the chain s -> |Z| sqrt(2s) run from s = 1/2: its end at time t is
+        # that draw times (2t)**(2**-n)
+        s = np.abs(rng.standard_normal(size))
+        for _ in range(1, self.n):
+            s *= 2.0
+            np.sqrt(s, out=s)
+            s *= np.abs(rng.standard_normal(size))
         return s
+
+    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
+        return draw * (2.0 * t) ** 0.5**self.n
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Fractional(nu=0.5**self.n, lam=lam)
@@ -216,10 +221,15 @@ class IteratedBM(_Process):
 @dataclass(frozen=True)
 class SojournTime(_Process):
     """Occupation time of (0, inf) up to t by a Brownian motion, which
-    follows the arcsine law t * Beta(1/2, 1/2)."""
+    follows the arcsine law t * Beta(1/2, 1/2), drawn as t * sin(pi U / 2)**2
+    from one uniform U."""
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.beta(0.5, 0.5, size)
+        # P(sin(pi U / 2)**2 <= x) = (2/pi) asin(sqrt(x)), the arcsine CDF
+        u = rng.random(size)
+        u *= 0.5 * math.pi
+        np.sin(u, out=u)
+        return np.square(u, out=u)
 
     def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
         return t * draw
@@ -243,15 +253,24 @@ class FirstPassageChain(_Process):
     def __post_init__(self) -> None:
         _count(self, "n")
 
-    def _sample(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
-        return [rng.standard_normal(size) for _ in range(self.n)]
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        # the chain s -> (s / Z)**2 run from s = 1 ends at 1 / p**2, where
+        # p = Z_1 and then p -> p**2 Z_k (fewer roundings pass through the
+        # squares than in the chain); its end at time t is that draw times
+        # t**(2**n)
+        p = rng.standard_normal(size)
+        with np.errstate(divide="ignore", over="ignore"):
+            for _ in range(1, self.n):
+                np.square(p, out=p)
+                p *= rng.standard_normal(size)
+            np.square(p, out=p)
+            return np.divide(1.0, p, out=p)
 
-    def _endpoints(self, draw: list[np.ndarray], t: float) -> np.ndarray:
-        s = t
-        for z in draw:
-            with np.errstate(divide="ignore", over="ignore"):
-                s = (s / z) ** 2
-        return s
+    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
+        # past the float range t**(2**n) is inf and inf * 0 is NaN: either
+        # endpoint fails `< boundary`, so it counts as a crossing
+        with np.errstate(over="ignore", invalid="ignore"):
+            return draw * np.float64(t) ** 2.0**self.n
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.FirstPassage(lam=lam, n=self.n)
@@ -292,7 +311,14 @@ class ElasticBM(_Process):
     """Elastic Brownian motion: reflected motion (Var = t) killed at rate
     alpha per unit of local time at the origin.  A killed path never
     crosses: its sampled endpoint is 0, below every boundary, so the
-    survival probability tends to 1 at large t."""
+    survival probability tends to 1 at large t.
+
+    The endpoint comes from Levy's identity: with S the running maximum of
+    a Brownian motion B, (S - B, S) has the law of (|B|, L), L the local
+    time at 0.  At t = 1, B = Z ~ N(0, 1) and, given Z, S is the maximum
+    of a Brownian bridge from 0 to Z, (Z + sqrt(Z**2 + 2 E1)) / 2 with E1
+    a standard exponential; both scale by sqrt(t).  The path is killed
+    once alpha L passes a second standard exponential E2."""
 
     alpha: float
 
@@ -300,18 +326,37 @@ class ElasticBM(_Process):
         _positive(self, "alpha")
 
     def _sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, ...]:
-        return rng.standard_gamma(1.5, size), rng.random(size), rng.random(size)
+        # (S, S - Z, E2 / alpha) at t = 1.  The larger of S and S - Z is
+        # (|Z| + sqrt(Z**2 + 2 E1)) / 2, and S (S - Z) = E1 / 2 gives the
+        # smaller without cancellation; S is the larger where Z >= 0
+        z = rng.standard_normal(size)
+        e1 = rng.standard_exponential(size)
+        clock = rng.standard_exponential(size)
+        clock /= self.alpha
+        big = np.square(z)
+        big += e1
+        big += e1
+        np.sqrt(big, out=big)
+        big += np.abs(z)
+        small = np.divide(e1, big, out=e1)
+        big *= 0.5
+        # x * 1 + y * 0 picks x exactly, and a random mask costs np.where a
+        # mispredicted branch per element
+        up = (z >= 0.0).astype(np.float64)
+        down = 1.0 - up
+        s = big * up
+        s += small * down
+        rest = big * down
+        rest += small * up
+        return s, rest, clock
 
     def _endpoints(self, draw: tuple[np.ndarray, ...], t: float) -> np.ndarray:
-        # Joint draw of (|B_t|, L_t) via the running-maximum identity:
-        # with R = 2S - B ~ Maxwell(sqrt(t)) and S | R ~ Uniform(0, R),
-        # (S - B, S) has the law of (|B_t|, L_t).  Kill with prob 1 - e^(-alpha L).
-        g, u, v = draw
-        r = np.sqrt(2.0 * t * g)
-        s = r * u
-        killed = v >= np.exp(-self.alpha * s)
-        endpoint = r - s
-        endpoint[killed] = 0.0
+        # np.where(clock <= root * s, 0, root * rest), as a product for the
+        # reason above
+        s, rest, clock = draw
+        root = math.sqrt(t)
+        endpoint = root * rest
+        endpoint *= clock > root * s
         return endpoint
 
     def _density(self, y: float, t: float) -> float:
@@ -358,8 +403,9 @@ class WrightTime(_Process):
         b = (1.0 - nu) * nu ** (nu / (1.0 - nu))
         c = 1.0 / (1.0 - nu)
         x_hi = 1.0
-        while rate * x_hi + b * x_hi**c < 45.0:
-            x_hi *= 1.25
+        with contextlib.suppress(OverflowError):  # near nu = 1 x_hi**c passes the float range: far past 45
+            while rate * x_hi + b * x_hi**c < 45.0:
+                x_hi *= 1.25
         return tn * x_hi
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:

@@ -6,8 +6,10 @@ re-runs the same cases and compares.  Given the names of Monte Carlo
 pairings (``python3 tests/gen_parity.py reflectedbm-exponential-1``), it
 rewrites (or, for a new pairing, adds) only those simulate rows and leaves
 the rest of the file as it is.  Given the name of an eval row (``python3 tests/gen_parity.py
-"fractional nu=0.5 lam=1"``), it rewrites only that row's psi column.  The
-file covers:
+"fractional nu=0.5 lam=1"``), it rewrites only that row's psi column.  With
+``--check`` it regenerates every row in memory, writes nothing, and exits 1
+listing each row that would move with its largest relative move (0 when
+none would).  The file covers:
 
 - ``frax eval`` for every law of ``cli._TABLE_MODELS`` on one log grid
   over [1e-4, 1e4];
@@ -24,6 +26,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -101,7 +104,60 @@ def collect() -> dict:
     return out
 
 
+def _leaves(value, path: str = ""):
+    """(where, value) for each string and number of a pinned value, in order."""
+    if isinstance(value, dict):
+        for key in value:
+            yield f"{path}{key!r}", key
+            yield from _leaves(value[key], f"{path}[{key!r}]")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def largest_move(old, new) -> tuple[float, str]:
+    """The largest relative move between two pinned values and where it
+    is: inf where their shape or text differs, or a number moves off 0."""
+    old, new = list(_leaves(old)), list(_leaves(new))
+    if len(old) != len(new):
+        return math.inf, "its shape"
+    worst = (0.0, "")
+    for (where, a), (_, b) in zip(old, new):
+        if isinstance(a, str) or isinstance(b, str):
+            if a != b:
+                return math.inf, where
+        elif a != b:
+            worst = max(worst, (abs(b - a) / abs(a) if a else math.inf, where))
+    return worst
+
+
+def check() -> int:
+    """Print each pinned row that regeneration would move; 1 if any would."""
+    with open(DATA, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    fresh = collect()
+    moved = 0
+    for section in fresh:
+        for name in {**pinned.get(section, {}), **fresh[section]}:
+            if name not in pinned.get(section, {}):
+                print(f"{section} {name!r}: not pinned")
+            elif name not in fresh[section]:
+                print(f"{section} {name!r}: no longer generated")
+            else:
+                move, where = largest_move(pinned[section][name], fresh[section][name])
+                if not move:
+                    continue
+                print(f"{section} {name!r}: largest relative move {move:.3g} at {where}")
+            moved += 1
+    print(f"{moved} row(s) would move" if moved else "no row would move")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
     if len(sys.argv) > 1:
         with open(DATA, encoding="utf-8") as fh:

@@ -357,6 +357,18 @@ def test_simulate_wright_near_unit_order_ends_without_a_traceback(nu, capsys):
         assert abs(p_hat - analytic) < 1e-9
 
 
+def test_simulate_wright_reach_past_the_float_range_is_a_numerical_failure(capsys):
+    # at nu = 0.99999 the reach rule's x**(1/(1 - nu)) overflows on its first
+    # step; that raised OverflowError, a traceback and exit 1
+    rc = run_cli("simulate", "--process", "wrighttime", "--nu", "0.99999",
+                 "--boundary", "exponential", "--lambda", "1", "--t", "1")
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert err.startswith("simulation failed: quadrature of WrightTime(nu=0.99999) under "
+                          "Exponential(lam=1.0) at t=1.0: wright_m:")
+    assert out == ""
+
+
 def test_simulate_wright_gamma_other_orders_unpaired(capsys):
     rc = run_cli("simulate", "--process", "wrighttime", "--nu", "0.3",
                  "--boundary", "gamma", "--k", "2", "--lambda", "1", "--t", "1")

@@ -227,3 +227,16 @@ def test_quadrature_parity(name, spec, boundary):
     got = [gp.ss.quadrature_crossing(spec, boundary, float(t)).p_hat for t in gp.TIMES]
     for g, w in zip(got, PINNED["quadrature"][name]):
         assert close(g, w), (name, got, PINNED["quadrature"][name])
+
+
+def test_check_reports_the_largest_move_and_where_it_is():
+    row = {"comments": ["# seed=1"], "rows": [[0.25, 0.5, 0.01], [1.0, 0.25, 0.01]]}
+    assert gp.largest_move(row, json.loads(json.dumps(row))) == (0.0, "")
+    moved = json.loads(json.dumps(row))
+    moved["rows"][1][1] *= 1 + 1e-12
+    moved["rows"][0][1] *= 1 + 1e-14
+    move, where = gp.largest_move(row, moved)
+    assert math.isclose(move, 1e-12, rel_tol=1e-3) and where == "['rows'][1][1]"
+    assert gp.largest_move(row, {**row, "comments": ["# seed=2"]}) == (math.inf, "['comments'][0]")
+    assert gp.largest_move(row, {**row, "rows": row["rows"][:1]})[0] == math.inf
+    assert gp.largest_move([0.0], [1e-300]) == (math.inf, "[0]")

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 import frax.relaxation as rx
@@ -213,6 +214,81 @@ def test_multi_time_arguments_are_checked_before_any_draw(ts, monkeypatch):
     with pytest.raises(DomainError, match="^quadrature_crossing requires"):
         ss.crossing(ss.WrightTime(nu=0.3), ss.Exponential(lam=1.0), ts, 1000)
     assert drawn == []
+
+
+# ---------------------------------------------------------------------------
+# the exact draws, checked without psi
+# ---------------------------------------------------------------------------
+
+DRAW_SIZE = 2**16
+
+
+def draw_rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def test_sojourn_draw_follows_the_arcsine_law():
+    u = ss.SojournTime()._sample(draw_rng(1), DRAW_SIZE)
+    assert stats.kstest(u, lambda x: 2.0 / math.pi * np.arcsin(np.sqrt(x))).pvalue > 1e-3
+    assert np.array_equal(ss.SojournTime()._endpoints(u, 3.0), 3.0 * u)
+
+
+def test_elastic_maximum_and_its_gap_are_half_normal():
+    # at t = 1, S and S - B each have the law of |B|
+    s, rest, _clock = ss.ElasticBM(alpha=1.0)._sample(draw_rng(2), DRAW_SIZE)
+    assert stats.kstest(s, stats.halfnorm.cdf).pvalue > 1e-3
+    assert stats.kstest(rest, stats.halfnorm.cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("t", [1e-6, 1.0, 1e4])
+def test_elastic_killed_fraction_matches_the_atom(alpha, t):
+    # a killed path ends at 0; the rest end above it
+    spec = ss.ElasticBM(alpha=alpha)
+    killed = np.count_nonzero(spec._endpoints(spec._sample(draw_rng(3), DRAW_SIZE), t) == 0.0)
+    p = ss.elastic_atom(spec, t)
+    z = (killed - DRAW_SIZE * p) / math.sqrt(DRAW_SIZE * p * (1.0 - p))
+    assert abs(z) < 4.0, (killed, DRAW_SIZE * p)
+
+
+def sequential_endpoints(spec, zs, t, dtype):
+    """The endpoint map the folded draws replace, one step per normal."""
+    s = dtype(t)
+    with np.errstate(divide="ignore", over="ignore"):
+        for z in zs:
+            z = z.astype(dtype)
+            s = np.abs(z) * np.sqrt(2 * s) if isinstance(spec, ss.IteratedBM) else (s / z) ** 2
+    return s
+
+
+def ulps(a, b):
+    return np.abs(a - b) / np.spacing(b)
+
+
+# At n = 1 the fold is the step map but for pow(2t, 1/2) in place of sqrt(2t).
+# FirstPassageChain(2)'s step map amplifies its first rounding fourfold and
+# lies up to 7 ulp from the exact map, so it may differ from the fold by 9
+@pytest.mark.parametrize("spec, to_sequential", [(ss.IteratedBM(n=1), 1), (ss.IteratedBM(n=2), 4),
+                                                 (ss.FirstPassageChain(n=1), 4),
+                                                 (ss.FirstPassageChain(n=2), 10)], ids=repr)
+def test_folded_chain_matches_the_step_by_step_map(spec, to_sequential):
+    folded = spec._sample(draw_rng(4), DRAW_SIZE)
+    rng = draw_rng(4)
+    zs = [rng.standard_normal(DRAW_SIZE) for _ in range(spec.n)]
+    for t in MULTI_TIMES:
+        got = spec._endpoints(folded, t)
+        want = sequential_endpoints(spec, zs, t, np.float64)
+        exact = sequential_endpoints(spec, zs, t, np.longdouble).astype(np.float64)
+        assert np.isfinite(got).all() and np.isfinite(want).all()
+        assert ulps(got, want).max() <= to_sequential
+        # and the fold is as accurate as the map it replaces, to 1 ulp
+        assert ulps(got, exact).max() <= ulps(want, exact).max() + 1.0
+    # past the float range both maps give inf (or NaN from inf * 0): a crossing
+    for t in (1e-300, 1e300):
+        got = spec._endpoints(folded, t)
+        want = sequential_endpoints(spec, zs, t, np.float64)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.array_equal(got < 1.0, want < 1.0)
 
 
 # ---------------------------------------------------------------------------
