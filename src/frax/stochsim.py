@@ -253,24 +253,15 @@ class FirstPassageChain(_Process):
     def __post_init__(self) -> None:
         _count(self, "n")
 
-    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # the chain s -> (s / Z)**2 run from s = 1 ends at 1 / p**2, where
-        # p = Z_1 and then p -> p**2 Z_k (fewer roundings pass through the
-        # squares than in the chain); its end at time t is that draw times
-        # t**(2**n)
-        p = rng.standard_normal(size)
-        with np.errstate(divide="ignore", over="ignore"):
-            for _ in range(1, self.n):
-                np.square(p, out=p)
-                p *= rng.standard_normal(size)
-            np.square(p, out=p)
-            return np.divide(1.0, p, out=p)
+    def _sample(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
+        return [rng.standard_normal(size) for _ in range(self.n)]
 
-    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
-        # past the float range t**(2**n) is inf and inf * 0 is NaN: either
-        # endpoint fails `< boundary`, so it counts as a crossing
-        with np.errstate(over="ignore", invalid="ignore"):
-            return draw * np.float64(t) ** 2.0**self.n
+    def _endpoints(self, draw: list[np.ndarray], t: float) -> np.ndarray:
+        s = t
+        for z in draw:
+            with np.errstate(divide="ignore", over="ignore"):
+                s = (s / z) ** 2
+        return s
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.FirstPassage(lam=lam, n=self.n)
@@ -326,33 +317,22 @@ class ElasticBM(_Process):
         _positive(self, "alpha")
 
     def _sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, ...]:
-        # (S, S - Z, E2 / alpha) at t = 1.  The larger of S and S - Z is
-        # (|Z| + sqrt(Z**2 + 2 E1)) / 2, and S (S - Z) = E1 / 2 gives the
-        # smaller without cancellation; S is the larger where Z >= 0
+        # (S, S - Z, E2 / alpha) at t = 1
         z = rng.standard_normal(size)
         e1 = rng.standard_exponential(size)
         clock = rng.standard_exponential(size)
         clock /= self.alpha
-        big = np.square(z)
-        big += e1
-        big += e1
-        np.sqrt(big, out=big)
-        big += np.abs(z)
-        small = np.divide(e1, big, out=e1)
-        big *= 0.5
-        # x * 1 + y * 0 picks x exactly, and a random mask costs np.where a
-        # mispredicted branch per element
-        up = (z >= 0.0).astype(np.float64)
-        down = 1.0 - up
-        s = big * up
-        s += small * down
-        rest = big * down
-        rest += small * up
-        return s, rest, clock
+        s = np.square(z)
+        s += e1
+        s += e1
+        np.sqrt(s, out=s)
+        s += z
+        s *= 0.5
+        return s, s - z, clock
 
     def _endpoints(self, draw: tuple[np.ndarray, ...], t: float) -> np.ndarray:
-        # np.where(clock <= root * s, 0, root * rest), as a product for the
-        # reason above
+        # np.where(clock <= root * s, 0, root * rest), as a product: a
+        # random mask costs np.where a mispredicted branch per element
         s, rest, clock = draw
         root = math.sqrt(t)
         endpoint = root * rest

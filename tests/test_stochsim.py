@@ -243,7 +243,7 @@ def test_elastic_maximum_and_its_gap_are_half_normal():
 @pytest.mark.parametrize("alpha", [1e-3, 1.0, 100.0])
 @pytest.mark.parametrize("t", [1e-6, 1.0, 1e4])
 def test_elastic_killed_fraction_matches_the_atom(alpha, t):
-    # a killed path ends at 0; the rest end above it
+    # a killed path ends at 0, a surviving one almost surely above it
     spec = ss.ElasticBM(alpha=alpha)
     killed = np.count_nonzero(spec._endpoints(spec._sample(draw_rng(3), DRAW_SIZE), t) == 0.0)
     p = ss.elastic_atom(spec, t)
@@ -251,13 +251,11 @@ def test_elastic_killed_fraction_matches_the_atom(alpha, t):
     assert abs(z) < 4.0, (killed, DRAW_SIZE * p)
 
 
-def sequential_endpoints(spec, zs, t, dtype):
-    """The endpoint map the folded draws replace, one step per normal."""
+def sequential_endpoints(zs, t, dtype):
+    """The map s -> |Z| sqrt(2s) from s = t that IteratedBM's fold replaces."""
     s = dtype(t)
-    with np.errstate(divide="ignore", over="ignore"):
-        for z in zs:
-            z = z.astype(dtype)
-            s = np.abs(z) * np.sqrt(2 * s) if isinstance(spec, ss.IteratedBM) else (s / z) ** 2
+    for z in zs:
+        s = np.abs(z.astype(dtype)) * np.sqrt(2 * s)
     return s
 
 
@@ -265,30 +263,24 @@ def ulps(a, b):
     return np.abs(a - b) / np.spacing(b)
 
 
-# At n = 1 the fold is the step map but for pow(2t, 1/2) in place of sqrt(2t).
-# FirstPassageChain(2)'s step map amplifies its first rounding fourfold and
-# lies up to 7 ulp from the exact map, so it may differ from the fold by 9
-@pytest.mark.parametrize("spec, to_sequential", [(ss.IteratedBM(n=1), 1), (ss.IteratedBM(n=2), 4),
-                                                 (ss.FirstPassageChain(n=1), 4),
-                                                 (ss.FirstPassageChain(n=2), 10)], ids=repr)
-def test_folded_chain_matches_the_step_by_step_map(spec, to_sequential):
+# at n = 1 the fold is the step map but for pow(2t, 1/2) in place of sqrt(2t)
+@pytest.mark.parametrize("n, to_sequential", [(1, 1), (2, 4)])
+def test_folded_iterated_chain_matches_the_step_by_step_map(n, to_sequential):
+    spec = ss.IteratedBM(n=n)
     folded = spec._sample(draw_rng(4), DRAW_SIZE)
     rng = draw_rng(4)
-    zs = [rng.standard_normal(DRAW_SIZE) for _ in range(spec.n)]
+    zs = [rng.standard_normal(DRAW_SIZE) for _ in range(n)]
     for t in MULTI_TIMES:
         got = spec._endpoints(folded, t)
-        want = sequential_endpoints(spec, zs, t, np.float64)
-        exact = sequential_endpoints(spec, zs, t, np.longdouble).astype(np.float64)
-        assert np.isfinite(got).all() and np.isfinite(want).all()
+        want = sequential_endpoints(zs, t, np.float64)
+        exact = sequential_endpoints(zs, t, np.longdouble).astype(np.float64)
+        assert np.isfinite(got).all()
         assert ulps(got, want).max() <= to_sequential
         # and the fold is as accurate as the map it replaces, to 1 ulp
         assert ulps(got, exact).max() <= ulps(want, exact).max() + 1.0
-    # past the float range both maps give inf (or NaN from inf * 0): a crossing
     for t in (1e-300, 1e300):
         got = spec._endpoints(folded, t)
-        want = sequential_endpoints(spec, zs, t, np.float64)
-        assert np.array_equal(np.isfinite(got), np.isfinite(want))
-        assert np.array_equal(got < 1.0, want < 1.0)
+        assert np.array_equal(got < 1.0, sequential_endpoints(zs, t, np.float64) < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +543,11 @@ def test_monte_carlo_matches_closed_form(spec, boundary, model):
         want = rx.psi(model, t)
         z = (est.p_hat - want) / est.stderr
         assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize("n, t, n_paths", [(8, 0.03, 100_000), (1024, 1.0, 4096)])
+def test_deep_first_passage_chain_matches_its_law(n, t, n_paths):
+    # the chain's level leaves the float range within a few steps; at inf or
+    # 0 it stays there, on the side of the boundary its exact value lies
+    est = ss.estimate_crossing(ss.FirstPassageChain(n=n), ss.Exponential(lam=1.0), t, n_paths)
+    assert abs(est.z_score(rx.psi(rx.FirstPassage(lam=1.0, n=n), t))) <= 4.0
