@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 3 numerical failure (non-convergence or unstable inversion), 4 statistical
-failure (``--strict`` with any |z| > 4).
+failure (``--strict`` with any |z| > 4), 141 the reader closed standard
+output before it was all written (128 + SIGPIPE, the status a shell
+reports for a writer that signal ends); the rest of the output is dropped.
 
 Output is deterministic: CSV is comma-separated with a header row, LF line
 endings, UTF-8, and 17-significant-digit numbers; ``simulate`` prefixes a
@@ -25,6 +27,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from typing import Sequence, get_args
 
@@ -190,8 +193,6 @@ _TABLE_MODELS: tuple[tuple[str, rx.RelaxationModel], ...] = (
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    import os
-
     os.makedirs(args.out_dir, exist_ok=True)
     grids = {
         "small_time.csv": (rx.SmallT, (1e-2, 1e-3, 1e-4)),
@@ -301,13 +302,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (DomainError, Unsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergence, Unstable) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the flush at exit
+        # does not fail on the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -271,6 +271,33 @@ def main() -> None:
             value = mp.quad(lambda y: dist_density(y) * survive(y), mp.linspace(0, end, 9))
             out.append((f"DistributedTime(0.5, 0.5) x Gamma(2, 1) at t={t}", "test_stochsim gamma quadrature", value))
 
+    # --- test_parity: the quadrature rows, P(endpoint < boundary) at t =
+    # 0.25, 1, 4 of each quadrature pairing of stochsim.PAIRINGS; the
+    # exponential-boundary rows from their Mittag-Leffler law, the others as
+    # integrals of density * P(boundary > y) at 30 digits
+    for t in ("0.25", "1", "4"):
+        tt = mp.mpf(t)
+        for nu in (Fraction(3, 10), Fraction(7, 10)):
+            value = ml(nu, 1, -tt ** (mp.mpf(nu.numerator) / nu.denominator))
+            out.append((f"wrighttime-{float(nu)}-exponential-1 at t={t}", "test_parity quadrature", value))
+        with mp.workdps(30):
+            # M_{1/2}(x) = exp(-x^2/4)/sqrt(pi) under Gamma(2, 1) at y = sqrt(t) x
+            root = mp.sqrt(tt)
+            value = mp.quad(lambda x: mp.exp(-x * x / 4) / mp.sqrt(mp.pi) * (1 + root * x) * mp.exp(-root * x),
+                            [0, 1, 10, mp.inf])
+        out.append((f"wrighttime-0.5-gamma-2-1 at t={t}", "test_parity quadrature", value))
+        value = ml(Fraction(1, 3), 1, -mp.mpf(1.3) * mp.cbrt(tt))
+        out.append((f"airytime-exponential-1.3 at t={t}", "test_parity quadrature", value))
+        with mp.workdps(30):
+            half = mp.mpf(1) / 2
+
+            def dist_density(y):
+                gap = tt - half * y
+                return half * (tt - half * half * y) / (mp.sqrt(mp.pi) * gap**1.5) * mp.exp(-(half * y) ** 2 / (4 * gap))
+
+            value = mp.quad(lambda y: dist_density(y) * mp.exp(-y), mp.linspace(0, tt / half, 9))
+        out.append((f"distributedtime-0.5-0.5-exponential-1 at t={t}", "test_parity quadrature", value))
+
     # --- test_fraccalc: Riemann-Liouville integral of f(t) = t at order 1/2
     out.append(("RL-1/2 of t: coefficient of t^{3/2}", "test_fraccalc", mp.gamma(2) / mp.gamma(mp.mpf("2.5"))))
 

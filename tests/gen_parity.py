@@ -2,10 +2,11 @@
 
 Run directly (``python3 tests/gen_parity.py``) to rewrite
 ``tests/data/parity.json`` from the current code; ``tests/test_parity.py``
-re-runs the same cases and compares.  Given the names of Monte Carlo
-pairings (``python3 tests/gen_parity.py reflectedbm-exponential-1``), it
-rewrites (or, for a new pairing, adds) only those simulate rows and leaves
-the rest of the file as it is.  Given the name of an eval row (``python3 tests/gen_parity.py
+re-runs the same cases and compares.  Given the names of Monte Carlo or
+quadrature pairings (``python3 tests/gen_parity.py
+reflectedbm-exponential-1``), it rewrites (or, for a new pairing, adds)
+only those simulate or quadrature rows and leaves the rest of the file as
+it is.  Given the name of an eval row (``python3 tests/gen_parity.py
 "fractional nu=0.5 lam=1"``), it rewrites only that row's psi column.  With
 ``--check`` it regenerates every row in memory, writes nothing, and exits 1
 listing each row that would move with its largest relative move (0 when
@@ -86,6 +87,11 @@ def simulate(spec, boundary) -> dict:
     return {"comments": comments, "rows": rows}
 
 
+def integrate(spec, boundary) -> list[float]:
+    """The pinned quadrature crossing probabilities of one pairing."""
+    return [ss.quadrature_crossing(spec, boundary, float(t)).p_hat for t in TIMES]
+
+
 def evaluate(model) -> list[list[float]]:
     """The pinned ``frax eval`` rows of one law."""
     return run_cli(["eval", *model_flags(model), *EVAL_GRID])[1]
@@ -98,9 +104,7 @@ def collect() -> dict:
     for name, spec, boundary in MONTE_CARLO:
         out["simulate"][name] = simulate(spec, boundary)
     for name, spec, boundary in QUADRATURE:
-        out["quadrature"][name] = [
-            ss.quadrature_crossing(spec, boundary, float(t)).p_hat for t in TIMES
-        ]
+        out["quadrature"][name] = integrate(spec, boundary)
     return out
 
 
@@ -164,6 +168,7 @@ if __name__ == "__main__":
             doc = json.load(fh)
         models = dict(cli._TABLE_MODELS)
         pairings = {name: (spec, boundary) for name, spec, boundary in MONTE_CARLO}
+        integrals = {name: (spec, boundary) for name, spec, boundary in QUADRATURE}
         for key in sys.argv[1:]:
             if key in doc["eval"]:
                 for old, new in zip(doc["eval"][key], evaluate(models[key]), strict=True):
@@ -172,8 +177,10 @@ if __name__ == "__main__":
                     old[1] = new[1]
             elif key in pairings:
                 doc["simulate"][key] = simulate(*pairings[key])
+            elif key in integrals:
+                doc["quadrature"][key] = integrate(*integrals[key])
             else:
-                sys.exit(f"no eval row or simulate pairing {key!r} in {DATA}")
+                sys.exit(f"no eval row, simulate or quadrature pairing {key!r} in {DATA}")
     else:
         doc = collect()
     with open(DATA, "w", encoding="utf-8", newline="\n") as fh:

@@ -358,8 +358,9 @@ def test_simulate_wright_near_unit_order_ends_without_a_traceback(nu, capsys):
 
 
 def test_simulate_wright_reach_past_the_float_range_is_a_numerical_failure(capsys):
-    # at nu = 0.99999 the reach rule's x**(1/(1 - nu)) overflows on its first
-    # step; that raised OverflowError, a traceback and exit 1
+    # at nu = 0.99999 a search for the integrand's reach once overflowed on
+    # its first step (a traceback, exit 1); the shape table's M-Wright
+    # values near x = 1 certify by neither method there, so it is exit 3
     rc = run_cli("simulate", "--process", "wrighttime", "--nu", "0.99999",
                  "--boundary", "exponential", "--lambda", "1", "--t", "1")
     out, err = capsys.readouterr()
@@ -478,10 +479,11 @@ def test_strict_quadrature_passes_where_the_boundary_ends_first(capsys):
     assert abs(p_hat - analytic) < 1e-12 and abs(z) < 4.0
 
 
-@pytest.mark.parametrize("t", ["1e-6", "1e-300"])
+@pytest.mark.parametrize("t", ["1e-40", "1e-300"])
 def test_unresolved_quadrature_is_a_numerical_failure(t, capsys):
-    # at t = 1e-6 quad flags its own result (it printed 0.8825 for 0.999998);
-    # at t = 1e-300 the density once divided by zero
+    # the clock's mass sits at a gap ~t**2 below the support's end, past the
+    # rule's last node here, so its levels never agree; at t = 1e-300 the
+    # density once divided by zero
     rc = run_cli("simulate", "--process", "distributedtime", "--n1", "0.5", "--n2", "0.5",
                  "--boundary", "exponential", "--lambda", "1", "--t", t)
     out, err = capsys.readouterr()
@@ -587,15 +589,47 @@ def test_tables_written(tmp_path, capsys):
 # entry point
 # ---------------------------------------------------------------------------
 
-def test_module_entry_point():
-    # the child imports the same frax as this process, installed or not
+def _child_env() -> dict:
+    """The environment of a ``python -m frax.cli`` child that imports the
+    same frax as this process, installed or not."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(frax.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "frax.cli", "eval", "--model", "standard",
          "--lambda", "1", "--t", "1"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "0.36787944117144233" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, unbuffered, statuses", [
+    # 2.6 kB, written as print goes: the pipe takes it all unless it has
+    # closed before the closing newline comes (it mostly has)
+    (["verify", "--suite", "identities"], "1", (0, 141)),
+    # ~1.6 MB through a buffered stdout, far more than a pipe holds: the
+    # child is still writing when the pipe closes (an unbuffered stdout
+    # would drop the unwritten part of its one write without an error)
+    (["eval", "--model", "standard", "--lambda", "1", "--t-start", "1", "--t-stop", "2",
+      "--t-count", "20000"], "", (141,)),
+], ids=["verify", "eval"])
+def test_a_reader_closing_the_pipe_ends_the_command_cleanly(argv, unbuffered, statuses):
+    # this printed a BrokenPipeError traceback (exit 1), or "Exception
+    # ignored" from the flush at exit (exit 120)
+    env = {**_child_env(), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "frax.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) in statuses
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -22,6 +22,10 @@ elastic, gamma-boundary or elastic-gamma law, which inverts the transform
 first.  They were re-pinned when scalar psi moved from series-first to
 contour-first, and their analytic values are held to 1e-10 absolute
 against mpmath in the same way.
+
+The quadrature rows were re-pinned when one nested double-exponential
+rule replaced an adaptive quad, and every value of them is held to 1e-10
+absolute against the mpmath values in ``INTEGRATED``.
 """
 
 import json
@@ -177,6 +181,20 @@ SIMULATED = {
     },
 }
 
+# each quadrature row at gp.TIMES (0.25, 1, 4): mpmath values
+INTEGRATED = {
+    "wrighttime-0.3-exponential-1": (
+        0.5639507788887805890962, 0.4565944083296906690069, 0.352903908628849067857),
+    "wrighttime-0.7-exponential-1": (
+        0.6776075248471719170567, 0.3996119781155993843659, 0.1589402579766133480601),
+    "wrighttime-0.5-gamma-2-1": (
+        0.8720347556442192243835, 0.7007955909397055694854, 0.4689886000174849407367),
+    "airytime-exponential-1.3": (
+        0.5038971183221379588058, 0.384890914011059094104, 0.2781806758501419678129),
+    "distributedtime-0.5-0.5-exponential-1": (
+        0.7037959358801522825096, 0.3775168250211103538149, 0.1561405312908942364394),
+}
+
 with open(gp.DATA, encoding="utf-8") as fh:
     PINNED = json.load(fh)
 
@@ -224,9 +242,10 @@ def test_simulate_parity(name, spec, boundary):
 # ids: the process (the name up to its first hyphen), then each spec's repr up to a space
 @pytest.mark.parametrize("name, spec, boundary", gp.QUADRATURE, ids=lambda v: str(v).split()[0].split("-")[0])
 def test_quadrature_parity(name, spec, boundary):
-    got = [gp.ss.quadrature_crossing(spec, boundary, float(t)).p_hat for t in gp.TIMES]
-    for g, w in zip(got, PINNED["quadrature"][name]):
+    got = gp.integrate(spec, boundary)
+    for g, w, exact in zip(got, PINNED["quadrature"][name], INTEGRATED[name], strict=True):
         assert close(g, w), (name, got, PINNED["quadrature"][name])
+        assert abs(w - exact) <= 1e-10, (name, w, exact)
 
 
 def test_check_reports_the_largest_move_and_where_it_is():

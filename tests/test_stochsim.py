@@ -423,8 +423,8 @@ def test_quadrature_distributed_large_t(t, want):
 
 
 def test_quadrature_stderr_covers_requested_tolerance():
-    # quad's own error estimate (~5e-15 here) understates its real error;
-    # the reported stderr is floored at the tolerance quad was asked for
+    # the gap between the two agreeing levels (~1e-15 here) understates the
+    # real error; the reported stderr is floored at 1e-10
     est = ss.quadrature_crossing(ss.WrightTime(nu=0.3), ss.Exponential(lam=1.0), 4.0)
     assert est.stderr >= 1e-10
 
@@ -457,9 +457,10 @@ def test_quadrature_unsupported_combinations():
 
 def test_every_process_has_a_crossing_method():
     # crossing() simulates a process with a sampler and integrates the
-    # others, which must say where their integrand ends
+    # others on their quadrature rule: each has exactly one of the two
     for cls in typing.get_args(ss.ProcessSpec):
-        assert hasattr(cls, "_sample") or "_reach" in vars(cls), cls.__name__
+        assert hasattr(cls, "_sample") != hasattr(cls, "_levels"), cls.__name__
+    assert not hasattr(ss._Process, "_levels")
 
 
 # the quadrature pairings, and a shape-10 gamma boundary, from t = 1e-10 to 1e8
@@ -469,48 +470,102 @@ SWEEP.append((ss.WrightTime(nu=0.5), ss.Gamma(k=10, lam=1.0)))
 # psi by up to 7.2e-11 (now 1.1e-13); nu = 0.98 is where a fixed rule
 # must resolve the narrowest peak
 SWEEP += [(ss.WrightTime(nu=nu), ss.Exponential(lam=1.0)) for nu in (0.01, 0.98)]
+# near nu = 1 the shape density narrows to a peak at x = 1 and the rule's
+# map narrows with it; an adaptive quad answered every time within 5e-14
+SWEEP += [(ss.WrightTime(nu=nu), ss.Exponential(lam=1.0)) for nu in (0.9, 0.99, 0.999)]
 
 
 @pytest.mark.parametrize("spec, boundary", SWEEP, ids=lambda v: repr(v).replace(" ", ""))
 def test_quadrature_certifies_or_raises_over_wide_times(spec, boundary):
     # WrightTime once kept its limit at x = t**nu past the boundary's reach,
     # and read 2.5e-22 for 3.57e-4; DistributedTime returned 0.88 for
-    # 0.999998 at t = 1e-6 with no warning.  Each must now be right or
-    # raise, and WrightTime must answer at every t.
+    # 0.999998 at t = 1e-6 with no warning, and later raised below t ~ 1e-5.
+    # Every pairing must now answer at every t, and be right.
     law = spec.law(boundary)
     for t in np.geomspace(1e-10, 1e8, 10):
-        try:
-            got = ss.quadrature_crossing(spec, boundary, t).p_hat
-        except NonConvergence:
-            if isinstance(spec, ss.WrightTime):
-                raise
-            continue
+        got = ss.quadrature_crossing(spec, boundary, t).p_hat
         assert abs(got - rx.psi(law, t)) <= 1e-9, t
 
 
-def test_wright_quadrature_runs_no_adaptive_quad_under_the_density(monkeypatch):
-    # each M-Wright value is one fixed rule or one series: an adaptive quad
-    # per node made a point cost 6-28 ms instead of 0.5-1.5 ms
-    def refuse(*args, **kwargs):
-        raise AssertionError("specfun.quad called on the M-Wright path")
+def _clear_shape_tables():
+    ss._shape_range.cache_clear()
+    ss._shape_level.cache_clear()
 
-    rows = [row for row in ss.PAIRINGS if isinstance(row[1], ss.WrightTime)]
-    assert len(rows) == 3
+
+def test_wright_quadrature_runs_no_adaptive_quad_under_the_density(monkeypatch):
+    # every quadrature pairing, its shape table built afresh, runs on fixed
+    # rules alone: an adaptive quad per M-Wright node once made a point cost
+    # 6-28 ms, and the quadrature itself was one adaptive quad
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quad called under quadrature_crossing")
+
+    rows = [row for row in ss.PAIRINGS if not hasattr(row[1], "_sample")]
+    assert len(rows) == 5
     with monkeypatch.context() as m:
         m.setattr(specfun, "quad", refuse)
+        m.setattr(scipy.integrate, "quad", refuse)
+        _clear_shape_tables()
         got = {(name, t): ss.quadrature_crossing(spec, boundary, t).p_hat
                for name, spec, boundary in rows for t in (0.25, 1.0, 4.0)}
+    assert not hasattr(ss, "quad")
     for name, spec, boundary in rows:
         for t in (0.25, 1.0, 4.0):
             assert abs(got[name, t] - rx.psi(spec.law(boundary), t)) <= 1e-9, (name, t)
 
 
+@pytest.mark.parametrize("spec", [ss.WrightTime(nu=0.3), ss.WrightTime(nu=0.5), ss.AiryTime()],
+                         ids=repr)
+def test_a_scale_family_evaluates_its_shape_once(spec, monkeypatch):
+    # the shape density does not depend on t or the boundary: the first
+    # call tabulates it, and a call at another time and boundary that needs
+    # no finer level evaluates none of it
+    calls = []
+    wright_m, airy_ai = ss.wright_m, ss.airy_ai
+    monkeypatch.setattr(ss, "wright_m", lambda nu, x: calls.append(x) or wright_m(nu, x))
+    monkeypatch.setattr(ss, "airy_ai", lambda x: calls.append(x) or airy_ai(x))
+    _clear_shape_tables()
+    ss.quadrature_crossing(spec, ss.Exponential(lam=1.0), 1.0)
+    assert len(calls) > 100
+    del calls[:]
+    boundary = ss.Gamma(k=2, lam=1.3)
+    got = ss.quadrature_crossing(spec, boundary, 4.0).p_hat
+    assert calls == []
+    _clear_shape_tables()
+    assert got == ss.quadrature_crossing(spec, boundary, 4.0).p_hat
+
+
+def test_wright_quadrature_near_unit_order_leaves_out_only_negligible_nodes():
+    # from nu = 0.9995 on, M_nu certifies by neither method at some x in
+    # [0.83, 0.99]; the rule bounds those nodes by the boundary's survival
+    # there, answers where that is far below the value, and raises the
+    # density's own reason elsewhere
+    spec, boundary = ss.WrightTime(nu=0.9995), ss.Exponential(lam=1.0)
+    law = spec.law(boundary)
+    for t in (100.0, 1e4, 1e6):  # psi is 5.1e-6 to 5.0e-10 here; measured gaps <= 4.0e-14
+        assert abs(ss.quadrature_crossing(spec, boundary, t).p_hat - rx.psi(law, t)) <= 1e-11, t
+    with pytest.raises(NonConvergence, match=r" at t=1\.0: wright_m: "):
+        ss.quadrature_crossing(spec, boundary, 1.0)
+
+
 def test_distributed_quadrature_raises_on_an_unresolved_spike():
-    # below t ~ 1e-5 the mass sits in a spike of width ~t**2 at y = t/n2
+    # the mass sits in a spike at a gap ~t**2 below y = t/n2: beyond the
+    # rule's last node (5.8e-38 of t) at t = 1e-40, and past the float range
+    # at t = 1e-300
     spec, boundary = ss.DistributedTime(n1=0.5, n2=0.5), ss.Exponential(lam=1.0)
-    for t in (1e-6, 1e-12, 1e-300):
+    for t in (1e-40, 1e-300):
         with pytest.raises(NonConvergence, match=f"DistributedTime.*at t={t!r}"):
             ss.quadrature_crossing(spec, boundary, t)
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-12, 1e-30])
+def test_distributed_quadrature_resolves_the_spike_at_small_t(t):
+    # an adaptive quad over (0, t/n2) raised below t ~ 1e-5; the tanh-sinh
+    # nodes crowd toward the end of the support, where the spike is
+    spec, boundary = ss.DistributedTime(n1=0.5, n2=0.5), ss.Exponential(lam=1.0)
+    got = ss.quadrature_crossing(spec, boundary, t).p_hat
+    assert abs(got - rx.psi(spec.law(boundary), t)) <= 1e-9
 
 
 def test_distributed_density_is_zero_where_the_gap_underflows():
