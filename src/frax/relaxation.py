@@ -27,17 +27,18 @@ never do.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 import numpy as np
-from scipy.special import i0e
+from scipy.special import gammaln, i0e
 
 from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
 from .fraccalc import laplace_invert
-from .specfun import _ABSUM_CAP, _EPS, _MAX_TERMS, _REL_TOL, MLParams, _gml_raw, _sum_series, mittag_leffler
+from .specfun import _ABSUM_CAP, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _gml_raw, _sum_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -128,13 +129,14 @@ def _clip01(v: float) -> float:
 
 # Log-space term evaluation inside the inner series loses a few tens of
 # ulps per term; the inner error estimates are inflated by this factor
-# before being amplified by the outer coefficients.
+# before being amplified by the outer coefficients, and _cauchy_series
+# allows its terms as many.
 _INNER_ERR_SAFETY = 64.0
 # Absolute error a law may carry; the law is a probability.
 _BUDGET = 1e-9
 # Relative accuracy of a mittag_leffler value (its integral branch's epsrel).
 _ML_ACCURACY = 1e-12
-# The elastic laws take their alpha = lam form within this relative offset of
+# The elastic law takes its alpha = lam form within this relative offset of
 # equal rates; that form errs by ~0.17 times the offset (1.7e-11 at the edge).
 _EQUAL_RATES = 1e-10
 
@@ -161,7 +163,10 @@ def _absum_cap(scale, used, weight):
 def _outer_series(params: Callable[[int], MLParams], z, ratio, scale):
     """Sum an outer series sum_r (-ratio)**r * E(params(r), z) with error tracking.
 
-    E is the three-parameter Mittag-Leffler series (``_gml_raw``), with
+    The distributed law's double series, which is genuinely bivariate, is
+    its one caller (the elastic gamma-boundary law sums its double series
+    as one series, :func:`_cauchy_series`).  E is the three-parameter
+    Mittag-Leffler series (``_gml_raw``), with
     its raw error estimate, capped at what is left of the budget; the
     propagated bound sums |ratio|**r times those estimates (they are
     amplified, not cancelled, by the alternating outer coefficients) plus
@@ -230,12 +235,12 @@ def _outer_rows(params: Callable[[int], MLParams], z: np.ndarray, ratio: np.ndar
             s = tt
             small = np.where(np.abs(term) <= _REL_TOL * (np.abs(s) + 1e-300), small + 1.0, 0.0)
             failed = ~(ok & (scale * (errb + _EPS * absum) <= _BUDGET) & np.isfinite(term) & (absum <= _ABSUM_CAP))
+            coeff = coeff * -ratio  # overflows only in a row that the next gate fails
         converged = ~failed & (small >= 3.0) & (r >= 8)
         out[live[converged]] = s[converged]
         keep = ~(failed | converged)
         live, z, ratio, scale = live[keep], z[keep], ratio[keep], scale[keep]
         s, comp, absum, errb, small, coeff = s[keep], comp[keep], absum[keep], errb[keep], small[keep], coeff[keep]
-        coeff = coeff * -ratio
     return out
 
 
@@ -245,7 +250,7 @@ def _gml_scaled(p: MLParams, z, scale):
     The single-series laws subtract ``scale * value`` from 1, so what has
     to be small is the absolute error of that product, not the relative
     error of the series; the acceptance gate matches the one used for the
-    outer-series laws (propagated error below 1e-9), and the series stops
+    double series (propagated error below 1e-9), and the series stops
     at the first term whose absolute sum breaks it.  For arrays ``z`` and
     ``scale`` the rows that fail the gate are NaN instead of raising.
     """
@@ -259,6 +264,132 @@ def _gml_scaled(p: MLParams, z, scale):
             f"at scale {scale:.3g}"
         )
     return val
+
+
+@functools.lru_cache(maxsize=64)
+def _half_gamma_logs(k: int) -> tuple:
+    """gammaln(n/2 + k/2 + 1) for n = 0 .. 599: the shape-k table of :func:`_cauchy_series`."""
+    return tuple(gammaln(0.5 * np.arange(_MAX_TERMS) + (0.5 * k + 1.0)).tolist())
+
+
+def _cauchy_series(k: int, y, a):
+    """sum_n (-1)**n y**k C_n / Gamma(n/2 + k/2 + 1), C_n = sum_{j<=n} (k)_j/j! y**j a**(n-j).
+
+    This is the double series sum_l (-a)**l E^k_{1/2,(l+k)/2+1}(-y) of the
+    elastic gamma-boundary law, times y**k, summed by n = j + l (a Cauchy
+    product): every part of C_n is >= 0, so the regrouping cancels nothing
+    and the sum of |terms| is the double series' own.  With m = max(a, y),
+    c_n = C_n / m**n obeys c_n = (a/m) c_{n-1} + b_n, b_n = b_{n-1} (y/m)
+    (k+n-1)/n, and lies in [1, binom(n+k, k)]; term n is T_n = c_n x_n,
+    x_n = exp(k log y + n log m - gammaln(n/2 + k/2 + 1)).
+
+    Error bound: x_n errs as a Mittag-Leffler term formed the same way
+    (``_INNER_ERR_SAFETY`` ulps), which also covers the product c_n x_n;
+    the compensated sum adds eps * sum|T_n|.  c_n is a sum of products
+    with no cancellation, and e_n, its error in ulps of c_n, follows the
+    recurrence: e_n = (a/m) (e_{n-1} + u c_{n-1}) + w n b_n + c_n, where
+    u = 2 counts the rounding of a/m and of the product (0 when a/m = 1,
+    which rounds nothing), w = 4 counts the rounding of y/m and the three
+    of each step of b_n (2 when y/m = 1), and c_n the rounding of the sum.
+    So e_n <= (4n + 1) c_n, and the bound is
+    eps * ((64 + 1) * sum|T_n| + sum e_n x_n).  It only grows: the series
+    fails at the first term that takes it past the 1e-9 budget, as at an
+    exponent past 700, and otherwise stops at the third negligible term in
+    a row once n >= 8, within 600 terms.
+
+    Returns ``(value, bound, converged)``; a failed series has bound inf.
+    ``y`` and ``a`` may be 1-D arrays of one shape: see :func:`_cauchy_rows`.
+    """
+    if isinstance(y, np.ndarray):
+        return _cauchy_rows(k, y, a)
+    m = max(a, y) or 1.0
+    ra, ry, log_m = a / m, y / m, math.log(m)
+    u, w = (0.0 if ra == 1.0 else 2.0), (2.0 if ry == 1.0 else 4.0)
+    base = k * math.log(y) if y > 0.0 else -math.inf
+    exp = math.exp
+    b = c = 1.0
+    e = s = comp = absum = carried = 0.0
+    small = 0
+    for n, g in enumerate(_half_gamma_logs(k)):
+        if n:
+            b = b * ry * (k + n - 1) / n
+            e = ra * (e + u * c) + w * n * b
+            c = ra * c + b
+            e = e + c
+        lg = base + n * log_m - g
+        if not lg <= _EXP_CAP:  # the term overflows, or is NaN
+            return s, math.inf, False
+        x = exp(lg)
+        mag = c * x
+        term = (-mag if n & 1 else mag) - comp
+        tt = s + term
+        comp = (tt - s) - term
+        s = tt
+        absum += mag
+        carried += e * x
+        bound = _EPS * ((_INNER_ERR_SAFETY + 1.0) * absum + carried)
+        if not bound <= _BUDGET:  # an overflowed (inf or NaN) bound fails too
+            return s, math.inf, False
+        if mag <= _REL_TOL * (abs(s) + 1e-300):
+            small += 1
+            if small >= 3 and n >= 8:
+                return s, bound, True
+        else:
+            small = 0
+    return s, math.inf, False
+
+
+def _cauchy_rows(k: int, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_cauchy_series` at every row of the 1-D arrays ``y`` and ``a``.
+
+    Each index adds one term to every row still summing, in the scalar
+    form's order of operations, and each row passes its gates: it fails
+    at an exponent past 700 or a bound past the budget, and converges at
+    its third negligible term in a row once n >= 8; rows left after 600
+    terms fail.  A failed row has value NaN and bound inf.
+    """
+    values = np.full(y.size, np.nan)
+    bounds = np.full(y.size, np.inf)
+    ok = np.zeros(y.size, dtype=bool)
+    live = np.arange(y.size)
+    with np.errstate(all="ignore"):
+        m = np.maximum(a, y)
+        m = np.where(m > 0.0, m, 1.0)
+        ra, ry, log_m, base = a / m, y / m, np.log(m), k * np.log(y)
+    u, w = np.where(ra == 1.0, 0.0, 2.0), np.where(ry == 1.0, 2.0, 4.0)
+    b = c = np.ones(y.size)
+    e = s = comp = absum = carried = small = np.zeros(y.size)  # never updated in place
+    for n, g in enumerate(_half_gamma_logs(k)):
+        if live.size == 0:
+            break
+        with np.errstate(all="ignore"):
+            if n:
+                b = b * ry * (k + n - 1) / n
+                e = ra * (e + u * c) + w * n * b
+                c = ra * c + b
+                e = e + c
+            lg = base + n * log_m - g
+            x = np.where(lg <= _EXP_CAP, np.exp(lg), np.inf)
+            mag = c * x
+            term = (-mag if n & 1 else mag) - comp
+            tt = s + term
+            comp = (tt - s) - term
+            s = tt
+            absum = absum + mag
+            carried = carried + e * x
+            bound = _EPS * ((_INNER_ERR_SAFETY + 1.0) * absum + carried)
+            small = np.where(mag <= _REL_TOL * (np.abs(s) + 1e-300), small + 1.0, 0.0)
+        failed = ~(bound <= _BUDGET)
+        converged = ~failed & (small >= 3.0) & (n >= 8)
+        stop = failed | converged
+        if stop.any():
+            done = live[converged]
+            values[done], bounds[done], ok[done] = s[converged], bound[converged], True
+            keep = ~stop
+            live, ra, ry, u, w, log_m, base = live[keep], ra[keep], ry[keep], u[keep], w[keep], log_m[keep], base[keep]
+            b, c, e, s, comp = b[keep], c[keep], e[keep], s[keep], comp[keep]
+            absum, carried, small = absum[keep], carried[keep], small[keep]
+    return values, bounds, ok
 
 
 # A governing equation as data: ((nu_i, c_i), ...), c0, f_inf, source.
@@ -531,14 +662,11 @@ class ElasticGamma(_Law):
         _positive(self, "alpha", "lam")
 
     def _psi(self, t):
-        lam, alpha, k = self.lam, self.alpha, self.k
         sqrt_t = _xp(t).sqrt(t)
-        y = lam * sqrt_t / _SQRT2
-        if abs(alpha - lam) < _EQUAL_RATES * lam:
-            p = MLParams(0.5, 0.5 * k + 1.0, k + 1.0)
-            return 1.0 - y**k * _gml_scaled(p, -y, y**k)
-        a = alpha * sqrt_t / _SQRT2
-        return 1.0 - y**k * _outer_series(lambda ell: MLParams(0.5, 0.5 * (ell + k) + 1.0, float(k)), -y, a, y**k)
+        s, _bound, ok = _cauchy_series(self.k, self.lam * sqrt_t / _SQRT2, self.alpha * sqrt_t / _SQRT2)
+        if not (isinstance(t, np.ndarray) or ok):
+            raise NonConvergence(f"elastic gamma-boundary series fails its 1e-9 gate at t={t!r}")
+        return 1.0 - s  # NaN where an array's series failed
 
     def _laplace(self, s):
         lam, alpha, k = self.lam, self.alpha, self.k

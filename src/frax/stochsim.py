@@ -520,14 +520,12 @@ class DistributedTime(_Process):
         n1, n2 = self.n1, self.n2
         gap = t - n2 * y
         # 0 off the support (0, t/n2), and where gap**1.5 underflows at its end
-        if not (y > 0.0 and gap > 0.0 and gap**1.5 > 0.0):
+        if not (y > 0.0 and gap > 0.0 and gap * math.sqrt(gap) > 0.0):
             return 0.0
-        return (
-            n1
-            * (t - 0.5 * n2 * y)
-            / (math.sqrt(math.pi) * gap**1.5)
-            * math.exp(-n1 * n1 * y * y / (4.0 * gap))
-        )
+        # in logs, where no factor overflows at large t; the exponent
+        # n1**2 y**2 / (4 gap) may be inf, and the density then 0
+        spike = 0.25 * n1 * y * (n1 * y / gap)
+        return math.exp(math.log(n1 * (t - 0.5 * n2 * y)) - 0.5 * math.log(math.pi) - 1.5 * math.log(gap) - spike)
 
     def _levels(self, boundary: BoundarySpec, t: float) -> Iterator[tuple[np.ndarray, float]]:
         # with y = end * share and gap = t - n2*y = t * rest, the density

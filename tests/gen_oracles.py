@@ -98,6 +98,26 @@ def psi_distributed(n1, n2, lam, t, dps: int = 60) -> mp.mpf:
         return 1 - x * mp.nsum(outer, [0, mp.inf])
 
 
+def elastic_gamma_series_values() -> list[tuple[str, str, mp.mpf]]:
+    """test_relaxation: ElasticGamma at equal rates, alpha/lam = 1e-3 and
+    alpha/lam = 1e3, k in {1, 3, 10}, at two times each where its series
+    answers; each transform inverted by mpmath's Talbot rule at 40 digits."""
+    out = []
+    with mp.workdps(40):
+        sq2 = mp.sqrt(2)
+        for alpha, lam, times in ((1.0, 1.0, (1.0, 5.0)), (1e-3, 1.0, (1.0, 5.0)), (10.0, 0.01, (0.01, 0.25))):
+            a, la = mp.mpf(alpha), mp.mpf(lam)
+            for k in (1, 3, 10):
+                def F(s, k=k, a=a, la=la):
+                    return 1 / s - sq2 * la**k / (mp.sqrt(s) * (mp.sqrt(2 * s) + a) * (mp.sqrt(2 * s) + la) ** k)
+
+                for t in times:
+                    value = mp.invertlaplace(F, mp.mpf(t), method="talbot")
+                    out.append((f"ElasticGamma(k={k}, alpha={alpha!r}, lam={lam!r}) psi({t!r})",
+                                "test_relaxation elastic-gamma series", value))
+    return out
+
+
 def main() -> None:
     mp.mp.dps = 40
     out: list[tuple[str, str, mp.mpf]] = []
@@ -247,6 +267,8 @@ def main() -> None:
             a = mp.mpf(100 * (1.0 + d))
             value = 1 - lam / (lam - a) * (erfcx(a * y) - erfcx(lam * y))
             out.append((f"Elastic(alpha={100 * (1.0 + d)!r}, lam=100) psi(6.3e-4)", "test_relaxation band edge", value))
+
+    out.extend(elastic_gamma_series_values())
 
     # --- test_stochsim: quadrature crossings of a gamma boundary that no
     # closed form pairs, integral of density * P(boundary > y) at 30 digits;

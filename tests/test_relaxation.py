@@ -162,19 +162,127 @@ def test_equal_rate_band_edge():
     # the alpha = lam form errs by ~0.17 times the relative offset: it is
     # used within 1e-10 of equal rates (measured 1.7e-11 at the edge), and
     # beyond it Elastic's two-rate gate hands the point to the contour
-    # (measured 4.1e-14) and ElasticGamma sums its outer series (2.5e-15)
+    # (measured 4.1e-14); ElasticGamma has no band and sums its one series
+    # on both sides (measured 3.2e-14)
     t = 6.3e-4
     for d, want in ELASTIC_BAND_EDGE.items():
         alpha = 100.0 * (1.0 + d)
-        for m in (rx.Elastic(alpha=alpha, lam=100.0), rx.ElasticGamma(k=1, alpha=alpha, lam=100.0)):
-            assert abs(rx._series_psi(m, t) - want) < 1e-10, (m, d)
-            assert abs(rx._series_psi(m, np.array([t]))[0] - want) < 1e-10, (m, d)
+        for m, tol in ((rx.Elastic(alpha=alpha, lam=100.0), 1e-10), (rx.ElasticGamma(k=1, alpha=alpha, lam=100.0), 1e-13)):
+            assert abs(rx._series_psi(m, t) - want) < tol, (m, d)
+            assert abs(rx._series_psi(m, np.array([t]))[0] - want) < tol, (m, d)
         elastic = rx.Elastic(alpha=alpha, lam=100.0)
         if abs(d) < 1e-10:
             assert abs(elastic._psi(t) - want) < 1e-10
         else:
             with pytest.raises(NonConvergence, match="cancels"):
                 elastic._psi(t)
+
+
+# psi(t) of ElasticGamma(k, alpha, lam) from tests/gen_oracles.py (mpmath
+# Talbot inversion at 40 digits): (k, alpha, lam, t) -> value, at equal
+# rates and at alpha/lam = 1e-3 and 1e3, all where the series answers
+ELASTIC_GAMMA_SERIES = {
+    (1, 1.0, 1.0, 1.0): 0.7252720229273813874838,
+    (1, 1.0, 1.0, 5.0): 0.7598436673886462797328,
+    (3, 1.0, 1.0, 1.0): 0.9498287754187318176358,
+    (3, 1.0, 1.0, 5.0): 0.8857278793849511270009,
+    (10, 1.0, 1.0, 1.0): 0.9999871740112239997906,
+    (10, 1.0, 1.0, 5.0): 0.9982956240262602647306,
+    (1, 1e-3, 1.0, 1.0): 0.5234774460028890712366,
+    (1, 1e-3, 1.0, 5.0): 0.3098850688637181326503,
+    (3, 1e-3, 1.0, 1.0): 0.9221398697005242831473,
+    (3, 1e-3, 1.0, 5.0): 0.7209049576675313200825,
+    (10, 1e-3, 1.0, 1.0): 0.999982881790526406083,
+    (10, 1e-3, 1.0, 5.0): 0.9968218616596812003584,
+    (1, 10.0, 0.01, 0.01): 0.9995234774460028890585,
+    (1, 10.0, 0.01, 0.25): 0.9991569725384597175533,
+    (3, 10.0, 0.01, 0.01): 0.9999999998213019246954,
+    (3, 10.0, 0.01, 0.25): 0.9999999907146024657143,
+    (10, 10.0, 0.01, 0.01): 1.0,
+    (10, 10.0, 0.01, 0.25): 1.0,
+}
+
+
+def test_elastic_gamma_series_holds_the_oracles():
+    # measured <= 1.9e-13 (k = 10 at equal rates, t = 5), scalar and array
+    for (k, alpha, lam, t), want in ELASTIC_GAMMA_SERIES.items():
+        m = rx.ElasticGamma(k=k, alpha=alpha, lam=lam)
+        assert abs(m._psi(t) - want) < 1e-10, (m, t)
+        assert abs(rx._series_psi(m, t) - want) < 1e-10, (m, t)
+        assert abs(rx._series_psi(m, np.array([t, 2.0 * t]))[0] - want) < 1e-10, (m, t)
+
+
+def test_elastic_gamma_rows_make_the_scalar_gate_decisions():
+    # rows that pass agree within their bounds, rows that fail are NaN
+    # with bound inf, row by row as the scalar series decides
+    rng = np.random.default_rng(12)
+    passed = 0
+    for _ in range(40):
+        k = int(rng.integers(1, 11))
+        y, a = 10.0 ** rng.uniform(-3.0, 1.5, (2, 50))
+        a[:5] = y[:5]  # equal rates
+        values, bounds, ok = rx._cauchy_series(k, y, a)
+        for i in range(y.size):
+            v, b, good = rx._cauchy_series(k, float(y[i]), float(a[i]))
+            assert ok[i] == good, (k, y[i], a[i])
+            if good:
+                # the terms round as in the scalar form but for numpy's exp
+                # and log: measured <= 0.0074 times the two bounds
+                assert abs(values[i] - v) <= b + bounds[i]
+                assert abs(bounds[i] - b) <= 1e-12 * b
+            else:
+                assert math.isnan(values[i]) and bounds[i] == math.inf
+        passed += int(ok.sum())
+    assert 400 <= passed <= 1900  # both gates are exercised
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.1])
+def test_elastic_gamma_series_sums_no_mittag_leffler_series(monkeypatch, alpha):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ElasticGamma summed a Mittag-Leffler or outer series")
+
+    monkeypatch.setattr(rx, "_gml_raw", refuse)
+    monkeypatch.setattr(rx, "_outer_series", refuse)
+    m = rx.ElasticGamma(k=2, alpha=alpha, lam=1.1)
+    ts = np.array([0.25, 1.0, 4.0, 40.0])  # the series fails at t = 40
+    scalar = [rx._series_psi(m, t) for t in ts.tolist()]
+    assert np.max(np.abs(rx._series_psi(m, ts) - scalar)) <= 1e-13
+
+
+def test_elastic_gamma_series_agrees_with_psi_over_wide_ranges():
+    # k 1-10, alpha and lam log-uniform on [1e-3, 1e3], t on [1e-8, 1e8];
+    # measured <= 1.1e-11 wherever both answer (1,114 points)
+    rng = np.random.default_rng(21)
+    answered = 0
+    for _ in range(60):
+        m = rx.ElasticGamma(k=int(rng.integers(1, 11)), alpha=10.0 ** rng.uniform(-3.0, 3.0),
+                            lam=10.0 ** rng.uniform(-3.0, 3.0))
+        ts = 10.0 ** rng.uniform(-8.0, 8.0, 40)
+        series = m._psi(ts)
+        for t, v in zip(ts.tolist(), series.tolist()):
+            if math.isnan(v):
+                continue
+            try:
+                want = rx.psi(m, t)
+            except Unstable:
+                continue
+            assert abs(v - want) <= 1e-9, (m, t)
+            answered += 1
+    assert answered >= 800
+
+
+def test_series_arrays_raise_no_overflow_warning():
+    # an outer coefficient once overflowed past a row's last gate, and
+    # ElasticGamma's double series warned at these points
+    calls = [
+        (rx.ElasticGamma(k=10, alpha=395.9102775906784, lam=0.001082446359492744), 9.538061637775755e-4),
+        (rx.ElasticGamma(k=7, alpha=173.02512206615594, lam=0.01197808485289709), 5.1602969317280116e-3),
+        (rx.Distributed(nu1=0.1, nu2=1.0, n1=0.5, n2=0.5, lam=1e-300), 1e6),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [rx._series_psi(m, np.array([t]))[0] for m, t in calls]
+    assert all(abs(v - rx.psi(m, t)) <= 1e-9 for v, (m, t) in zip(values, calls))
 
 
 def test_elastic_near_equal_rates_inverts_exactly():

@@ -10,6 +10,7 @@ import tracemalloc
 import typing
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -566,6 +567,25 @@ def test_distributed_quadrature_resolves_the_spike_at_small_t(t):
     spec, boundary = ss.DistributedTime(n1=0.5, n2=0.5), ss.Exponential(lam=1.0)
     got = ss.quadrature_crossing(spec, boundary, t).p_hat
     assert abs(got - rx.psi(spec.law(boundary), t)) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [1e200, 1e250, 1e300])
+def test_distributed_density_does_not_overflow_at_large_t(t):
+    # gap**1.5 raised OverflowError from t ~ 1e205; the density is now
+    # formed in logs.  Reference: the closed form in mpmath at 40 digits,
+    # log n1 (t - n2 y/2) - log(pi)/2 - 3/2 log(gap) - n1**2 y**2 / (4 gap);
+    # measured <= 1.7e-13 relative
+    n1 = n2 = 0.5
+    spec = ss.DistributedTime(n1=n1, n2=n2)
+    for y in (1.0, 1e-3 * t, 1.9 * t):
+        got = ss.density(spec, y, t)
+        with mp.workdps(40):
+            yy, tt = mp.mpf(y), mp.mpf(t)
+            gap = tt - n2 * yy
+            want = float(mp.exp(mp.log(n1 * (tt - n2 * yy / 2)) - mp.log(mp.pi) / 2 - 1.5 * mp.log(gap)
+                                - n1**2 * yy**2 / (4 * gap)))
+        assert math.isfinite(got) and got >= 0.0
+        assert abs(got - want) <= 1e-12 * want, (y, got, want)
 
 
 def test_distributed_density_is_zero_where_the_gap_underflows():
