@@ -28,17 +28,16 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.special import gammaln, i0e
 
 from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
 from .fraccalc import laplace_invert
-from .specfun import _ABSUM_CAP, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _gml_raw, _sum_series, mittag_leffler
+from .specfun import _ABSUM_CAP, _BLOCK, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _gml_raw, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -127,10 +126,9 @@ def _clip01(v: float) -> float:
     return v
 
 
-# Log-space term evaluation inside the inner series loses a few tens of
-# ulps per term; the inner error estimates are inflated by this factor
-# before being amplified by the outer coefficients, and _cauchy_series
-# allows its terms as many.
+# Log-space evaluation loses a few tens of ulps per term: _gml_scaled
+# inflates a Mittag-Leffler series' error estimate by this factor, and
+# _cauchy_series and _two_order_series allow their terms as many.
 _INNER_ERR_SAFETY = 64.0
 # Absolute error a law may carry; the law is a probability.
 _BUDGET = 1e-9
@@ -141,107 +139,20 @@ _ML_ACCURACY = 1e-12
 _EQUAL_RATES = 1e-10
 
 
-def _absum_cap(scale, used, weight):
-    """Cap on the absolute sum of an inner series entering with ``weight``.
+def _absum_cap(scale):
+    """Cap on the absolute sum of a series whose value a law multiplies by ``scale``.
 
-    An inner sum with absolute sum A adds ``scale * weight * 64 * eps * A``
-    to a propagated error that already stands at ``scale * used``; the cap
-    is twice the A that fills the rest of the budget, so rounding never
-    rejects a series that the final gate would accept.  Arrays give one
-    cap per element.
+    A series with absolute sum A adds ``scale * 64 * eps * A`` to the
+    error :func:`_gml_scaled` propagates; the cap is twice the A that fills
+    the 1e-9 budget, so rounding never rejects a series that its gate would
+    accept.  A scale of 0 leaves the sum uncapped, and an infinite one caps
+    it at 0.  Arrays give one cap per element.
     """
-    unit = scale * weight * _INNER_ERR_SAFETY * _EPS
+    unit = scale * (_INNER_ERR_SAFETY * _EPS)
     if isinstance(unit, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            capped = np.minimum(_ABSUM_CAP, 2.0 * (_BUDGET - scale * used) / unit)
-        return np.where(unit == 0.0, _ABSUM_CAP, capped)
-    if unit == 0.0:
-        return _ABSUM_CAP
-    return min(_ABSUM_CAP, 2.0 * (_BUDGET - scale * used) / unit)
-
-
-def _outer_series(params: Callable[[int], MLParams], z, ratio, scale):
-    """Sum an outer series sum_r (-ratio)**r * E(params(r), z) with error tracking.
-
-    The distributed law's double series, which is genuinely bivariate, is
-    its one caller (the elastic gamma-boundary law sums its double series
-    as one series, :func:`_cauchy_series`).  E is the three-parameter
-    Mittag-Leffler series (``_gml_raw``), with
-    its raw error estimate, capped at what is left of the budget; the
-    propagated bound sums |ratio|**r times those estimates (they are
-    amplified, not cancelled, by the alternating outer coefficients) plus
-    the outer cancellation term.  ``scale`` is the prefactor the caller
-    multiplies the sum by; the law being a probability, the scaled error
-    must stay below 1e-9 or :class:`NonConvergence` is raised.  Both parts
-    of the bound only grow, so the gate is checked before each term
-    reaches :func:`~frax.specfun._sum_series` and each inner series is
-    capped at what is left of the budget: a sum that breaks it stops
-    there, as it would fail at the end anyway.
-
-    ``z``, ``ratio`` and ``scale`` may be 1-D arrays of one shape: see
-    :func:`_outer_rows`.
-    """
-    if isinstance(z, np.ndarray):
-        return _outer_rows(params, z, ratio, scale)
-
-    def terms() -> Iterator[float]:
-        absum = 0.0
-        errb = 0.0
-        coeff = 1.0
-        for r in itertools.count():
-            g, est, ok = _gml_raw(params(r), z, _absum_cap(scale, errb + _EPS * absum, abs(coeff)))
-            if not ok:
-                raise NonConvergence(f"inner series failed at outer index {r}")
-            term = coeff * g
-            absum += abs(term)
-            errb += abs(coeff) * est * _INNER_ERR_SAFETY
-            total = scale * (errb + _EPS * absum)
-            if not total <= _BUDGET:  # an overflowed (inf or NaN) bound fails too
-                raise NonConvergence(f"outer series propagated error {total:.3g} exceeds target at term {r}")
-            yield term
-            coeff *= -ratio
-
-    s, _est, ok = _sum_series(terms())
-    if not ok:
-        raise NonConvergence("outer series did not converge")
-    return s
-
-
-def _outer_rows(params: Callable[[int], MLParams], z: np.ndarray, ratio: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """:func:`_outer_series` at every row of the 1-D arrays ``z``, ``ratio`` and ``scale``.
-
-    Each outer index sums one inner series for all rows still summing,
-    each with its own cap.  A row passes the gates of the scalar form, one
-    by one: a failed inner series, the 1e-9 budget, a term that is not
-    finite, the absolute-sum cap, and the stop at the third negligible
-    term in a row once r >= 8, within 600 terms.  A row that fails a gate
-    is NaN, where the scalar form raises.
-    """
-    out = np.full(z.size, np.nan)
-    live = np.arange(z.size)
-    s = comp = absum = errb = small = np.zeros(z.size)  # never updated in place
-    coeff = np.ones(z.size)
-    for r in range(_MAX_TERMS):
-        if live.size == 0:
-            break
-        g, est, ok = _gml_raw(params(r), z, _absum_cap(scale, errb + _EPS * absum, np.abs(coeff)))
-        with np.errstate(all="ignore"):
-            term = coeff * g
-            absum = absum + np.abs(term)
-            errb = errb + np.abs(coeff) * est * _INNER_ERR_SAFETY
-            y = term - comp
-            tt = s + y
-            comp = (tt - s) - y
-            s = tt
-            small = np.where(np.abs(term) <= _REL_TOL * (np.abs(s) + 1e-300), small + 1.0, 0.0)
-            failed = ~(ok & (scale * (errb + _EPS * absum) <= _BUDGET) & np.isfinite(term) & (absum <= _ABSUM_CAP))
-            coeff = coeff * -ratio  # overflows only in a row that the next gate fails
-        converged = ~failed & (small >= 3.0) & (r >= 8)
-        out[live[converged]] = s[converged]
-        keep = ~(failed | converged)
-        live, z, ratio, scale = live[keep], z[keep], ratio[keep], scale[keep]
-        s, comp, absum, errb, small, coeff = s[keep], comp[keep], absum[keep], errb[keep], small[keep], coeff[keep]
-    return out
+        with np.errstate(divide="ignore"):
+            return np.where(unit == 0.0, _ABSUM_CAP, np.minimum(_ABSUM_CAP, 2.0 * _BUDGET / unit))
+    return _ABSUM_CAP if unit == 0.0 else min(_ABSUM_CAP, 2.0 * _BUDGET / unit)
 
 
 def _gml_scaled(p: MLParams, z, scale):
@@ -249,12 +160,12 @@ def _gml_scaled(p: MLParams, z, scale):
 
     The single-series laws subtract ``scale * value`` from 1, so what has
     to be small is the absolute error of that product, not the relative
-    error of the series; the acceptance gate matches the one used for the
-    double series (propagated error below 1e-9), and the series stops
-    at the first term whose absolute sum breaks it.  For arrays ``z`` and
+    error of the series; the acceptance gate matches the one of the
+    regrouped double series (propagated error below 1e-9), and the series
+    stops at the first term whose absolute sum breaks it.  For arrays ``z`` and
     ``scale`` the rows that fail the gate are NaN instead of raising.
     """
-    val, est, ok = _gml_raw(p, z, _absum_cap(scale, 0.0, 1.0))
+    val, est, ok = _gml_raw(p, z, _absum_cap(scale))
     accurate = ok & (scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) <= _BUDGET)
     if isinstance(z, np.ndarray):
         return np.where(accurate, val, np.nan)
@@ -389,6 +300,182 @@ def _cauchy_rows(k: int, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.n
             live, ra, ry, u, w, log_m, base = live[keep], ra[keep], ry[keep], u[keep], w[keep], log_m[keep], base[keep]
             b, c, e, s, comp = b[keep], c[keep], e[keep], s[keep], comp[keep]
             absum, carried, small = absum[keep], carried[keep], small[keep]
+    return values, bounds, ok
+
+
+# The distributed law's double series ran to 600 terms in each of its two
+# indices; summed by total degree it keeps that reach with twice as many.
+_TWO_ORDER_TERMS = 2 * _MAX_TERMS
+# A bound, in units of eps, on the absolute error that a product of two
+# numbers <= 1 carries beyond its relative rounding when it falls below the
+# normal range: each factor and the product round by at most 2**-1074
+# there, 3 * 2**-1022 eps in all.
+_TINY = 2.0**-1020
+
+
+@functools.lru_cache(maxsize=48)
+def _two_order_block(nu1: float, nu2: float, n0: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Rows n = n0 .. n0+31 (none past 1199) of the table of :func:`_two_order_series`.
+
+    With L[n, r] = log binom(n, r) - gammaln(nu2 (n+1) - nu1 r + 1) and
+    G_n = max_r L[n, r], returns E[n, r] = exp(L[n, r] - G_n) in [0, 1]
+    for r = 0 .. n0+31, zero past r = n; the same rows by j = n - r; and
+    the G_n.  Each block is built on first use from four vectorised
+    ``gammaln`` calls and shared, read-only, through the cache: 16 kB for
+    the first block and up to 0.6 MB for the last ones, so the 48 blocks
+    it holds take at most 29 MB; most series read two to four blocks.
+    """
+    n = np.arange(n0, min(n0 + _BLOCK, _TWO_ORDER_TERMS), dtype=float)[:, None]
+    r = np.arange(n[-1, 0] + 1.0)
+    inside = r <= n
+    logs = gammaln(n + 1.0) - gammaln(r + 1.0) - gammaln(n - r + 1.0) - gammaln(nu2 * (n + 1.0) - nu1 * r + 1.0)
+    logs = np.where(inside, logs, -np.inf)
+    top = logs.max(axis=1, keepdims=True)
+    by_r = np.exp(logs - top)
+    by_j = np.where(inside, np.take_along_axis(by_r, np.where(inside, n - r, 0.0).astype(int), axis=1), 0.0)
+    by_r.flags.writeable = by_j.flags.writeable = False
+    return by_r, by_j, tuple(top[:, 0].tolist())
+
+
+def _two_order_series(nu1: float, nu2: float, x, q):
+    """sum_n (-1)**n x C_n, C_n = sum_{r<=n} binom(n, r) q**r x**(n-r) / Gamma(nu2 (n+1) - nu1 r + 1).
+
+    This is the double series x sum_r (-q)**r E^{r+1}_{nu2,nu2+delta r+1}(-x)
+    of the distributed law, delta = nu2 - nu1, summed by n = r + j: every
+    part of C_n is >= 0, so the regrouping cancels nothing and the sum of
+    |terms| is the double series' own.  With m = max(x, q), u = min(x, q)/m
+    and the table of :func:`_two_order_block`, C_n = c_n exp(G_n + n log m),
+    where c_n = sum_r E[n, r] u**r when q <= x, and sum_j E[n, n-j] u**j
+    when q > x: at most n + 1 products of numbers in [0, 1], so that no
+    power overflows.  Term n is T_n = c_n x_n, x_n = exp(log x + G_n +
+    n log m).  Each block of 32 indices takes one product of a table block
+    with the powers of u, which also gives d_n, the same sum weighted by
+    the power's exponent.
+
+    Error bound: the table entry, the power u**r and x_n are the log-space
+    factors of a term and err together as a Mittag-Leffler term formed in
+    log space (``_INNER_ERR_SAFETY`` ulps), which also covers the product
+    c_n x_n; the compensated sum adds eps * sum|T_n|.  c_n is a sum of
+    products with no cancellation.  The rounding of u, raised to the r-th
+    power, adds r eps/2 to product r and that of the product eps/2, and
+    the sum of n + 1 products adds n eps/2 of c_n, in any order.  So c_n
+    errs by at most e_n eps, e_n = ((n + 1) c_n + d_n)/2; a product below
+    the normal range errs by 3 * 2**-1074 absolute instead, and e_n adds
+    (n + 1) * 2**-1020 for those.  The bound is
+    eps * ((64 + 1) * sum|T_n| + sum e_n x_n).  It only grows: the series
+    fails at the first term that takes it past the 1e-9 budget, as at an
+    exponent past 700, and otherwise stops at the third negligible term in
+    a row once n >= 8, within 1200 terms (``_TWO_ORDER_TERMS``).
+
+    Returns ``(value, bound, converged)``; a failed series has bound inf.
+    ``x`` and ``q`` may be 1-D arrays of one shape: see :func:`_two_order_rows`.
+    """
+    if isinstance(x, np.ndarray):
+        return _two_order_rows(nu1, nu2, x, q)
+    m = max(x, q) or 1.0
+    u, log_m = min(x, q) / m, math.log(m)
+    base = math.log(x) if x > 0.0 else -math.inf
+    exp = math.exp
+    s = comp = absum = carried = 0.0
+    small = 0
+    for n0 in range(0, _TWO_ORDER_TERMS, _BLOCK):
+        by_r, by_j, top = _two_order_block(nu1, nu2, n0)
+        rank = np.arange(float(by_r.shape[1]))
+        powers = u**rank
+        cd = ((by_j if q > x else by_r) @ np.stack((powers, rank * powers), axis=1)).tolist()
+        for n, ((c, d), g) in enumerate(zip(cd, top), n0):
+            lg = base + n * log_m + g
+            if not lg <= _EXP_CAP:  # the term overflows, or is NaN
+                return s, math.inf, False
+            xn = exp(lg)
+            mag = c * xn
+            term = (-mag if n & 1 else mag) - comp
+            tt = s + term
+            comp = (tt - s) - term
+            s = tt
+            absum += mag
+            carried += (0.5 * ((n + 1) * c + d) + (n + 1) * _TINY) * xn
+            bound = _EPS * ((_INNER_ERR_SAFETY + 1.0) * absum + carried)
+            if not bound <= _BUDGET:  # an overflowed (inf or NaN) bound fails too
+                return s, math.inf, False
+            if mag <= _REL_TOL * (abs(s) + 1e-300):
+                small += 1
+                if small >= 3 and n >= 8:
+                    return s, bound, True
+            else:
+                small = 0
+    return s, math.inf, False
+
+
+def _two_order_rows(nu1: float, nu2: float, x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_two_order_series` at every row of the 1-D arrays ``x`` and ``q``.
+
+    Each block of 32 indices forms c_n and d_n for every row still summing
+    with matrix products, two per table layout, from the powers of u each
+    row has used so far, and then its terms, in the scalar form's order of
+    operations.  Each row's compensated partial sums are formed index by
+    index; the gates are then read off the block at once.  A row fails at
+    its first exponent past 700 or bound past the budget, and converges at
+    its third negligible term in a row once n >= 8, whichever comes first;
+    rows left after 1200 terms fail.  A failed row has value NaN and bound
+    inf.
+    """
+    values = np.full(x.size, np.nan)
+    bounds = np.full(x.size, np.inf)
+    ok = np.zeros(x.size, dtype=bool)
+    live = np.arange(x.size)
+    with np.errstate(all="ignore"):
+        m = np.maximum(x, q)
+        m = np.where(m > 0.0, m, 1.0)
+        u, log_m, base = np.minimum(x, q) / m, np.log(m), np.log(x)
+    flip = q > x
+    powers = np.empty((0, x.size))  # u**r by row r, one column per live row
+    s = comp = np.zeros(x.size)
+    absum = carried = np.zeros((1, x.size))
+    negl = np.zeros((2, x.size), dtype=bool)  # were the last two terms negligible
+    for n0 in range(0, _TWO_ORDER_TERMS, _BLOCK):
+        if live.size == 0:
+            break
+        by_r, by_j, top = _two_order_block(nu1, nu2, n0)
+        n = np.arange(n0, n0 + len(top), dtype=float)[:, None]
+        rank = np.arange(float(by_r.shape[1]))[:, None]
+        with np.errstate(all="ignore"):
+            powers = np.concatenate((powers, u ** rank[powers.shape[0]:]))
+            c, d = np.empty((2, n.size, live.size))
+            for table, rows in ((by_r, ~flip), (by_j, flip)):
+                c[:, rows] = table @ powers[:, rows]
+                d[:, rows] = table @ (rank * powers[:, rows])
+            lg = base + n * log_m + np.array(top)[:, None]
+            xn = np.where(lg <= _EXP_CAP, np.exp(lg), np.inf)
+            mag = c * xn
+            terms = mag.copy()
+            terms[1::2] *= -1.0  # n0 is even: the odd rows are the odd n
+            sums = np.empty_like(terms)
+            for i in range(n.size):
+                y = terms[i] - comp
+                tt = s + y
+                comp = (tt - s) - y
+                s = tt
+                sums[i] = s
+            # cumsum adds in order, as the scalar form does
+            absum = np.cumsum(np.concatenate((absum[-1:], mag)), axis=0)[1:]
+            errs = (0.5 * ((n + 1.0) * c + d) + (n + 1.0) * _TINY) * xn
+            carried = np.cumsum(np.concatenate((carried[-1:], errs)), axis=0)[1:]
+            bound = _EPS * ((_INNER_ERR_SAFETY + 1.0) * absum + carried)
+            negl = np.concatenate((negl[-2:], mag <= _REL_TOL * (np.abs(sums) + 1e-300)))
+        failed = ~(bound <= _BUDGET)
+        event = failed | (negl[2:] & negl[1:-1] & negl[:-2] & (n >= 8.0))
+        stop = event.any(axis=0)
+        if stop.any():
+            cols = np.flatnonzero(stop)
+            at = event[:, cols].argmax(axis=0)
+            win = ~failed[at, cols]
+            at, cols = at[win], cols[win]
+            values[live[cols]], bounds[live[cols]], ok[live[cols]] = sums[at, cols], bound[at, cols], True
+            keep = ~stop
+            live, u, flip, log_m, base = live[keep], u[keep], flip[keep], log_m[keep], base[keep]
+            powers, s, comp = powers[:, keep], s[keep], comp[keep]
+            absum, carried, negl = absum[:, keep], carried[:, keep], negl[:, keep]
     return values, bounds, ok
 
 
@@ -623,8 +710,13 @@ class GammaBoundary(_Law):
 
     def _psi(self, t):
         x = self.lam * _xp(t).sqrt(t)
+        try:
+            with np.errstate(over="ignore"):
+                scale = x**self.k
+        except OverflowError:  # a float x**k past the float range, as an array's inf
+            scale = math.inf  # the series then fails its gate
         p = MLParams(0.5, 0.5 * self.k + 1.0, float(self.k))
-        return 1.0 - x**self.k * _gml_scaled(p, -x, x**self.k)
+        return 1.0 - scale * _gml_scaled(p, -x, scale)
 
     def _laplace(self, s):
         lam, k = self.lam, self.k
@@ -720,7 +812,10 @@ class Distributed(_Law):
         delta = self.nu2 - self.nu1
         x = self.lam * t**self.nu2 / self.n2
         q = self.n1 * t**delta / self.n2
-        return 1.0 - x * _outer_series(lambda r: MLParams(self.nu2, self.nu2 + delta * r + 1.0, r + 1.0), -x, q, x)
+        s, _bound, ok = _two_order_series(self.nu1, self.nu2, x, q)
+        if not (isinstance(t, np.ndarray) or ok):
+            raise NonConvergence(f"distributed-order series fails its 1e-9 gate at t={t!r}")
+        return 1.0 - s  # NaN where an array's series failed
 
     def _laplace(self, s):
         log_s = np.log(s)

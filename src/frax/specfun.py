@@ -14,12 +14,12 @@ product rule for Zolotarev's stable-law integral, tabulated once per
 order (:func:`_stable_table`) and certified by two levels agreeing to
 1e-12 relative, then the series; when neither certifies it raises.
 :func:`_sum_series` applies that discipline to a stream of terms (the
-M-Wright series, the outer sums of the relaxation laws).  The
-Mittag-Leffler series has its own loop, :func:`_ml_series`, which forms
-each term and applies the same gates in place.  Its log-coefficients come
-in blocks of 32 indices from :func:`_ml_logs`, one vectorised ``gammaln``
-call per coefficient and block, kept in a bounded LRU cache sized to hold
-every block one ``frax verify --suite all`` run reads.  The Mittag-Leffler
+M-Wright series).  The Mittag-Leffler series has its own loop,
+:func:`_ml_series`, which forms each term and applies the same gates in
+place.  Its log-coefficients come in blocks of 32 indices from
+:func:`_ml_logs`, one vectorised ``gammaln`` call per coefficient and
+block, kept in a bounded LRU cache sized to hold every block one
+``frax verify --suite all`` run reads.  The Mittag-Leffler
 evaluators also take a 1-D ndarray of arguments and then sum one series
 for all of them (:func:`_ml_rows`) from the same tables, each row keeping
 the gates above.
@@ -81,7 +81,7 @@ class MLParams:
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
             if type(v) is float and 0.0 < v < math.inf:
-                continue  # the laws build one per outer series term: keep this cheap
+                continue  # the laws build one per series call: keep this cheap
             if not (_real(v) and math.isfinite(v) and v > 0.0):
                 raise DomainError(f"MLParams.{name} must be positive and finite, got {v!r}")
             object.__setattr__(self, name, float(v))
@@ -390,8 +390,8 @@ def _gml_raw(
     """Three-parameter Mittag-Leffler series with its raw error estimate.
 
     Returns ``(value, error_estimate, converged)`` without an acceptance
-    decision, so callers that sum these values against growing outer
-    coefficients can accumulate the propagated error honestly.
+    decision, so that a caller which scales the value (the laws' single
+    series, the verify identities) can gate the error it propagates.
     ``absum_cap`` is passed on to :func:`_ml_series`.  A 1-D ndarray
     ``z``, with a float cap or one cap per element, gives three arrays from
     :func:`_ml_rows`, which sums the series once for all elements.

@@ -519,13 +519,13 @@ class DistributedTime(_Process):
     def _density(self, y: float, t: float) -> float:
         n1, n2 = self.n1, self.n2
         gap = t - n2 * y
-        # 0 off the support (0, t/n2), and where gap**1.5 underflows at its end
-        if not (y > 0.0 and gap > 0.0 and gap * math.sqrt(gap) > 0.0):
+        if not (y > 0.0 and gap > 0.0):  # 0 off the support (0, t/n2)
             return 0.0
-        # in logs, where no factor overflows at large t; the exponent
-        # n1**2 y**2 / (4 gap) may be inf, and the density then 0
+        # in logs, where no factor overflows at large t or underflows at
+        # small t, a subnormal gap included; the exponent n1**2 y**2 / (4 gap)
+        # may be inf, and the density then 0
         spike = 0.25 * n1 * y * (n1 * y / gap)
-        return math.exp(math.log(n1 * (t - 0.5 * n2 * y)) - 0.5 * math.log(math.pi) - 1.5 * math.log(gap) - spike)
+        return math.exp(math.log(n1) + math.log(t - 0.5 * n2 * y) - 0.5 * math.log(math.pi) - 1.5 * math.log(gap) - spike)
 
     def _levels(self, boundary: BoundarySpec, t: float) -> Iterator[tuple[np.ndarray, float]]:
         # with y = end * share and gap = t - n2*y = t * rest, the density
@@ -770,7 +770,11 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
     """Endpoint density of ``spec`` at time t, where one is available.
 
     For ElasticBM this is the continuous part only; the killed mass is
-    exposed separately by :func:`elastic_atom`.
+    exposed separately by :func:`elastic_atom`.  DistributedTime's density
+    is formed in logs and is finite at every float y and t: it peaks where
+    the gap t - n2*y is one unit in the last place of t, below 1e177, so it
+    never overflows, and it is 0 only off its support or where its true
+    value lies below the float range.
     """
     _typed("density", spec, ProcessSpec, "a process spec")
     t = _time(t, "density")

@@ -82,20 +82,43 @@ def wright_m(nu, x, dps: int = 80) -> mp.mpf:
         return total
 
 
-def psi_distributed(n1, n2, lam, t, dps: int = 60) -> mp.mpf:
-    """Two-order law with (nu1, nu2) = (1/2, 1): double series in mpmath."""
+def psi_distributed(nu1, nu2, n1, n2, lam, t, dps: int = 40) -> mp.mpf:
+    """Two-order law psi(t) by mpmath's Talbot inversion of its transform
+    w / (s (w + lam)), w = n1 s^nu1 + n2 s^nu2, at ``dps`` digits.  Each
+    argument is taken exactly: a decimal string as that decimal, a float
+    as its binary value (the parameters a float law holds)."""
     with mp.workdps(dps):
-        n1_, n2_, lam_, t_ = (mp.mpf(v) for v in (n1, n2, lam, t))
-        x = lam_ * t_ / n2_
-        q = n1_ * mp.sqrt(t_) / n2_
+        nu1_, nu2_, n1_, n2_, lam_ = (mp.mpf(v) for v in (nu1, nu2, n1, n2, lam))
 
-        def outer(r):
-            r = int(r)
-            # beta = nu2 + delta*r + 1 with nu2 = 1, delta = 1/2
-            inner = gml(1, 2 + Fraction(r, 2), r + 1, -x, dps=dps)
-            return (-q) ** r * inner
+        def F(s):
+            w = n1_ * s**nu1_ + n2_ * s**nu2_
+            return w / (s * (w + lam_))
 
-        return 1 - x * mp.nsum(outer, [0, mp.inf])
+        return mp.invertlaplace(F, mp.mpf(t), method="talbot")
+
+
+# test_relaxation: the distributed law's regrouped series, at times where
+# it answers: (nu1, nu2) -> n1 -> times, lam = 1 and n2 = 1 - n1 in floats;
+# the close pair at n1 = 0.9 has q >= 0.57 wherever t >= 1e-20, and its
+# series fails there
+DISTRIBUTED_SERIES_CASES = {
+    **{pair: {0.1: (0.25, 4.0), 0.5: (0.01, 0.25), 0.9: (1e-6, 0.01)}
+       for pair in ((0.05, 0.7), (0.05, 0.95), (0.05, 1.0), (0.3, 0.7), (0.3, 0.95), (0.3, 1.0))},
+    (0.89, 0.95): {0.1: (0.25, 4.0), 0.5: (0.01, 0.25)},
+}
+
+
+def distributed_series_values() -> list[tuple[str, str, mp.mpf]]:
+    """test_relaxation: Distributed(nu1, nu2, n1, 1 - n1, 1) at the
+    ``DISTRIBUTED_SERIES_CASES``, each by 40-digit Talbot inversion."""
+    out = []
+    for (nu1, nu2), weights in DISTRIBUTED_SERIES_CASES.items():
+        for n1, times in weights.items():
+            for t in times:
+                value = psi_distributed(nu1, nu2, n1, 1.0 - n1, 1.0, t)
+                out.append((f"Distributed({nu1!r}, {nu2!r}, {n1!r}, {1.0 - n1!r}, 1.0) psi({t!r})",
+                            "test_relaxation distributed series", value))
+    return out
 
 
 def elastic_gamma_series_values() -> list[tuple[str, str, mp.mpf]]:
@@ -171,20 +194,18 @@ def main() -> None:
     y = 1 / mp.sqrt(2)
     out.append(("elastic equal-rate psi(1), alpha=lam=1", "test_relaxation", 1 - y * gml(Fraction(1, 2), Fraction(3, 2), 2, -y)))
     out.append(("gamma-boundary psi(1), k=2 lam=1", "test_relaxation", 1 - gml(Fraction(1, 2), 2, 2, -1)))
-    out.append(("distributed psi(1), (0.5,0.5) lam=1", "test_relaxation", psi_distributed("0.5", "0.5", 1, 1)))
-    out.append(("distributed psi(2), (0.2,0.8) lam=1", "test_relaxation", psi_distributed("0.2", "0.8", 1, 2)))
+    out.append(("distributed psi(1), (0.5,0.5) lam=1", "test_relaxation",
+                psi_distributed("0.5", 1, "0.5", "0.5", 1, 1)))
+    out.append(("distributed psi(2), (0.2,0.8) lam=1", "test_relaxation",
+                psi_distributed("0.5", 1, "0.2", "0.8", 1, 2)))
     a, lam_, t_ = mp.mpf("0.7"), mp.mpf("1.3"), mp.mpf(2)
     ea = ml(Fraction(1, 2), 1, -a * mp.sqrt(t_ / 2))
     el = ml(Fraction(1, 2), 1, -lam_ * mp.sqrt(t_ / 2))
     out.append(("elastic psi(2), alpha=0.7 lam=1.3", "test_relaxation", 1 - lam_ / (lam_ - a) * (ea - el)))
-    # large t, where the double series is useless: Talbot inversion of the
-    # transform w / (s (lam + w)), w = n1 sqrt(s) + n2 s
-    with mp.workdps(40):
-        half = mp.mpf(1) / 2
-        F = lambda s: (half * mp.sqrt(s) + half * s) / (s * (1 + half * mp.sqrt(s) + half * s))  # noqa: E731
-        for t in (30000, 100000, 1000000):
-            value = mp.invertlaplace(F, t, method="talbot")
-            out.append((f"distributed psi({t}), (0.5,0.5) lam=1", "test_relaxation/test_stochsim large t", value))
+    # large t, where the double series is useless
+    for t in (30000, 100000, 1000000):
+        value = psi_distributed("0.5", 1, "0.5", "0.5", 1, t)
+        out.append((f"distributed psi({t}), (0.5,0.5) lam=1", "test_relaxation/test_stochsim large t", value))
 
     # --- test_parity: psi of the five laws that frax eval inverts on the
     # contour (the 17-point log grid over [1e-4, 1e4] of tests/gen_parity.py),
@@ -269,6 +290,7 @@ def main() -> None:
             out.append((f"Elastic(alpha={100 * (1.0 + d)!r}, lam=100) psi(6.3e-4)", "test_relaxation band edge", value))
 
     out.extend(elastic_gamma_series_values())
+    out.extend(distributed_series_values())
 
     # --- test_stochsim: quadrature crossings of a gamma boundary that no
     # closed form pairs, integral of density * P(boundary > y) at 30 digits;

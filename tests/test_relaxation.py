@@ -242,7 +242,6 @@ def test_elastic_gamma_series_sums_no_mittag_leffler_series(monkeypatch, alpha):
         raise AssertionError("ElasticGamma summed a Mittag-Leffler or outer series")
 
     monkeypatch.setattr(rx, "_gml_raw", refuse)
-    monkeypatch.setattr(rx, "_outer_series", refuse)
     m = rx.ElasticGamma(k=2, alpha=alpha, lam=1.1)
     ts = np.array([0.25, 1.0, 4.0, 40.0])  # the series fails at t = 40
     scalar = [rx._series_psi(m, t) for t in ts.tolist()]
@@ -271,6 +270,134 @@ def test_elastic_gamma_series_agrees_with_psi_over_wide_ranges():
     assert answered >= 800
 
 
+# psi(t) of Distributed(nu1, nu2, n1, 1 - n1, 1) from tests/gen_oracles.py
+# (mpmath Talbot inversion at 40 digits): (nu1, nu2, n1, t) -> value, at
+# times where its series answers, a close pair (delta = 0.06) included
+DISTRIBUTED_SERIES = {
+    (0.05, 0.7, 0.1, 0.25): 0.6608568358125938017255,
+    (0.05, 0.7, 0.1, 4.0): 0.2022125026556987860079,
+    (0.05, 0.7, 0.5, 0.01): 0.9201981789999568522661,
+    (0.05, 0.7, 0.5, 0.25): 0.5809429035788430213399,
+    (0.05, 0.7, 0.9, 1e-06): 0.9993065153096506139305,
+    (0.05, 0.7, 0.9, 0.01): 0.7428887778435259914648,
+    (0.05, 0.95, 0.1, 0.25): 0.7441080840667156521184,
+    (0.05, 0.95, 0.1, 4.0): 0.109400934032988002249,
+    (0.05, 0.95, 0.5, 0.01): 0.9748707450738998384697,
+    (0.05, 0.95, 0.5, 0.25): 0.6373327273563780434558,
+    (0.05, 0.95, 0.9, 1e-06): 0.9999796383271513740164,
+    (0.05, 0.95, 0.9, 0.01): 0.8886624751003281335605,
+    (0.05, 1.0, 0.1, 0.25): 0.7610207165704258655283,
+    (0.05, 1.0, 0.1, 4.0): 0.09234995738672905769484,
+    (0.05, 1.0, 0.5, 0.01): 0.9803280848033445403197,
+    (0.05, 1.0, 0.5, 0.25): 0.6525225318023459805025,
+    (0.05, 1.0, 0.9, 1e-06): 0.9999900001439784308452,
+    (0.05, 1.0, 0.9, 0.01): 0.9101624442261996672537,
+    (0.3, 0.7, 0.1, 0.25): 0.666070044549847260093,
+    (0.3, 0.7, 0.1, 4.0): 0.1827466173311713211838,
+    (0.3, 0.7, 0.5, 0.01): 0.9269972241881896473951,
+    (0.3, 0.7, 0.5, 0.25): 0.6160733441574701807798,
+    (0.3, 0.7, 0.9, 1e-06): 0.9993269144492895791735,
+    (0.3, 0.7, 0.9, 0.01): 0.83616969633959943843,
+    (0.3, 0.95, 0.1, 0.25): 0.7470221845150665495351,
+    (0.3, 0.95, 0.1, 4.0): 0.08545216932737041319587,
+    (0.3, 0.95, 0.5, 0.01): 0.9754894372119709868696,
+    (0.3, 0.95, 0.5, 0.25): 0.6656838465307928605026,
+    (0.3, 0.95, 0.9, 1e-06): 0.9999796537214351850386,
+    (0.3, 0.95, 0.9, 0.01): 0.9083966918859661194361,
+    (0.3, 1.0, 0.1, 0.25): 0.7635138916743506751454,
+    (0.3, 1.0, 0.1, 4.0): 0.06734037450166417626992,
+    (0.3, 1.0, 0.5, 0.01): 0.9806962847247927089349,
+    (0.3, 1.0, 0.5, 0.25): 0.6784013951972798169055,
+    (0.3, 1.0, 0.9, 1e-06): 0.9999900037251184009075,
+    (0.3, 1.0, 0.9, 0.01): 0.9229776862578578523072,
+    (0.89, 0.95, 0.1, 0.25): 0.7603086229587420493254,
+    (0.89, 0.95, 0.1, 4.0): 0.04415522065210996809705,
+    (0.89, 0.95, 0.5, 0.01): 0.9853567489305949358285,
+    (0.89, 0.95, 0.5, 0.25): 0.7523318326389790414611,
+}
+
+
+def test_distributed_series_holds_the_oracles():
+    # measured <= 4.8e-14, scalar and array (the outer series: 6.4e-14)
+    for (nu1, nu2, n1, t), want in DISTRIBUTED_SERIES.items():
+        m = rx.Distributed(nu1=nu1, nu2=nu2, n1=n1, n2=1.0 - n1, lam=1.0)
+        assert abs(m._psi(t) - want) < 1e-10, (m, t)
+        assert abs(m._psi(np.array([t, 2.0 * t]))[0] - want) < 1e-10, (m, t)
+
+
+def test_distributed_rows_make_the_scalar_gate_decisions():
+    # rows that pass agree within their bounds, rows that fail are NaN
+    # with bound inf, row by row as the scalar series decides
+    rng = np.random.default_rng(13)
+    passed = 0
+    for _ in range(25):
+        nu1 = rng.uniform(0.01, 0.95)
+        nu2 = nu1 + (1.0 - nu1) * (1.0 - rng.random())
+        x, q = 10.0 ** rng.uniform(-3.0, 1.5, (2, 50))
+        q[:5] = x[:5]  # both tables give c_n there
+        values, bounds, ok = rx._two_order_series(nu1, nu2, x, q)
+        for i in range(x.size):
+            v, b, good = rx._two_order_series(nu1, nu2, float(x[i]), float(q[i]))
+            assert ok[i] == good, (nu1, nu2, x[i], q[i])
+            if good:
+                # the terms round as in the scalar form but for numpy's exp
+                # and the order of the table products
+                assert abs(values[i] - v) <= b + bounds[i]
+                assert abs(bounds[i] - b) <= 1e-12 * b
+            else:
+                assert math.isnan(values[i]) and bounds[i] == math.inf
+        passed += int(ok.sum())
+    assert 300 <= passed <= 1000  # both gates are exercised
+
+
+@pytest.mark.parametrize("nu1, nu2", [(0.5, 1.0), (0.3, 0.9), (0.89, 0.95)])
+def test_distributed_series_sums_no_mittag_leffler_series(monkeypatch, nu1, nu2):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Distributed summed a Mittag-Leffler series")
+
+    monkeypatch.setattr(rx, "_gml_raw", refuse)
+    monkeypatch.setattr(rx, "mittag_leffler", refuse)
+    m = rx.Distributed(nu1=nu1, nu2=nu2, n1=0.4, n2=0.6, lam=1.3)
+    ts = np.array([0.25, 1.0, 4.0, 400.0])  # the series fails at t = 400
+    scalar = [rx._series_psi(m, t) for t in ts.tolist()]
+    assert np.max(np.abs(rx._series_psi(m, ts) - scalar)) <= 1e-13
+
+
+def test_distributed_series_agrees_with_psi_over_wide_ranges():
+    # nu1 on [0.01, 0.95], nu2 on (nu1, 1] (1 for every fourth law), n1 on
+    # [0.01, 0.99], lam log-uniform on [1e-3, 1e3], t on [1e-8, 1e8];
+    # measured <= 5.0e-11 wherever both answer, at 994 points, where the
+    # outer series of Prabhakar series it replaced answered at 993
+    rng = np.random.default_rng(21)
+    answered = 0
+    for i in range(60):
+        nu1 = rng.uniform(0.01, 0.95)
+        nu2 = 1.0 if i % 4 == 0 else nu1 + (1.0 - nu1) * (1.0 - rng.random())
+        n1 = rng.uniform(0.01, 0.99)
+        m = rx.Distributed(nu1=nu1, nu2=nu2, n1=n1, n2=1.0 - n1, lam=10.0 ** rng.uniform(-3.0, 3.0))
+        ts = 10.0 ** rng.uniform(-8.0, 8.0, 40)
+        for t, v in zip(ts.tolist(), m._psi(ts).tolist()):
+            if math.isnan(v):
+                continue
+            try:
+                want = rx.psi(m, t)
+            except Unstable:
+                continue
+            assert abs(v - want) <= 1e-9, (m, t)
+            answered += 1
+    assert answered >= 993
+
+
+def test_gamma_boundary_series_hands_over_where_its_power_overflows():
+    # (lam sqrt(t))**k = 1e400 is past the float range: the series fails its
+    # gate, at a float time as on an array, and the contour answers
+    m = rx.GammaBoundary(k=10, lam=1e40)
+    with pytest.raises(NonConvergence):
+        m._psi(1.0)
+    assert math.isnan(m._psi(np.array([1.0]))[0])
+    assert rx._series_psi(m, 1.0) == rx.psi(m, 1.0) == 0.0
+
+
 def test_series_arrays_raise_no_overflow_warning():
     # an outer coefficient once overflowed past a row's last gate, and
     # ElasticGamma's double series warned at these points
@@ -278,6 +405,7 @@ def test_series_arrays_raise_no_overflow_warning():
         (rx.ElasticGamma(k=10, alpha=395.9102775906784, lam=0.001082446359492744), 9.538061637775755e-4),
         (rx.ElasticGamma(k=7, alpha=173.02512206615594, lam=0.01197808485289709), 5.1602969317280116e-3),
         (rx.Distributed(nu1=0.1, nu2=1.0, n1=0.5, n2=0.5, lam=1e-300), 1e6),
+        (rx.GammaBoundary(k=10, lam=1e40), 1.0),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

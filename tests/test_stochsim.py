@@ -588,10 +588,24 @@ def test_distributed_density_does_not_overflow_at_large_t(t):
         assert abs(got - want) <= 1e-12 * want, (y, got, want)
 
 
-def test_distributed_density_is_zero_where_the_gap_underflows():
-    # t - n2*y is subnormal there, and gap**1.5 underflows to 0
+def test_distributed_density_holds_where_the_gap_is_tiny():
+    # gap**1.5 underflows at both points (the gap t - n2*y is 7.5e-301 and
+    # a subnormal 1.5e-316), where the density once returned 0.  Reference:
+    # the closed form in mpmath at 50 digits; measured <= 2.8e-13 relative
     spec = ss.DistributedTime(n1=0.5, n2=0.5)
-    assert ss.density(spec, math.nextafter(2e-300, 0.0), 1e-300) == 0.0
+    for y, want in ((5e-301, 3.8002417592449326758e149), (math.nextafter(2e-300, 0.0), 6.6078967681266874948e172)):
+        assert abs(ss.density(spec, y, 1e-300) - want) <= 1e-12 * want, y
+
+
+def test_distributed_density_is_finite_at_subnormal_times():
+    # the largest density of a float y and t sits one unit in the last
+    # place of t from the support's end, below 1e177 (measured 5.7e176)
+    for n1 in (0.5, 0.999999):
+        spec = ss.DistributedTime(n1=n1, n2=1.0 - n1)
+        for t in (5e-324, 1.5e-323, 1e-320, 2.2250738585072014e-308):
+            end = t / spec.n2
+            for y in (5e-324, 0.5 * end, math.nextafter(end, 0.0)):
+                assert 0.0 <= ss.density(spec, y, t) < 1e177, (n1, y, t)
 
 
 # ---------------------------------------------------------------------------
