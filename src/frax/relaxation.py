@@ -117,6 +117,14 @@ def _xp(t: float | np.ndarray):
     return np if isinstance(t, np.ndarray) else math
 
 
+def _log(v: float | np.ndarray):
+    """log v of a float or an ndarray, -inf at 0 with no error or warning."""
+    if isinstance(v, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.log(v)
+    return math.log(v) if v > 0.0 else -math.inf
+
+
 def _clip01(v: float) -> float:
     """Snap values a rounding error outside [0, 1] back onto the interval."""
     if -1e-9 <= v < 0.0:
@@ -128,7 +136,7 @@ def _clip01(v: float) -> float:
 
 # Log-space evaluation loses a few tens of ulps per term: _gml_scaled
 # inflates a Mittag-Leffler series' error estimate by this factor, and
-# _cauchy_series and _two_order_series allow their terms as many.
+# _degree_series allows its terms as many.
 _INNER_ERR_SAFETY = 64.0
 # Absolute error a law may carry; the law is a probability.
 _BUDGET = 1e-9
@@ -177,135 +185,9 @@ def _gml_scaled(p: MLParams, z, scale):
     return val
 
 
-@functools.lru_cache(maxsize=64)
-def _half_gamma_logs(k: int) -> tuple:
-    """gammaln(n/2 + k/2 + 1) for n = 0 .. 599: the shape-k table of :func:`_cauchy_series`."""
-    return tuple(gammaln(0.5 * np.arange(_MAX_TERMS) + (0.5 * k + 1.0)).tolist())
-
-
-def _cauchy_series(k: int, y, a):
-    """sum_n (-1)**n y**k C_n / Gamma(n/2 + k/2 + 1), C_n = sum_{j<=n} (k)_j/j! y**j a**(n-j).
-
-    This is the double series sum_l (-a)**l E^k_{1/2,(l+k)/2+1}(-y) of the
-    elastic gamma-boundary law, times y**k, summed by n = j + l (a Cauchy
-    product): every part of C_n is >= 0, so the regrouping cancels nothing
-    and the sum of |terms| is the double series' own.  With m = max(a, y),
-    c_n = C_n / m**n obeys c_n = (a/m) c_{n-1} + b_n, b_n = b_{n-1} (y/m)
-    (k+n-1)/n, and lies in [1, binom(n+k, k)]; term n is T_n = c_n x_n,
-    x_n = exp(k log y + n log m - gammaln(n/2 + k/2 + 1)).
-
-    Error bound: x_n errs as a Mittag-Leffler term formed the same way
-    (``_INNER_ERR_SAFETY`` ulps), which also covers the product c_n x_n;
-    the compensated sum adds eps * sum|T_n|.  c_n is a sum of products
-    with no cancellation, and e_n, its error in ulps of c_n, follows the
-    recurrence: e_n = (a/m) (e_{n-1} + u c_{n-1}) + w n b_n + c_n, where
-    u = 2 counts the rounding of a/m and of the product (0 when a/m = 1,
-    which rounds nothing), w = 4 counts the rounding of y/m and the three
-    of each step of b_n (2 when y/m = 1), and c_n the rounding of the sum.
-    So e_n <= (4n + 1) c_n, and the bound is
-    eps * ((64 + 1) * sum|T_n| + sum e_n x_n).  It only grows: the series
-    fails at the first term that takes it past the 1e-9 budget, as at an
-    exponent past 700, and otherwise stops at the third negligible term in
-    a row once n >= 8, within 600 terms.
-
-    Returns ``(value, bound, converged)``; a failed series has bound inf.
-    ``y`` and ``a`` may be 1-D arrays of one shape: see :func:`_cauchy_rows`.
-    """
-    if isinstance(y, np.ndarray):
-        return _cauchy_rows(k, y, a)
-    m = max(a, y) or 1.0
-    ra, ry, log_m = a / m, y / m, math.log(m)
-    u, w = (0.0 if ra == 1.0 else 2.0), (2.0 if ry == 1.0 else 4.0)
-    base = k * math.log(y) if y > 0.0 else -math.inf
-    exp = math.exp
-    b = c = 1.0
-    e = s = comp = absum = carried = 0.0
-    small = 0
-    for n, g in enumerate(_half_gamma_logs(k)):
-        if n:
-            b = b * ry * (k + n - 1) / n
-            e = ra * (e + u * c) + w * n * b
-            c = ra * c + b
-            e = e + c
-        lg = base + n * log_m - g
-        if not lg <= _EXP_CAP:  # the term overflows, or is NaN
-            return s, math.inf, False
-        x = exp(lg)
-        mag = c * x
-        term = (-mag if n & 1 else mag) - comp
-        tt = s + term
-        comp = (tt - s) - term
-        s = tt
-        absum += mag
-        carried += e * x
-        bound = _EPS * ((_INNER_ERR_SAFETY + 1.0) * absum + carried)
-        if not bound <= _BUDGET:  # an overflowed (inf or NaN) bound fails too
-            return s, math.inf, False
-        if mag <= _REL_TOL * (abs(s) + 1e-300):
-            small += 1
-            if small >= 3 and n >= 8:
-                return s, bound, True
-        else:
-            small = 0
-    return s, math.inf, False
-
-
-def _cauchy_rows(k: int, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_cauchy_series` at every row of the 1-D arrays ``y`` and ``a``.
-
-    Each index adds one term to every row still summing, in the scalar
-    form's order of operations, and each row passes its gates: it fails
-    at an exponent past 700 or a bound past the budget, and converges at
-    its third negligible term in a row once n >= 8; rows left after 600
-    terms fail.  A failed row has value NaN and bound inf.
-    """
-    values = np.full(y.size, np.nan)
-    bounds = np.full(y.size, np.inf)
-    ok = np.zeros(y.size, dtype=bool)
-    live = np.arange(y.size)
-    with np.errstate(all="ignore"):
-        m = np.maximum(a, y)
-        m = np.where(m > 0.0, m, 1.0)
-        ra, ry, log_m, base = a / m, y / m, np.log(m), k * np.log(y)
-    u, w = np.where(ra == 1.0, 0.0, 2.0), np.where(ry == 1.0, 2.0, 4.0)
-    b = c = np.ones(y.size)
-    e = s = comp = absum = carried = small = np.zeros(y.size)  # never updated in place
-    for n, g in enumerate(_half_gamma_logs(k)):
-        if live.size == 0:
-            break
-        with np.errstate(all="ignore"):
-            if n:
-                b = b * ry * (k + n - 1) / n
-                e = ra * (e + u * c) + w * n * b
-                c = ra * c + b
-                e = e + c
-            lg = base + n * log_m - g
-            x = np.where(lg <= _EXP_CAP, np.exp(lg), np.inf)
-            mag = c * x
-            term = (-mag if n & 1 else mag) - comp
-            tt = s + term
-            comp = (tt - s) - term
-            s = tt
-            absum = absum + mag
-            carried = carried + e * x
-            bound = _EPS * ((_INNER_ERR_SAFETY + 1.0) * absum + carried)
-            small = np.where(mag <= _REL_TOL * (np.abs(s) + 1e-300), small + 1.0, 0.0)
-        failed = ~(bound <= _BUDGET)
-        converged = ~failed & (small >= 3.0) & (n >= 8)
-        stop = failed | converged
-        if stop.any():
-            done = live[converged]
-            values[done], bounds[done], ok[done] = s[converged], bound[converged], True
-            keep = ~stop
-            live, ra, ry, u, w, log_m, base = live[keep], ra[keep], ry[keep], u[keep], w[keep], log_m[keep], base[keep]
-            b, c, e, s, comp = b[keep], c[keep], e[keep], s[keep], comp[keep]
-            absum, carried, small = absum[keep], carried[keep], small[keep]
-    return values, bounds, ok
-
-
-# The distributed law's double series ran to 600 terms in each of its two
-# indices; summed by total degree it keeps that reach with twice as many.
-_TWO_ORDER_TERMS = 2 * _MAX_TERMS
+# A double series regrouped by total degree keeps the reach of its two
+# indices, 600 terms each, with twice as many.
+_DEGREE_TERMS = 2 * _MAX_TERMS
 # A bound, in units of eps, on the absolute error that a product of two
 # numbers <= 1 carries beyond its relative rounding when it falls below the
 # normal range: each factor and the product round by at most 2**-1074
@@ -313,23 +195,43 @@ _TWO_ORDER_TERMS = 2 * _MAX_TERMS
 _TINY = 2.0**-1020
 
 
-@functools.lru_cache(maxsize=48)
-def _two_order_block(nu1: float, nu2: float, n0: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Rows n = n0 .. n0+31 (none past 1199) of the table of :func:`_two_order_series`.
+def _two_order_logs(n, r, nu1, nu2):
+    """log coef[n, r] of the distributed law: log binom(n, r) - gammaln(nu2 (n+1) - nu1 r + 1).
 
-    With L[n, r] = log binom(n, r) - gammaln(nu2 (n+1) - nu1 r + 1) and
-    G_n = max_r L[n, r], returns E[n, r] = exp(L[n, r] - G_n) in [0, 1]
-    for r = 0 .. n0+31, zero past r = n; the same rows by j = n - r; and
-    the G_n.  Each block is built on first use from four vectorised
-    ``gammaln`` calls and shared, read-only, through the cache: 16 kB for
-    the first block and up to 0.6 MB for the last ones, so the 48 blocks
-    it holds take at most 29 MB; most series read two to four blocks.
+    Its double series x sum_r (-q)**r E^{r+1}_{nu2,nu2+delta r+1}(-x),
+    delta = nu2 - nu1, summed by n = r + j, is :func:`_degree_series` with
+    this rule and prefactor x.
     """
-    n = np.arange(n0, min(n0 + _BLOCK, _TWO_ORDER_TERMS), dtype=float)[:, None]
+    return gammaln(n + 1.0) - gammaln(r + 1.0) - gammaln(n - r + 1.0) - gammaln(nu2 * (n + 1.0) - nu1 * r + 1.0)
+
+
+def _elastic_gamma_logs(n, r, k):
+    """log coef[n, r] of the elastic gamma-boundary law: log (k)_r/r! - gammaln(n/2 + k/2 + 1).
+
+    Its double series q**k sum_l (-x)**l E^k_{1/2,(l+k)/2+1}(-q), with
+    x = alpha sqrt(t/2) and q = lam sqrt(t/2), summed by n = r + l (a
+    Cauchy product), is :func:`_degree_series` with this rule and
+    prefactor q**k.
+    """
+    return gammaln(k + r) - gammaln(k) - gammaln(r + 1.0) - gammaln(0.5 * n + (0.5 * k + 1.0))
+
+
+@functools.lru_cache(maxsize=48)
+def _degree_block(rule: Callable, params: tuple, n0: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Rows n = n0 .. n0+31 (none past 1199) of the table of :func:`_degree_series`.
+
+    With L[n, r] = rule(n, r, *params) and G_n = max_r L[n, r], returns
+    E[n, r] = exp(L[n, r] - G_n) in [0, 1] for r = 0 .. n0+31, zero past
+    r = n; the same rows by j = n - r; and the G_n.  Each block is built on
+    first use from vectorised ``gammaln`` calls and shared, read-only,
+    through one cache for every rule: 16 kB for the first block and up to
+    0.6 MB for the last ones, so the 48 blocks it holds take at most 29 MB;
+    most series read two to four blocks.
+    """
+    n = np.arange(n0, min(n0 + _BLOCK, _DEGREE_TERMS), dtype=float)[:, None]
     r = np.arange(n[-1, 0] + 1.0)
     inside = r <= n
-    logs = gammaln(n + 1.0) - gammaln(r + 1.0) - gammaln(n - r + 1.0) - gammaln(nu2 * (n + 1.0) - nu1 * r + 1.0)
-    logs = np.where(inside, logs, -np.inf)
+    logs = np.where(inside, rule(n, r, *params), -np.inf)
     top = logs.max(axis=1, keepdims=True)
     by_r = np.exp(logs - top)
     by_j = np.where(inside, np.take_along_axis(by_r, np.where(inside, n - r, 0.0).astype(int), axis=1), 0.0)
@@ -337,20 +239,21 @@ def _two_order_block(nu1: float, nu2: float, n0: int) -> tuple[np.ndarray, np.nd
     return by_r, by_j, tuple(top[:, 0].tolist())
 
 
-def _two_order_series(nu1: float, nu2: float, x, q):
-    """sum_n (-1)**n x C_n, C_n = sum_{r<=n} binom(n, r) q**r x**(n-r) / Gamma(nu2 (n+1) - nu1 r + 1).
+def _degree_series(rule: Callable, params: tuple, x, q, lead):
+    """sum_n (-1)**n exp(lead) C_n, C_n = sum_{r<=n} coef[n, r] q**r x**(n-r), log coef = ``rule``.
 
-    This is the double series x sum_r (-q)**r E^{r+1}_{nu2,nu2+delta r+1}(-x)
-    of the distributed law, delta = nu2 - nu1, summed by n = r + j: every
-    part of C_n is >= 0, so the regrouping cancels nothing and the sum of
-    |terms| is the double series' own.  With m = max(x, q), u = min(x, q)/m
-    and the table of :func:`_two_order_block`, C_n = c_n exp(G_n + n log m),
-    where c_n = sum_r E[n, r] u**r when q <= x, and sum_j E[n, n-j] u**j
-    when q > x: at most n + 1 products of numbers in [0, 1], so that no
-    power overflows.  Term n is T_n = c_n x_n, x_n = exp(log x + G_n +
-    n log m).  Each block of 32 indices takes one product of a table block
-    with the powers of u, which also gives d_n, the same sum weighted by
-    the power's exponent.
+    The elastic gamma-boundary and distributed laws regroup their double
+    series by total degree n into this form (:func:`_elastic_gamma_logs`,
+    :func:`_two_order_logs`), ``lead`` the log of the law's prefactor:
+    every coefficient is >= 0, so the regrouping cancels nothing and the
+    sum of |terms| is the double series' own.  With m = max(x, q),
+    u = min(x, q)/m and the table of :func:`_degree_block`,
+    C_n = c_n exp(G_n + n log m), where c_n = sum_r E[n, r] u**r when
+    q <= x, and sum_j E[n, n-j] u**j when q > x: at most n + 1 products of
+    numbers in [0, 1], so that no power overflows.  Term n is T_n = c_n x_n,
+    x_n = exp(lead + G_n + n log m).  Each block of 32 indices takes one
+    product of a table block with the powers of u, which also gives d_n,
+    the same sum weighted by the power's exponent.
 
     Error bound: the table entry, the power u**r and x_n are the log-space
     factors of a term and err together as a Mittag-Leffler term formed in
@@ -365,26 +268,26 @@ def _two_order_series(nu1: float, nu2: float, x, q):
     eps * ((64 + 1) * sum|T_n| + sum e_n x_n).  It only grows: the series
     fails at the first term that takes it past the 1e-9 budget, as at an
     exponent past 700, and otherwise stops at the third negligible term in
-    a row once n >= 8, within 1200 terms (``_TWO_ORDER_TERMS``).
+    a row once n >= 8, within 1200 terms (``_DEGREE_TERMS``).
 
     Returns ``(value, bound, converged)``; a failed series has bound inf.
-    ``x`` and ``q`` may be 1-D arrays of one shape: see :func:`_two_order_rows`.
+    ``x``, ``q`` and ``lead`` may be 1-D arrays of one shape: see
+    :func:`_degree_rows`.
     """
     if isinstance(x, np.ndarray):
-        return _two_order_rows(nu1, nu2, x, q)
+        return _degree_rows(rule, params, x, q, lead)
     m = max(x, q) or 1.0
     u, log_m = min(x, q) / m, math.log(m)
-    base = math.log(x) if x > 0.0 else -math.inf
     exp = math.exp
     s = comp = absum = carried = 0.0
     small = 0
-    for n0 in range(0, _TWO_ORDER_TERMS, _BLOCK):
-        by_r, by_j, top = _two_order_block(nu1, nu2, n0)
+    for n0 in range(0, _DEGREE_TERMS, _BLOCK):
+        by_r, by_j, top = _degree_block(rule, params, n0)
         rank = np.arange(float(by_r.shape[1]))
         powers = u**rank
         cd = ((by_j if q > x else by_r) @ np.stack((powers, rank * powers), axis=1)).tolist()
         for n, ((c, d), g) in enumerate(zip(cd, top), n0):
-            lg = base + n * log_m + g
+            lg = lead + n * log_m + g
             if not lg <= _EXP_CAP:  # the term overflows, or is NaN
                 return s, math.inf, False
             xn = exp(lg)
@@ -407,8 +310,10 @@ def _two_order_series(nu1: float, nu2: float, x, q):
     return s, math.inf, False
 
 
-def _two_order_rows(nu1: float, nu2: float, x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_two_order_series` at every row of the 1-D arrays ``x`` and ``q``.
+def _degree_rows(
+    rule: Callable, params: tuple, x: np.ndarray, q: np.ndarray, lead: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_degree_series` at every row of the 1-D arrays ``x``, ``q`` and ``lead``.
 
     Each block of 32 indices forms c_n and d_n for every row still summing
     with matrix products, two per table layout, from the powers of u each
@@ -427,16 +332,16 @@ def _two_order_rows(nu1: float, nu2: float, x: np.ndarray, q: np.ndarray) -> tup
     with np.errstate(all="ignore"):
         m = np.maximum(x, q)
         m = np.where(m > 0.0, m, 1.0)
-        u, log_m, base = np.minimum(x, q) / m, np.log(m), np.log(x)
+        u, log_m = np.minimum(x, q) / m, np.log(m)
     flip = q > x
     powers = np.empty((0, x.size))  # u**r by row r, one column per live row
     s = comp = np.zeros(x.size)
     absum = carried = np.zeros((1, x.size))
     negl = np.zeros((2, x.size), dtype=bool)  # were the last two terms negligible
-    for n0 in range(0, _TWO_ORDER_TERMS, _BLOCK):
+    for n0 in range(0, _DEGREE_TERMS, _BLOCK):
         if live.size == 0:
             break
-        by_r, by_j, top = _two_order_block(nu1, nu2, n0)
+        by_r, by_j, top = _degree_block(rule, params, n0)
         n = np.arange(n0, n0 + len(top), dtype=float)[:, None]
         rank = np.arange(float(by_r.shape[1]))[:, None]
         with np.errstate(all="ignore"):
@@ -445,7 +350,7 @@ def _two_order_rows(nu1: float, nu2: float, x: np.ndarray, q: np.ndarray) -> tup
             for table, rows in ((by_r, ~flip), (by_j, flip)):
                 c[:, rows] = table @ powers[:, rows]
                 d[:, rows] = table @ (rank * powers[:, rows])
-            lg = base + n * log_m + np.array(top)[:, None]
+            lg = lead + n * log_m + np.array(top)[:, None]
             xn = np.where(lg <= _EXP_CAP, np.exp(lg), np.inf)
             mag = c * xn
             terms = mag.copy()
@@ -473,7 +378,7 @@ def _two_order_rows(nu1: float, nu2: float, x: np.ndarray, q: np.ndarray) -> tup
             at, cols = at[win], cols[win]
             values[live[cols]], bounds[live[cols]], ok[live[cols]] = sums[at, cols], bound[at, cols], True
             keep = ~stop
-            live, u, flip, log_m, base = live[keep], u[keep], flip[keep], log_m[keep], base[keep]
+            live, u, flip, log_m, lead = live[keep], u[keep], flip[keep], log_m[keep], lead[keep]
             powers, s, comp = powers[:, keep], s[keep], comp[keep]
             absum, carried, negl = absum[:, keep], carried[:, keep], negl[:, keep]
     return values, bounds, ok
@@ -755,7 +660,9 @@ class ElasticGamma(_Law):
 
     def _psi(self, t):
         sqrt_t = _xp(t).sqrt(t)
-        s, _bound, ok = _cauchy_series(self.k, self.lam * sqrt_t / _SQRT2, self.alpha * sqrt_t / _SQRT2)
+        y = self.lam * sqrt_t / _SQRT2
+        a = self.alpha * sqrt_t / _SQRT2
+        s, _bound, ok = _degree_series(_elastic_gamma_logs, (float(self.k),), a, y, self.k * _log(y))
         if not (isinstance(t, np.ndarray) or ok):
             raise NonConvergence(f"elastic gamma-boundary series fails its 1e-9 gate at t={t!r}")
         return 1.0 - s  # NaN where an array's series failed
@@ -812,7 +719,7 @@ class Distributed(_Law):
         delta = self.nu2 - self.nu1
         x = self.lam * t**self.nu2 / self.n2
         q = self.n1 * t**delta / self.n2
-        s, _bound, ok = _two_order_series(self.nu1, self.nu2, x, q)
+        s, _bound, ok = _degree_series(_two_order_logs, (self.nu1, self.nu2), x, q, _log(x))
         if not (isinstance(t, np.ndarray) or ok):
             raise NonConvergence(f"distributed-order series fails its 1e-9 gate at t={t!r}")
         return 1.0 - s  # NaN where an array's series failed

@@ -336,8 +336,9 @@ def mittag_leffler(p: MLParams, z: float) -> float:
         raise DomainError(f"mittag_leffler requires gamma=1, got gamma={p.gamma}")
     if isinstance(z, np.ndarray):
         return _ml_array(p, z)
-    if not math.isfinite(z):
-        raise DomainError(f"mittag_leffler argument must be finite, got {z!r}")
+    if not (_real(z) and math.isfinite(z)):
+        raise DomainError(f"mittag_leffler argument must be a finite real, got {z!r}")
+    z = float(z)
     if z == 0.0:
         return float(rgamma(p.beta))
     admissible = 0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha
@@ -413,9 +414,9 @@ def gml(p: MLParams, z: float) -> float:
     first term that breaks their error budget and invert their Laplace
     transform on a Talbot contour instead.
     """
-    if not math.isfinite(z):
-        raise DomainError(f"gml argument must be finite, got {z!r}")
-    val, est, ok = _gml_raw(p, z)
+    if not (_real(z) and math.isfinite(z)):
+        raise DomainError(f"gml argument must be a finite real, got {z!r}")
+    val, est, ok = _gml_raw(p, float(z))
     if ok and est <= 1e-13 * max(abs(val), 1.0):
         return val
     raise NonConvergence(
@@ -612,7 +613,7 @@ def _wright_stable_rule(nu: float, x: float) -> "float | None":
         return None
     nodes = slice(i0 * 3 * _M_NODES, i1 * 3 * _M_NODES)
     f = np.exp(tab.log_a[nodes] - np.exp(log_u0 + tab.log_d[nodes]))
-    coarse, fine = f @ tab.weights[nodes]
+    coarse, fine = (f @ tab.weights[nodes]).tolist()
     head = tab.phi[i0] * math.exp(bound[i0])
     tail = (math.pi - tab.phi[i1]) * math.exp(bound[i1] - math.exp(log_u0 + tab.bound_log_d[i1]))
     if not abs(fine - coarse) + head + tail <= _M_TOL * fine:
@@ -635,10 +636,11 @@ def wright_m(nu: float, x: float) -> float:
     that happens only from nu = 0.9995 on, at x in [0.83, 0.99].  No
     adaptive quadrature is involved.
     """
-    if not (0.0 < nu < 1.0):
-        raise DomainError(f"wright_m requires nu in (0, 1), got {nu!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"wright_m requires finite x >= 0, got {x!r}")
+    if not (_real(nu) and 0.0 < nu < 1.0):
+        raise DomainError(f"wright_m requires a real nu in (0, 1), got {nu!r}")
+    if not (_real(x) and math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"wright_m requires a finite real x >= 0, got {x!r}")
+    nu, x = float(nu), float(x)
     if x == 0.0:
         return float(rgamma(1.0 - nu))
     val = _wright_stable_rule(nu, x)
@@ -658,10 +660,11 @@ def bessel_i(order: float, x: float) -> float:
     Evaluated as scipy's exponentially scaled ``ive`` times e^x; returns
     inf when e^x overflows the double range.
     """
-    if not any(abs(order - o) <= 1e-12 for o in _BESSEL_ORDERS):
+    if not (_real(order) and any(abs(order - o) <= 1e-12 for o in _BESSEL_ORDERS)):
         raise DomainError(f"bessel_i supports orders 0 and +/-1/3, got {order!r}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"bessel_i requires finite x >= 0, got {x!r}")
+    if not (_real(x) and math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"bessel_i requires a finite real x >= 0, got {x!r}")
+    order, x = float(order), float(x)
     if x == 0.0:
         return 1.0 if abs(order) <= 1e-12 else (math.inf if order < 0.0 else 0.0)
     if x > _EXP_CAP:
@@ -671,6 +674,6 @@ def bessel_i(order: float, x: float) -> float:
 
 def airy_ai(w: float) -> float:
     """Airy function Ai(w) for w >= 0, from scipy's ``airy``."""
-    if not (math.isfinite(w) and w >= 0.0):
-        raise DomainError(f"airy_ai requires finite w >= 0, got {w!r}")
-    return float(airy(w)[0])
+    if not (_real(w) and math.isfinite(w) and w >= 0.0):
+        raise DomainError(f"airy_ai requires a finite real w >= 0, got {w!r}")
+    return float(airy(float(w))[0])

@@ -1,6 +1,7 @@
 """The README's library quickstart and command examples must run as written."""
 
 import contextlib
+import importlib
 import io
 import pathlib
 import re
@@ -31,3 +32,15 @@ def test_readme_eval_and_simulate_blocks_print_as_shown():
         with contextlib.redirect_stdout(buf):
             assert cli.main(argv) == 0, command
         assert buf.getvalue() == output, command
+
+
+def test_readme_cites_only_names_its_modules_have():
+    # `specfun._ml_series`, `frax.fraccalc.laplace_invert`, or a name under
+    # an alias the README imports (`rx.psi(model, 1.0)`), each resolved to
+    # an attribute of its module, so that a rename cannot leave it stale
+    modules = {p.stem: p.stem for p in (README.parent / "src" / "frax").glob("*.py") if p.stem != "__init__"}
+    modules.update((alias, module) for module, alias in re.findall(r"^import frax\.(\w+) as (\w+)$", TEXT, re.M))
+    cited = re.findall(rf"`(?:frax\.)?({'|'.join(modules)})\.(\w+)", TEXT)
+    assert len(set(cited)) >= 6
+    for m, name in cited:
+        assert hasattr(importlib.import_module(f"frax.{modules[m]}"), name), f"{m}.{name}"

@@ -204,36 +204,13 @@ ELASTIC_GAMMA_SERIES = {
 
 
 def test_elastic_gamma_series_holds_the_oracles():
-    # measured <= 1.9e-13 (k = 10 at equal rates, t = 5), scalar and array
+    # measured <= 1.2e-12 (k = 10, alpha/lam = 1e-3, t = 5; the Cauchy-product
+    # recurrence it replaced: 1.9e-13), scalar and array
     for (k, alpha, lam, t), want in ELASTIC_GAMMA_SERIES.items():
         m = rx.ElasticGamma(k=k, alpha=alpha, lam=lam)
         assert abs(m._psi(t) - want) < 1e-10, (m, t)
         assert abs(rx._series_psi(m, t) - want) < 1e-10, (m, t)
         assert abs(rx._series_psi(m, np.array([t, 2.0 * t]))[0] - want) < 1e-10, (m, t)
-
-
-def test_elastic_gamma_rows_make_the_scalar_gate_decisions():
-    # rows that pass agree within their bounds, rows that fail are NaN
-    # with bound inf, row by row as the scalar series decides
-    rng = np.random.default_rng(12)
-    passed = 0
-    for _ in range(40):
-        k = int(rng.integers(1, 11))
-        y, a = 10.0 ** rng.uniform(-3.0, 1.5, (2, 50))
-        a[:5] = y[:5]  # equal rates
-        values, bounds, ok = rx._cauchy_series(k, y, a)
-        for i in range(y.size):
-            v, b, good = rx._cauchy_series(k, float(y[i]), float(a[i]))
-            assert ok[i] == good, (k, y[i], a[i])
-            if good:
-                # the terms round as in the scalar form but for numpy's exp
-                # and log: measured <= 0.0074 times the two bounds
-                assert abs(values[i] - v) <= b + bounds[i]
-                assert abs(bounds[i] - b) <= 1e-12 * b
-            else:
-                assert math.isnan(values[i]) and bounds[i] == math.inf
-        passed += int(ok.sum())
-    assert 400 <= passed <= 1900  # both gates are exercised
 
 
 @pytest.mark.parametrize("alpha", [0.8, 1.1])
@@ -250,7 +227,8 @@ def test_elastic_gamma_series_sums_no_mittag_leffler_series(monkeypatch, alpha):
 
 def test_elastic_gamma_series_agrees_with_psi_over_wide_ranges():
     # k 1-10, alpha and lam log-uniform on [1e-3, 1e3], t on [1e-8, 1e8];
-    # measured <= 1.1e-11 wherever both answer (1,114 points)
+    # measured <= 2.4e-11 wherever both answer, at 1,116 points, where the
+    # Cauchy-product recurrence it replaced answered at 1,114
     rng = np.random.default_rng(21)
     answered = 0
     for _ in range(60):
@@ -267,7 +245,7 @@ def test_elastic_gamma_series_agrees_with_psi_over_wide_ranges():
                 continue
             assert abs(v - want) <= 1e-9, (m, t)
             answered += 1
-    assert answered >= 800
+    assert answered >= 1114
 
 
 # psi(t) of Distributed(nu1, nu2, n1, 1 - n1, 1) from tests/gen_oracles.py
@@ -325,29 +303,47 @@ def test_distributed_series_holds_the_oracles():
         assert abs(m._psi(np.array([t, 2.0 * t]))[0] - want) < 1e-10, (m, t)
 
 
-def test_distributed_rows_make_the_scalar_gate_decisions():
+def _elastic_gamma_draw(rng):
+    # (rule, params, x, q, lead of x and q) for one ElasticGamma law
+    k = int(rng.integers(1, 11))
+    y, a = 10.0 ** rng.uniform(-3.0, 1.5, (2, 50))
+    a[:5] = y[:5]  # equal rates
+    return rx._elastic_gamma_logs, (float(k),), a, y, lambda x, q: k * rx._log(q)
+
+
+def _distributed_draw(rng):
+    nu1 = rng.uniform(0.01, 0.95)
+    nu2 = nu1 + (1.0 - nu1) * (1.0 - rng.random())
+    x, q = 10.0 ** rng.uniform(-3.0, 1.5, (2, 50))
+    q[:5] = x[:5]  # both tables give c_n there
+    return rx._two_order_logs, (nu1, nu2), x, q, lambda x, q: rx._log(x)
+
+
+@pytest.mark.parametrize("draw, seed, laws, least, most", [
+    (_elastic_gamma_draw, 12, 40, 400, 1900),
+    (_distributed_draw, 13, 25, 300, 1000),
+], ids=["elastic-gamma", "distributed"])
+def test_degree_rows_make_the_scalar_gate_decisions(draw, seed, laws, least, most):
     # rows that pass agree within their bounds, rows that fail are NaN
     # with bound inf, row by row as the scalar series decides
-    rng = np.random.default_rng(13)
+    rng = np.random.default_rng(seed)
     passed = 0
-    for _ in range(25):
-        nu1 = rng.uniform(0.01, 0.95)
-        nu2 = nu1 + (1.0 - nu1) * (1.0 - rng.random())
-        x, q = 10.0 ** rng.uniform(-3.0, 1.5, (2, 50))
-        q[:5] = x[:5]  # both tables give c_n there
-        values, bounds, ok = rx._two_order_series(nu1, nu2, x, q)
+    for _ in range(laws):
+        rule, params, x, q, lead = draw(rng)
+        values, bounds, ok = rx._degree_series(rule, params, x, q, lead(x, q))
         for i in range(x.size):
-            v, b, good = rx._two_order_series(nu1, nu2, float(x[i]), float(q[i]))
-            assert ok[i] == good, (nu1, nu2, x[i], q[i])
+            xi, qi = float(x[i]), float(q[i])
+            v, b, good = rx._degree_series(rule, params, xi, qi, lead(xi, qi))
+            assert ok[i] == good, (params, xi, qi)
             if good:
                 # the terms round as in the scalar form but for numpy's exp
-                # and the order of the table products
+                # and log and the order of the table products
                 assert abs(values[i] - v) <= b + bounds[i]
                 assert abs(bounds[i] - b) <= 1e-12 * b
             else:
                 assert math.isnan(values[i]) and bounds[i] == math.inf
         passed += int(ok.sum())
-    assert 300 <= passed <= 1000  # both gates are exercised
+    assert least <= passed <= most  # both gates are exercised
 
 
 @pytest.mark.parametrize("nu1, nu2", [(0.5, 1.0), (0.3, 0.9), (0.89, 0.95)])

@@ -464,6 +464,40 @@ def test_mlparams_accept_numpy_scalars():
         MLParams(0.5, "1")
 
 
+# each public evaluator with one scalar argument left open
+SCALAR_CALLS = {
+    "mittag_leffler": lambda v: mittag_leffler(MLParams(0.5), v),
+    "gml": lambda v: gml(MLParams(0.5, 1.0, 2.0), v),
+    "wright_m-nu": lambda v: wright_m(v, 0.5),
+    "wright_m-x": lambda v: wright_m(0.5, v),
+    "airy_ai": airy_ai,
+    "bessel_i-order": lambda v: bessel_i(v, 1.0),
+    "bessel_i-x": lambda v: bessel_i(0.0, v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None, 0.5j, np.array(-1.0), math.nan, math.inf],
+                         ids=["bool", "str", "None", "complex", "0-d-array", "nan", "inf"])
+@pytest.mark.parametrize("name", list(SCALAR_CALLS))
+def test_scalar_arguments_must_be_finite_reals(name, bad):
+    # True once counted as 1.0, a 0-d array reached the array path and a
+    # string raised TypeError
+    with pytest.raises(DomainError):
+        SCALAR_CALLS[name](bad)
+
+
+def test_evaluators_return_python_floats():
+    # numpy scalar arguments and every branch included; wright_m's
+    # stable-law rule once returned numpy.float64
+    values = [
+        mittag_leffler(MLParams(0.5), np.float32(-1.0)), mittag_leffler(MLParams(0.5), -8.0),
+        mittag_leffler(MLParams(0.5), 0), gml(MLParams(0.5, 1.0, 2.0), np.float64(-1.0)),
+        gml(MLParams(0.5, 1.0, 2.0), 0.0), wright_m(np.float32(0.5), 0.7), wright_m(0.5, 0),
+        wright_m(0.7, 1e-9), wright_m(0.5, 60.0), airy_ai(np.int64(1)), bessel_i(0.0, np.float32(1.0)),
+    ]
+    assert [type(v) for v in values] == [float] * len(values)
+
+
 def test_policy_switch_threshold_consistency():
     # E_{1/2}(z) = erfcx(-z) on both sides of the switch to the integral
     # representation at z = -_ML_SWITCH.  The raw power series is summed

@@ -376,6 +376,15 @@ def test_density_outside_support_is_zero():
     assert ss.density(ss.DistributedTime(n1=0.5, n2=0.5), 2.1, 1.0) == 0.0
 
 
+def test_density_is_a_python_float():
+    # WrightTime's density once returned wright_m's numpy.float64
+    specs = (ss.ReflectedBM(), ss.SojournTime(), ss.BesselSquared(gamma=3.0), ss.ElasticBM(alpha=0.8),
+             ss.WrightTime(nu=0.3), ss.AiryTime(), ss.DistributedTime(n1=0.5, n2=0.5))
+    for spec in specs:
+        for y in (0.0, 0.3, 1.5):
+            assert type(ss.density(spec, y, 1.0)) is float, (spec, y)
+
+
 def test_density_unsupported():
     with pytest.raises(Unsupported):
         ss.density(ss.FirstPassageChain(n=1), 1.0, 1.0)
