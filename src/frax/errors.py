@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -31,9 +32,22 @@ class Unsupported(FraxError, ValueError):
     """The requested (operation, model) combination has no implementation."""
 
 
-def _real(v: object) -> bool:
-    """Any ``numbers.Real`` but ``bool`` (numpy scalars included)."""
-    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+def _finite(v: object) -> float:
+    """``v`` as a float if it is a ``numbers.Real`` but ``bool`` (numpy
+    scalars included) of finite float value, else NaN.
+
+    A real past the float range (a Python int of 10**400, say) is NaN, not
+    an ``OverflowError``; NaN fails every comparison, so a check such as
+    ``_finite(t) > 0.0`` refuses all of these at once.
+    """
+    if type(v) is not float:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            return math.nan
+        try:
+            v = float(v)
+        except OverflowError:
+            return math.nan
+    return v if math.isfinite(v) else math.nan
 
 
 def _integer(v: object, least: int) -> bool:

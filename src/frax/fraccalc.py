@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, Unstable, _integer, _real
+from .errors import DomainError, Unstable, _finite, _integer
 
 __all__ = [
     "ResidualReport",
@@ -56,7 +56,7 @@ class ResidualReport:
 def _samples(values, h: float) -> np.ndarray:
     """``values`` as a 1-D float array of at least 9 finite samples, h finite and > 0."""
     f = np.asarray(values, dtype=float)
-    if not (_real(h) and math.isfinite(h) and h > 0.0 and f.ndim == 1 and f.size >= 9 and np.all(np.isfinite(f))):
+    if not (_finite(h) > 0.0 and f.ndim == 1 and f.size >= 9 and np.all(np.isfinite(f))):
         raise DomainError(f"the L1 operators need h > 0 and >= 9 finite samples in 1-D, got h={h!r}, shape {f.shape}")
     return f
 
@@ -71,9 +71,10 @@ def caputo_l1(values, h: float, nu: float) -> np.ndarray:
     w_j = (j+1)^(1-nu) - j^(1-nu).  At nu = 1 the weights are 1, 0, 0, ...
     and the scheme is the backward difference quotient.
     """
-    if not (_real(nu) and 0.0 < nu <= 1.0):
+    x = _finite(nu)
+    if not 0.0 < x <= 1.0:
         raise DomainError(f"caputo_l1 requires a real nu in (0, 1], got {nu!r}")
-    nu = float(nu)
+    nu = x
     d = np.diff(_samples(values, h))
     # differences of k^(1-nu), k = 0..n, with 0^(1-nu) written as 0: numpy's
     # 0.0**0.0 is 1, which would zero w_0 at nu = 1
@@ -91,9 +92,10 @@ def rl_integral(values, h: float, nu: float) -> np.ndarray:
     reproduced exactly; for smooth data the kernel singularity in the final
     cell limits the rate to order 1 + min(nu, 1).
     """
-    if not (_real(nu) and math.isfinite(nu) and nu > 0.0):
+    x = _finite(nu)
+    if not x > 0.0:
         raise DomainError(f"rl_integral requires a real nu > 0, got {nu!r}")
-    nu = float(nu)
+    nu = x
     f = _samples(values, h)
     mid = 0.5 * (f[:-1] + f[1:])
     return np.convolve(mid, np.diff((np.arange(f.size) * h) ** nu))[: mid.size] / math.gamma(nu + 1.0)
@@ -276,9 +278,10 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray)
         first = int(np.argmin(ok))
         t, gap = float(t[first]), float(gaps[first])
     else:
-        if not (_real(t) and math.isfinite(t) and t > 0.0):
+        x = _finite(t)
+        if not x > 0.0:
             raise DomainError(f"laplace_invert requires a real t > 0, got {t!r}")
-        t = float(t)
+        t = x
         with np.errstate(all="ignore"):
             coarse, fine = (np.asarray(F(_NODES / t), dtype=complex) @ _WEIGHTS).tolist()
         coarse, fine = coarse.real / t, fine.real / t
@@ -316,9 +319,9 @@ def ode_residual(
     ``levels`` (an integer >= 2) are checked before f is called.
     """
     terms, c0, f_inf, source = equation
-    if not all(_real(nu) and 0.0 < nu <= 1.0 for nu, _c in terms):
+    if not all(0.0 < _finite(nu) <= 1.0 for nu, _c in terms):
         raise DomainError(f"ode_residual requires real Caputo orders in (0, 1], got {terms!r}")
-    if not (_real(h) and math.isfinite(h) and h > 0.0 and _integer(n, 8) and _integer(levels, 2)):
+    if not (_finite(h) > 0.0 and _integer(n, 8) and _integer(levels, 2)):
         raise DomainError(
             f"ode_residual needs a finite h > 0 and integers n >= 8, levels >= 2; got {h!r}, {n!r}, {levels!r}"
         )

@@ -35,7 +35,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import gammaln, i0e
 
-from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
+from .errors import DomainError, NonConvergence, Unsupported, _finite, _integer
 from .fraccalc import laplace_invert
 from .specfun import _ABSUM_CAP, _BLOCK, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _gml_raw, mittag_leffler
 
@@ -83,8 +83,9 @@ def _positive(obj: object, *names: str) -> None:
     """Check that each named dataclass field is a finite real > 0; store it as a float."""
     for name in names:
         v = getattr(obj, name)
-        _require(_real(v) and math.isfinite(v) and v > 0.0, f"{type(obj).__name__}.{name} must be positive and finite, got {v!r}")
-        object.__setattr__(obj, name, float(v))
+        x = _finite(v)
+        _require(x > 0.0, f"{type(obj).__name__}.{name} must be positive and finite, got {v!r}")
+        object.__setattr__(obj, name, x)
 
 
 def _count(obj: object, name: str) -> None:
@@ -95,20 +96,21 @@ def _count(obj: object, name: str) -> None:
 
 
 def _time(t: object, what: str, zero: bool = False) -> float:
-    """``t`` as a float if it is a finite real (see ``_real``) > 0, or >= 0
+    """``t`` as a float if it is a finite real (see ``_finite``) > 0, or >= 0
     with ``zero``; anything else raises :class:`DomainError` naming ``what``."""
-    x = float(t) if _real(t) else math.nan
-    if math.isfinite(x) and (x > 0.0 or (zero and x == 0.0)):
+    x = _finite(t)
+    if x > 0.0 or (zero and x == 0.0):
         return x
     raise DomainError(f"{what} requires finite t {'>=' if zero else '>'} 0, got {t!r}")
 
 
 def _reals(obj: object, *names: str) -> None:
-    """Check that each named dataclass field is a real (see ``_real``); store it as a float."""
+    """Check that each named dataclass field is a finite real (see ``_finite``); store it as a float."""
     for name in names:
         v = getattr(obj, name)
-        _require(_real(v), f"{type(obj).__name__}.{name} must be a real number, got {v!r}")
-        object.__setattr__(obj, name, float(v))
+        x = _finite(v)
+        _require(not math.isnan(x), f"{type(obj).__name__}.{name} must be a finite real, got {v!r}")
+        object.__setattr__(obj, name, x)
 
 
 def _xp(t: float | np.ndarray):
@@ -281,11 +283,15 @@ def _degree_series(rule: Callable, params: tuple, x, q, lead):
     exp = math.exp
     s = comp = absum = carried = 0.0
     small = 0
+    powers = np.empty((_DEGREE_TERMS, 2))  # (u**r, r u**r) by row r, a block's new rows at a time
     for n0 in range(0, _DEGREE_TERMS, _BLOCK):
         by_r, by_j, top = _degree_block(rule, params, n0)
-        rank = np.arange(float(by_r.shape[1]))
-        powers = u**rank
-        cd = ((by_j if q > x else by_r) @ np.stack((powers, rank * powers), axis=1)).tolist()
+        width = by_r.shape[1]  # the rows r < n0 are filled
+        rank = np.arange(float(n0), width)
+        fresh = powers[n0:width]
+        fresh[:, 0] = u**rank
+        fresh[:, 1] = rank * fresh[:, 0]
+        cd = ((by_j if q > x else by_r) @ powers[:width]).tolist()
         for n, ((c, d), g) in enumerate(zip(cd, top), n0):
             lg = lead + n * log_m + g
             if not lg <= _EXP_CAP:  # the term overflows, or is NaN

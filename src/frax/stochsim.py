@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import erfcx, gammaincc
 
 from . import relaxation as rx
-from .errors import DomainError, NonConvergence, Unsupported, _integer, _real
+from .errors import DomainError, NonConvergence, Unsupported, _finite, _integer
 from .relaxation import _count, _positive, _reals, _require, _time
 from .specfun import airy_ai, wright_m
 
@@ -778,9 +778,10 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
     """
     _typed("density", spec, ProcessSpec, "a process spec")
     t = _time(t, "density")
-    if not (_real(y) and math.isfinite(y)):
+    x = _finite(y)
+    if math.isnan(x):
         raise DomainError(f"density requires finite y, got {y!r}")
-    return spec._density(float(y), t)
+    return spec._density(x, t)
 
 
 def elastic_atom(spec: ElasticBM, t: float) -> float:

@@ -19,11 +19,19 @@ rather than against itself.
 The residual, half-derivative and ``transform-*`` checks call it once per
 sample set, on the whole array of times.
 
-The checks that hold one evaluator against another are rows of one table,
-``_PAIRS``: check name -> (comparisons, absolute tolerance[, detail]),
-where each comparison is ``(a, b, points)`` and the check's error is the
-largest |a(x) - b(x)| over the points.  The evaluators look up the series,
+The checks that hold two evaluators against each other point by point
+are rows of one table, ``_PAIRS``: check name -> (comparisons, absolute
+tolerance[, detail]), where each comparison is ``(a, b, points)`` and the
+check's error is the largest |a(x) - b(x)| over the points.  No row holds a code path against itself: a law's
+reduction or limit is held against another law or branch, a closed form
+(of E_{a,b}, an exponential or erfcx) or the law's own transform
+inverted on the contour.  The evaluators look up the series,
 ``laplace_invert``, ``mittag_leffler`` and ``gml`` when they are called.
+The other checks test an equation (index recursions, a derivative
+ladder, residual orders), a forward transform against its closed form
+(relative gaps, the transform taken once for all points), a ratio along
+a limit (the asymptotes) or a crossing estimate (a Monte Carlo z-score or
+a quadrature gap, one draw serving three times).
 Every maximum or minimum a check reports goes through numpy, so one NaN
 makes the error NaN and the check fails: a NaN is never skipped.
 
@@ -47,7 +55,6 @@ document used by the command-line ``verify`` subcommand.
 
 from __future__ import annotations
 
-import collections
 import functools
 import json
 import math
@@ -170,69 +177,6 @@ def _check_half_derivative_recursion() -> _Outcome:
     return passed, _worst(finest), "residual max-norms must decrease under halving; " + "; ".join(detail)
 
 
-def _check_gml_single_parameter() -> _Outcome:
-    """gml with unit third parameter agrees with the two-parameter evaluator.
-
-    A probe point where either evaluator raises is skipped and counted by
-    cause: on the positive axis the series stops at its cap (600 terms, or
-    an absolute sum of 1e280); on the negative axis mittag_leffler's series
-    fails where its integral needs beta < 1 + alpha, or gml's series cancels.
-    """
-    rng = np.random.default_rng(_PROBE_SEED)
-    gaps = []
-    skipped = collections.Counter()
-    while len(gaps) < 200 and len(gaps) + skipped.total() < 4000:
-        a = float(rng.uniform(0.1, 1.0))
-        b = float(rng.uniform(0.5, 3.0))
-        z = float(rng.uniform(-5.0, 5.0))
-        try:
-            v_two = mittag_leffler(MLParams(alpha=a, beta=b), z)
-        except NonConvergence:
-            skipped["capped" if z > 0.0 else "no integral"] += 1
-            continue
-        try:
-            v_three = gml(MLParams(alpha=a, beta=b, gamma=1.0), z)
-        except NonConvergence:
-            skipped["capped" if z > 0.0 else "cancels"] += 1
-            continue
-        gaps.append(abs(v_three - v_two) / (1.0 + abs(v_two)))
-    worst = _worst(gaps)
-    return (
-        len(gaps) == 200 and worst <= 1e-12,
-        worst,
-        f"200 probe points, tolerance 1e-12*(1+|v|); skipped {skipped['capped']} positive-axis series "
-        f"at their cap, {skipped['no integral']} negative-axis points with no integral (beta >= 1 + alpha), "
-        f"{skipped['cancels']} where gml's series cancels",
-    )
-
-
-def _check_gamma_boundary_collapse() -> _Outcome:
-    """Shape k = 1 reduces the gamma-boundary law to the order-1/2 relaxation.
-
-    Where both sides run on their power series the agreement must be near
-    machine level; where the gamma-boundary law has switched to transform
-    inversion (large lam*sqrt(t)) the inverter's own accuracy bounds the
-    comparison, so that region is held to 1e-9.
-    """
-    series_gaps = []
-    far_gaps = []
-    for lam in (0.7, 1.0, 1.9):
-        frac = rx.Fractional(nu=0.5, lam=lam)
-        gb = rx.GammaBoundary(k=1, lam=lam)
-        for t in np.geomspace(0.05, 20.0, 13):
-            t = float(t)
-            diff = abs(rx._series_psi(gb, t) - rx._series_psi(frac, t))
-            (series_gaps if lam * math.sqrt(t) <= 2.8 else far_gaps).append(diff)
-    worst_series = _worst(series_gaps)
-    worst_far = _worst(far_gaps)
-    return (
-        worst_series <= 1e-10 and worst_far <= 1e-9,
-        _worst(series_gaps + far_gaps),
-        f"series region {worst_series:.3e} (tol 1e-10), "
-        f"inversion region {worst_far:.3e} (tol 1e-9)",
-    )
-
-
 # ---------------------------------------------------------------------------
 # pairwise comparisons
 # ---------------------------------------------------------------------------
@@ -259,6 +203,19 @@ def _exponential(rate: float) -> Callable[[float], float]:
     return lambda t: math.exp(-rate * t)
 
 
+# (a, b, E_{a,b}) in closed form (Haubold, Mathai & Saxena, J. Appl. Math. 2011)
+_ML_CLOSED_FORMS = (
+    (1.0, 1.0, math.exp),
+    (1.0, 2.0, lambda z: math.expm1(z) / z),
+    (2.0, 1.0, lambda z: math.cos(math.sqrt(-z)) if z < 0.0 else math.cosh(math.sqrt(z))),
+    (2.0, 2.0, lambda z: (math.sin(math.sqrt(-z)) / math.sqrt(-z) if z < 0.0
+                          else math.sinh(math.sqrt(z)) / math.sqrt(z))),
+    (0.5, 1.0, lambda z: float(erfcx(-z))),
+)
+# where gml's series certifies all five (E_{1/2,1} cancels past z = -2); no
+# z = 0, at which (1, 2) and (2, 2) divide by z
+_ML_CLOSED_ZS = (-2.0, -1.5, -1.0, -0.5, -0.1, 0.1, 0.5, 1.0, 2.0, 3.0)
+
 _TIMES = (0.25, 1.0, 4.0)
 # (alpha, lam, t) probe points of the unit-shape elastic gamma collapse
 _UNIT_SHAPE_DRAWS = np.random.default_rng(_PROBE_SEED + 1).uniform((0.3, 0.3, 0.1), (2.5, 2.5, 4.0), (50, 3))
@@ -270,6 +227,17 @@ _PAIRS: dict[str, tuple] = {
         lambda x: mittag_leffler(MLParams(alpha=0.5), -x), lambda x: float(erfcx(x)),
         [lam * math.sqrt(t) for lam in (0.5, 1.0, 2.0) for t in np.geomspace(0.01, 10.0, 31)],
     )], 1e-9),
+    # gamma = 1 is the two-parameter function: gml against the closed forms,
+    # as the gap (gml - E)/(1 + |E|) against 0
+    "gml-unit-parameter-collapse": ([(
+        lambda z, p=MLParams(alpha=a, beta=b, gamma=1.0), e=closed: (gml(p, z) - e(z)) / (1.0 + abs(e(z))),
+        lambda z: 0.0, _ML_CLOSED_ZS,
+    ) for a, b, closed in _ML_CLOSED_FORMS], 1e-12, "gml vs closed forms of E_(a,b), tolerance 1e-12*(1+|E|)"),
+    # shape k = 1 reduces the gamma-boundary law to the order-1/2 relaxation
+    "gamma-boundary-unit-shape": ([(
+        _series(rx.GammaBoundary(k=1, lam=lam)), _series(rx.Fractional(nu=0.5, lam=lam)),
+        np.geomspace(0.05, 20.0, 13).tolist(),
+    ) for lam in (0.7, 1.0, 1.9)], 1e-10),
     # alpha -> 0 removes the killing: psi -> E_{1/2,1}(-lam sqrt(t)/sqrt(2))
     "elastic-vanishing-killing": ([(
         _series(rx.Elastic(alpha=1e-10, lam=lam)),
@@ -285,14 +253,16 @@ _PAIRS: dict[str, tuple] = {
         _series(rx.ElasticGamma(k=k, alpha=1e-10, lam=math.sqrt(2.0))), _series(rx.GammaBoundary(k=k, lam=1.0)),
         _TIMES,
     ) for k in (1, 2, 3)], 1e-8),
-    # the n-fold passage chain is exponential with the nested-rate formula
+    # the n-fold passage chain is exponential, its rate lam mapped n times by r -> sqrt(2 r)
     "first-passage-chain-rate": ([(
-        _series(rx.FirstPassage(lam=lam, n=n)), _exponential(rx.first_passage_rate(lam, n)), _TIMES,
+        _series(rx.FirstPassage(lam=lam, n=n)),
+        _exponential(functools.reduce(lambda r, _: math.sqrt(2.0 * r), range(n), lam)), _TIMES,
     ) for n in (1, 2, 3) for lam in (0.5, 1.0, 2.0)], 1e-14),
-    # n1 = 0 collapses the two-order law to its single surviving order
+    # n1 = 0 collapses the two-order law to its single surviving order: the
+    # law's own transform, inverted, against that order's law
     "distributed-zero-weight": ([
-        (_series(rx.Distributed(nu1=0.5, nu2=1.0, n1=0.0, n2=1.0, lam=1.3)), _exponential(1.3), _TIMES),
-        (_series(rx.Distributed(nu1=0.3, nu2=0.7, n1=0.0, n2=1.0, lam=0.8)),
+        (_inverted(rx.Distributed(nu1=0.5, nu2=1.0, n1=0.0, n2=1.0, lam=1.3)), _exponential(1.3), _TIMES),
+        (_inverted(rx.Distributed(nu1=0.3, nu2=0.7, n1=0.0, n2=1.0, lam=0.8)),
          _series(rx.Fractional(nu=0.7, lam=0.8)), _TIMES),
     ], 1e-12),
     # the alpha = lam elastic branch is the limit of the two-rate formula
@@ -424,10 +394,8 @@ _CHECKS: dict[str, list[tuple[str, Callable[[], _Outcome]]]] = {
         ("gml-index-recursion", _check_gml_recursion),
         ("gml-derivative-ladder", _check_gml_derivative),
         ("half-derivative-shape-recursion", _check_half_derivative_recursion),
-        *_pairs("ml-half-erfcx-chain"),
-        ("gml-unit-parameter-collapse", _check_gml_single_parameter),
-        ("gamma-boundary-unit-shape", _check_gamma_boundary_collapse),
-        *_pairs("elastic-vanishing-killing", "elastic-gamma-unit-shape", "elastic-gamma-vanishing-killing",
+        *_pairs("ml-half-erfcx-chain", "gml-unit-parameter-collapse", "gamma-boundary-unit-shape",
+                "elastic-vanishing-killing", "elastic-gamma-unit-shape", "elastic-gamma-vanishing-killing",
                 "first-passage-chain-rate", "distributed-zero-weight", "elastic-equal-rate-branch"),
     ],
     # forward transforms of the series against the closed forms, then the inversion rows

@@ -370,6 +370,22 @@ def test_invert_argument_validation():
             laplace_invert(F, ts)
 
 
+@pytest.mark.parametrize("call", [
+    lambda v: laplace_invert(lambda s: 1.0 / (s + 1.0), v),
+    lambda v: caputo_l1(np.arange(9.0), v, 0.5),
+    lambda v: caputo_l1(np.arange(9.0), 0.1, v),
+    lambda v: rl_integral(np.arange(9.0), v, 0.5),
+    lambda v: rl_integral(np.arange(9.0), 0.1, v),
+    lambda v: ode_residual((((0.5, 1.0),), 1.0, 0.0, None), lambda t: t, v, 32),
+    lambda v: ode_residual((((v, 1.0),), 1.0, 0.0, None), lambda t: t, 1.0 / 16, 32),
+], ids=["laplace_invert-t", "caputo_l1-h", "caputo_l1-nu", "rl_integral-h", "rl_integral-nu",
+        "ode_residual-h", "ode_residual-order"])
+def test_an_int_past_the_float_range_is_a_domain_error(call):
+    # float(10**400) overflows: the step and time checks raised OverflowError
+    with pytest.raises(DomainError):
+        call(10**400)
+
+
 def test_invert_takes_a_real_time():
     # t is checked by type, as psi checks it: bool, 0-d arrays and strings
     # are refused, numpy scalars accepted

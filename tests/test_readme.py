@@ -8,8 +8,10 @@ import re
 import shlex
 
 import frax.cli as cli
+import frax.verify as vf
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+README = REPO / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 
 
@@ -44,3 +46,18 @@ def test_readme_cites_only_names_its_modules_have():
     assert len(set(cited)) >= 6
     for m, name in cited:
         assert hasattr(importlib.import_module(f"frax.{modules[m]}"), name), f"{m}.{name}"
+
+
+def test_readme_verify_counts_match_the_suites():
+    # the per-suite counts, the total of `all` and each "checks_run" shown
+    sizes = {name: len(checks) for name, checks in vf._CHECKS.items()}
+    names = [r["check"] for r in vf.run_suite("all")]
+    listed = re.search(r"The suites are (.*?)\. `all` runs the first four, (\d+)\s+checks", TEXT, re.S)
+    assert {name: int(n) for name, n in re.findall(r"`(\w+)` \((\d+)", listed[1])} == sizes
+    assert int(listed[2]) == len(names)
+    assert re.search(rf"\({len(names)} checks in `all`,\s+{sizes['crossing']} more in `crossing`\)", TEXT)
+    shown = re.findall(r"\$ frax verify --suite (\w+)\n\{\n  \"passed\": true,\n  \"checks_run\": (\d+)", TEXT)
+    assert shown and all(int(n) == sizes[name] for name, n in shown)
+    # the verify-suite benchmark refuses a run of fewer checks than its floor
+    floor = int(re.search(r"MIN_CHECKS = (\d+)", (REPO / "perfbench" / "workloads.py").read_text())[1])
+    assert len(set(names)) == len(names) >= floor

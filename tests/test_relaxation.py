@@ -524,6 +524,20 @@ def test_parameters_reject_bool():
         rx.GammaBoundary(k=2.0, lam=1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda v: rx.psi(rx.Standard(lam=1.0), v),
+    lambda v: rx.psi(rx.Standard(lam=1.0), -v),
+    lambda v: rx.asymptote(rx.Fractional(nu=0.5, lam=1.0), rx.LargeT, v),
+    lambda v: rx.Standard(lam=v),
+    lambda v: rx.Fractional(nu=v, lam=1.0),
+    lambda v: rx.Distributed(nu1=0.5, nu2=1.0, n1=v, n2=0.5, lam=1.0),
+], ids=["psi", "psi-negative", "asymptote", "Standard-lam", "Fractional-nu", "Distributed-n1"])
+def test_an_int_past_the_float_range_is_a_domain_error(call):
+    # float(10**400) overflows: these raised OverflowError
+    with pytest.raises(DomainError):
+        call(10**400)
+
+
 def test_model_validation():
     with pytest.raises(DomainError):
         rx.Fractional(nu=1.0, lam=1.0)

@@ -462,6 +462,8 @@ def test_mlparams_accept_numpy_scalars():
         MLParams(True)
     with pytest.raises(DomainError):
         MLParams(0.5, "1")
+    with pytest.raises(DomainError):  # float() of it overflows
+        MLParams(10**400)
 
 
 # each public evaluator with one scalar argument left open
@@ -476,12 +478,12 @@ SCALAR_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [True, "0.5", None, 0.5j, np.array(-1.0), math.nan, math.inf],
-                         ids=["bool", "str", "None", "complex", "0-d-array", "nan", "inf"])
+@pytest.mark.parametrize("bad", [True, "0.5", None, 0.5j, np.array(-1.0), math.nan, math.inf, 10**400],
+                         ids=["bool", "str", "None", "complex", "0-d-array", "nan", "inf", "int-past-float"])
 @pytest.mark.parametrize("name", list(SCALAR_CALLS))
 def test_scalar_arguments_must_be_finite_reals(name, bad):
-    # True once counted as 1.0, a 0-d array reached the array path and a
-    # string raised TypeError
+    # True once counted as 1.0, a 0-d array reached the array path, a
+    # string raised TypeError and an int past the float range OverflowError
     with pytest.raises(DomainError):
         SCALAR_CALLS[name](bad)
 

@@ -40,6 +40,22 @@ def test_process_spec_validation():
         ss.DistributedTime(n1=0.5, n2=0.6)  # weights must sum to one
 
 
+@pytest.mark.parametrize("call", [
+    lambda v: ss.density(ss.ReflectedBM(), v, 1.0),
+    lambda v: ss.density(ss.ReflectedBM(), 1.0, v),
+    lambda v: ss.elastic_atom(ss.ElasticBM(alpha=1.0), v),
+    lambda v: ss.estimate_crossing(ss.ReflectedBM(), ss.Exponential(lam=1.0), v, 1000),
+    lambda v: ss.quadrature_crossing(ss.WrightTime(nu=0.5), ss.Exponential(lam=1.0), v),
+    lambda v: ss.WrightTime(nu=v),
+    lambda v: ss.Exponential(lam=v),
+], ids=["density-y", "density-t", "elastic_atom", "estimate_crossing", "quadrature_crossing",
+        "WrightTime-nu", "Exponential-lam"])
+def test_an_int_past_the_float_range_is_a_domain_error(call):
+    # float(10**400) overflows: these raised OverflowError
+    with pytest.raises(DomainError):
+        call(10**400)
+
+
 def test_wright_order_is_a_real_stored_as_float():
     for nu in ("0.5", True):
         with pytest.raises(DomainError):

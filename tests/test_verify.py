@@ -9,6 +9,7 @@ import frax.cli as cli
 import frax.relaxation as rx
 import frax.stochsim as ss
 import frax.verify as vf
+from frax import specfun
 
 
 def test_identities_suite_passes():
@@ -97,17 +98,32 @@ def test_nan_evaluators_fail_every_check_they_feed(monkeypatch):
     monkeypatch.setattr(rx, "_series_psi", _nan)
     monkeypatch.setattr(vf, "gml", _nan)
     monkeypatch.setattr(vf, "mittag_leffler", _nan)
-    checks = {
-        "gml-derivative-ladder": vf._check_gml_derivative,
-        "gml-unit-parameter-collapse": vf._check_gml_single_parameter,
-        "gamma-boundary-unit-shape": vf._check_gamma_boundary_collapse,
-        **dict(vf._pairs(*vf._PAIRS)),
-    }
+    checks = {"gml-derivative-ladder": vf._check_gml_derivative, **dict(vf._pairs(*vf._PAIRS))}
     assert set(checks) == NAN_FED
     for name, check in checks.items():
         record = vf._run(name, check)  # a check that raises fails too
         assert record["check"] == name
         assert not record["passed"], f"{name} passed on NaN evaluators (error {record['error']})"
+
+
+def _off_by_1e9(f):
+    """``f`` with its value, or the first element of its tuple, scaled by 1 + 1e-9."""
+    def off(*args):
+        out = f(*args)
+        return (out[0] * (1.0 + 1e-9), *out[1:]) if isinstance(out, tuple) else out * (1.0 + 1e-9)
+    return off
+
+
+@pytest.mark.parametrize("name, owner, attr", [
+    ("gml-unit-parameter-collapse", specfun, "_ml_series"),
+    ("distributed-zero-weight", rx.Fractional, "_psi"),
+], ids=["gml-unit-parameter-collapse", "distributed-zero-weight"])
+def test_a_row_fails_when_the_code_under_it_is_off(monkeypatch, name, owner, attr):
+    # a row whose two sides both ran the shared code would pass an error
+    # of 1e-9 in it, 1000 times the row's tolerance
+    monkeypatch.setattr(owner, attr, _off_by_1e9(getattr(owner, attr)))
+    record = vf._run(name, dict(vf._CHECKS["identities"])[name])
+    assert not record["passed"], record
 
 
 @pytest.mark.parametrize("suite, raising", [
