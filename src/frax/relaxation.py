@@ -142,7 +142,8 @@ def _clip01(v: float) -> float:
 _INNER_ERR_SAFETY = 64.0
 # Absolute error a law may carry; the law is a probability.
 _BUDGET = 1e-9
-# Relative accuracy of a mittag_leffler value (its integral branch's epsrel).
+# Relative accuracy of a mittag_leffler value: the level agreement that
+# certifies its integral branch (specfun.quad).
 _ML_ACCURACY = 1e-12
 # The elastic law takes its alpha = lam form within this relative offset of
 # equal rates; that form errs by ~0.17 times the offset (1.7e-11 at the edge).

@@ -7,9 +7,12 @@ addition, accepts the sum once three consecutive terms fall below 1e-14
 relative to the running sum, and carries a cancellation estimate
 ``eps * sum(|term|)`` so that catastrophic alternating series are detected
 instead of silently returned.  When the Mittag-Leffler series cannot
-reach the target accuracy, the evaluator switches to an integral
-representation valid in that regime or raises :class:`NonConvergence`.
-The M-Wright density is tried the other way round: first one fixed
+reach the target accuracy, the evaluator switches to the spectral integral
+on the negative axis (:func:`_ml_integral`) or raises
+:class:`NonConvergence`.  Every integral in the package is summed by one
+rule, :func:`quad`: fixed nested double-exponential nodes, whose value
+stands when two levels agree to 1e-12 relative, and no adaptive
+quadrature.  The M-Wright density is tried the other way round: first one fixed
 product rule for Zolotarev's stable-law integral, tabulated once per
 order (:func:`_stable_table`) and certified by two levels agreeing to
 1e-12 relative, then the series; when neither certifies it raises.
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import airy, gammaln, ive, rgamma
 
 from .errors import DomainError, NonConvergence, _finite
@@ -266,20 +268,109 @@ def _ml_rows(
     return values, est, ok
 
 
+# The nested double-exponential rules of quad: level l adds the nodes
+# s = (odd) * 2**(-2 - l) of a fixed range to those of the levels before it,
+# and a value stands once two consecutive levels, plus the integrand at the
+# two ends of the range and the caller's slack, agree to _DE_TOL relative.
+_DE_TOL = 1e-12
+_DE_LEVELS = 10
+
+
+def _de_nodes(lo: float, hi: float, level: int) -> np.ndarray:
+    """The nodes in s that ``level`` adds on [lo, hi], ends multiples of 1/4:
+    every multiple of 1/4 at level 0, then the odd multiples of the step
+    2**(-2 - level) past ``lo``."""
+    h = 2.0 ** (-2 - level)
+    n = round((hi - lo) / h)
+    return lo + h * (np.arange(n + 1) if level == 0 else np.arange(1, n, 2))
+
+
+def quad(levels: Iterable[tuple[np.ndarray, float]]) -> tuple[float, float]:
+    """An integral on a nested double-exponential rule, certified by two levels.
+
+    ``levels`` yields, for each level l = 0, 1, ... of a rule with step
+    2**(-2 - l) in s (Takahasi & Mori, Publ. RIMS 9, 1974), the integrand
+    times dx/ds at the nodes that level adds (:func:`_de_nodes`), and a
+    bound on what the value misses besides the rule's own error (the
+    caller's slack).  Level 0 spans the rule's whole range, so its first
+    and last values are the integrand at the two ends, which must be
+    negligible.  Returns ``(value, gap)`` at the first level whose value
+    differs from the level before it by a gap that, with the two ends and
+    the slack added, is at most 1e-12 of |value|; after 10 levels, down to
+    a step of 2**-11, it raises :class:`NonConvergence`, as it does on a
+    NaN.  The levels are summed as they come, so none past the answer is
+    evaluated.
+    """
+    total, value = 0.0, math.nan
+    for level, (integrand, slack) in zip(range(_DE_LEVELS), levels):
+        if level == 0:
+            ends = abs(float(integrand[0])) + abs(float(integrand[-1]))
+        total += float(integrand.sum())
+        last, value = value, total * 2.0 ** (-2 - level)
+        gap = abs(value - last)
+        if gap + ends + slack <= _DE_TOL * abs(value):
+            return value, gap
+    raise NonConvergence(
+        f"{_DE_LEVELS} levels, down to a step of 2**-{_DE_LEVELS + 1}, did not agree to {_DE_TOL:g}"
+    )
+
+
+def _sinpi(x: float) -> float:
+    """sin(pi * x) with x first reduced exactly to [-1/2, 1/2]: 0 at every integer."""
+    y = x - 2.0 * round(0.5 * x)
+    if abs(y) > 0.5:
+        y = math.copysign(1.0, y) - y
+    return math.sin(math.pi * y)
+
+
+@functools.lru_cache(maxsize=_DE_LEVELS)
+def _ml_level(level: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """What ``level`` adds to :func:`_ml_integral`'s rule in t, as log t, log
+    dt/ds and the number of nodes below t = 1.
+
+    Below 1 it is tanh-sinh, t = 1/(1 + e**-v) with v = pi * sinh(s) and s
+    in [-4, 4], so t and 1 - t reach 5.8e-38; above, exp-sinh, t = 1 +
+    exp(pi/2 * sinh(s)) with s in [-5, 3], so t - 1 runs from 2.4e-51 to
+    6.8e6.  log t is formed through log1p on both sides, so that it keeps
+    the distance to t = 1."""
+    s = _de_nodes(-4.0, 4.0, level)
+    v = math.pi * np.sinh(s)
+    x_s = _de_nodes(-5.0, 3.0, level)
+    x = np.exp(0.5 * math.pi * np.sinh(x_s))
+    log_t = np.concatenate((-np.log1p(np.exp(-v)), np.log1p(x)))
+    # dt/ds = pi cosh(s) t (1 - t) below, pi/2 cosh(s) (t - 1) above
+    log_w = np.concatenate((np.log(math.pi * np.cosh(s)) + log_t[: s.size] - np.log1p(np.exp(v)),
+                            np.log(0.5 * math.pi * np.cosh(x_s) * x)))
+    for a in (log_t, log_w):
+        a.flags.writeable = False  # shared by every call through the cache
+    return log_t, log_w, s.size
+
+
 def _ml_integral(alpha: float, beta: float, c: float) -> float:
     """Two-parameter Mittag-Leffler on the negative axis by quadrature.
 
     Evaluates E_{alpha,beta}(-c) for c > 0 and 0 < alpha < 1 from its real
-    integral representation.  After the substitution u = r**alpha the
-    integrand is
+    spectral integral (Gorenflo, Kilbas, Mainardi & Rogosin,
+    *Mittag-Leffler Functions*, Springer 2014, section 3):
 
-        (1/(alpha*pi)) * u**((1-beta)/alpha) * exp(-u**(1/alpha))
+        (1/pi) int_0^inf r**(alpha-beta) exp(-r)
             * (u*sin(beta*pi) + c*sin((beta-alpha)*pi))
-            / (u**2 + 2*u*c*cos(alpha*pi) + c**2),
+            / (u**2 + 2*u*c*cos(alpha*pi) + c**2) dr,   u = r**alpha.
 
-    which is smooth on (0, R] and negligible once u**(1/alpha) > 50.  The
-    endpoint power is integrable for beta < 1 + alpha, which covers every
-    beta used by the relaxation laws.
+    With q = u/c and y = q + cos(alpha*pi) the fraction is (q*sin(beta*pi)
+    + sin((beta-alpha)*pi)) / (c*(y**2 + sin(alpha*pi)**2)), which peaks at
+    u ~ c with width sin(alpha*pi) as alpha -> 1.  There (alpha > 3/4) y
+    is formed as the distance q - 1 plus 1 + cos(alpha*pi) =
+    2*sin(pi*(1-alpha)/2)**2, and from q > 1/2 on the numerator as
+    y*sin(beta*pi) - cos(beta*pi)*sin(alpha*pi); every sine takes an
+    exactly reduced argument, so nothing cancels.  The integral is split
+    at the peak, r* = c**(1/alpha), or at r = 700 if that comes first, and
+    mapped to t = (r/r*)**gamma, gamma = min(1, 1 + alpha - beta), which
+    takes the endpoint power into the weights: tanh-sinh on (0, 1) and
+    exp-sinh on (1, inf) (:func:`_ml_level`), summed by :func:`quad` with
+    the ends of both pieces counted.  Raises :class:`NonConvergence` where
+    its levels do not agree to 1e-12 relative.  The power is integrable
+    for beta < 1 + alpha, which covers every beta the laws use.
     """
     if not (0.0 < alpha < 1.0):
         raise NonConvergence(
@@ -291,42 +382,61 @@ def _ml_integral(alpha: float, beta: float, c: float) -> float:
             f"mittag_leffler integral representation needs beta < 1 + alpha "
             f"(alpha={alpha}, beta={beta}, z={-c})"
         )
-    sb = math.sin(beta * math.pi)
-    sba = math.sin((beta - alpha) * math.pi)
-    # cos and sin of alpha*pi through (1 - alpha)*pi, exact for alpha >= 1/2:
-    # sa keeps its relative accuracy as alpha -> 1
-    ca = -math.cos((1.0 - alpha) * math.pi)
-    sa = math.sin((1.0 - alpha) * math.pi)
-    inv_alpha = 1.0 / alpha
-    pw = (1.0 - beta) * inv_alpha
+    rise = (1.0 - beta) + alpha  # 1 + alpha - beta, to one rounding as beta -> 1 + alpha
+    # sin((beta-alpha)*pi) = sin(rise*pi), from the argument nearer 0
+    sb, sba, sa = _sinpi(beta), _sinpi(rise if rise < 0.5 else beta - alpha), _sinpi(1.0 - alpha)
+    narrow = alpha > 0.75
+    # 1 + cos(alpha*pi) for the distance form of y, else cos(alpha*pi)
+    lift = 2.0 * _sinpi(0.5 * (1.0 - alpha)) ** 2 if narrow else _sinpi(0.5 - alpha)
+    cb_sa = _sinpi(0.5 - beta) * sa
+    log_c = math.log(c)
+    log_p = min(log_c / alpha, math.log(_EXP_CAP))  # the split, in log r
+    off = alpha * log_p - log_c if log_p < log_c / alpha else 0.0  # log q at t = 1
+    gamma = min(1.0, rise)
+    power = max(0.0, alpha - beta)  # of t, what r**(alpha-beta) dr leaves
+    scale = rise * log_p - log_c
 
-    def f(u: float) -> float:
-        e = u**inv_alpha
-        if e > _EXP_CAP:
-            return 0.0
-        num = u * sb + c * sba
-        # u**2 + 2*u*c*ca + c**2, without the cancellation of 1 + ca
-        # that u = c meets as alpha -> 1
-        den = (u + c * ca) ** 2 + (c * sa) ** 2
-        return u**pw * math.exp(-e) * num / den
+    def levels() -> Iterator[tuple[np.ndarray, float]]:
+        for level in itertools.count():
+            log_t, log_w, below = _ml_level(level)
+            log_q = np.minimum(log_t * (alpha / gamma) + off, _EXP_CAP)  # capped where exp(-r) is 0
+            q = np.exp(log_q)
+            num = q * sb + sba
+            if narrow:
+                y = np.expm1(log_q) + lift
+                num = np.where(q < 0.5, num, y * sb - cb_sa)
+            else:
+                y = q + lift
+            f = np.exp(log_w + scale + power * log_t - np.exp(log_t / gamma + log_p)) * num / (y * y + sa * sa)
+            if level == 0:
+                inner = abs(float(f[below - 1])) + abs(float(f[below]))  # the pieces' ends at the split
+            yield f, inner
 
-    upper = 50.0**alpha
-    val, _err = quad(f, 0.0, upper, limit=200, epsabs=1e-14, epsrel=1e-12)
-    return val / (alpha * math.pi)
+    try:
+        with np.errstate(over="ignore"):
+            value, _gap = quad(levels())
+    except NonConvergence as exc:
+        raise NonConvergence(
+            f"mittag_leffler integral representation at alpha={alpha}, beta={beta}, z={-c}: {exc}"
+        ) from None
+    return value / (gamma * math.pi)
 
 
 def mittag_leffler(p: MLParams, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Requires ``p.gamma == 1``.  For z <= -5 the real integral
-    representation is used when its parameter constraints (0 < alpha < 1,
-    beta < 1 + alpha) hold;
-    otherwise the power series is summed and, when its cancellation
+    Requires ``p.gamma == 1``.  E_{1,1}(z) = exp(z) is returned in closed
+    form below z = 700.  For z <= -5 the real integral representation is
+    used when its parameter constraints (0 < alpha < 1, beta < 1 + alpha)
+    hold; otherwise the power series is summed and, when its cancellation
     estimate exceeds the accuracy target on the negative axis, the
     evaluator still falls back to the integral form (where the function is
     completely monotone, such a series stops at the first term whose
-    absolute sum rules it out).  A failed series with
-    no admissible integral raises :class:`NonConvergence`.
+    absolute sum rules it out).  The integral is a fixed nested rule whose
+    value stands when two levels agree to 1e-12 relative
+    (:func:`_ml_integral`).  A failed series with no admissible integral,
+    or an integral whose levels do not agree, raises
+    :class:`NonConvergence`.
 
     ``z`` may also be a 1-D float ndarray: an ndarray is returned, each
     element decided by the rule above, with one series summed for all
@@ -342,6 +452,8 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     z = x
     if z == 0.0:
         return float(rgamma(p.beta))
+    if p.alpha == 1.0 and p.beta == 1.0 and z < _EXP_CAP:
+        return math.exp(z)
     admissible = 0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha
     if z < 0.0 and -z >= _ML_SWITCH and admissible:
         return _ml_integral(p.alpha, p.beta, -z)
@@ -368,6 +480,8 @@ def _ml_array(p: MLParams, z: np.ndarray) -> np.ndarray:
     """:func:`mittag_leffler` at every element of the 1-D float array ``z``."""
     if not (z.ndim == 1 and z.dtype.kind == "f" and np.all(np.isfinite(z))):
         raise DomainError(f"mittag_leffler requires finite arguments (a 1-D float array), got {z!r}")
+    if p.alpha == 1.0 and p.beta == 1.0 and np.all(z < _EXP_CAP):
+        return np.exp(z)
     integral = (z <= -_ML_SWITCH) & (0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha)
     monotone = (z < 0.0) & (p.alpha <= 1.0 and p.beta >= p.alpha)
     cap = np.where(monotone, 2e-13 * max(1.0, float(rgamma(p.beta))) / _EPS, _ABSUM_CAP)

@@ -17,7 +17,8 @@ Heavy-tailed waiting-time processes without exact samplers (the inverse
 stable, Airy, and distributed-order subordinators) are integrated instead:
 their density times the boundary's survival function, on one nested
 double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974) whose
-levels halve the step until two of them agree.  The inverse stable and
+levels halve the step until two of them agree (:func:`frax.specfun.quad`,
+the rule every integral of the package is summed by).  The inverse stable and
 Airy clocks end at scale(t) * X for one time-free X, so the density of X
 times the rule's weights is tabulated once per spec, level by level, and
 a call is one survival evaluation and one sum per level.
@@ -45,7 +46,7 @@ from scipy.special import erfcx, gammaincc
 from . import relaxation as rx
 from .errors import DomainError, NonConvergence, Unsupported, _finite, _integer
 from .relaxation import _count, _positive, _reals, _require, _time
-from .specfun import airy_ai, wright_m
+from .specfun import _DE_LEVELS, _DE_TOL, _de_nodes, airy_ai, quad, wright_m
 
 DEFAULT_SEED = 0xF12AC7
 _BLOCK = 1 << 18
@@ -359,27 +360,11 @@ class ElasticBM(_Process):
         return super().law(boundary)
 
 
-# The nested double-exponential rules of quadrature_crossing: level l
-# adds the nodes s = (odd) * 2**(-2 - l) of a fixed range to those of the
-# levels before it, and a value stands once two consecutive levels, plus
-# the integrand at the two ends of the range and the bound on nodes whose
-# density did not certify, agree to _DE_TOL relative.
-_DE_TOL = 1e-12
-_DE_LEVELS = 10
 # a shape rule's range begins where x = exp(sigma * sinh(s)) reaches 1e-40
 _SHAPE_LOW = math.log(1e-40)
 # a tanh-sinh rule spans s in [-4, 4]: y within e**(-pi sinh 4) = 5.8e-38
 # of each end of the support, in shares of its length
 _TANH_SINH_END = 4.0
-
-
-def _de_nodes(lo: float, hi: float, level: int) -> np.ndarray:
-    """The nodes in s that ``level`` adds on [lo, hi], ends multiples of 1/4:
-    every multiple of 1/4 at level 0, then the odd multiples of the step
-    2**(-2 - level) past ``lo``."""
-    h = 2.0 ** (-2 - level)
-    n = round((hi - lo) / h)
-    return lo + h * (np.arange(n + 1) if level == 0 else np.arange(1, n, 2))
 
 
 class _ScaleFamily(_Process):
@@ -703,10 +688,11 @@ def quadrature_crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float) -> 
     """Crossing probability by quadrature of the endpoint density times
     P(boundary > y), on the process's nested double-exponential rule.
     Supported: WrightTime, AiryTime and DistributedTime, with either
-    boundary.  Each level halves the step in s, from 1/4 down to at most
-    2**-11, and the value of the first level that agrees with the level
-    before it to 1e-12 relative, with the integrand at the two ends of the
-    range counted against it, is returned.  The stderr is the gap between
+    boundary.  The levels are summed by :func:`frax.specfun.quad`: each
+    halves the step in s, from 1/4 down to at most 2**-11, and the value of
+    the first level that agrees with the level before it to 1e-12 relative,
+    with the integrand at the two ends of the range counted against it, is
+    returned.  The stderr is the gap between
     those two levels, floored at 1e-10.  Levels that never agree, or that
     agree on a value <= 0 (no positive survival function gives one: the
     rule missed the mass), raise :class:`NonConvergence` naming the spec,
@@ -720,27 +706,17 @@ def quadrature_crossing(spec: ProcessSpec, boundary: BoundarySpec, t: float) -> 
     t = _time(t, "quadrature_crossing")
     if not hasattr(spec, "_levels"):
         raise Unsupported(f"quadrature_crossing does not support {type(spec).__name__}")
-    total, value, agreed = 0.0, math.nan, False
     try:
         # at extreme parameters a survival's argument passes the float range
-        # and reads 0 as it should; a NaN from inf * 0 fails the checks below
+        # and reads 0 as it should; a NaN from inf * 0 fails the level test
         with np.errstate(over="ignore", invalid="ignore"):
-            for level, (integrand, slack) in zip(range(_DE_LEVELS), spec._levels(boundary, t)):
-                if level == 0:
-                    ends = float(integrand[0] + integrand[-1])
-                total += float(integrand.sum())
-                last, value = value, total * 2.0 ** (-2 - level)
-                agreed = abs(value - last) + ends + slack <= _DE_TOL * value
-                if agreed:
-                    break
-    except NonConvergence as exc:  # the density's own failure, named with its time
+            value, gap = quad(spec._levels(boundary, t))
+    except NonConvergence as exc:  # the density's or the levels' failure, named with its time
         why = str(exc)
     else:
-        if value > 0.0 and agreed:
-            return CrossingEstimate(p_hat=value, stderr=max(abs(value - last), 1e-10), n_paths=1,
-                                    seed=0, method="quadrature")
-        why = (f"the value {value!r} is not positive" if not value > 0.0 else
-               f"{_DE_LEVELS} levels, down to a step of 2**-{_DE_LEVELS + 1}, did not agree to {_DE_TOL:g}")
+        if value > 0.0:
+            return CrossingEstimate(p_hat=value, stderr=max(gap, 1e-10), n_paths=1, seed=0, method="quadrature")
+        why = f"the value {value!r} is not positive"
     raise NonConvergence(f"quadrature of {spec} under {boundary} at t={t!r}: {why}")
 
 

@@ -238,12 +238,12 @@ _PAIRS: dict[str, tuple] = {
         _series(rx.GammaBoundary(k=1, lam=lam)), _series(rx.Fractional(nu=0.5, lam=lam)),
         np.geomspace(0.05, 20.0, 13).tolist(),
     ) for lam in (0.7, 1.0, 1.9)], 1e-10),
-    # alpha -> 0 removes the killing: psi -> E_{1/2,1}(-lam sqrt(t)/sqrt(2))
+    # alpha -> 0 removes the killing: psi -> E_{1/2,1}(-lam sqrt(t/2)) =
+    # erfcx(lam sqrt(t/2)), a reference that shares no code with the law
     "elastic-vanishing-killing": ([(
-        _series(rx.Elastic(alpha=1e-10, lam=lam)),
-        lambda t, lam=lam: mittag_leffler(MLParams(alpha=0.5), -lam * math.sqrt(t) / math.sqrt(2.0)),
+        _series(rx.Elastic(alpha=1e-10, lam=lam)), lambda t, lam=lam: float(erfcx(lam * math.sqrt(0.5 * t))),
         (0.1, 0.5, 1.0, 2.0, 5.0),
-    ) for lam in (0.7, 1.0, 1.9)], 1e-8),
+    ) for lam in (0.7, 1.0, 1.9)], 1e-9),
     # shape k = 1 reduces the elastic gamma law to the plain elastic law
     "elastic-gamma-unit-shape": ([(
         _series(rx.ElasticGamma(k=1, alpha=alpha, lam=lam)), _series(rx.Elastic(alpha=alpha, lam=lam)), (t,),

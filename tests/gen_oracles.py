@@ -168,6 +168,14 @@ def main() -> None:
     # alpha near 1, where the integral's denominator nearly vanishes at u = c
     for alpha, beta, z in ((0.99999, 1, -5), (0.9999, 0.75, -8), (0.99999, 1.5, -5)):
         out.append((f"E_{{{alpha},{beta}}}({z}) near-unit order", "test_specfun", ml(alpha, beta, z)))
+    # alpha within 1e-6 and 1e-8 of 1, where the integrand's peak at u = c
+    # is that narrow: an adaptive rule once stepped over it (E_{0.999999,1}(-8)
+    # read 9.59e-7)
+    for alpha in (0.999999, 0.99999999):
+        for beta in (0.5, 1, 1.5):
+            for z in (-5, -8, -20):
+                out.append((f"E_{{{alpha},{beta}}}({z}) within 1e-6 or 1e-8 of unit order", "test_specfun",
+                            ml(alpha, beta, z)))
 
     # --- test_specfun: M-Wright values (body and tails)
     out.append(("M_{1/2}(1)", "test_specfun", wright_m(Fraction(1, 2), 1)))
@@ -202,6 +210,14 @@ def main() -> None:
     ea = ml(Fraction(1, 2), 1, -a * mp.sqrt(t_ / 2))
     el = ml(Fraction(1, 2), 1, -lam_ * mp.sqrt(t_ / 2))
     out.append(("elastic psi(2), alpha=0.7 lam=1.3", "test_relaxation", 1 - lam_ / (lam_ - a) * (ea - el)))
+    # Fractional(nu=0.99999999255, lam=0.0044960) at t = 1192.04, its z =
+    # -lam t^nu formed from the floats' exact values, where the series
+    # reference once read 3.0e-8
+    with mp.workdps(60):
+        nu_f, lam_f, t_f = (mp.mpf(Fraction(v).numerator) / Fraction(v).denominator
+                            for v in (0.99999999255, 0.0044960, 1192.04))
+        out.append(("fractional psi(1192.04), nu=0.99999999255 lam=0.0044960", "test_relaxation",
+                    ml(0.99999999255, 1, -lam_f * t_f**nu_f)))
     # large t, where the double series is useless
     for t in (30000, 100000, 1000000):
         value = psi_distributed("0.5", 1, "0.5", "0.5", 1, t)

@@ -608,6 +608,19 @@ def test_module_entry_point():
     assert "0.36787944117144233" in proc.stdout
 
 
+def test_importing_the_cli_loads_no_adaptive_quadrature():
+    # every integral in src/ is summed on specfun.quad's fixed nested rule,
+    # certified by two levels: scipy.integrate's adaptive quad once returned
+    # silently wrong Mittag-Leffler values near unit order, and importing it
+    # cost a quarter of a second in every process
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, frax.cli; print(sorted(m for m in sys.modules if 'integrate' in m))"],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv, unbuffered, statuses", [
     # 2.6 kB, written as print goes: the pipe takes it all unless it has
     # closed before the closing newline comes (it mostly has)

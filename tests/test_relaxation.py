@@ -63,6 +63,13 @@ def test_fractional_is_mittag_leffler():
             assert rel_err(got, want) < 1e-14
 
 
+def test_fractional_series_reference_near_unit_order():
+    # z = -5.36 takes E_nu's integral branch, which once stepped over the
+    # peak of width 1.3e-7 there and read 3.0e-8; mpmath at 60 digits
+    m = rx.Fractional(nu=0.99999999255, lam=0.0044960)
+    assert abs(rx._series_psi(m, 1192.04) - 0.004703675276281817058062) <= 1e-10
+
+
 def test_sojourn_is_scaled_bessel():
     # psi = exp(-lam t / 2) I0(lam t / 2), evaluated stably via i0e
     for t in np.geomspace(0.05, 80.0, 30):

@@ -85,6 +85,41 @@ def test_mittag_leffler_integral_near_unit_order(alpha, beta, z, want):
     assert abs(mittag_leffler(MLParams(alpha, beta), z) - want) < 1e-13
 
 
+# alpha within 1e-6 and 1e-8 of 1, where the peak at u = c has width
+# c*pi*(1 - alpha): an adaptive rule stepped over it and read 9.59e-7 for
+# E_{0.999999,1}(-8) = 3.356e-4, with no sign but a discarded warning
+DEEP_UNIT_ML = [
+    (0.999999, 0.5, -5.0, -0.08860623796243386438734),
+    (0.999999, 0.5, -8.0, -0.04602945984226888815984),
+    (0.999999, 0.5, -20.0, -0.01532540452523050822164),
+    (0.999999, 1.0, -5.0, 0.006738253346434909391282),
+    (0.999999, 1.0, -8.0, 0.0003356392306540498254032),
+    (0.999999, 1.0, -20.0, 5.801695907352593749875e-8),
+    (0.999999, 1.5, -5.0, 0.1305593708902037205869),
+    (0.999999, 1.5, -8.0, 0.07627751711355058777978),
+    (0.999999, 1.5, -20.0, 0.02897580472076045073934),
+    (0.99999999, 0.5, -5.0, -0.08860647350758166520263),
+    (0.99999999, 0.5, -8.0, -0.04602951005631030957652),
+    (0.99999999, 0.5, -20.0, -0.01532540713849962693529),
+    (0.99999999, 1.0, -5.0, 0.006737950062562325592609),
+    (0.99999999, 1.0, -8.0, 0.0003354643939310130635506),
+    (0.99999999, 1.0, -20.0, 2.620711468987350083912e-9),
+    (0.99999999, 1.5, -5.0, 0.1305592134769515160426),
+    (0.99999999, 1.5, -8.0, 0.07627738806740750391768),
+    (0.99999999, 1.5, -20.0, 0.02897575008748416793487),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, z, want", DEEP_UNIT_ML)
+def test_mittag_leffler_certifies_or_raises_near_unit_order(alpha, beta, z, want):
+    # the accuracy the laws budget for (relaxation._ML_ACCURACY), or a raise
+    try:
+        got = mittag_leffler(MLParams(alpha, beta), z)
+    except NonConvergence:
+        return
+    assert rel_err(got, want) <= 1e-12
+
+
 def test_mittag_leffler_at_zero_is_reciprocal_gamma():
     for beta in (0.75, 1.0, 2.0, 3.5):
         got = mittag_leffler(MLParams(0.5, beta), 0.0)
@@ -105,11 +140,19 @@ def test_mittag_leffler_half_order_positive_axis_erf_form():
         assert rel_err(got, want) < 1e-13
 
 
-def test_mittag_leffler_alpha_one_deep_negative_raises():
-    # alpha = 1 has no integral representation; the alternating series
-    # loses too many digits at z = -8 and the failure must be explicit.
+def test_mittag_leffler_alpha_one_deep_negative_is_exp():
+    # E_{1,1} = exp answers in closed form where its series cancels, on
+    # scalars and arrays; other alpha >= 1 have no integral representation,
+    # and a series that loses too many digits must fail explicitly
+    for z in (-8.0, -30.0, -700.0):
+        assert rel_err(mittag_leffler(MLParams(1.0), z), math.exp(z)) < 1e-15
+    zs = np.array([-700.0, -30.0, -8.0, 0.0, 3.0])
+    assert np.array_equal(mittag_leffler(MLParams(1.0), zs), np.exp(zs))
+    for p, z in ((MLParams(1.0), 800.0), (MLParams(1.2), -10.0), (MLParams(1.0, 2.0), -40.0)):
+        with pytest.raises(NonConvergence):
+            mittag_leffler(p, z)
     with pytest.raises(NonConvergence):
-        mittag_leffler(MLParams(1.0), -8.0)
+        mittag_leffler(MLParams(1.2), np.array([-10.0]))
 
 
 def test_mittag_leffler_beta_outside_integral_window_raises():
@@ -139,13 +182,12 @@ def test_mittag_leffler_on_an_array_matches_scalar_calls():
     # integral, zero and the positive axis, in one call
     z = np.concatenate((-np.geomspace(1e-6, 60.0, 40), [0.0], np.geomspace(1e-3, 2.0, 9)))
     for p in (MLParams(0.5), MLParams(0.7), MLParams(0.3, 0.9), MLParams(1.0)):
-        zs = z[z > -8.0] if p.alpha == 1.0 else z  # alpha = 1 has no integral form
-        got = mittag_leffler(p, zs)
-        want = np.array([mittag_leffler(p, x) for x in zs.tolist()])
-        assert isinstance(got, np.ndarray) and got.shape == zs.shape
+        got = mittag_leffler(p, z)
+        want = np.array([mittag_leffler(p, x) for x in z.tolist()])
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
     # a row the scalar call raises on raises for the array too
-    for p, bad in ((MLParams(0.5), 60.0), (MLParams(1.0), -8.0), (MLParams(0.5, 2.5), -40.0)):
+    for p, bad in ((MLParams(0.5), 60.0), (MLParams(1.2), -10.0), (MLParams(0.5, 2.5), -40.0)):
         with pytest.raises(NonConvergence):
             mittag_leffler(p, np.array([-1.0, bad]))
     with pytest.raises(DomainError):

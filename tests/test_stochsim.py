@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 import frax.relaxation as rx
 import frax.stochsim as ss
-from frax import specfun
 from frax.errors import DomainError, NonConvergence, Unsupported
 from frax.specfun import MLParams, mittag_leffler
 
@@ -518,27 +517,18 @@ def _clear_shape_tables():
     ss._shape_level.cache_clear()
 
 
-def test_wright_quadrature_runs_no_adaptive_quad_under_the_density(monkeypatch):
+def test_quadrature_pairings_match_their_laws_from_fresh_shape_tables():
     # every quadrature pairing, its shape table built afresh, runs on fixed
-    # rules alone: an adaptive quad per M-Wright node once made a point cost
-    # 6-28 ms, and the quadrature itself was one adaptive quad
-    import scipy.integrate
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("adaptive quad called under quadrature_crossing")
-
+    # rules alone (specfun.quad): an adaptive quad per M-Wright node once
+    # made a point cost 6-28 ms.  That no adaptive rule can run is held by
+    # test_cli.py::test_importing_the_cli_loads_no_adaptive_quadrature
     rows = [row for row in ss.PAIRINGS if not hasattr(row[1], "_sample")]
     assert len(rows) == 5
-    with monkeypatch.context() as m:
-        m.setattr(specfun, "quad", refuse)
-        m.setattr(scipy.integrate, "quad", refuse)
-        _clear_shape_tables()
-        got = {(name, t): ss.quadrature_crossing(spec, boundary, t).p_hat
-               for name, spec, boundary in rows for t in (0.25, 1.0, 4.0)}
-    assert not hasattr(ss, "quad")
+    _clear_shape_tables()
     for name, spec, boundary in rows:
         for t in (0.25, 1.0, 4.0):
-            assert abs(got[name, t] - rx.psi(spec.law(boundary), t)) <= 1e-9, (name, t)
+            got = ss.quadrature_crossing(spec, boundary, t).p_hat
+            assert abs(got - rx.psi(spec.law(boundary), t)) <= 1e-9, (name, t)
 
 
 @pytest.mark.parametrize("spec", [ss.WrightTime(nu=0.3), ss.WrightTime(nu=0.5), ss.AiryTime()],

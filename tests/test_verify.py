@@ -106,22 +106,24 @@ def test_nan_evaluators_fail_every_check_they_feed(monkeypatch):
         assert not record["passed"], f"{name} passed on NaN evaluators (error {record['error']})"
 
 
-def _off_by_1e9(f):
-    """``f`` with its value, or the first element of its tuple, scaled by 1 + 1e-9."""
+def _off_by(f, rel: float):
+    """``f`` with its value, or the first element of its tuple, scaled by 1 + ``rel``."""
     def off(*args):
         out = f(*args)
-        return (out[0] * (1.0 + 1e-9), *out[1:]) if isinstance(out, tuple) else out * (1.0 + 1e-9)
+        return (out[0] * (1.0 + rel), *out[1:]) if isinstance(out, tuple) else out * (1.0 + rel)
     return off
 
 
-@pytest.mark.parametrize("name, owner, attr", [
-    ("gml-unit-parameter-collapse", specfun, "_ml_series"),
-    ("distributed-zero-weight", rx.Fractional, "_psi"),
-], ids=["gml-unit-parameter-collapse", "distributed-zero-weight"])
-def test_a_row_fails_when_the_code_under_it_is_off(monkeypatch, name, owner, attr):
-    # a row whose two sides both ran the shared code would pass an error
-    # of 1e-9 in it, 1000 times the row's tolerance
-    monkeypatch.setattr(owner, attr, _off_by_1e9(getattr(owner, attr)))
+@pytest.mark.parametrize("name, owner, attr, rel", [
+    ("gml-unit-parameter-collapse", specfun, "_ml_series", 1e-9),
+    ("distributed-zero-weight", rx.Fractional, "_psi", 1e-9),
+    # both sides once called E_{1/2} at the same argument, and passed this
+    ("elastic-vanishing-killing", specfun, "_ml_series", 5e-9),
+], ids=["gml-unit-parameter-collapse", "distributed-zero-weight", "elastic-vanishing-killing"])
+def test_a_row_fails_when_the_code_under_it_is_off(monkeypatch, name, owner, attr, rel):
+    # a row whose two sides both ran the shared code would pass such an
+    # error in it, many times the row's tolerance
+    monkeypatch.setattr(owner, attr, _off_by(getattr(owner, attr), rel))
     record = vf._run(name, dict(vf._CHECKS["identities"])[name])
     assert not record["passed"], record
 
