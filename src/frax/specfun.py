@@ -425,17 +425,17 @@ def _ml_integral(alpha: float, beta: float, c: float) -> float:
 def mittag_leffler(p: MLParams, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Requires ``p.gamma == 1``.  E_{1,1}(z) = exp(z) is returned in closed
-    form below z = 700.  For z <= -5 the real integral representation is
-    used when its parameter constraints (0 < alpha < 1, beta < 1 + alpha)
-    hold; otherwise the power series is summed and, when its cancellation
-    estimate exceeds the accuracy target on the negative axis, the
-    evaluator still falls back to the integral form (where the function is
-    completely monotone, such a series stops at the first term whose
-    absolute sum rules it out).  The integral is a fixed nested rule whose
-    value stands when two levels agree to 1e-12 relative
-    (:func:`_ml_integral`).  A failed series with no admissible integral,
-    or an integral whose levels do not agree, raises
+    Requires ``p.gamma == 1``.  E_{1,1}(z) = exp(z) and E_{1,2}(z) =
+    expm1(z)/z are returned in closed form below z = 700.  For z <= -5 the
+    real integral representation is used when its parameter constraints
+    (0 < alpha < 1, beta < 1 + alpha) hold; otherwise the power series is
+    summed and, when its cancellation estimate exceeds the accuracy target
+    on the negative axis, the evaluator still falls back to the integral
+    form (where the function is completely monotone, such a series stops
+    at the first term whose absolute sum rules it out).  The integral is a
+    fixed nested rule whose value stands when two levels agree to 1e-12
+    relative (:func:`_ml_integral`).  A failed series with no admissible
+    integral, or an integral whose levels do not agree, raises
     :class:`NonConvergence`.
 
     ``z`` may also be a 1-D float ndarray: an ndarray is returned, each
@@ -452,8 +452,8 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     z = x
     if z == 0.0:
         return float(rgamma(p.beta))
-    if p.alpha == 1.0 and p.beta == 1.0 and z < _EXP_CAP:
-        return math.exp(z)
+    if p.alpha == 1.0 and p.beta in (1.0, 2.0) and z < _EXP_CAP:
+        return math.exp(z) if p.beta == 1.0 else math.expm1(z) / z
     admissible = 0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha
     if z < 0.0 and -z >= _ML_SWITCH and admissible:
         return _ml_integral(p.alpha, p.beta, -z)
@@ -480,8 +480,10 @@ def _ml_array(p: MLParams, z: np.ndarray) -> np.ndarray:
     """:func:`mittag_leffler` at every element of the 1-D float array ``z``."""
     if not (z.ndim == 1 and z.dtype.kind == "f" and np.all(np.isfinite(z))):
         raise DomainError(f"mittag_leffler requires finite arguments (a 1-D float array), got {z!r}")
-    if p.alpha == 1.0 and p.beta == 1.0 and np.all(z < _EXP_CAP):
-        return np.exp(z)
+    if p.alpha == 1.0 and p.beta in (1.0, 2.0) and np.all(z < _EXP_CAP):
+        if p.beta == 1.0:
+            return np.exp(z)
+        return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)  # E_{1,2}(0) = 1
     integral = (z <= -_ML_SWITCH) & (0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha)
     monotone = (z < 0.0) & (p.alpha <= 1.0 and p.beta >= p.alpha)
     cap = np.where(monotone, 2e-13 * max(1.0, float(rgamma(p.beta))) / _EPS, _ABSUM_CAP)

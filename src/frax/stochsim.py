@@ -4,14 +4,16 @@ Every process here admits exact sampling of its time-t endpoint (no path
 discretization), so a crossing estimate is a plain Bernoulli mean with a
 binomial standard error and no discretization bias.  Sampling is
 deterministic by construction: paths are grouped into fixed-size blocks,
-each block draws from its own counter-based stream keyed by
-``(seed, block_index)``, and draws within a block follow a fixed order.
-The result is bit-identical for a given seed regardless of how many
-worker threads (``FRAX_THREADS``) are used.  A process's endpoint at time
-t is a fixed map of randomness that does not depend on t, so one draw per
-block serves every time of a call: the estimates of one call share their
-draws (common random numbers), so they are correlated across times, and
-each is bit-for-bit the estimate a single-time call returns.
+block b draws from its own SFC64 stream, the child of ``seed`` with spawn
+key ``(b,)`` (numpy's ``SeedSequence`` mechanism for independent streams),
+and draws within a block follow a fixed order.  The result is
+bit-identical for a given seed regardless of how many worker threads
+(``FRAX_THREADS``) are used.  A process's endpoint at time t is a fixed
+map of randomness that does not depend on t, so a block turns its draw
+and its boundary draw into per-path thresholds once, and each time is
+settled by comparing a factor of t with them: the estimates of one call
+share their draws (common random numbers), so they are correlated across
+times, and each is bit-for-bit the estimate a single-time call returns.
 
 Heavy-tailed waiting-time processes without exact samplers (the inverse
 stable, Airy, and distributed-order subordinators) are integrated instead:
@@ -38,7 +40,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import erfcx, gammaincc
@@ -139,9 +141,11 @@ class _Process:
 
     A process with an exact endpoint sampler defines ``_sample(rng, size)``,
     which draws the time-free randomness of ``size`` endpoints, and
-    ``_endpoints(draw, t)``, which maps that draw to the endpoints at time
-    t.  The map must not change the draw, since one draw serves every time
-    of a call.  One with an explicit endpoint density
+    ``_settle(draw, bounds)``, which turns that draw and the boundary draw
+    into per-path thresholds once and returns the function of t that counts
+    the endpoints below their bounds at time t, by comparing a factor of t
+    with the thresholds.  The default serves an endpoint ``_scale(t)`` times
+    the draw.  One with an explicit endpoint density
     overrides ``_density(y, t)``.  The time-changed processes, which have
     no sampler, define instead the quadrature rule of
     :func:`quadrature_crossing`: ``_levels(boundary, t)`` yields, for each
@@ -158,6 +162,12 @@ class _Process:
 
     def _density(self, y: float, t: float) -> float:
         raise Unsupported(f"density is not available for {type(self).__name__}")
+
+    def _settle(self, draw: np.ndarray, bounds: np.ndarray) -> Callable[[float], int]:
+        # scale(t) * draw < bound  <=>  scale(t) < bound / draw; a zero draw
+        # has ratio inf (below any bound > 0), and 0 / 0 is NaN (below none)
+        ratio = bounds / draw
+        return lambda t: np.count_nonzero(self._scale(t) < ratio)
 
     def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
         """The relaxation law whose psi(t) is this process's probability of
@@ -178,8 +188,8 @@ class ReflectedBM(_Process):
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.abs(rng.standard_normal(size))
 
-    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
-        return draw * math.sqrt(2.0 * t)
+    def _scale(self, t: float) -> float:
+        return math.sqrt(2.0 * t)
 
     def _density(self, y: float, t: float) -> float:
         if y < 0.0:
@@ -215,8 +225,8 @@ class IteratedBM(_Process):
             s *= np.abs(rng.standard_normal(size))
         return s
 
-    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
-        return draw * (2.0 * t) ** 0.5**self.n
+    def _scale(self, t: float) -> float:
+        return (2.0 * t) ** 0.5**self.n
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Fractional(nu=0.5**self.n, lam=lam)
@@ -235,8 +245,8 @@ class SojournTime(_Process):
         np.sin(u, out=u)
         return np.square(u, out=u)
 
-    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
-        return t * draw
+    def _scale(self, t: float) -> float:
+        return t
 
     def _density(self, y: float, t: float) -> float:
         if not (0.0 < y < t):
@@ -258,14 +268,19 @@ class FirstPassageChain(_Process):
         _count(self, "n")
 
     def _sample(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
-        return [rng.standard_normal(size) for _ in range(self.n)]
+        return [np.abs(rng.standard_normal(size)) for _ in range(self.n)]
 
-    def _endpoints(self, draw: list[np.ndarray], t: float) -> np.ndarray:
-        s = t
-        for z in draw:
-            with np.errstate(divide="ignore", over="ignore"):
-                s = (s / z) ** 2
-        return s
+    def _settle(self, draw: list[np.ndarray], bounds: np.ndarray) -> Callable[[float], int]:
+        # a step s -> (s/z)**2 increases in s, so the level after n steps
+        # from t lies below the bound iff t lies below the bound run back
+        # through the inverse steps s -> |z| sqrt(s), last step first; those
+        # halve the exponent, so the level stays in range where the forward
+        # chain leaves it (a zero z sends the threshold to 0: never below)
+        level = bounds.copy()
+        for z in reversed(draw):
+            np.sqrt(level, out=level)
+            level *= z
+        return lambda t: np.count_nonzero(t < level)
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.FirstPassage(lam=lam, n=self.n)
@@ -284,8 +299,8 @@ class BesselSquared(_Process):
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_gamma(0.5 * self.gamma, size)
 
-    def _endpoints(self, draw: np.ndarray, t: float) -> np.ndarray:
-        return 2.0 * t * draw
+    def _scale(self, t: float) -> float:
+        return 2.0 * t
 
     def _density(self, y: float, t: float) -> float:
         if y <= 0.0:
@@ -334,14 +349,23 @@ class ElasticBM(_Process):
         s *= 0.5
         return s, s - z, clock
 
-    def _endpoints(self, draw: tuple[np.ndarray, ...], t: float) -> np.ndarray:
-        # np.where(clock <= root * s, 0, root * rest), as a product: a
-        # random mask costs np.where a mispredicted branch per element
+    def _settle(self, draw: tuple[np.ndarray, ...], bounds: np.ndarray) -> Callable[[float], int]:
+        # at time t the endpoint is sqrt(t) * rest, or 0 once clock <=
+        # sqrt(t) * s, so it ends below a bound > 0 unless survive <= sqrt(t)
+        # < kill, with the survival ratio bound / rest and the kill ratio
+        # clock / s
         s, rest, clock = draw
-        root = math.sqrt(t)
-        endpoint = root * rest
-        endpoint *= clock > root * s
-        return endpoint
+        survive, kill = bounds / rest, clock / s
+        if clock.min() == 0.0:  # a zero clock kills at once, at s = 0 too
+            kill[clock == 0.0] = 0.0
+        if bounds.min() == 0.0:  # nothing ends below a zero bound, killed or not
+            kill[bounds == 0.0] = math.inf
+
+        def below(t: float) -> int:
+            root = math.sqrt(t)
+            return np.count_nonzero((root < survive) | (kill <= root))
+
+        return below
 
     def _density(self, y: float, t: float) -> float:
         if y < 0.0:
@@ -633,15 +657,16 @@ def estimate_crossing(
     or a tuple of estimates, one per time, when ``t`` is a non-empty tuple,
     list or 1-D array of times.
 
-    Paths are processed in fixed blocks of 2**18, each with its own
-    counter-based stream keyed by (seed, block index); the estimate is
-    independent of thread count and bit-identical across runs.  The seed
-    is an integer in [0, 2**64) (numpy integers included, stored as int).
-    Each block draws the process's randomness and the boundary once and
-    maps the draw to every time in turn, so the estimates of one call are
-    correlated across times, and each is bit-for-bit the estimate a
-    single-time call returns.  Every time is checked before anything is
-    drawn.
+    Paths are processed in fixed blocks of 2**18, block b drawing from
+    ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,))))``, its own
+    stream; the estimate is independent of thread count and bit-identical
+    across runs.  The seed is an integer in [0, 2**64) (numpy integers
+    included, stored as int).  Each block draws the process's randomness
+    and the boundary once and turns them into per-path thresholds, and
+    each time is then one comparison and one count, so the estimates of
+    one call are correlated across times, and each is bit-for-bit the
+    estimate a single-time call returns.  Every time is checked before
+    anything is drawn.
     """
     _specs("estimate_crossing", spec, boundary)
     ts, single = _times(t, "estimate_crossing")
@@ -656,13 +681,15 @@ def estimate_crossing(
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
 
     def run_block(b: int) -> list[int]:
-        # each time's endpoints are dropped once counted, so a block holds
-        # its draw, its bounds and one time's endpoints whatever len(ts) is
+        # each time's comparison is dropped once counted, so a block holds
+        # its draw, its bounds, its thresholds and one mask whatever len(ts) is
         m = min(_BLOCK, n_paths - b * _BLOCK)
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
         draw = spec._sample(rng, m)
         bounds = boundary._draw(rng, m)
-        return [int(np.count_nonzero(spec._endpoints(draw, s) < bounds)) for s in ts]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below = spec._settle(draw, bounds)
+        return [int(below(s)) for s in ts]
 
     w = _workers()
     if w > 1 and n_blocks > 1:

@@ -9,6 +9,7 @@ the production code (typically < 2e-14 relative) with a 10-100x margin.
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import airy as scipy_airy
@@ -141,14 +142,21 @@ def test_mittag_leffler_half_order_positive_axis_erf_form():
 
 
 def test_mittag_leffler_alpha_one_deep_negative_is_exp():
-    # E_{1,1} = exp answers in closed form where its series cancels, on
-    # scalars and arrays; other alpha >= 1 have no integral representation,
-    # and a series that loses too many digits must fail explicitly
+    # E_{1,1} = exp and E_{1,2} = expm1(z)/z answer in closed form where
+    # their series cancel, on scalars and arrays; other alpha >= 1 have no
+    # integral representation, and a series that loses too many digits
+    # must fail explicitly
     for z in (-8.0, -30.0, -700.0):
         assert rel_err(mittag_leffler(MLParams(1.0), z), math.exp(z)) < 1e-15
     zs = np.array([-700.0, -30.0, -8.0, 0.0, 3.0])
     assert np.array_equal(mittag_leffler(MLParams(1.0), zs), np.exp(zs))
-    for p, z in ((MLParams(1.0), 800.0), (MLParams(1.2), -10.0), (MLParams(1.0, 2.0), -40.0)):
+    for z in (-700.0, -40.0, -8.0, -1e-300, 1e-8, 3.0, 699.0):
+        want = float(mp.expm1(mp.mpf(z)) / z)
+        assert rel_err(mittag_leffler(MLParams(1.0, 2.0), z), want) < 1e-15, z
+    zs = np.array([-700.0, -40.0, -8.0, 0.0, 3.0])
+    got = mittag_leffler(MLParams(1.0, 2.0), zs)
+    assert got[3] == 1.0 and np.array_equal(np.delete(got, 3), np.expm1(np.delete(zs, 3)) / np.delete(zs, 3))
+    for p, z in ((MLParams(1.0), 800.0), (MLParams(1.2), -10.0), (MLParams(1.0, 2.0), 800.0)):
         with pytest.raises(NonConvergence):
             mittag_leffler(p, z)
     with pytest.raises(NonConvergence):

@@ -243,10 +243,25 @@ def draw_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
+def settled(spec, draw, bounds, t) -> int:
+    """How many paths end below their bounds at t, by the threshold hook."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return int(spec._settle(draw, bounds)(t))
+
+
+def within_ulps(spec, draw, t, centre, k) -> bool:
+    """Whether the threshold hook puts every endpoint at t within k ulps of
+    ``centre``: each lies below centre + k ulps, and none below centre - k."""
+    step = k * np.spacing(centre)
+    return settled(spec, draw, centre + step, t) == centre.size and settled(spec, draw, centre - step, t) == 0
+
+
 def test_sojourn_draw_follows_the_arcsine_law():
     u = ss.SojournTime()._sample(draw_rng(1), DRAW_SIZE)
     assert stats.kstest(u, lambda x: 2.0 / math.pi * np.arcsin(np.sqrt(x))).pvalue > 1e-3
-    assert np.array_equal(ss.SojournTime()._endpoints(u, 3.0), 3.0 * u)
+    # the endpoint at t is t * u, to the rounding of the threshold
+    for t in (3.0, 1e-300, 1e300):
+        assert within_ulps(ss.SojournTime(), u, t, t * u, 2)
 
 
 def test_elastic_maximum_and_its_gap_are_half_normal():
@@ -259,9 +274,10 @@ def test_elastic_maximum_and_its_gap_are_half_normal():
 @pytest.mark.parametrize("alpha", [1e-3, 1.0, 100.0])
 @pytest.mark.parametrize("t", [1e-6, 1.0, 1e4])
 def test_elastic_killed_fraction_matches_the_atom(alpha, t):
-    # a killed path ends at 0, a surviving one almost surely above it
+    # a killed path ends at 0, below the least positive bound; a surviving
+    # one almost surely above it
     spec = ss.ElasticBM(alpha=alpha)
-    killed = np.count_nonzero(spec._endpoints(spec._sample(draw_rng(3), DRAW_SIZE), t) == 0.0)
+    killed = settled(spec, spec._sample(draw_rng(3), DRAW_SIZE), np.full(DRAW_SIZE, 5e-324), t)
     p = ss.elastic_atom(spec, t)
     z = (killed - DRAW_SIZE * p) / math.sqrt(DRAW_SIZE * p * (1.0 - p))
     assert abs(z) < 4.0, (killed, DRAW_SIZE * p)
@@ -279,7 +295,8 @@ def ulps(a, b):
     return np.abs(a - b) / np.spacing(b)
 
 
-# at n = 1 the fold is the step map but for pow(2t, 1/2) in place of sqrt(2t)
+# at n = 1 the fold is the step map but for pow(2t, 1/2) in place of sqrt(2t);
+# the threshold bound / draw rounds once more, so every bracket gains an ulp
 @pytest.mark.parametrize("n, to_sequential", [(1, 1), (2, 4)])
 def test_folded_iterated_chain_matches_the_step_by_step_map(n, to_sequential):
     spec = ss.IteratedBM(n=n)
@@ -287,16 +304,135 @@ def test_folded_iterated_chain_matches_the_step_by_step_map(n, to_sequential):
     rng = draw_rng(4)
     zs = [rng.standard_normal(DRAW_SIZE) for _ in range(n)]
     for t in MULTI_TIMES:
-        got = spec._endpoints(folded, t)
         want = sequential_endpoints(zs, t, np.float64)
         exact = sequential_endpoints(zs, t, np.longdouble).astype(np.float64)
-        assert np.isfinite(got).all()
-        assert ulps(got, want).max() <= to_sequential
-        # and the fold is as accurate as the map it replaces, to 1 ulp
-        assert ulps(got, exact).max() <= ulps(want, exact).max() + 1.0
+        assert within_ulps(spec, folded, t, want, to_sequential + 1)
+        # and the fold is as accurate as the map it replaces, to 2 ulps
+        assert within_ulps(spec, folded, t, exact, ulps(want, exact).max() + 2.0)
+    ones = np.ones(DRAW_SIZE)
     for t in (1e-300, 1e300):
-        got = spec._endpoints(folded, t)
-        assert np.array_equal(got < 1.0, sequential_endpoints(zs, t, np.float64) < 1.0)
+        assert settled(spec, folded, ones, t) == np.count_nonzero(sequential_endpoints(zs, t, np.float64) < 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the thresholds against the per-time endpoint maps they replaced
+# ---------------------------------------------------------------------------
+
+def first_passage_endpoints(spec, zs, t):
+    s = t
+    for z in zs:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s = (s / z) ** 2
+    return s
+
+
+def elastic_endpoints(spec, draw, t):
+    s, rest, clock = draw
+    root = math.sqrt(t)
+    return np.where(clock <= root * s, 0.0, root * rest)
+
+
+# each sampled process's endpoints at time t, as a map of its draw
+ENDPOINTS = {
+    ss.ReflectedBM: lambda spec, draw, t: draw * math.sqrt(2.0 * t),
+    ss.IteratedBM: lambda spec, draw, t: draw * (2.0 * t) ** 0.5**spec.n,
+    ss.SojournTime: lambda spec, draw, t: t * draw,
+    ss.BesselSquared: lambda spec, draw, t: 2.0 * t * draw,
+    ss.FirstPassageChain: first_passage_endpoints,
+    ss.ElasticBM: elastic_endpoints,
+}
+EDGE_TIMES = (1e-300, 1e-12, 0.7, 1e9, 1e300)
+
+
+def mapped(spec, draw, bounds, t) -> int:
+    return int(np.count_nonzero(ENDPOINTS[type(spec)](spec, draw, t) < bounds))
+
+
+@pytest.mark.parametrize("name, spec, boundary", SAMPLED, ids=[row[0] for row in SAMPLED])
+def test_thresholds_count_what_the_endpoint_maps_count(name, spec, boundary):
+    for seed in (5, 6):
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
+        draw = spec._sample(rng, DRAW_SIZE)
+        bounds = boundary._draw(rng, DRAW_SIZE)
+        for t in EDGE_TIMES:
+            assert settled(spec, draw, bounds, t) == mapped(spec, draw, bounds, t), (seed, t)
+
+
+def one_path(draw, i):
+    """Path i of a draw: an array, or a list or tuple of arrays."""
+    if isinstance(draw, np.ndarray):
+        return draw[i:i + 1]
+    return type(draw)(part[i:i + 1] for part in draw)
+
+
+def assert_each_path_agrees(spec, draw, bounds):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        paths = [spec._settle(one_path(draw, i), bounds[i:i + 1]) for i in range(bounds.size)]
+    for t in EDGE_TIMES:
+        want = ENDPOINTS[type(spec)](spec, draw, t) < bounds
+        assert [bool(below(t)) for below in paths] == want.tolist(), (spec, t)
+
+
+EDGE_BOUNDS = [0.0, 1e-200, 0.5, 2.0, 30.0]
+
+
+@pytest.mark.parametrize("spec", [ss.ReflectedBM(), ss.IteratedBM(n=1), ss.IteratedBM(n=3), ss.SojournTime(),
+                                  ss.BesselSquared(gamma=1.0)], ids=repr)
+def test_thresholds_agree_on_zero_and_extreme_draws(spec):
+    # a zero draw (|Z| = 0, sin**2 = 0, a zero gamma) ends at 0 at every t
+    draw, bounds = (a.ravel() for a in np.meshgrid([0.0, 1e-200, 0.3, 1.0, 8.0], EDGE_BOUNDS))
+    assert_each_path_agrees(spec, draw, bounds)
+
+
+def test_elastic_thresholds_agree_on_zero_draws_and_clocks():
+    # rest = 0 ends at 0 unkilled, a zero clock kills at once, and s = 0
+    # never accrues local time
+    s, rest, clock, bounds = (a.ravel() for a in np.meshgrid([0.0, 0.3, 2.0], [0.0, 0.3, 2.0], [0.0, 0.2, 3.0],
+                                                              EDGE_BOUNDS))
+    assert_each_path_agrees(ss.ElasticBM(alpha=1.0), (s, rest, clock), bounds)
+
+
+@pytest.mark.parametrize("n", [8, 1024])
+def test_first_passage_thresholds_agree_where_the_chain_leaves_the_float_range(n):
+    # columns: unit steps (the level is t**(2**n)), a zero step first or
+    # last (inf from there), a huge first step (the level underflows), a
+    # huge last step, a tiny first step (it overflows) and seeded draws
+    rng = np.random.default_rng(n)
+    columns = [np.ones(n) for _ in range(6)] + list(np.abs(rng.standard_normal((4, n))))
+    columns[1][0] = columns[2][-1] = 0.0
+    columns[3][0], columns[4][-1], columns[5][0] = 1e200, 1e200, 1e-200
+    zs = np.repeat(np.array(columns).T, len(EDGE_BOUNDS), axis=1)
+    bounds = np.tile(EDGE_BOUNDS, len(columns))
+    assert_each_path_agrees(ss.FirstPassageChain(n=n), list(zs), bounds)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_block_b_draws_the_sfc64_stream_spawned_with_key_b(seed, monkeypatch):
+    # the streams are part of every pinned estimate: changing the generator
+    # or its keying must fail here, not only in the parity rows
+    monkeypatch.setenv("FRAX_THREADS", "1")
+    spec, boundary = ss.ReflectedBM(), ss.Exponential(lam=1.0)
+    n_paths, t = 2**18 + 1000, 0.7
+    drawn = []
+
+    def spy(real):
+        def draw(self, rng, size):
+            drawn.append(real(self, rng, size))
+            return drawn[-1]
+        return draw
+
+    monkeypatch.setattr(ss.ReflectedBM, "_sample", spy(ss.ReflectedBM._sample))
+    monkeypatch.setattr(ss.Exponential, "_draw", spy(ss.Exponential._draw))
+    est = ss.estimate_crossing(spec, boundary, t, n_paths, seed=seed)
+    below = 0
+    for b, m in enumerate((2**18, 1000)):
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        draw = np.abs(rng.standard_normal(m))
+        bounds = rng.exponential(1.0, m)
+        assert np.array_equal(drawn[2 * b], draw) and np.array_equal(drawn[2 * b + 1], bounds)
+        below += np.count_nonzero(draw * math.sqrt(2.0 * t) < bounds)
+    assert len(drawn) == 4
+    assert est.p_hat == below / n_paths
 
 
 # ---------------------------------------------------------------------------
