@@ -13,8 +13,9 @@ Evaluation strategy: every law has an explicit series/closed form.  The
 series track their propagated error term by term and raise
 :class:`NonConvergence` at the first term that breaks the 1e-9 budget.
 For the five laws whose closed form is a series (fractional, elastic,
-gamma-boundary, elastic-gamma, distributed) :func:`psi` inverts the exact
-Laplace transform on a fixed Talbot contour, at one time or on a whole
+gamma-boundary, elastic-gamma, distributed; the elastic law's is a
+difference of two erfcx values away from equal rates) :func:`psi` inverts
+the exact Laplace transform on a fixed Talbot contour, at one time or on a whole
 array of times: the contour, else :class:`Unstable`.  The elementary laws
 evaluate their closed form.  ``_series_psi`` is the reference evaluator
 that the verify checks compare against: the series first, the contour
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import gammaln, i0e
+from scipy.special import erfcx, gammaln, i0e
 
 from .errors import DomainError, NonConvergence, Unsupported, _finite, _integer
 from .fraccalc import laplace_invert
@@ -136,25 +137,23 @@ def _clip01(v: float) -> float:
     return v
 
 
-# Log-space evaluation loses a few tens of ulps per term: _gml_scaled
-# inflates a Mittag-Leffler series' error estimate by this factor, and
+# Log-space evaluation loses a few tens of ulps per term: GammaBoundary
+# inflates its Mittag-Leffler series' error estimate by this factor, and
 # _degree_series allows its terms as many.
 _INNER_ERR_SAFETY = 64.0
 # Absolute error a law may carry; the law is a probability.
 _BUDGET = 1e-9
-# Relative accuracy of a mittag_leffler value: the level agreement that
-# certifies its integral branch (specfun.quad).
-_ML_ACCURACY = 1e-12
-# The elastic law takes its alpha = lam form within this relative offset of
-# equal rates; that form errs by ~0.17 times the offset (1.7e-11 at the edge).
-_EQUAL_RATES = 1e-10
+# Relative accuracy assumed of scipy's erfcx: 40-digit mpmath read <= 8.7e-16
+# at 0 and 4,000 log-spaced x in [1e-10, 1e10], the argument's two roundings
+# add <= 1.5 eps (erfcx's relative condition is < 1), and this keeps 3x over both.
+_ERFCX_ACCURACY = 4e-15
 
 
 def _absum_cap(scale):
     """Cap on the absolute sum of a series whose value a law multiplies by ``scale``.
 
     A series with absolute sum A adds ``scale * 64 * eps * A`` to the
-    error :func:`_gml_scaled` propagates; the cap is twice the A that fills
+    error GammaBoundary's series propagates; the cap is twice the A that fills
     the 1e-9 budget, so rounding never rejects a series that its gate would
     accept.  A scale of 0 leaves the sum uncapped, and an infinite one caps
     it at 0.  Arrays give one cap per element.
@@ -164,28 +163,6 @@ def _absum_cap(scale):
         with np.errstate(divide="ignore"):
             return np.where(unit == 0.0, _ABSUM_CAP, np.minimum(_ABSUM_CAP, 2.0 * _BUDGET / unit))
     return _ABSUM_CAP if unit == 0.0 else min(_ABSUM_CAP, 2.0 * _BUDGET / unit)
-
-
-def _gml_scaled(p: MLParams, z, scale):
-    """Inner series value whose ``scale``-multiplied error must fit the law.
-
-    The single-series laws subtract ``scale * value`` from 1, so what has
-    to be small is the absolute error of that product, not the relative
-    error of the series; the acceptance gate matches the one of the
-    regrouped double series (propagated error below 1e-9), and the series
-    stops at the first term whose absolute sum breaks it.  For arrays ``z`` and
-    ``scale`` the rows that fail the gate are NaN instead of raising.
-    """
-    val, est, ok = _gml_raw(p, z, _absum_cap(scale))
-    accurate = ok & (scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) <= _BUDGET)
-    if isinstance(z, np.ndarray):
-        return np.where(accurate, val, np.nan)
-    if not accurate:
-        raise NonConvergence(
-            f"series for E^{p.gamma}_({p.alpha},{p.beta})({z}) is not accurate enough "
-            f"at scale {scale:.3g}"
-        )
-    return val
 
 
 # A double series regrouped by total degree keeps the reach of its two
@@ -574,20 +551,14 @@ class Elastic(_Law):
         _positive(self, "alpha", "lam")
 
     def _psi(self, t):
+        # E_{1/2}(-x) = erfcx(x), so psi divides a difference of two erfcx
+        # values by lam - alpha; where that breaks the budget, psi is the k = 1
+        # elastic gamma-boundary law, whose series divides nothing
         lam, alpha = self.lam, self.alpha
+        if 2.0 * _ERFCX_ACCURACY * lam > _BUDGET * abs(lam - alpha):
+            return ElasticGamma(1, alpha, lam)._psi(t)
         sqrt_t = _xp(t).sqrt(t)
-        if abs(alpha - lam) < _EQUAL_RATES * lam:
-            y = lam * sqrt_t / _SQRT2
-            return 1.0 - y * _gml_scaled(MLParams(0.5, 1.5, 2.0), -y, y)
-        # lam / (lam - alpha) amplifies the error of both Mittag-Leffler values
-        if 2.0 * _ML_ACCURACY * lam > _BUDGET * abs(lam - alpha):
-            if isinstance(t, np.ndarray):
-                return np.full(t.shape, np.nan)
-            raise NonConvergence(f"two-rate elastic series cancels at alpha={alpha!r}, lam={lam!r}")
-        ml = MLParams(0.5, 1.0)
-        ea = mittag_leffler(ml, -alpha * sqrt_t / _SQRT2)
-        el = mittag_leffler(ml, -lam * sqrt_t / _SQRT2)
-        return 1.0 - lam / (lam - alpha) * (ea - el)
+        return 1.0 - lam / (lam - alpha) * (erfcx(alpha * sqrt_t / _SQRT2) - erfcx(lam * sqrt_t / _SQRT2))
 
     def _laplace(self, s):
         lam, alpha = self.lam, self.alpha
@@ -621,14 +592,22 @@ class GammaBoundary(_Law):
         _positive(self, "lam")
 
     def _psi(self, t):
+        # 1 - x**k E^k_{1/2,k/2+1}(-x): the absolute error of the product must
+        # fit the budget, not the relative error of the series, which stops
+        # at the first term whose absolute sum breaks it
         x = self.lam * _xp(t).sqrt(t)
         try:
             with np.errstate(over="ignore"):
                 scale = x**self.k
         except OverflowError:  # a float x**k past the float range, as an array's inf
             scale = math.inf  # the series then fails its gate
-        p = MLParams(0.5, 0.5 * self.k + 1.0, float(self.k))
-        return 1.0 - scale * _gml_scaled(p, -x, scale)
+        val, est, ok = _gml_raw(MLParams(0.5, 0.5 * self.k + 1.0, float(self.k)), -x, _absum_cap(scale))
+        accurate = ok & (scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) <= _BUDGET)
+        if isinstance(t, np.ndarray):
+            val = np.where(accurate, val, np.nan)  # NaN where the series fails
+        elif not accurate:
+            raise NonConvergence(f"gamma-boundary series fails its 1e-9 gate at t={t!r}")
+        return 1.0 - scale * val
 
     def _laplace(self, s):
         lam, k = self.lam, self.k

@@ -9,10 +9,11 @@ relative to the running sum, and carries a cancellation estimate
 instead of silently returned.  When the Mittag-Leffler series cannot
 reach the target accuracy, the evaluator switches to the spectral integral
 on the negative axis (:func:`_ml_integral`) or raises
-:class:`NonConvergence`.  Every integral in the package is summed by one
-rule, :func:`quad`: fixed nested double-exponential nodes, whose value
-stands when two levels agree to 1e-12 relative, and no adaptive
-quadrature.  The M-Wright density is tried the other way round: first one fixed
+:class:`NonConvergence`.  That integral and the quadrature crossings of
+:mod:`frax.stochsim` are summed by :func:`quad`: fixed nested
+double-exponential nodes, whose value stands when two levels agree to
+1e-12 relative (:func:`~frax.fraccalc.laplace_forward` has its own fixed
+rule).  The M-Wright density is tried the other way round: first one fixed
 product rule for Zolotarev's stable-law integral, tabulated once per
 order (:func:`_stable_table`) and certified by two levels agreeing to
 1e-12 relative, then the series; when neither certifies it raises.

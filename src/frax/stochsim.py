@@ -20,7 +20,7 @@ stable, Airy, and distributed-order subordinators) are integrated instead:
 their density times the boundary's survival function, on one nested
 double-exponential rule (Takahasi & Mori, Publ. RIMS 9, 1974) whose
 levels halve the step until two of them agree (:func:`frax.specfun.quad`,
-the rule every integral of the package is summed by).  The inverse stable and
+which also sums the Mittag-Leffler integral).  The inverse stable and
 Airy clocks end at scale(t) * X for one time-free X, so the density of X
 times the rule's weights is tabulated once per spec, level by level, and
 a call is one survival evaluation and one sum per level.
@@ -40,7 +40,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import erfcx, gammaincc
@@ -267,19 +267,29 @@ class FirstPassageChain(_Process):
     def __post_init__(self) -> None:
         _count(self, "n")
 
-    def _sample(self, rng: np.random.Generator, size: int) -> list[np.ndarray]:
-        return [np.abs(rng.standard_normal(size)) for _ in range(self.n)]
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self._fold(np.abs(rng.standard_normal(size)) for _ in range(self.n))
 
-    def _settle(self, draw: list[np.ndarray], bounds: np.ndarray) -> Callable[[float], int]:
-        # a step s -> (s/z)**2 increases in s, so the level after n steps
-        # from t lies below the bound iff t lies below the bound run back
-        # through the inverse steps s -> |z| sqrt(s), last step first; those
-        # halve the exponent, so the level stays in range where the forward
-        # chain leaves it (a zero z sends the threshold to 0: never below)
-        level = bounds.copy()
-        for z in reversed(draw):
+    @staticmethod
+    def _fold(steps: Iterable[np.ndarray]) -> np.ndarray:
+        """prod_i z_i**(2**(1-i)) of the steps z_1, z_2, ..., each folded into
+        the first (which it overwrites) as it comes: two at a time at any n.
+        The exponent stops at the least subnormal, where 0**0 would be 1."""
+        steps = iter(steps)
+        factor = next(steps)
+        for i, z in enumerate(steps, 1):
+            factor *= z ** max(0.5**i, 5e-324)
+        return factor
+
+    def _settle(self, draw: np.ndarray, bounds: np.ndarray) -> Callable[[float], int]:
+        # a step s -> (s/z)**2 increases in s, so the level after n steps from
+        # t lies below b iff t lies below b**(2**-n) * prod_i z_i**(2**(1-i)):
+        # n square roots of b times the draw, in range where the forward chain
+        # leaves it (a zero z makes it 0: never below)
+        level = np.sqrt(bounds)
+        for _ in range(1, self.n):
             np.sqrt(level, out=level)
-            level *= z
+        level *= draw
         return lambda t: np.count_nonzero(t < level)
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:

@@ -203,6 +203,12 @@ def _exponential(rate: float) -> Callable[[float], float]:
     return lambda t: math.exp(-rate * t)
 
 
+def _equal_rate_elastic(lam: float, t: float) -> float:
+    """psi of Elastic(lam, lam): the erfcx form's limit 1 - y (2/sqrt(pi) - 2 y erfcx(y)), y = lam sqrt(t/2)."""
+    y = lam * math.sqrt(0.5 * t)
+    return 1.0 - y * (2.0 / math.sqrt(math.pi) - 2.0 * y * float(erfcx(y)))
+
+
 # (a, b, E_{a,b}) in closed form (Haubold, Mathai & Saxena, J. Appl. Math. 2011)
 _ML_CLOSED_FORMS = (
     (1.0, 1.0, math.exp),
@@ -238,10 +244,10 @@ _PAIRS: dict[str, tuple] = {
         _series(rx.GammaBoundary(k=1, lam=lam)), _series(rx.Fractional(nu=0.5, lam=lam)),
         np.geomspace(0.05, 20.0, 13).tolist(),
     ) for lam in (0.7, 1.0, 1.9)], 1e-10),
-    # alpha -> 0 removes the killing: psi -> E_{1/2,1}(-lam sqrt(t/2)) =
-    # erfcx(lam sqrt(t/2)), a reference that shares no code with the law
+    # alpha -> 0 removes the killing: the law's erfcx form tends to
+    # E_{1/2}(-lam sqrt(t/2)), the order-1/2 relaxation's Mittag-Leffler series
     "elastic-vanishing-killing": ([(
-        _series(rx.Elastic(alpha=1e-10, lam=lam)), lambda t, lam=lam: float(erfcx(lam * math.sqrt(0.5 * t))),
+        _series(rx.Elastic(alpha=1e-10, lam=lam)), _series(rx.Fractional(nu=0.5, lam=lam / math.sqrt(2.0))),
         (0.1, 0.5, 1.0, 2.0, 5.0),
     ) for lam in (0.7, 1.0, 1.9)], 1e-9),
     # shape k = 1 reduces the elastic gamma law to the plain elastic law
@@ -250,9 +256,9 @@ _PAIRS: dict[str, tuple] = {
     ) for alpha, lam, t in _UNIT_SHAPE_DRAWS.tolist()], 1e-9),
     # alpha -> 0 with rate lam*sqrt(2) recovers the gamma-boundary law at rate lam
     "elastic-gamma-vanishing-killing": ([(
-        _series(rx.ElasticGamma(k=k, alpha=1e-10, lam=math.sqrt(2.0))), _series(rx.GammaBoundary(k=k, lam=1.0)),
+        _series(rx.ElasticGamma(k=k, alpha=1e-13, lam=math.sqrt(2.0))), _series(rx.GammaBoundary(k=k, lam=1.0)),
         _TIMES,
-    ) for k in (1, 2, 3)], 1e-8),
+    ) for k in (1, 2, 3)], 1e-10),
     # the n-fold passage chain is exponential, its rate lam mapped n times by r -> sqrt(2 r)
     "first-passage-chain-rate": ([(
         _series(rx.FirstPassage(lam=lam, n=n)),
@@ -265,10 +271,13 @@ _PAIRS: dict[str, tuple] = {
         (_inverted(rx.Distributed(nu1=0.3, nu2=0.7, n1=0.0, n2=1.0, lam=0.8)),
          _series(rx.Fractional(nu=0.7, lam=0.8)), _TIMES),
     ], 1e-12),
-    # the alpha = lam elastic branch is the limit of the two-rate formula
-    "elastic-equal-rate-branch": ([(
-        _series(rx.Elastic(alpha=lam * (1.0 + 1e-7), lam=lam)), _series(rx.Elastic(alpha=lam, lam=lam)), _TIMES,
-    ) for lam in (0.8, 1.3)], 1e-6),
+    # near equal rates the elastic law sums ElasticGamma's k = 1 series: at
+    # alpha = lam against the erfcx form's limit, beside it against its transform
+    "elastic-equal-rate-branch": ([
+        (_series(rx.Elastic(alpha=lam, lam=lam)), functools.partial(_equal_rate_elastic, lam), _TIMES)
+        for lam in (0.8, 1.3)
+    ] + [(_series(m), _inverted(m), _TIMES) for m in (
+        rx.Elastic(alpha=lam * (1.0 + d), lam=lam) for lam in (0.8, 1.3) for d in (1e-7, -1e-7))], 1e-10),
     # contour inversion of the closed-form transform against the series
     **{f"inversion-{name}": (
         [(_inverted(model), _series(model), (0.25, 0.5, 1.0, 2.0, 4.0))], 1e-10,

@@ -282,8 +282,8 @@ def main() -> None:
             value = mp.invertlaplace(elastic(1.0 + d), 1, method="talbot")
             out.append((f"Elastic(alpha={1.0 + d!r}, lam=1) psi(1)", "test_relaxation", value))
 
-    # --- test_relaxation: the two-rate elastic law near and beyond the
-    # cancellation gate, from its closed form with E_{1/2,1}(-x) = erfcx(x):
+    # --- test_relaxation: the elastic law near and beyond its equal-rate
+    # band, from its closed form with E_{1/2,1}(-x) = erfcx(x):
     # psi = 1 - lam/(lam - alpha) (erfcx(alpha y) - erfcx(lam y)), y = sqrt(t/2),
     # at 60 digits, alpha the binary float 1 + d
     with mp.workdps(60):
@@ -296,9 +296,9 @@ def main() -> None:
             value = 1 - 1 / (1 - a) * (erfcx(a * y) - erfcx(y))
             out.append((f"Elastic(alpha={1.0 + d!r}, lam=1) psi({t})", "test_relaxation two-rate", value))
 
-        # either side of the alpha = lam band edge (relative offset 1e-10) at
-        # lam = 100, t = 6.3e-4, alpha the binary float 100 * (1 + d); the
-        # elastic law and the elastic law with a k = 1 gamma boundary agree
+        # relative offsets 1e-10 and 1e-9 from equal rates at lam = 100,
+        # t = 6.3e-4, alpha the binary float 100 * (1 + d); the elastic law
+        # and the elastic law with a k = 1 gamma boundary agree
         lam, y = mp.mpf(100), mp.sqrt(mp.mpf(6.3e-4) / 2)
         for d in (0.99e-10, -0.99e-10, 1e-9, -1e-9):
             a = mp.mpf(100 * (1.0 + d))

@@ -609,10 +609,10 @@ def test_module_entry_point():
 
 
 def test_importing_the_cli_loads_no_adaptive_quadrature():
-    # every integral in src/ is summed on specfun.quad's fixed nested rule,
-    # certified by two levels: scipy.integrate's adaptive quad once returned
-    # silently wrong Mittag-Leffler values near unit order, and importing it
-    # cost a quarter of a second in every process
+    # no integral in src/ is adaptive: specfun.quad, laplace_forward and
+    # wright_m sum fixed rules, each checked by two levels; scipy.integrate's
+    # adaptive quad once returned silently wrong Mittag-Leffler values near
+    # unit order, and importing it cost a quarter of a second in every process
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, frax.cli; print(sorted(m for m in sys.modules if 'integrate' in m))"],
         capture_output=True, text=True, timeout=60, env=_child_env(),

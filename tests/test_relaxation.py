@@ -135,28 +135,34 @@ ELASTIC_TWO_RATE = {
 }
 
 
-def test_elastic_series_reference_near_equal_rates():
-    # the two-rate series divides a difference of Mittag-Leffler values by
-    # lam - alpha: within 2e-3 of equal rates that cancellation can break the
-    # budget (2.4e-7 at d = 1e-6, t = 10), so the series refuses there and
-    # the reference inverts the transform (measured <= 8.2e-14); at d = 1e-2
-    # the series answers (measured <= 1.8e-11)
-    cases = {(d, 1.0): want for d, want in ELASTIC_NEAR_EQUAL.items() if d} | ELASTIC_TWO_RATE
+def _degree_series_calls(monkeypatch):
+    """A list that grows by one entry at each call of relaxation._degree_series."""
+    calls, real = [], rx._degree_series
+    monkeypatch.setattr(rx, "_degree_series", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_elastic_series_reference_near_equal_rates(monkeypatch):
+    # the erfcx form divides a difference of two erfcx values by
+    # lam - alpha; within 8e-6 of equal rates that cancellation could break
+    # the budget, so the law sums the k = 1 elastic gamma series there
+    # (d = 0, +-3e-8 and +-1e-6, measured <= 3.2e-13), and the erfcx form
+    # beyond it (measured <= 1.8e-12)
+    calls = _degree_series_calls(monkeypatch)
+    cases = {(d, 1.0): want for d, want in ELASTIC_NEAR_EQUAL.items()} | ELASTIC_TWO_RATE
     for d in sorted({d for d, _t in cases}):
         m = rx.Elastic(alpha=1.0 + d, lam=1.0)
         ts = sorted(t for dd, t in cases if dd == d)
         wants = np.array([cases[d, t] for t in ts])
-        if abs(d) < 2e-3:
-            with pytest.raises(NonConvergence, match="cancels"):
-                m._psi(ts[0])
-            assert np.isnan(m._psi(np.array(ts))).all()
-        scalar = np.array([rx._series_psi(m, t) for t in ts])
+        del calls[:]
+        scalar = np.array([m._psi(t) for t in ts])
         assert np.max(np.abs(scalar - wants)) < 1e-10, d
-        assert np.max(np.abs(rx._series_psi(m, np.array(ts)) - wants)) < 1e-10, d
+        assert np.max(np.abs(m._psi(np.array(ts)) - wants)) < 1e-10, d
+        assert len(calls) == (len(ts) + 1 if abs(d) < 1e-5 else 0), d
 
 
 # psi(6.3e-4) of Elastic(alpha = 100 * (1 + d), lam = 100) from its erfcx
-# closed form (tests/gen_oracles.py): d -> value
+# closed form (tests/gen_oracles.py), near equal rates: d -> value
 ELASTIC_BAND_EDGE = {
     0.99e-10: 0.772381593456679554147,
     -0.99e-10: 0.7723815934229146188425,
@@ -165,24 +171,33 @@ ELASTIC_BAND_EDGE = {
 }
 
 
-def test_equal_rate_band_edge():
-    # the alpha = lam form errs by ~0.17 times the relative offset: it is
-    # used within 1e-10 of equal rates (measured 1.7e-11 at the edge), and
-    # beyond it Elastic's two-rate gate hands the point to the contour
-    # (measured 4.1e-14); ElasticGamma has no band and sums its one series
-    # on both sides (measured 3.2e-14)
+def test_equal_rate_band_edge(monkeypatch):
+    # offsets of 1e-10 and 1e-9 lie inside the equal-rate band, where
+    # Elastic sums the series ElasticGamma(k = 1) sums (measured 2.9e-14)
+    calls = _degree_series_calls(monkeypatch)
     t = 6.3e-4
     for d, want in ELASTIC_BAND_EDGE.items():
         alpha = 100.0 * (1.0 + d)
         for m, tol in ((rx.Elastic(alpha=alpha, lam=100.0), 1e-10), (rx.ElasticGamma(k=1, alpha=alpha, lam=100.0), 1e-13)):
-            assert abs(rx._series_psi(m, t) - want) < tol, (m, d)
-            assert abs(rx._series_psi(m, np.array([t]))[0] - want) < tol, (m, d)
-        elastic = rx.Elastic(alpha=alpha, lam=100.0)
-        if abs(d) < 1e-10:
-            assert abs(elastic._psi(t) - want) < 1e-10
-        else:
-            with pytest.raises(NonConvergence, match="cancels"):
-                elastic._psi(t)
+            assert abs(m._psi(t) - want) < tol, (m, d)
+            assert abs(m._psi(np.array([t]))[0] - want) < tol, (m, d)
+    assert len(calls) == 4 * len(ELASTIC_BAND_EDGE)
+
+
+@pytest.mark.parametrize("lam", [1.0, 100.0])
+def test_elastic_forms_meet_at_the_band_edge(lam):
+    # just inside the band edge the series answers, just outside it the
+    # erfcx form, whose error lam / (lam - alpha) amplifies most there
+    # (measured 1.4e-13 and 4.1e-11 against the closed form at 40 digits)
+    edge = 2.0 * rx._ERFCX_ACCURACY / rx._BUDGET
+    with mp.workdps(40):
+        for d in (edge * 0.999, -edge * 0.999, edge * 1.001, -edge * 1.001):
+            alpha = lam * (1.0 + d)
+            for t in (1e-4 / lam**2, 1.0 / lam**2, 9.0 / lam**2):
+                c = mp.sqrt(mp.mpf(t) / 2)
+                a, y = mp.mpf(alpha) * c, mp.mpf(lam) * c
+                want = 1 - lam / (lam - mp.mpf(alpha)) * (mp.exp(a * a) * mp.erfc(a) - mp.exp(y * y) * mp.erfc(y))
+                assert abs(rx.Elastic(alpha=alpha, lam=lam)._psi(t) - want) < 1e-10, (d, t)
 
 
 # psi(t) of ElasticGamma(k, alpha, lam) from tests/gen_oracles.py (mpmath
@@ -655,7 +670,7 @@ def test_array_series_psi_matches_scalar_calls(monkeypatch, m, name):
     # the failed points go to one contour, and they are the scalar path's
     assert len(array_calls) <= 1
     assert sum(array_calls, []) == scalar_times
-    # measured: <= 4.2e-13 (GammaBoundary at the exp-sinh nodes)
+    # measured: <= 2.1e-12 (Distributed at the exp-sinh nodes)
     assert got.shape == ts.shape
     assert np.max(np.abs(got - want)) <= 1e-11
     if not m._contour_first:

@@ -113,7 +113,7 @@ DEEP_UNIT_ML = [
 
 @pytest.mark.parametrize("alpha, beta, z, want", DEEP_UNIT_ML)
 def test_mittag_leffler_certifies_or_raises_near_unit_order(alpha, beta, z, want):
-    # the accuracy the laws budget for (relaxation._ML_ACCURACY), or a raise
+    # the relative accuracy quad certifies its integral to (specfun._DE_TOL), or a raise
     try:
         got = mittag_leffler(MLParams(alpha, beta), z)
     except NonConvergence:

@@ -348,14 +348,57 @@ def mapped(spec, draw, bounds, t) -> int:
     return int(np.count_nonzero(ENDPOINTS[type(spec)](spec, draw, t) < bounds))
 
 
+def steps_of(spec, rng, size):
+    """What the endpoint map of ``spec`` takes: its draw, or the chain's
+    steps |Z_1| .. |Z_n| in draw order, which its draw folds."""
+    if isinstance(spec, ss.FirstPassageChain):
+        return [np.abs(rng.standard_normal(size)) for _ in range(spec.n)]
+    return spec._sample(rng, size)
+
+
+def folded(spec, steps):
+    """What the threshold hook of ``spec`` takes of ``steps_of``."""
+    if isinstance(spec, ss.FirstPassageChain):
+        return ss.FirstPassageChain._fold([z.copy() for z in steps])
+    return steps
+
+
 @pytest.mark.parametrize("name, spec, boundary", SAMPLED, ids=[row[0] for row in SAMPLED])
 def test_thresholds_count_what_the_endpoint_maps_count(name, spec, boundary):
     for seed in (5, 6):
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
-        draw = spec._sample(rng, DRAW_SIZE)
+        steps = steps_of(spec, rng, DRAW_SIZE)
         bounds = boundary._draw(rng, DRAW_SIZE)
         for t in EDGE_TIMES:
-            assert settled(spec, draw, bounds, t) == mapped(spec, draw, bounds, t), (seed, t)
+            assert settled(spec, folded(spec, steps), bounds, t) == mapped(spec, steps, bounds, t), (seed, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_first_passage_draw_folds_its_steps_in_draw_order(n):
+    # step i of the chain is the i-th normal draw; at n = 1 the draw is |Z|
+    spec = ss.FirstPassageChain(n=n)
+    steps = steps_of(spec, draw_rng(7), DRAW_SIZE)
+    draw = spec._sample(draw_rng(7), DRAW_SIZE)
+    assert np.array_equal(draw, folded(spec, steps))
+    exponents = 0.5 ** np.arange(n)
+    assert np.allclose(draw, np.prod(np.array(steps) ** exponents[:, None], axis=0), rtol=4 * n * 2.0**-52, atol=0.0)
+
+
+def test_first_passage_block_memory_does_not_grow_with_n(monkeypatch):
+    # each step is folded into the draw as it comes: a 2**18-path block
+    # holds a few arrays of 2 MiB at n = 64 (measured 4.0; 66 when the
+    # steps were kept)
+    monkeypatch.setenv("FRAX_THREADS", "1")
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            ss.estimate_crossing(ss.FirstPassageChain(n=n), ss.Exponential(lam=1.0), 1.0, 2**18)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) <= 6 * 2**18 * 8
 
 
 def one_path(draw, i):
@@ -367,7 +410,7 @@ def one_path(draw, i):
 
 def assert_each_path_agrees(spec, draw, bounds):
     with np.errstate(divide="ignore", invalid="ignore"):
-        paths = [spec._settle(one_path(draw, i), bounds[i:i + 1]) for i in range(bounds.size)]
+        paths = [spec._settle(folded(spec, one_path(draw, i)), bounds[i:i + 1]) for i in range(bounds.size)]
     for t in EDGE_TIMES:
         want = ENDPOINTS[type(spec)](spec, draw, t) < bounds
         assert [bool(below(t)) for below in paths] == want.tolist(), (spec, t)
@@ -392,7 +435,7 @@ def test_elastic_thresholds_agree_on_zero_draws_and_clocks():
     assert_each_path_agrees(ss.ElasticBM(alpha=1.0), (s, rest, clock), bounds)
 
 
-@pytest.mark.parametrize("n", [8, 1024])
+@pytest.mark.parametrize("n", [8, 1024, 1100])  # 0.5**1099 underflows to 0
 def test_first_passage_thresholds_agree_where_the_chain_leaves_the_float_range(n):
     # columns: unit steps (the level is t**(2**n)), a zero step first or
     # last (inf from there), a huge first step (the level underflows), a

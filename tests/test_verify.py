@@ -119,7 +119,12 @@ def _off_by(f, rel: float):
     ("distributed-zero-weight", rx.Fractional, "_psi", 1e-9),
     # both sides once called E_{1/2} at the same argument, and passed this
     ("elastic-vanishing-killing", specfun, "_ml_series", 5e-9),
-], ids=["gml-unit-parameter-collapse", "distributed-zero-weight", "elastic-vanishing-killing"])
+    # the equal-rate elastic law and the elastic gamma law sum the degree
+    # series; their references do not
+    ("elastic-equal-rate-branch", rx, "_degree_series", 1e-9),
+    ("elastic-gamma-vanishing-killing", rx, "_degree_series", 1e-9),
+], ids=["gml-unit-parameter-collapse", "distributed-zero-weight", "elastic-vanishing-killing",
+        "elastic-equal-rate-branch", "elastic-gamma-vanishing-killing"])
 def test_a_row_fails_when_the_code_under_it_is_off(monkeypatch, name, owner, attr, rel):
     # a row whose two sides both ran the shared code would pass such an
     # error in it, many times the row's tolerance
@@ -147,3 +152,16 @@ def test_a_raising_check_fails_alone(monkeypatch, capsys, suite, raising):
         assert r["detail"].startswith("DomainError: ")
         assert math.isfinite(r["seconds"]) and r["seconds"] >= 0.0
     assert set(doc["checks_failed"]) >= raising
+
+
+def test_no_unit_shape_draw_lies_in_the_equal_rate_band(monkeypatch):
+    # there Elastic sums ElasticGamma's k = 1 series, and the two sides of
+    # elastic-gamma-unit-shape would run one code path (the closest draw is
+    # 1.45e-2 from equal rates, relative to lam)
+    calls, real = [], rx._degree_series
+    monkeypatch.setattr(rx, "_degree_series", lambda *args: calls.append(args) or real(*args))
+    for alpha, lam, t in vf._UNIT_SHAPE_DRAWS.tolist():
+        rx.Elastic(alpha=alpha, lam=lam)._psi(t)
+    assert calls == []
+    rx.Elastic(alpha=1.0, lam=1.0)._psi(1.0)
+    assert len(calls) == 1  # the spy sees the band
