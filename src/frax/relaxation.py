@@ -38,7 +38,7 @@ from scipy.special import erfcx, gammaln, i0e
 
 from .errors import DomainError, NonConvergence, Unsupported, _finite, _integer
 from .fraccalc import laplace_invert
-from .specfun import _ABSUM_CAP, _BLOCK, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _gml_raw, mittag_leffler
+from .specfun import _ABSUM_CAP, _BLOCK, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _ml_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -601,7 +601,7 @@ class GammaBoundary(_Law):
                 scale = x**self.k
         except OverflowError:  # a float x**k past the float range, as an array's inf
             scale = math.inf  # the series then fails its gate
-        val, est, ok = _gml_raw(MLParams(0.5, 0.5 * self.k + 1.0, float(self.k)), -x, _absum_cap(scale))
+        val, est, ok = _ml_series(0.5, 0.5 * self.k + 1.0, float(self.k), -x, _absum_cap(scale))
         accurate = ok & (scale * (est * _INNER_ERR_SAFETY + _EPS * abs(val)) <= _BUDGET)
         if isinstance(t, np.ndarray):
             val = np.where(accurate, val, np.nan)  # NaN where the series fails

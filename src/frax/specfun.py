@@ -18,14 +18,14 @@ product rule for Zolotarev's stable-law integral, tabulated once per
 order (:func:`_stable_table`) and certified by two levels agreeing to
 1e-12 relative, then the series; when neither certifies it raises.
 :func:`_sum_series` applies that discipline to a stream of terms (the
-M-Wright series).  The Mittag-Leffler series has its own loop,
-:func:`_ml_series`, which forms each term and applies the same gates in
-place.  Its log-coefficients come in blocks of 32 indices from
-:func:`_ml_logs`, one vectorised ``gammaln`` call per coefficient and
-block, kept in a bounded LRU cache of 2048 blocks.  The Mittag-Leffler
-evaluators also take a 1-D ndarray of arguments and then sum one series
-for all of them (:func:`_ml_rows`) from the same tables, each row keeping
-the gates above.
+M-Wright series).  The Mittag-Leffler series has its own engine, entered
+only through :func:`_ml_series`, for a float or a 1-D ndarray of
+arguments: at a float it forms each term and applies the same gates in
+place, and on an array it sums one series for all elements
+(:func:`_ml_rows`), each row keeping the gates.  Its log-coefficients
+come in blocks of 32 indices from :func:`_ml_logs`, one vectorised
+``gammaln`` call per coefficient and block, kept in a bounded LRU cache
+of 2048 blocks.
 Airy Ai and the modified Bessel I are validated wrappers over
 :mod:`scipy.special`.
 """
@@ -151,20 +151,29 @@ def _ml_logs(alpha: float, beta: float, gamma: float, j0: int) -> tuple[tuple, t
 
 
 def _ml_series(
-    alpha: float, beta: float, gamma: float, z: float, absum_cap: float = _ABSUM_CAP
-) -> tuple[float, float, bool]:
-    """The three-parameter Mittag-Leffler series at a float ``z``, summed.
+    alpha: float, beta: float, gamma: float, z: "float | np.ndarray", absum_cap: "float | np.ndarray" = _ABSUM_CAP
+) -> tuple:
+    """The three-parameter Mittag-Leffler series at ``z``, summed: the
+    engine's one entry, for a float or a 1-D ndarray ``z``.
 
     Returns ``(value, cancellation_estimate, converged)`` as
-    :func:`_sum_series` would for the series' terms.  Term j is
-    ``exp(((poch + j*log|z|) - log_fact) - log_gamma)`` from the
-    :func:`_ml_logs` tables, added in that order so that it rounds as the
-    term-by-term form did, and negated for odd j when z < 0; the gates are
-    applied as it is added.  A term whose logarithm exceeds 700 (it would
-    overflow) or is NaN fails the series, as does an absolute sum beyond
-    ``absum_cap``.  z = 0 is left to the caller: its first term is NaN.
+    :func:`_sum_series` would for the series' terms, without an acceptance
+    decision, so that a caller which scales the value can gate the error
+    it propagates.  Term j is ``exp(((poch + j*log|z|) - log_fact) -
+    log_gamma)`` from the :func:`_ml_logs` tables, added in that order so
+    that it rounds as the term-by-term form did, and negated for odd j
+    when z < 0; the gates are applied as it is added.  A term whose
+    logarithm exceeds 700 (it would overflow) or is NaN fails the series,
+    as does an absolute sum beyond ``absum_cap``.  z = 0 gives
+    ``(1/Gamma(beta), eps, True)``.  An ndarray ``z``, with a float cap or
+    one cap per element, gives three arrays from :func:`_ml_rows`, which
+    sums the series once for all elements.
     """
-    loga = math.log(abs(z)) if z != 0.0 else -math.inf
+    if isinstance(z, np.ndarray):
+        return _ml_rows(alpha, beta, gamma, z, absum_cap)
+    if z == 0.0:
+        return float(rgamma(beta)), _EPS, True
+    loga = math.log(abs(z))
     neg = z < 0.0
     exp = math.exp
     s = 0.0
@@ -197,10 +206,10 @@ def _ml_series(
 def _ml_rows(
     alpha: float, beta: float, gamma: float, z: np.ndarray, cap: "float | np.ndarray" = _ABSUM_CAP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The series of :func:`_ml_series` at every element of the 1-D array ``z``.
+    """:func:`_ml_series` at every element of the 1-D array ``z``; only it calls this.
 
     Returns the arrays ``(values, estimates, converged)``, each row decided
-    as :func:`_ml_series` decides a scalar series; ``cap`` is the
+    as :func:`_ml_series` decides a float ``z``; ``cap`` is the
     absolute-sum cap, a float or one per row.  A zero row is 1/Gamma(beta)
     with estimate eps, and a failed row has value NaN and estimate inf.
     The terms come in blocks of 32 indices, and the log-gammas of their
@@ -423,6 +432,26 @@ def _ml_integral(alpha: float, beta: float, c: float) -> float:
     return value / (gamma * math.pi)
 
 
+@functools.lru_cache(maxsize=256)
+def _ml_rule(alpha: float, beta: float) -> tuple[bool, float]:
+    """What :func:`mittag_leffler` decides once per (alpha, beta): whether
+    the integral representation is admissible (0 < alpha < 1 and beta <
+    1 + alpha, see :func:`_ml_integral`), and the absolute-sum cap of the
+    series on the negative axis.
+
+    Where alpha <= 1 and beta >= alpha, E_{alpha,beta}(-x) is completely
+    monotone (Schneider, Expo. Math. 1996), so it lies in (0,
+    1/Gamma(beta)]: a series the gate accepts has an absolute sum of at
+    most 1e-13 * max(1, 1/Gamma(beta)) / eps.  Twice that stops a series
+    that would be dropped for the integral, and never one that passes.
+    Elsewhere the cap is the default.
+    """
+    admissible = 0.0 < alpha < 1.0 and beta < 1.0 + alpha
+    if alpha <= 1.0 and beta >= alpha:
+        return admissible, 2e-13 * max(1.0, float(rgamma(beta))) / _EPS
+    return admissible, _ABSUM_CAP
+
+
 def mittag_leffler(p: MLParams, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
@@ -430,18 +459,20 @@ def mittag_leffler(p: MLParams, z: float) -> float:
     expm1(z)/z are returned in closed form below z = 700.  For z <= -5 the
     real integral representation is used when its parameter constraints
     (0 < alpha < 1, beta < 1 + alpha) hold; otherwise the power series is
-    summed and, when its cancellation estimate exceeds the accuracy target
-    on the negative axis, the evaluator still falls back to the integral
-    form (where the function is completely monotone, such a series stops
-    at the first term whose absolute sum rules it out).  The integral is a
-    fixed nested rule whose value stands when two levels agree to 1e-12
-    relative (:func:`_ml_integral`).  A failed series with no admissible
-    integral, or an integral whose levels do not agree, raises
+    summed (:func:`_ml_series`) and, when its cancellation estimate
+    exceeds the accuracy target on the negative axis, the evaluator still
+    falls back to the integral form (where the function is completely
+    monotone, such a series stops at the first term whose absolute sum
+    rules it out, :func:`_ml_rule`).  The integral is a fixed nested rule
+    whose value stands when two levels agree to 1e-12 relative
+    (:func:`_ml_integral`).  A failed series with no admissible integral,
+    or an integral whose levels do not agree, raises
     :class:`NonConvergence`.
 
     ``z`` may also be a 1-D float ndarray: an ndarray is returned, each
     element decided by the rule above, with one series summed for all
-    elements that take it (:func:`_ml_rows`) and the integral per element.
+    elements that take it (:func:`_ml_series` on the array) and the
+    integral per element.
     """
     if p.gamma != 1.0:
         raise DomainError(f"mittag_leffler requires gamma=1, got gamma={p.gamma}")
@@ -455,18 +486,10 @@ def mittag_leffler(p: MLParams, z: float) -> float:
         return float(rgamma(p.beta))
     if p.alpha == 1.0 and p.beta in (1.0, 2.0) and z < _EXP_CAP:
         return math.exp(z) if p.beta == 1.0 else math.expm1(z) / z
-    admissible = 0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha
+    admissible, cap = _ml_rule(p.alpha, p.beta)
     if z < 0.0 and -z >= _ML_SWITCH and admissible:
         return _ml_integral(p.alpha, p.beta, -z)
-    cap = _ABSUM_CAP
-    if z < 0.0 and p.alpha <= 1.0 and p.beta >= p.alpha:
-        # E_{alpha,beta}(-x) is completely monotone here (Schneider, Expo.
-        # Math. 1996), so it lies in (0, 1/Gamma(beta)]: a series the gate
-        # below accepts has an absolute sum of at most
-        # 1e-13 * max(1, 1/Gamma(beta)) / eps.  Twice that stops a series
-        # that would be dropped for the integral, and never one that passes.
-        cap = 2e-13 * max(1.0, float(rgamma(p.beta))) / _EPS
-    val, est, ok = _ml_series(p.alpha, p.beta, 1.0, z, cap)
+    val, est, ok = _ml_series(p.alpha, p.beta, 1.0, z, cap if z < 0.0 else _ABSUM_CAP)
     if ok and est <= 1e-13 * max(abs(val), 1.0):
         return val
     if z < 0.0:
@@ -485,11 +508,10 @@ def _ml_array(p: MLParams, z: np.ndarray) -> np.ndarray:
         if p.beta == 1.0:
             return np.exp(z)
         return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)  # E_{1,2}(0) = 1
-    integral = (z <= -_ML_SWITCH) & (0.0 < p.alpha < 1.0 and p.beta < 1.0 + p.alpha)
-    monotone = (z < 0.0) & (p.alpha <= 1.0 and p.beta >= p.alpha)
-    cap = np.where(monotone, 2e-13 * max(1.0, float(rgamma(p.beta))) / _EPS, _ABSUM_CAP)
+    admissible, cap = _ml_rule(p.alpha, p.beta)
+    integral = (z <= -_ML_SWITCH) & admissible
     rows = np.flatnonzero(~integral)
-    val, est, ok = _ml_rows(p.alpha, p.beta, 1.0, z[rows], cap[rows])
+    val, est, ok = _ml_series(p.alpha, p.beta, 1.0, z[rows], np.where(z[rows] < 0.0, cap, _ABSUM_CAP))
     good = ok & (est <= 1e-13 * np.maximum(np.abs(val), 1.0))
     positive = rows[~good & (z[rows] > 0.0)]
     if positive.size:
@@ -501,25 +523,6 @@ def _ml_array(p: MLParams, z: np.ndarray) -> np.ndarray:
     redo = np.concatenate((np.flatnonzero(integral), rows[~good]))
     out[redo] = [_ml_integral(p.alpha, p.beta, -x) for x in z[redo].tolist()]
     return out
-
-
-def _gml_raw(
-    p: MLParams, z: "float | np.ndarray", absum_cap: "float | np.ndarray" = _ABSUM_CAP
-) -> tuple:
-    """Three-parameter Mittag-Leffler series with its raw error estimate.
-
-    Returns ``(value, error_estimate, converged)`` without an acceptance
-    decision, so that a caller which scales the value (the laws' single
-    series, the verify identities) can gate the error it propagates.
-    ``absum_cap`` is passed on to :func:`_ml_series`.  A 1-D ndarray
-    ``z``, with a float cap or one cap per element, gives three arrays from
-    :func:`_ml_rows`, which sums the series once for all elements.
-    """
-    if isinstance(z, np.ndarray):
-        return _ml_rows(p.alpha, p.beta, p.gamma, z, absum_cap)
-    if z == 0.0:
-        return float(rgamma(p.beta)), _EPS, True
-    return _ml_series(p.alpha, p.beta, p.gamma, z, absum_cap)
 
 
 def gml(p: MLParams, z: float) -> float:
@@ -535,7 +538,7 @@ def gml(p: MLParams, z: float) -> float:
     x = _finite(z)
     if math.isnan(x):
         raise DomainError(f"gml argument must be a finite real, got {z!r}")
-    val, est, ok = _gml_raw(p, x)
+    val, est, ok = _ml_series(p.alpha, p.beta, p.gamma, x)
     if ok and est <= 1e-13 * max(abs(val), 1.0):
         return val
     raise NonConvergence(

@@ -25,10 +25,12 @@ tolerance[, detail]), where each comparison is ``(a, b, points)`` and the
 check's error is the largest |a(x) - b(x)| over the points.  No row holds a code path against itself: a law's
 reduction or limit is held against another law or branch, a closed form
 (of E_{a,b}, an exponential or erfcx) or the law's own transform
-inverted on the contour.  The evaluators look up the series,
-``laplace_invert``, ``mittag_leffler`` and ``gml`` when they are called.
-The other checks test an equation (index recursions, a derivative
-ladder, residual orders), a forward transform against its closed form
+inverted on the contour, and an identity of ``gml`` (its index
+recursion, its unit Prabhakar exponent) is held as a gap against 0.
+The evaluators look up the series, ``laplace_invert``,
+``mittag_leffler`` and ``gml`` when they are called.  The other checks
+test an equation (a derivative ladder, a half-derivative recursion,
+residual orders), a forward transform against its closed form
 (relative gaps, the transform taken once for all points), a ratio along
 a limit (the asymptotes) or a crossing estimate (a Monte Carlo z-score or
 a quadrature gap, one draw serving three times).
@@ -65,9 +67,9 @@ import numpy as np
 
 from . import relaxation as rx
 from . import stochsim as ss
-from .errors import FraxError, NonConvergence
+from .errors import FraxError
 from .fraccalc import laplace_forward, laplace_invert, ode_residual
-from .specfun import MLParams, _gml_raw, gml, mittag_leffler
+from .specfun import MLParams, gml, mittag_leffler
 from scipy.special import erfcx
 
 __all__ = ["SUITES", "run_suite", "report"]
@@ -95,43 +97,9 @@ def _worst(gaps: Sequence[float]) -> float:
     return float(np.max(gaps, initial=0.0))
 
 
-def _gml_or_unit(k: int, beta: float, z: float) -> tuple[float, float]:
-    """E^k_{1/2,beta}(z) extended to k = 0, with its summation error estimate.
-
-    Uses the raw series accessor so the identity checks can account for the
-    evaluation error themselves instead of relying on the (stricter)
-    production acceptance gate.
-    """
-    if k == 0:
-        return 1.0 / math.gamma(beta), 0.0
-    val, est, ok = _gml_raw(MLParams(alpha=0.5, beta=beta, gamma=float(k)), z)
-    if not ok:
-        raise NonConvergence(f"series for E^{k}_(1/2,{beta})({z}) did not converge")
-    return val, est
-
-
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
-
-
-def _check_gml_recursion() -> _Outcome:
-    """E^m_{nu,b}(-x) + x E^m_{nu,b+nu}(-x) = E^(m-1)_{nu,b}(-x), nu=1/2, b=k*nu+1/2."""
-    gaps = []
-    for k in range(1, 6):
-        b = 0.5 * k + 0.5
-        for x in (0.25, 0.75, 1.5):
-            v1, e1 = _gml_or_unit(k, b, -x)
-            v2, e2 = _gml_or_unit(k, b + 0.5, -x)
-            v0, e0 = _gml_or_unit(k - 1, b, -x)
-            lhs = v1 + x * v2
-            eval_err = (e1 + x * e2 + e0) / abs(v0)
-            if eval_err > 2.5e-11:
-                # noise budget: a quarter of the identity tolerance
-                return False, eval_err, "series evaluation error too large to test the identity at 1e-10"
-            gaps.append(abs(lhs - v0) / abs(v0))
-    worst = _worst(gaps)
-    return worst <= 1e-10, worst, "relative tolerance 1e-10"
 
 
 def _check_gml_derivative() -> _Outcome:
@@ -203,6 +171,17 @@ def _exponential(rate: float) -> Callable[[float], float]:
     return lambda t: math.exp(-rate * t)
 
 
+def _index_gap(k: int, x: float) -> float:
+    """(v1 + x v2 - v0)/|v0| of the index recursion at z = -x, by gml:
+    v1 = E^k_{1/2,b}, v2 = E^k_{1/2,b+1/2} and v0 = E^(k-1)_{1/2,b}, b = k/2
+    + 1/2, where E^0_{1/2,b} = 1/Gamma(b)."""
+    b = 0.5 * k + 0.5
+    v1 = gml(MLParams(alpha=0.5, beta=b, gamma=float(k)), -x)
+    v2 = gml(MLParams(alpha=0.5, beta=b + 0.5, gamma=float(k)), -x)
+    v0 = gml(MLParams(alpha=0.5, beta=b, gamma=float(k - 1)), -x) if k > 1 else 1.0 / math.gamma(b)
+    return (v1 + x * v2 - v0) / abs(v0)
+
+
 def _equal_rate_elastic(lam: float, t: float) -> float:
     """psi of Elastic(lam, lam): the erfcx form's limit 1 - y (2/sqrt(pi) - 2 y erfcx(y)), y = lam sqrt(t/2)."""
     y = lam * math.sqrt(0.5 * t)
@@ -228,11 +207,16 @@ _UNIT_SHAPE_DRAWS = np.random.default_rng(_PROBE_SEED + 1).uniform((0.3, 0.3, 0.
 
 # check name -> ([(a, b, points), ...], absolute tolerance[, detail])
 _PAIRS: dict[str, tuple] = {
+    # E^m_{1/2,b}(-x) + x E^m_{1/2,b+1/2}(-x) = E^(m-1)_{1/2,b}(-x) for each
+    # shape m = k of the gamma-boundary law, b = k/2 + 1/2: the relative gap against 0
+    "gml-index-recursion": ([
+        (functools.partial(_index_gap, k), lambda x: 0.0, (0.25, 0.75, 1.5)) for k in range(1, 6)
+    ], 1e-10, "relative tolerance 1e-10"),
     # E_{1/2,1}(-x) = erfcx(x) at x = lam sqrt(t) over the working range
     "ml-half-erfcx-chain": ([(
         lambda x: mittag_leffler(MLParams(alpha=0.5), -x), lambda x: float(erfcx(x)),
         [lam * math.sqrt(t) for lam in (0.5, 1.0, 2.0) for t in np.geomspace(0.01, 10.0, 31)],
-    )], 1e-9),
+    )], 1e-12),
     # gamma = 1 is the two-parameter function: gml against the closed forms,
     # as the gap (gml - E)/(1 + |E|) against 0
     "gml-unit-parameter-collapse": ([(
@@ -400,7 +384,7 @@ def _check_crossing(spec: ss.ProcessSpec, boundary: ss.BoundarySpec) -> _Outcome
 # suite name -> its checks in report order, as (check name, check)
 _CHECKS: dict[str, list[tuple[str, Callable[[], _Outcome]]]] = {
     "identities": [
-        ("gml-index-recursion", _check_gml_recursion),
+        *_pairs("gml-index-recursion"),
         ("gml-derivative-ladder", _check_gml_derivative),
         ("half-derivative-shape-recursion", _check_half_derivative_recursion),
         *_pairs("ml-half-erfcx-chain", "gml-unit-parameter-collapse", "gamma-boundary-unit-shape",

@@ -121,6 +121,53 @@ def distributed_series_values() -> list[tuple[str, str, mp.mpf]]:
     return out
 
 
+# test_relaxation: the gamma-boundary law's series, at x = lam sqrt(t) = 0.1
+# and 1 and at the time, for lam = 1, about 0.5% inside the x where its gate
+# fails (k -> that time); each rate scales the three times by 1/lam**2
+GAMMA_BOUNDARY_EDGES = {1: "10.4", 2: "7.75", 3: "6.17", 5: "4.55", 10: "3.47"}
+GAMMA_BOUNDARY_RATES = ("0.01", "1", "10")
+
+
+def gamma_boundary_times(k: int, lam: str) -> tuple[float, ...]:
+    """The three times of ``GAMMA_BOUNDARY_EDGES`` at shape k and rate
+    ``lam``, each the float nearest its decimal value."""
+    scale = Fraction(lam) ** 2
+    return tuple(float(Fraction(x) / scale) for x in ("0.01", "1", GAMMA_BOUNDARY_EDGES[k]))
+
+
+def psi_gamma_boundary(k: int, lam: float, t: float, dps: int = 40) -> mp.mpf:
+    """1 - x**k E^k_{1/2,k/2+1}(-x), x = lam sqrt(t) from the floats' exact
+    values, summed term by term at a working precision that covers the
+    largest term (about exp(x**2)), then rounded to ``dps`` digits."""
+    with mp.workdps(dps + int(lam * lam * t / 2.3 + 3 * k * math.log10(2.0 + lam * lam * t)) + 20):
+        x = mp.mpf(lam) * mp.sqrt(mp.mpf(t))
+        beta = mp.mpf(k + 2) / 2
+        total, peak, j = mp.mpf(0), mp.mpf(0), 0
+        while True:
+            term = mp.rf(k, j) / mp.factorial(j) * (-x) ** j * mp.rgamma(j / mp.mpf(2) + beta)
+            total += term
+            peak = max(peak, abs(term))
+            j += 1
+            if j > 2 * k + 8 and abs(term) < peak * mp.mpf(10) ** (-2 * mp.mp.dps):
+                break
+        value = 1 - x**k * total
+    with mp.workdps(dps):
+        return +value
+
+
+def gamma_boundary_series_values() -> list[tuple[str, str, mp.mpf]]:
+    """test_relaxation: GammaBoundary(k, lam) at the times of
+    ``gamma_boundary_times``, k in ``GAMMA_BOUNDARY_EDGES`` and lam in
+    ``GAMMA_BOUNDARY_RATES``."""
+    out = []
+    for k in GAMMA_BOUNDARY_EDGES:
+        for lam in GAMMA_BOUNDARY_RATES:
+            for t in gamma_boundary_times(k, lam):
+                out.append((f"GammaBoundary(k={k}, lam={float(lam)!r}) psi({t!r})",
+                            "test_relaxation gamma-boundary series", psi_gamma_boundary(k, float(lam), t)))
+    return out
+
+
 def elastic_gamma_series_values() -> list[tuple[str, str, mp.mpf]]:
     """test_relaxation: ElasticGamma at equal rates, alpha/lam = 1e-3 and
     alpha/lam = 1e3, k in {1, 3, 10}, at two times each where its series
@@ -305,6 +352,7 @@ def main() -> None:
             value = 1 - lam / (lam - a) * (erfcx(a * y) - erfcx(lam * y))
             out.append((f"Elastic(alpha={100 * (1.0 + d)!r}, lam=100) psi(6.3e-4)", "test_relaxation band edge", value))
 
+    out.extend(gamma_boundary_series_values())
     out.extend(elastic_gamma_series_values())
     out.extend(distributed_series_values())
 

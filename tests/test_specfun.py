@@ -22,7 +22,6 @@ from frax.specfun import (
     _EPS,
     _ML_SWITCH,
     MLParams,
-    _gml_raw,
     _ml_integral,
     _ml_series,
     _sum_series,
@@ -227,9 +226,9 @@ def _bits(result):
 
 
 def test_ml_series_matches_the_generator_oracle_bit_for_bit():
-    # _ml_series and _gml_raw against _sum_series over _ml_terms, on draws
-    # that take every exit: convergence, small caps, positive z, overflowing
-    # terms (log > 700) and z = 0
+    # _ml_series against _sum_series over _ml_terms, on draws that take
+    # every exit: convergence, small caps, positive z, overflowing terms
+    # (log > 700) and z = 0, which it answers as 1/Gamma(beta)
     rng = np.random.default_rng(15)
     n = 5000
     half = rng.random((3, n)) < 0.5
@@ -246,9 +245,8 @@ def test_ml_series_matches_the_generator_oracle_bit_for_bit():
     for alpha, beta, gamma, z, cap in zip(*(a.astype(float).tolist() for a in (alphas, betas, gammas, zs, caps))):
         drawn = []
         want = _sum_series((drawn.append(t) or t for t in _ml_terms(alpha, beta, gamma, z)), cap)
-        assert _bits(_ml_series(alpha, beta, gamma, z, cap)) == _bits(want)
         raw = (float(rgamma(beta)), _EPS, True) if z == 0.0 else want
-        assert _bits(_gml_raw(MLParams(alpha, beta, gamma), z, cap)) == _bits(raw)
+        assert _bits(_ml_series(alpha, beta, gamma, z, cap)) == _bits(raw)
         if z == 0.0:
             exits.add("zero")
         elif drawn[-1] == math.inf:
@@ -272,8 +270,8 @@ def test_ml_rows_read_the_shared_tables(monkeypatch):
             assert list(pochhammer) == (gammaln(gamma + j) - gammaln(gamma)).tolist()
             assert list(log_fact) == gammaln(j + 1.0).tolist()
             assert list(log_gamma) == gammaln(alpha * j + beta).tolist()
-    p, z = MLParams(0.5, 1.0, 2.0), np.array([-0.5, -2.0, 0.0])
-    want, _est, _ok = _gml_raw(p, z)
+    z = np.array([-0.5, -2.0, 0.0])
+    want, _est, _ok = _ml_series(0.5, 1.0, 2.0, z)
     read = []
     logs = specfun._ml_logs
 
@@ -283,7 +281,7 @@ def test_ml_rows_read_the_shared_tables(monkeypatch):
         return tuple(x + math.log(2.0) for x in pochhammer), log_fact, log_gamma
 
     monkeypatch.setattr(specfun, "_ml_logs", doubled)
-    values, _est, ok = _gml_raw(p, z)
+    values, _est, ok = _ml_series(0.5, 1.0, 2.0, z)
     # every term doubles with the tables, and so does every sum but the zero row's
     assert ok.all() and values[2] == want[2] == 1.0
     assert np.all(np.abs(values[:2] - 2.0 * want[:2]) <= 1e-10 * np.abs(want[:2]))
@@ -299,9 +297,9 @@ def test_gml_rows_make_the_scalar_gate_decisions():
         p = MLParams(rng.uniform(0.3, 1.0), rng.uniform(0.5, 4.0), rng.uniform(0.5, 5.0))
         z = np.concatenate(([0.0], rng.uniform(-12.0, 6.0, 30)))
         cap = 10.0 ** rng.uniform(5.0, 20.0, z.size)
-        values, est, ok = _gml_raw(p, z, cap)
+        values, est, ok = _ml_series(p.alpha, p.beta, p.gamma, z, cap)
         for i, zi in enumerate(z.tolist()):
-            v, e, good = _gml_raw(p, zi, float(cap[i]))
+            v, e, good = _ml_series(p.alpha, p.beta, p.gamma, zi, float(cap[i]))
             assert ok[i] == good
             if good:
                 # the terms round as in the scalar form but for numpy's exp:

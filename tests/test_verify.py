@@ -77,11 +77,10 @@ def test_report_is_json_with_summary():
     assert doc["records"] == records
 
 
-# every check fed by the series, mittag_leffler or gml; gml-index-recursion
-# reads the raw series accessor instead, and the half-derivative and
-# forward-transform checks raise on NaN samples (see the next test)
+# every check fed by the series, mittag_leffler or gml; the half-derivative
+# and forward-transform checks raise on NaN samples (see the next test)
 NAN_FED = {
-    "gml-derivative-ladder", "gml-unit-parameter-collapse", "gamma-boundary-unit-shape",
+    "gml-index-recursion", "gml-derivative-ladder", "gml-unit-parameter-collapse", "gamma-boundary-unit-shape",
     "ml-half-erfcx-chain", "elastic-vanishing-killing", "elastic-gamma-unit-shape",
     "elastic-gamma-vanishing-killing", "first-passage-chain-rate", "distributed-zero-weight",
     "elastic-equal-rate-branch", "inversion-elastic", "inversion-gamma-boundary",
@@ -114,7 +113,11 @@ def _off_by(f, rel: float):
     return off
 
 
-@pytest.mark.parametrize("name, owner, attr, rel", [
+# (row, owner, attribute, relative error); the Mittag-Leffler engine is
+# specfun._ml_series, which mittag_leffler and gml look up in specfun and
+# GammaBoundary as relaxation._ml_series, and its array rows are
+# specfun._ml_rows
+OFF_BY_CASES = [
     ("gml-unit-parameter-collapse", specfun, "_ml_series", 1e-9),
     ("distributed-zero-weight", rx.Fractional, "_psi", 1e-9),
     # both sides once called E_{1/2} at the same argument, and passed this
@@ -123,13 +126,26 @@ def _off_by(f, rel: float):
     # series; their references do not
     ("elastic-equal-rate-branch", rx, "_degree_series", 1e-9),
     ("elastic-gamma-vanishing-killing", rx, "_degree_series", 1e-9),
-], ids=["gml-unit-parameter-collapse", "distributed-zero-weight", "elastic-vanishing-killing",
-        "elastic-equal-rate-branch", "elastic-gamma-vanishing-killing"])
+    # E_{1/2} reads 1.25e-13 from erfcx, and 9.5e-10 under the fault
+    ("ml-half-erfcx-chain", specfun, "_ml_series", 1e-9),
+    # a factor common to the three gml values cancels in the relative gap,
+    # but for k = 1, where E^0_{1/2,b} = 1/Gamma(b) sums no series
+    ("gml-index-recursion", specfun, "_ml_series", 1e-9),
+    ("gamma-boundary-unit-shape", rx, "_ml_series", 1e-9),
+    # of the rows of all, only this one catches the fault (it reads 2.5e-10)
+    ("transform-gamma-boundary", specfun, "_ml_rows", 1e-9),
+    ("transform-distributed", rx, "_degree_rows", 1e-9),
+]
+ALL_CHECKS = {name: check for key in ("identities", "laplace", "residuals", "asymptotics")
+              for name, check in vf._CHECKS[key]}
+
+
+@pytest.mark.parametrize("name, owner, attr, rel", OFF_BY_CASES, ids=[case[0] for case in OFF_BY_CASES])
 def test_a_row_fails_when_the_code_under_it_is_off(monkeypatch, name, owner, attr, rel):
     # a row whose two sides both ran the shared code would pass such an
     # error in it, many times the row's tolerance
     monkeypatch.setattr(owner, attr, _off_by(getattr(owner, attr), rel))
-    record = vf._run(name, dict(vf._CHECKS["identities"])[name])
+    record = vf._run(name, ALL_CHECKS[name])
     assert not record["passed"], record
 
 
