@@ -9,11 +9,12 @@ Subcommands:
               ``all`` of them but ``crossing``), JSON report, exit 0/1
 - ``tables``    write the small- and large-time comparison tables as CSV
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
-3 numerical failure (non-convergence or unstable inversion), 4 statistical
-failure (``--strict`` with any |z| > 4), 141 the reader closed standard
-output before it was all written (128 + SIGPIPE, the status a shell
-reports for a writer that signal ends); the rest of the output is dropped.
+Exit codes: 0 success, 1 verification failure, 2 usage or parameter error
+(or an output path that cannot be written), 3 numerical failure
+(non-convergence or unstable inversion), 4 statistical failure
+(``--strict`` with any |z| > 4), 141 the reader closed standard output
+before it was all written (128 + SIGPIPE, the status a shell reports for a
+writer that signal ends); the rest of the output is dropped.
 
 Output is deterministic: CSV is comma-separated with a header row, LF line
 endings, UTF-8, and 17-significant-digit numbers; ``simulate`` prefixes a
@@ -318,6 +319,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from scipy.special import erfcx, gammaln, i0e
 
 from .errors import DomainError, NonConvergence, Unsupported, _finite, _integer
 from .fraccalc import laplace_invert
-from .specfun import _ABSUM_CAP, _BLOCK, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _ml_series, mittag_leffler
+from .specfun import _ABSUM_CAP, _BLOCK, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _gated_rows, _ml_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -251,11 +251,44 @@ def _degree_series(rule: Callable, params: tuple, x, q, lead):
     a row once n >= 8, within 1200 terms (``_DEGREE_TERMS``).
 
     Returns ``(value, bound, converged)``; a failed series has bound inf.
-    ``x``, ``q`` and ``lead`` may be 1-D arrays of one shape: see
-    :func:`_degree_rows`.
+    ``x``, ``q`` and ``lead`` may be 1-D arrays of one shape, each row
+    decided as the float form decides it, a failed row with value NaN:
+    ``specfun._gated_rows`` sums them at once, and each block forms c_n
+    and d_n for the rows still summing by matrix products, two per table
+    layout, from the powers of u each row has used so far, then the terms
+    in the float form's order of operations.
     """
     if isinstance(x, np.ndarray):
-        return _degree_rows(rule, params, x, q, lead)
+        with np.errstate(all="ignore"):
+            m = np.maximum(x, q)
+            m = np.where(m > 0.0, m, 1.0)
+            u, log_m = np.minimum(x, q) / m, np.log(m)
+        flip = q > x
+        powers, held = np.empty((0, x.size)), np.arange(x.size)  # u**r by rank r, one column per held row
+
+        def block(n0, live):
+            nonlocal powers, held
+            if live.size < held.size:  # rows have finished
+                powers, held = powers[:, np.searchsorted(held, live)], live
+            by_r, by_j, top = _degree_block(rule, params, n0)
+            n = np.arange(n0, n0 + len(top), dtype=float)[:, None]
+            rank = np.arange(float(by_r.shape[1]))[:, None]
+            flipped = flip[live]
+            with np.errstate(all="ignore"):
+                powers = np.concatenate((powers, u[live] ** rank[powers.shape[0]:]))
+                c, d = np.empty((2, n.size, live.size))
+                for table, cols in ((by_r, ~flipped), (by_j, flipped)):
+                    c[:, cols] = table @ powers[:, cols]
+                    d[:, cols] = table @ (rank * powers[:, cols])
+                lg = lead[live] + n * log_m[live] + np.array(top)[:, None]
+                xn = np.where(lg <= _EXP_CAP, np.exp(lg), np.inf)
+                mag = c * xn
+                errs = (0.5 * ((n + 1.0) * c + d) + (n + 1.0) * _TINY) * xn
+            terms = mag.copy()
+            terms[1::2] *= -1.0  # n0 is even: the odd rows are the odd n
+            return mag, terms, errs
+
+        return _gated_rows(block, x.size, _BUDGET, _DEGREE_TERMS, _EPS, _INNER_ERR_SAFETY + 1.0)
     m = max(x, q) or 1.0
     u, log_m = min(x, q) / m, math.log(m)
     exp = math.exp
@@ -292,80 +325,6 @@ def _degree_series(rule: Callable, params: tuple, x, q, lead):
             else:
                 small = 0
     return s, math.inf, False
-
-
-def _degree_rows(
-    rule: Callable, params: tuple, x: np.ndarray, q: np.ndarray, lead: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_degree_series` at every row of the 1-D arrays ``x``, ``q`` and ``lead``.
-
-    Each block of 32 indices forms c_n and d_n for every row still summing
-    with matrix products, two per table layout, from the powers of u each
-    row has used so far, and then its terms, in the scalar form's order of
-    operations.  Each row's compensated partial sums are formed index by
-    index; the gates are then read off the block at once.  A row fails at
-    its first exponent past 700 or bound past the budget, and converges at
-    its third negligible term in a row once n >= 8, whichever comes first;
-    rows left after 1200 terms fail.  A failed row has value NaN and bound
-    inf.
-    """
-    values = np.full(x.size, np.nan)
-    bounds = np.full(x.size, np.inf)
-    ok = np.zeros(x.size, dtype=bool)
-    live = np.arange(x.size)
-    with np.errstate(all="ignore"):
-        m = np.maximum(x, q)
-        m = np.where(m > 0.0, m, 1.0)
-        u, log_m = np.minimum(x, q) / m, np.log(m)
-    flip = q > x
-    powers = np.empty((0, x.size))  # u**r by row r, one column per live row
-    s = comp = np.zeros(x.size)
-    absum = carried = np.zeros((1, x.size))
-    negl = np.zeros((2, x.size), dtype=bool)  # were the last two terms negligible
-    for n0 in range(0, _DEGREE_TERMS, _BLOCK):
-        if live.size == 0:
-            break
-        by_r, by_j, top = _degree_block(rule, params, n0)
-        n = np.arange(n0, n0 + len(top), dtype=float)[:, None]
-        rank = np.arange(float(by_r.shape[1]))[:, None]
-        with np.errstate(all="ignore"):
-            powers = np.concatenate((powers, u ** rank[powers.shape[0]:]))
-            c, d = np.empty((2, n.size, live.size))
-            for table, rows in ((by_r, ~flip), (by_j, flip)):
-                c[:, rows] = table @ powers[:, rows]
-                d[:, rows] = table @ (rank * powers[:, rows])
-            lg = lead + n * log_m + np.array(top)[:, None]
-            xn = np.where(lg <= _EXP_CAP, np.exp(lg), np.inf)
-            mag = c * xn
-            terms = mag.copy()
-            terms[1::2] *= -1.0  # n0 is even: the odd rows are the odd n
-            sums = np.empty_like(terms)
-            for i in range(n.size):
-                y = terms[i] - comp
-                tt = s + y
-                comp = (tt - s) - y
-                s = tt
-                sums[i] = s
-            # cumsum adds in order, as the scalar form does
-            absum = np.cumsum(np.concatenate((absum[-1:], mag)), axis=0)[1:]
-            errs = (0.5 * ((n + 1.0) * c + d) + (n + 1.0) * _TINY) * xn
-            carried = np.cumsum(np.concatenate((carried[-1:], errs)), axis=0)[1:]
-            bound = _EPS * ((_INNER_ERR_SAFETY + 1.0) * absum + carried)
-            negl = np.concatenate((negl[-2:], mag <= _REL_TOL * (np.abs(sums) + 1e-300)))
-        failed = ~(bound <= _BUDGET)
-        event = failed | (negl[2:] & negl[1:-1] & negl[:-2] & (n >= 8.0))
-        stop = event.any(axis=0)
-        if stop.any():
-            cols = np.flatnonzero(stop)
-            at = event[:, cols].argmax(axis=0)
-            win = ~failed[at, cols]
-            at, cols = at[win], cols[win]
-            values[live[cols]], bounds[live[cols]], ok[live[cols]] = sums[at, cols], bound[at, cols], True
-            keep = ~stop
-            live, u, flip, log_m, lead = live[keep], u[keep], flip[keep], log_m[keep], lead[keep]
-            powers, s, comp = powers[:, keep], s[keep], comp[keep]
-            absum, carried, negl = absum[:, keep], carried[:, keep], negl[:, keep]
-    return values, bounds, ok
 
 
 # A governing equation as data: ((nu_i, c_i), ...), c0, f_inf, source.
@@ -857,17 +816,21 @@ def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:
 
     Where the law is already elementary (pure exponentials, the squared
     Bessel power law) the exact expression is returned in both regimes.
-    An expression that overflows or divides by zero in floating point
-    raises :class:`NonConvergence` naming the law, the regime and t.
+    An expression that overflows, divides by zero or comes out non-finite in
+    floating point raises :class:`NonConvergence` naming the law, the
+    regime and t; a finite value, 0 included, is returned.
     """
     t = _time(t, "asymptote")
     if not isinstance(regime, Regime):
         raise DomainError(f"asymptote regime must be a Regime member, got {regime!r}")
     law = _law(model, "asymptote has no expansion")
     try:
-        return law._asymptote(regime is Regime.SmallT, t)
+        value = law._asymptote(regime is Regime.SmallT, t)
+        if not math.isfinite(value):  # a float product overflows to inf without raising
+            raise OverflowError(f"the expression is {value}")
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonConvergence(f"{type(law).__name__} {regime.value} asymptote at t={t!r}: {exc}") from None
+    return value
 
 
 def equation(model: RelaxationModel) -> _Equation:

@@ -21,11 +21,12 @@ order (:func:`_stable_table`) and certified by two levels agreeing to
 M-Wright series).  The Mittag-Leffler series has its own engine, entered
 only through :func:`_ml_series`, for a float or a 1-D ndarray of
 arguments: at a float it forms each term and applies the same gates in
-place, and on an array it sums one series for all elements
-(:func:`_ml_rows`), each row keeping the gates.  Its log-coefficients
-come in blocks of 32 indices from :func:`_ml_logs`, one vectorised
-``gammaln`` call per coefficient and block, kept in a bounded LRU cache
-of 2048 blocks.
+place, and on an array it sums one series for all elements, each row
+keeping the gates.  Its log-coefficients come in blocks of 32 indices
+from :func:`_ml_logs`, one vectorised ``gammaln`` call per coefficient
+and block, kept in a bounded LRU cache of 2048 blocks.  Its array rows and
+those of :mod:`frax.relaxation`'s degree series are summed, gated and
+retired by one driver, :func:`_gated_rows`, from blocks of terms.
 Airy Ai and the modified Bessel I are validated wrappers over
 :mod:`scipy.special`.
 """
@@ -132,6 +133,60 @@ def _sum_series(terms: Iterable[float], absum_cap: float = _ABSUM_CAP) -> tuple[
 _BLOCK = 32
 
 
+def _gated_rows(block, size: int, limit, terms: int, scale: float = 1.0, weight: float = 1.0):
+    """Sum ``size`` series at once, one row each, deciding each row as the
+    float loops of :func:`_ml_series` and ``relaxation._degree_series`` do.
+
+    ``block(n0, live)`` gives the terms n0 .. n0 + 31 of the rows ``live``
+    (ascending indices) as (index x row) arrays: |T_n|, T_n and the error
+    each term carries, or None.  The partial sums are compensated, in the
+    loops' order; the bound after term n, ``scale * (weight * sum|T| + sum
+    carried)`` summed in order, fails the row where it is not at most
+    ``limit`` (a float or one per row), and the third negligible term in a
+    row once n >= 8 ends it, whichever comes first.  Rows still summing
+    after ``terms`` terms fail.  Returns ``(values, bounds, converged)``,
+    a failed row with value NaN and bound inf.
+    """
+    values, bounds, ok = np.full(size, np.nan), np.full(size, np.inf), np.zeros(size, dtype=bool)
+    live = np.arange(size)
+    limit = np.broadcast_to(np.asarray(limit, dtype=float), (size,))
+    s = comp = np.zeros(size)
+    absum = carried = np.zeros((1, size))
+    negl = np.zeros((2, size), dtype=bool)  # were the last two terms negligible
+    for n0 in range(0, terms, _BLOCK):
+        if live.size == 0:
+            break
+        mag, signed, errs = block(n0, live)
+        with np.errstate(all="ignore"):
+            sums = np.empty_like(signed)
+            for i in range(len(signed)):
+                y = signed[i] - comp
+                tt = s + y
+                comp = (tt - s) - y
+                s = tt
+                sums[i] = s
+            # cumsum adds in order, as the scalar loops do
+            absum = np.cumsum(np.concatenate((absum[-1:], mag)), axis=0)[1:]
+            if errs is not None:
+                carried = np.cumsum(np.concatenate((carried[-1:], errs)), axis=0)[1:]
+            bound = scale * (weight * absum + carried)  # exact for scale = weight = 1 and no errors
+            negl = np.concatenate((negl[-2:], mag <= _REL_TOL * (np.abs(sums) + 1e-300)))
+        failed = ~(bound <= limit)
+        n = np.arange(n0, n0 + len(mag))[:, None]
+        event = failed | (negl[2:] & negl[1:-1] & negl[:-2] & (n >= 8))
+        stop = event.any(axis=0)
+        if stop.any():
+            cols = np.flatnonzero(stop)
+            at = event[:, cols].argmax(axis=0)
+            win = ~failed[at, cols]
+            at, cols = at[win], cols[win]
+            values[live[cols]], bounds[live[cols]], ok[live[cols]] = sums[at, cols], bound[at, cols], True
+            keep = ~stop
+            live, limit, s, comp = live[keep], limit[keep], s[keep], comp[keep]
+            absum, carried, negl = absum[:, keep], carried[:, keep], negl[:, keep]
+    return values, bounds, ok
+
+
 @functools.lru_cache(maxsize=2048)
 def _ml_logs(alpha: float, beta: float, gamma: float, j0: int) -> tuple[tuple, tuple, tuple]:
     """Log-coefficients of the Mittag-Leffler series for the block of indices from ``j0``.
@@ -143,7 +198,7 @@ def _ml_logs(alpha: float, beta: float, gamma: float, j0: int) -> tuple[tuple, t
     and ``gammaln(alpha*j+beta)``, each from one vectorised ``gammaln``
     call; tuples, as every caller shares them through the cache.
     A block takes about 3.4 kB, so a full cache holds 7 MB.  One
-    ``frax verify --suite all`` run reads 40 distinct blocks 695 times.
+    ``frax verify --suite all`` run reads 40 distinct blocks 468 times.
     """
     j = np.arange(j0, min(j0 + _BLOCK, _MAX_TERMS), dtype=float)
     pochhammer = gammaln(gamma + j) - gammaln(gamma)
@@ -166,11 +221,32 @@ def _ml_series(
     logarithm exceeds 700 (it would overflow) or is NaN fails the series,
     as does an absolute sum beyond ``absum_cap``.  z = 0 gives
     ``(1/Gamma(beta), eps, True)``.  An ndarray ``z``, with a float cap or
-    one cap per element, gives three arrays from :func:`_ml_rows`, which
-    sums the series once for all elements.
+    one per element, gives three arrays, a failed row with value NaN and
+    estimate inf: :func:`_gated_rows` sums the rows at once, each block
+    reading the tables once for all of them in the float form's order (a
+    term of 1e3 rounded another way moved the laws' values by up to 6e-11).
     """
     if isinstance(z, np.ndarray):
-        return _ml_rows(alpha, beta, gamma, z, absum_cap)
+        rows = np.flatnonzero(z)  # z = 0 sums nothing
+        loga, neg = np.log(np.abs(z[rows])), z[rows] < 0.0
+
+        def block(j0, live):
+            pochhammer, log_fact, log_gamma = _ml_logs(alpha, beta, gamma, j0)
+            j = np.arange(j0, j0 + len(pochhammer), dtype=float)[:, None]
+            with np.errstate(all="ignore"):
+                # the scalar form's order of operations, so both paths round alike
+                lg = np.array(pochhammer)[:, None] + j * loga[live]
+                lg -= np.array(log_fact)[:, None]
+                lg -= np.array(log_gamma)[:, None]
+                terms = np.where(lg > _EXP_CAP, np.inf, np.exp(lg))
+            terms[1::2, neg[live]] *= -1.0  # j0 is even: the odd rows are the odd j
+            return np.abs(terms), terms, None
+
+        cap = np.broadcast_to(np.asarray(absum_cap, dtype=float), z.shape)[rows]
+        sums, absums, summed = _gated_rows(block, rows.size, cap, _MAX_TERMS)
+        values, est, ok = np.full(z.size, float(rgamma(beta))), np.full(z.size, _EPS), np.ones(z.size, dtype=bool)
+        values[rows], est[rows], ok[rows] = sums, _EPS * absums, summed
+        return values, est, ok
     if z == 0.0:
         return float(rgamma(beta)), _EPS, True
     loga = math.log(abs(z))
@@ -201,81 +277,6 @@ def _ml_series(
             else:
                 small = 0
     return s, math.inf, False
-
-
-def _ml_rows(
-    alpha: float, beta: float, gamma: float, z: np.ndarray, cap: "float | np.ndarray" = _ABSUM_CAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_ml_series` at every element of the 1-D array ``z``; only it calls this.
-
-    Returns the arrays ``(values, estimates, converged)``, each row decided
-    as :func:`_ml_series` decides a float ``z``; ``cap`` is the
-    absolute-sum cap, a float or one per row.  A zero row is 1/Gamma(beta)
-    with estimate eps, and a failed row has value NaN and estimate inf.
-    The terms come in blocks of 32 indices, and the log-gammas of their
-    logarithm are read from the :func:`_ml_logs` tables once per block for
-    every row: only j*log|z| varies by row.  They are added in the scalar
-    form's order:
-    near the 1e-9 budget of the laws, a term of 1e3 rounded another way
-    moved their values by up to 6e-11.  Each row's compensated partial
-    sums are formed column by column; the gates are then read off the
-    block at once.  A row fails at its first term that is not finite or
-    takes its absolute sum past the cap, and converges at its third
-    negligible term in a row once j >= 8, whichever comes first; rows left
-    after 600 terms fail.
-    """
-    n = z.size
-    zero = z == 0.0
-    values = np.where(zero, float(rgamma(beta)), np.nan)
-    est = np.where(zero, _EPS, np.inf)
-    ok = zero.copy()
-    live = np.flatnonzero(~zero)
-    caps = np.broadcast_to(np.asarray(cap, dtype=float), (n,))[live]
-    loga = np.log(np.abs(z[live]))
-    neg = z[live] < 0.0
-    s = np.zeros(live.size)
-    comp = np.zeros(live.size)
-    absum = np.zeros((live.size, 1))
-    negl = np.zeros((live.size, 2), dtype=bool)  # were the last two terms negligible
-    for j0 in range(0, _MAX_TERMS, _BLOCK):
-        if live.size == 0:
-            break
-        pochhammer, log_fact, log_gamma = _ml_logs(alpha, beta, gamma, j0)
-        j = np.arange(j0, j0 + len(pochhammer), dtype=float)
-        with np.errstate(all="ignore"):
-            # the scalar form's order of operations, so both paths round alike
-            lg = np.array(pochhammer) + np.outer(loga, j)
-            lg -= np.array(log_fact)
-            lg -= np.array(log_gamma)
-            terms = np.where(lg > _EXP_CAP, np.inf, np.exp(lg))
-            terms[neg, 1::2] *= -1.0  # j0 is even: the odd columns are the odd j
-            sums = np.empty_like(terms)
-            for c in range(j.size):
-                y = terms[:, c] - comp
-                tt = s + y
-                comp = (tt - s) - y
-                s = tt
-                sums[:, c] = s
-            mag = np.abs(terms)
-            # cumsum adds in order, as _sum_series does
-            absum = np.cumsum(np.concatenate((absum, mag), axis=1), axis=1)[:, 1:]
-            negl = np.concatenate((negl, mag <= _REL_TOL * (np.abs(sums) + 1e-300)), axis=1)
-        failed = ~np.isfinite(terms) | (absum > caps[:, None])
-        converged = negl[:, 2:] & negl[:, 1:-1] & negl[:, :-2] & (j >= 8.0)
-        event = failed | converged
-        stop = event.any(axis=1)
-        rows = np.flatnonzero(stop)
-        col = event[rows].argmax(axis=1)
-        win = ~failed[rows, col]
-        done = live[rows[win]]
-        values[done] = sums[rows[win], col[win]]
-        est[done] = _EPS * absum[rows[win], col[win]]
-        ok[done] = True
-        keep = ~stop
-        live, caps, loga, neg = live[keep], caps[keep], loga[keep], neg[keep]
-        s, comp = s[keep], comp[keep]
-        absum, negl = absum[keep, -1:], negl[keep, -2:]
-    return values, est, ok
 
 
 # The nested double-exponential rules of quad: level l adds the nodes

@@ -426,6 +426,9 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
         # lam * t**nu underflows to zero in the large-t form
         (("--model", "fractional", "--nu", "0.5", "--lambda", "1e-300", "--t", "1e-300"),
          "Fractional large_t asymptote at t=1e-300"),
+        # lam * t overflows to inf without raising
+        (("--model", "standard", "--lambda", "1e300", "--t", "1e300"),
+         "Standard small_t asymptote at t=1e+300"),
     ],
 )
 def test_asymptote_arithmetic_failure_exit_code(argv, names, capsys):
@@ -583,6 +586,24 @@ def test_tables_written(tmp_path, capsys):
             parts = line.split(",")
             ratio = float(parts[-1])
             assert abs(ratio - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--model", "standard", "--lambda", "1", "--t", "1", "--out", "{missing}/x.csv"),
+    ("verify", "--suite", "identities", "--out", "{missing}/report.json"),
+    ("tables", "--out-dir", "{file}/tables"),
+], ids=["eval", "verify", "tables"])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, argv):
+    # the open raised FileNotFoundError or NotADirectoryError: a traceback
+    # and exit 1, which is verify's "a check failed"
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    rc = run_cli(*(a.format(**paths) for a in argv))
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ") and str(tmp_path) in err
+    assert not paths["missing"].exists()
 
 
 # ---------------------------------------------------------------------------

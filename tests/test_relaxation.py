@@ -1068,6 +1068,19 @@ def test_asymptotes_bracket_exact_value(model):
         assert abs(exact - approx) / max(abs(approx), 1e-300) < 0.02
 
 
+def test_an_overflowed_asymptote_raises():
+    # lam * t overflows a float product to inf, which raises nothing: the
+    # small-t form of these six laws once returned -inf
+    for model in (rx.Standard(lam=1e300), rx.Fractional(nu=0.5, lam=1e300), rx.Sojourn(lam=1e300),
+                  rx.FirstPassage(lam=1e300, n=1), rx.Elastic(alpha=1.0, lam=1e300),
+                  rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1e300)):
+        with pytest.raises(NonConvergence, match=rf"^{type(model).__name__} small_t asymptote at t=1e\+300: "):
+            rx.asymptote(model, rx.SmallT, 1e300)
+        assert rx.asymptote(model, rx.LargeT, 1e300) in (0.0, 1.0)
+    # a finite 0 stays a value
+    assert rx.asymptote(rx.BesselSq(gamma=2.0, lam=1e300), rx.SmallT, 1e300) == 0.0
+
+
 def test_regime_aliases():
     assert rx.SmallT is rx.Regime.SmallT
     assert rx.LargeT is rx.Regime.LargeT

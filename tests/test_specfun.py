@@ -259,8 +259,8 @@ def test_ml_series_matches_the_generator_oracle_bit_for_bit():
 
 
 def test_ml_rows_read_the_shared_tables(monkeypatch):
-    # the cached block tables hold, bit for bit, the log-gammas each block
-    # of _ml_rows computed for itself, and _ml_rows reads them block by block
+    # the cached block tables hold, bit for bit, the log-gammas of each
+    # block, and _ml_series on an array reads them block by block
     rng = np.random.default_rng(16)
     for _ in range(20):
         alpha, beta, gamma = rng.uniform(0.05, 1.5), rng.uniform(0.1, 6.0), rng.uniform(0.2, 8.0)
