@@ -56,6 +56,11 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
+def _row_format(n: int) -> str:
+    """A %-format of ``n`` comma-separated numbers, each as ``_fmt`` writes it."""
+    return ",".join(["%.17g"] * n)
+
+
 # dataclass field -> parameter flag, where the names differ
 _FIELD_FLAG = {"lam": "lambda", "n": "k"}
 _FLAG_DEST = {"lambda": "lam"}
@@ -114,9 +119,10 @@ def _emit(
         payload = {"comments": list(comments), "rows": doc}
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        row = _row_format(len(columns))
         lines = [f"# {c}" for c in comments]
         lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in r) for r in rows)
+        lines.extend(row % tuple(r) for r in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -129,7 +135,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     model = _build(_MODELS[args.model], args, args.model)
     ts = _time_grid(args)
     values = rx.psi(model, np.asarray(ts)).tolist()
-    rows = [(t, v, rx.asymptote(model, rx.SmallT, t), rx.asymptote(model, rx.LargeT, t)) for t, v in zip(ts, values)]
+    # the grid and the law are checked: the asymptotes need no public call per point
+    asymptotes = rx._asymptotes(model, (True, False), ts)
+    rows = list(zip(ts, values, asymptotes[0::2], asymptotes[1::2]))
     _emit(("t", "psi", "asymptote_small", "asymptote_large"), rows, args)
     return 0
 
@@ -199,6 +207,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         "small_time.csv": (rx.SmallT, (1e-2, 1e-3, 1e-4)),
         "large_time.csv": (rx.LargeT, (1e2, 1e3, 1e4)),
     }
+    row = _row_format(4)
     for fname, (regime, ts) in grids.items():
         path = os.path.join(args.out_dir, fname)
         lines = ["model,t,exact,asymptote,ratio"]
@@ -213,9 +222,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                 ratio = exact / approx if approx != 0.0 else math.nan
                 if approx == 0.0 and exact == 0.0:
                     ratio = 1.0
-                lines.append(
-                    f"{name},{_fmt(t)},{_fmt(exact)},{_fmt(approx)},{_fmt(ratio)}"
-                )
+                lines.append(f"{name}," + row % (t, exact, approx, ratio))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         print(path)

@@ -137,6 +137,13 @@ def _clip01(v: float) -> float:
     return v
 
 
+def _clip01_array(v: np.ndarray) -> np.ndarray:
+    """``_clip01`` of every element of the float ndarray ``v``, in place."""
+    v[(v >= -1e-9) & (v < 0.0)] = 0.0
+    v[(v > 1.0) & (v <= 1.0 + 1e-9)] = 1.0
+    return v
+
+
 # Log-space evaluation loses a few tens of ulps per term: GammaBoundary
 # inflates its Mittag-Leffler series' error estimate by this factor, and
 # _degree_series allows its terms as many.
@@ -758,14 +765,15 @@ def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
         out = np.ones(t.size)
         rest = np.flatnonzero(t > 0.0)
         if not model._contour_first:
-            out[rest] = [_series_psi(model, tj) for tj in t[rest].tolist()]
+            # the closed form at each float, as scalar calls evaluate it
+            out[rest] = [_clip01(model._psi(tj)) for tj in t[rest].tolist()]
             return out
         ts = t[rest]
         values = model._psi(ts)
         failed = np.flatnonzero(np.isnan(values))
         if failed.size:
             values[failed] = laplace_invert(model._laplace, ts[failed])
-        out[rest] = [_clip01(v) for v in values.tolist()]
+        out[rest] = _clip01_array(values)
         return out
     if t == 0.0:
         return 1.0
@@ -785,7 +793,7 @@ def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     out = np.ones(flat.size)
     rest = np.flatnonzero(flat > 0.0)
     if rest.size:
-        out[rest] = [_clip01(v) for v in laplace_invert(law._laplace, flat[rest]).tolist()]
+        out[rest] = _clip01_array(laplace_invert(law._laplace, flat[rest]))
     return out.reshape(t.shape)
 
 
@@ -823,14 +831,27 @@ def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:
     t = _time(t, "asymptote")
     if not isinstance(regime, Regime):
         raise DomainError(f"asymptote regime must be a Regime member, got {regime!r}")
-    law = _law(model, "asymptote has no expansion")
+    return _asymptotes(_law(model, "asymptote has no expansion"), (regime is Regime.SmallT,), (t,))[0]
+
+
+def _asymptotes(law: _Law, smalls: tuple[bool, ...], ts: tuple[float, ...]) -> list[float]:
+    """:func:`asymptote` of ``law`` at each float time > 0 of ``ts`` and in
+    each regime of ``smalls`` (True for small t), time by time and in the
+    order given; the arguments are not checked.  The first value that
+    overflows, divides by zero or is non-finite raises
+    :class:`NonConvergence` naming the law, the regime and t."""
+    values = []
     try:
-        value = law._asymptote(regime is Regime.SmallT, t)
-        if not math.isfinite(value):  # a float product overflows to inf without raising
-            raise OverflowError(f"the expression is {value}")
+        for t in ts:
+            for small in smalls:
+                value = law._asymptote(small, t)
+                if not math.isfinite(value):  # a float product overflows to inf without raising
+                    raise OverflowError(f"the expression is {value}")
+                values.append(value)
     except (OverflowError, ZeroDivisionError) as exc:
+        regime = SmallT if small else LargeT
         raise NonConvergence(f"{type(law).__name__} {regime.value} asymptote at t={t!r}: {exc}") from None
-    return value
+    return values
 
 
 def equation(model: RelaxationModel) -> _Equation:

@@ -156,9 +156,16 @@ _TRANSFORM_MODELS: tuple[tuple[str, rx.RelaxationModel], ...] = (
     ("distributed", rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0)),
     ("sojourn", rx.Sojourn(lam=1.0)),
 )
-# the inversion rows also take the order-1/2 law; its forward transform
-# check would take 2.2 ms warm, its inversion row takes 0.25 ms
-_INVERSION_MODELS = (*_TRANSFORM_MODELS, ("fractional", rx.Fractional(nu=0.5, lam=1.0)))
+# the inversion rows also take the order-1/2 law (its forward transform
+# check would take 2.2 ms warm, its inversion row takes 0.25 ms) and the two
+# exponential laws, whose transforms psi never inverts: only these rows
+# hold them against the closed forms
+_INVERSION_MODELS = (
+    *_TRANSFORM_MODELS,
+    ("fractional", rx.Fractional(nu=0.5, lam=1.0)),
+    ("standard", rx.Standard(lam=1.0)),
+    ("first-passage", rx.FirstPassage(lam=1.0, n=2)),
+)
 
 
 def _series(model: rx.RelaxationModel) -> Callable:
@@ -241,13 +248,13 @@ _PAIRS: dict[str, tuple] = {
     # alpha -> 0 removes the killing: the law's erfcx form tends to
     # E_{1/2}(-lam sqrt(t/2)), the order-1/2 relaxation's Mittag-Leffler series
     "elastic-vanishing-killing": ([(
-        _series(rx.Elastic(alpha=1e-10, lam=lam)), _series(rx.Fractional(nu=0.5, lam=lam / math.sqrt(2.0))),
+        _series(rx.Elastic(alpha=1e-13, lam=lam)), _series(rx.Fractional(nu=0.5, lam=lam / math.sqrt(2.0))),
         (0.1, 0.5, 1.0, 2.0, 5.0),
-    ) for lam in (0.7, 1.0, 1.9)], 1e-9),
+    ) for lam in (0.7, 1.0, 1.9)], 1e-10),
     # shape k = 1 reduces the elastic gamma law to the plain elastic law
     "elastic-gamma-unit-shape": ([(
         _series(rx.ElasticGamma(k=1, alpha=alpha, lam=lam)), _series(rx.Elastic(alpha=alpha, lam=lam)), (t,),
-    ) for alpha, lam, t in _UNIT_SHAPE_DRAWS.tolist()], 1e-9),
+    ) for alpha, lam, t in _UNIT_SHAPE_DRAWS.tolist()], 1e-10),
     # alpha -> 0 with rate lam*sqrt(2) recovers the gamma-boundary law at rate lam
     "elastic-gamma-vanishing-killing": ([(
         _series(rx.ElasticGamma(k=k, alpha=1e-13, lam=math.sqrt(2.0))), _series(rx.GammaBoundary(k=k, lam=1.0)),

@@ -85,6 +85,76 @@ def test_eval_makes_one_contour_call_per_grid(monkeypatch, capsys):
     assert calls == {"_laplace": 1, "_psi": 0}
 
 
+# a 64-point log grid over [1e-6, 1e6], and the times _time_grid spans it with
+GRID_64 = ("--t-start", "1e-6", "--t-stop", "1e6", "--t-count", "64", "--t-scale", "log")
+GRID_64_TIMES = [math.exp(math.log(1e-6) + i * ((math.log(1e6) - math.log(1e-6)) / 63)) for i in range(64)]
+
+
+def _csv(columns, rows, comments=()):
+    """The CSV text of the rows, every number as format(v, ".17g")."""
+    lines = [f"# {c}" for c in comments] + [",".join(columns)]
+    return "\n".join(lines + [",".join(format(v, ".17g") for v in row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("model", [m for _, m in cli._TABLE_MODELS], ids=[n for n, _ in cli._TABLE_MODELS])
+def test_eval_writes_the_public_values_byte_for_byte(model, capsys):
+    # eval answers a grid in one pass; its bytes are those of one array call
+    # of psi and a public asymptote call per point and regime
+    argv = _argv(model)[0][:-2] + list(GRID_64)  # without the "--t 1" _argv ends with
+    columns = ("t", "psi", "asymptote_small", "asymptote_large")
+    values = rx.psi(model, np.array(GRID_64_TIMES)).tolist()
+    rows = [(t, v, rx.asymptote(model, rx.SmallT, t), rx.asymptote(model, rx.LargeT, t))
+            for t, v in zip(GRID_64_TIMES, values)]
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == _csv(columns, rows)
+    assert run_cli(*argv, "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"comments": [], "rows": [dict(zip(columns, row)) for row in rows]}
+
+
+@pytest.mark.parametrize("spec, boundary, flags", [
+    (ss.ReflectedBM(), ss.Exponential(lam=1.3),
+     ("--process", "reflectedbm", "--boundary", "exponential", "--lambda", "1.3")),
+    (ss.WrightTime(nu=0.3), ss.Exponential(lam=1.0),
+     ("--process", "wrighttime", "--nu", "0.3", "--boundary", "exponential", "--lambda", "1")),
+], ids=["monte-carlo", "quadrature"])
+def test_simulate_writes_the_public_values_byte_for_byte(spec, boundary, flags, capsys):
+    ts, paths, seed = (0.25, 1.0, 4.0), 20000, 7
+    columns = ("t", "p_hat", "stderr", "analytic", "z_score")
+    rows = []
+    for t, est in zip(ts, ss.crossing(spec, boundary, ts, paths, seed=seed)):
+        analytic = rx.psi(spec.law(boundary), t)
+        rows.append((t, est.p_hat, est.stderr, analytic, est.z_score(analytic)))
+    argv = ("simulate", *flags, "--paths", str(paths), "--seed", str(seed), "--t", *map(repr, ts))
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == _csv(columns, rows, (f"seed={seed}",))
+    assert run_cli(*argv, "--format", "json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"comments": [f"seed={seed}"], "rows": [dict(zip(columns, row)) for row in rows]}
+
+
+@pytest.mark.parametrize("model, clipped", [
+    (rx.ElasticGamma(k=2, alpha=0.8, lam=1.1), 0),
+    (rx.Sojourn(lam=1.0), 64),
+], ids=["contour", "elementary"])
+def test_eval_makes_no_argument_check_or_snap_call_per_point(monkeypatch, capsys, model, clipped):
+    # the grid and the law are checked once: no point passes through the
+    # public time check, and the contour's values are snapped as one array;
+    # the elementary laws snap each closed-form value, as scalar calls do
+    calls = {"_time": 0, "_clip01": 0}
+    for name in calls:
+        original = getattr(rx, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rx, name, counted)
+    assert run_cli(*_argv(model)[0][:-2], *GRID_64) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 65
+    assert calls == {"_time": 0, "_clip01": clipped}
+
+
 def test_eval_json_format(capsys):
     rc = run_cli("eval", "--model", "sojourn", "--lambda", "1", "--t", "1", "2",
                  "--format", "json")
