@@ -188,17 +188,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r["passed"] for r in records) else 1
 
 
-_TABLE_MODELS: tuple[tuple[str, rx.RelaxationModel], ...] = (
-    ("standard lam=1", rx.Standard(lam=1.0)),
-    ("fractional nu=0.5 lam=1", rx.Fractional(nu=0.5, lam=1.0)),
-    ("sojourn lam=1", rx.Sojourn(lam=1.0)),
-    ("firstpassage n=1 lam=1", rx.FirstPassage(lam=1.0, n=1)),
-    ("besselsq gamma=2 lam=1", rx.BesselSq(gamma=2.0, lam=1.0)),
-    ("elastic alpha=0.7 lam=1.3", rx.Elastic(alpha=0.7, lam=1.3)),
-    ("gammaboundary k=2 lam=1", rx.GammaBoundary(k=2, lam=1.0)),
-    ("elasticgamma k=2 alpha=0.8 lam=1.1", rx.ElasticGamma(k=2, alpha=0.8, lam=1.1)),
-    ("distributed nu1=0.5 nu2=1 n1=0.5 n2=0.5 lam=1", rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0)),
-)
+def _label(model: rx.RelaxationModel) -> str:
+    """A law's name in the tables: its CLI name, then each field as name=%g, ``lam`` last."""
+    fields = sorted(dataclasses.fields(model), key=lambda f: f.name == "lam")
+    return " ".join([type(model).__name__.lower(), *(f"{f.name}={getattr(model, f.name):g}" for f in fields)])
+
+
+# the first law of each class in the catalogue
+_TABLE_MODELS = tuple((_label(model), model) for i, (_, model) in enumerate(rx.EXAMPLES)
+                      if type(model) not in {type(m) for _, m in rx.EXAMPLES[:i]})
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:

@@ -56,6 +56,7 @@ __all__ = [
     "ElasticGamma",
     "Distributed",
     "RelaxationModel",
+    "EXAMPLES",
     "first_passage_rate",
     "psi",
     "psi_laplace",
@@ -704,6 +705,22 @@ RelaxationModel = Union[
     ElasticGamma,
     Distributed,
 ]
+
+# Named example laws, at least one of each class: verify derives its rows from
+# what each can do, ``frax tables`` takes the first of each class.
+EXAMPLES: tuple[tuple[str, RelaxationModel], ...] = (
+    ("standard", Standard(lam=1.0)),
+    ("fractional", Fractional(nu=0.5, lam=1.0)),
+    ("sojourn", Sojourn(lam=1.0)),
+    ("first-passage", FirstPassage(lam=1.0, n=1)),
+    ("first-passage-2", FirstPassage(lam=1.0, n=2)),
+    ("besselsq", BesselSq(gamma=2.0, lam=1.0)),
+    ("elastic", Elastic(alpha=0.7, lam=1.3)),
+    ("gamma-boundary", GammaBoundary(k=2, lam=1.0)),
+    ("elastic-gamma", ElasticGamma(k=2, alpha=0.8, lam=1.1)),
+    ("elastic-gamma-1", ElasticGamma(k=1, alpha=0.8, lam=1.1)),
+    ("distributed", Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0)),
+)
 
 
 def first_passage_rate(lam: float, n: int) -> float:

@@ -1,41 +1,42 @@
 """Self-contained verification suites for the package's numerical claims.
 
-Each suite function returns a list of check records, one per named check:
+Each suite returns a list of check records, one per named check:
 
     {"check": str, "passed": bool, "error": float, "detail": str, "seconds": float}
 
-``error`` is the measured figure of merit for the check (a maximum
-deviation, or a distance from a target order); ``detail`` states the
-tolerance or expectation it was held against; ``seconds`` is the check's
-wall time (``time.perf_counter``).  Each check runs on its own: a check
-that raises a :class:`~frax.errors.FraxError` gives a failed record with
-error NaN and the exception as its detail, and the suite goes on.  The
-suites are pure and deterministic: random probe points are drawn from
-fixed-seed generators.  All but ``crossing`` sample psi through the
-series evaluator ``relaxation._series_psi``, not through
-:func:`~frax.relaxation.psi`, which inverts the transform first: the
-transform and inversion checks then hold the contour against the series
-rather than against itself.
-The residual, half-derivative and ``transform-*`` checks call it once per
+``error`` is the check's figure of merit (a maximum deviation, or a
+distance from a target order), ``detail`` the tolerance or expectation it
+was held against and ``seconds`` its wall time (``time.perf_counter``).
+A check that raises a :class:`~frax.errors.FraxError` fails alone, with
+error NaN and the exception as its detail.  The suites are deterministic:
+probe points come from fixed-seed generators.  All but ``crossing``
+sample psi through the series evaluator ``relaxation._series_psi``, not
+:func:`~frax.relaxation.psi`, so that the transform and inversion checks
+hold the contour against the series rather than against itself; the
+residual, half-derivative and ``transform-*`` checks call it once per
 sample set, on the whole array of times.
+
+The ``laplace``, ``residuals`` and ``asymptotics`` rows come from the law
+catalogue :data:`~frax.relaxation.EXAMPLES`, by what each law can do:
+``transform-*`` and ``inversion-*`` rows where ``psi_laplace`` does not
+raise :class:`~frax.errors.Unsupported`, a ``residual-*`` row at order
+2 - (largest Caputo order) where ``equation`` does not, and two asymptote
+rows for every law, but for the rows that ``_EXEMPT`` lists with a reason.
 
 The checks that hold two evaluators against each other point by point
 are rows of one table, ``_PAIRS``: check name -> (comparisons, absolute
-tolerance[, detail]), where each comparison is ``(a, b, points)`` and the
-check's error is the largest |a(x) - b(x)| over the points.  No row holds a code path against itself: a law's
-reduction or limit is held against another law or branch, a closed form
-(of E_{a,b}, an exponential or erfcx) or the law's own transform
-inverted on the contour, and an identity of ``gml`` (its index
-recursion, its unit Prabhakar exponent) is held as a gap against 0.
-The evaluators look up the series, ``laplace_invert``,
+tolerance[, detail]), each comparison ``(a, b, points)``, the error the
+largest |a(x) - b(x)| over the points.  No row holds a code path against
+itself: a reduction or limit is held against another law or branch, a
+closed form (of E_{a,b}, an exponential or erfcx) or the law's own
+transform inverted on the contour, and an identity of ``gml`` as a gap
+against 0.  The evaluators look up the series, ``laplace_invert``,
 ``mittag_leffler`` and ``gml`` when they are called.  The other checks
 test an equation (a derivative ladder, a half-derivative recursion,
-residual orders), a forward transform against its closed form
-(relative gaps, the transform taken once for all points), a ratio along
-a limit (the asymptotes) or a crossing estimate (a Monte Carlo z-score or
-a quadrature gap, one draw serving three times).
-Every maximum or minimum a check reports goes through numpy, so one NaN
-makes the error NaN and the check fails: a NaN is never skipped.
+residual orders), a forward transform against its closed form, a ratio
+along a limit or a crossing estimate (a Monte Carlo z-score or a
+quadrature gap, one draw serving three times).  Every maximum or minimum
+a check reports goes through numpy, so one NaN fails the check.
 
 Suites:
 
@@ -46,13 +47,12 @@ Suites:
 - ``crossing``     each pairing of :data:`frax.stochsim.PAIRINGS` against
   :func:`~frax.relaxation.psi` of its law at t = 0.25, 1 and 4: a Monte
   Carlo pair at 2**20 paths per time and the default seed passes with
-  every |z| < 4, a quadrature pair within 1e-9 absolute.  Its sampling
-  takes about a second on one thread (one draw per block serves the three
-  times), so ``all`` leaves it out.
+  every |z| < 4, a quadrature pair within 1e-10 absolute.  Its sampling
+  takes about a second on one thread, so ``all`` leaves it out.
 
 ``run_suite(name)`` dispatches by name ("all" concatenates every suite but
-``crossing``); ``report(records)`` renders the machine-readable JSON
-document used by the command-line ``verify`` subcommand.
+``crossing``); ``report(records)`` renders the JSON document that the
+``verify`` subcommand prints.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import numpy as np
 
 from . import relaxation as rx
 from . import stochsim as ss
-from .errors import FraxError
+from .errors import FraxError, Unsupported
 from .fraccalc import laplace_forward, laplace_invert, ode_residual
 from .specfun import MLParams, gml, mittag_leffler
 from scipy.special import erfcx
@@ -149,23 +149,32 @@ def _check_half_derivative_recursion() -> _Outcome:
 # pairwise comparisons
 # ---------------------------------------------------------------------------
 
-_TRANSFORM_MODELS: tuple[tuple[str, rx.RelaxationModel], ...] = (
-    ("elastic", rx.Elastic(alpha=0.7, lam=1.3)),
-    ("gamma-boundary", rx.GammaBoundary(k=2, lam=1.0)),
-    ("elastic-gamma", rx.ElasticGamma(k=2, alpha=0.8, lam=1.1)),
-    ("distributed", rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0)),
-    ("sojourn", rx.Sojourn(lam=1.0)),
-)
-# the inversion rows also take the order-1/2 law (its forward transform
-# check would take 2.2 ms warm, its inversion row takes 0.25 ms) and the two
-# exponential laws, whose transforms psi never inverts: only these rows
-# hold them against the closed forms
-_INVERSION_MODELS = (
-    *_TRANSFORM_MODELS,
-    ("fractional", rx.Fractional(nu=0.5, lam=1.0)),
-    ("standard", rx.Standard(lam=1.0)),
-    ("first-passage", rx.FirstPassage(lam=1.0, n=2)),
-)
+# row -> why a catalogue law that could have the row does not
+_EXEMPT = {
+    "transform-fractional": "it takes 2.2-3.8 ms warm, and inversion-fractional checks the same transform",
+    "transform-elastic-gamma-1": "transform-elastic-gamma runs the same transform and series code at k = 2",
+    "inversion-elastic-gamma-1": "inversion-elastic-gamma runs the same transform and series code at k = 2",
+}
+
+
+def _examples(row: str, capability: Callable[[rx.RelaxationModel], object]) -> list[tuple[str, rx.RelaxationModel]]:
+    """(row name, law) for each catalogue law on which ``capability`` does
+    not raise :class:`Unsupported`, but for the rows of ``_EXEMPT``."""
+    out = []
+    for name, model in rx.EXAMPLES:
+        try:
+            capability(model)
+        except Unsupported:
+            continue
+        if f"{row}-{name}" not in _EXEMPT:
+            out.append((f"{row}-{name}", model))
+    return out
+
+
+_transform_at_1 = functools.partial(rx.psi_laplace, s=1.0)
+_TRANSFORMS = _examples("transform", _transform_at_1)
+_INVERSIONS = _examples("inversion", _transform_at_1)
+_RESIDUALS = _examples("residual", rx.equation)
 
 
 def _series(model: rx.RelaxationModel) -> Callable:
@@ -280,10 +289,10 @@ _PAIRS: dict[str, tuple] = {
     ] + [(_series(m), _inverted(m), _TIMES) for m in (
         rx.Elastic(alpha=lam * (1.0 + d), lam=lam) for lam in (0.8, 1.3) for d in (1e-7, -1e-7))], 1e-10),
     # contour inversion of the closed-form transform against the series
-    **{f"inversion-{name}": (
+    **{name: (
         [(_inverted(model, grid=True), _series(model), (0.25, 0.5, 1.0, 2.0, 4.0))], 1e-10,
         "inversion vs series evaluator, absolute tolerance 1e-10 on t in [0.25, 4]",
-    ) for name, model in _INVERSION_MODELS},
+    ) for name, model in _INVERSIONS},
 }
 
 
@@ -318,18 +327,11 @@ def _check_transform(model: rx.RelaxationModel) -> _Outcome:
 # residuals
 # ---------------------------------------------------------------------------
 
-_RESIDUAL_CASES: tuple[tuple[str, rx.RelaxationModel, float], ...] = (
-    ("fractional", rx.Fractional(nu=0.5, lam=1.0), 1.5),
-    ("gamma-boundary", rx.GammaBoundary(k=2, lam=1.0), 1.0),
-    ("elastic-gamma", rx.ElasticGamma(k=1, alpha=0.8, lam=1.1), 1.0),
-    ("distributed", rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0), 1.0),
-    ("sojourn", rx.Sojourn(lam=1.0), 1.5),
-    ("standard", rx.Standard(lam=1.0), 1.0),
-)
-
-
-def _check_residual(model: rx.RelaxationModel, expected: float) -> _Outcome:
-    rep = ode_residual(rx.equation(model), _series(model), 1.0 / 16.0, 32, levels=4)
+def _check_residual(model: rx.RelaxationModel) -> _Outcome:
+    """The residual order of psi in its equation, at the L1 scheme's 2 - (largest Caputo order)."""
+    equation = rx.equation(model)
+    expected = 2.0 - max(nu for nu, _ in equation[0])
+    rep = ode_residual(equation, _series(model), 1.0 / 16.0, 32, levels=4)
     decreasing = all(a > b for a, b in zip(rep.max_norms[:-1], rep.max_norms[1:]))
     passed = decreasing and abs(rep.order - expected) <= 0.4
     detail = f"order {rep.order:.3f}, expected {expected} +/- 0.4 with decreasing norms"
@@ -339,19 +341,6 @@ def _check_residual(model: rx.RelaxationModel, expected: float) -> _Outcome:
 # ---------------------------------------------------------------------------
 # asymptotics
 # ---------------------------------------------------------------------------
-
-_ASYMPTOTIC_MODELS: tuple[tuple[str, rx.RelaxationModel], ...] = (
-    ("standard", rx.Standard(lam=1.0)),
-    ("fractional", rx.Fractional(nu=0.5, lam=1.0)),
-    ("sojourn", rx.Sojourn(lam=1.0)),
-    ("first-passage", rx.FirstPassage(lam=1.0, n=1)),
-    ("first-passage-2", rx.FirstPassage(lam=1.0, n=2)),
-    ("besselsq", rx.BesselSq(gamma=2.0, lam=1.0)),
-    ("elastic", rx.Elastic(alpha=0.7, lam=1.3)),
-    ("gamma-boundary", rx.GammaBoundary(k=2, lam=1.0)),
-    ("elastic-gamma", rx.ElasticGamma(k=2, alpha=0.8, lam=1.1)),
-    ("distributed", rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0)),
-)
 
 _RATIO_FLOOR = 1e-12
 
@@ -391,7 +380,7 @@ def _check_crossing(spec: ss.ProcessSpec, boundary: ss.BoundarySpec) -> _Outcome
         worst = _worst([abs(est.z_score(value)) for est, value in runs])
         return worst < 4.0, worst, f"worst |z| at {_CROSSING_PATHS} paths per time, must be < 4"
     worst = _worst([abs(est.p_hat - value) for est, value in runs])
-    return worst <= 1e-9, worst, "quadrature vs psi, absolute tolerance 1e-9"
+    return worst <= 1e-10, worst, "quadrature vs psi, absolute tolerance 1e-10"
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +397,15 @@ _CHECKS: dict[str, list[tuple[str, Callable[[], _Outcome]]]] = {
                 "elastic-vanishing-killing", "elastic-gamma-unit-shape", "elastic-gamma-vanishing-killing",
                 "first-passage-chain-rate", "distributed-zero-weight", "elastic-equal-rate-branch"),
     ],
-    # forward transforms of the series against the closed forms, then the inversion rows
-    "laplace": [(f"transform-{name}", functools.partial(_check_transform, model)) for name, model in _TRANSFORM_MODELS]
-    + _pairs(*(f"inversion-{name}" for name, _ in _INVERSION_MODELS)),
-    "residuals": [
-        (f"residual-{name}", functools.partial(_check_residual, model, expected))
-        for name, model, expected in _RESIDUAL_CASES
-    ],
+    # what each law of the catalogue can do: forward transforms of the
+    # series against the closed forms, then the inversion rows
+    "laplace": [(name, functools.partial(_check_transform, model)) for name, model in _TRANSFORMS]
+    + _pairs(*(name for name, _ in _INVERSIONS)),
+    "residuals": [(name, functools.partial(_check_residual, model)) for name, model in _RESIDUALS],
     "asymptotics": [
         (f"asymptote-{'small' if regime is rx.SmallT else 'large'}-t-{name}",
          functools.partial(_check_asymptote, model, regime))
-        for name, model in _ASYMPTOTIC_MODELS for regime in (rx.SmallT, rx.LargeT)
+        for name, model in rx.EXAMPLES for regime in (rx.SmallT, rx.LargeT)
     ],
     "crossing": [
         (name, functools.partial(_check_crossing, spec, boundary)) for name, spec, boundary in ss.PAIRINGS
@@ -436,10 +423,7 @@ SUITES: dict[str, Callable[[], list[dict]]] = {name: _suite(name) for name in _C
 def run_suite(name: str) -> list[dict]:
     """Run one suite by name, or for ``all`` every suite but ``crossing`` (in a fixed order)."""
     if name == "all":
-        out: list[dict] = []
-        for key in ("identities", "laplace", "residuals", "asymptotics"):
-            out.extend(SUITES[key]())
-        return out
+        return [r for key in ("identities", "laplace", "residuals", "asymptotics") for r in SUITES[key]()]
     if name not in SUITES:
         raise KeyError(f"unknown verify suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name]()
