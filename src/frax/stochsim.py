@@ -46,8 +46,7 @@ import numpy as np
 from scipy.special import erfcx, gammaincc
 
 from . import relaxation as rx
-from .errors import DomainError, NonConvergence, Unsupported, _finite, _integer
-from .relaxation import _count, _positive, _reals, _require, _time
+from .errors import DomainError, NonConvergence, Unsupported, _count, _finite, _integer, _positive, _reals, _require, _time
 from .specfun import _DE_LEVELS, _DE_TOL, _de_nodes, airy_ai, quad, wright_m
 
 DEFAULT_SEED = 0xF12AC7

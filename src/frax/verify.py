@@ -334,7 +334,8 @@ def _check_residual(model: rx.RelaxationModel) -> _Outcome:
     rep = ode_residual(equation, _series(model), 1.0 / 16.0, 32, levels=4)
     decreasing = all(a > b for a, b in zip(rep.max_norms[:-1], rep.max_norms[1:]))
     passed = decreasing and abs(rep.order - expected) <= 0.4
-    detail = f"order {rep.order:.3f}, expected {expected} +/- 0.4 with decreasing norms"
+    norms = " ".join(f"{v:.3e}" for v in rep.max_norms)
+    detail = f"order {rep.order:.3f}, expected {expected} +/- 0.4 with decreasing max-norms {norms}"
     return passed, abs(rep.order - expected), detail
 
 

@@ -1,5 +1,6 @@
 """Self-verification suites: dispatch, record shape, and the fast suite."""
 
+import dataclasses
 import json
 import math
 from typing import get_args
@@ -179,6 +180,42 @@ def test_a_row_fails_when_the_code_under_it_is_off(monkeypatch, name, owner, att
     finally:
         _clear_shape_tables()
     assert not record["passed"], record
+
+
+def test_a_crossing_row_fails_when_its_estimates_are_off(monkeypatch):
+    # every estimate 6 of its stderr high reads |z| ~ 6 against the limit of 4;
+    # the row asks for its three times in one call, so it gets a tuple back
+    real, name = ss.estimate_crossing, "reflectedbm-exponential-1"
+    monkeypatch.setattr(ss, "estimate_crossing", lambda *args, **kwargs: tuple(
+        dataclasses.replace(est, p_hat=est.p_hat + 6.0 * est.stderr) for est in real(*args, **kwargs)))
+    record = vf._run(name, ALL_CHECKS[name])
+    assert not record["passed"] and record["error"] >= 4.0, record
+
+
+# each residual row's order and its max-norm at every level, which the
+# series reference on whole arrays of times must reproduce digit for digit
+RESIDUAL_DETAILS = [
+    ("residual-standard", "order 1.009, expected 1.0 +/- 0.4 with decreasing max-norms "
+     "2.485e-02 1.230e-02 6.116e-03 3.050e-03"),
+    ("residual-fractional", "order 1.526, expected 1.5 +/- 0.4 with decreasing max-norms "
+     "1.551e-02 5.297e-03 1.848e-03 6.498e-04"),
+    ("residual-sojourn", "order 1.477, expected 1.5 +/- 0.4 with decreasing max-norms "
+     "1.037e-03 3.743e-04 1.344e-04 4.804e-05"),
+    ("residual-elastic", "order 1.159, expected 1.0 +/- 0.4 with decreasing max-norms "
+     "6.898e-02 2.938e-02 1.326e-02 6.191e-03"),
+    ("residual-gamma-boundary", "order 1.108, expected 1.0 +/- 0.4 with decreasing max-norms "
+     "2.860e-02 1.282e-02 5.980e-03 2.859e-03"),
+    ("residual-elastic-gamma-1", "order 1.154, expected 1.0 +/- 0.4 with decreasing max-norms "
+     "7.601e-02 3.251e-02 1.473e-02 6.896e-03"),
+    ("residual-distributed", "order 1.068, expected 1.0 +/- 0.4 with decreasing max-norms "
+     "3.574e-02 1.663e-02 7.965e-03 3.879e-03"),
+]
+
+
+def test_residual_rows_report_their_order_and_max_norms():
+    records = vf.run_suite("residuals")
+    assert [(r["check"], r["detail"]) for r in records] == RESIDUAL_DETAILS
+    assert all(r["passed"] for r in records)
 
 
 # the rows a law of the catalogue gets for each thing it can do
