@@ -12,17 +12,18 @@ convergence order, which is the quantity the equation checks assert on.
 Both Laplace directions run on fixed rules that certify themselves by
 comparing two levels: the forward transform on an exp-sinh trapezoid rule
 whose nodes serve a whole batch of eta (f called once on them), the
-inversion on a fixed Talbot contour: the 48 node values t*s of its 20-
-and 28-node rules and their (48 x 2) weight matrix are module constants,
-so one inversion is one call of the transform at those nodes divided by
-t and one dot product, for one time or a whole array of them.
+inversion on a fixed Talbot contour in the dimensionless variable z = s*t:
+the 48 nodes z_k of its 20- and 28-node rules, their square roots, logs
+and reciprocals (``_TABLE``) and the (48 x 2) weight matrix are module
+constants, so one inversion is one call of the transform F(z/t)/t on that
+table and one dot product, for one time or a whole array of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -202,13 +203,13 @@ def _talbot_constants() -> tuple[np.ndarray, np.ndarray]:
     """Node values t*s and weights of the 20- and the 28-node fixed-Talbot rule.
 
     The m-node contour is s(theta) = r*theta*(cot(theta) + i), 0 <= theta
-    < pi, with r = 2m/(5t).  Since t*s = (2m/5)*theta*(cot(theta) + i) does
-    not depend on t, the radius, the exponential factor and the 1/m are
-    folded into the weights once: f(t) = Re sum_k w_k F(z_k / t) / t, where
-    z_0 = 2m/5 is the theta -> 0 end (half weight) and z_k = t*s(k*pi/m).
-    Returns the (48,) node vector, the 20-node rule first, and the (48 x 2)
-    weight matrix whose column 0 holds the 20-node weights and column 1 the
-    28-node weights, each zero on the other rule's nodes.
+    < pi, with r = 2m/(5t).  Since z = t*s = (2m/5)*theta*(cot(theta) + i)
+    does not depend on t, the radius, the exponential factor and the 1/m
+    are folded into the weights once: f(t) = Re sum_k w_k F(z_k / t) / t,
+    where z_0 = 2m/5 is the theta -> 0 end (half weight) and z_k =
+    t*s(k*pi/m).  Returns the (48,) node vector, the 20-node rule first, and
+    the (48 x 2) weight matrix whose column 0 holds the 20-node weights and
+    column 1 the 28-node weights, each zero on the other rule's nodes.
     """
     nodes = []
     weights = np.zeros((48, 2), dtype=complex)
@@ -225,32 +226,64 @@ def _talbot_constants() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), weights
 
 
+class _NodeTable(NamedTuple):
+    """Points z off the closed negative real axis with their principal
+    square roots, logs and reciprocals."""
+
+    z: np.ndarray
+    root: np.ndarray
+    log: np.ndarray
+    inv: np.ndarray
+
+
+def _node_table(z) -> _NodeTable:
+    """The :class:`_NodeTable` of ``z`` (a number or an array)."""
+    return _NodeTable(z, np.sqrt(z), np.log(z), 1.0 / z)
+
+
 # Two contour sizes: the smaller one answers (its weights grow less, so it
-# carries less round-off), the larger one certifies it.  F at the 48 nodes
-# _NODES / t, times _WEIGHTS, divided by t, gives both.
+# carries less round-off), the larger one certifies it.  G(_TABLE, t), the
+# transform F(z/t)/t at the 48 dimensionless nodes, times _WEIGHTS gives both.
 _NODES, _WEIGHTS = _talbot_constants()
+_TABLE = _node_table(_NODES)
 _TALBOT_AGREE = 1e-10
 
 
-def _talbot(F: Callable[[np.ndarray], np.ndarray], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-Talbot inversion of F at every time of the 1-D array ``ts`` (> 0).
+def _talbot(G: Callable[[_NodeTable, float | np.ndarray], np.ndarray], t: float | np.ndarray) -> float | np.ndarray:
+    """Fixed-Talbot inversion at a float t > 0 or a 1-D float ndarray of them.
 
-    F is called once, on the (time x 48) matrix of contour nodes
-    ``_NODES / t``, flattened; its samples times the (48 x 2) weight
-    matrix ``_WEIGHTS``, divided by t, are the 20- and the 28-node values.
-    Returns the 20-node values, their gaps to the 28-node values and the
-    mask of certified points: both values finite and the gap at most
-    1e-10 * max(1, |value|).  A non-finite value gives a non-finite gap.
+    The transform enters in the dimensionless variable z = s*t: G(table, t)
+    must return F(z/t)/t at the points of the :class:`_NodeTable` ``table``,
+    which holds the 48 nodes z_k of both rules (``_TABLE``: their roots,
+    logs and reciprocals are taken once, at import).  G is called once,
+    with a float t, or with the (n x 1) column of the n times, and then
+    returns the (n x 48) matrix of samples.  The samples times the (48 x 2)
+    weight matrix ``_WEIGHTS`` are the 20- and the 28-node values, and the
+    20-node value is returned: a float, or an ndarray for an array of
+    times.  If either value is non-finite or the two differ by more than
+    1e-10 * max(1, |value|), raises :class:`Unstable`, naming the first
+    time of an array that does not certify.  The arguments are not checked.
     """
-    with np.errstate(all="ignore"):
-        nodes = _NODES / ts[:, None]
-        samples = np.asarray(F(nodes.reshape(-1)), dtype=complex).reshape(nodes.shape)
-        both = (samples @ _WEIGHTS).real / ts[:, None]
-        coarse = both[:, 0]
-        gap = np.abs(coarse - both[:, 1])
-        # a non-finite value makes the ratio inf or NaN, which fails the test
-        ok = gap / np.maximum(1.0, np.abs(coarse)) <= _TALBOT_AGREE
-    return coarse, gap, ok
+    if isinstance(t, np.ndarray):
+        with np.errstate(all="ignore"):
+            both = (G(_TABLE, t[:, None]) @ _WEIGHTS).real
+            coarse = both[:, 0]
+            gaps = np.abs(coarse - both[:, 1])
+            # a non-finite value makes the ratio inf or NaN, which fails the test
+            ok = gaps / np.maximum(1.0, np.abs(coarse)) <= _TALBOT_AGREE
+        if ok.all():
+            return coarse
+        first = int(np.argmin(ok))
+        t, gap = float(t[first]), float(gaps[first])
+    else:
+        with np.errstate(all="ignore"):
+            coarse, fine = (G(_TABLE, t) @ _WEIGHTS).real.tolist()
+        gap = abs(coarse - fine)
+        if gap / max(1.0, abs(coarse)) <= _TALBOT_AGREE:
+            return coarse
+    if not math.isfinite(gap):
+        raise Unstable(f"Talbot inversion at t={t}: the transform is not finite on the contour")
+    raise Unstable(f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} (tolerance {_TALBOT_AGREE:.0e})")
 
 
 def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray) -> float | np.ndarray:
@@ -265,32 +298,24 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray)
     20-node value is returned.  If either value is non-finite or the two
     differ by more than 1e-10 * max(1, |value|), raises :class:`Unstable`.
     ``t`` may also be a 1-D float ndarray of times > 0, inverted by one call
-    of F (:func:`_talbot`) into an ndarray; :class:`Unstable` then names the
-    first time that does not certify.  A float t is the one-point case on
-    Python floats: through the array path it costs half as much again.
+    of F on the n*48 nodes, flattened, into an ndarray; :class:`Unstable`
+    then names the first time that does not certify.  Both run on
+    :func:`_talbot`, with F(z/t)/t as its transform.
     """
     if isinstance(t, np.ndarray):
         if not (t.ndim == 1 and t.dtype.kind == "f" and np.all(np.isfinite(t) & (t > 0.0))):
             raise DomainError(f"laplace_invert requires times > 0 (a 1-D float array), got {t!r}")
-        values, gaps, ok = _talbot(F, t)
-        if ok.all():
-            return values
-        first = int(np.argmin(ok))
-        t, gap = float(t[first]), float(gaps[first])
     else:
         x = _finite(t)
         if not x > 0.0:
             raise DomainError(f"laplace_invert requires a real t > 0, got {t!r}")
         t = x
-        with np.errstate(all="ignore"):
-            coarse, fine = (np.asarray(F(_NODES / t), dtype=complex) @ _WEIGHTS).tolist()
-        coarse, fine = coarse.real / t, fine.real / t
-        gap = abs(coarse - fine)
-        if gap / max(1.0, abs(coarse)) <= _TALBOT_AGREE:
-            return coarse
-    if not math.isfinite(gap):
-        raise Unstable(f"Talbot inversion at t={t}: the transform is not finite on the contour")
-    raise Unstable(f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} (tolerance {_TALBOT_AGREE:.0e})")
+
+    def G(table: _NodeTable, t):
+        s = table.z / t
+        return np.asarray(F(s.reshape(-1)), dtype=complex).reshape(s.shape) / t
+
+    return _talbot(G, t)
 
 
 def ode_residual(

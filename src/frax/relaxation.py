@@ -15,9 +15,10 @@ series track their propagated error term by term and raise
 For the five laws whose closed form is a series (fractional, elastic,
 gamma-boundary, elastic-gamma, distributed; the elastic law's is a
 difference of two erfcx values away from equal rates) :func:`psi` inverts
-the exact Laplace transform on a fixed Talbot contour, at one time or on a whole
-array of times: the contour, else :class:`Unstable`.  The elementary laws
-evaluate their closed form.  ``_series_psi`` is the reference evaluator
+the exact Laplace transform, written once per law in z = s*t, on a fixed
+Talbot contour, at one time or on a whole array of times: the contour, else
+:class:`Unstable`.  The elementary laws evaluate their closed form.
+``_series_psi`` is the reference evaluator
 that the verify checks compare against: the series first, the contour
 where the series fails its gate, at one time or, summing each series once
 with per-time gates, on a whole array of times.  Both snap values a
@@ -37,7 +38,9 @@ import numpy as np
 from scipy.special import erfcx, gammaln, i0e
 
 from .errors import DomainError, NonConvergence, Unsupported, _count, _positive, _reals, _require, _time
-from .fraccalc import laplace_invert
+# laplace_invert is not called here: perfbench's tracer and self-check reach
+# it under this name
+from .fraccalc import _node_table, _talbot, laplace_invert  # noqa: F401
 from .specfun import _ABSUM_CAP, _BLOCK, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _gated_rows, _ml_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
@@ -303,15 +306,22 @@ _Equation = tuple[tuple[tuple[float, float], ...], float, float, Callable[[np.nd
 class _Law:
     """Behaviour shared by the law dataclasses.
 
-    Subclasses implement ``_psi(t)`` for t > 0, ``_laplace(eta)`` and
+    Subclasses implement ``_psi(t)`` for t > 0, ``_transform(p, t)`` and
     ``_asymptote(small, t)``, and ``_equation()`` where the law solves a
     fractional relaxation equation; a law without a transform or an
     equation keeps the defaults below, which raise :class:`Unsupported`.
     The laws hold data and formulas only: :func:`psi` samples them and
     :func:`~frax.fraccalc.ode_residual` checks them against their equation.
+    ``_transform(p, t)`` is the Laplace transform F in the dimensionless
+    variable z = s*t: F(z/t)/t at the points z of the node table ``p``
+    (:class:`~frax.fraccalc._NodeTable`: z with its roots, logs and
+    reciprocals), for a float t or a column of times, written in the
+    variables the law's series uses.  :func:`psi` inverts it on the
+    contour's table (:func:`~frax.fraccalc._talbot`), and
+    :func:`psi_laplace` evaluates it at t = 1 on the table of s.
     ``_psi`` neither clips nor inverts: it returns its series value or
     raises :class:`NonConvergence`, and :func:`psi` owns the clipping and
-    the Talbot inversion of ``_laplace``.  A law whose ``_psi`` is a series
+    the Talbot inversion of ``_transform``.  A law whose ``_psi`` is a series
     sets ``_contour_first``: :func:`psi` inverts its transform, at a single
     time or on one contour for a whole array (the contour, else
     :class:`Unstable`), and only ``_series_psi`` sums the series.  Such a
@@ -321,7 +331,7 @@ class _Law:
 
     _contour_first = False
 
-    def _laplace(self, s):
+    def _transform(self, p, t):
         raise Unsupported(f"psi_laplace has no transform for {type(self).__name__}")
 
     def _equation(self) -> _Equation:
@@ -347,8 +357,8 @@ class Standard(_Law):
     def _psi(self, t: float) -> float:
         return math.exp(-self.lam * t)
 
-    def _laplace(self, s):
-        return 1.0 / (s + self.lam)
+    def _transform(self, p, t):
+        return 1.0 / (p.z + self.lam * t)
 
     def _asymptote(self, small: bool, t: float) -> float:
         return 1.0 - self.lam * t if small else math.exp(-self.lam * t)
@@ -379,9 +389,9 @@ class Fractional(_Law):
     def _psi(self, t):
         return mittag_leffler(MLParams(self.nu, 1.0), -self.lam * t**self.nu)
 
-    def _laplace(self, s):
-        # s**(nu-1) / (s**nu + lam), with no product that outgrows s
-        return 1.0 / (s + self.lam * np.exp((1.0 - self.nu) * np.log(s)))
+    def _transform(self, p, t):
+        # z**(nu-1) / (z**nu + lam t**nu), with no product that outgrows z
+        return 1.0 / (p.z + self.lam * t**self.nu * np.exp((1.0 - self.nu) * p.log))
 
     def _asymptote(self, small: bool, t: float) -> float:
         nu, lam = self.nu, self.lam
@@ -406,10 +416,10 @@ class Sojourn(_Law):
     def _psi(self, t: float) -> float:
         return float(i0e(0.5 * self.lam * t))
 
-    def _laplace(self, s):
-        # two roots, not sqrt(s*(s+lam)): the product leaves the principal
+    def _transform(self, p, t):
+        # two roots, not sqrt(z*(z+lam t)): the product leaves the principal
         # branch off the real axis
-        return 1.0 / (np.sqrt(s) * np.sqrt(s + self.lam))
+        return 1.0 / (p.root * np.sqrt(p.z + self.lam * t))
 
     def _asymptote(self, small: bool, t: float) -> float:
         return 1.0 - 0.5 * self.lam * t if small else 1.0 / math.sqrt(self.lam * math.pi * t)
@@ -438,8 +448,8 @@ class FirstPassage(_Law):
     def _psi(self, t: float) -> float:
         return math.exp(-first_passage_rate(self.lam, self.n) * t)
 
-    def _laplace(self, s):
-        return 1.0 / (s + first_passage_rate(self.lam, self.n))
+    def _transform(self, p, t):
+        return 1.0 / (p.z + first_passage_rate(self.lam, self.n) * t)
 
     def _asymptote(self, small: bool, t: float) -> float:
         rate = first_passage_rate(self.lam, self.n)
@@ -488,12 +498,12 @@ class Elastic(_Law):
         sqrt_t = _xp(t).sqrt(t)
         return 1.0 - lam / (lam - alpha) * (erfcx(alpha * sqrt_t / _SQRT2) - erfcx(lam * sqrt_t / _SQRT2))
 
-    def _laplace(self, s):
-        lam, alpha = self.lam, self.alpha
-        r = np.sqrt(s)
-        s2 = _SQRT2 * r
-        num = alpha * lam / s + _SQRT2 * alpha / r + 2.0
-        return num / ((s2 + alpha) * (s2 + lam))
+    def _transform(self, p, t):
+        # (alpha/s + 2/(sqrt(2 s) + lam)) / (sqrt(2 s) + alpha), in a = alpha
+        # sqrt(t/2) and y = lam sqrt(t/2): no product of a and y, which overflows
+        half = _xp(t).sqrt(t) / _SQRT2
+        a, y = self.alpha * half, self.lam * half
+        return (a * p.inv + 1.0 / (p.root + y)) / (p.root + a)
 
     def _asymptote(self, small: bool, t: float) -> float:
         if small:
@@ -537,9 +547,10 @@ class GammaBoundary(_Law):
             raise NonConvergence(f"gamma-boundary series fails its 1e-9 gate at t={t!r}")
         return 1.0 - scale * val
 
-    def _laplace(self, s):
-        lam, k = self.lam, self.k
-        return (1.0 - (lam / (np.sqrt(s) + lam)) ** k) / s
+    def _transform(self, p, t):
+        # (1 - (lam/(sqrt(s) + lam))**k)/s, in y = lam sqrt(t)
+        y = self.lam * _xp(t).sqrt(t)
+        return (1.0 - (y / (p.root + y)) ** self.k) * p.inv
 
     def _asymptote(self, small: bool, t: float) -> float:
         k, lam = self.k, self.lam
@@ -581,11 +592,12 @@ class ElasticGamma(_Law):
             raise NonConvergence(f"elastic gamma-boundary series fails its 1e-9 gate at t={t!r}")
         return 1.0 - s  # NaN where an array's series failed
 
-    def _laplace(self, s):
-        lam, alpha, k = self.lam, self.alpha, self.k
-        r = np.sqrt(s)
-        s2 = _SQRT2 * r
-        return 1.0 / s - _SQRT2 / (r * (s2 + alpha)) * (lam / (s2 + lam)) ** k
+    def _transform(self, p, t):
+        # 1/s - sqrt(2)/(sqrt(s) (sqrt(2 s) + alpha)) (lam/(sqrt(2 s) + lam))**k,
+        # in a = alpha sqrt(t/2) and y = lam sqrt(t/2)
+        half = _xp(t).sqrt(t) / _SQRT2
+        a, y = self.alpha * half, self.lam * half
+        return p.inv - (y / (p.root + y)) ** self.k / (p.root * (p.root + a))
 
     def _asymptote(self, small: bool, t: float) -> float:
         k, lam = self.k, self.lam
@@ -638,10 +650,14 @@ class Distributed(_Law):
             raise NonConvergence(f"distributed-order series fails its 1e-9 gate at t={t!r}")
         return 1.0 - s  # NaN where an array's series failed
 
-    def _laplace(self, s):
-        log_s = np.log(s)
-        w = self.n1 * np.exp(self.nu1 * log_s) + self.n2 * np.exp(self.nu2 * log_s)
-        return 1.0 / (s + self.lam * s / w)
+    def _transform(self, p, t):
+        # 1/(s + lam s/(n1 s**nu1 + n2 s**nu2)), in the series' x = lam
+        # t**nu2/n2 and q = n1 t**(nu2-nu1)/n2; an x past the float range is
+        # inf, and the value 0
+        x = self.lam * t**self.nu2 / self.n2
+        q = self.n1 * t ** (self.nu2 - self.nu1) / self.n2
+        w = q * np.exp((self.nu1 - 1.0) * p.log) + np.exp((self.nu2 - 1.0) * p.log)
+        return w / (p.z * w + x)
 
     def _asymptote(self, small: bool, t: float) -> float:
         if small:
@@ -701,12 +717,13 @@ def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
     psi(0) = 1 exactly.  For t > 0 the laws whose closed form is a series
     (fractional, elastic, gamma-boundary, elastic-gamma, distributed)
     invert their exact Laplace transform on a fixed Talbot contour
-    (:func:`~frax.fraccalc.laplace_invert`: the transform called once, the
-    20-node value certified by the 28-node one to 1e-10): the contour,
-    else :class:`Unstable`, never an uncertified value.  The elementary
-    laws (standard, sojourn, first passage, squared Bessel) evaluate their
-    closed form.  Values a rounding error outside [0, 1] are snapped back
-    onto the interval.
+    (:func:`~frax.fraccalc._talbot`: the transform called once, in z = s*t
+    on the tabulated nodes, so that no node overflows at the ends of the
+    float range, and the 20-node value certified by the 28-node one to
+    1e-10): the contour, else :class:`Unstable`, never an uncertified
+    value.  The elementary laws (standard, sojourn, first passage, squared
+    Bessel) evaluate their closed form.  Values a rounding error outside
+    [0, 1] are snapped back onto the interval.
 
     ``t`` may also be an ndarray of finite times >= 0 (a real dtype, not
     bool); the result is an ndarray of the same shape, holding the values
@@ -721,17 +738,18 @@ def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
     law = _law(model, "psi has no law")
     if t == 0.0 or not law._contour_first:
         return _series_psi(law, t)
-    return _clip01(laplace_invert(law._laplace, t))
+    return _clip01(_talbot(law._transform, t))
 
 
 def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
     """psi at a float t >= 0 from the law's series, the reference evaluator.
 
     The law's closed form answers; where its series fails its gate, the
-    transform is inverted on the contour instead (the contour, else
-    :class:`Unstable`).  Checks sample this, not :func:`psi`, so that they
-    hold the series and the contour against each other rather than the
-    contour against itself.  The arguments are not checked.
+    transform is inverted on the contour of :func:`psi` instead (the
+    contour, else :class:`Unstable`).  Checks sample this, not
+    :func:`psi`, so that they hold the series and the contour against each
+    other rather than the contour against itself.  The arguments are not
+    checked.
 
     ``t`` may be a 1-D float ndarray of times >= 0: a series law then sums
     its series once for all of them, and the times where it fails its gate
@@ -750,7 +768,7 @@ def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
         values = model._psi(ts)
         failed = np.flatnonzero(np.isnan(values))
         if failed.size:
-            values[failed] = laplace_invert(model._laplace, ts[failed])
+            values[failed] = _talbot(model._transform, ts[failed])
         out[rest] = _clip01_array(values)
         return out
     if t == 0.0:
@@ -758,7 +776,7 @@ def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
     try:
         return _clip01(model._psi(t))
     except NonConvergence:
-        return _clip01(laplace_invert(model._laplace, t))
+        return _clip01(_talbot(model._transform, t))
 
 
 def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
@@ -771,7 +789,7 @@ def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     out = np.ones(flat.size)
     rest = np.flatnonzero(flat > 0.0)
     if rest.size:
-        out[rest] = _clip01_array(laplace_invert(law._laplace, flat[rest]))
+        out[rest] = _clip01_array(_talbot(law._transform, flat[rest]))
     return out.reshape(t.shape)
 
 
@@ -780,9 +798,10 @@ def psi_laplace(model: RelaxationModel, s):
 
     Real s > 0 gives a float.  Complex or array-valued s is accepted where
     it is finite and off the closed negative real axis, and the transform
-    takes the principal branch there (as contour inversion needs).  The
-    squared-Bessel law has no elementary transform and raises
-    :class:`Unsupported`.
+    takes the principal branch there (as contour inversion needs).  It is
+    the formula :func:`psi` inverts, ``_transform`` at t = 1 on the roots
+    and logs of s.  The squared-Bessel law has no elementary transform and
+    raises :class:`Unsupported`.
     """
     z = np.asarray(s)
     if not (
@@ -793,8 +812,8 @@ def psi_laplace(model: RelaxationModel, s):
         raise DomainError(f"psi_laplace requires finite s off the closed negative axis, got {s!r}")
     law = _law(model, "psi_laplace has no transform")
     if z.ndim == 0 and z.dtype.kind != "c":
-        return float(law._laplace(float(z)))
-    return law._laplace(z)
+        return float(law._transform(_node_table(float(z)), 1.0))
+    return law._transform(_node_table(z), 1.0)
 
 
 def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:

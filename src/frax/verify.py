@@ -30,11 +30,12 @@ largest |a(x) - b(x)| over the points.  No row holds a code path against
 itself: a reduction or limit is held against another law or branch, a
 closed form (of E_{a,b}, an exponential or erfcx) or the law's own
 transform inverted on the contour, and an identity of ``gml`` as a gap
-against 0.  The evaluators look up the series, ``laplace_invert``,
-``mittag_leffler`` and ``gml`` when they are called.  The other checks
-test an equation (a derivative ladder, a half-derivative recursion,
-residual orders), a forward transform against its closed form, a ratio
-along a limit or a crossing estimate (a Monte Carlo z-score or a
+against 0.  The evaluators look up the series, the contour of
+:func:`~frax.relaxation.psi` (``relaxation._talbot`` on the law's
+``_transform``), ``mittag_leffler`` and ``gml`` when they are called.
+The other checks test an equation (a derivative ladder, a half-derivative
+recursion, residual orders), a forward transform against its closed form,
+a ratio along a limit or a crossing estimate (a Monte Carlo z-score or a
 quadrature gap, one draw serving three times).  Every maximum or minimum
 a check reports goes through numpy, so one NaN fails the check.
 
@@ -68,7 +69,9 @@ import numpy as np
 from . import relaxation as rx
 from . import stochsim as ss
 from .errors import FraxError, Unsupported
-from .fraccalc import laplace_forward, laplace_invert, ode_residual
+# laplace_invert is not called here: perfbench's tracer and self-check reach
+# it under this name
+from .fraccalc import laplace_forward, laplace_invert, ode_residual  # noqa: F401
 from .specfun import MLParams, gml, mittag_leffler
 from scipy.special import erfcx
 
@@ -184,13 +187,11 @@ def _series(model: rx.RelaxationModel) -> Callable:
 
 def _inverted(model: rx.RelaxationModel, grid: bool = False) -> Callable[[float], float]:
     """The law's own transform inverted on the contour at a float time, or
-    with ``grid`` at a one-point array of it: the path that
-    :func:`~frax.relaxation.psi` takes on a grid of times, which at one
-    point rounds as the float path does."""
-    F = lambda eta: rx.psi_laplace(model, eta)
+    with ``grid`` at a one-point array of it: the paths that
+    :func:`~frax.relaxation.psi` takes at one time and on a grid of times."""
     if grid:
-        return lambda t: float(laplace_invert(F, np.array([t]))[0])
-    return lambda t: laplace_invert(F, t)
+        return lambda t: float(rx._talbot(model._transform, np.array([t]))[0])
+    return lambda t: rx._talbot(model._transform, t)
 
 
 def _exponential(rate: float) -> Callable[[float], float]:

@@ -69,20 +69,20 @@ def test_eval_numbers_round_trip(capsys):
 def test_eval_makes_one_contour_call_per_grid(monkeypatch, capsys):
     # every point of the grid is certified on the contour: the transform is
     # called once, on both contour sizes at once, and the series never runs
-    calls = {"_laplace": 0, "_psi": 0}
+    calls = {"_transform": 0, "_psi": 0}
     for name in calls:
         original = getattr(rx.ElasticGamma, name)
 
-        def counted(self, x, _name=name, _original=original):
+        def counted(self, *args, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self, x)
+            return _original(self, *args)
 
         monkeypatch.setattr(rx.ElasticGamma, name, counted)
     rc = run_cli("eval", "--model", "elasticgamma", "--k", "2", "--alpha", "0.8", "--lambda", "1.1",
                  "--t-start", "1e-4", "--t-stop", "1e4", "--t-count", "64", "--t-scale", "log")
     assert rc == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 65
-    assert calls == {"_laplace": 1, "_psi": 0}
+    assert calls == {"_transform": 1, "_psi": 0}
 
 
 # a 64-point log grid over [1e-6, 1e6], and the times _time_grid spans it with
@@ -475,11 +475,12 @@ def test_successive_calls_do_not_share_options(capsys):
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
-    # the transform is NaN at s = 8, the first 20-node point of the contour
-    # at t = 1: psi raises, although the series would answer there, and the
-    # message of that one call already names the time
-    laplace = rx.Fractional._laplace
-    monkeypatch.setattr(rx.Fractional, "_laplace", lambda self, s: np.where(s == 8.0, np.nan, laplace(self, s)))
+    # the transform is NaN at s = 8 (z = 8 at t = 1), the first 20-node point
+    # of the contour at t = 1: psi raises, although the series would answer
+    # there, and the message of that one call already names the time
+    transform = rx.Fractional._transform
+    monkeypatch.setattr(rx.Fractional, "_transform", lambda self, p, t: np.where(
+        (p.z == 8.0) & (t == 1.0), np.nan, transform(self, p, t)))
     rc = run_cli("eval", "--model", "fractional", "--nu", "0.5", "--lambda", "1", "--t", "1", "2")
     out, err = capsys.readouterr()
     assert rc == 3

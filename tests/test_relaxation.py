@@ -756,16 +756,16 @@ def test_array_series_psi_matches_scalar_calls(monkeypatch, m, name):
     # the contour answers where the series fails: record where it ran, an
     # ndarray t being the array call and a float a scalar one
     array_calls, scalar_times = [], []
-    invert = rx.laplace_invert
+    invert = rx._talbot
 
-    def spy(F, t):
+    def spy(G, t):
         if isinstance(t, np.ndarray):
             array_calls.append(t.tolist())
         else:
             scalar_times.append(t)
-        return invert(F, t)
+        return invert(G, t)
 
-    monkeypatch.setattr(rx, "laplace_invert", spy)
+    monkeypatch.setattr(rx, "_talbot", spy)
     got = rx._series_psi(m, ts)
     want = np.array([rx._series_psi(m, t) for t in ts.tolist()])
     # the failed points go to one contour, and they are the scalar path's
@@ -808,17 +808,23 @@ def test_array_psi_time_validation(m):
 
 @dataclass(frozen=True)
 class _Poisoned(rx.Fractional):
-    """Fractional law whose transform is NaN at the node s = 8, the first
-    20-node point of the contour at t = 1."""
+    """Fractional law whose transform is NaN at the node z = 8 at t = 1 (s =
+    8), the first 20-node point of the contour."""
 
-    def _laplace(self, s):
-        return np.where(s == 8.0, np.nan, super()._laplace(s))
+    def _transform(self, p, t):
+        return np.where((p.z == 8.0) & (t == 1.0), np.nan, super()._transform(p, t))
 
 
 def _count_calls(monkeypatch, cls, sizes, series_calls):
-    """Record the size of each transform call and count the series calls of ``cls``."""
-    laplace, series = cls._laplace, cls._psi
-    monkeypatch.setattr(cls, "_laplace", lambda self, s: sizes.append(s.size) or laplace(self, s))
+    """Record the number of samples of each transform call and count the series calls of ``cls``."""
+    transform, series = cls._transform, cls._psi
+
+    def counted(self, p, t):
+        samples = transform(self, p, t)
+        sizes.append(samples.size)
+        return samples
+
+    monkeypatch.setattr(cls, "_transform", counted)
     monkeypatch.setattr(cls, "_psi", lambda self, t: series_calls.append(t) or series(self, t))
 
 
@@ -854,17 +860,17 @@ def test_scalar_psi_raises_where_the_contour_fails(monkeypatch):
                                rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.0)],
                          ids=lambda m: type(m).__name__)
 def test_scalar_psi_inverts_first(monkeypatch, m):
-    calls = {"_laplace": 0, "_psi": 0}
+    calls = {"_transform": 0, "_psi": 0}
     for name in calls:
         original = getattr(type(m), name)
 
-        def counted(self, x, _name=name, _original=original):
+        def counted(self, *args, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self, x)
+            return _original(self, *args)
 
         monkeypatch.setattr(type(m), name, counted)
     value = rx.psi(m, 1.0)
-    assert calls == {"_laplace": 1, "_psi": 0}
+    assert calls == {"_transform": 1, "_psi": 0}
     assert abs(value - rx._series_psi(m, 1.0)) <= 1e-10
 
 
@@ -874,8 +880,8 @@ class _Constant(rx.Fractional):
 
     value: float = 1.0
 
-    def _laplace(self, s):
-        return self.value / s
+    def _transform(self, p, t):
+        return self.value * p.inv + 0.0 * t  # one sample per time and node
 
 
 def test_array_psi_snaps_rounding_onto_the_unit_interval():
@@ -1006,6 +1012,49 @@ def test_psi_laplace_at_large_real_s(m):
     with mp.workdps(30):
         want = float(F(mp.mpf(1e300)))
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def _certified(invert, t):
+    """The inverted value at t, or NaN where the contour does not certify it."""
+    try:
+        return invert(t)
+    except Unstable:
+        return math.nan
+
+
+@pytest.mark.parametrize("m", TRANSFORM_LAWS, ids=lambda m: type(m).__name__)
+def test_the_law_contour_matches_the_generic_inversion(m):
+    # psi's path takes the law's transform in z = s t on the tabulated node
+    # roots and logs; the generic path calls the same law's transform as a
+    # function of s on _NODES / t: both must certify the same times and agree
+    F = lambda s: rx.psi_laplace(m, s)  # noqa: E731
+    ts = np.geomspace(1e-8, 1e8, 2000)
+    generic = np.array([_certified(lambda t: fc.laplace_invert(F, t), t) for t in ts.tolist()])
+    law = np.array([_certified(lambda t: rx._talbot(m._transform, t), t) for t in ts.tolist()])
+    certified = ~np.isnan(generic)
+    assert np.array_equal(certified, ~np.isnan(law))
+    assert np.max(np.abs(law[certified] - generic[certified])) <= 1e-12
+    # an array of times: the certified ones answer together, each other one raises
+    assert np.max(np.abs(rx._talbot(m._transform, ts[certified]) - generic[certified])) <= 1e-12
+    for t in ts[~certified]:
+        with pytest.raises(Unstable):
+            rx._talbot(m._transform, np.array([t]))
+
+
+CONTOUR_EXAMPLES = [(name, model) for name, model in rx.EXAMPLES if model._contour_first]
+
+
+@pytest.mark.parametrize("name, m", CONTOUR_EXAMPLES, ids=[name for name, _ in CONTOUR_EXAMPLES])
+def test_psi_answers_at_the_ends_of_the_float_range(name, m):
+    # _NODES / t overflowed to inf at the smallest times, and the contour
+    # raised there, as it did at the largest for the elastic laws
+    tiny, huge = (5e-324, 1e-310), 1.7e308
+    for t in tiny:
+        assert abs(rx.psi(m, t) - 1.0) <= 1e-10
+    large = rx.asymptote(m, rx.LargeT, huge)  # its corrections are below 1e-100 here
+    assert abs(rx.psi(m, huge) - large) <= 1e-10
+    values = rx.psi(m, np.array([*tiny, huge]))
+    assert np.max(np.abs(values - [1.0, 1.0, large])) <= 1e-10
 
 
 @pytest.mark.parametrize(

@@ -142,16 +142,17 @@ OFF_BY_CASES = [
     # of the rows of all, only this one catches the fault (it reads 2.5e-10)
     ("transform-gamma-boundary", specfun, "_gated_rows", 1e-9),
     ("transform-distributed", rx, "_gated_rows", 1e-9),
-    # the contour on arrays of times, as psi runs it on a grid; and on one
-    # float time, where the series reference falls back to it
-    ("inversion-sojourn", fraccalc, "_talbot", 1e-9),
-    ("inversion-distributed", rx, "laplace_invert", 1e-9),
-    # the transform psi inverts for the order-1/2 law
-    ("inversion-fractional", rx.Fractional, "_laplace", 1e-9),
+    # the contour of psi, at a float time or on an array of times, as
+    # relaxation looks it up: the inversion rows and the series reference's
+    # fallback run it too
+    ("inversion-sojourn", rx, "_talbot", 1e-9),
+    # the transforms psi inverts for the two-order and the order-1/2 law
+    ("inversion-distributed", rx.Distributed, "_transform", 1e-9),
+    ("inversion-fractional", rx.Fractional, "_transform", 1e-9),
     # transforms that psi never inverts, as the two laws are exponentials
-    ("inversion-standard", rx.Standard, "_laplace", 1e-9),
-    ("inversion-first-passage", rx.FirstPassage, "_laplace", 1e-9),
-    ("inversion-first-passage-2", rx.FirstPassage, "_laplace", 1e-9),
+    ("inversion-standard", rx.Standard, "_transform", 1e-9),
+    ("inversion-first-passage", rx.FirstPassage, "_transform", 1e-9),
+    ("inversion-first-passage-2", rx.FirstPassage, "_transform", 1e-9),
     # the exp-sinh rule under every transform-* row, which each read 1.0e-9
     ("transform-standard", vf, "laplace_forward", 1e-9),
     # the M-Wright shape tables and the level quadrature of the crossing
@@ -179,6 +180,27 @@ def test_a_row_fails_when_the_code_under_it_is_off(monkeypatch, name, owner, att
         record = vf._run(name, ALL_CHECKS[name])
     finally:
         _clear_shape_tables()
+    assert not record["passed"], record
+
+
+# (field of the contour's node table, a row that its fault fails); at
+# 1 + 1e-9 the rows read 5.8e-10, 8.9e-10, 7.0e-11 (against 1e-12) and
+# 8.7e-10, where the inversion rows read 9.5e-11 at most under the log fault
+NODE_TABLE_CASES = [
+    ("z", "inversion-standard"),
+    ("root", "inversion-sojourn"),
+    ("log", "distributed-zero-weight"),
+    ("inv", "inversion-gamma-boundary"),
+]
+
+
+@pytest.mark.parametrize("field, name", NODE_TABLE_CASES, ids=[f"{f}-{n}" for f, n in NODE_TABLE_CASES])
+def test_a_row_fails_when_the_node_table_is_off(monkeypatch, field, name):
+    # the nodes, their roots, logs and reciprocals are tabulated once, at
+    # import, and every contour inversion of psi reads them
+    table = fraccalc._TABLE
+    monkeypatch.setattr(fraccalc, "_TABLE", table._replace(**{field: getattr(table, field) * (1.0 + 1e-9)}))
+    record = vf._run(name, ALL_CHECKS[name])
     assert not record["passed"], record
 
 
