@@ -286,6 +286,25 @@ def _talbot(G: Callable[[_NodeTable, float | np.ndarray], np.ndarray], t: float 
     raise Unstable(f"Talbot inversion at t={t}: 20 and 28 nodes differ by {gap:.3g} (tolerance {_TALBOT_AGREE:.0e})")
 
 
+class _Scaled:
+    """A Laplace transform F written in the dimensionless variable z = s*t.
+
+    ``G(table, t)`` returns F(z/t)/t at the points z of the
+    :class:`_NodeTable` ``table``, for a float t or a column of times, as
+    :func:`_talbot` calls it.  :func:`laplace_invert` runs G on the
+    tabulated contour ``_TABLE``, so no node is divided by t.  Called with
+    s, the object is F(s) = G(table of s, 1), a transform of s as any other.
+    """
+
+    __slots__ = ("G",)
+
+    def __init__(self, G: Callable[[_NodeTable, float | np.ndarray], np.ndarray]) -> None:
+        self.G = G
+
+    def __call__(self, s):
+        return self.G(_node_table(s), 1.0)
+
+
 def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray) -> float | np.ndarray:
     """Fixed-Talbot inversion of the Laplace transform F at a real time t > 0.
 
@@ -300,7 +319,8 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray)
     ``t`` may also be a 1-D float ndarray of times > 0, inverted by one call
     of F on the n*48 nodes, flattened, into an ndarray; :class:`Unstable`
     then names the first time that does not certify.  Both run on
-    :func:`_talbot`, with F(z/t)/t as its transform.
+    :func:`_talbot`, with F(z/t)/t as its transform; a :class:`_Scaled` F
+    gives that transform itself, and is not called on ``_NODES / t``.
     """
     if isinstance(t, np.ndarray):
         if not (t.ndim == 1 and t.dtype.kind == "f" and np.all(np.isfinite(t) & (t > 0.0))):
@@ -310,6 +330,8 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray)
         if not x > 0.0:
             raise DomainError(f"laplace_invert requires a real t > 0, got {t!r}")
         t = x
+    if isinstance(F, _Scaled):
+        return _talbot(F.G, t)
 
     def G(table: _NodeTable, t):
         s = table.z / t

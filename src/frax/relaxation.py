@@ -38,9 +38,7 @@ import numpy as np
 from scipy.special import erfcx, gammaln, i0e
 
 from .errors import DomainError, NonConvergence, Unsupported, _count, _positive, _reals, _require, _time
-# laplace_invert is not called here: perfbench's tracer and self-check reach
-# it under this name
-from .fraccalc import _node_table, _talbot, laplace_invert  # noqa: F401
+from .fraccalc import _Scaled, laplace_invert
 from .specfun import _ABSUM_CAP, _BLOCK, _EPS, _EXP_CAP, _MAX_TERMS, _REL_TOL, MLParams, _gated_rows, _ml_series, mittag_leffler
 
 _SQRT2 = math.sqrt(2.0)
@@ -317,7 +315,8 @@ class _Law:
     (:class:`~frax.fraccalc._NodeTable`: z with its roots, logs and
     reciprocals), for a float t or a column of times, written in the
     variables the law's series uses.  :func:`psi` inverts it on the
-    contour's table (:func:`~frax.fraccalc._talbot`), and
+    contour's table (:func:`~frax.fraccalc.laplace_invert` on a
+    :class:`~frax.fraccalc._Scaled` transform), and
     :func:`psi_laplace` evaluates it at t = 1 on the table of s.
     ``_psi`` neither clips nor inverts: it returns its series value or
     raises :class:`NonConvergence`, and :func:`psi` owns the clipping and
@@ -717,10 +716,10 @@ def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
     psi(0) = 1 exactly.  For t > 0 the laws whose closed form is a series
     (fractional, elastic, gamma-boundary, elastic-gamma, distributed)
     invert their exact Laplace transform on a fixed Talbot contour
-    (:func:`~frax.fraccalc._talbot`: the transform called once, in z = s*t
-    on the tabulated nodes, so that no node overflows at the ends of the
-    float range, and the 20-node value certified by the 28-node one to
-    1e-10): the contour, else :class:`Unstable`, never an uncertified
+    (:func:`~frax.fraccalc.laplace_invert`: the transform called once, in
+    z = s*t on the tabulated nodes, so that no node overflows at the ends
+    of the float range, and the 20-node value certified by the 28-node one
+    to 1e-10): the contour, else :class:`Unstable`, never an uncertified
     value.  The elementary laws (standard, sojourn, first passage, squared
     Bessel) evaluate their closed form.  Values a rounding error outside
     [0, 1] are snapped back onto the interval.
@@ -738,7 +737,7 @@ def psi(model: RelaxationModel, t: float | np.ndarray) -> float | np.ndarray:
     law = _law(model, "psi has no law")
     if t == 0.0 or not law._contour_first:
         return _series_psi(law, t)
-    return _clip01(_talbot(law._transform, t))
+    return _clip01(laplace_invert(_Scaled(law._transform), t))
 
 
 def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
@@ -768,7 +767,7 @@ def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
         values = model._psi(ts)
         failed = np.flatnonzero(np.isnan(values))
         if failed.size:
-            values[failed] = _talbot(model._transform, ts[failed])
+            values[failed] = laplace_invert(_Scaled(model._transform), ts[failed])
         out[rest] = _clip01_array(values)
         return out
     if t == 0.0:
@@ -776,7 +775,7 @@ def _series_psi(model: _Law, t: float | np.ndarray) -> float | np.ndarray:
     try:
         return _clip01(model._psi(t))
     except NonConvergence:
-        return _clip01(_talbot(model._transform, t))
+        return _clip01(laplace_invert(_Scaled(model._transform), t))
 
 
 def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
@@ -789,7 +788,7 @@ def _psi_array(law: _Law, t: np.ndarray) -> np.ndarray:
     out = np.ones(flat.size)
     rest = np.flatnonzero(flat > 0.0)
     if rest.size:
-        out[rest] = _clip01_array(_talbot(law._transform, flat[rest]))
+        out[rest] = _clip01_array(laplace_invert(_Scaled(law._transform), flat[rest]))
     return out.reshape(t.shape)
 
 
@@ -811,9 +810,10 @@ def psi_laplace(model: RelaxationModel, s):
     ):
         raise DomainError(f"psi_laplace requires finite s off the closed negative axis, got {s!r}")
     law = _law(model, "psi_laplace has no transform")
+    F = _Scaled(law._transform)
     if z.ndim == 0 and z.dtype.kind != "c":
-        return float(law._transform(_node_table(float(z)), 1.0))
-    return law._transform(_node_table(z), 1.0)
+        return float(F(float(z)))
+    return F(z)
 
 
 def asymptote(model: RelaxationModel, regime: Regime, t: float) -> float:

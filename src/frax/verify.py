@@ -30,12 +30,12 @@ largest |a(x) - b(x)| over the points.  No row holds a code path against
 itself: a reduction or limit is held against another law or branch, a
 closed form (of E_{a,b}, an exponential or erfcx) or the law's own
 transform inverted on the contour, and an identity of ``gml`` as a gap
-against 0.  The evaluators look up the series, the contour of
-:func:`~frax.relaxation.psi` (``relaxation._talbot`` on the law's
-``_transform``), ``mittag_leffler`` and ``gml`` when they are called.
-The other checks test an equation (a derivative ladder, a half-derivative
-recursion, residual orders), a forward transform against its closed form,
-a ratio along a limit or a crossing estimate (a Monte Carlo z-score or a
+against 0.  The evaluators look up the series, ``laplace_invert`` and
+the law's ``_transform`` (the contour of :func:`~frax.relaxation.psi`),
+``mittag_leffler`` and ``gml`` when they are called.  The other checks
+test an equation (a derivative ladder, a half-derivative recursion,
+residual orders), a forward transform against its closed form, a ratio
+along a limit or a crossing estimate (a Monte Carlo z-score or a
 quadrature gap, one draw serving three times).  Every maximum or minimum
 a check reports goes through numpy, so one NaN fails the check.
 
@@ -69,9 +69,7 @@ import numpy as np
 from . import relaxation as rx
 from . import stochsim as ss
 from .errors import FraxError, Unsupported
-# laplace_invert is not called here: perfbench's tracer and self-check reach
-# it under this name
-from .fraccalc import laplace_forward, laplace_invert, ode_residual  # noqa: F401
+from .fraccalc import _Scaled, laplace_forward, laplace_invert, ode_residual
 from .specfun import MLParams, gml, mittag_leffler
 from scipy.special import erfcx
 
@@ -190,8 +188,8 @@ def _inverted(model: rx.RelaxationModel, grid: bool = False) -> Callable[[float]
     with ``grid`` at a one-point array of it: the paths that
     :func:`~frax.relaxation.psi` takes at one time and on a grid of times."""
     if grid:
-        return lambda t: float(rx._talbot(model._transform, np.array([t]))[0])
-    return lambda t: rx._talbot(model._transform, t)
+        return lambda t: float(laplace_invert(_Scaled(model._transform), np.array([t]))[0])
+    return lambda t: laplace_invert(_Scaled(model._transform), t)
 
 
 def _exponential(rate: float) -> Callable[[float], float]:

