@@ -321,6 +321,9 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray)
     then names the first time that does not certify.  Both run on
     :func:`_talbot`, with F(z/t)/t as its transform; a :class:`_Scaled` F
     gives that transform itself, and is not called on ``_NODES / t``.
+    Below t = 1.68e-306 some nodes ``_NODES / t`` (|z| reaches 303) pass
+    the float range, and the call raises :class:`Unstable` saying so
+    before F is called; a :class:`_Scaled` F has no such limit.
     """
     if isinstance(t, np.ndarray):
         if not (t.ndim == 1 and t.dtype.kind == "f" and np.all(np.isfinite(t) & (t > 0.0))):
@@ -335,6 +338,8 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray)
 
     def G(table: _NodeTable, t):
         s = table.z / t
+        if not np.isfinite(s).all():
+            raise Unstable(f"Talbot inversion at t={np.min(t)}: the nodes z/t are not finite (below t = 1.68e-306)")
         return np.asarray(F(s.reshape(-1)), dtype=complex).reshape(s.shape) / t
 
     return _talbot(G, t)

@@ -26,8 +26,9 @@ times the rule's weights is tabulated once per spec, level by level, and
 a call is one survival evaluation and one sum per level.
 
 Each process spec owns what is known about it: its exact sampler or its
-quadrature rule, its endpoint density and, through :meth:`law`, the
-relaxation law of :mod:`frax.relaxation` its crossing probability follows.
+quadrature rule, its endpoint density, and the relaxation law of
+:mod:`frax.relaxation` its crossing probability follows under an
+exponential boundary, from which one rule passes to a Gamma boundary.
 :data:`PAIRINGS` names the pairs checked against their laws, and
 :func:`crossing` estimates a pair by the method its process admits.
 """
@@ -138,15 +139,18 @@ BoundarySpec = Union[Exponential, Gamma]
 class _Process:
     """Behaviour shared by the process specs.
 
-    A process with an exact endpoint sampler defines ``_sample(rng, size)``,
-    which draws the time-free randomness of ``size`` endpoints, and
-    ``_settle(draw, bounds)``, which turns that draw and the boundary draw
-    into per-path thresholds once and returns the function of t that counts
-    the endpoints below their bounds at time t, by comparing a factor of t
-    with the thresholds.  The default serves an endpoint ``_scale(t)`` times
-    the draw.  One with an explicit endpoint density
-    overrides ``_density(y, t)``.  The time-changed processes, which have
-    no sampler, define instead the quadrature rule of
+    A process states ``_scale(t)``, the factor of t its endpoint carries
+    (where it has one), its ``_sample`` and/or ``_shape``, and its
+    ``_exponential_law(lam)``, from which :meth:`law` derives the rest.
+    ``_sample(rng, size)`` draws the time-free randomness of ``size`` exact
+    endpoints, and ``_settle(draw, bounds)`` turns that draw and the
+    boundary draw into per-path thresholds once and returns the function
+    of t that counts the endpoints below their bounds at time t, by
+    comparing a factor of t with the thresholds (by default, of an
+    endpoint ``_scale(t)`` times the draw).  ``_shape(x)`` is the density
+    of the time-free X of an endpoint ``_scale(t)`` * X, and gives
+    :meth:`_density`.  The time-changed processes, which have no sampler,
+    define instead the quadrature rule of
     :func:`quadrature_crossing`: ``_levels(boundary, t)`` yields, for each
     level l = 0, 1, ... of a nested double-exponential rule with step
     2**(-2 - l) in s, the integrand density * P(boundary > y) * dy/ds at
@@ -154,13 +158,17 @@ class _Process:
     nodes of the levels so far whose density did not certify would add
     to the value.  Level 0 spans the rule's whole range of s, so its
     first and last values are the integrand at the two ends, which must
-    be negligible.  A process whose crossing
-    probability of an exponential boundary has a closed form defines
-    ``_exponential_law(lam)``.
+    be negligible.
     """
 
     def _density(self, y: float, t: float) -> float:
-        raise Unsupported(f"density is not available for {type(self).__name__}")
+        """shape(y / c) / c with c = scale(t), 0 below 0."""
+        if not hasattr(self, "_shape"):
+            raise Unsupported(f"density is not available for {type(self).__name__}")
+        if y < 0.0:
+            return 0.0
+        c = self._scale(t)
+        return self._shape(y / c) / c
 
     def _settle(self, draw: np.ndarray, bounds: np.ndarray) -> Callable[[float], int]:
         # scale(t) * draw < bound  <=>  scale(t) < bound / draw; a zero draw
@@ -170,13 +178,19 @@ class _Process:
 
     def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
         """The relaxation law whose psi(t) is this process's probability of
-        staying below ``boundary``; raises :class:`DomainError` when no
-        closed form pairs the two."""
-        if isinstance(boundary, Exponential) and hasattr(self, "_exponential_law"):
-            return self._exponential_law(boundary.lam)
-        raise DomainError(
-            f"no closed form pairs {type(self).__name__} with {type(boundary).__name__}"
-        )
+        staying below ``boundary``: its exponential law, or under a Gamma(k,
+        lam) boundary GammaBoundary(k, lam) where that law is the half-order
+        Fractional(1/2, lam) and ElasticGamma(k, alpha, lam) where it is
+        Elastic(alpha, lam).  Any other pair raises :class:`DomainError`."""
+        if isinstance(boundary, (Exponential, Gamma)):
+            exponential = self._exponential_law(boundary.lam)
+            if isinstance(boundary, Exponential):
+                return exponential
+            if isinstance(exponential, rx.Fractional) and exponential.nu == 0.5:
+                return rx.GammaBoundary(k=boundary.k, lam=boundary.lam)
+            if isinstance(exponential, rx.Elastic):
+                return rx.ElasticGamma(k=boundary.k, alpha=exponential.alpha, lam=boundary.lam)
+        raise DomainError(f"no closed form pairs {type(self).__name__} with {type(boundary).__name__}")
 
 
 @dataclass(frozen=True)
@@ -190,18 +204,11 @@ class ReflectedBM(_Process):
     def _scale(self, t: float) -> float:
         return math.sqrt(2.0 * t)
 
-    def _density(self, y: float, t: float) -> float:
-        if y < 0.0:
-            return 0.0
-        var = 2.0 * t
-        return math.sqrt(2.0 / (math.pi * var)) * math.exp(-y * y / (2.0 * var))
+    def _shape(self, x: float) -> float:
+        return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x)
 
-    def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
-        if isinstance(boundary, Exponential):
-            return rx.Fractional(nu=0.5, lam=boundary.lam)
-        if isinstance(boundary, Gamma):
-            return rx.GammaBoundary(k=boundary.k, lam=boundary.lam)
-        return super().law(boundary)
+    def _exponential_law(self, lam: float) -> rx.RelaxationModel:
+        return rx.Fractional(nu=0.5, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -248,6 +255,7 @@ class SojournTime(_Process):
         return t
 
     def _density(self, y: float, t: float) -> float:
+        # y * (t - y) keeps the gap at the end of the support that y / t rounds away
         if not (0.0 < y < t):
             return 0.0
         return 1.0 / (math.pi * math.sqrt(y * (t - y)))
@@ -311,15 +319,11 @@ class BesselSquared(_Process):
     def _scale(self, t: float) -> float:
         return 2.0 * t
 
-    def _density(self, y: float, t: float) -> float:
-        if y <= 0.0:
+    def _shape(self, x: float) -> float:
+        if not 0.0 < x < math.inf:  # x**(g - 1) * exp(-x) is inf * 0 at inf
             return 0.0
-        g = self.gamma
-        return (
-            y ** (0.5 * g - 1.0)
-            * math.exp(-y / (2.0 * t))
-            / ((2.0 * t) ** (0.5 * g) * math.gamma(0.5 * g))
-        )
+        g = 0.5 * self.gamma
+        return x ** (g - 1.0) * math.exp(-x) / math.gamma(g)
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.BesselSq(gamma=self.gamma, lam=lam)
@@ -387,11 +391,6 @@ class ElasticBM(_Process):
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Elastic(alpha=self.alpha, lam=lam)
 
-    def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
-        if isinstance(boundary, Gamma):
-            return rx.ElasticGamma(k=boundary.k, alpha=self.alpha, lam=boundary.lam)
-        return super().law(boundary)
-
 
 # a shape rule's range begins where x = exp(sigma * sinh(s)) reaches 1e-40
 _SHAPE_LOW = math.log(1e-40)
@@ -401,18 +400,12 @@ _TANH_SINH_END = 4.0
 
 
 class _ScaleFamily(_Process):
-    """A process whose endpoint at time t is ``_scale(t)`` times a time-free
-    variable with density ``_shape(x)`` on (0, inf).  Its rule maps x =
+    """A process without a sampler whose endpoint at time t is ``_scale(t)``
+    times a time-free variable with density ``_shape(x)``.  Its rule maps x =
     exp(sigma * sinh(s)) with sigma = ``_spread()`` and tabulates the
     weights sigma * cosh(s) * x * shape(x) once per spec and level
     (:func:`_shape_level`), so that a call at any time and boundary sums
     weight * P(boundary > scale(t) * x) and evaluates no density."""
-
-    def _density(self, y: float, t: float) -> float:
-        if y < 0.0:
-            return 0.0
-        c = self._scale(t)
-        return self._shape(y / c) / c
 
     def _levels(self, boundary: BoundarySpec, t: float) -> Iterator[tuple[np.ndarray, float]]:
         c, slack = self._scale(t), 0.0
@@ -494,12 +487,6 @@ class WrightTime(_ScaleFamily):
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.Fractional(nu=self.nu, lam=lam)
-
-    def law(self, boundary: BoundarySpec) -> rx.RelaxationModel:
-        # nu = 1/2 is the reflected motion with Var = 2t, M_{1/2}(x) = exp(-x^2/4)/sqrt(pi)
-        if self.nu == 0.5 and isinstance(boundary, Gamma):
-            return rx.GammaBoundary(k=boundary.k, lam=boundary.lam)
-        return super().law(boundary)
 
 
 @dataclass(frozen=True)
@@ -779,7 +766,10 @@ def crossing(
 
 
 def density(spec: ProcessSpec, y: float, t: float) -> float:
-    """Endpoint density of ``spec`` at time t, where one is available.
+    """Endpoint density of ``spec`` at time t, where one is available
+    (IteratedBM and FirstPassageChain raise :class:`Unsupported`).  A
+    process that states a shape gives shape(y / c) / c with c = scale(t),
+    which reads 0 where y / c underflows or overflows.
 
     For ElasticBM this is the continuous part only; the killed mass is
     exposed separately by :func:`elastic_atom`.  DistributedTime's density

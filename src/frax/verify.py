@@ -289,8 +289,8 @@ _PAIRS: dict[str, tuple] = {
         rx.Elastic(alpha=lam * (1.0 + d), lam=lam) for lam in (0.8, 1.3) for d in (1e-7, -1e-7))], 1e-10),
     # contour inversion of the closed-form transform against the series
     **{name: (
-        [(_inverted(model, grid=True), _series(model), (0.25, 0.5, 1.0, 2.0, 4.0))], 1e-10,
-        "inversion vs series evaluator, absolute tolerance 1e-10 on t in [0.25, 4]",
+        [(_inverted(model, grid=True), _series(model), (0.25, 0.5, 1.0, 2.0, 4.0))], 1e-12,
+        "inversion vs series evaluator, absolute tolerance 1e-12 on t in [0.25, 4]",
     ) for name, model in _INVERSIONS},
 }
 

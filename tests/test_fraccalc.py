@@ -351,6 +351,19 @@ def test_invert_detects_instability():
     assert laplace_invert(poisoned, np.array([0.5, 3.0])).shape == (2,)
 
 
+def test_invert_names_the_nodes_that_leave_the_float_range():
+    # the generic path divides the nodes (|z| up to 303) by t, so below t =
+    # 1.68e-306 some are not finite: the call still raises, and says why
+    for t in (1e-310, np.array([1.0, 1e-310])):
+        with pytest.raises(Unstable, match=r"^Talbot inversion at t=1e-310: the nodes z/t are not finite"):
+            laplace_invert(lambda s: 1.0 / s, t)
+    with pytest.raises(Unstable, match=r"at t=1\.0: the transform is not finite on the contour$"):
+        laplace_invert(lambda s: np.full(s.shape, np.nan), 1.0)
+    assert abs(laplace_invert(lambda s: 1.0 / s, 1.7e-306) - 1.0) <= 1e-10
+    # psi's transform is written in z = s*t, and no node is divided by t
+    assert abs(rx.psi(rx.Fractional(nu=0.5, lam=1.0), 1e-310) - 1.0) <= 1e-10
+
+
 def test_invert_argument_validation():
     F = lambda s: 1.0 / s  # noqa: E731
     for t in (0.0, -1.0, math.inf, math.nan):

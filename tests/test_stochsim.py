@@ -580,8 +580,75 @@ def test_density_is_a_python_float():
 
 
 def test_density_unsupported():
-    with pytest.raises(Unsupported):
-        ss.density(ss.FirstPassageChain(n=1), 1.0, 1.0)
+    for spec in (ss.FirstPassageChain(n=1), ss.IteratedBM(n=1)):
+        with pytest.raises(Unsupported, match=f"^density is not available for {type(spec).__name__}$"):
+            ss.density(spec, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("spec, closed_form, at_zero", [
+    # the half-normal and the Gamma(gamma/2) densities, each written as a
+    # density in y, against shape(y / c) / c: within 2.3e-13 and 5.7e-16
+    (ss.ReflectedBM(), lambda y, t: math.sqrt(1.0 / (math.pi * t)) * math.exp(-y * y / (4.0 * t)),
+     math.sqrt(1.0 / math.pi)),
+    (ss.BesselSquared(gamma=3.0), lambda y, t: math.sqrt(y) * math.exp(-y / (2.0 * t))
+     / ((2.0 * t) ** 1.5 * math.gamma(1.5)), 0.0),
+], ids=["reflectedbm", "besselsquared"])
+def test_scale_times_shape_gives_the_closed_form_density(spec, closed_form, at_zero):
+    grid = np.geomspace(1e-8, 1e8, 33).tolist()
+    for t in grid:
+        for y in grid:
+            want = closed_form(y, t)
+            if want > 1e-290:  # past subnormals, where either form loses digits
+                assert abs(ss.density(spec, y, t) - want) <= 1e-12 * want, (y, t)
+    assert ss.density(spec, 0.0, 1.0) == pytest.approx(at_zero, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# laws
+# ---------------------------------------------------------------------------
+
+# (process, its law under Exponential(1.3), its law under Gamma(3, 1.3) or
+# the process named in the DomainError) for every process of PAIRINGS and
+# for IteratedBM(n=1), whose endpoint is ReflectedBM's sqrt(2t) |Z|
+_RATE, _ERLANG = ss.Exponential(lam=1.3), ss.Gamma(k=3, lam=1.3)
+LAWS = [
+    (ss.ReflectedBM(), rx.Fractional(nu=0.5, lam=1.3), rx.GammaBoundary(k=3, lam=1.3)),
+    (ss.IteratedBM(n=1), rx.Fractional(nu=0.5, lam=1.3), rx.GammaBoundary(k=3, lam=1.3)),
+    (ss.IteratedBM(n=2), rx.Fractional(nu=0.25, lam=1.3), "IteratedBM"),
+    (ss.SojournTime(), rx.Sojourn(lam=1.3), "SojournTime"),
+    (ss.FirstPassageChain(n=1), rx.FirstPassage(lam=1.3, n=1), "FirstPassageChain"),
+    (ss.FirstPassageChain(n=2), rx.FirstPassage(lam=1.3, n=2), "FirstPassageChain"),
+    *[(ss.BesselSquared(gamma=g), rx.BesselSq(gamma=g, lam=1.3), "BesselSquared") for g in (1.0, 2.0, 3.0)],
+    *[(ss.ElasticBM(alpha=a), rx.Elastic(alpha=a, lam=1.3), rx.ElasticGamma(k=3, alpha=a, lam=1.3))
+      for a in (0.5, 1.0, 2.0, 0.8)],
+    (ss.WrightTime(nu=0.3), rx.Fractional(nu=0.3, lam=1.3), "WrightTime"),
+    (ss.WrightTime(nu=0.7), rx.Fractional(nu=0.7, lam=1.3), "WrightTime"),
+    (ss.WrightTime(nu=0.5), rx.Fractional(nu=0.5, lam=1.3), rx.GammaBoundary(k=3, lam=1.3)),
+    (ss.AiryTime(), rx.Fractional(nu=1.0 / 3.0, lam=1.3), "AiryTime"),
+    (ss.DistributedTime(n1=0.5, n2=0.5), rx.Distributed(nu1=0.5, nu2=1.0, n1=0.5, n2=0.5, lam=1.3), "DistributedTime"),
+]
+
+
+def test_the_laws_cover_every_pairing():
+    assert {spec for _, spec, _ in ss.PAIRINGS} <= {spec for spec, _, _ in LAWS}
+
+
+@pytest.mark.parametrize("spec, exponential, erlang", LAWS, ids=[repr(row[0]).replace(" ", "") for row in LAWS])
+def test_law_of_each_process_under_each_boundary(spec, exponential, erlang):
+    assert spec.law(_RATE) == exponential
+    if isinstance(erlang, str):
+        with pytest.raises(DomainError, match=f"^no closed form pairs {erlang} with Gamma$"):
+            spec.law(_ERLANG)
+    else:
+        assert spec.law(_ERLANG) == erlang
+    with pytest.raises(DomainError, match=f"^no closed form pairs {type(spec).__name__} with str$"):
+        spec.law("gamma")
+
+
+def test_every_process_states_its_exponential_law_and_none_overrides_law():
+    # one rule in _Process.law passes every process to the Gamma boundary
+    for cls in typing.get_args(ss.ProcessSpec):
+        assert "_exponential_law" in vars(cls) and "law" not in vars(cls), cls.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +893,16 @@ def test_monte_carlo_matches_closed_form(spec, boundary, model):
         want = rx.psi(model, t)
         z = (est.p_hat - want) / est.stderr
         assert abs(z) <= 4.0
+
+
+def test_single_iterated_motion_under_a_gamma_boundary_follows_its_law():
+    # IteratedBM(n=1) ends at sqrt(2t) |Z|, as ReflectedBM does, so a Gamma
+    # boundary gives it GammaBoundary's law; seeded, 2**20 paths
+    spec, boundary, times = ss.IteratedBM(n=1), ss.Gamma(k=3, lam=1.3), (0.25, 1.0, 4.0)
+    law = spec.law(boundary)
+    assert law == rx.GammaBoundary(k=3, lam=1.3)
+    for est, t in zip(ss.estimate_crossing(spec, boundary, times, 1 << 20), times):
+        assert abs(est.z_score(rx.psi(law, t))) < 4.0, t
 
 
 @pytest.mark.parametrize("n, t, n_paths", [(8, 0.03, 100_000), (1024, 1.0, 4096)])

@@ -187,12 +187,13 @@ def test_a_row_fails_when_the_code_under_it_is_off(monkeypatch, name, owner, att
 
 
 # (field of the contour's node table, a row that its fault fails); at
-# 1 + 1e-9 the rows read 5.8e-10, 8.9e-10, 7.0e-11 (against 1e-12) and
-# 8.7e-10, where the inversion rows read 9.5e-11 at most under the log fault
+# 1 + 1e-9 the rows read 5.8e-10, 8.9e-10, 7.0e-11 and 9.5e-11 (both against
+# 1e-12) and 8.7e-10
 NODE_TABLE_CASES = [
     ("z", "inversion-standard"),
     ("root", "inversion-sojourn"),
     ("log", "distributed-zero-weight"),
+    ("log", "inversion-fractional"),
     ("inv", "inversion-gamma-boundary"),
 ]
 
