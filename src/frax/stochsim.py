@@ -3,17 +3,19 @@
 Every process here admits exact sampling of its time-t endpoint (no path
 discretization), so a crossing estimate is a plain Bernoulli mean with a
 binomial standard error and no discretization bias.  Sampling is
-deterministic by construction: paths are grouped into fixed-size blocks,
-block b draws from its own SFC64 stream, the child of ``seed`` with spawn
-key ``(b,)`` (numpy's ``SeedSequence`` mechanism for independent streams),
-and draws within a block follow a fixed order.  The result is
-bit-identical for a given seed regardless of how many worker threads
-(``FRAX_THREADS``) are used.  A process's endpoint at time t is a fixed
-map of randomness that does not depend on t, so a block turns its draw
-and its boundary draw into per-path thresholds once, and each time is
-settled by comparing a factor of t with them: the estimates of one call
-share their draws (common random numbers), so they are correlated across
-times, and each is bit-for-bit the estimate a single-time call returns.
+deterministic by construction: paths are grouped into fixed blocks of
+2**14, whose float64 arrays (128 KiB each) stay in a core's L2 cache while
+the block is drawn, settled and counted; block b draws from its own SFC64
+stream, the child of ``seed`` with spawn key ``(b,)`` (numpy's
+``SeedSequence`` mechanism for independent streams), and draws within a
+block follow a fixed order.  The result is bit-identical for a given
+seed regardless of how many worker threads (``FRAX_THREADS``) are used.
+A process's endpoint at time t is a fixed map of randomness that does
+not depend on t, so a block turns its draw and its boundary draw into
+per-path thresholds once, and each time is settled by comparing a factor
+of t with them: the estimates of one call share their draws (common
+random numbers), so they are correlated across times, and each is
+bit-for-bit the estimate a single-time call returns.
 
 Heavy-tailed waiting-time processes without exact samplers (the inverse
 stable, Airy, and distributed-order subordinators) are integrated instead:
@@ -51,7 +53,8 @@ from .errors import DomainError, NonConvergence, Unsupported, _count, _finite, _
 from .specfun import _DE_LEVELS, _DE_TOL, _de_nodes, airy_ai, quad, wright_m
 
 DEFAULT_SEED = 0xF12AC7
-_BLOCK = 1 << 18
+_NORMAL = 2.0**-1022  # the least normal float
+_BLOCK = 1 << 14  # 128 KiB float64 arrays, 6.4 of them at ElasticBM's peak, fit a 2 MiB L2: 2^20 paths took 92-103 ms, 129-137 at 2^18
 
 __all__ = [
     "ReflectedBM",
@@ -319,14 +322,56 @@ class BesselSquared(_Process):
     def _scale(self, t: float) -> float:
         return 2.0 * t
 
-    def _shape(self, x: float) -> float:
-        if not 0.0 < x < math.inf:  # x**(g - 1) * exp(-x) is inf * 0 at inf
+    def _density(self, y: float, t: float) -> float:
+        # in logs, where neither y**(g - 1) nor gamma(g) leaves the float
+        # range, from x = y/c with c = 2t formed in one rounding
+        if not 0.0 <= y < math.inf:
             return 0.0
-        g = 0.5 * self.gamma
-        return x ** (g - 1.0) * math.exp(-x) / math.gamma(g)
+        x = y / (2.0 * t) if t <= 1.0 else 0.5 * (y / t)
+        if x == math.inf:  # y/c past the float range, where the density is 0
+            return 0.0
+        log_c = math.log(2.0) + math.log(t)
+        # where y/c underflows, its log comes from log y - log c
+        log_x = math.log(x) if x >= _NORMAL else (math.log(y) - log_c if y > 0.0 else -math.inf)
+        try:
+            return math.exp(_log_gamma_density(0.5 * self.gamma, x, log_x) - log_c)
+        except OverflowError:  # above the float range, as y -> 0 for gamma < 2
+            return math.inf
 
     def _exponential_law(self, lam: float) -> rx.RelaxationModel:
         return rx.BesselSq(gamma=self.gamma, lam=lam)
+
+
+def _log_gamma_density(g: float, x: float, log_x: float) -> float:
+    """log(x**(g - 1) e**-x / Gamma(g)) at a float x >= 0, given log x.
+
+    Below g = 16 this is (g - 1) log x - x - lgamma(g).  From there those
+    terms grow like g log g and cancel, so it is Loader's saddle-point form
+    (C. Loader, "Fast and accurate computation of binomial probabilities",
+    2000): with k = g - 1, -stirlerr(k) - bd0(k, x) - log(2 pi k)/2, where
+    stirlerr(k) = log Gamma(k + 1) - log(sqrt(2 pi k) (k/e)**k) is summed
+    from its Stirling series and bd0(k, x) = k log(k/x) + x - k, near
+    x = k, from a series in v = (k - x)/(k + x).
+    """
+    if g < 16.0:
+        return (0.0 if g == 1.0 else (g - 1.0) * log_x) - x - math.lgamma(g)  # x**0 is 1 at x = 0 too
+    k = g - 1.0
+    k2 = k * k
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * k2)) / k2) / k2) / k2) / k
+    d, mid = k - x, 0.5 * k + 0.5 * x  # halves, so that k + x cannot overflow
+    if abs(d) < 0.2 * mid:
+        v = 0.5 * d / mid
+        bd0, term, j = d * v, k * (2.0 * v), 1
+        while True:
+            term *= v * v
+            nxt = bd0 + term / (2 * j + 1)
+            if nxt == bd0:
+                break
+            bd0, j = nxt, j + 1
+    else:
+        # log(k/x) from the quotient, in one rounding, where x is normal
+        bd0 = k * (math.log(k / x) if x >= _NORMAL else math.log(k) - log_x) - d
+    return -stirlerr - bd0 - 0.5 * (math.log(2.0 * math.pi) + math.log(k))
 
 
 @dataclass(frozen=True)
@@ -653,10 +698,10 @@ def estimate_crossing(
     or a tuple of estimates, one per time, when ``t`` is a non-empty tuple,
     list or 1-D array of times.
 
-    Paths are processed in fixed blocks of 2**18, block b drawing from
-    ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,))))``, its own
-    stream; the estimate is independent of thread count and bit-identical
-    across runs.  The seed is an integer in [0, 2**64) (numpy integers
+    Paths are processed in fixed blocks of 2**14 (``_BLOCK``), block b
+    drawing from ``Generator(SFC64(SeedSequence(seed, spawn_key=(b,))))``,
+    its own stream; the estimate is independent of thread count and
+    bit-identical across runs.  The seed is an integer in [0, 2**64) (numpy integers
     included, stored as int).  Each block draws the process's randomness
     and the boundary once and turns them into per-path thresholds, and
     each time is then one comparison and one count, so the estimates of
@@ -776,7 +821,12 @@ def density(spec: ProcessSpec, y: float, t: float) -> float:
     is formed in logs and is finite at every float y and t: it peaks where
     the gap t - n2*y is one unit in the last place of t, below 1e177, so it
     never overflows, and it is 0 only off its support or where its true
-    value lies below the float range.
+    value lies below the float range.  BesselSquared's Gamma(gamma/2, 2t)
+    density is formed in logs too, at any gamma: it is 0 where its true
+    value lies below the float range and inf where it lies above, as y -> 0
+    for gamma < 2 (at y = 0 it is inf for gamma < 2, 1/(2t) at gamma = 2
+    and 0 above).  Near its peak the one rounding of y/(2t) moves it by
+    about sqrt(gamma) units in the last place (1.5e-11 at gamma = 1e10).
     """
     _typed("density", spec, ProcessSpec, "a process spec")
     t = _time(t, "density")

@@ -10,7 +10,9 @@ it is.  Given the name of an eval row (``python3 tests/gen_parity.py
 "fractional nu=0.5 lam=1"``), it rewrites only that row's psi column.  With
 ``--check`` it regenerates every row in memory, writes nothing, and exits 1
 listing each row that would move with its largest relative move (0 when
-none would).  The file covers:
+none would).  It exits 1 without writing if a ``frax simulate`` row it
+would write has a z-score of magnitude ``Z_GATE`` or more: such a row pins
+a defect, not a draw.  The file covers:
 
 - ``frax eval`` for every law of ``cli._TABLE_MODELS`` on one log grid
   over [1e-4, 1e4];
@@ -40,6 +42,7 @@ EVAL_GRID = ["--t-start", "1e-4", "--t-stop", "1e4", "--t-count", "17", "--t-sca
 TIMES = ["0.25", "1", "4"]
 SEED = 12345
 PATHS = 20_000
+Z_GATE = 4.0  # the |z| gate of the crossing suite and of --strict
 
 # the pairings by method: a process with an exact sampler is simulated
 MONTE_CARLO = [row for row in ss.PAIRINGS if hasattr(row[1], "_sample")]
@@ -106,6 +109,11 @@ def collect() -> dict:
     for name, spec, boundary in QUADRATURE:
         out["quadrature"][name] = integrate(spec, boundary)
     return out
+
+
+def wild_rows(doc: dict) -> list[str]:
+    """The names of the ``simulate`` rows of ``doc`` with some |z| >= Z_GATE."""
+    return [name for name, row in doc["simulate"].items() if any(abs(r[4]) >= Z_GATE for r in row["rows"])]
 
 
 def _leaves(value, path: str = ""):
@@ -183,6 +191,9 @@ if __name__ == "__main__":
                 sys.exit(f"no eval row, simulate or quadrature pairing {key!r} in {DATA}")
     else:
         doc = collect()
+    wild = wild_rows(doc)
+    if wild:
+        sys.exit(f"not written: |z| >= {Z_GATE} in the simulate row(s) {', '.join(wild)}")
     with open(DATA, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

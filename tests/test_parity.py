@@ -239,6 +239,18 @@ def test_simulate_parity(name, spec, boundary):
             assert abs(a - inverted[t]) <= 1e-10, (t, a, inverted[t])
 
 
+@pytest.mark.parametrize("name", sorted(PINNED["simulate"]))
+def test_pinned_simulate_rows_pass_the_z_gate(name):
+    # a pinned estimate |z| >= 4 off its analytic value pins a defect
+    assert all(abs(z) < 4.0 for *_, z in PINNED["simulate"][name]["rows"])
+
+
+def test_the_generator_refuses_a_row_at_the_z_gate():
+    row = {"comments": [], "rows": [[0.25, 0.5, 0.01, 0.5, 3.99], [1.0, 0.5, 0.01, 0.46, -4.0]]}
+    assert gp.wild_rows({"simulate": {"a": row, "b": {**row, "rows": row["rows"][:1]}}}) == ["a"]
+    assert gp.wild_rows(PINNED) == []
+
+
 # ids: the process (the name up to its first hyphen), then each spec's repr up to a space
 @pytest.mark.parametrize("name, spec, boundary", gp.QUADRATURE, ids=lambda v: str(v).split()[0].split("-")[0])
 def test_quadrature_parity(name, spec, boundary):

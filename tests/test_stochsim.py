@@ -119,9 +119,9 @@ def test_estimate_is_deterministic():
 
 
 def test_estimate_independent_of_thread_count(monkeypatch):
-    # paths are processed in fixed 2**18 blocks with per-block streams, so
-    # the count must not depend on the executor layout
-    n = 300_000  # spans two blocks
+    # paths are processed in fixed blocks with per-block streams, so the
+    # count must not depend on the executor layout
+    n = 300_000  # spans many blocks
     monkeypatch.setenv("FRAX_THREADS", "1")
     a = ss.estimate_crossing(ss.SojournTime(), ss.Exponential(lam=1.0), 1.0, n)
     monkeypatch.setenv("FRAX_THREADS", "4")
@@ -163,7 +163,7 @@ def test_estimate_fields():
 # ---------------------------------------------------------------------------
 
 SAMPLED = [row for row in ss.PAIRINGS if hasattr(row[1], "_sample")]
-MULTI_PATHS = 2 * 2**18 + 1000  # three blocks, the last one partial
+MULTI_PATHS = 2 * ss._BLOCK + 1000  # three blocks, the last one partial
 MULTI_TIMES = (1e-12, 0.7, 1e9)
 
 
@@ -185,7 +185,7 @@ def test_one_draw_per_block_gives_every_single_time_estimate(name, spec, boundar
         monkeypatch.setenv("FRAX_THREADS", threads)
         draws.clear()
         assert ss.estimate_crossing(spec, boundary, MULTI_TIMES, MULTI_PATHS, seed=9) == want
-        assert sorted(draws) == [1000, 2**18, 2**18]  # once per block, not per block and time
+        assert sorted(draws) == [1000, ss._BLOCK, ss._BLOCK]  # once per block, not per block and time
 
 
 def test_multi_time_peak_memory_does_not_grow_with_the_number_of_times(monkeypatch):
@@ -195,14 +195,29 @@ def test_multi_time_peak_memory_does_not_grow_with_the_number_of_times(monkeypat
     def peak(ts):
         tracemalloc.start()
         try:
-            ss.estimate_crossing(spec, boundary, ts, 2**18)
+            ss.estimate_crossing(spec, boundary, ts, ss._BLOCK)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     one = peak(1.0)
-    assert one > 3 * 2**18 * 8  # the draw and the bounds are traced
+    assert one > 3 * ss._BLOCK * 8  # the draw and the bounds are traced
     assert peak(np.linspace(0.5, 50.0, 200)) <= 2 * one
+
+
+@pytest.mark.parametrize("name, spec, boundary", SAMPLED, ids=[row[0] for row in SAMPLED])
+def test_a_call_holds_one_cache_sized_block_at_a_time(name, spec, boundary, monkeypatch):
+    # a block's pipeline keeps its working set within a core's L2: the
+    # widest sampler, ElasticBM, peaks at 6.4 of its float64 arrays (3.2
+    # for the others), and a call of many blocks holds one block at a time
+    monkeypatch.setenv("FRAX_THREADS", "1")
+    tracemalloc.start()
+    try:
+        ss.estimate_crossing(spec, boundary, MULTI_TIMES, 16 * ss._BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * ss._BLOCK * 8
 
 
 def test_multi_time_forms_and_their_results():
@@ -385,20 +400,20 @@ def test_first_passage_draw_folds_its_steps_in_draw_order(n):
 
 
 def test_first_passage_block_memory_does_not_grow_with_n(monkeypatch):
-    # each step is folded into the draw as it comes: a 2**18-path block
-    # holds a few arrays of 2 MiB at n = 64 (measured 4.0; 66 when the
-    # steps were kept)
+    # each step is folded into the draw as it comes: a block holds a few
+    # of its float64 arrays at n = 64 (measured 4.0; 66 when the steps
+    # were kept)
     monkeypatch.setenv("FRAX_THREADS", "1")
 
     def peak(n):
         tracemalloc.start()
         try:
-            ss.estimate_crossing(ss.FirstPassageChain(n=n), ss.Exponential(lam=1.0), 1.0, 2**18)
+            ss.estimate_crossing(ss.FirstPassageChain(n=n), ss.Exponential(lam=1.0), 1.0, ss._BLOCK)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(64) <= 6 * 2**18 * 8
+    assert peak(64) <= 6 * ss._BLOCK * 8
 
 
 def one_path(draw, i):
@@ -455,7 +470,7 @@ def test_block_b_draws_the_sfc64_stream_spawned_with_key_b(seed, monkeypatch):
     # or its keying must fail here, not only in the parity rows
     monkeypatch.setenv("FRAX_THREADS", "1")
     spec, boundary = ss.ReflectedBM(), ss.Exponential(lam=1.0)
-    n_paths, t = 2**18 + 1000, 0.7
+    n_paths, t = ss._BLOCK + 1000, 0.7
     drawn = []
 
     def spy(real):
@@ -468,7 +483,7 @@ def test_block_b_draws_the_sfc64_stream_spawned_with_key_b(seed, monkeypatch):
     monkeypatch.setattr(ss.Exponential, "_draw", spy(ss.Exponential._draw))
     est = ss.estimate_crossing(spec, boundary, t, n_paths, seed=seed)
     below = 0
-    for b, m in enumerate((2**18, 1000)):
+    for b, m in enumerate((ss._BLOCK, 1000)):
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
         draw = np.abs(rng.standard_normal(m))
         bounds = rng.exponential(1.0, m)
@@ -587,7 +602,7 @@ def test_density_unsupported():
 
 @pytest.mark.parametrize("spec, closed_form, at_zero", [
     # the half-normal and the Gamma(gamma/2) densities, each written as a
-    # density in y, against shape(y / c) / c: within 2.3e-13 and 5.7e-16
+    # density in y, against shape(y / c) / c and BesselSquared's log form
     (ss.ReflectedBM(), lambda y, t: math.sqrt(1.0 / (math.pi * t)) * math.exp(-y * y / (4.0 * t)),
      math.sqrt(1.0 / math.pi)),
     (ss.BesselSquared(gamma=3.0), lambda y, t: math.sqrt(y) * math.exp(-y / (2.0 * t))
@@ -867,6 +882,50 @@ def test_distributed_density_is_finite_at_subnormal_times():
             end = t / spec.n2
             for y in (5e-324, 0.5 * end, math.nextafter(end, 0.0)):
                 assert 0.0 <= ss.density(spec, y, t) < 1e177, (n1, y, t)
+
+
+@pytest.mark.parametrize("gamma, y, t, want", [
+    # x**(g - 1) and gamma(g) overflowed: a raw OverflowError
+    (343.0, 300.0, 1.0, 0.0039938780886528797),
+    # y/(2t) underflows to 0, where the density read 0
+    (1.0, 1e-200, 1e200, 0.39894228040143268),
+])
+def test_bessel_squared_density_in_logs_matches_its_oracle(gamma, y, t, want):
+    # reference: the Gamma(gamma/2, 2t) density in mpmath at 40 digits
+    assert abs(ss.density(ss.BesselSquared(gamma=gamma), y, t) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("gamma", [0.5, 3.0, 31.9, 32.0, 343.0, 1e4, 1e8, 1e14, 1e300])
+def test_bessel_squared_density_holds_at_large_gamma(gamma):
+    # from gamma = 32 the terms (g - 1) log x - x - lgamma(g) cancel (on
+    # these points they lose 1.1e-11 at gamma = 1e4, 1.4e-7 at 1e8 and 27%
+    # at 1e14), and the saddle-point form takes over.  Reference: mpmath at
+    # the float x = y/(2t) the code forms, at the digits that cancellation
+    # needs; measured <= 8.1e-14
+    spec, g = ss.BesselSquared(gamma=gamma), 0.5 * gamma
+    for t in (1e-300, 1.0, 1e8):
+        for q in (0.5, 1.0 - 1.0 / math.sqrt(g), 1.0, 1.0 + 3.0 / math.sqrt(g), 2.0):
+            y = 2.0 * t * g * q
+            if not 0.0 < y < math.inf:
+                continue
+            with mp.workdps(40 + 2 * max(0, int(math.log10(gamma)))):
+                x, c = mp.mpf(0.5 * (y / t)), 2 * mp.mpf(t)
+                want = float(mp.exp((mp.mpf(g) - 1) * mp.log(x) - x - mp.loggamma(g) - mp.log(c)))
+            got = ss.density(spec, y, t)
+            assert abs(got - want) <= 1e-12 * want if want > 1e-300 else got < 1e-300, (y, t, got, want)
+
+
+def test_bessel_squared_density_at_the_ends_of_the_float_range():
+    # inf above the float range (y -> 0 for gamma < 2), 0 below it, and the
+    # limit at y = 0; never a raw exception, never NaN
+    dens = lambda gamma, y, t: ss.density(ss.BesselSquared(gamma=gamma), y, t)  # noqa: E731
+    assert dens(1.0, 5e-324, 5e-324) == dens(1.0, 0.0, 1.0) == math.inf
+    assert dens(2.0, 0.0, 4.0) == pytest.approx(0.125, rel=1e-15)
+    assert dens(3.0, 0.0, 1.0) == dens(40.0, 0.0, 1.0) == 0.0
+    for gamma, y, t in ((1e308, 1.7e308, 1e-300), (1.79e308, 1.79e308, 0.5), (1e306, 1e300, 1.0),
+                        (1.0, 1.7e308, 1e-300), (1e-300, 5e-324, 1e300)):
+        assert 0.0 <= dens(gamma, y, t) < math.inf, (gamma, y, t)
+    assert dens(1e308, 1.7e308, 1e-300) == 0.0
 
 
 # ---------------------------------------------------------------------------
