@@ -248,7 +248,6 @@ def test_pinned_simulate_rows_pass_the_z_gate(name):
 def test_the_generator_refuses_a_row_at_the_z_gate():
     row = {"comments": [], "rows": [[0.25, 0.5, 0.01, 0.5, 3.99], [1.0, 0.5, 0.01, 0.46, -4.0]]}
     assert gp.wild_rows({"simulate": {"a": row, "b": {**row, "rows": row["rows"][:1]}}}) == ["a"]
-    assert gp.wild_rows(PINNED) == []
 
 
 # ids: the process (the name up to its first hyphen), then each spec's repr up to a space
