@@ -247,10 +247,6 @@ def _node_table(z) -> _NodeTable:
 _NODES, _WEIGHTS = _talbot_constants()
 _TABLE = _node_table(_NODES)
 _TALBOT_AGREE = 1e-10
-# At most this many times per transform call on an array: the (rows x 48)
-# complex samples of a block take 384 KiB, where one product over 20,000
-# times (15 MiB) ran BLAS onto a thread-count cliff.  No value changes.
-_TALBOT_ROWS = 512
 
 
 def _talbot(G: Callable[[_NodeTable, float | np.ndarray], np.ndarray], t: float | np.ndarray) -> float | np.ndarray:
@@ -259,25 +255,18 @@ def _talbot(G: Callable[[_NodeTable, float | np.ndarray], np.ndarray], t: float 
     The transform enters in the dimensionless variable z = s*t: G(table, t)
     must return F(z/t)/t at the points of the :class:`_NodeTable` ``table``,
     which holds the 48 nodes z_k of both rules (``_TABLE``: their roots,
-    logs and reciprocals are taken once, at import).  G is called once
-    with a float t, and then returns the 48 samples, or with an (n x 1)
-    column of times, and then returns the (n x 48) matrix of samples: once
-    with the whole array when it holds at most ``_TALBOT_ROWS`` times, else
-    once per block of near-equal rows, as few blocks as that bound allows.
-    The samples times the (48 x 2) weight matrix ``_WEIGHTS`` are the 20-
-    and the 28-node values, and the 20-node value is returned: a float, or
-    an ndarray for an array of times.  If either value is non-finite or the
-    two differ by more than 1e-10 * max(1, |value|), raises
-    :class:`Unstable`, naming the first time of an array that does not
-    certify.  The arguments are not checked.
+    logs and reciprocals are taken once, at import).  G is called once,
+    with a float t, or with the (n x 1) column of the n times, and then
+    returns the (n x 48) matrix of samples.  The samples times the (48 x 2)
+    weight matrix ``_WEIGHTS`` are the 20- and the 28-node values, and the
+    20-node value is returned: a float, or an ndarray for an array of
+    times.  If either value is non-finite or the two differ by more than
+    1e-10 * max(1, |value|), raises :class:`Unstable`, naming the first
+    time of an array that does not certify.  The arguments are not checked.
     """
     if isinstance(t, np.ndarray):
         with np.errstate(all="ignore"):
-            # near-equal blocks: a one-row block would take BLAS's
-            # matrix-vector path, which rounds otherwise
-            parts = np.array_split(t, max(1, -(-t.size // _TALBOT_ROWS)))
-            rows = [(G(_TABLE, part[:, None]) @ _WEIGHTS).real for part in parts]
-            both = rows[0] if len(rows) == 1 else np.concatenate(rows)
+            both = (G(_TABLE, t[:, None]) @ _WEIGHTS).real
             coarse = both[:, 0]
             gaps = np.abs(coarse - both[:, 1])
             # a non-finite value makes the ratio inf or NaN, which fails the test
@@ -327,12 +316,11 @@ def laplace_invert(F: Callable[[np.ndarray], np.ndarray], t: float | np.ndarray)
     Valko, IJNME 2004; Weideman & Trefethen, Math. Comp. 2007), and the
     20-node value is returned.  If either value is non-finite or the two
     differ by more than 1e-10 * max(1, |value|), raises :class:`Unstable`.
-    ``t`` may also be a 1-D float ndarray of times > 0, inverted into an
-    ndarray by one call of F on the n*48 nodes, flattened, per block of at
-    most 512 times; :class:`Unstable` then names the first time that does
-    not certify.  Both run on :func:`_talbot`, with F(z/t)/t as its
-    transform; a :class:`_Scaled` F gives that transform itself, and is not
-    called on ``_NODES / t``.
+    ``t`` may also be a 1-D float ndarray of times > 0, inverted by one call
+    of F on the n*48 nodes, flattened, into an ndarray; :class:`Unstable`
+    then names the first time that does not certify.  Both run on
+    :func:`_talbot`, with F(z/t)/t as its transform; a :class:`_Scaled` F
+    gives that transform itself, and is not called on ``_NODES / t``.
     Below t = 1.68e-306 some nodes ``_NODES / t`` (|z| reaches 303) pass
     the float range, and the call raises :class:`Unstable` saying so
     before F is called; a :class:`_Scaled` F has no such limit.

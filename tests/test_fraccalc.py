@@ -459,29 +459,6 @@ def test_talbot_matches_the_per_rule_sums(m):
         assert abs(laplace_invert(F, t) - want) <= 1e-13, t
 
 
-@pytest.mark.parametrize("n", [513, 1025, 2000])
-@pytest.mark.parametrize("m", [
-    rx.Fractional(nu=0.3, lam=1.0),
-    rx.GammaBoundary(k=3, lam=1.3),
-    rx.Elastic(alpha=0.7, lam=1.3),
-], ids=lambda m: type(m).__name__)
-def test_talbot_takes_a_long_array_in_blocks_of_rows(m, n):
-    # the transform sees at most _TALBOT_ROWS times per call, and the blocks
-    # give bit for bit the values of one product over every time
-    rows = []
-
-    def G(table, t):
-        rows.append(t.shape[0])
-        return m._transform(table, t)
-
-    ts = np.geomspace(1e-6, 1e6, n)
-    got = fc._talbot(G, ts)
-    assert sum(rows) == n and max(rows) <= fc._TALBOT_ROWS == 512
-    with np.errstate(all="ignore"):
-        want = (m._transform(fc._TABLE, ts[:, None]) @ fc._WEIGHTS).real[:, 0]
-    assert np.array_equal(got, want)
-
-
 # ---------------------------------------------------------------------------
 # residual refinement study
 # ---------------------------------------------------------------------------

@@ -241,8 +241,8 @@ def test_simulate_parity(name, spec, boundary):
 
 @pytest.mark.parametrize("name", sorted(PINNED["simulate"]))
 def test_pinned_simulate_rows_pass_the_z_gate(name):
-    # a pinned estimate |z| >= 4 off its analytic value pins a defect
-    assert all(abs(z) < 4.0 for *_, z in PINNED["simulate"][name]["rows"])
+    # a pinned estimate |z| >= Z_GATE off its analytic value pins a defect
+    assert all(abs(z) < gp.Z_GATE for *_, z in PINNED["simulate"][name]["rows"])
 
 
 def test_the_generator_refuses_a_row_at_the_z_gate():
